@@ -10,8 +10,8 @@ BENCH_MAX_REGRESS ?= 0
 # on noisy shared runners).
 BENCH_REGRESS_METRIC ?= trials_per_sec
 # Batch geometry of the engine benchmarks: trials per wire frame and
-# batches in flight. Empty uses the in-tree defaults (256/4); 0 turns
-# batching off and benches the classic per-trial protocol.
+# batches in flight. Empty uses the in-tree defaults (256/4); a batch of
+# 0 benches one trial per frame.
 BENCH_BATCH ?=
 BENCH_WINDOW ?=
 # Per-benchmark time budget passed to `go test -benchtime`, e.g. 2s or
@@ -139,11 +139,11 @@ bench-history:
 
 # Numeric verification of every lemma/claim (exhaustive small instances).
 verify:
-	$(GO) run ./cmd/dut-verify
+	$(GO) run ./cmd/dut verify
 
 # Regenerate every experiment table quoted in EXPERIMENTS.md.
 results:
-	$(GO) run ./cmd/dut-bench -scale 1 -seed 1 -out results -csv
+	$(GO) run ./cmd/dut exp -run all -scale 1 -seed 1 -out results -csv
 
 clean:
 	rm -f test_output.txt bench_output.txt bench_engine.txt dutlint.json

@@ -8,7 +8,7 @@ package dut
 //
 //	go test -bench=. -benchmem
 //
-// for the harness, and cmd/dut-bench for the full-scale tables written to
+// for the harness, and `dut exp -out` for the full-scale tables written to
 // results/ and quoted in EXPERIMENTS.md.
 
 import (

@@ -11,9 +11,11 @@
 //	dut bounds  — print the paper's lower-bound formulas evaluated at the
 //	              given parameters, next to the matching upper-bound
 //	              recommendations.
-//	dut exp     — run one experiment from the registry and print its
-//	              table (default E21, the Theorem 6.4 r-bit decay sweep).
-//	dut verify  — shorthand pointing at cmd/dut-verify.
+//	dut exp     — run experiments from the registry and print their
+//	              tables (default E21, the Theorem 6.4 r-bit decay sweep);
+//	              with -out, also write them as the EXPERIMENTS.md files.
+//	dut verify  — numerically verify every lemma and identity of the
+//	              paper on exhaustive small instances.
 package main
 
 import (
@@ -31,7 +33,6 @@ import (
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
-	"github.com/distributed-uniformity/dut/internal/experiments"
 	"github.com/distributed-uniformity/dut/internal/lowerbound"
 	"github.com/distributed-uniformity/dut/internal/network"
 )
@@ -55,8 +56,7 @@ func run(args []string) int {
 	case "exp":
 		return cmdExp(args[1:])
 	case "verify":
-		fmt.Fprintln(os.Stderr, "dut: run `go run ./cmd/dut-verify` for the full lemma verification suite")
-		return 2
+		return cmdVerify(args[1:])
 	case "-h", "--help", "help":
 		usage()
 		return 0
@@ -72,7 +72,8 @@ func usage() {
   dut test    [-n N] [-eps E] [-mode collision|chisq|threshold|and] [-k K] [-q Q] [-source uniform|zipf|hard|stdin] [-trials T] [-seed S]
   dut netdemo [-n N] [-eps E] [-k K] [-q Q] [-bits R] [-tcp] [-seed S] [-rounds R] [-minvotes M] [-crash C] [-delay D] [-batch B] [-window W] [-shards S | -aggregators A] [-aggweights W1,W2,...] [-shardseed S]
   dut bounds  [-n N] [-eps E] [-k K] [-T T] [-r R] [-q Q]
-  dut exp     [-id E21] [-scale S] [-seed S] [-par P] [-list]
+  dut exp     [-run E21|E1,E2,...|all] [-scale S] [-seed S] [-par P] [-out DIR [-csv]] [-list]
+  dut verify  [-seed S] [-v]
 `)
 }
 
@@ -301,7 +302,7 @@ func cmdNetDemo(args []string) int {
 		minVotes = fs.Int("minvotes", 0, "quorum: tolerate stragglers down to this many votes (0 = strict)")
 		crash    = fs.Int("crash", 0, "chaos: crash this many nodes at their first vote")
 		delay    = fs.Duration("delay", 0, "chaos: per-frame write delay injected on one node")
-		batch    = fs.Int("batch", 0, "trials per ROUND_BATCH wire frame (0 = classic one-frame-per-round protocol)")
+		batch    = fs.Int("batch", 0, "trials per ROUND_BATCH wire frame (0 = one trial per frame)")
 		window   = fs.Int("window", 1, "batches kept in flight per session (needs -batch)")
 		shards   = fs.Int("shards", 0, "L1 aggregator shards between players and root (0 or 1 = flat star)")
 		aggs     = fs.Int("aggregators", 0, "alias for -shards: number of L1 aggregators in the referee tree")
@@ -486,20 +487,13 @@ func cmdNetDemo(args []string) int {
 		fmt.Printf("batched wire protocol: %d trials per frame, %d batches in flight\n", *batch, *window)
 	}
 	start := time.Now()
-	// One session regardless of the round count: both paths route the
-	// rounds through the unified engine driver, so a 1-round demo and a
-	// full amplification session exercise the same path. With -batch the
-	// engine drives the cluster backend's pipelined batch session
-	// (ROUND_BATCH/VOTE_BATCH/VERDICT_BATCH frames) instead of the
-	// classic one-frame-per-round session.
+	// One session regardless of the round count: the engine drives the
+	// cluster backend's batch session (ROUND_BATCH/VOTE_BATCH/
+	// VERDICT_BATCH frames), one trial per batch unless -batch says
+	// otherwise, so a 1-round demo and a full amplification session
+	// exercise the same path.
 	var accept bool
-	var verdicts []bool
-	var allStats []network.RoundStats
-	if *batch > 0 {
-		verdicts, allStats, err = runBatchedDemo(cluster, sampler, rng, *rounds, *batch, *window)
-	} else {
-		verdicts, allStats, err = cluster.RunManyStats(context.Background(), sampler, rng, *rounds)
-	}
+	verdicts, allStats, err := runDemo(cluster, sampler, rng, *rounds, *batch, *window)
 	if err == nil {
 		accept, err = network.MajorityVerdict(verdicts)
 	}
@@ -534,10 +528,10 @@ func cmdNetDemo(args []string) int {
 	return 0
 }
 
-// runBatchedDemo drives the cluster through the engine's batched trial
-// driver and maps the per-trial results back to the RoundStats shape the
-// demo prints.
-func runBatchedDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rounds, batch, window int) ([]bool, []network.RoundStats, error) {
+// runDemo drives the cluster through the engine's trial driver on one
+// worker (so the frame counter's tier attribution holds) and maps the
+// per-trial results back to the RoundStats shape the demo prints.
+func runDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rounds, batch, window int) ([]bool, []network.RoundStats, error) {
 	backend, err := network.NewBackend(cluster)
 	if err != nil {
 		return nil, nil, err
@@ -566,38 +560,6 @@ func runBatchedDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Ra
 		}
 	}
 	return verdicts, stats, nil
-}
-
-func cmdExp(args []string) int {
-	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
-	var (
-		id    = fs.String("id", "E21", "experiment ID from the registry")
-		list  = fs.Bool("list", false, "list registered experiments and exit")
-		scale = fs.Float64("scale", 1, "trial-count multiplier (smaller = faster smoke run)")
-		seed  = fs.Uint64("seed", 1, "random seed")
-		par   = fs.Int("par", 0, "worker parallelism (0 = GOMAXPROCS)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *list {
-		for _, e := range experiments.Registry() {
-			fmt.Printf("%-4s %s (%s)\n", e.ID, e.Title, e.Reproduces)
-		}
-		return 0
-	}
-	e, ok := experiments.ByID(*id)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "dut exp: unknown experiment %q; -list prints the registry\n", *id)
-		return 2
-	}
-	table, err := e.Run(experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *par})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dut exp: %v\n", err)
-		return 1
-	}
-	fmt.Println(table.Markdown())
-	return 0
 }
 
 func cmdBounds(args []string) int {

@@ -15,8 +15,11 @@ func TestRunDispatch(t *testing.T) {
 	if code := run([]string{"frobnicate"}); code != 2 {
 		t.Errorf("unknown subcommand exit = %d", code)
 	}
-	if code := run([]string{"verify"}); code != 2 {
-		t.Errorf("verify pointer exit = %d", code)
+	if code := run([]string{"verify", "-badflag"}); code != 2 {
+		t.Errorf("verify bad flag exit = %d", code)
+	}
+	if code := run([]string{"exp", "-run", "E99"}); code != 2 {
+		t.Errorf("unknown experiment exit = %d", code)
 	}
 }
 

@@ -41,6 +41,19 @@ func (b *testerBackend) RunRound(ctx context.Context, spec engine.RoundSpec) (en
 	return b.RunRoundScratch(ctx, spec, b.t.newScratch())
 }
 
+// RunRoundScratch implements engine.ScratchBackend: a chunk of one
+// trial through RunRoundsScratch.
+//
+//dut:hotpath
+func (b *testerBackend) RunRoundScratch(ctx context.Context, spec engine.RoundSpec, scratch any) (engine.RoundResult, error) {
+	specs := [1]engine.RoundSpec{spec}
+	var out [1]engine.RoundResult
+	if err := b.RunRoundsScratch(ctx, scratch, specs[:], 1, out[:]); err != nil {
+		return engine.RoundResult{}, err
+	}
+	return out[0], nil
+}
+
 // RunRoundsScratch implements engine.BatchBackend: the scratch path
 // looped, with the per-trial node-program construction and the
 // simulator's round buffers amortized across the whole batch (the
@@ -81,32 +94,4 @@ func (b *testerBackend) RunRoundsScratch(ctx context.Context, scratch any, specs
 	}
 	engine.SpreadWall(out, sw.Elapsed())
 	return nil
-}
-
-// RunRoundScratch implements engine.ScratchBackend.
-//
-//dut:hotpath
-func (b *testerBackend) RunRoundScratch(ctx context.Context, spec engine.RoundSpec, scratch any) (engine.RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return engine.RoundResult{}, err
-	}
-	sc, ok := scratch.(*runScratch)
-	if !ok {
-		return engine.RoundResult{}, fmt.Errorf("congest: foreign scratch %T", scratch)
-	}
-	sw := engine.StartStopwatch()
-	shared := engine.SharedSeed(spec.Seed, spec.Trial)
-	accept, sim, err := b.t.runSeededScratch(spec.Sampler, shared, sc)
-	if err != nil {
-		return engine.RoundResult{}, err
-	}
-	n := b.t.Players()
-	return engine.RoundResult{
-		Verdict:    accept,
-		Votes:      n,
-		Samples:    n * b.t.q,
-		Messages:   sim.MessagesSent(),
-		CommRounds: sim.Rounds(),
-		Wall:       sw.Elapsed(),
-	}, nil
 }

@@ -62,31 +62,17 @@ func (b *smpBackend) RunRound(ctx context.Context, spec engine.RoundSpec) (engin
 	return b.RunRoundScratch(ctx, spec, b.NewScratch())
 }
 
-// RunRoundScratch implements engine.ScratchBackend: one referee-model
-// round, allocation-free in steady state.
+// RunRoundScratch implements engine.ScratchBackend: a chunk of one
+// trial through RunRoundsScratch.
 //
 //dut:hotpath
 func (b *smpBackend) RunRoundScratch(ctx context.Context, spec engine.RoundSpec, scratch any) (engine.RoundResult, error) {
-	if err := ctx.Err(); err != nil {
+	specs := [1]engine.RoundSpec{spec}
+	var out [1]engine.RoundResult
+	if err := b.RunRoundsScratch(ctx, scratch, specs[:], 1, out[:]); err != nil {
 		return engine.RoundResult{}, err
 	}
-	rs, ok := scratch.(*smpRoundScratch)
-	if !ok {
-		return engine.RoundResult{}, fmt.Errorf("core: foreign scratch %T", scratch)
-	}
-	sw := engine.StartStopwatch()
-	shared := engine.SharedSeed(spec.Seed, spec.Trial)
-	accept, err := b.p.runSeededScratch(spec.Sampler, shared, rs.msgs, rs.sc)
-	if err != nil {
-		return engine.RoundResult{}, err
-	}
-	return engine.RoundResult{
-		Verdict:  accept,
-		Votes:    b.p.Players(),
-		Messages: b.p.Players(),
-		Samples:  b.totalSamples,
-		Wall:     sw.Elapsed(),
-	}, nil
+	return out[0], nil
 }
 
 // RunRoundsScratch implements engine.BatchBackend. In-process rounds

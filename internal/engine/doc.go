@@ -12,6 +12,12 @@
 //
 //	RunRound(ctx, RoundSpec) (RoundResult, error)
 //
+// The driver itself calls one method, BatchBackend.RunRoundsScratch, once
+// per chunk of Batch*Window trials; Options.Batch 0 means a chunk of one
+// trial at batch 1. A backend without a batch path is driven through a
+// private adapter that loops its RunRoundScratch (or RunRound) over the
+// chunk, so every backend runs the same driver code.
+//
 // RoundSpec names the trial index, the engine's base seed and the sampler
 // for the unknown distribution; RoundResult is the uniform per-round
 // accounting (verdict, votes, stragglers, retries, samples drawn, wall
@@ -23,8 +29,8 @@
 //
 //   - core.BackendFor adapts any core.Protocol; *core.SMP gets the
 //     deterministic per-player treatment below.
-//   - network.NewBackend adapts a *network.Cluster (one networked round
-//     with fresh connections per trial).
+//   - network.NewBackend adapts a *network.Cluster (one live batch
+//     session per driver worker).
 //   - congest.NewBackend adapts a *congest.Tester (one synchronous-round
 //     graph simulation per trial).
 //
@@ -39,14 +45,13 @@
 //
 // SharedSeed and NodeRNG are splitmix64-mixed PCG streams. A player's
 // private stream is a function of the round's public coin and its own id,
-// so a networked node can rebuild it from the ROUND frame alone — no
+// so a networked node can rebuild it from the ROUND_BATCH seed alone — no
 // extra wire state — and an SMP round, a cluster round and a CONGEST
 // round with the same rule, player count and sample budget produce
 // bit-identical votes and verdicts. The contract holds for any message
 // width the rule declares (LocalRule.Bits), not just single-bit votes:
 // an r-bit message is the same uint64 on every backend, whether it
-// rides a VOTE frame, the VOTE_BATCH_R planes, or a CONGEST
-// convergecast. The driver assigns whole trials to workers, so verdict
+// rides the VOTE_BATCH planes or a CONGEST convergecast. The driver assigns whole trials to workers, so verdict
 // sequences are also independent of Options.Workers.
 //
 // # The trial driver
@@ -63,8 +68,6 @@
 //
 // The pre-engine entry points survive as thin wrappers and keep their
 // seed-test semantics: core.EstimateAcceptance, core.Separates and
-// core.Amplify delegate here via core.BackendFor, and
-// network.Cluster.RunMany/RunManyStats drive their multi-round session
-// through this driver with a single worker. New code should construct a
-// Backend and call the engine (or dut.NewEngine) directly.
+// core.Amplify delegate here via core.BackendFor. New code should
+// construct a Backend and call the engine (or dut.NewEngine) directly.
 package engine

@@ -97,16 +97,19 @@ type ScratchBackend interface {
 	RunRoundScratch(ctx context.Context, spec RoundSpec, scratch any) (RoundResult, error)
 }
 
-// BatchBackend is the optional multi-trial extension of ScratchBackend,
-// engaged when Options.Batch is at least 1: the driver hands each
-// worker a contiguous chunk of Batch*Window trials and the backend
-// executes them in one call. batch is the wire granularity — pipelined
-// backends split specs into ceil(len(specs)/batch) sub-batches and keep
-// them concurrently in flight (the window), in-process backends simply
-// loop their scratch path. out has len(specs) entries, one per spec in
-// order; the driver fills the Trial fields afterwards. The determinism
-// contract is unchanged: the verdict for (seed, trial, player) must be
-// bit-identical to the unbatched path for any batch size and window.
+// BatchBackend is the multi-trial extension of ScratchBackend and the
+// driver's one call site: the driver hands each worker a contiguous
+// chunk of Batch*Window trials and the backend executes them in one
+// call (with Batch 0, a chunk of one trial at batch 1). batch is the
+// wire granularity — pipelined backends split specs into
+// ceil(len(specs)/batch) sub-batches and keep them concurrently in
+// flight (the window), in-process backends simply loop their scratch
+// path. out has len(specs) entries, one per spec in order; the driver
+// fills the Trial fields afterwards. A backend without this extension
+// is driven through an adapter that loops RunRoundScratch (or RunRound)
+// over the chunk. The determinism contract is unchanged: the verdict for
+// (seed, trial, player) must be bit-identical to RunRound's for any
+// batch size and window.
 type BatchBackend interface {
 	ScratchBackend
 	// RunRoundsScratch executes len(specs) consecutive trials with the
@@ -147,14 +150,14 @@ type Options struct {
 	Confidence float64
 	// Seed is the base seed all per-trial streams derive from.
 	Seed uint64
-	// Batch is the number of trials carried per batch frame when the
-	// backend implements BatchBackend; 0 (or a non-batch backend) keeps
-	// the one-trial-per-round path. Batch never changes verdicts — every
-	// trial's randomness still derives from (Seed, Trial) alone.
+	// Batch is the number of trials carried per batch frame; 0 means a
+	// batch of one trial with a window of one — one trial per chunk.
+	// Batch never changes verdicts — every trial's randomness still
+	// derives from (Seed, Trial) alone.
 	Batch int
 	// Window is the number of batches a pipelined backend keeps in
 	// flight per worker (the sliding window); 0 or 1 means no
-	// pipelining. Ignored unless Batch engages the batch path.
+	// pipelining. Ignored when Batch is 0.
 	Window int
 }
 
@@ -244,21 +247,14 @@ func Run(ctx context.Context, b Backend, src Source, trials int, opts Options) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sb, hasScratch := b.(ScratchBackend)
-	bb, hasBatch := b.(BatchBackend)
-	// chunk is the scheduling unit: 1 trial on the classic path, a full
-	// window of batches when the backend takes batched rounds.
-	chunk := 1
-	batch := opts.Batch
-	if hasBatch && batch >= 1 {
-		window := opts.Window
-		if window < 1 {
-			window = 1
-		}
-		chunk = batch * window
-	} else {
-		batch = 0
+	bb := batchOf(b)
+	// chunk is the scheduling unit: a full window of batches, a single
+	// trial when Batch is 0.
+	batch, window := 1, 1
+	if opts.Batch >= 1 {
+		batch, window = opts.Batch, max(opts.Window, 1)
 	}
+	chunk := batch * window
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -288,11 +284,8 @@ func Run(ctx context.Context, b Backend, src Source, trials int, opts Options) (
 			// trials: the source's generator (reseeded per trial) and the
 			// backend's scratch (sample buffers, vote slices, node RNGs).
 			trialRNG := NewReusableRNG()
-			var scratch any
-			if hasScratch {
-				scratch = sb.NewScratch()
-				defer closeScratch(scratch)
-			}
+			scratch := bb.NewScratch()
+			defer closeScratch(scratch)
 			specs := make([]RoundSpec, 0, chunk)
 			for start := range jobs {
 				end := start + chunk
@@ -327,26 +320,12 @@ func Run(ctx context.Context, b Backend, src Source, trials int, opts Options) (
 				if bad {
 					continue
 				}
-				var err error
-				if batch >= 1 {
-					err = bb.RunRoundsScratch(runCtx, scratch, specs, batch, results[start:end])
-					if err != nil {
-						err = fmt.Errorf("engine: trials %d..%d: %w", start, end-1, err)
-					}
-				} else {
-					var res RoundResult
-					if hasScratch {
-						res, err = sb.RunRoundScratch(runCtx, specs[0], scratch)
-					} else {
-						res, err = b.RunRound(runCtx, specs[0])
-					}
-					if err != nil {
+				if err := bb.RunRoundsScratch(runCtx, scratch, specs, batch, results[start:end]); err != nil {
+					if end-start == 1 {
 						err = fmt.Errorf("engine: trial %d: %w", start, err)
 					} else {
-						results[start] = res
+						err = fmt.Errorf("engine: trials %d..%d: %w", start, end-1, err)
 					}
-				}
-				if err != nil {
 					werr.record(start, err)
 					cancel()
 					continue
@@ -391,6 +370,45 @@ feed:
 		return nil, cancelled
 	}
 	return results, nil
+}
+
+// batchOf returns b's batch path. A backend without one gets an adapter
+// whose chunks loop RunRoundScratch trial by trial — RunRound when it
+// has no scratch either — so the driver has a single call site.
+func batchOf(b Backend) BatchBackend {
+	if bb, ok := b.(BatchBackend); ok {
+		return bb
+	}
+	sb, ok := b.(ScratchBackend)
+	if !ok {
+		sb = noScratch{b}
+	}
+	return loopBackend{sb}
+}
+
+// noScratch gives a plain Backend the scratch methods: no scratch, and
+// RunRound per trial.
+type noScratch struct{ Backend }
+
+func (noScratch) NewScratch() any { return nil }
+
+func (n noScratch) RunRoundScratch(ctx context.Context, spec RoundSpec, _ any) (RoundResult, error) {
+	return n.RunRound(ctx, spec)
+}
+
+// loopBackend is the batch path of a backend that has none: each chunk
+// is its trials in order.
+type loopBackend struct{ ScratchBackend }
+
+func (l loopBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []RoundSpec, _ int, out []RoundResult) error {
+	for i, spec := range specs {
+		res, err := l.RunRoundScratch(ctx, spec, scratch)
+		if err != nil {
+			return err
+		}
+		out[i] = res
+	}
+	return nil
 }
 
 // closeScratch releases a worker's scratch when it holds live resources

@@ -9,5 +9,5 @@
 //
 // Experiments accept a Config whose Scale knob shrinks or grows the grids
 // and trial counts, so the same code serves quick smoke runs (bench
-// harness, go test) and the full tables (cmd/dut-bench).
+// harness, go test) and the full tables (`dut exp -out`).
 package experiments

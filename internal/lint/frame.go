@@ -39,10 +39,8 @@ var (
 		"ReadFrame": true, "readFrame": true, "expectFrame": true,
 	}
 	frameWriteCalls = map[string]bool{
-		"WriteHello": true, "WriteRound": true, "WriteVote": true,
-		"WriteVerdict": true, "WriteFinish": true, "writeFrame": true,
+		"WriteHello": true, "WriteFinish": true, "writeFrame": true,
 		"WriteRoundBatch": true, "WriteVoteBatch": true, "WriteVerdictBatch": true,
-		"WriteVoteBatchR": true,
 		// The referee tree's aggregator frames: handshake, reduced sums,
 		// and forwarded planes.
 		"WriteAggHello": true, "WriteAggSum": true, "WriteAggPlanes": true,

@@ -13,7 +13,7 @@ type frame struct{}
 func setDeadline(c net.Conn, d time.Duration)          {}
 func setWriteDeadline(c net.Conn, d time.Duration)     {}
 func ReadFrame(c net.Conn) (frame, error)              { return frame{}, nil }
-func WriteVote(c net.Conn, v uint64) error             { return nil }
+func WriteHello(c net.Conn, id uint32) error           { return nil }
 func WriteVoteBatch(c net.Conn, bits []uint64) error   { return nil }
 func WriteAggSum(c net.Conn, sums []uint64) error      { return nil }
 func WriteAggHello(c net.Conn, members []uint32) error { return nil }
@@ -32,7 +32,7 @@ func badRead(c net.Conn) {
 func badStale(c net.Conn, buf []int) {
 	setDeadline(c, time.Second)
 	SampleInto(buf)
-	_ = WriteVote(c, 1) // want "frame write under a deadline already consumed"
+	_ = WriteHello(c, 1) // want "frame write under a deadline already consumed"
 }
 
 func badStaleBatch(c net.Conn, buf []int, bits []uint64) {
@@ -69,7 +69,7 @@ func good(c net.Conn, buf []int) error {
 	}
 	SampleInto(buf)
 	setDeadline(c, time.Second) // refreshed after sampling: clean
-	return WriteVote(c, 1)
+	return WriteHello(c, 1)
 }
 
 type wrapConn struct{ net.Conn }

@@ -10,9 +10,9 @@ import "testing"
 func FuzzFrame(f *testing.F) {
 	var buf []byte
 	buf = WriteHello(buf)
-	buf = WriteRound(buf) // syntactic only: the encoder itself is missing from the package
-	buf = WriteVote(buf)
-	buf = WriteVerdict(buf)
+	buf = WriteRoundBatch(buf) // syntactic only: the encoder itself is missing from the package
+	buf = WriteVoteBatch(buf)
+	buf = WriteVerdictBatch(buf)
 	buf = WriteBogus(buf)
 	buf = WriteSpare(buf)
 	f.Add(buf)

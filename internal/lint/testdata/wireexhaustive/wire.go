@@ -9,29 +9,29 @@ package fixture
 type FrameType uint8
 
 const (
-	FrameHello   FrameType = 1
-	FrameRound   FrameType = 2 // want "has no encoder"
-	FrameVote    FrameType = 3 // want "has no ReadFrame decoder case"
-	FrameVerdict FrameType = 4 // want "decoder case performs no validation"
-	FrameFinish  FrameType = 5 // want "no FuzzFrame round-trip seed"
-	FrameBogus   FrameType = 6 // want "missing from the dut/framediscipline writer set" "no malformed-input fuzz seed"
-	FrameSpare   FrameType = 7 //lint:ignore dut/wireexhaustive fixture: the spare frame is decoder-only by design
+	FrameHello        FrameType = 1
+	FrameRoundBatch   FrameType = 2 // want "has no encoder"
+	FrameVoteBatch    FrameType = 3 // want "has no ReadFrame decoder case"
+	FrameVerdictBatch FrameType = 4 // want "decoder case performs no validation"
+	FrameFinish       FrameType = 5 // want "no FuzzFrame round-trip seed"
+	FrameBogus        FrameType = 6 // want "missing from the dut/framediscipline writer set" "no malformed-input fuzz seed"
+	FrameSpare        FrameType = 7 //lint:ignore dut/wireexhaustive fixture: the spare frame is decoder-only by design
 )
 
-func WriteHello(buf []byte) []byte   { return append(buf, byte(FrameHello)) }
-func WriteVote(buf []byte) []byte    { return append(buf, byte(FrameVote)) }
-func WriteVerdict(buf []byte) []byte { return append(buf, byte(FrameVerdict)) }
-func WriteFinish(buf []byte) []byte  { return append(buf, byte(FrameFinish)) }
-func WriteBogus(buf []byte) []byte   { return append(buf, byte(FrameBogus)) }
+func WriteHello(buf []byte) []byte        { return append(buf, byte(FrameHello)) }
+func WriteVoteBatch(buf []byte) []byte    { return append(buf, byte(FrameVoteBatch)) }
+func WriteVerdictBatch(buf []byte) []byte { return append(buf, byte(FrameVerdictBatch)) }
+func WriteFinish(buf []byte) []byte       { return append(buf, byte(FrameFinish)) }
+func WriteBogus(buf []byte) []byte        { return append(buf, byte(FrameBogus)) }
 
 // ReadFrame decodes one frame; every covered case must validate.
 func ReadFrame(t FrameType, payload []byte) error {
 	switch t {
 	case FrameHello:
 		return checkHello(payload)
-	case FrameRound:
-		return checkRound(payload)
-	case FrameVerdict:
+	case FrameRoundBatch:
+		return checkRoundBatch(payload)
+	case FrameVerdictBatch:
 		return nil // no validation: flagged at the constant
 	case FrameFinish:
 		return checkFinish(payload)
@@ -43,8 +43,8 @@ func ReadFrame(t FrameType, payload []byte) error {
 	return nil
 }
 
-func checkHello(p []byte) error  { _ = p; return nil }
-func checkRound(p []byte) error  { _ = p; return nil }
-func checkFinish(p []byte) error { _ = p; return nil }
-func checkBogus(p []byte) error  { _ = p; return nil }
-func checkSpare(p []byte) error  { _ = p; return nil }
+func checkHello(p []byte) error      { _ = p; return nil }
+func checkRoundBatch(p []byte) error { _ = p; return nil }
+func checkFinish(p []byte) error     { _ = p; return nil }
+func checkBogus(p []byte) error      { _ = p; return nil }
+func checkSpare(p []byte) error      { _ = p; return nil }

@@ -17,7 +17,7 @@ import (
 // s > 1 the flat star becomes a two-tier tree where each of s L1
 // aggregators owns one shard of players, runs the same accept/HELLO and
 // batch-gather logic the root runs against its shard, reduces every
-// gathered VOTE_BATCH / VOTE_BATCH_R locally, and sends one reduced
+// gathered VOTE_BATCH locally, and sends one reduced
 // frame per batch upstream. For threshold- and sum-shaped referees the
 // reduction is the bit-sliced partial sum itself (AGG_SUM carries the
 // per-lane rejection/value counters, which compose across shards by
@@ -242,8 +242,8 @@ func (a *aggregator) acceptMembers(ctx context.Context) ([]*batchSlot, uint32, e
 			}
 			return nil, 0, fmt.Errorf("network: aggregator %d accept: %w", a.id, err)
 		}
-		a.bs.track(conn)
-		setDeadline(conn, s.timeout)
+		a.bs.tracker.track(conn)
+		setReadDeadline(conn, s.timeout)
 		hello, err := expectFrame[Hello](conn, FrameHello)
 		if err != nil {
 			if s.strict() {
@@ -259,12 +259,7 @@ func (a *aggregator) acceptMembers(ctx context.Context) ([]*batchSlot, uint32, e
 			_ = conn.Close()
 			continue
 		}
-		pos := a.position(hello.Player)
-		slots[pos] = &batchSlot{
-			sl:         &playerSlot{conn: conn, player: hello.Player, bits: hello.Bits},
-			q:          newFrameQueue(),
-			writerDone: make(chan struct{}),
-		}
+		slots[a.position(hello.Player)] = newBatchSlot(&playerSlot{conn: conn, player: hello.Player, bits: hello.Bits})
 		present++
 	}
 	return slots, present, nil
@@ -320,8 +315,8 @@ func (a *aggregator) connectRoot(addr net.Addr, present uint32) error {
 			lastErr = fmt.Errorf("network: aggregator %d dial: %w", a.id, err)
 			continue
 		}
-		a.bs.track(conn)
-		setDeadline(conn, a.bs.server.timeout)
+		a.bs.tracker.track(conn)
+		setWriteDeadline(conn, a.bs.server.timeout)
 		hello := AggHello{Agg: a.id, Bits: uint8(a.bs.msgBits), Present: present, Members: a.members}
 		if err := WriteAggHello(conn, hello); err != nil {
 			_ = conn.Close()
@@ -367,7 +362,7 @@ func (a *aggregator) readRoot() {
 				a.fail(fmt.Errorf("network: aggregator %d relay: %w", a.id, err))
 				return
 			}
-			a.broadcast(relay)
+			broadcast(a.slots, relay)
 			a.pending.push(aggBatch{id: m.Batch, count: len(m.Seeds)})
 		case AggVerdict:
 			if err := a.relayVerdict(m); err != nil {
@@ -376,7 +371,7 @@ func (a *aggregator) readRoot() {
 			}
 		case Finish:
 			a.relay = AppendFinish(a.relay[:0])
-			a.broadcast(a.relay)
+			broadcast(a.slots, a.relay)
 			a.closeQueues()
 			return
 		default:
@@ -446,18 +441,8 @@ func (a *aggregator) relayVerdict(m AggVerdict) error {
 	if err != nil {
 		return fmt.Errorf("network: aggregator %d relay: %w", a.id, err)
 	}
-	a.broadcast(relay)
+	broadcast(a.slots, relay)
 	return nil
-}
-
-// broadcast queues one encoded frame to every live member.
-func (a *aggregator) broadcast(frame []byte) {
-	for _, slot := range a.slots {
-		if slot == nil || slot.isDead() {
-			continue
-		}
-		slot.q.push(frame)
-	}
 }
 
 func (a *aggregator) closeQueues() {
@@ -559,43 +544,12 @@ func (a *aggregator) gather(batchID uint32, count int) int {
 		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
 		go func(pos int, slot *batchSlot) {
 			defer wg.Done()
-			conn := slot.sl.conn
-			// The vote can lag the node's whole batch of sampling plus a
-			// queued verdict write; budget two timeouts.
-			setReadDeadline(conn, 2*bs.server.timeout)
-			var vb VoteBatchR
-			if bs.msgBits == 1 {
-				classic, err := expectFrame[VoteBatch](conn, FrameVoteBatch)
-				if err != nil {
-					a.failMember(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = VoteBatchR{Player: classic.Player, Batch: classic.Batch, Count: classic.Count, Bits: 1, Planes: classic.Bits}
-			} else {
-				wide, err := expectFrame[VoteBatchR](conn, FrameVoteBatchR)
-				if err != nil {
-					a.failMember(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = wide
-			}
-			if vb.Player != slot.sl.player {
-				a.failMember(slot, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.sl.player))
+			planes, err := bs.readVoteBatch(slot, batchID, count)
+			if err != nil {
+				a.failMember(slot, err)
 				return
 			}
-			if vb.Batch != batchID {
-				a.failMember(slot, fmt.Errorf("network: player %d answered batch %d, expected %d", slot.sl.player, vb.Batch, batchID))
-				return
-			}
-			if int(vb.Count) != count {
-				a.failMember(slot, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", slot.sl.player, vb.Count, batchID, count))
-				return
-			}
-			if int(vb.Bits) != bs.msgBits {
-				a.failMember(slot, fmt.Errorf("network: player %d sent %d-bit votes, the rule uses %d bits", slot.sl.player, vb.Bits, bs.msgBits))
-				return
-			}
-			a.deliv[pos] = vb.Planes
+			a.deliv[pos] = planes
 		}(pos, slot)
 	}
 	wg.Wait()
@@ -730,15 +684,6 @@ func combineShardSums(acc, shard []uint64, planes, words int) bool {
 	return overflow != 0
 }
 
-// track registers a connection with the sharded session's tracker, so
-// context death force-closes it. Flat sessions have no tracker (their
-// session object owns that job).
-func (bs *batchSession) track(conn net.Conn) {
-	if bs.tracker != nil {
-		bs.tracker.track(conn)
-	}
-}
-
 // failAgg records an aggregator failure; in strict mode it also tears
 // the session down, like failNode.
 func (bs *batchSession) failAgg(err error) {
@@ -767,13 +712,9 @@ func (bs *batchSession) sharded() bool { return bs.aggs != nil }
 // root's AGG_HELLO accept phase.
 //
 //dut:coldpath once-per-session tree construction; shard planning, aggregator spawn and member dialing are amortized across every batch
-func (bs *batchSession) startSharded(ctx context.Context, rootListener net.Listener) error {
+func (bs *batchSession) startSharded(ctx context.Context) error {
 	c := bs.c
 	bs.shards = c.topo.Partition(c.k)
-	bs.votes = make([]core.Message, c.k)
-	bs.got = make([]bool, c.k)
-	bs.tracker = &connTracker{}
-	bs.trackStop = bs.tracker.watch(ctx)
 	nShards := len(bs.shards)
 	bs.shardSums = make([][]uint64, nShards)
 	bs.shardPresent = make([]uint32, nShards)
@@ -803,34 +744,16 @@ func (bs *batchSession) startSharded(ctx context.Context, rootListener net.Liste
 		}
 	}
 	for _, a := range bs.aggs {
-		go bs.runAggregator(ctx, a, rootListener.Addr())
+		go bs.runAggregator(ctx, a, bs.listener.Addr())
 	}
 	for _, node := range bs.nodes {
-		bs.nodeWG.Add(1)
-		//lint:ignore dut/ctxprop cancel() closes the listeners and tracked conns, which unwinds connect and runSessionConn; a ctx check here would race the same teardown
-		go func(node *PlayerNode, addr net.Addr) {
-			defer bs.nodeWG.Done()
-			conn, retries, err := node.connect(c.tr, addr)
-			bs.addRetries(retries)
-			if err != nil {
-				bs.failNode(err)
-				return
-			}
-			defer func() { _ = conn.Close() }()
-			if _, err := node.runSessionConn(conn, false); err != nil {
-				bs.failNode(err)
-			}
-		}(node, addrByPlayer[node.id])
+		bs.spawnNode(node, addrByPlayer[node.id])
 	}
-	slots, err := bs.acceptAggregators(ctx, rootListener)
+	slots, err := bs.acceptAggregators(ctx, bs.listener)
 	if err != nil {
 		return err
 	}
 	bs.slots = slots
-	for _, slot := range bs.slots {
-		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (Close always closes it); cancellation reaches it through failSlot closing the conn
-		go bs.slotWriter(slot)
-	}
 	return nil
 }
 
@@ -871,8 +794,8 @@ func (bs *batchSession) acceptAggregators(ctx context.Context, l net.Listener) (
 			}
 			return nil, fmt.Errorf("network: accept: %w", err)
 		}
-		bs.track(conn)
-		setDeadline(conn, s.timeout)
+		bs.tracker.track(conn)
+		setReadDeadline(conn, s.timeout)
 		hello, err := expectFrame[AggHello](conn, FrameAggHello)
 		if err != nil {
 			if s.strict() {
@@ -890,11 +813,7 @@ func (bs *batchSession) acceptAggregators(ctx context.Context, l net.Listener) (
 		}
 		seen[hello.Agg] = true
 		present += int(hello.Present)
-		slots = append(slots, &batchSlot{
-			sl:         &playerSlot{conn: conn, player: hello.Agg, bits: hello.Bits},
-			q:          newFrameQueue(),
-			writerDone: make(chan struct{}),
-		})
+		slots = append(slots, newBatchSlot(&playerSlot{conn: conn, player: hello.Agg, bits: hello.Bits}))
 	}
 	return slots, nil
 }

@@ -8,22 +8,17 @@ import (
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
-// clusterBackend runs each engine trial as one full networked round:
-// listener, node goroutines, HELLO/ROUND/VOTE/VERDICT, teardown. The
-// round's public coin is engine.SharedSeed(spec.Seed, spec.Trial), so
-// verdicts are bit-identical to the in-process SMP backend's for the
-// same engine seed. It implements engine.ScratchBackend: each driver
-// worker keeps one prebuilt node set (sample buffers and reseedable
-// generators included) and rebinds the trial's sampler instead of
-// constructing k nodes per round.
+// clusterBackend runs engine trials through batch sessions. The trial's
+// public coin is engine.SharedSeed(spec.Seed, spec.Trial), so verdicts
+// are bit-identical to the in-process SMP backend's for the same engine
+// seed. It implements engine.BatchBackend: each driver worker keeps one
+// live session in its scratch, opened on its first chunk and reused for
+// every later one; the per-trial methods are chunks of one trial.
 type clusterBackend struct {
 	c *Cluster
 }
 
-var (
-	_ engine.ScratchBackend = (*clusterBackend)(nil)
-	_ engine.BatchBackend   = (*clusterBackend)(nil)
-)
+var _ engine.BatchBackend = (*clusterBackend)(nil)
 
 // BackendOption adjusts the cluster topology a backend drives, without
 // mutating the caller's Cluster (the backend works on a copy).
@@ -71,14 +66,14 @@ func NewBackend(c *Cluster, opts ...BackendOption) (engine.Backend, error) {
 // Players implements engine.Backend.
 func (b *clusterBackend) Players() int { return b.c.k }
 
-// clusterScratch is one engine worker's reusable cluster state: the
-// prebuilt node set of the per-round path, plus — created lazily on the
-// first batched chunk — a live pipelined batch session reused across
-// every chunk the worker runs. The engine closes it (io.Closer) when
-// the worker exits.
+// clusterScratch is one engine worker's reusable cluster state: a live
+// batch session, created lazily on the worker's first chunk and reused
+// across every chunk the worker runs, plus the chunk's seed and sampler
+// buffers. The engine closes it (io.Closer) when the worker exits.
 type clusterScratch struct {
-	nodes []*PlayerNode
-	batch *batchSession
+	batch    *batchSession
+	seeds    []uint64
+	samplers []dist.Sampler
 }
 
 // Close implements io.Closer: it finishes the worker's batch session,
@@ -92,74 +87,35 @@ func (s *clusterScratch) Close() error {
 	return err
 }
 
-// NewScratch implements engine.ScratchBackend: one reusable node set per
-// worker. The placeholder sampler is replaced per round. On a sharded
-// topology the batch session owns node construction, so the scratch
-// starts empty and the session is created lazily on the first chunk.
-func (b *clusterBackend) NewScratch() any {
-	if b.c.topo.enabled() {
-		return &clusterScratch{}
-	}
-	nodes, err := b.c.buildNodes(dist.NopSampler{})
-	if err != nil {
-		// Construction can only fail on invalid cluster config, which
-		// NewCluster already rejected; fall back to the per-round path.
-		return nil
-	}
-	return &clusterScratch{nodes: nodes}
-}
+// NewScratch implements engine.ScratchBackend; the session itself opens
+// on the first chunk.
+func (b *clusterBackend) NewScratch() any { return &clusterScratch{} }
 
-// RunRound implements engine.Backend.
-//
-//dut:coldpath foreign-scratch fallback: builds nodes and a referee session per round by design
+// RunRound implements engine.Backend: one trial on a session of its own.
 func (b *clusterBackend) RunRound(ctx context.Context, spec engine.RoundSpec) (engine.RoundResult, error) {
-	shared := engine.SharedSeed(spec.Seed, spec.Trial)
-	accept, rs, err := b.c.RunRoundSeeded(ctx, spec.Sampler, shared)
-	if err != nil {
-		return engine.RoundResult{}, err
+	var cs clusterScratch
+	res, err := b.RunRoundScratch(ctx, spec, &cs)
+	if closeErr := cs.Close(); err == nil && closeErr != nil {
+		return engine.RoundResult{}, closeErr
 	}
-	return b.roundResult(accept, rs), nil
+	return res, err
 }
 
-// RunRoundScratch implements engine.ScratchBackend.
-//
-//dut:hotpath
+// RunRoundScratch implements engine.ScratchBackend: a chunk of one trial.
 func (b *clusterBackend) RunRoundScratch(ctx context.Context, spec engine.RoundSpec, scratch any) (engine.RoundResult, error) {
-	cs, ok := scratch.(*clusterScratch)
-	if ok && b.c.topo.enabled() {
-		// Sharded rounds run through the tree's batch session as a batch
-		// of one, so the per-trial scratch path exercises the same
-		// topology as the batched one.
-		specs := [1]engine.RoundSpec{spec}
-		var out [1]engine.RoundResult
-		if err := b.RunRoundsScratch(ctx, cs, specs[:], 1, out[:]); err != nil {
-			return engine.RoundResult{}, err
-		}
-		return out[0], nil
-	}
-	if !ok || len(cs.nodes) != b.c.k {
-		return b.RunRound(ctx, spec)
-	}
-	if spec.Sampler == nil {
-		return engine.RoundResult{}, fmt.Errorf("network: nil sampler")
-	}
-	for _, n := range cs.nodes {
-		n.setSampler(spec.Sampler)
-	}
-	shared := engine.SharedSeed(spec.Seed, spec.Trial)
-	accept, rs, err := b.c.runRoundSeededNodes(ctx, cs.nodes, shared)
-	if err != nil {
+	specs := [1]engine.RoundSpec{spec}
+	var out [1]engine.RoundResult
+	if err := b.RunRoundsScratch(ctx, scratch, specs[:], 1, out[:]); err != nil {
 		return engine.RoundResult{}, err
 	}
-	return b.roundResult(accept, rs), nil
+	return out[0], nil
 }
 
 // RunRoundsScratch implements engine.BatchBackend: the worker's chunk
-// of trials runs through a persistent pipelined session — ROUND_BATCH
-// frames of up to batch seeds, every batch of the chunk in flight at
-// once, packed VOTE_BATCH / VOTE_BATCH_R gathering and per-batch
-// verdict evaluation for any message width. Foreign scratch (or
-// batching disabled) falls back to the per-trial scratch path.
+// of trials runs through its persistent session — ROUND_BATCH frames of
+// up to batch seeds, every batch of the chunk in flight at once, packed
+// VOTE_BATCH gathering and per-batch verdict evaluation for any message
+// width, on the flat star or the configured referee tree.
 //
 //dut:hotpath
 func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []engine.RoundSpec, batch int, out []engine.RoundResult) error {
@@ -167,24 +123,19 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 		return fmt.Errorf("network: %d results for %d specs", len(out), len(specs))
 	}
 	cs, ok := scratch.(*clusterScratch)
-	if !ok || (batch < 1 && !b.c.topo.enabled()) {
-		for i, spec := range specs {
-			res, err := b.RunRoundScratch(ctx, spec, scratch)
-			if err != nil {
-				return err
-			}
-			out[i] = res
+	if !ok {
+		return fmt.Errorf("network: foreign scratch %T", scratch)
+	}
+	batch = min(max(batch, 1), MaxBatchTrials)
+	seeds, samplers := cs.seeds[:0], cs.samplers[:0]
+	for _, spec := range specs {
+		if spec.Sampler == nil {
+			return fmt.Errorf("network: nil sampler")
 		}
-		return nil
+		seeds = append(seeds, engine.SharedSeed(spec.Seed, spec.Trial))
+		samplers = append(samplers, spec.Sampler)
 	}
-	if batch < 1 {
-		// A sharded topology always routes through the batch session —
-		// it is the only path that builds the tree — as batches of one.
-		batch = 1
-	}
-	if batch > MaxBatchTrials {
-		batch = MaxBatchTrials
-	}
+	cs.seeds, cs.samplers = seeds, samplers
 	if cs.batch == nil {
 		sess, err := newBatchSession(ctx, b.c)
 		if err != nil {
@@ -192,19 +143,5 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 		}
 		cs.batch = sess
 	}
-	return cs.batch.runChunk(ctx, specs, batch, out)
-}
-
-// roundResult maps a networked round's stats onto the engine's uniform
-// accounting.
-func (b *clusterBackend) roundResult(accept bool, rs RoundStats) engine.RoundResult {
-	return engine.RoundResult{
-		Verdict:    accept,
-		Votes:      rs.Votes,
-		Stragglers: rs.Stragglers,
-		Retries:    rs.Retries,
-		Messages:   rs.Votes,
-		Samples:    rs.Votes * b.c.q,
-		Wall:       rs.Wall,
-	}
+	return cs.batch.runChunk(ctx, seeds, samplers, batch, out)
 }

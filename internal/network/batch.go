@@ -16,20 +16,23 @@ import (
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
-// This file implements the referee side of multi-trial batch pipelining:
-// one long-lived session per engine worker in which ROUND_BATCH frames
-// carry up to MaxBatchTrials public-coin seeds at once, nodes answer
-// with packed VOTE_BATCH bitsets, and the referee evaluates a whole
-// batch of verdicts per synchronization. Each slot gets a dedicated
-// writer goroutine fed by an unbounded frame queue: the in-memory
-// transport's writes are fully synchronous (net.Pipe parks the writer
-// until the peer reads), so queueing the next batches' ROUND_BATCH
-// frames while earlier votes are still being gathered is exactly what
-// keeps a window of batches in flight. Determinism is untouched — every
-// vote derives from (shared seed, player id) exactly as unbatched, and
-// the referee's per-batch evaluation reproduces decideVotes bit for
-// bit (word-parallel when the referee has threshold shape, trial by
-// trial otherwise).
+// This file implements the one trial protocol every cluster entry point
+// runs: a batch session. The referee keeps the k player connections open,
+// ROUND_BATCH frames carry up to MaxBatchTrials public-coin seeds at
+// once, nodes answer with one VOTE_BATCH of r packed bit-planes, and the
+// referee evaluates a whole batch of verdicts per synchronization before
+// replying VERDICT_BATCH; FINISH ends the session. A single trial is a
+// batch of one. Each slot gets a dedicated writer goroutine fed by an
+// unbounded frame queue: the in-memory transport's writes are fully
+// synchronous (net.Pipe parks the writer until the peer reads), so
+// queueing the next batches' ROUND_BATCH frames while earlier votes are
+// still being gathered is exactly what keeps a window of batches in
+// flight. Determinism is untouched — every vote derives from (shared
+// seed, player id) alone, and the referee's per-batch evaluation
+// reproduces decideVotes bit for bit (word-parallel when the referee has
+// threshold or sum shape, trial by trial otherwise). In quorum mode a
+// slot that dies (crash, timeout, protocol violation) stays dead for the
+// rest of the session and counts as a straggler in every later trial.
 
 // frameQueue is an unbounded FIFO of already-encoded frames feeding one
 // slot's writer goroutine. Unbounded is deliberate: the aggregator must
@@ -44,7 +47,7 @@ import (
 // the life of the session).
 type frameQueue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	buf    []byte // pending frames, encoded by the wire.go Append* helpers
 	frames int    // number of frames in buf
 	closed bool
@@ -52,7 +55,7 @@ type frameQueue struct {
 
 func newFrameQueue() *frameQueue {
 	q := &frameQueue{}
-	q.cond = sync.NewCond(&q.mu)
+	q.cond.L = &q.mu
 	return q
 }
 
@@ -96,10 +99,10 @@ func (q *frameQueue) close() {
 	q.cond.Broadcast()
 }
 
-// batchSlot pairs a referee-side player slot with its writer queue and
-// its own failure state (playerSlot.dead is single-goroutine state of
-// the unbatched path; the batch session's writer, gatherers and
-// aggregator need a locked flag).
+// batchSlot pairs a referee-side slot (a player on the flat star or at
+// an aggregator, an aggregator at the root) with its writer queue and
+// its failure state, which the writer, the gatherers and the session
+// share under the lock.
 type batchSlot struct {
 	sl         *playerSlot
 	q          *frameQueue
@@ -110,34 +113,86 @@ type batchSlot struct {
 	err  error
 }
 
+func newBatchSlot(sl *playerSlot) *batchSlot {
+	return &batchSlot{sl: sl, q: newFrameQueue(), writerDone: make(chan struct{})}
+}
+
 func (b *batchSlot) isDead() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.dead
 }
 
-// batchSession is one engine worker's live pipelined session: k node
-// goroutines, the accepted referee slots with their writers, and the
-// per-batch evaluation scratch. It persists across engine chunks (batch
-// ids grow monotonically) until the worker's scratch is closed.
+// broadcast queues one encoded frame to every live slot; nil entries are
+// absent aggregator-side members.
+func broadcast(slots []*batchSlot, frame []byte) {
+	for _, slot := range slots {
+		if slot == nil || slot.isDead() {
+			continue
+		}
+		slot.q.push(frame)
+	}
+}
+
+// samplerStage publishes each in-flight batch's per-trial samplers to
+// the session's in-process nodes, keyed by batch id: the referee stages
+// a batch before queueing its ROUND_BATCH and drops it once the batch is
+// gathered, and each node looks its batch up when the frame arrives.
+// One table serves every node, so staging costs one map write per batch
+// regardless of k.
+type samplerStage struct {
+	mu sync.RWMutex
+	m  map[uint32][]dist.Sampler
+}
+
+func (s *samplerStage) put(batch uint32, samplers []dist.Sampler) {
+	s.mu.Lock()
+	s.m[batch] = samplers
+	s.mu.Unlock()
+}
+
+func (s *samplerStage) get(batch uint32) ([]dist.Sampler, bool) {
+	s.mu.RLock()
+	samplers, ok := s.m[batch]
+	s.mu.RUnlock()
+	return samplers, ok
+}
+
+func (s *samplerStage) drop(batch uint32) {
+	s.mu.Lock()
+	delete(s.m, batch)
+	s.mu.Unlock()
+}
+
+// batchSession is one live session: the referee's accepted slots with
+// their writers, the in-process node goroutines (none when the players
+// are external), and the per-batch evaluation scratch. It persists
+// across runChunk calls (batch ids grow monotonically) until Close.
 type batchSession struct {
 	c        *Cluster
 	server   *RefereeServer
 	listener net.Listener
-	sess     *session
-	cancel   context.CancelFunc
-	nodes    []*PlayerNode
-	nodeWG   sync.WaitGroup
-	slots    []*batchSlot
+	// ctx is the context the session was opened with: teardown waits for
+	// the nodes only while it lives. cancel ends the session's own
+	// derived context, which closes the listener and, through tracker,
+	// every referee-side connection.
+	ctx       context.Context
+	cancel    context.CancelFunc
+	tracker   *connTracker
+	trackStop func()
+	nodes     []*PlayerNode
+	nodeWG    sync.WaitGroup
+	stage     *samplerStage
+	slots     []*batchSlot
 
-	nextBatch uint32 // aggregator-only
+	nextBatch uint32
 
 	mu      sync.Mutex
 	nodeErr error
 	retries int // accumulated node connect retries, not yet reported
 
-	// msgBits is the rule's message width r: 1 gathers classic
-	// VOTE_BATCH bitsets, wider rules gather VOTE_BATCH_R plane sets.
+	// msgBits is the rule's message width r: the plane count of every
+	// VOTE_BATCH.
 	msgBits int
 
 	// Threshold shape of the referee, when it has one: reject iff at
@@ -153,41 +208,29 @@ type batchSession struct {
 	sumT  int
 	sumOK bool
 
-	// Per-batch scratch: delivered vote bitsets (r plane sets) by player
-	// id, and the bit-sliced counter planes of the fast paths.
+	// Per-batch scratch: delivered vote planes by player id, and the
+	// bit-sliced counter planes of the fast paths.
 	deliv  [][]uint64
 	planes []uint64
 
-	// Aggregator-only scratch, reused across chunks. enc is the frame
-	// encode buffer (push copies bytes into the queue, so it is free
-	// again as soon as the pushes return); seeds backs each flight's
-	// ROUND_BATCH payload the same way. samplers is pooled per flight
-	// ordinal within a chunk: staged sampler slices stay referenced by
-	// the nodes until their batch is gathered, and gather waits on every
-	// live slot, so by the time runChunk returns all of them are free.
+	// Chunk scratch, reused across chunks. enc is the frame encode buffer
+	// (push copies bytes into the queue, so it is free again as soon as
+	// the pushes return).
 	enc         []byte
-	seeds       []uint64
-	samplers    [][]dist.Sampler
 	flights     []batchFlight
 	verdictBits []uint64
 
-	// Per-trial fallback scratch: the flat session aliases the referee
-	// session's buffers, the sharded session (which has no session
-	// object) owns its own.
+	// Per-trial fallback scratch for decideVotes.
 	votes []core.Message
 	got   []bool
 
 	// Sharded-tree state, nil/empty on the flat star. aggErr (under mu)
 	// records the first aggregator failure; shardSums/shardPresent/
 	// shardGot are the root's per-shard gather table, indexed by shard
-	// id, and aggSums the combined counter accumulator. The tracker
-	// force-closes every tree connection when the session context dies —
-	// the flat path delegates that to its session object.
+	// id, and aggSums the combined counter accumulator.
 	shards       [][]uint32
 	aggs         []*aggregator
 	aggListeners []net.Listener
-	tracker      *connTracker
-	trackStop    func()
 	aggErr       error
 	shardSums    [][]uint64
 	shardPresent []uint32
@@ -195,24 +238,20 @@ type batchSession struct {
 	aggSums      []uint64
 }
 
-// batchFlight is one wire batch of a chunk: its frame id and the spec
+// batchFlight is one wire batch of a chunk: its frame id and the trial
 // range it covers.
 type batchFlight struct {
 	id           uint32
 	start, count int
 }
 
-// newBatchSession starts the session: listener, k node goroutines, the
-// accept/HELLO phase, and one writer per accepted slot. Strict-mode
-// node failures cancel the session context so a blocked accept unwinds.
+// newBatchSession opens a session with the cluster's k in-process nodes
+// over a fresh listener. Every node is constructed before any goroutine
+// spawns, so a construction error leaves nothing running.
 //
-//dut:coldpath once-per-session construction; node build, dial and handshake are amortized across every batch the session serves
+//dut:coldpath once-per-session node construction, amortized across every batch the session serves
 func newBatchSession(ctx context.Context, c *Cluster) (*batchSession, error) {
-	server, err := c.newServer()
-	if err != nil {
-		return nil, err
-	}
-	nodes, err := c.buildNodes(dist.NopSampler{})
+	nodes, err := c.buildNodes()
 	if err != nil {
 		return nil, err
 	}
@@ -220,14 +259,40 @@ func newBatchSession(ctx context.Context, c *Cluster) (*batchSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("network: listen: %w", err)
 	}
+	return openBatchSession(ctx, c, listener, nodes)
+}
+
+// openBatchSession starts a session on listener l, which it owns from
+// here on: the nodes (nil when the players dial in from elsewhere)
+// connect, the referee — or, on a sharded topology, the aggregator tier
+// and then the root — runs the accept phase, and every accepted slot
+// gets its writer. Strict-mode node failures cancel the session context
+// so a blocked accept unwinds.
+//
+//dut:coldpath once-per-session construction; dial and handshake are amortized across every batch the session serves
+func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*PlayerNode) (*batchSession, error) {
+	if l == nil {
+		return nil, fmt.Errorf("network: nil listener")
+	}
+	server, err := c.newServer()
+	if err != nil {
+		_ = l.Close()
+		return nil, err
+	}
 	runCtx, cancel := context.WithCancel(ctx)
 	go func() {
 		<-runCtx.Done()
-		_ = listener.Close()
+		_ = l.Close()
 	}()
-
-	bs := &batchSession{c: c, server: server, listener: listener, cancel: cancel, nodes: nodes}
-	bs.msgBits = c.rule.Bits()
+	bs := &batchSession{
+		c: c, server: server, listener: l, ctx: ctx, cancel: cancel, nodes: nodes,
+		tracker: &connTracker{},
+		stage:   &samplerStage{m: make(map[uint32][]dist.Sampler)},
+		msgBits: c.rule.Bits(),
+		votes:   make([]core.Message, c.k),
+		got:     make([]bool, c.k),
+	}
+	bs.trackStop = bs.tracker.watch(runCtx)
 	bs.shapeT, bs.shapeOK = core.ThresholdShape(c.referee, c.k)
 	planeLen := bits.Len(uint(c.k))
 	if sumT, sumBits, ok := core.SumShape(c.referee, c.k); ok && sumBits == bs.msgBits {
@@ -245,63 +310,86 @@ func newBatchSession(ctx context.Context, c *Cluster) (*batchSession, error) {
 	bs.planes = make([]uint64, planeLen)
 
 	if c.topo.enabled() {
-		if err := bs.startSharded(runCtx, listener); err != nil {
-			cancel()
-			bs.nodeWG.Wait()
-			// A strict-mode node or aggregator failure is the root cause;
-			// the accept error it provokes is only a symptom.
-			if !c.tolerant() {
-				if nodeErr := bs.peekNodeErr(); nodeErr != nil {
-					return nil, nodeErr
-				}
-				if aggErr := bs.peekAggErr(); aggErr != nil && !isTransportErr(aggErr) {
-					return nil, aggErr
-				}
-			}
-			return nil, err
-		}
-		return bs, nil
+		err = bs.startSharded(runCtx)
+	} else {
+		err = bs.startFlat(runCtx)
 	}
-
-	for _, node := range nodes {
-		bs.nodeWG.Add(1)
-		//lint:ignore dut/ctxprop cancel() closes the listener and session conns, which unwinds connect and runSessionConn; a ctx check here would race the same teardown
-		go func(node *PlayerNode) {
-			defer bs.nodeWG.Done()
-			conn, retries, err := node.connect(c.tr, listener.Addr())
-			bs.addRetries(retries)
-			if err != nil {
-				bs.failNode(err)
-				return
-			}
-			defer func() { _ = conn.Close() }()
-			if _, err := node.runSessionConn(conn, false); err != nil {
-				bs.failNode(err)
-			}
-		}(node)
-	}
-
-	sess, err := server.startSession(runCtx, listener)
 	if err != nil {
 		cancel()
-		bs.nodeWG.Wait()
-		// A strict-mode node failure is the root cause; the referee error
-		// it provokes (cancelled accept) is only a symptom.
-		if nodeErr := bs.peekNodeErr(); nodeErr != nil && !c.tolerant() {
-			return nil, nodeErr
+		bs.waitNodes()
+		// A strict-mode node or aggregator failure is the root cause; the
+		// accept error it provokes is only a symptom.
+		if !c.tolerant() {
+			if nodeErr := bs.peekNodeErr(); nodeErr != nil {
+				return nil, nodeErr
+			}
+			if aggErr := bs.peekAggErr(); aggErr != nil && !isTransportErr(aggErr) {
+				return nil, aggErr
+			}
 		}
 		return nil, err
 	}
-	bs.sess = sess
-	bs.votes, bs.got = sess.votes, sess.got
-	bs.slots = make([]*batchSlot, len(sess.slots))
-	for i, sl := range sess.slots {
-		slot := &batchSlot{sl: sl, q: newFrameQueue(), writerDone: make(chan struct{})}
-		bs.slots[i] = slot
+	for _, slot := range bs.slots {
 		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (Close always closes it); cancellation reaches it through failSlot closing the conn
 		go bs.slotWriter(slot)
 	}
 	return bs, nil
+}
+
+// startFlat runs the flat star's connect phase: every node dials the
+// root listener and the referee accepts the players.
+func (bs *batchSession) startFlat(ctx context.Context) error {
+	for _, node := range bs.nodes {
+		bs.spawnNode(node, bs.listener.Addr())
+	}
+	slots, err := bs.server.acceptPlayers(ctx, bs.listener, bs.tracker)
+	if err != nil {
+		return err
+	}
+	bs.slots = make([]*batchSlot, len(slots))
+	for i, sl := range slots {
+		bs.slots[i] = newBatchSlot(sl)
+	}
+	return nil
+}
+
+// spawnNode runs one node for the life of the session: connect to addr,
+// then serve frames until FINISH.
+func (bs *batchSession) spawnNode(node *PlayerNode, addr net.Addr) {
+	bs.nodeWG.Add(1)
+	//lint:ignore dut/ctxprop cancel() closes the listeners and session conns, which unwinds connect and serve; a ctx check here would race the same teardown
+	go func() {
+		defer bs.nodeWG.Done()
+		conn, retries, err := node.connect(bs.c.tr, addr)
+		bs.addRetries(retries)
+		if err != nil {
+			bs.failNode(err)
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		if err := node.serve(conn, bs.stage); err != nil {
+			bs.failNode(err)
+		}
+	}()
+}
+
+// waitNodes waits for the node goroutines, but not past the death of
+// the context the session was opened with: a node stuck inside its own
+// rule cannot be force-aborted, and with its connection closed it
+// unwinds as soon as the rule returns.
+//
+//dut:coldpath session teardown and strict-mode failure only
+func (bs *batchSession) waitNodes() {
+	done := make(chan struct{})
+	//lint:ignore dut/ctxprop wg.Wait has no cancellation hook; the goroutine only closes done, and the select below honors ctx
+	go func() {
+		bs.nodeWG.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-bs.ctx.Done():
+	}
 }
 
 func (bs *batchSession) addRetries(n int) {
@@ -385,47 +473,28 @@ func (bs *batchSession) slotWriter(slot *batchSlot) {
 	}
 }
 
-// runChunk executes one engine chunk: it slices specs into wire batches
-// of at most batch trials, issues every ROUND_BATCH up front (putting
-// the whole window in flight), then gathers and decides batch by batch.
-// out receives one RoundResult per spec.
-func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, batch int, out []engine.RoundResult) error {
+// runChunk executes one chunk of trials: seeds[i] is trial i's public
+// coin and samplers[i] its sampler. It slices the chunk into wire
+// batches of at most batch trials, issues every ROUND_BATCH up front
+// (putting the whole window in flight), then gathers and decides batch
+// by batch. out receives one RoundResult per trial.
+func (bs *batchSession) runChunk(ctx context.Context, seeds []uint64, samplers []dist.Sampler, batch int, out []engine.RoundResult) error {
+	if len(samplers) != len(seeds) || len(out) != len(seeds) {
+		return fmt.Errorf("network: chunk of %d seeds with %d samplers and %d results", len(seeds), len(samplers), len(out))
+	}
 	flights := bs.flights[:0]
-	for start := 0; start < len(specs); start += batch {
-		count := min(len(specs)-start, batch)
-		seeds := bs.seeds[:0]
-		ord := len(flights)
-		if ord == len(bs.samplers) {
-			bs.samplers = append(bs.samplers, nil)
-		}
-		samplers := bs.samplers[ord][:0]
-		for j := 0; j < count; j++ {
-			spec := specs[start+j]
-			if spec.Sampler == nil {
-				bs.flights = flights
-				return fmt.Errorf("network: nil sampler")
-			}
-			seeds = append(seeds, engine.SharedSeed(spec.Seed, spec.Trial))
-			samplers = append(samplers, spec.Sampler)
-		}
-		bs.seeds, bs.samplers[ord] = seeds, samplers
+	for start := 0; start < len(seeds); start += batch {
+		count := min(len(seeds)-start, batch)
 		id := bs.nextBatch
 		bs.nextBatch++
-		for _, node := range bs.nodes {
-			node.stageBatch(id, samplers)
-		}
-		enc, err := AppendRoundBatch(bs.enc[:0], RoundBatch{Batch: id, Seeds: seeds})
+		bs.stage.put(id, samplers[start:start+count])
+		enc, err := AppendRoundBatch(bs.enc[:0], RoundBatch{Batch: id, Seeds: seeds[start : start+count]})
 		bs.enc = enc
 		if err != nil {
 			bs.flights = flights
 			return err
 		}
-		for _, slot := range bs.slots {
-			if slot.isDead() {
-				continue
-			}
-			slot.q.push(enc)
-		}
+		broadcast(bs.slots, enc)
 		flights = append(flights, batchFlight{id: id, start: start, count: count})
 	}
 	bs.flights = flights
@@ -446,6 +515,7 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 		} else {
 			received = bs.gather(fl.id, fl.count)
 		}
+		bs.stage.drop(fl.id)
 		if bs.server.strict() && received < bs.c.k {
 			return bs.chunkErr(bs.firstSlotErr())
 		}
@@ -460,7 +530,7 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 		// bytes to every aggregator, so its downstream work is
 		// O(aggregators) regardless of player count; each aggregator
 		// re-expands it into the VERDICT_BATCH its shard expects. The flat
-		// star keeps pushing VERDICT_BATCH to every player directly.
+		// star pushes VERDICT_BATCH to every player directly.
 		var enc []byte
 		if bs.sharded() {
 			av := AggVerdict{Batch: fl.id, Count: uint32(fl.count), Present: bs.shardPresent, Bits: verdictBits}
@@ -473,12 +543,7 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 		if err != nil {
 			return bs.chunkErr(err)
 		}
-		for _, slot := range bs.slots {
-			if slot.isDead() {
-				continue
-			}
-			slot.q.push(enc)
-		}
+		broadcast(bs.slots, enc)
 		// Wall time is shared evenly: the batch synchronized once for
 		// count trials (the division remainder lands on the first trial so
 		// the batch's summed wall time equals its elapsed time).
@@ -492,14 +557,14 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 // chunkErr resolves the root cause of a strict-mode failure. A node
 // that dies first (crash, rule error) leaves the referee only a bare
 // transport error — EOF, closed pipe, blown deadline — so in that case
-// the recorded node failure is the story, mirroring the unbatched
-// paths. A descriptive referee-side error (echo-check mismatch, width
-// violation) is itself the root cause: the node's subsequent EOF is the
-// symptom of the referee closing the offending connection.
+// the recorded node failure is the story. A descriptive referee-side
+// error (echo-check mismatch, width violation) is itself the root
+// cause: the node's subsequent EOF is the symptom of the referee closing
+// the offending connection.
 func (bs *batchSession) chunkErr(err error) error {
 	if !bs.c.tolerant() {
 		bs.cancel()
-		bs.nodeWG.Wait()
+		bs.waitNodes()
 		// A descriptive aggregator-recorded error (a member's protocol
 		// violation escalated by failMember, or the aggregator's own) is a
 		// root cause on par with a node crash.
@@ -572,11 +637,38 @@ func (bs *batchSession) firstSlotErr() error {
 	return fmt.Errorf("network: batch gather incomplete with no recorded slot failure")
 }
 
-// gather collects one batch's VOTE_BATCH (r = 1) or VOTE_BATCH_R
-// (r > 1) from every live slot concurrently, validating the player,
-// batch-id and width echoes and the trial count. Delivered plane sets
-// land in bs.deliv by player id (nil = absent); it returns the number
-// of valid deliveries.
+// readVoteBatch reads one slot's VOTE_BATCH for a batch and validates
+// its echoes: the player id of the connection, the batch id and trial
+// count the gather expects, and the message width the player announced
+// in HELLO as the plane count.
+func (bs *batchSession) readVoteBatch(slot *batchSlot, batchID uint32, count int) ([]uint64, error) {
+	sl := slot.sl
+	// The vote can lag the node's whole batch of sampling plus a queued
+	// verdict write; budget two timeouts, like every other cross-phase
+	// read.
+	setReadDeadline(sl.conn, 2*bs.server.timeout)
+	vb, err := expectFrame[VoteBatch](sl.conn, FrameVoteBatch)
+	if err != nil {
+		return nil, fmt.Errorf("network: vote batch from player %d: %w", sl.player, err)
+	}
+	if vb.Player != sl.player {
+		return nil, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, sl.player)
+	}
+	if vb.Batch != batchID {
+		return nil, fmt.Errorf("network: player %d answered batch %d, expected %d", sl.player, vb.Batch, batchID)
+	}
+	if int(vb.Count) != count {
+		return nil, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", sl.player, vb.Count, batchID, count)
+	}
+	if w := vb.Width(); w != int(sl.bits) {
+		return nil, fmt.Errorf("network: player %d sent %d-bit votes but announced %d bits at HELLO", sl.player, w, sl.bits)
+	}
+	return vb.Planes, nil
+}
+
+// gather collects one batch's VOTE_BATCH from every live slot
+// concurrently. Delivered plane sets land in bs.deliv by player id (nil
+// = absent); it returns the number of valid deliveries.
 func (bs *batchSession) gather(batchID uint32, count int) int {
 	for i := range bs.deliv {
 		bs.deliv[i] = nil
@@ -590,44 +682,12 @@ func (bs *batchSession) gather(batchID uint32, count int) int {
 		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
 		go func(slot *batchSlot) {
 			defer wg.Done()
-			conn := slot.sl.conn
-			// The vote can lag the node's whole batch of sampling plus a
-			// queued verdict write; budget two timeouts, like every other
-			// cross-phase read.
-			setReadDeadline(conn, 2*bs.server.timeout)
-			var vb VoteBatchR
-			if bs.msgBits == 1 {
-				classic, err := expectFrame[VoteBatch](conn, FrameVoteBatch)
-				if err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = VoteBatchR{Player: classic.Player, Batch: classic.Batch, Count: classic.Count, Bits: 1, Planes: classic.Bits}
-			} else {
-				wide, err := expectFrame[VoteBatchR](conn, FrameVoteBatchR)
-				if err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = wide
-			}
-			if vb.Player != slot.sl.player {
-				bs.failSlot(slot, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.sl.player))
+			planes, err := bs.readVoteBatch(slot, batchID, count)
+			if err != nil {
+				bs.failSlot(slot, err)
 				return
 			}
-			if vb.Batch != batchID {
-				bs.failSlot(slot, fmt.Errorf("network: player %d answered batch %d, expected %d", slot.sl.player, vb.Batch, batchID))
-				return
-			}
-			if int(vb.Count) != count {
-				bs.failSlot(slot, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", slot.sl.player, vb.Count, batchID, count))
-				return
-			}
-			if int(vb.Bits) != bs.msgBits {
-				bs.failSlot(slot, fmt.Errorf("network: player %d sent %d-bit votes, the rule uses %d bits", slot.sl.player, vb.Bits, bs.msgBits))
-				return
-			}
-			bs.deliv[slot.sl.player] = vb.Planes
+			bs.deliv[slot.sl.player] = planes
 		}(slot)
 	}
 	wg.Wait()
@@ -645,9 +705,8 @@ func (bs *batchSession) gather(batchID uint32, count int) int {
 // k votes in and a threshold-shaped (1-bit) or sum-shaped (r-bit)
 // referee it evaluates the whole batch word-parallel; otherwise
 // (partial batches, opaque referees) it reconstructs each trial's vote
-// slate from the delivered planes and reuses decideVotes, so
-// quorum checks and absentee policy are identical to the unbatched
-// referee by construction.
+// slate from the delivered planes and reuses decideVotes, so quorum
+// checks and absentee policy are the referee's by construction.
 func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) ([]uint64, error) {
 	words := batchWords(count)
 	if cap(bs.verdictBits) < words {
@@ -810,8 +869,10 @@ func atLeast(planes []uint64, t int) uint64 {
 }
 
 // Close finishes the session: FINISH rides each slot's queue behind any
-// pending verdicts, the writers drain and exit, the nodes unwind, and
-// the connections close.
+// pending verdicts, the writers drain and exit, the aggregators and
+// nodes unwind, and every connection and listener closes. In strict
+// mode it reports a node failure, such as a node's verdict check, that
+// surfaced after the last trial.
 func (bs *batchSession) Close() error {
 	finish := AppendFinish(nil)
 	for _, slot := range bs.slots {
@@ -828,14 +889,9 @@ func (bs *batchSession) Close() error {
 		<-a.done
 	}
 	bs.cancel()
-	bs.nodeWG.Wait()
-	if bs.sess != nil {
-		bs.sess.close()
-	}
-	if bs.trackStop != nil {
-		bs.trackStop()
-		bs.tracker.closeAll()
-	}
+	bs.waitNodes()
+	bs.trackStop()
+	bs.tracker.closeAll()
 	for _, l := range bs.aggListeners {
 		if l != nil {
 			_ = l.Close()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
@@ -103,12 +104,11 @@ func TestBatchEmptyChunkPreservesRetries(t *testing.T) {
 		}
 	}()
 	bs.addRetries(3)
-	if err := bs.runChunk(context.Background(), nil, 4, nil); err != nil {
+	if err := bs.runChunk(context.Background(), nil, nil, 4, nil); err != nil {
 		t.Fatalf("empty chunk: %v", err)
 	}
-	specs := []engine.RoundSpec{{Trial: 0, Seed: 5, Sampler: uniformSampler(t, 4)}}
 	out := make([]engine.RoundResult, 1)
-	if err := bs.runChunk(context.Background(), specs, 4, out); err != nil {
+	if err := bs.runChunk(context.Background(), []uint64{5}, []dist.Sampler{uniformSampler(t, 4)}, 4, out); err != nil {
 		t.Fatalf("chunk: %v", err)
 	}
 	if out[0].Retries != 3 {

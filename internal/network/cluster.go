@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
+	"net"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 // Cluster runs a full SMP tester as a networked system: a referee server
@@ -63,8 +64,8 @@ type ClusterConfig struct {
 	// attempts, doubled per retry; zero selects DefaultRetryBackoff.
 	RetryBackoff time.Duration
 	// Shards is the number of L1 aggregators in the referee tree; 0 and
-	// 1 both keep the flat star. Sharding only affects the batched
-	// engine paths (RunManyStats and the engine backend); verdicts are
+	// 1 both keep the flat star. Every entry point (Run, RunManyStats
+	// and the engine backend) runs the configured topology; verdicts are
 	// bit-identical to the flat referee by contract.
 	Shards int
 	// AggregatorWeights are relative aggregator capacities for
@@ -161,11 +162,12 @@ func (c *Cluster) newServer() (*RefereeServer, error) {
 // buildNodes constructs all k player nodes before any goroutine is
 // spawned: a construction error must not leave already-spawned nodes
 // running against a live listener. Nodes carry no generator — each derives
-// its randomness per round from the ROUND frame's seed and its id.
-func (c *Cluster) buildNodes(sampler dist.Sampler) ([]*PlayerNode, error) {
+// its randomness per trial from the ROUND_BATCH seed and its id — and no
+// sampler: the session stages each batch's samplers (samplerStage).
+func (c *Cluster) buildNodes() ([]*PlayerNode, error) {
 	nodes := make([]*PlayerNode, c.k)
 	for i := 0; i < c.k; i++ {
-		node, err := NewPlayerNode(uint32(i), c.q, c.rule, sampler, c.timeout)
+		node, err := NewPlayerNode(uint32(i), c.q, c.rule, c.timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -175,8 +177,8 @@ func (c *Cluster) buildNodes(sampler dist.Sampler) ([]*PlayerNode, error) {
 	return nodes, nil
 }
 
-// Run implements core.Protocol: it executes one networked round against
-// the sampler and returns the referee's verdict. The round's public-coin
+// Run implements core.Protocol: it executes one networked trial against
+// the sampler and returns the referee's verdict. The trial's public-coin
 // seed is drawn from rng; every node derives its private stream from that
 // seed and its id, so runs are reproducible for a fixed rng state even
 // though nodes execute concurrently.
@@ -190,7 +192,7 @@ func (c *Cluster) RunContext(ctx context.Context, sampler dist.Sampler, rng *ran
 	return accept, err
 }
 
-// RunStats is RunContext with the round's statistics: votes received,
+// RunStats is RunContext with the trial's statistics: votes received,
 // stragglers tolerated, node-side connect retries, and wall time.
 func (c *Cluster) RunStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand) (bool, RoundStats, error) {
 	if rng == nil {
@@ -199,120 +201,141 @@ func (c *Cluster) RunStats(ctx context.Context, sampler dist.Sampler, rng *rand.
 	return c.RunRoundSeeded(ctx, sampler, rng.Uint64())
 }
 
-// RunRoundSeeded executes one networked round with an explicit
-// public-coin seed: the seed rides in the ROUND frame and every node's
-// samples and private coins derive from (seed, id), making the round's
-// verdict bit-identical to the in-process SMP simulator's for the same
-// seed. This is the primitive the engine's cluster backend drives.
+// RunRoundSeeded executes one networked trial with an explicit
+// public-coin seed: a session carrying a single batch of one trial. The
+// seed rides in the ROUND_BATCH frame and every node's samples and
+// private coins derive from (seed, id), making the verdict bit-identical
+// to the in-process SMP simulator's for the same seed.
 func (c *Cluster) RunRoundSeeded(ctx context.Context, sampler dist.Sampler, seed uint64) (bool, RoundStats, error) {
 	if sampler == nil {
 		return false, RoundStats{}, fmt.Errorf("network: nil sampler")
 	}
-	nodes, err := c.buildNodes(sampler)
-	if err != nil {
+	var out [1]engine.RoundResult
+	if err := c.runSeeds(ctx, []uint64{seed}, []dist.Sampler{sampler}, out[:]); err != nil {
 		return false, RoundStats{}, err
 	}
-	return c.runRoundSeededNodes(ctx, nodes, seed)
+	return out[0].Verdict, roundStats(0, out[0]), nil
 }
 
-// runRoundSeededNodes is RunRoundSeeded over caller-owned nodes, so the
-// engine's scratch backend can reuse one node set (sample buffers and
-// reseedable generators included) across trials instead of rebuilding k
-// nodes per round.
-//
-//dut:coldpath classic per-trial protocol: one referee session per round by design; the zero-alloc contract covers the batch path
-func (c *Cluster) runRoundSeededNodes(ctx context.Context, nodes []*PlayerNode, seed uint64) (bool, RoundStats, error) {
-	var stats RoundStats
-	server, err := c.newServer()
+// RunManyStats runs a multi-round session end to end: one connection per
+// node for all rounds, one verdict and one RoundStats per round. The
+// majority of the verdicts is the amplified decision (see core.Amplify).
+// Round i's public coin is engine.SharedSeed(base, i) for a base seed
+// drawn from rng, exactly as the engine derives trial seeds, so a
+// session's verdict sequence reproduces the in-process SMP backend's.
+// Rounds run lock-step, each a batch of one trial decided and answered
+// before the next is issued, so a fault in one round's verdict relay
+// lands before the next round's votes. With ClusterConfig.MinVotes set,
+// node failures injected by faults are tolerated down to the quorum and
+// a failed player stays absent for the rest of the session.
+func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, []RoundStats, error) {
+	if sampler == nil {
+		return nil, nil, fmt.Errorf("network: nil sampler")
+	}
+	if rng == nil {
+		return nil, nil, fmt.Errorf("network: nil rng")
+	}
+	if rounds < 1 {
+		return nil, nil, fmt.Errorf("network: session with %d rounds", rounds)
+	}
+	base := rng.Uint64()
+	seeds := make([]uint64, rounds)
+	samplers := make([]dist.Sampler, rounds)
+	for i := range seeds {
+		seeds[i] = engine.SharedSeed(base, i)
+		samplers[i] = sampler
+	}
+	out := make([]engine.RoundResult, rounds)
+	if err := c.runSeeds(ctx, seeds, samplers, out); err != nil {
+		return nil, nil, err
+	}
+	verdicts := make([]bool, rounds)
+	stats := make([]RoundStats, rounds)
+	for i, r := range out {
+		verdicts[i] = r.Verdict
+		stats[i] = roundStats(i, r)
+	}
+	return verdicts, stats, nil
+}
+
+// RunMany is RunManyStats without the statistics.
+func (c *Cluster) RunMany(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, error) {
+	verdicts, _, err := c.RunManyStats(ctx, sampler, rng, rounds)
+	return verdicts, err
+}
+
+// MajorityVerdict reduces a session's verdicts to the amplified decision.
+func MajorityVerdict(verdicts []bool) (bool, error) {
+	if len(verdicts) == 0 {
+		return false, fmt.Errorf("network: majority of zero verdicts")
+	}
+	accepts := 0
+	for _, v := range verdicts {
+		if v {
+			accepts++
+		}
+	}
+	return 2*accepts > len(verdicts), nil
+}
+
+// roundStats maps one trial's engine accounting onto the cluster's
+// per-round stats.
+func roundStats(round int, r engine.RoundResult) RoundStats {
+	return RoundStats{
+		Round:      round,
+		Votes:      r.Votes,
+		Stragglers: r.Stragglers,
+		Retries:    r.Retries,
+		Wall:       r.Wall,
+		Verdict:    r.Verdict,
+	}
+}
+
+// runSeeds runs one session of len(seeds) lock-step trials with the
+// cluster's own nodes over a fresh listener; see runSession.
+func (c *Cluster) runSeeds(ctx context.Context, seeds []uint64, samplers []dist.Sampler, out []engine.RoundResult) error {
+	nodes, err := c.buildNodes()
 	if err != nil {
-		return false, stats, err
+		return err
 	}
-	listener, err := c.tr.Listen()
+	l, err := c.tr.Listen()
 	if err != nil {
-		return false, stats, fmt.Errorf("network: listen: %w", err)
+		return fmt.Errorf("network: listen: %w", err)
 	}
-	defer func() { _ = listener.Close() }()
+	return c.runSession(ctx, l, nodes, seeds, samplers, out)
+}
 
-	// In strict mode a failed node dooms the round, so its goroutine
-	// cancels runCtx to unblock a referee still waiting in accept.
-	runCtx, cancelRound := context.WithCancel(ctx)
-	defer cancelRound()
-
-	// Close the listener if the round dies so a blocked Accept returns.
-	watchdogDone := make(chan struct{})
-	defer close(watchdogDone)
-	go func() {
-		select {
-		case <-runCtx.Done():
-			_ = listener.Close()
-		case <-watchdogDone:
-		}
-	}()
-
-	type result struct {
-		accept  bool
-		retries int
-		err     error
+// runSession opens a session on l with the given nodes (nil when the
+// players dial in from elsewhere), runs seeds[i] as its own batch of one
+// trial, lock-step, and closes the session. The session's accept phase
+// is charged to the first trial's wall time, and every node connect
+// retry lands on the first trial's Retries.
+func (c *Cluster) runSession(ctx context.Context, l net.Listener, nodes []*PlayerNode, seeds []uint64, samplers []dist.Sampler, out []engine.RoundResult) error {
+	sw := engine.StartStopwatch()
+	bs, err := openBatchSession(ctx, c, l, nodes)
+	if err != nil {
+		return err
 	}
-	nodeResults := make(chan result, c.k)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(node *PlayerNode) {
-			defer wg.Done()
-			accept, retries, err := node.RunRoundStats(c.tr, listener.Addr())
-			if err != nil && !c.tolerant() {
-				cancelRound()
-			}
-			nodeResults <- result{accept: accept, retries: retries, err: err}
-		}(nodes[i])
-	}
-
-	verdict, stats, refErr := server.RunRoundStats(runCtx, listener, seed)
-
-	// Wait for the nodes, but do not block past cancellation: a node stuck
-	// inside its own rule cannot be force-aborted, and on ctx death its
-	// connection is already closed, so it will unwind as soon as the rule
-	// returns.
-	nodesDone := make(chan struct{})
-	//lint:ignore dut/ctxprop wg.Wait has no cancellation hook; the goroutine only closes nodesDone, and the select below honors ctx
-	go func() {
-		wg.Wait()
-		close(nodesDone)
-	}()
-	select {
-	case <-nodesDone:
-	case <-ctx.Done():
-		if refErr != nil {
-			return false, stats, refErr
-		}
-		return false, stats, ctx.Err()
-	}
-
-	close(nodeResults)
-	var nodeErr error
-	for r := range nodeResults {
-		stats.Retries += r.retries
-		if r.err != nil {
-			if c.tolerant() {
-				continue // the referee already accounted for this straggler
-			}
-			if nodeErr == nil {
-				nodeErr = r.err
-			}
-			continue
-		}
-		if refErr == nil && r.accept != verdict {
-			return false, stats, fmt.Errorf("network: node saw verdict %v, referee decided %v", r.accept, verdict)
+	openWall := sw.Elapsed()
+	var runErr error
+	for i := range seeds {
+		if runErr = bs.runChunk(ctx, seeds[i:i+1], samplers[i:i+1], 1, out[i:i+1]); runErr != nil {
+			break
 		}
 	}
-	// A strict-mode node failure is the root cause; the referee error it
-	// provokes (cancelled accept, closed connections) is only a symptom.
-	if nodeErr != nil {
-		return false, stats, nodeErr
+	closeErr := bs.Close()
+	if runErr != nil {
+		return runErr
 	}
-	if refErr != nil {
-		return false, stats, refErr
+	if closeErr != nil {
+		return closeErr
 	}
-	return verdict, stats, nil
+	out[0].Wall += openWall
+	retries := bs.takeRetries()
+	for i := 1; i < len(out); i++ {
+		retries += out[i].Retries
+		out[i].Retries = 0
+	}
+	out[0].Retries += retries
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -280,88 +281,53 @@ func TestRefereeServerValidation(t *testing.T) {
 	if _, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, -1); err == nil {
 		t.Error("negative timeout accepted")
 	}
-	s, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second, WithMessageBits(65)); err == nil {
+		t.Error("65-bit pinned width accepted")
 	}
-	if _, err := s.RunRound(context.Background(), nil, 0); err == nil {
+	c := fakeCluster(t, 1, acceptAllRule(), time.Second)
+	if _, err := openBatchSession(context.Background(), c, nil, nil); err == nil {
 		t.Error("nil listener accepted")
 	}
 }
 
 func TestPlayerNodeValidation(t *testing.T) {
-	s := uniformSampler(t, 4)
-	if _, err := NewPlayerNode(0, -1, acceptAllRule(), s, 0); err == nil {
+	if _, err := NewPlayerNode(0, -1, acceptAllRule(), 0); err == nil {
 		t.Error("negative q accepted")
 	}
-	if _, err := NewPlayerNode(0, 1, nil, s, 0); err == nil {
+	if _, err := NewPlayerNode(0, 1, nil, 0); err == nil {
 		t.Error("nil rule accepted")
 	}
-	if _, err := NewPlayerNode(0, 1, acceptAllRule(), nil, 0); err == nil {
-		t.Error("nil sampler accepted")
-	}
-	node, err := NewPlayerNode(0, 1, acceptAllRule(), s, time.Second)
+	node, err := NewPlayerNode(0, 1, acceptAllRule(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.RunRound(nil, memAddr("x")); err == nil {
+	if _, _, err := node.connect(nil, memAddr("x")); err == nil {
 		t.Error("nil transport accepted")
 	}
-	if _, err := node.RunRound(NewMemTransport(), memAddr("x")); err == nil {
+	if _, _, err := node.connect(NewMemTransport(), memAddr("x")); err == nil {
 		t.Error("dial to nowhere succeeded")
 	}
 }
 
 func TestRefereeRejectsMisbehavingNode(t *testing.T) {
-	// A node claiming a different player id in its VOTE must abort the
-	// round.
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		conn, err := m.Dial(l.Addr())
-		if err != nil {
+	// A node claiming a different player id in its VOTE_BATCH must abort
+	// the trial.
+	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
+		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
 		}
-		defer func() { _ = conn.Close() }()
-		_ = WriteHello(conn, Hello{Player: 0, Bits: 1})
-		if _, err := expectFrame[Round](conn, FrameRound); err != nil {
-			return
-		}
-		_ = WriteVote(conn, Vote{Player: 99, Message: 1})
-	}()
-	if _, err := server.RunRound(context.Background(), l, 7); err == nil {
-		t.Error("mismatched vote accepted")
+		_ = fakeVote(conn, 99, 1)
+	})
+	if err == nil || !strings.Contains(err.Error(), "claims player 99") {
+		t.Errorf("err = %v, want mismatched-vote error", err)
 	}
 }
 
 func TestRefereeRejectsBadBits(t *testing.T) {
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		conn, err := m.Dial(l.Addr())
-		if err != nil {
-			return
-		}
-		defer func() { _ = conn.Close() }()
+	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
 		_ = WriteHello(conn, Hello{Player: 0, Bits: 0})
-	}()
-	if _, err := server.RunRound(context.Background(), l, 7); err == nil {
+	})
+	if err == nil {
 		t.Error("zero-bit hello accepted")
 	}
 }

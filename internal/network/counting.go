@@ -92,12 +92,12 @@ func FormatFrameCounts(m map[FrameType]uint64) string {
 // window) still count one tally per frame, not per syscall.
 //
 // Tier attribution uses creation order: the first listener is the
-// root's (newBatchSession and startSession both listen before
-// startSharded builds the aggregator tier), every later listener an
-// aggregator's. That holds for a single engine worker — the netdemo and
-// fan-out tests run with Workers 1 — and for every direct RunMany*
-// session; a multi-worker engine run would interleave per-worker root
-// listeners into the aggregator tier, so don't count across workers.
+// root's (a session listens before startSharded builds the aggregator
+// tier), every later listener an aggregator's. That holds for a single
+// engine worker — the netdemo and fan-out tests run with Workers 1 — and
+// for one direct Run or RunMany* session; a multi-worker engine run would
+// interleave per-worker root listeners into the aggregator tier, so don't
+// count across workers.
 //
 // The dialing side passes through unwrapped (PlayerDialer and
 // AggregatorDialer included), so a CountingTransport can wrap a

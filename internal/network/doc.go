@@ -3,16 +3,24 @@
 // exchanging length-prefixed frames over a Transport (in-memory pipes for
 // tests and simulations, TCP loopback for the deployment-shaped demo).
 //
-// One round follows the model exactly:
+// A trial follows the model exactly, and every entry point — Cluster.Run,
+// Cluster.RunManyStats and the engine backend — runs it the same way, on
+// a batch session (batch.go) in which a single trial is a batch of one:
 //
-//  1. Every player connects and sends HELLO with its player id.
-//  2. The referee replies ROUND carrying the public-coin seed shared by
-//     all players of the round.
-//  3. Each player draws its q samples locally, evaluates its core.LocalRule
-//     and sends VOTE with its message bits.
+//  1. Every player connects and sends HELLO with its player id and
+//     message width.
+//  2. The referee sends ROUND_BATCH carrying the public-coin seed of each
+//     trial in the batch, shared by all players.
+//  3. Each player draws its q samples per trial locally, evaluates its
+//     core.LocalRule and sends one VOTE_BATCH: its r-bit messages for the
+//     whole batch as r bit-planes.
 //  4. After collecting all k votes the referee applies its core.Referee
-//     decision function and broadcasts VERDICT.
+//     decision function to every trial and broadcasts VERDICT_BATCH.
+//  5. Steps 2-4 repeat, up to a window of batches in flight, until FINISH
+//     ends the session.
 //
+// With Topology.Shards > 1 a tier of aggregators sits between the players
+// and the root (aggregator.go); players see the same frames either way.
 // Cluster wires the pieces together and implements core.Protocol, so a
 // networked deployment can be dropped into the same experiment harness as
 // the in-process simulator (that equivalence is itself covered by tests).
@@ -20,13 +28,17 @@
 // # Wire validation
 //
 // The referee enforces the protocol, not just the frame format. A HELLO
-// must announce between 1 and 64 message bits and a player id in [0, k);
-// a second connection claiming an id already registered is a duplicate
-// and rejected. A VOTE must carry the id of the connection it arrives on
-// and a message that fits the bits announced at HELLO — a 1-bit rule
-// cannot smuggle a wide message past the decision function. On the frame
-// layer, a VERDICT payload byte other than 0x00 or 0x01 is a malformed
-// frame, never a reject vote.
+// must announce between 1 and 64 message bits — the width the referee's
+// rule decides over — and a player id in [0, k); a second connection
+// claiming an id already registered is a duplicate and rejected. A
+// VOTE_BATCH must carry the id of the connection it arrives on, echo the
+// batch id and trial count of the ROUND_BATCH it answers, and carry as
+// many bit-planes as the player announced bits at HELLO — a 1-bit rule
+// cannot smuggle a wide message past the decision function. In the other
+// direction each node checks every VERDICT_BATCH against the oldest batch
+// it voted on and fails with ErrVerdictMismatch on anything else. On the
+// frame layer, set padding bits above a batch's trial count are a
+// malformed frame, never extra votes or verdicts.
 //
 // # Straggler tolerance
 //
@@ -40,8 +52,9 @@
 // accepts, counted as rejects, or omitted — with the default deferring
 // to the decision rule's own advice (a ThresholdRule counts absentees as
 // accepts, since a silent sensor cannot push the rejection count over
-// the threshold). Every round reports what happened in a RoundStats:
-// votes received, stragglers, node-side connect retries and wall time.
+// the threshold). A player that fails stays absent for the rest of the
+// session. Every round reports what happened in a RoundStats: votes
+// received, stragglers, node-side connect retries and wall time.
 //
 // Node-side, PlayerNode retries a failed dial or HELLO with exponential
 // backoff (SetRetryPolicy), so transient connection drops are survivable

@@ -30,17 +30,16 @@ type FaultPlan struct {
 	// referee's per-frame timeout).
 	Delay time.Duration
 	// CorruptFrame corrupts the payload of the player's Nth written frame
-	// (1-based: HELLO is frame 1, the round-r VOTE is frame r+1); zero
-	// corrupts nothing. For single-round frames the last payload byte is
-	// XORed with a seeded mask whose high bit is always set, so
-	// single-bit votes become detectably out of range for the referee's
-	// bits enforcement. A VOTE_BATCH is corrupted in its batch-id field
-	// instead — its tail bytes are real vote bits, where a flip would be
-	// a silent wrong verdict rather than a detectable violation; the
-	// referee's batch-id echo check catches the id corruption
-	// deterministically.
+	// (1-based: HELLO is frame 1, the first VOTE_BATCH frame 2); zero
+	// corrupts nothing. The byte is XORed with a seeded mask whose high
+	// bit is always set. A batch-shaped frame (VOTE_BATCH, AGG_SUM,
+	// AGG_PLANES) is corrupted in its batch-id field — its tail bytes are
+	// real vote bits or counters, where a flip would be a silent wrong
+	// verdict rather than a detectable violation; the receiver's batch-id
+	// echo check catches the id corruption deterministically. Any other
+	// frame has its last payload byte corrupted.
 	CorruptFrame int
-	// CrashAtRound closes the player's connection as it writes the VOTE of
+	// CrashAtRound closes the player's connection as it writes the vote of
 	// the given round (1-based); zero never crashes. The player behaves
 	// correctly up to round CrashAtRound-1 and then dies mid-protocol. A
 	// VOTE_BATCH covers as many rounds as its trial count, so a crash
@@ -358,9 +357,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	}
 	rounds := 0
 	switch kind {
-	case FrameVote:
-		rounds = 1
-	case FrameVoteBatch, FrameVoteBatchR, FrameAggSum, FrameAggPlanes:
+	case FrameVoteBatch, FrameAggSum, FrameAggPlanes:
 		// Every batch-shaped frame carries its trial count at the same
 		// payload offset: player/agg id (4), batch id (4), count (4).
 		if len(p) >= voteBatchCountOffset+4 {
@@ -390,7 +387,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		// of a validated protocol error.
 		idx := len(q) - 1
 		switch kind {
-		case FrameVoteBatch, FrameVoteBatchR, FrameAggSum, FrameAggPlanes:
+		case FrameVoteBatch, FrameAggSum, FrameAggPlanes:
 			if len(q) > voteBatchIDOffset {
 				idx = voteBatchIDOffset
 			}

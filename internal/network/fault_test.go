@@ -88,7 +88,7 @@ func TestFaultTransportCorruptsChosenFrame(t *testing.T) {
 	defer func() { _ = l.Close() }()
 	type read struct {
 		hello Hello
-		vote  Vote
+		vote  VoteBatch
 		err   error
 	}
 	got := make(chan read, 1)
@@ -104,7 +104,7 @@ func TestFaultTransportCorruptsChosenFrame(t *testing.T) {
 			got <- read{err: err}
 			return
 		}
-		vote, err := expectFrame[Vote](conn, FrameVote)
+		vote, err := expectFrame[VoteBatch](conn, FrameVoteBatch)
 		got <- read{hello: hello, vote: vote, err: err}
 	}()
 	conn, err := ft.DialPlayer(l.Addr(), 0)
@@ -115,20 +115,24 @@ func TestFaultTransportCorruptsChosenFrame(t *testing.T) {
 	if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteVote(conn, Vote{Player: 0, Message: 1}); err != nil {
+	if err := WriteVoteBatch(conn, VoteBatch{Player: 0, Batch: 7, Count: 1, Planes: []uint64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	r := <-got
 	if r.err != nil {
 		t.Fatalf("referee side: %v", r.err)
 	}
-	// Frame 1 (HELLO) must arrive intact; frame 2 (VOTE) must have its
-	// last payload byte corrupted with the high bit set.
+	// Frame 1 (HELLO) must arrive intact; frame 2 (VOTE_BATCH) must have
+	// the low byte of its batch id corrupted with the high bit set, and
+	// its vote bits untouched.
 	if r.hello != (Hello{Player: 0, Bits: 1}) {
 		t.Errorf("hello corrupted: %+v", r.hello)
 	}
-	if r.vote.Message&0x80 == 0 || r.vote.Message == 1 {
-		t.Errorf("vote message %#x, want high bit set by corruption", r.vote.Message)
+	if r.vote.Batch&0x80 == 0 || r.vote.Batch == 7 {
+		t.Errorf("vote batch id %#x, want high bit set by corruption", r.vote.Batch)
+	}
+	if r.vote.Player != 0 || r.vote.Planes[0] != 1 {
+		t.Errorf("vote %+v: corruption leaked past the batch id", r.vote)
 	}
 	if got := ft.Stats().FramesCorrupted; got != 1 {
 		t.Errorf("FramesCorrupted = %d, want 1", got)
@@ -159,7 +163,7 @@ func TestFaultTransportCrashesAtRound(t *testing.T) {
 			done <- err
 			return
 		}
-		if _, err := expectFrame[Vote](conn, FrameVote); err != nil {
+		if _, err := expectFrame[VoteBatch](conn, FrameVoteBatch); err != nil {
 			done <- err
 			return
 		}
@@ -173,15 +177,17 @@ func TestFaultTransportCrashesAtRound(t *testing.T) {
 	if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
 		t.Fatal(err)
 	}
+	vote := VoteBatch{Player: 0, Batch: 0, Count: 1, Planes: []uint64{1}}
 	// Round 1's vote goes through...
-	if err := WriteVote(conn, Vote{Player: 0, Message: 1}); err != nil {
+	if err := WriteVoteBatch(conn, vote); err != nil {
 		t.Fatalf("round-1 vote: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("referee side: %v", err)
 	}
 	// ...round 2's vote crashes the connection.
-	if err := WriteVote(conn, Vote{Player: 0, Message: 1}); err == nil {
+	vote.Batch = 1
+	if err := WriteVoteBatch(conn, vote); err == nil {
 		t.Error("round-2 vote succeeded, want crash")
 	}
 	if got := ft.Stats().Crashes; got != 1 {
@@ -191,7 +197,7 @@ func TestFaultTransportCrashesAtRound(t *testing.T) {
 
 func TestFaultTransportDeterministicCorruption(t *testing.T) {
 	// Two transports with the same seed corrupt identically.
-	messages := make([]uint64, 0, 2)
+	ids := make([]uint32, 0, 2)
 	for run := 0; run < 2; run++ {
 		ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{
 			Seed:  7,
@@ -204,7 +210,7 @@ func TestFaultTransportDeterministicCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make(chan Vote, 1)
+		got := make(chan VoteBatch, 1)
 		go func() {
 			conn, err := l.Accept()
 			if err != nil {
@@ -212,7 +218,7 @@ func TestFaultTransportDeterministicCorruption(t *testing.T) {
 				return
 			}
 			defer func() { _ = conn.Close() }()
-			v, err := expectFrame[Vote](conn, FrameVote)
+			v, err := expectFrame[VoteBatch](conn, FrameVoteBatch)
 			if err != nil {
 				close(got)
 				return
@@ -223,22 +229,22 @@ func TestFaultTransportDeterministicCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteVote(conn, Vote{Player: 0, Message: 0}); err != nil {
+		if err := WriteVoteBatch(conn, VoteBatch{Player: 0, Batch: 0, Count: 1, Planes: []uint64{0}}); err != nil {
 			t.Fatal(err)
 		}
 		v, ok := <-got
 		if !ok {
 			t.Fatal("referee side failed")
 		}
-		messages = append(messages, v.Message)
+		ids = append(ids, v.Batch)
 		_ = conn.Close()
 		_ = l.Close()
 	}
-	if messages[0] != messages[1] {
-		t.Errorf("same seed corrupted differently: %#x vs %#x", messages[0], messages[1])
+	if ids[0] != ids[1] {
+		t.Errorf("same seed corrupted differently: %#x vs %#x", ids[0], ids[1])
 	}
-	if messages[0] == 0 {
-		t.Error("corruption did not change the message")
+	if ids[0] == 0 {
+		t.Error("corruption did not change the batch id")
 	}
 }
 

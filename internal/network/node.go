@@ -1,9 +1,9 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
@@ -22,8 +22,16 @@ const (
 	DefaultRetryBackoff = 5 * time.Millisecond
 )
 
-// PlayerNode is one sensor/server in the network: it owns a sampler for
-// its local observations and a core.LocalRule for its vote. Transient
+// ErrVerdictMismatch is the node-side verdict check's failure: a
+// VERDICT_BATCH whose batch id or trial count disagrees with the oldest
+// batch the node voted on and has no verdict for yet (or that arrives
+// with no vote awaiting one). Verdicts answer votes in flight order, so
+// any other verdict is a corrupted, replayed or misrouted frame.
+var ErrVerdictMismatch = errors.New("network: verdict does not answer the oldest unanswered vote")
+
+// PlayerNode is one sensor/server in the network: it draws its local
+// observations from the samplers its session stages for each batch and
+// votes with a core.LocalRule. Transient
 // dial and HELLO failures are retried with exponential backoff (see
 // SetRetryPolicy), so the faults a FaultTransport injects at connect
 // time are survivable.
@@ -31,43 +39,39 @@ type PlayerNode struct {
 	id      uint32
 	q       int
 	rule    core.LocalRule
-	sampler dist.Sampler
 	timeout time.Duration
 	retries int
 	backoff time.Duration
 
-	// Per-round scratch, allocated once at construction: the sample batch
-	// buffer dist.SampleInto fills and the reseedable per-round generator.
-	// A node participates in one round at a time (rounds of a session are
-	// sequential), so the reuse is race-free.
-	buf []int
-	rng *engine.ReusableRNG
-
-	// voteBits is the reusable packed-vote buffer for ROUND_BATCH replies;
-	// like buf it is safe to reuse because a node handles one frame at a
-	// time.
+	// Per-trial scratch, allocated once at construction: the sample batch
+	// buffer dist.SampleInto fills, the reseedable per-trial generator and
+	// the packed-vote planes of the VOTE_BATCH reply. A node handles one
+	// frame at a time, so the reuse is race-free.
+	buf      []int
+	rng      *engine.ReusableRNG
 	voteBits []uint64
 
-	// staged holds per-batch sampler overrides keyed by batch id, set by
-	// the referee-side aggregator before it issues the ROUND_BATCH. The
-	// map is the only node state touched from another goroutine (the
-	// aggregator stages while the node loop votes), hence the mutex.
-	stagedMu sync.Mutex
-	staged   map[uint32][]dist.Sampler
+	// voted is the FIFO of batches the node voted on and awaits the
+	// verdict of, oldest at votedHead; it compacts whenever it drains.
+	voted     []votedBatch
+	votedHead int
+}
+
+// votedBatch is one batch a node voted on: the id and trial count its
+// VERDICT_BATCH must echo.
+type votedBatch struct {
+	id, count uint32
 }
 
 // NewPlayerNode builds a node. timeout bounds each frame wait; zero means
 // 10 seconds. The rule's Bits() must be in [1, 64] — the referee would
 // reject the HELLO anyway, and failing here keeps the error local.
-func NewPlayerNode(id uint32, q int, rule core.LocalRule, sampler dist.Sampler, timeout time.Duration) (*PlayerNode, error) {
+func NewPlayerNode(id uint32, q int, rule core.LocalRule, timeout time.Duration) (*PlayerNode, error) {
 	if q < 0 {
 		return nil, fmt.Errorf("network: node %d with %d samples", id, q)
 	}
 	if rule == nil {
 		return nil, fmt.Errorf("network: node %d with nil rule", id)
-	}
-	if sampler == nil {
-		return nil, fmt.Errorf("network: node %d with nil sampler", id)
 	}
 	if timeout < 0 {
 		return nil, fmt.Errorf("network: negative timeout %v", timeout)
@@ -79,16 +83,11 @@ func NewPlayerNode(id uint32, q int, rule core.LocalRule, sampler dist.Sampler, 
 		return nil, fmt.Errorf("network: node %d rule uses %d message bits, want 1..64", id, b)
 	}
 	return &PlayerNode{
-		id: id, q: q, rule: rule, sampler: sampler, timeout: timeout,
+		id: id, q: q, rule: rule, timeout: timeout,
 		retries: DefaultDialRetries, backoff: DefaultRetryBackoff,
 		buf: make([]int, q), rng: engine.NewReusableRNG(),
 	}, nil
 }
-
-// setSampler rebinds the node's sampler between rounds; the engine's
-// scratch cluster backend uses it to reuse one node set across trials
-// whose sources serve varying distributions.
-func (p *PlayerNode) setSampler(sampler dist.Sampler) { p.sampler = sampler }
 
 // SetRetryPolicy overrides the connect retry budget: retries is the
 // number of attempts after the first (negative clamps to zero, i.e. fail
@@ -118,6 +117,9 @@ func dialAs(tr Transport, addr net.Addr, player uint32) (net.Conn, error) {
 // failures with exponential backoff. It returns the ready connection and
 // the number of retry attempts spent.
 func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error) {
+	if tr == nil {
+		return nil, 0, fmt.Errorf("network: nil transport")
+	}
 	backoff := p.backoff
 	var lastErr error
 	for attempt := 0; attempt <= p.retries; attempt++ {
@@ -130,7 +132,7 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 			lastErr = fmt.Errorf("network: node %d dial: %w", p.id, err)
 			continue
 		}
-		setDeadline(conn, p.timeout)
+		setWriteDeadline(conn, p.timeout)
 		if err := WriteHello(conn, Hello{Player: p.id, Bits: uint8(p.rule.Bits())}); err != nil {
 			_ = conn.Close()
 			lastErr = fmt.Errorf("network: node %d hello: %w", p.id, err)
@@ -141,99 +143,73 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 	return nil, p.retries, fmt.Errorf("network: node %d connect failed after %d attempt(s): %w", p.id, p.retries+1, lastErr)
 }
 
-// RunRoundStats participates in one round over the given transport and
-// returns the referee's verdict as seen by this node, together with the
-// number of connect retries spent. The node's sampling and private coins
-// derive from the ROUND frame's public-coin seed and its own id
-// (engine.NodeRNG), so a networked round reproduces the in-process SMP
-// round with the same seed bit for bit.
-func (p *PlayerNode) RunRoundStats(tr Transport, addr net.Addr) (bool, int, error) {
-	if tr == nil {
-		return false, 0, fmt.Errorf("network: nil transport")
+// serve is the node's frame loop over an established connection: it
+// answers every ROUND_BATCH with its VOTE_BATCH, checks every
+// VERDICT_BATCH against the oldest batch it voted on, and returns on
+// FINISH. stage supplies each batch's per-trial samplers; a batch with
+// none staged is an error.
+func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
+	for {
+		// Referee frames can lag a full referee phase behind — the quorum
+		// accept phase before the first ROUND_BATCH, a slow peer's vote
+		// before a VERDICT_BATCH — so reads get a two-timeout budget. Each
+		// direction keeps its own deadline, so a read arms one timer, not
+		// two.
+		setReadDeadline(conn, 2*p.timeout)
+		t, msg, err := ReadFrame(conn)
+		if err != nil {
+			return fmt.Errorf("network: node %d read: %w", p.id, err)
+		}
+		switch m := msg.(type) {
+		case RoundBatch:
+			if err := p.voteBatch(conn, m, stage); err != nil {
+				return err
+			}
+		case VerdictBatch:
+			if err := p.checkVerdict(m); err != nil {
+				return err
+			}
+		case Finish:
+			return nil
+		default:
+			return fmt.Errorf("network: node %d got unexpected %v mid-session", p.id, t)
+		}
 	}
-	conn, retries, err := p.connect(tr, addr)
-	if err != nil {
-		return false, retries, err
-	}
-	defer func() { _ = conn.Close() }()
-
-	// A referee frame can lag a full referee phase behind: in quorum mode
-	// the accept phase holds the ROUND back for up to one timeout while
-	// the referee waits out stragglers. Budget two timeouts for reads.
-	setDeadline(conn, 2*p.timeout)
-	round, err := expectFrame[Round](conn, FrameRound)
-	if err != nil {
-		return false, retries, fmt.Errorf("network: node %d round: %w", p.id, err)
-	}
-	rng := p.rng.SeedNode(round.Seed, int(p.id))
-	dist.SampleInto(p.sampler, p.buf, rng)
-	msg, err := p.rule.Message(int(p.id), p.buf, round.Seed, rng)
-	if err != nil {
-		return false, retries, fmt.Errorf("network: node %d rule: %w", p.id, err)
-	}
-	// Refresh the deadline: sampling and the rule may have consumed the
-	// connect-phase deadline.
-	setDeadline(conn, p.timeout)
-	if err := WriteVote(conn, Vote{Player: p.id, Message: uint64(msg)}); err != nil {
-		return false, retries, fmt.Errorf("network: node %d vote: %w", p.id, err)
-	}
-	// The verdict waits on the whole vote-gathering phase: slow peers may
-	// consume most of a timeout before the referee can decide.
-	setDeadline(conn, 2*p.timeout)
-	verdict, err := expectFrame[Verdict](conn, FrameVerdict)
-	if err != nil {
-		return false, retries, fmt.Errorf("network: node %d verdict: %w", p.id, err)
-	}
-	return verdict.Accept, retries, nil
 }
 
-// RunRound is RunRoundStats without the retry count.
-func (p *PlayerNode) RunRound(tr Transport, addr net.Addr) (bool, error) {
-	accept, _, err := p.RunRoundStats(tr, addr)
-	return accept, err
-}
-
-// stageBatch registers per-trial sampler overrides for an upcoming
-// ROUND_BATCH. The aggregator calls it before issuing the frame; the
-// node loop claims the slice (takeStaged) when the frame arrives. A
-// batch with no staged samplers falls back to the node's own sampler
-// for every trial.
-func (p *PlayerNode) stageBatch(batch uint32, samplers []dist.Sampler) {
-	p.stagedMu.Lock()
-	if p.staged == nil {
-		//lint:ignore dut/hotalloc lazy once-per-node map initialization, reused for every later batch
-		p.staged = make(map[uint32][]dist.Sampler)
+// checkVerdict pops the oldest unanswered vote and requires the verdict
+// to echo its batch id and trial count.
+func (p *PlayerNode) checkVerdict(m VerdictBatch) error {
+	if p.votedHead == len(p.voted) {
+		return fmt.Errorf("%w: node %d got a verdict for batch %d with no vote awaiting one", ErrVerdictMismatch, p.id, m.Batch)
 	}
-	p.staged[batch] = samplers
-	p.stagedMu.Unlock()
-}
-
-// takeStaged claims and removes the sampler overrides staged for a
-// batch id.
-func (p *PlayerNode) takeStaged(batch uint32) ([]dist.Sampler, bool) {
-	p.stagedMu.Lock()
-	s, ok := p.staged[batch]
-	if ok {
-		delete(p.staged, batch)
+	want := p.voted[p.votedHead]
+	p.votedHead++
+	if p.votedHead == len(p.voted) {
+		p.voted, p.votedHead = p.voted[:0], 0
 	}
-	p.stagedMu.Unlock()
-	return s, ok
+	if m.Batch != want.id || m.Count != want.count {
+		return fmt.Errorf("%w: node %d got a verdict for batch %d of %d trials, its oldest unanswered vote is batch %d of %d trials",
+			ErrVerdictMismatch, p.id, m.Batch, m.Count, want.id, want.count)
+	}
+	return nil
 }
 
-// voteBatch computes one vote per seed of a ROUND_BATCH and replies
-// with the packed VOTE_BATCH (single-bit rules) or VOTE_BATCH_R (r-bit
-// rules, one bit-plane per message bit). Each trial's derivation is
-// exactly the single-round path's — engine.NodeRNG(seed, id) feeding
-// SampleInto and the rule — so lane j of the reply equals the VOTE the
-// node would have sent for seed j unbatched. Single-bit rules keep the
-// classic VOTE_BATCH frame, byte-identical to the pre-r protocol.
+// voteBatch computes one vote per seed of a ROUND_BATCH and replies with
+// the packed VOTE_BATCH, one bit-plane per message bit. Each trial's
+// derivation is engine.NodeRNG(seed, id) feeding SampleInto and the
+// rule, so lane j of the reply is the message every other backend
+// derives for seed j and this player.
 //
 //dut:hotpath per-batch node sampling and vote encode
-func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch) error {
+func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage) error {
 	msgBits := p.rule.Bits()
 	count := len(rb.Seeds)
-	samplers, staged := p.takeStaged(rb.Batch)
-	if staged && len(samplers) != count {
+	samplers, staged := stage.get(rb.Batch)
+	if !staged {
+		return fmt.Errorf("network: node %d has no samplers staged for batch %d", p.id, rb.Batch)
+	}
+	if len(samplers) != count {
 		return fmt.Errorf("network: node %d staged %d samplers for batch %d of %d trials", p.id, len(samplers), rb.Batch, count)
 	}
 	words := batchWords(count)
@@ -242,16 +218,10 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch) error {
 		p.voteBits = make([]uint64, need)
 	}
 	voteBits := p.voteBits[:need]
-	for i := range voteBits {
-		voteBits[i] = 0
-	}
+	clear(voteBits)
 	for j, seed := range rb.Seeds {
-		sampler := p.sampler
-		if staged {
-			sampler = samplers[j]
-		}
 		rng := p.rng.SeedNode(seed, int(p.id))
-		dist.SampleInto(sampler, p.buf, rng)
+		dist.SampleInto(samplers[j], p.buf, rng)
 		msg, err := p.rule.Message(int(p.id), p.buf, seed, rng)
 		if err != nil {
 			return fmt.Errorf("network: node %d rule: %w", p.id, err)
@@ -265,13 +235,13 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch) error {
 			}
 		}
 	}
-	// Refresh the deadline: a large batch of sampling may have consumed
+	// A fresh write budget: a large batch of sampling may have consumed
 	// most of the read-phase budget.
-	setDeadline(conn, p.timeout)
-	if msgBits == 1 {
-		return WriteVoteBatch(conn, VoteBatch{Player: p.id, Batch: rb.Batch, Count: uint32(count), Bits: voteBits})
+	setWriteDeadline(conn, p.timeout)
+	if err := WriteVoteBatch(conn, VoteBatch{Player: p.id, Batch: rb.Batch, Count: uint32(count), Planes: voteBits}); err != nil {
+		return err
 	}
-	return WriteVoteBatchR(conn, VoteBatchR{
-		Player: p.id, Batch: rb.Batch, Count: uint32(count), Bits: uint8(msgBits), Planes: voteBits,
-	})
+	//lint:ignore dut/hotalloc the FIFO grows to the window's high-water mark once, then compacts in place as verdicts drain it
+	p.voted = append(p.voted, votedBatch{id: rb.Batch, count: uint32(count)})
+	return nil
 }

@@ -10,16 +10,16 @@ import (
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
-	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
-// RefereeServer collects one round of votes from k players and broadcasts
-// the decision of its core.Referee. By default it is strict — all k votes
-// are required, exactly the paper's model. WithMinVotes relaxes it to a
-// quorum: the referee tolerates stragglers, crashed nodes and protocol
-// violators, decides from the votes it has (absentees entering the
-// decision per the configured core.AbsenteePolicy), and reports what
-// happened in a RoundStats.
+// RefereeServer is the referee's configuration and decision: it accepts
+// k players' HELLOs and applies its core.Referee to their votes; the
+// batch session (batch.go) runs the exchange. By default it is strict —
+// all k votes are required, exactly the paper's model. WithMinVotes
+// relaxes it to a quorum: the referee tolerates stragglers, crashed
+// nodes and protocol violators, decides from the votes it has
+// (absentees entering the decision per the configured
+// core.AbsenteePolicy), and reports what happened in a RoundStats.
 type RefereeServer struct {
 	k        int
 	decide   core.Referee
@@ -115,14 +115,13 @@ type RoundStats struct {
 	Verdict bool
 }
 
-// playerSlot is the referee's per-connection state. A slot that fails
-// mid-session in quorum mode is marked dead and skipped (and counted as a
-// straggler) in subsequent rounds.
+// playerSlot is the referee's per-connection state: the connection and
+// what its HELLO announced. Failure state lives on the batch session's
+// batchSlot.
 type playerSlot struct {
 	conn   net.Conn
 	player uint32
 	bits   uint8
-	dead   bool
 }
 
 // connTracker collects accepted connections so that they are all closed
@@ -215,7 +214,7 @@ func (s *RefereeServer) acceptPlayers(ctx context.Context, l net.Listener, tr *c
 			return nil, fmt.Errorf("network: accept: %w", err)
 		}
 		tr.track(conn)
-		setDeadline(conn, s.timeout)
+		setReadDeadline(conn, s.timeout)
 		hello, err := expectFrame[Hello](conn, FrameHello)
 		if err != nil {
 			if s.strict() {
@@ -235,68 +234,6 @@ func (s *RefereeServer) acceptPlayers(ctx context.Context, l net.Listener, tr *c
 		slots = append(slots, &playerSlot{conn: conn, player: hello.Player, bits: hello.Bits})
 	}
 	return slots, nil
-}
-
-// gatherVotes broadcasts ROUND to every live slot and collects votes
-// concurrently. Votes are indexed by player id (ids are validated unique
-// and in range at HELLO time), with got marking which arrived. A slot
-// that fails — write error, timeout, id mismatch, or a message wider
-// than its announced bits — aborts the round in strict mode; in quorum
-// mode it is closed, marked dead and skipped from then on.
-func (s *RefereeServer) gatherVotes(seed uint64, slots []*playerSlot, votes []core.Message, got []bool) error {
-	for i := range votes {
-		votes[i] = 0
-		got[i] = false
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(sl *playerSlot, err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		sl.dead = true
-		mu.Unlock()
-		_ = sl.conn.Close()
-	}
-	for _, sl := range slots {
-		if sl.dead {
-			continue
-		}
-		wg.Add(1)
-		go func(sl *playerSlot) {
-			defer wg.Done()
-			setDeadline(sl.conn, s.timeout)
-			if err := WriteRound(sl.conn, Round{Seed: seed}); err != nil {
-				fail(sl, fmt.Errorf("network: round to player %d: %w", sl.player, err))
-				return
-			}
-			vote, err := expectFrame[Vote](sl.conn, FrameVote)
-			if err != nil {
-				fail(sl, fmt.Errorf("network: vote from player %d: %w", sl.player, err))
-				return
-			}
-			if vote.Player != sl.player {
-				fail(sl, fmt.Errorf("network: vote claims player %d on player %d's connection", vote.Player, sl.player))
-				return
-			}
-			if sl.bits < 64 && vote.Message >= 1<<sl.bits {
-				fail(sl, fmt.Errorf("network: player %d sent message %#x wider than its announced %d bit(s)",
-					sl.player, vote.Message, sl.bits))
-				return
-			}
-			votes[sl.player] = core.Message(vote.Message)
-			got[sl.player] = true
-		}(sl)
-	}
-	wg.Wait()
-	if s.strict() && firstErr != nil {
-		return firstErr
-	}
-	return nil
 }
 
 // decideVotes checks the quorum and applies the decision function, with
@@ -345,84 +282,4 @@ func (s *RefereeServer) decideVotes(votes []core.Message, got []bool) (bool, int
 		return false, received, fmt.Errorf("network: referee decision: %w", err)
 	}
 	return accept, received, nil
-}
-
-// broadcastVerdict sends VERDICT to every live slot. The write deadline
-// is refreshed per connection: the deadline set before vote gathering may
-// already be (nearly) consumed by a slow round, and reusing it makes the
-// broadcast fail spuriously.
-func (s *RefereeServer) broadcastVerdict(slots []*playerSlot, accept bool) error {
-	for _, sl := range slots {
-		if sl.dead {
-			continue
-		}
-		setDeadline(sl.conn, s.timeout)
-		if err := WriteVerdict(sl.conn, Verdict{Accept: accept}); err != nil {
-			if s.strict() {
-				return fmt.Errorf("network: verdict to player %d: %w", sl.player, err)
-			}
-			sl.dead = true
-			_ = sl.conn.Close()
-		}
-	}
-	return nil
-}
-
-// RunRoundStats accepts player connections on the listener, runs the
-// HELLO / ROUND / VOTE / VERDICT exchange with the given public-coin seed,
-// and returns the verdict together with the round's statistics. In strict
-// mode (the default) all k players are required; with WithMinVotes the
-// round tolerates stragglers down to the quorum. It closes every accepted
-// connection before returning; the listener itself stays open for further
-// rounds. ctx cancellation aborts the round.
-func (s *RefereeServer) RunRoundStats(ctx context.Context, l net.Listener, seed uint64) (bool, RoundStats, error) {
-	stats := RoundStats{}
-	if l == nil {
-		return false, stats, fmt.Errorf("network: nil listener")
-	}
-	sw := engine.StartStopwatch()
-	tr := &connTracker{}
-	defer tr.closeAll()
-	stop := tr.watch(ctx)
-	defer stop()
-
-	slots, err := s.acceptPlayers(ctx, l, tr)
-	if err != nil {
-		return false, stats, err
-	}
-	votes := make([]core.Message, s.k)
-	got := make([]bool, s.k)
-	if err := s.gatherVotes(seed, slots, votes, got); err != nil {
-		return false, stats, err
-	}
-	if err := ctx.Err(); err != nil {
-		return false, stats, err
-	}
-	accept, received, err := s.decideVotes(votes, got)
-	stats.Votes = received
-	stats.Stragglers = s.k - received
-	stats.Wall = sw.Elapsed()
-	if err != nil {
-		return false, stats, err
-	}
-	if err := s.broadcastVerdict(slots, accept); err != nil {
-		return false, stats, err
-	}
-	stats.Verdict = accept
-	stats.Wall = sw.Elapsed()
-	return accept, stats, nil
-}
-
-// RunRound is RunRoundStats without the statistics, kept for callers that
-// only need the verdict.
-func (s *RefereeServer) RunRound(ctx context.Context, l net.Listener, seed uint64) (bool, error) {
-	accept, _, err := s.RunRoundStats(ctx, l, seed)
-	return accept, err
-}
-
-func setDeadline(conn net.Conn, d time.Duration) {
-	// net.Pipe supports deadlines; failures here are non-fatal (reads will
-	// still error out on close).
-	//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds frame IO waits, never the verdict
-	_ = conn.SetDeadline(time.Now().Add(d))
 }

@@ -2,19 +2,23 @@ package network
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/distributed-uniformity/dut/internal/core"
+	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 // fakePlayer dials the listener and runs script against the connection;
 // errors are ignored (the referee's verdict on the exchange is what the
 // tests assert).
-func fakePlayer(t *testing.T, m *MemTransport, addr net.Addr, script func(conn net.Conn)) {
-	t.Helper()
-	conn, err := m.Dial(addr)
+func fakePlayer(tr Transport, addr net.Addr, script func(conn net.Conn)) {
+	conn, err := tr.Dial(addr)
 	if err != nil {
 		return
 	}
@@ -23,37 +27,65 @@ func fakePlayer(t *testing.T, m *MemTransport, addr net.Addr, script func(conn n
 	script(conn)
 }
 
-func TestRefereeRejectsDuplicatePlayerID(t *testing.T) {
-	// Regression: two nodes claiming the same id used to both get slots,
-	// with votes indexed by accept order.
-	m := NewMemTransport()
-	l, err := m.Listen()
+// fakeVote answers the next ROUND_BATCH with a VOTE_BATCH for player
+// carrying the given planes, echoing the batch id and trial count.
+func fakeVote(conn net.Conn, player uint32, planes ...uint64) error {
+	rb, err := expectFrame[RoundBatch](conn, FrameRoundBatch)
+	if err != nil {
+		return err
+	}
+	return WriteVoteBatch(conn, VoteBatch{Player: player, Batch: rb.Batch, Count: uint32(len(rb.Seeds)), Planes: planes})
+}
+
+// fakeCluster is a strict in-memory cluster for scripted players.
+func fakeCluster(t *testing.T, k int, rule core.LocalRule, timeout time.Duration) *Cluster {
+	t.Helper()
+	c, err := NewCluster(ClusterConfig{K: k, Q: 1, Rule: rule, Referee: andReferee(), Timeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(2, andReferee(), time.Second)
+	return c
+}
+
+// refereeTrials runs a session of the given number of lock-step trials
+// whose players are the scripts, each dialing in on its own goroutine,
+// and returns once the referee and every script are done.
+func refereeTrials(t *testing.T, c *Cluster, trials int, players ...func(conn net.Conn)) ([]engine.RoundResult, error) {
+	t.Helper()
+	l, err := c.tr.Listen()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for _, script := range players {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fakePlayer(t, m, l.Addr(), func(conn net.Conn) {
-				if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
-					return
-				}
-				if _, err := expectFrame[Round](conn, FrameRound); err != nil {
-					return
-				}
-				_ = WriteVote(conn, Vote{Player: 0, Message: 1})
-			})
+			fakePlayer(c.tr, l.Addr(), script)
 		}()
 	}
-	_, err = server.RunRound(context.Background(), l, 7)
+	seeds := make([]uint64, trials)
+	samplers := make([]dist.Sampler, trials)
+	for i := range samplers {
+		seeds[i] = uint64(7 + i)
+		samplers[i] = dist.NopSampler{}
+	}
+	out := make([]engine.RoundResult, trials)
+	err = c.runSession(context.Background(), l, nil, seeds, samplers, out)
 	wg.Wait()
+	return out, err
+}
+
+func TestRefereeRejectsDuplicatePlayerID(t *testing.T) {
+	// Regression: two nodes claiming the same id used to both get slots,
+	// with votes indexed by accept order.
+	claimZero := func(conn net.Conn) {
+		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+			return
+		}
+		_ = fakeVote(conn, 0, 1)
+	}
+	_, err := refereeTrials(t, fakeCluster(t, 2, acceptAllRule(), time.Second), 1, claimZero, claimZero)
 	if err == nil || !strings.Contains(err.Error(), "duplicate player id") {
 		t.Errorf("err = %v, want duplicate-player-id error", err)
 	}
@@ -61,69 +93,37 @@ func TestRefereeRejectsDuplicatePlayerID(t *testing.T) {
 
 func TestRefereeRejectsOutOfRangePlayerID(t *testing.T) {
 	// Regression: an id >= k used to be accepted silently.
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, andReferee(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fakePlayer(t, m, l.Addr(), func(conn net.Conn) {
+	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
 		_ = WriteHello(conn, Hello{Player: 5, Bits: 1})
 	})
-	if _, err := server.RunRound(context.Background(), l, 7); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("err = %v, want out-of-range error", err)
 	}
 }
 
 func TestRefereeEnforcesAnnouncedBits(t *testing.T) {
-	// Regression: a rule announcing 1 bit could send a 64-bit message and
-	// the referee would feed it to the decision function unchecked.
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, andReferee(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fakePlayer(t, m, l.Addr(), func(conn net.Conn) {
+	// Regression: a rule announcing 1 bit could send a wider message and
+	// the referee would feed it to the decision function unchecked. The
+	// vote's plane count is its width, so two planes from a player that
+	// announced one bit fail the gather.
+	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
 		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
 		}
-		if _, err := expectFrame[Round](conn, FrameRound); err != nil {
-			return
-		}
-		_ = WriteVote(conn, Vote{Player: 0, Message: 2})
+		_ = fakeVote(conn, 0, 0, 1)
 	})
-	if _, err := server.RunRound(context.Background(), l, 7); err == nil || !strings.Contains(err.Error(), "announced") {
+	if err == nil || !strings.Contains(err.Error(), "announced") {
 		t.Errorf("err = %v, want bits-enforcement error", err)
 	}
 }
 
 func TestRefereeNegotiatesMessageWidth(t *testing.T) {
-	// With the rule's width pinned on the server, a node announcing a
+	// The rule's width is pinned on the referee, so a node announcing a
 	// different width in HELLO fails the handshake with a named-player,
 	// named-widths error rather than a generic rejection.
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, andReferee(), time.Second, WithMessageBits(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fakePlayer(t, m, l.Addr(), func(conn net.Conn) {
+	_, err := refereeTrials(t, fakeCluster(t, 1, treeTestRule{bits: 2}, time.Second), 1, func(conn net.Conn) {
 		_ = WriteHello(conn, Hello{Player: 0, Bits: 7})
 	})
-	_, err = server.RunRound(context.Background(), l, 7)
 	if err == nil {
 		t.Fatal("width mismatch accepted, want handshake error")
 	}
@@ -135,78 +135,72 @@ func TestRefereeNegotiatesMessageWidth(t *testing.T) {
 }
 
 func TestRefereeAcceptsFullWidthMessages(t *testing.T) {
-	// A 64-bit announcement admits any message (no 1<<64 overflow).
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
+	// A 64-bit announcement admits any message: 64 all-ones planes.
+	planes := make([]uint64, 64)
+	for i := range planes {
+		planes[i] = 1
 	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, andReferee(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go fakePlayer(t, m, l.Addr(), func(conn net.Conn) {
+	_, err := refereeTrials(t, fakeCluster(t, 1, treeTestRule{bits: 64}, time.Second), 1, func(conn net.Conn) {
 		if err := WriteHello(conn, Hello{Player: 0, Bits: 64}); err != nil {
 			return
 		}
-		if _, err := expectFrame[Round](conn, FrameRound); err != nil {
+		if err := fakeVote(conn, 0, planes...); err != nil {
 			return
 		}
-		if err := WriteVote(conn, Vote{Player: 0, Message: ^uint64(0)}); err != nil {
-			return
-		}
-		_, _ = expectFrame[Verdict](conn, FrameVerdict)
+		_, _ = expectFrame[VerdictBatch](conn, FrameVerdictBatch)
 	})
-	if _, err := server.RunRound(context.Background(), l, 7); err != nil {
+	if err != nil {
 		t.Errorf("full-width message rejected: %v", err)
 	}
 }
 
-func TestVerdictBroadcastSurvivesSlowRound(t *testing.T) {
-	// Regression: the VERDICT broadcast used to reuse the deadline set
-	// before vote gathering, so a round whose vote phase plus verdict
-	// delivery outlasted one timeout failed spuriously even though every
-	// individual frame wait was within budget.
-	const timeout = 600 * time.Millisecond
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, andReferee(), timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdictSeen := make(chan bool, 1)
-	go fakePlayer(t, m, l.Addr(), func(conn net.Conn) {
+// slowPlayer votes accept on each of rounds trials, taking 400 ms before
+// each vote and 400 ms before picking up each verdict, then waits for
+// FINISH; it reports every verdict it saw and closes done on FINISH.
+func slowPlayer(rounds int, verdicts chan<- bool, done chan<- struct{}) func(net.Conn) {
+	return func(conn net.Conn) {
 		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
 		}
-		if _, err := expectFrame[Round](conn, FrameRound); err != nil {
+		for r := 0; r < rounds; r++ {
+			rb, err := expectFrame[RoundBatch](conn, FrameRoundBatch)
+			if err != nil {
+				return
+			}
+			time.Sleep(400 * time.Millisecond) // slow, but within the per-frame budget
+			if err := WriteVoteBatch(conn, VoteBatch{Player: 0, Batch: rb.Batch, Count: 1, Planes: []uint64{1}}); err != nil {
+				return
+			}
+			time.Sleep(400 * time.Millisecond) // verdict pickup past a stale deadline
+			v, err := expectFrame[VerdictBatch](conn, FrameVerdictBatch)
+			if err != nil {
+				return
+			}
+			verdicts <- v.Bits[0] == 1
+		}
+		if _, err := expectFrame[Finish](conn, FrameFinish); err != nil {
 			return
 		}
-		time.Sleep(400 * time.Millisecond) // slow, but within the per-frame budget
-		if err := WriteVote(conn, Vote{Player: 0, Message: 1}); err != nil {
-			return
-		}
-		time.Sleep(400 * time.Millisecond) // verdict pickup past the stale deadline
-		v, err := expectFrame[Verdict](conn, FrameVerdict)
-		if err != nil {
-			return
-		}
-		verdictSeen <- v.Accept
-	})
-	accept, err := server.RunRound(context.Background(), l, 7)
+		close(done)
+	}
+}
+
+func TestVerdictBroadcastSurvivesSlowRound(t *testing.T) {
+	// Regression: the verdict broadcast used to reuse the deadline set
+	// before vote gathering, so a round whose vote phase plus verdict
+	// delivery outlasted one timeout failed spuriously even though every
+	// individual frame wait was within budget.
+	verdicts := make(chan bool, 1)
+	done := make(chan struct{})
+	out, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), 600*time.Millisecond), 1, slowPlayer(1, verdicts, done))
 	if err != nil {
 		t.Fatalf("slow round failed: %v", err)
 	}
-	if !accept {
+	if !out[0].Verdict {
 		t.Error("verdict = reject, want accept")
 	}
 	select {
-	case v := <-verdictSeen:
+	case v := <-verdicts:
 		if !v {
 			t.Error("player saw reject")
 		}
@@ -216,49 +210,103 @@ func TestVerdictBroadcastSurvivesSlowRound(t *testing.T) {
 }
 
 func TestSessionVerdictBroadcastSurvivesSlowRound(t *testing.T) {
-	// Same regression as above, on the session path.
-	const timeout = 600 * time.Millisecond
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, andReferee(), timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	finished := make(chan struct{})
-	go fakePlayer(t, m, l.Addr(), func(conn net.Conn) {
-		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
-			return
-		}
-		if _, err := expectFrame[Round](conn, FrameRound); err != nil {
-			return
-		}
-		time.Sleep(400 * time.Millisecond)
-		if err := WriteVote(conn, Vote{Player: 0, Message: 1}); err != nil {
-			return
-		}
-		time.Sleep(400 * time.Millisecond)
-		if _, err := expectFrame[Verdict](conn, FrameVerdict); err != nil {
-			return
-		}
-		if _, err := expectFrame[Finish](conn, FrameFinish); err != nil {
-			return
-		}
-		close(finished)
-	})
-	verdicts, err := server.RunSession(context.Background(), l, []uint64{7})
+	// Same regression across lock-step rounds of one session: every
+	// round's slow vote and slow verdict pickup stay within budget, and
+	// the session still ends with FINISH.
+	const rounds = 2
+	verdicts := make(chan bool, rounds)
+	done := make(chan struct{})
+	out, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), 600*time.Millisecond), rounds, slowPlayer(rounds, verdicts, done))
 	if err != nil {
 		t.Fatalf("slow session round failed: %v", err)
 	}
-	if len(verdicts) != 1 || !verdicts[0] {
-		t.Errorf("verdicts = %v", verdicts)
+	for i, r := range out {
+		if !r.Verdict {
+			t.Errorf("round %d verdict = reject", i)
+		}
+		if v := <-verdicts; !v {
+			t.Errorf("round %d: player saw reject", i)
+		}
 	}
 	select {
-	case <-finished:
+	case <-done:
 	case <-time.After(3 * time.Second):
 		t.Error("player never reached FINISH")
+	}
+}
+
+// TestNodeChecksVerdictEcho drives one node over a pipe with forged
+// verdicts: a VERDICT_BATCH must echo the batch id and trial count of
+// the oldest batch the node voted on, and a verdict with no vote
+// awaiting one is as much a violation as a mismatched one.
+func TestNodeChecksVerdictEcho(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		verdict VerdictBatch
+		vote    bool // vote on batch 3 of 2 trials first
+		ok      bool
+	}{
+		{name: "matching verdict", verdict: VerdictBatch{Batch: 3, Count: 2, Bits: []uint64{0b10}}, vote: true, ok: true},
+		{name: "wrong batch id", verdict: VerdictBatch{Batch: 4, Count: 2, Bits: []uint64{0b10}}, vote: true},
+		{name: "wrong trial count", verdict: VerdictBatch{Batch: 3, Count: 1, Bits: []uint64{1}}, vote: true},
+		{name: "no vote awaiting", verdict: VerdictBatch{Batch: 3, Count: 2, Bits: []uint64{0b10}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, err := NewPlayerNode(0, 1, acceptAllRule(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+			stage.put(3, []dist.Sampler{dist.NopSampler{}, dist.NopSampler{}})
+			referee, nodeConn := net.Pipe()
+			defer func() { _ = referee.Close() }()
+			served := make(chan error, 1)
+			go func() { served <- node.serve(nodeConn, stage) }()
+			_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
+			if tc.vote {
+				if err := WriteRoundBatch(referee, RoundBatch{Batch: 3, Seeds: []uint64{1, 2}}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := expectFrame[VoteBatch](referee, FrameVoteBatch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := WriteVerdictBatch(referee, tc.verdict); err != nil {
+				t.Fatal(err)
+			}
+			if tc.ok {
+				if err := WriteFinish(referee); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = <-served
+			if tc.ok && err != nil {
+				t.Errorf("node rejected a matching verdict: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrVerdictMismatch) {
+				t.Errorf("node error = %v, want ErrVerdictMismatch", err)
+			}
+		})
+	}
+}
+
+// TestNodeRequiresStagedSamplers pins that a ROUND_BATCH whose batch has
+// no samplers staged fails the node instead of voting on made-up samples.
+func TestNodeRequiresStagedSamplers(t *testing.T) {
+	node, err := NewPlayerNode(0, 1, acceptAllRule(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+	referee, nodeConn := net.Pipe()
+	defer func() { _ = referee.Close() }()
+	served := make(chan error, 1)
+	go func() { served <- node.serve(nodeConn, stage) }()
+	_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteRoundBatch(referee, RoundBatch{Batch: 5, Seeds: []uint64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err == nil || !strings.Contains(err.Error(), "no samplers staged for batch 5") {
+		t.Errorf("node error = %v, want the unstaged-batch error", err)
 	}
 }

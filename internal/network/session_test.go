@@ -9,6 +9,7 @@ import (
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 func TestRunManyBasics(t *testing.T) {
@@ -227,20 +228,13 @@ func TestSessionCancellation(t *testing.T) {
 }
 
 func TestRefereeSessionValidation(t *testing.T) {
-	s, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunSession(context.Background(), nil, []uint64{1}); err == nil {
+	c := fakeCluster(t, 1, acceptAllRule(), time.Second)
+	var out [1]engine.RoundResult
+	err := c.runSession(context.Background(), nil, nil, []uint64{1}, []dist.Sampler{dist.NopSampler{}}, out[:])
+	if err == nil {
 		t.Error("nil listener accepted")
 	}
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	if _, err := s.RunSession(context.Background(), l, nil); err == nil {
+	if _, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(0), 0); err == nil {
 		t.Error("zero rounds accepted")
 	}
 }

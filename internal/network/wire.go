@@ -11,11 +11,13 @@ import (
 const (
 	// Magic prefixes every frame, catching cross-protocol connections.
 	Magic = uint16(0xD07A)
-	// Version is the wire protocol version.
-	Version = uint8(1)
-	// MaxFrameSize bounds a single-round frame's payload; every legal
-	// single-round message is tiny. Batch frames have their own bound,
-	// derived from MaxBatchTrials (see maxPayload).
+	// Version is the wire protocol version. Version 2 retired the
+	// per-trial ROUND/VOTE/VERDICT frames and the width-byte VOTE_BATCH_R:
+	// every trial rides a batch frame, a single trial being a batch of one.
+	Version = uint8(2)
+	// MaxFrameSize bounds the payload of the fixed-size frames (HELLO and
+	// FINISH); both are tiny. Batch frames have their own bound, derived
+	// from MaxBatchTrials (see maxPayload).
 	MaxFrameSize = 64
 	// MaxBatchTrials bounds the trial count of one batch frame. It caps
 	// the memory a malicious length prefix can make the decoder allocate
@@ -43,13 +45,14 @@ const (
 // FrameType enumerates the message kinds. Values are wire-stable.
 type FrameType uint8
 
-// Frame types, in round order. The batch frames (6..8) are the
-// multi-trial counterparts of ROUND/VOTE/VERDICT: one frame carries up
-// to MaxBatchTrials trials, identified by a batch id the voter echoes.
-// VOTE_BATCH_R (9) is the r-bit generalization of VOTE_BATCH: r packed
-// bit-planes instead of one. VOTE_BATCH remains the canonical encoding
-// for 1-bit rules, so r = 1 sessions are byte-identical to the classic
-// protocol.
+// Frame types, in round order. The batch frames (6..8) carry the whole
+// exchange: one ROUND_BATCH carries up to MaxBatchTrials public-coin
+// seeds identified by a batch id, each player answers with one
+// VOTE_BATCH of r packed bit-planes echoing the id, and the referee
+// replies with one VERDICT_BATCH. A single trial is a batch of one.
+// Values 2, 3, 4 (the version-1 per-trial ROUND, VOTE and VERDICT) and 9
+// (VOTE_BATCH_R, whose r-bit planes VOTE_BATCH now carries) are retired
+// and decode as unknown types; the remaining values are wire-stable.
 // The aggregator frames (10..13) carry the two hops of the two-tier
 // referee tree: AGG_HELLO announces an aggregator's shard membership,
 // AGG_SUM carries a shard's bit-sliced partial rejection / value sums
@@ -60,19 +63,15 @@ type FrameType uint8
 // per-shard present-count accounting for the aggregator to audit
 // before it relays the verdicts to its shard.
 const (
-	FrameHello FrameType = iota + 1
-	FrameRound
-	FrameVote
-	FrameVerdict
-	FrameFinish
-	FrameRoundBatch
-	FrameVoteBatch
-	FrameVerdictBatch
-	FrameVoteBatchR
-	FrameAggHello
-	FrameAggSum
-	FrameAggPlanes
-	FrameAggVerdict
+	FrameHello        FrameType = 1
+	FrameFinish       FrameType = 5
+	FrameRoundBatch   FrameType = 6
+	FrameVoteBatch    FrameType = 7
+	FrameVerdictBatch FrameType = 8
+	FrameAggHello     FrameType = 10
+	FrameAggSum       FrameType = 11
+	FrameAggPlanes    FrameType = 12
+	FrameAggVerdict   FrameType = 13
 )
 
 // String implements fmt.Stringer for diagnostics.
@@ -80,12 +79,6 @@ func (t FrameType) String() string {
 	switch t {
 	case FrameHello:
 		return "HELLO"
-	case FrameRound:
-		return "ROUND"
-	case FrameVote:
-		return "VOTE"
-	case FrameVerdict:
-		return "VERDICT"
 	case FrameFinish:
 		return "FINISH"
 	case FrameRoundBatch:
@@ -94,8 +87,6 @@ func (t FrameType) String() string {
 		return "VOTE_BATCH"
 	case FrameVerdictBatch:
 		return "VERDICT_BATCH"
-	case FrameVoteBatchR:
-		return "VOTE_BATCH_R"
 	case FrameAggHello:
 		return "AGG_HELLO"
 	case FrameAggSum:
@@ -115,23 +106,7 @@ type Hello struct {
 	Bits   uint8 // message bits the player's rule uses
 }
 
-// Round carries the public-coin seed for the round.
-type Round struct {
-	Seed uint64
-}
-
-// Vote carries the player's message to the referee.
-type Vote struct {
-	Player  uint32
-	Message uint64
-}
-
-// Verdict is the referee's broadcast decision.
-type Verdict struct {
-	Accept bool
-}
-
-// Finish tells a player the session is over (multi-round sessions only).
+// Finish tells a player the session is over.
 type Finish struct{}
 
 // RoundBatch carries the public-coin seeds of len(Seeds) consecutive
@@ -142,46 +117,43 @@ type RoundBatch struct {
 	Seeds []uint64
 }
 
-// VoteBatch carries one player's single-bit votes for every trial of a
-// batch as a packed bitset: trial j of the batch is bit j%64 (LSB
-// first) of word j/64, 1 = accept. Padding bits past Count must be
-// zero — the decoder rejects frames that violate it, so a corrupted
-// tail byte surfaces as a protocol error, never as silent extra votes.
-// Payload layout: player(4) batch(4) count(4) words (8 each).
+// VoteBatch carries one player's r-bit votes for every trial of a batch
+// as r packed bit-planes: plane b holds bit b of every message, with
+// trial j of the batch at bit j%64 (LSB first) of plane word j/64 —
+// plane b occupies words [b*W, (b+1)*W) of Planes for W =
+// batchWords(Count). The frame has no width field: r is the plane
+// count, which the decoder derives from the payload length and requires
+// to be a whole number in [1, 64]. A 1-bit vote batch is therefore a
+// single bitset (1 = accept), byte-identical to the version-1 frame.
+// Padding bits past Count must be zero in every plane — the decoder
+// rejects frames that violate it, so a corrupted tail byte surfaces as
+// a protocol error, never as silent extra votes. The referee checks r
+// against the width the player announced in HELLO. Verdicts stay
+// single-bit, so VERDICT_BATCH is unchanged for any r.
+// Payload layout: player(4) batch(4) count(4) planes (8 each).
 type VoteBatch struct {
 	Player uint32
 	Batch  uint32
 	Count  uint32
-	Bits   []uint64
+	Planes []uint64
+}
+
+// Width is the message width r of the vote planes: the plane count.
+func (v VoteBatch) Width() int {
+	words := batchWords(int(v.Count))
+	if words == 0 {
+		return 0
+	}
+	return len(v.Planes) / words
 }
 
 // VerdictBatch carries the referee's verdicts for every trial of a
-// batch, packed exactly like VoteBatch.Bits (1 = accept).
+// batch, packed exactly like a 1-bit VoteBatch plane (1 = accept).
 // Payload layout: batch(4) count(4) words (8 each).
 type VerdictBatch struct {
 	Batch uint32
 	Count uint32
 	Bits  []uint64
-}
-
-// VoteBatchR carries one player's r-bit votes for every trial of a
-// batch as Bits packed bit-planes: plane b holds bit b of every
-// message, with trial j of the batch at bit j%64 (LSB first) of plane
-// word j/64 — plane b occupies words [b*W, (b+1)*W) of Planes for
-// W = batchWords(Count). Plane 0 of a 1-bit frame is therefore exactly
-// a VoteBatch bitset; 1-bit sessions keep sending VOTE_BATCH, and the
-// referee only accepts VOTE_BATCH_R from players that announced Bits >
-// 1 in HELLO. The stride (plane count times word count) and the zero
-// padding above Count in every plane are validated on encode and
-// decode, like checkBatchBits. Verdicts stay single-bit, so
-// VERDICT_BATCH is unchanged for any r.
-// Payload layout: player(4) batch(4) count(4) bits(1) planes (8 each).
-type VoteBatchR struct {
-	Player uint32
-	Batch  uint32
-	Count  uint32
-	Bits   uint8
-	Planes []uint64
 }
 
 // AggHello is an L1 aggregator's first frame to the root referee: the
@@ -228,7 +200,7 @@ type AggSum struct {
 // shard's AGG_HELLO membership list (bit i set = member i of that list
 // voted this batch, LSB first) followed by the present members' packed
 // vote planes in ascending member order, each laid out exactly like
-// VoteBatchR.Planes (Bits planes of batchWords(Count) words). Present
+// VoteBatch.Planes (Bits planes of batchWords(Count) words). Present
 // must equal the mask's popcount, the total plane words are capped at
 // MaxAggPlaneWords, and padding above Count in every plane and above
 // Members in the mask must be zero — all enforced on encode and
@@ -273,22 +245,26 @@ func batchWords(count int) int { return (count + 63) / 64 }
 // members players.
 func aggMaskWords(members int) int { return (members + 63) / 64 }
 
-// checkBatchBits validates a packed bitset against its trial count:
-// exact word count and zero padding bits above count.
+// checkBatchBits validates a packed verdict bitset against its trial
+// count: a single plane with exact word count and zero padding.
 func checkBatchBits(kind FrameType, count int, bits []uint64) error {
+	return checkBatchPlanes(kind, count, 1, bits)
+}
+
+// checkVoteBatch validates a vote batch: trial count in range, a plane
+// run that is a whole number of 1..64 planes of batchWords(Count)
+// words, and zero padding above Count in every plane.
+func checkVoteBatch(v VoteBatch) error {
+	count := int(v.Count)
 	if count < 1 || count > MaxBatchTrials {
-		return fmt.Errorf("network: %v with %d trials, want 1..%d", kind, count, MaxBatchTrials)
+		return fmt.Errorf("network: VOTE_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
 	}
-	if len(bits) != batchWords(count) {
-		return fmt.Errorf("network: %v with %d bitset words for %d trials, want %d",
-			kind, len(bits), count, batchWords(count))
+	words := batchWords(count)
+	if len(v.Planes)%words != 0 || len(v.Planes) < words || len(v.Planes) > 64*words {
+		return fmt.Errorf("network: VOTE_BATCH with %d plane words for %d trials, want 1..64 planes of %d words",
+			len(v.Planes), count, words)
 	}
-	if rem := count % 64; rem != 0 {
-		if pad := bits[len(bits)-1] &^ (1<<rem - 1); pad != 0 {
-			return fmt.Errorf("network: %v with non-zero padding bits %#x above trial %d", kind, pad, count)
-		}
-	}
-	return nil
+	return checkBatchPlanes(FrameVoteBatch, count, len(v.Planes)/words, v.Planes)
 }
 
 // checkBatchPlanes validates an r-bit plane set against its trial count
@@ -452,18 +428,16 @@ func checkAggVerdict(v AggVerdict) error {
 // frame layout: magic(2) version(1) type(1) length(4) payload(length).
 const headerSize = 8
 
-// maxPayload is the per-type payload bound: single-round frames stay
+// maxPayload is the per-type payload bound: HELLO and FINISH stay
 // within MaxFrameSize, batch frames within what MaxBatchTrials implies.
 func maxPayload(t FrameType) int {
 	switch t {
 	case FrameRoundBatch:
 		return 8 + 8*MaxBatchTrials
 	case FrameVoteBatch:
-		return 12 + 8*batchWords(MaxBatchTrials)
+		return 12 + 8*64*batchWords(MaxBatchTrials)
 	case FrameVerdictBatch:
 		return 8 + 8*batchWords(MaxBatchTrials)
-	case FrameVoteBatchR:
-		return 13 + 8*64*batchWords(MaxBatchTrials)
 	case FrameAggHello:
 		return 13 + 4*MaxShardPlayers
 	case FrameAggSum:
@@ -525,30 +499,6 @@ func WriteHello(w io.Writer, h Hello) error {
 	binary.BigEndian.PutUint32(p[0:4], h.Player)
 	p[4] = h.Bits
 	return writeFrame(w, FrameHello, p[:])
-}
-
-// WriteRound sends a ROUND frame.
-func WriteRound(w io.Writer, r Round) error {
-	var p [8]byte
-	binary.BigEndian.PutUint64(p[:], r.Seed)
-	return writeFrame(w, FrameRound, p[:])
-}
-
-// WriteVote sends a VOTE frame.
-func WriteVote(w io.Writer, v Vote) error {
-	var p [12]byte
-	binary.BigEndian.PutUint32(p[0:4], v.Player)
-	binary.BigEndian.PutUint64(p[4:12], v.Message)
-	return writeFrame(w, FrameVote, p[:])
-}
-
-// WriteVerdict sends a VERDICT frame.
-func WriteVerdict(w io.Writer, v Verdict) error {
-	p := []byte{0}
-	if v.Accept {
-		p[0] = 1
-	}
-	return writeFrame(w, FrameVerdict, p)
 }
 
 // WriteFinish sends a FINISH frame.
@@ -626,42 +576,22 @@ func WriteRoundBatch(w io.Writer, r RoundBatch) error {
 	return writeFrame(w, FrameRoundBatch, p)
 }
 
-// WriteVoteBatch sends a VOTE_BATCH frame; the bitset is validated
-// against Count (word count and zero padding) before any byte leaves,
-// so an invalid batch never reaches the wire.
+// WriteVoteBatch sends a VOTE_BATCH frame; the planes are validated
+// against Count (whole planes, 1..64 of them, zero padding in each)
+// before any byte leaves, so an invalid batch never reaches the wire.
 func WriteVoteBatch(w io.Writer, v VoteBatch) error {
-	if err := checkBatchBits(FrameVoteBatch, int(v.Count), v.Bits); err != nil {
+	if err := checkVoteBatch(v); err != nil {
 		return err
 	}
 	//lint:ignore dut/hotalloc one encode buffer per VOTE_BATCH frame; a node sends one such frame per batch covering Count trials
-	p := make([]byte, 12+8*len(v.Bits))
+	p := make([]byte, 12+8*len(v.Planes))
 	binary.BigEndian.PutUint32(p[0:4], v.Player)
 	binary.BigEndian.PutUint32(p[4:8], v.Batch)
 	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	for i, word := range v.Bits {
+	for i, word := range v.Planes {
 		binary.BigEndian.PutUint64(p[12+8*i:], word)
 	}
 	return writeFrame(w, FrameVoteBatch, p)
-}
-
-// WriteVoteBatchR sends a VOTE_BATCH_R frame; the plane set is
-// validated against Count and Bits (exact stride and zero padding in
-// every plane) before any byte leaves, so an invalid batch never
-// reaches the wire.
-func WriteVoteBatchR(w io.Writer, v VoteBatchR) error {
-	if err := checkBatchPlanes(FrameVoteBatchR, int(v.Count), int(v.Bits), v.Planes); err != nil {
-		return err
-	}
-	//lint:ignore dut/hotalloc one encode buffer per VOTE_BATCH_R frame; a node sends one such frame per batch covering Count trials
-	p := make([]byte, 13+8*len(v.Planes))
-	binary.BigEndian.PutUint32(p[0:4], v.Player)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	p[12] = v.Bits
-	for i, word := range v.Planes {
-		binary.BigEndian.PutUint64(p[13+8*i:], word)
-	}
-	return writeFrame(w, FrameVoteBatchR, p)
 }
 
 // WriteVerdictBatch sends a VERDICT_BATCH frame, validated like
@@ -696,7 +626,7 @@ func WriteAggHello(w io.Writer, h AggHello) error {
 	return writeFrame(w, FrameAggHello, p)
 }
 
-// WriteAggSum sends an AGG_SUM frame, validated like WriteVoteBatchR:
+// WriteAggSum sends an AGG_SUM frame, validated like WriteVoteBatch:
 // an invalid reduction never reaches the wire.
 func WriteAggSum(w io.Writer, v AggSum) error {
 	if err := checkAggSum(v); err != nil {
@@ -840,29 +770,6 @@ func ReadFrame(r io.Reader) (FrameType, any, error) {
 			return 0, nil, fmt.Errorf("network: HELLO payload of %d bytes", len(payload))
 		}
 		return t, Hello{Player: binary.BigEndian.Uint32(payload[0:4]), Bits: payload[4]}, nil
-	case FrameRound:
-		if len(payload) != 8 {
-			return 0, nil, fmt.Errorf("network: ROUND payload of %d bytes", len(payload))
-		}
-		return t, Round{Seed: binary.BigEndian.Uint64(payload)}, nil
-	case FrameVote:
-		if len(payload) != 12 {
-			return 0, nil, fmt.Errorf("network: VOTE payload of %d bytes", len(payload))
-		}
-		return t, Vote{
-			Player:  binary.BigEndian.Uint32(payload[0:4]),
-			Message: binary.BigEndian.Uint64(payload[4:12]),
-		}, nil
-	case FrameVerdict:
-		if len(payload) != 1 {
-			return 0, nil, fmt.Errorf("network: VERDICT payload of %d bytes", len(payload))
-		}
-		// Strict encoding: only 0 and 1 are legal. Anything else is a
-		// corrupted or malicious frame, not a reject vote.
-		if payload[0] > 1 {
-			return 0, nil, fmt.Errorf("network: malformed VERDICT byte %#x", payload[0])
-		}
-		return t, Verdict{Accept: payload[0] == 1}, nil
 	case FrameFinish:
 		if len(payload) != 0 {
 			return 0, nil, fmt.Errorf("network: FINISH payload of %d bytes", len(payload))
@@ -893,21 +800,26 @@ func ReadFrame(r io.Reader) (FrameType, any, error) {
 		if count < 1 || count > MaxBatchTrials {
 			return 0, nil, fmt.Errorf("network: VOTE_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
-		if len(payload) != 12+8*batchWords(count) {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH payload of %d bytes for %d trials, want %d",
-				len(payload), count, 12+8*batchWords(count))
+		// No width field: the plane count r is whatever whole number of
+		// batchWords(count)-word planes the payload holds, and must be
+		// 1..64.
+		planeBytes := 8 * batchWords(count)
+		rest := len(payload) - 12
+		if rest%planeBytes != 0 || rest < planeBytes || rest > 64*planeBytes {
+			return 0, nil, fmt.Errorf("network: VOTE_BATCH payload of %d bytes for %d trials is not 1..64 planes of %d bytes",
+				len(payload), count, planeBytes)
 		}
-		bits := make([]uint64, batchWords(count))
-		for i := range bits {
-			bits[i] = binary.BigEndian.Uint64(payload[12+8*i:])
+		planes := make([]uint64, rest/8)
+		for i := range planes {
+			planes[i] = binary.BigEndian.Uint64(payload[12+8*i:])
 		}
 		v := VoteBatch{
 			Player: binary.BigEndian.Uint32(payload[0:4]),
 			Batch:  binary.BigEndian.Uint32(payload[4:8]),
 			Count:  uint32(count),
-			Bits:   bits,
+			Planes: planes,
 		}
-		if err := checkBatchBits(FrameVoteBatch, count, bits); err != nil {
+		if err := checkVoteBatch(v); err != nil {
 			return 0, nil, err
 		}
 		return t, v, nil
@@ -934,37 +846,6 @@ func ReadFrame(r io.Reader) (FrameType, any, error) {
 			Batch: binary.BigEndian.Uint32(payload[0:4]),
 			Count: uint32(count),
 			Bits:  bits,
-		}, nil
-	case FrameVoteBatchR:
-		if len(payload) < 13 {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R payload of %d bytes", len(payload))
-		}
-		count := int(binary.BigEndian.Uint32(payload[8:12]))
-		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R with %d trials, want 1..%d", count, MaxBatchTrials)
-		}
-		msgBits := int(payload[12])
-		if msgBits < 1 || msgBits > 64 {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R with %d message bits, want 1..64", msgBits)
-		}
-		words := msgBits * batchWords(count)
-		if len(payload) != 13+8*words {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R payload of %d bytes for %d trials of %d bits, want %d",
-				len(payload), count, msgBits, 13+8*words)
-		}
-		planes := make([]uint64, words)
-		for i := range planes {
-			planes[i] = binary.BigEndian.Uint64(payload[13+8*i:])
-		}
-		if err := checkBatchPlanes(FrameVoteBatchR, count, msgBits, planes); err != nil {
-			return 0, nil, err
-		}
-		return t, VoteBatchR{
-			Player: binary.BigEndian.Uint32(payload[0:4]),
-			Batch:  binary.BigEndian.Uint32(payload[4:8]),
-			Count:  uint32(count),
-			Bits:   uint8(msgBits),
-			Planes: planes,
 		}, nil
 	case FrameAggHello:
 		if len(payload) < 13 {
