@@ -83,20 +83,23 @@ lint-escape:
 
 # The default test target vets everything, runs staticcheck when
 # available, and additionally runs the concurrency-heavy packages (the
-# networked referee/nodes and the engine's worker-pool driver) under the
-# race detector. That race pass covers the cross-topology determinism
+# networked referee/nodes, the engine's worker-pool driver, and the
+# pooled collision statistic every backend's local rule shares) under
+# the race detector. That race pass covers the cross-topology determinism
 # tests — flat star vs sharded referee tree on a fixed small budget
 # (engine/crosstopology_test.go, network/sharded_test.go) — so a data
 # race anywhere on the aggregation path fails CI. The plain pass
 # includes the allocation guards (dist.SampleInto, engine.ReusableRNG,
-# the SMP scratch hot path, and the L1 reduce/root decide path); they
-# skip themselves in the race pass, whose instrumentation allocates.
+# the SMP scratch hot path, the paper's collision rules, and the L1
+# reduce/root decide path); they skip themselves in the race pass,
+# whose instrumentation allocates.
 # dutlint runs once here: all ten rules share one cached load and call
 # graph per invocation, so splitting rules across targets would re-pay
 # the load cost per rule for nothing.
 test: vet staticcheck lint lint-escape
 	$(GO) test ./...
-	$(GO) test -race ./internal/network/... ./internal/engine/...
+	$(GO) test -race ./internal/network/... ./internal/engine/... \
+		./internal/centralized/... ./internal/core/... ./internal/congest/...
 
 test-short:
 	$(GO) test -short ./...

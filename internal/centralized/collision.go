@@ -3,31 +3,85 @@ package centralized
 import (
 	"fmt"
 	"math"
-
-	"github.com/distributed-uniformity/dut/internal/dist"
+	"sync"
 )
 
 // CollisionCount returns the number of colliding sample pairs,
-// sum_i C(c_i, 2) over the histogram counts c_i, computed in O(q + n) time.
+// sum_i C(c_i, 2) over the histogram counts c_i. It runs the collision
+// kernel over a fresh n-wide counter slice; CollisionStatistic reuses
+// pooled ones instead.
 func CollisionCount(samples []int, n int) (int64, error) {
-	h, err := dist.Histogram(samples, n)
-	if err != nil {
-		return 0, fmt.Errorf("centralized: %w", err)
-	}
+	return countCollisions(samples, make([]int64, n))
+}
+
+// countCollisions is the package's one collision kernel: O(q) time over
+// an all-zero counter slice whose length is the domain size. Each sample
+// adds the count already in its slot before incrementing it, so a slot
+// that ends at c contributes 0 + 1 + ... + (c-1) = C(c, 2) — the
+// histogram sum, exactly, without visiting untouched slots. The kernel
+// re-zeroes exactly the slots it touched on every return, the
+// out-of-domain error included, so counts is all-zero again afterwards
+// and a pooled slice can be reused as is.
+//
+//dut:hotpath
+func countCollisions(samples []int, counts []int64) (int64, error) {
 	var coll int64
-	for _, c := range h {
-		coll += c * (c - 1) / 2
+	for i, s := range samples {
+		if s < 0 || s >= len(counts) {
+			clearSlots(counts, samples[:i])
+			return 0, fmt.Errorf("centralized: dist: sample %d outside domain of size %d", s, len(counts))
+		}
+		coll += counts[s]
+		counts[s]++
 	}
+	clearSlots(counts, samples)
 	return coll, nil
 }
 
-// CollisionStatistic adapts CollisionCount to the Statistic type for a
-// fixed domain size.
-func CollisionStatistic(n int) Statistic {
-	return func(samples []int) (float64, error) {
-		c, err := CollisionCount(samples, n)
-		return float64(c), err
+// clearSlots zeroes the counter slot of every (in-domain) sample.
+func clearSlots(counts []int64, samples []int) {
+	for _, s := range samples {
+		counts[s] = 0
 	}
+}
+
+// collisionStat is the pooled CollisionStatistic: one rule value is
+// shared by every player goroutine and engine worker, so each call takes
+// an n-wide counter slice from the pool and returns it zeroed.
+type collisionStat struct {
+	n    int
+	pool sync.Pool // of *[]int64, each all-zero and n long
+}
+
+// CollisionStatistic adapts the collision count to the Statistic type for
+// a fixed domain size. The returned statistic is safe for concurrent use.
+// It is built holding one counter slice, so the set-up pays the first
+// allocation; a call allocates only when the pool has no slice at hand
+// (another goroutine holds it, the caller moved to another processor, or
+// garbage collection emptied the pool).
+func CollisionStatistic(n int) Statistic {
+	s := &collisionStat{n: n}
+	s.pool.Put(s.newCounts())
+	return s.count
+}
+
+// count implements Statistic.
+//
+//dut:hotpath
+func (s *collisionStat) count(samples []int) (float64, error) {
+	counts, _ := s.pool.Get().(*[]int64)
+	if counts == nil {
+		counts = s.newCounts()
+	}
+	c, err := countCollisions(samples, *counts)
+	s.pool.Put(counts)
+	return float64(c), err
+}
+
+//dut:coldpath pool miss: one counter slice per concurrent caller, reused by every later call
+func (s *collisionStat) newCounts() *[]int64 {
+	counts := make([]int64, s.n)
+	return &counts
 }
 
 // CollisionTester is the Goldreich-Ron collision-based uniformity tester:

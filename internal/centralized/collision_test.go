@@ -3,6 +3,7 @@ package centralized
 import (
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
@@ -91,6 +92,145 @@ func TestCollisionCountMatchesQuadratic(t *testing.T) {
 			t.Fatalf("histogram count %d, quadratic count %d", got, want)
 		}
 	}
+}
+
+// referenceCollisions is the obviously-correct slow reference the
+// collision kernel is checked against: the full n-wide histogram, then
+// sum_i C(c_i, 2) over every slot.
+func referenceCollisions(samples []int, n int) (int64, error) {
+	h, err := dist.Histogram(samples, n)
+	if err != nil {
+		return 0, err
+	}
+	var coll int64
+	for _, c := range h {
+		coll += c * (c - 1) / 2
+	}
+	return coll, nil
+}
+
+func randomSamples(rng *rand.Rand, n, q int) []int {
+	samples := make([]int, q)
+	for i := range samples {
+		samples[i] = rng.IntN(n)
+	}
+	return samples
+}
+
+// checkKernel compares the one-shot count and the pooled statistic with
+// the reference on one sample slice.
+func checkKernel(t *testing.T, stat Statistic, samples []int, n int) {
+	t.Helper()
+	want, err := referenceCollisions(samples, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CollisionCount(samples, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("n=%d q=%d: CollisionCount = %d, reference %d", n, len(samples), got, want)
+	}
+	v, err := stat(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != float64(want) {
+		t.Fatalf("n=%d q=%d: CollisionStatistic = %v, reference %d", n, len(samples), v, want)
+	}
+}
+
+func TestCollisionKernelMatchesHistogramReference(t *testing.T) {
+	rng := testRand(3)
+	for _, n := range []int{1, 2, 64, 4096} {
+		stat := CollisionStatistic(n)
+		for _, q := range []int{0, 1, 2, 642} {
+			for rep := 0; rep < 5; rep++ {
+				checkKernel(t, stat, randomSamples(rng, n, q), n)
+			}
+		}
+	}
+}
+
+func TestCollisionKernelAllEqualSamples(t *testing.T) {
+	const n, q = 64, 642
+	stat := CollisionStatistic(n)
+	for _, s := range []int{0, 17, n - 1} {
+		samples := make([]int, q)
+		for i := range samples {
+			samples[i] = s
+		}
+		checkKernel(t, stat, samples, n)
+		if got, _ := CollisionCount(samples, n); got != q*(q-1)/2 {
+			t.Errorf("all-%d: %d collisions, want C(%d,2) = %d", s, got, q, q*(q-1)/2)
+		}
+	}
+}
+
+// TestCollisionKernelCleanAfterOutOfDomain pins that the error path
+// re-zeroes the counters it touched: the kernel leaves its slice
+// all-zero, and a later call on the same pooled statistic still returns
+// the reference count.
+func TestCollisionKernelCleanAfterOutOfDomain(t *testing.T) {
+	const n = 64
+	rng := testRand(4)
+	stat := CollisionStatistic(n)
+	for _, badValue := range []int{n, -1} {
+		bad := randomSamples(rng, n, 200)
+		bad[100] = badValue
+		_, herr := dist.Histogram(bad, n)
+		if herr == nil {
+			t.Fatal("reference accepted an out-of-domain sample")
+		}
+		wantErr := "centralized: " + herr.Error()
+		if _, err := CollisionCount(bad, n); err == nil || err.Error() != wantErr {
+			t.Errorf("CollisionCount error %v, want %q", err, wantErr)
+		}
+		if _, err := stat(bad); err == nil || err.Error() != wantErr {
+			t.Errorf("CollisionStatistic error %v, want %q", err, wantErr)
+		}
+		counts := make([]int64, n)
+		if _, err := countCollisions(bad, counts); err == nil {
+			t.Fatal("kernel accepted an out-of-domain sample")
+		}
+		for i, c := range counts {
+			if c != 0 {
+				t.Fatalf("slot %d left at %d after the error path", i, c)
+			}
+		}
+		checkKernel(t, stat, randomSamples(rng, n, 200), n)
+	}
+}
+
+// TestCollisionStatisticConcurrent shares one pooled statistic across
+// goroutines, as one rule value is shared by every player goroutine and
+// engine worker; run it under -race.
+func TestCollisionStatisticConcurrent(t *testing.T) {
+	const (
+		n       = 256
+		workers = 8
+		calls   = 50
+	)
+	stat := CollisionStatistic(n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := testRand(seed)
+			for i := 0; i < calls; i++ {
+				samples := randomSamples(rng, n, 1+rng.IntN(100))
+				want, _ := referenceCollisions(samples, n)
+				v, err := stat(samples)
+				if err != nil || v != float64(want) {
+					t.Errorf("worker %d call %d: got %v (%v), want %d", seed, i, v, err, want)
+					return
+				}
+			}
+		}(uint64(100 + w))
+	}
+	wg.Wait()
 }
 
 func TestNewCollisionTesterValidation(t *testing.T) {

@@ -3,6 +3,7 @@ package centralized
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
 )
@@ -22,7 +23,9 @@ type IdentityTester struct {
 	q         int
 	eps       float64
 	threshold float64
-	rng       *rand.Rand
+
+	mu  sync.Mutex // guards rng: Test may be called concurrently
+	rng *rand.Rand
 }
 
 var _ Tester = (*IdentityTester)(nil)
@@ -72,7 +75,9 @@ func (t *IdentityTester) Threshold() float64 { return t.threshold }
 // Test filters the samples through the reduction and accepts iff the
 // collision count on the reduced domain is at most the threshold.
 func (t *IdentityTester) Test(samples []int) (bool, error) {
+	t.mu.Lock()
 	mapped, err := t.reduction.MapAll(samples, t.rng)
+	t.mu.Unlock()
 	if err != nil {
 		return false, err
 	}

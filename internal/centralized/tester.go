@@ -12,7 +12,8 @@ import (
 // samples and accepts or rejects the null hypothesis it was built for.
 type Tester interface {
 	// Test returns true to accept. It errors on malformed samples (out of
-	// domain) rather than guessing.
+	// domain) rather than guessing. It may be called concurrently from
+	// several goroutines.
 	Test(samples []int) (bool, error)
 	// SampleSize returns the number of samples the tester expects; Test
 	// accepts any count but its guarantees are stated at this size.

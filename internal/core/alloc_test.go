@@ -1,0 +1,111 @@
+package core
+
+// Allocation guards for the paper's own local rules at smp-sampling size
+// (n=4096, q=642): the collision count behind the FMO threshold tester
+// and the r-bit quantized tester must not allocate per Message call, and
+// neither may a whole SMP scratch round over them. The assertions are
+// skipped under the race detector, whose instrumentation allocates on its
+// own account.
+
+import (
+	"context"
+	"math/rand/v2"
+	"testing"
+
+	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
+)
+
+const (
+	allocN    = 4096
+	allocK    = 16
+	allocQ    = 642
+	allocSeed = 1
+)
+
+func allocSampler(t *testing.T) dist.Sampler {
+	t.Helper()
+	u, err := dist.Uniform(allocN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := dist.NewAliasSampler(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// ruleAllocs measures allocations per Message call.
+func ruleAllocs(t *testing.T, rule LocalRule) float64 {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(allocSeed, 2))
+	samples := make([]int, allocQ)
+	dist.SampleInto(allocSampler(t), samples, rng)
+	return testing.AllocsPerRun(200, func() {
+		if _, err := rule.Message(0, samples, allocSeed, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestCollisionVoteRuleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rule, err := newCollisionVoteRule(allocN, allocQ, LocalAlphaForThreshold(allocK, DefaultThresholdT(allocK)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := ruleAllocs(t, rule); allocs > 0 {
+		t.Fatalf("collision vote rule allocates %.2f per call, want 0", allocs)
+	}
+}
+
+func TestQuantizedCollisionRuleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rule, err := NewQuantizedCollisionRule(allocN, allocQ, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := ruleAllocs(t, rule); allocs > 0 {
+		t.Fatalf("quantized collision rule allocates %.2f per call, want 0", allocs)
+	}
+}
+
+// TestThresholdTesterScratchRoundAllocs holds a whole SMP scratch round
+// of the FMO threshold tester — k players sampling and counting
+// collisions, then the referee — to zero allocations.
+func TestThresholdTesterScratchRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p, err := NewThresholdTester(ThresholdTesterConfig{N: allocN, K: allocK, Q: allocQ, Eps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BackendFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, ok := b.(engine.ScratchBackend)
+	if !ok {
+		t.Fatal("SMP backend does not implement engine.ScratchBackend")
+	}
+	sampler := allocSampler(t)
+	scratch := sb.NewScratch()
+	ctx := context.Background()
+	trial := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		spec := engine.RoundSpec{Trial: trial, Seed: allocSeed, Sampler: sampler}
+		trial++
+		if _, err := sb.RunRoundScratch(ctx, spec, scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("threshold tester scratch round allocates %.2f per round, want 0", allocs)
+	}
+}
