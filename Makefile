@@ -18,7 +18,7 @@ BENCH_WINDOW ?=
 # 5000x for a fixed trial count (what CI uses for stable allocs/op).
 BENCH_TIME ?= 1s
 
-.PHONY: all build vet staticcheck govulncheck lint lint-json lint-escape test test-short test-race cover bench bench-all bench-history verify results clean
+.PHONY: all build vet fmt staticcheck govulncheck lint lint-json lint-escape test test-short test-race cover bench bench-all bench-history verify results clean
 
 all: build test
 
@@ -28,6 +28,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails, naming the files, when any Go file in the tree
+# (the bench/ module and lint fixtures included) is not gofmt-clean.
+fmt:
+	@files="$$(gofmt -l .)"; test -z "$$files" || { echo "not gofmt-clean:" >&2; echo "$$files" >&2; exit 1; }
 
 # Static analysis beyond vet, gated on the binary being installed: the
 # target is a no-op (with a note) where staticcheck is unavailable, so
@@ -81,22 +86,23 @@ lint-json:
 lint-escape:
 	$(GO) run ./cmd/dutlint -escape ./...
 
-# The default test target vets everything, runs staticcheck when
-# available, and additionally runs the concurrency-heavy packages (the
+# The default test target checks gofmt, vets everything, runs
+# staticcheck when available, and additionally runs the
+# concurrency-heavy packages (the
 # networked referee/nodes, the engine's worker-pool driver, and the
 # pooled collision statistic every backend's local rule shares) under
 # the race detector. That race pass covers the cross-topology determinism
 # tests — flat star vs sharded referee tree on a fixed small budget
 # (engine/crosstopology_test.go, network/sharded_test.go) — so a data
 # race anywhere on the aggregation path fails CI. The plain pass
-# includes the allocation guards (dist.SampleInto, engine.ReusableRNG,
-# the SMP scratch hot path, the paper's collision rules, and the L1
-# reduce/root decide path); they skip themselves in the race pass,
-# whose instrumentation allocates.
+# includes the allocation guards (the sampler kernels, engine.ReusableRNG
+# reseeding and SampleInto, the SMP scratch hot path, the paper's
+# collision rules, and the L1 reduce/root decide path); they skip
+# themselves in the race pass, whose instrumentation allocates.
 # dutlint runs once here: all ten rules share one cached load and call
 # graph per invocation, so splitting rules across targets would re-pay
 # the load cost per rule for nothing.
-test: vet staticcheck lint lint-escape
+test: fmt vet staticcheck lint lint-escape
 	$(GO) test ./...
 	$(GO) test -race ./internal/network/... ./internal/engine/... \
 		./internal/centralized/... ./internal/core/... ./internal/congest/...

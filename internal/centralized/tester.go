@@ -45,11 +45,11 @@ func CalibrateThreshold(stat Statistic, null dist.Dist, q, trials int, alpha flo
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewPCG(seed, seed^0xa5a5a5a5a5a5a5a5))
+	src := rand.NewPCG(seed, seed^0xa5a5a5a5a5a5a5a5)
 	vals := make([]float64, trials)
 	buf := make([]int, q)
 	for t := range vals {
-		dist.SampleInto(sampler, buf, rng)
+		sampler.SampleInto(buf, src)
 		v, err := stat(buf)
 		if err != nil {
 			return 0, err

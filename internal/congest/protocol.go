@@ -469,8 +469,8 @@ func (t *Tester) runSeeded(sampler dist.Sampler, shared uint64) (bool, *Simulato
 }
 
 // runSeededScratch is runSeeded over a caller-owned scratch: node-side
-// sampling goes through the batched dist.SampleInto into the reused
-// buffer, and each node's stream comes from the scratch's reseeded
+// sampling goes through the scratch generator's batched SampleInto into
+// the reused buffer, and each node's stream comes from that reseeded
 // generator — exactly the engine.NodeRNG stream, so scratch runs are
 // bit-identical to allocating ones.
 func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runScratch) (bool, *Simulator, error) {
@@ -489,7 +489,7 @@ func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runSc
 	programs := sc.programs
 	for u := 0; u < n; u++ {
 		rng := sc.rng.SeedNode(shared, u)
-		dist.SampleInto(sampler, sc.buf, rng)
+		sc.rng.SampleInto(sampler, sc.buf)
 		msg, err := t.rule.Message(u, sc.buf, shared, rng)
 		if err != nil {
 			return false, nil, fmt.Errorf("congest: node %d vote: %w", u, err)

@@ -152,10 +152,10 @@ func (p *SMP) NewScratch() *Scratch {
 }
 
 // runMessagesScratch is the batch vote path behind RunMessagesSeeded:
-// every player's samples are drawn in one dist.SampleInto batch into the
-// scratch buffer, and the per-player stream comes from the scratch's
-// reseeded generator — the exact stream engine.NodeRNG would allocate,
-// so scratch rounds are bit-identical to allocating ones.
+// every player's samples are drawn in one ReusableRNG.SampleInto batch
+// into the scratch buffer, and the per-player stream comes from the
+// scratch's reseeded generator — the exact stream engine.NodeRNG would
+// allocate, so scratch rounds are bit-identical to allocating ones.
 func (p *SMP) runMessagesScratch(sampler dist.Sampler, shared uint64, msgs []Message, sc *Scratch) error {
 	if sampler == nil {
 		return fmt.Errorf("core: nil sampler")
@@ -163,7 +163,7 @@ func (p *SMP) runMessagesScratch(sampler dist.Sampler, shared uint64, msgs []Mes
 	for i, q := range p.qs {
 		rng := sc.rng.SeedNode(shared, i)
 		samples := sc.buf[:q]
-		dist.SampleInto(sampler, samples, rng)
+		sc.rng.SampleInto(sampler, samples)
 		m, err := p.local.Message(i, samples, shared, rng)
 		if err != nil {
 			return fmt.Errorf("core: player %d: %w", i, err)

@@ -2,13 +2,14 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 )
 
 // Sampler draws iid samples from a fixed distribution. Implementations are
 // safe for concurrent use as long as each goroutine supplies its own
-// *rand.Rand.
+// *rand.Rand (its own *rand.PCG, for a BatchSampler's kernel).
 type Sampler interface {
 	// Sample draws one element.
 	Sample(rng *rand.Rand) int
@@ -18,18 +19,22 @@ type Sampler interface {
 
 // BatchSampler is the batched extension of Sampler used on every hot
 // path: one SampleInto fills a caller-owned buffer without allocating,
-// amortizing the interface dispatch over the whole batch.
+// drawing straight from a concrete PCG so each draw's Uint64 inlines into
+// the loop instead of going through the rand.Source interface.
 //
-// Stream compatibility contract: for any RNG state, SampleInto(dst, rng)
-// must consume exactly the same draws from rng — and therefore produce
-// exactly the same elements — as len(dst) successive Sample(rng) calls.
-// The property tests in sampler_batch_test.go enforce this for every
-// implementation in the package, and the engine's cross-backend
-// bit-identical verdict tests depend on it.
+// Stream compatibility contract: for any PCG state, SampleInto(dst, src)
+// must consume exactly the same draws from src — and therefore produce
+// exactly the same elements — as len(dst) successive Sample(rand.New(src))
+// calls. The kernels reproduce rand.Rand's IntN (a mask for a power-of-two
+// n, otherwise Lemire's multiply with the same rejection loop) and its
+// 53-bit Float64 exactly. The property and golden tests in
+// sampler_batch_test.go enforce this for every implementation in the
+// package, and the engine's cross-backend bit-identical verdict tests
+// depend on it.
 type BatchSampler interface {
 	Sampler
-	// SampleInto fills dst with iid samples.
-	SampleInto(dst []int, rng *rand.Rand)
+	// SampleInto fills dst with iid samples drawn from src.
+	SampleInto(dst []int, src *rand.PCG)
 }
 
 // Verify interface compliance.
@@ -98,25 +103,41 @@ func (a *AliasSampler) N() int { return len(a.prob) }
 // Sample draws one element in O(1).
 func (a *AliasSampler) Sample(rng *rand.Rand) int {
 	i := rng.IntN(len(a.prob))
-	if rng.Float64() < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
+	return pickAlias(a.prob, a.alias, i, rng.Float64())
 }
 
-// SampleInto implements BatchSampler. The loop body is Sample's, inlined
-// over the batch so the hot path pays no per-element interface dispatch.
-func (a *AliasSampler) SampleInto(dst []int, rng *rand.Rand) {
+// SampleInto implements BatchSampler: Sample's two draws per element,
+// taken straight from src. On the hard family half the cells are split
+// between two elements, so a branch on the coin would mispredict about
+// half the time; the pick is a conditional move instead.
+//
+//dut:hotpath
+func (a *AliasSampler) SampleInto(dst []int, src *rand.PCG) {
 	prob, alias := a.prob, a.alias
-	n := len(prob)
-	for j := range dst {
-		i := rng.IntN(n)
-		if rng.Float64() < prob[i] {
-			dst[j] = i
-		} else {
-			dst[j] = alias[i]
+	n := uint64(len(prob))
+	if n&(n-1) == 0 {
+		mask := n - 1
+		for j := range dst {
+			i := int(src.Uint64() & mask)
+			dst[j] = pickAlias(prob, alias, i, unitFloat(src.Uint64()))
 		}
+		return
 	}
+	for j := range dst {
+		i := int(lemire(src, n))
+		dst[j] = pickAlias(prob, alias, i, unitFloat(src.Uint64()))
+	}
+}
+
+// pickAlias resolves alias cell i with coin u: i itself when u < prob[i],
+// else its alias. Both candidates are loaded before the compare so the
+// compiler selects without a branch.
+func pickAlias(prob []float64, alias []int, i int, u float64) int {
+	k := alias[i]
+	if u < prob[i] {
+		k = i
+	}
+	return k
 }
 
 // CDFSampler draws samples by binary search over the cumulative distribution
@@ -152,9 +173,11 @@ func (c *CDFSampler) Sample(rng *rand.Rand) int {
 }
 
 // SampleInto implements BatchSampler.
-func (c *CDFSampler) SampleInto(dst []int, rng *rand.Rand) {
+//
+//dut:hotpath
+func (c *CDFSampler) SampleInto(dst []int, src *rand.PCG) {
 	for j := range dst {
-		dst[j] = sort.SearchFloat64s(c.cdf, rng.Float64())
+		dst[j] = sort.SearchFloat64s(c.cdf, unitFloat(src.Uint64()))
 	}
 }
 
@@ -184,10 +207,19 @@ func (u *UniformSampler) N() int { return u.n }
 func (u *UniformSampler) Sample(rng *rand.Rand) int { return rng.IntN(u.n) }
 
 // SampleInto implements BatchSampler.
-func (u *UniformSampler) SampleInto(dst []int, rng *rand.Rand) {
-	n := u.n
+//
+//dut:hotpath
+func (u *UniformSampler) SampleInto(dst []int, src *rand.PCG) {
+	n := uint64(u.n)
+	if n&(n-1) == 0 {
+		mask := n - 1
+		for j := range dst {
+			dst[j] = int(src.Uint64() & mask)
+		}
+		return
+	}
 	for j := range dst {
-		dst[j] = rng.IntN(n)
+		dst[j] = int(lemire(src, n))
 	}
 }
 
@@ -201,7 +233,9 @@ type NopSampler struct{}
 func (NopSampler) Sample(*rand.Rand) int { return 0 }
 
 // SampleInto implements BatchSampler.
-func (NopSampler) SampleInto(dst []int, _ *rand.Rand) {
+//
+//dut:hotpath
+func (NopSampler) SampleInto(dst []int, _ *rand.PCG) {
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -217,18 +251,34 @@ func SampleN(s Sampler, q int, rng *rand.Rand) []int {
 	return out
 }
 
-// SampleInto fills buf with iid samples, avoiding allocation in hot
-// loops. Samplers implementing BatchSampler take their batched path;
-// stream compatibility (see BatchSampler) guarantees the dispatch is
-// invisible to callers holding a seeded RNG.
+// SampleInto fills buf with iid samples by len(buf) successive Sample
+// calls on rng, without allocating. It is the per-element reference path:
+// a BatchSampler's kernel consumes the same draws when handed the PCG
+// behind rng, so the two are interchangeable under a fixed seed.
 func SampleInto(s Sampler, buf []int, rng *rand.Rand) {
-	if bs, ok := s.(BatchSampler); ok {
-		bs.SampleInto(buf, rng)
-		return
-	}
 	for i := range buf {
 		buf[i] = s.Sample(rng)
 	}
+}
+
+// unitFloat maps one draw to [0, 1) exactly as rand.Rand.Float64 does:
+// its low 53 bits over 2^53.
+func unitFloat(x uint64) float64 {
+	return float64(x<<11>>11) / (1 << 53)
+}
+
+// lemire reduces draws from src to [0, n) for an n that is not a power of
+// two, exactly as rand.Rand.IntN does: the high word of draw·n, redrawing
+// while the low word falls below 2^64 mod n.
+func lemire(src *rand.PCG, n uint64) uint64 {
+	hi, lo := bits.Mul64(src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(src.Uint64(), n)
+		}
+	}
+	return hi
 }
 
 // Histogram counts occurrences of each element among the samples over a

@@ -1,6 +1,10 @@
 package engine
 
-import "math/rand/v2"
+import (
+	"math/rand/v2"
+
+	"github.com/distributed-uniformity/dut/internal/dist"
+)
 
 // splitmix64 is the finalizer of the SplitMix64 generator (Steele, Lea,
 // Flood 2014): a bijective avalanche mix used to derive independent
@@ -81,7 +85,9 @@ func TrialRNG(seed uint64, trial int) *rand.Rand {
 // returns the same *rand.Rand positioned at the start of exactly the
 // stream the allocating derivation would produce, so batch paths that
 // reuse one ReusableRNG stay bit-identical to per-call NodeRNG/TrialRNG
-// users. Not safe for concurrent use; give each worker its own.
+// users. SampleInto draws from the PCG behind that view, so a player's
+// samples and its later private coins read one stream, in that order.
+// Not safe for concurrent use; give each worker its own.
 type ReusableRNG struct {
 	pcg  *rand.PCG
 	rand *rand.Rand
@@ -105,4 +111,22 @@ func (r *ReusableRNG) SeedNode(shared uint64, player int) *rand.Rand {
 func (r *ReusableRNG) SeedTrial(seed uint64, trial int) *rand.Rand {
 	r.pcg.Seed(trialSeeds(seed, trial))
 	return r.rand
+}
+
+// SampleInto fills dst with samples from s, continuing the stream the
+// last Seed* call positioned. A dist.BatchSampler draws straight from
+// the PCG through its kernel; any other sampler falls back to
+// per-element Sample on the *rand.Rand view. Both consume exactly the
+// draws len(dst) Sample calls on that view would, so the rule's coins
+// that follow read the same words either way.
+//
+//dut:hotpath
+func (r *ReusableRNG) SampleInto(s dist.Sampler, dst []int) {
+	if bs, ok := s.(dist.BatchSampler); ok {
+		bs.SampleInto(dst, r.pcg)
+		return
+	}
+	for i := range dst {
+		dst[i] = s.Sample(r.rand)
+	}
 }

@@ -41,6 +41,18 @@ func badStaleBatch(c net.Conn, buf []int, bits []uint64) {
 	_ = WriteVoteBatch(c, bits) // want "frame write under a deadline already consumed"
 }
 
+// reusable stands in for engine.ReusableRNG, whose SampleInto is the
+// receiver form every backend's sampling loop calls.
+type reusable struct{}
+
+func (*reusable) SampleInto(s any, buf []int) {}
+
+func badStaleReceiverForm(c net.Conn, r *reusable, buf []int, bits []uint64) {
+	setWriteDeadline(c, time.Second)
+	r.SampleInto(nil, buf)
+	_ = WriteVoteBatch(c, bits) // want "frame write under a deadline already consumed"
+}
+
 func badStaleAgg(c net.Conn, buf []int, sums []uint64) {
 	setWriteDeadline(c, time.Second)
 	SampleInto(buf)

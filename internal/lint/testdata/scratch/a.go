@@ -37,3 +37,28 @@ func goodUse(s sampler, buf []int, r *rng) int {
 	}
 	return total
 }
+
+// reusable is the fixture stand-in for engine.ReusableRNG, whose
+// SampleInto takes the sampler first and the buffer second.
+type reusable struct{}
+
+// SampleInto mirrors ReusableRNG.SampleInto's receiver form.
+func (*reusable) SampleInto(s sampler, dst []int) {}
+
+type player struct {
+	rng  *reusable
+	buf  []int
+	keep []int
+}
+
+func (p *player) badReceiverForm(s sampler) []int {
+	p.rng.SampleInto(s, p.buf)
+	p.buf = append(p.buf, 0) // want "append on scratch buffer buf"
+	p.keep = p.buf           // want "storing scratch buffer buf into a field"
+	return p.buf             // want "returning scratch buffer buf"
+}
+
+func (p *player) goodReceiverForm(s sampler) int {
+	p.rng.SampleInto(s, p.buf)
+	return len(p.buf) // reading the lent buffer is fine
+}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
-	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
@@ -44,7 +43,7 @@ type PlayerNode struct {
 	backoff time.Duration
 
 	// Per-trial scratch, allocated once at construction: the sample batch
-	// buffer dist.SampleInto fills, the reseedable per-trial generator and
+	// buffer rng.SampleInto fills, the reseedable per-trial generator and
 	// the packed-vote planes of the VOTE_BATCH reply. A node handles one
 	// frame at a time, so the reuse is race-free.
 	buf      []int
@@ -197,9 +196,9 @@ func (p *PlayerNode) checkVerdict(m VerdictBatch) error {
 
 // voteBatch computes one vote per seed of a ROUND_BATCH and replies with
 // the packed VOTE_BATCH, one bit-plane per message bit. Each trial's
-// derivation is engine.NodeRNG(seed, id) feeding SampleInto and the
-// rule, so lane j of the reply is the message every other backend
-// derives for seed j and this player.
+// derivation is engine.NodeRNG(seed, id) feeding the sampler kernel and
+// then the rule, so lane j of the reply is the message every other
+// backend derives for seed j and this player.
 //
 //dut:hotpath per-batch node sampling and vote encode
 func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage) error {
@@ -221,7 +220,7 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage
 	clear(voteBits)
 	for j, seed := range rb.Seeds {
 		rng := p.rng.SeedNode(seed, int(p.id))
-		dist.SampleInto(samplers[j], p.buf, rng)
+		p.rng.SampleInto(samplers[j], p.buf)
 		msg, err := p.rule.Message(int(p.id), p.buf, seed, rng)
 		if err != nil {
 			return fmt.Errorf("network: node %d rule: %w", p.id, err)
