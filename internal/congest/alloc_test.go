@@ -13,12 +13,23 @@ import (
 // Allocation guards for the CONGEST scratch path: a steady-state trial —
 // sampling, voting, BFS-tree aggregation on the simulator, verdict
 // broadcast — must not touch the allocator at all. Every piece of
-// per-trial state (node status slices, outbox/inbox slots, explorer
-// scratch, the verdict sink) lives on the worker's reusable scratch.
+// per-trial state (node status slices, outbox/inbox slots, step sets, the
+// verdict sink) lives on the worker's reusable scratch. Each guard runs
+// on K5, where every node has mail in every round, and on the
+// benchmark's 16x16 grid, where most nodes sleep through most rounds.
 
-func allocTester(t *testing.T) *Tester {
+// allocGraphs are the topologies the allocation guards run on.
+var allocGraphs = []struct {
+	name  string
+	build func() (*Graph, error)
+}{
+	{"complete5", func() (*Graph, error) { return Complete(5) }},
+	{"grid16x16", func() (*Graph, error) { return Grid(16, 16) }},
+}
+
+func allocTester(t *testing.T, build func() (*Graph, error)) *Tester {
 	t.Helper()
-	g, err := Complete(5)
+	g, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +71,22 @@ func TestCONGESTScratchRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	tester := allocTester(t)
 	sampler := allocSampler(t)
-	sc := tester.newScratch()
-	shared := uint64(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		shared++
-		if _, _, err := tester.runSeededScratch(sampler, shared, sc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("CONGEST scratch run allocates %.2f per trial, want 0", allocs)
+	for _, ag := range allocGraphs {
+		t.Run(ag.name, func(t *testing.T) {
+			tester := allocTester(t, ag.build)
+			sc := tester.newScratch()
+			shared := uint64(0)
+			allocs := testing.AllocsPerRun(200, func() {
+				shared++
+				if _, _, err := tester.runSeededScratch(sampler, shared, sc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("CONGEST scratch run allocates %.2f per trial, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -81,29 +96,65 @@ func TestCONGESTBatchChunkAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	b, err := NewBackend(allocTester(t))
-	if err != nil {
-		t.Fatal(err)
+	sampler := allocSampler(t)
+	for _, ag := range allocGraphs {
+		t.Run(ag.name, func(t *testing.T) {
+			b, err := NewBackend(allocTester(t, ag.build))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb, ok := b.(engine.BatchBackend)
+			if !ok {
+				t.Fatal("CONGEST backend does not implement engine.BatchBackend")
+			}
+			const chunk = 16
+			specs := make([]engine.RoundSpec, chunk)
+			out := make([]engine.RoundResult, chunk)
+			for i := range specs {
+				specs[i] = engine.RoundSpec{Trial: i, Seed: 0xfeedface, Sampler: sampler}
+			}
+			scratch := bb.NewScratch()
+			ctx := context.Background()
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := bb.RunRoundsScratch(ctx, scratch, specs, chunk, out); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("CONGEST batched chunk allocates %.2f per chunk, want 0", allocs)
+			}
+		})
 	}
-	bb, ok := b.(engine.BatchBackend)
-	if !ok {
-		t.Fatal("CONGEST backend does not implement engine.BatchBackend")
+}
+
+// TestCONGESTScratchBuildAllocs holds a worker's scratch to a constant
+// number of allocations: building it and running its first trial costs
+// the same on a 16-node grid as on a 256-node one, because the sorted
+// adjacency is shared from the Tester and all per-node and per-edge
+// state is carved from flat slices.
+func TestCONGESTScratchBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
 	}
 	sampler := allocSampler(t)
-	const chunk = 16
-	specs := make([]engine.RoundSpec, chunk)
-	out := make([]engine.RoundResult, chunk)
-	for i := range specs {
-		specs[i] = engine.RoundSpec{Trial: i, Seed: 0xfeedface, Sampler: sampler}
-	}
-	scratch := bb.NewScratch()
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := bb.RunRoundsScratch(ctx, scratch, specs, chunk, out); err != nil {
+	build := func(side int) float64 {
+		b, err := NewBackend(allocTester(t, func() (*Graph, error) { return Grid(side, side) }))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("CONGEST batched chunk allocates %.2f per chunk, want 0", allocs)
+		bb := b.(engine.BatchBackend)
+		specs := []engine.RoundSpec{{Trial: 0, Seed: 0xfeedface, Sampler: sampler}}
+		out := make([]engine.RoundResult, 1)
+		ctx := context.Background()
+		return testing.AllocsPerRun(20, func() {
+			if err := bb.RunRoundsScratch(ctx, bb.NewScratch(), specs, 1, out); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+	small, large := build(4), build(16)
+	if small != large {
+		t.Fatalf("NewScratch plus first run: %.0f allocations on a 4x4 grid, %.0f on 16x16; want equal", small, large)
+	}
+	t.Logf("NewScratch plus first run: %.0f allocations", small)
 }

@@ -33,7 +33,8 @@ func NewBackend(t *Tester) (engine.Backend, error) {
 func (b *testerBackend) Players() int { return b.t.Players() }
 
 // NewScratch implements engine.ScratchBackend: per-worker sample buffer,
-// reseedable node generator and program slice.
+// reseedable node generator, node state machines and simulator, built in
+// a constant number of allocations over the Tester's shared topology.
 func (b *testerBackend) NewScratch() any { return b.t.newScratch() }
 
 // RunRound implements engine.Backend.

@@ -13,7 +13,9 @@
 //   - Graph: immutable undirected graphs with standard builders (path,
 //     ring, star, complete, grid, random tree) and BFS.
 //   - Simulator: a deterministic synchronous-round engine with per-edge
-//     message-size accounting; protocols are node state machines.
+//     message-size accounting; protocols are node state machines. Rounds
+//     are event-driven: after round 0 only the nodes with mail or a wake
+//     request step.
 //   - UniformityProtocol: the tree-aggregation tester — build a BFS tree
 //     from a root, have every node vote with the same local collision rule
 //     the SMP testers use, convergecast the rejection count, apply the

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // Graph is an immutable undirected graph on nodes 0..N-1.
@@ -119,6 +120,62 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return diam
+}
+
+// topology is a Graph's adjacency in the form the simulator and the node
+// programs index by: each neighbor list sorted ascending (the Graph's own
+// lists keep insertion order, which BFS parents depend on), all of them
+// flattened into one slice. Node u's neighbors are nbr[off[u]:off[u+1]];
+// an index in that range is an edge slot, so per-edge state anywhere in
+// the package is one flat slice indexed by slot (see nodeSlots). For the
+// slot of u's edge to v, rev holds u's position in v's sorted list, which
+// makes delivery along an edge a direct index. A topology is immutable: a
+// Tester builds one and every worker's simulator and node programs share
+// it read-only.
+type topology struct {
+	off []int
+	nbr []int
+	rev []int
+}
+
+// newTopology sorts and flattens g's adjacency.
+func newTopology(g *Graph) *topology {
+	n := g.N()
+	t := &topology{off: make([]int, n+1)}
+	for u, adj := range g.adj {
+		t.off[u+1] = t.off[u] + len(adj)
+	}
+	t.nbr = make([]int, t.off[n])
+	t.rev = make([]int, t.off[n])
+	for u, adj := range g.adj {
+		nbrs := nodeSlots(t, t.nbr, u)
+		copy(nbrs, adj)
+		slices.Sort(nbrs)
+	}
+	for u := 0; u < n; u++ {
+		rev := nodeSlots(t, t.rev, u)
+		for pos, v := range nodeSlots(t, t.nbr, u) {
+			at, ok := slices.BinarySearch(nodeSlots(t, t.nbr, v), u)
+			if !ok {
+				// Graph edges are symmetric by construction; a miss here
+				// would be a Graph invariant violation, not a protocol bug.
+				panic(fmt.Sprintf("congest: edge %d-%d has no reverse entry", u, v))
+			}
+			rev[pos] = at
+		}
+	}
+	return t
+}
+
+// n returns the node count.
+func (t *topology) n() int { return len(t.off) - 1 }
+
+// nodeSlots returns node u's part of a per-edge-slot slice, indexed by
+// neighbor position. Its capacity ends at u's last slot, so no append
+// can spill into the next node's part.
+func nodeSlots[T any](t *topology, cells []T, u int) []T {
+	lo, hi := t.off[u], t.off[u+1]
+	return cells[lo:hi:hi]
 }
 
 // Builders.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
 	"sync"
 
 	"github.com/distributed-uniformity/dut/internal/core"
@@ -42,17 +41,17 @@ const (
 // uniformityNode is the per-node state machine of the tree-aggregation
 // tester. All per-neighbor state is indexed by the neighbor's position
 // in the ascending-sorted neighbor list — the same indexing the
-// simulator's Inbox uses — so a trial's worth of steps allocates
-// nothing (the previous map-backed status/oweNack/oweExplore and the
-// per-step explorer slice were most of the CONGEST backend's per-trial
-// allocations).
+// simulator's Inbox uses — and is carved from flat per-edge-slot slices
+// shared by a whole node set (newUniformityNodes), so building a worker's
+// k nodes takes a constant number of allocations and a trial's worth of
+// steps allocates nothing.
 type uniformityNode struct {
 	id        int
 	root      bool
 	threshold int    // referee threshold T (used by the root only)
 	score     uint64 // this node's convergecast contribution (see Tester)
 
-	neighbors  []int            // ascending neighbor ids
+	neighbors  []int            // ascending neighbor ids (shared, read-only)
 	status     []neighborStatus // by position
 	oweNack    []bool           // by position
 	oweExplore []bool           // by position
@@ -75,30 +74,36 @@ type uniformityNode struct {
 
 var _ NodeProgram = (*uniformityNode)(nil)
 
-//dut:coldpath once-per-node construction; scratch runs reuse the node via reset
-func newUniformityNode(g *Graph, id int, root bool, threshold int, score uint64, result *bool) *uniformityNode {
-	nbrs := g.Neighbors(id)
-	sort.Ints(nbrs)
-	n := &uniformityNode{
-		id:         id,
-		root:       root,
-		threshold:  threshold,
-		neighbors:  nbrs,
-		status:     make([]neighborStatus, len(nbrs)),
-		oweNack:    make([]bool, len(nbrs)),
-		oweExplore: make([]bool, len(nbrs)),
-		explorers:  make([]int, 0, len(nbrs)),
+// newUniformityNodes builds the state machines of every node of top, with
+// root as the aggregation root and threshold as its T. The per-neighbor
+// state of all nodes comes from three flat slices, so the set costs four
+// allocations whatever the graph. Each node needs reset before a run.
+func newUniformityNodes(top *topology, root, threshold int) []uniformityNode {
+	slots := len(top.nbr)
+	status := make([]neighborStatus, slots)
+	owe := make([]bool, 2*slots)
+	explorers := make([]int, slots)
+	nodes := make([]uniformityNode, top.n())
+	for u := range nodes {
+		nodes[u] = uniformityNode{
+			id:         u,
+			root:       u == root,
+			threshold:  threshold,
+			neighbors:  nodeSlots(top, top.nbr, u),
+			status:     nodeSlots(top, status, u),
+			oweNack:    nodeSlots(top, owe, u),
+			oweExplore: nodeSlots(top, owe[slots:], u),
+			explorers:  nodeSlots(top, explorers, u)[:0],
+		}
 	}
-	n.reset(score, result)
-	return n
+	return nodes
 }
 
 // reset rebinds the node for a fresh run — the per-trial inputs (local
 // score and verdict sink) plus every piece of mutable protocol state —
-// restoring exactly the state a newly-constructed node has. It lets a
-// worker's scratch reuse the node set (sorted neighbor slices and maps
-// included) across trials instead of rebuilding k state machines per
-// round.
+// leaving exactly the state of a first run. It lets a worker's scratch
+// reuse the node set across trials instead of rebuilding k state
+// machines per round.
 func (n *uniformityNode) reset(score uint64, result *bool) {
 	n.score = score
 	n.result = result
@@ -124,7 +129,11 @@ func (n *uniformityNode) reset(score uint64, result *bool) {
 	}
 }
 
-// Step implements NodeProgram.
+// Step implements NodeProgram. Its one wake request is the REPORT held
+// back behind a CHILD (step 4); every other step with an empty inbox
+// would send nothing and change no state, so the simulator may skip it.
+//
+//dut:hotpath per-round node step; the simulator reaches it only through the NodeProgram interface
 func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 	// 1. Digest the inbox.
 	explorers := n.explorers[:0]
@@ -163,12 +172,11 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 			return false, fmt.Errorf("unknown tag %d from %d", tag, from)
 		}
 	}
-	n.explorers = explorers // keep the grown capacity for the next step
 
 	// 2. Adoption: pick the smallest explorer as parent; everyone else who
 	// explored is resolved as not-a-child and owed a NACK. explorers holds
 	// positions in ascending order, which is ascending id order — no sort
-	// needed.
+	// needed. Its capacity is the node's degree, so append never grows it.
 	for _, pos := range explorers {
 		if !n.adopted {
 			n.adopted = true
@@ -226,21 +234,25 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 
 	// 4. Convergecast once the subtree is accounted for. If a control
 	// message (CHILD) already went to the parent this round, wait one
-	// round rather than double-send on the edge.
-	if n.adopted && n.waveSent && !n.reportSent && n.allResolved() &&
-		n.reportsIn == n.childCount && (n.root || !out.Queued(n.parent)) {
+	// round rather than double-send on the edge — and ask to be stepped
+	// then, as no mail may arrive to wake the node.
+	if n.adopted && n.waveSent && !n.reportSent && n.allResolved() && n.reportsIn == n.childCount {
 		total := n.scoreSum + n.score
-		if n.root {
+		switch {
+		case n.root:
 			accept := total < uint64(n.threshold)
 			n.verdict = accept
 			n.verdictSeen = true
 			*n.result = accept
-		} else {
+			n.reportSent = true
+		case out.Queued(n.parent):
+			out.StayAwake()
+		default:
 			if err := out.Send(n.parent, encode(tagReport, total)); err != nil {
 				return false, err
 			}
+			n.reportSent = true
 		}
-		n.reportSent = true
 	}
 
 	// 5. Broadcast the verdict down the tree and terminate.
@@ -287,12 +299,12 @@ func (n *uniformityNode) allResolved() bool {
 // beyond the value sum's bit length (validated against MessageBits at
 // construction).
 type Tester struct {
-	graph *Graph
-	root  int
-	q     int
-	rule  core.LocalRule
-	t     int
-	sum   bool
+	top  *topology // the graph's adjacency, shared by every worker's scratch
+	root int
+	q    int
+	rule core.LocalRule
+	t    int
+	sum  bool
 
 	// Stats from the last run; guarded so concurrent Monte-Carlo
 	// estimation over the same Tester stays race-free.
@@ -374,11 +386,11 @@ func NewTester(cfg TesterConfig) (*Tester, error) {
 			return nil, fmt.Errorf("congest: threshold %d outside [1,%d]", t, n)
 		}
 	}
-	return &Tester{graph: cfg.Graph, root: cfg.Root, q: cfg.Q, rule: cfg.Rule, t: t, sum: sum}, nil
+	return &Tester{top: newTopology(cfg.Graph), root: cfg.Root, q: cfg.Q, rule: cfg.Rule, t: t, sum: sum}, nil
 }
 
 // Players implements core.Protocol.
-func (t *Tester) Players() int { return t.graph.N() }
+func (t *Tester) Players() int { return t.top.n() }
 
 // MaxSamplesPerPlayer implements core.Protocol.
 func (t *Tester) MaxSamplesPerPlayer() int { return t.q }
@@ -433,18 +445,16 @@ func (t *Tester) RunSeeded(sampler dist.Sampler, shared uint64) (bool, error) {
 }
 
 // runScratch is one worker's reusable per-run state: the sample batch
-// buffer, the reseedable per-node generator, the program slice handed
-// to the simulator, and — amortized across every run on this worker —
-// the per-node state machines and the simulator with its round buffers.
-// Nodes are reset (not rebuilt) per run; reset restores exactly the
-// fresh-construction state, so scratch runs stay bit-identical to
-// allocating ones.
+// buffer, the reseedable per-node generator, the node state machines and
+// the simulator with its round buffers, all amortized across every run
+// on this worker. Nodes are reset (not rebuilt) per run; reset restores
+// exactly the state of a first run, so scratch runs stay bit-identical
+// to fresh ones.
 type runScratch struct {
-	buf      []int
-	rng      *engine.ReusableRNG
-	programs []NodeProgram
-	nodes    []*uniformityNode
-	sim      *Simulator
+	buf   []int
+	rng   *engine.ReusableRNG
+	nodes []uniformityNode
+	sim   *Simulator
 	// verdict is the root's result sink. It lives on the scratch (not the
 	// stack of runSeededScratch) because the nodes retain the pointer
 	// across trials — a local would escape to a fresh heap allocation on
@@ -452,12 +462,20 @@ type runScratch struct {
 	verdict bool
 }
 
-// newScratch sizes a runScratch for this tester.
+// newScratch builds a runScratch for this tester in a constant number of
+// allocations: the nodes' per-edge state and the simulator's round
+// buffers are flat slices over the tester's shared topology.
 func (t *Tester) newScratch() *runScratch {
+	nodes := newUniformityNodes(t.top, t.root, t.t)
+	programs := make([]NodeProgram, len(nodes))
+	for u := range nodes {
+		programs[u] = &nodes[u]
+	}
 	return &runScratch{
-		buf:      make([]int, t.q),
-		rng:      engine.NewReusableRNG(),
-		programs: make([]NodeProgram, t.graph.N()),
+		buf:   make([]int, t.q),
+		rng:   engine.NewReusableRNG(),
+		nodes: nodes,
+		sim:   newSimulator(t.top, programs),
 	}
 }
 
@@ -477,17 +495,9 @@ func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runSc
 	if sampler == nil {
 		return false, nil, fmt.Errorf("congest: nil sampler")
 	}
-	n := t.graph.N()
 	sc.verdict = false
-	if sc.nodes == nil {
-		sc.nodes = make([]*uniformityNode, n)
-		for u := range sc.nodes {
-			sc.nodes[u] = newUniformityNode(t.graph, u, u == t.root, t.t, 0, nil)
-		}
-	}
 	msgBits := t.rule.Bits()
-	programs := sc.programs
-	for u := 0; u < n; u++ {
+	for u := range sc.nodes {
 		rng := sc.rng.SeedNode(shared, u)
 		sc.rng.SampleInto(sampler, sc.buf)
 		msg, err := t.rule.Message(u, sc.buf, shared, rng)
@@ -503,23 +513,12 @@ func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runSc
 		} else if !msg.Bit() {
 			score = 1
 		}
-		node := sc.nodes[u]
-		node.reset(score, &sc.verdict)
-		programs[u] = node
+		sc.nodes[u].reset(score, &sc.verdict)
 	}
-	if sc.sim == nil {
-		sim, err := NewSimulator(t.graph, programs)
-		if err != nil {
-			return false, nil, err
-		}
-		sc.sim = sim
-	} else {
-		sc.sim.Reset()
-	}
-	// BFS + convergecast + broadcast each take O(diameter) rounds; 8D+16
-	// is a generous envelope that still catches deadlocks.
-	maxRounds := 8*n + 16
-	if err := sc.sim.Run(maxRounds); err != nil {
+	// BFS, convergecast and broadcast each take O(diameter) rounds, and
+	// the diameter is below n, so 8n+16 rounds is a generous envelope; a
+	// deadlocked run stops sooner with ErrStalled.
+	if err := sc.sim.Run(8*len(sc.nodes) + 16); err != nil {
 		return false, nil, err
 	}
 	return sc.verdict, sc.sim, nil

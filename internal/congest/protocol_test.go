@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -115,16 +116,15 @@ func TestAllNodesLearnTheVerdict(t *testing.T) {
 	}
 	accepts := []bool{true, false, true, true, false, true, true, true, false}
 	var rootVerdict bool
-	n := g.N()
-	programs := make([]NodeProgram, n)
-	nodes := make([]*uniformityNode, n)
-	for u := 0; u < n; u++ {
+	nodes := newUniformityNodes(newTopology(g), 4, 3)
+	programs := make([]NodeProgram, len(nodes))
+	for u := range nodes {
 		var score uint64
 		if !accepts[u] {
 			score = 1
 		}
-		nodes[u] = newUniformityNode(g, u, u == 4, 3, score, &rootVerdict)
-		programs[u] = nodes[u]
+		nodes[u].reset(score, &rootVerdict)
+		programs[u] = &nodes[u]
 	}
 	sim, err := NewSimulator(g, programs)
 	if err != nil {
@@ -133,7 +133,8 @@ func TestAllNodesLearnTheVerdict(t *testing.T) {
 	if err := sim.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	for u, node := range nodes {
+	for u := range nodes {
+		node := &nodes[u]
 		if !node.verdictSeen {
 			t.Errorf("node %d never saw the verdict", u)
 		}
@@ -312,7 +313,7 @@ func TestSimulatorValidation(t *testing.T) {
 	}
 }
 
-// stuckProgram never terminates.
+// stuckProgram never terminates, and never asks to be woken.
 type stuckProgram struct{}
 
 func (stuckProgram) Step(int, Inbox, *Outbox) (bool, error) { return false, nil }
@@ -323,13 +324,30 @@ func TestSimulatorDetectsNonTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(10); err == nil {
-		t.Error("non-terminating protocol not detected")
+	// Nothing is in flight after round 0 and nobody asked to be woken:
+	// the run stops there instead of idling to the round limit.
+	if err := sim.Run(10); !errors.Is(err, ErrStalled) {
+		t.Errorf("stuck protocol: got %v, want ErrStalled", err)
 	}
-	if _, err := NewSimulator(g, []NodeProgram{stuckProgram{}, stuckProgram{}}); err != nil {
+	if sim.Rounds() != 1 {
+		t.Errorf("stuck protocol ran %d rounds, want 1", sim.Rounds())
+	}
+	// A program that asks to be woken every round never stalls; it runs
+	// into the round limit.
+	insomniac := stepFunc(func(_ int, _ Inbox, out *Outbox) (bool, error) {
+		out.StayAwake()
+		return false, nil
+	})
+	sim2, err := NewSimulator(g, []NodeProgram{insomniac, insomniac})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sim2, _ := NewSimulator(g, []NodeProgram{stuckProgram{}, stuckProgram{}})
+	if err := sim2.Run(10); err == nil || errors.Is(err, ErrStalled) {
+		t.Errorf("self-waking protocol: got %v, want the round-limit error", err)
+	}
+	if sim2.Rounds() != 10 {
+		t.Errorf("self-waking protocol ran %d rounds, want 10", sim2.Rounds())
+	}
 	if err := sim2.Run(0); err == nil {
 		t.Error("maxRounds=0 accepted")
 	}

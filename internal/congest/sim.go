@@ -1,10 +1,10 @@
 package congest
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // MessageBits is the CONGEST bandwidth cap per edge per round. The classic
@@ -22,6 +22,11 @@ func (p Payload) fitsBits(b int) bool {
 	return bits.Len64(uint64(p)) <= b
 }
 
+// ErrStalled is the error Run returns when nodes are still live but none
+// is due to step: no message is in flight and no node asked to be woken,
+// so no later round could change anything.
+var ErrStalled = errors.New("congest: stalled")
+
 // Outbox collects a node's messages for the current round. Slots are
 // indexed by the neighbor's position in the node's ascending-sorted
 // neighbor list — flat slices instead of a per-round map, so a round of
@@ -31,24 +36,7 @@ type Outbox struct {
 	neighbors []int // ascending neighbor ids
 	msgs      []Payload
 	has       []bool
-}
-
-// newOutbox builds the outbox for a node with the given ascending-sorted
-// neighbor list.
-//
-//dut:coldpath once-per-node construction during ensureBuffers; rounds reuse the outbox
-func newOutbox(node int, neighbors []int) *Outbox {
-	return &Outbox{
-		node:      node,
-		neighbors: neighbors,
-		msgs:      make([]Payload, len(neighbors)),
-		has:       make([]bool, len(neighbors)),
-	}
-}
-
-// reset clears the outbox for a fresh round.
-func (o *Outbox) reset() {
-	clear(o.has)
+	wake      bool // StayAwake was called this step
 }
 
 // Send queues a message to a neighbor; sending twice to the same neighbor
@@ -78,6 +66,10 @@ func (o *Outbox) Queued(to int) bool {
 	return ok && o.has[pos]
 }
 
+// StayAwake asks for the node to be stepped in the next round even if no
+// message arrives for it (see NodeProgram).
+func (o *Outbox) StayAwake() { o.wake = true }
+
 // Inbox is the set of messages a node received last round, indexed by the
 // sender's position in the node's ascending-sorted neighbor list.
 type Inbox struct {
@@ -94,43 +86,52 @@ func (in Inbox) Get(pos int) (Payload, bool) {
 	return in.msgs[pos], true
 }
 
-// NodeProgram is a synchronous-round state machine. Step is called once
-// per round with the messages received at the start of the round; it
-// queues this round's messages on the outbox and returns true when the
-// node has terminated (a terminated node keeps receiving but no longer
-// steps).
+// NodeProgram is a synchronous-round state machine. Step is called with
+// the messages received at the start of the round; it queues this round's
+// messages on the outbox and returns true when the node has terminated
+// (a terminated node keeps receiving but never steps again).
+//
+// Rounds are event-driven. Round 0 steps every node. After that a live
+// node steps only in a round where it has mail, or when its previous step
+// called out.StayAwake(); nodes due in the same round step in ascending id
+// order. So a step with an empty inbox happens only when asked for: a
+// program whose next step would send or change state without new mail
+// must call StayAwake, and one that never does is stepped once and then
+// only on mail.
 type NodeProgram interface {
 	Step(round int, in Inbox, out *Outbox) (done bool, err error)
 }
 
-// Simulator drives a set of node programs over a graph in synchronous
-// rounds. Run's round buffers (inboxes, outboxes, termination flags)
-// persist on the struct and are cleared per use, so a Reset-and-rerun
-// loop (the engine's batch scratch path) executes allocation-free.
+// Simulator drives a set of node programs over a graph in synchronous,
+// event-driven rounds (see NodeProgram). Its round buffers — inboxes,
+// outboxes, step sets and termination flags — are sized at construction,
+// carved from flat slices indexed by edge slot (see topology) and cleared
+// per Run, so a rerun loop (the engine's batch scratch path) executes
+// allocation-free.
 type Simulator struct {
-	graph    *Graph
+	top      *topology
 	programs []NodeProgram
-	// Stats.
+	// Stats of the last Run.
 	rounds        int
 	messagesSent  int
 	maxBitsInAMsg int
-	// Reusable round buffers (see ensureBuffers). sortedAdj holds each
-	// node's ascending neighbor list (the Graph's own adjacency keeps
-	// insertion order, which BFS parents depend on); edgeBack[u][i] is
-	// the position of u in sortedAdj[v] for v = sortedAdj[u][i], so
-	// delivery is a direct index instead of a map insert. The two inbox
-	// generations are swapped every round; an Inbox handed to Step is
-	// only valid for that call.
-	done      []bool
-	sortedAdj [][]int
-	edgeBack  [][]int
-	inboxes   [2][]Inbox
-	outs      []*Outbox
+	// Round buffers. The two inbox generations swap every round: round r
+	// reads generation r%2, and the messages its steps send are delivered
+	// into the other. awake[g] holds one bit per node, set for the live
+	// nodes that step in the round reading generation g; a node's inbox
+	// is cleared right after it steps, and a terminated node's inbox is
+	// never read again. flags backs every has flag and words every awake
+	// bit, so Run clears them in two calls. An Inbox or Outbox handed to
+	// Step is only valid for that call.
+	done    []bool
+	inboxes [2][]Inbox
+	outs    []Outbox
+	awake   [2][]uint64
+	flags   []bool
+	words   []uint64
 }
 
 // NewSimulator validates that there is exactly one program per node.
-//
-//dut:coldpath once-per-run construction; Run reuses the simulator's buffers across rounds
 func NewSimulator(g *Graph, programs []NodeProgram) (*Simulator, error) {
 	if g == nil {
 		return nil, fmt.Errorf("congest: nil graph")
@@ -143,125 +144,119 @@ func NewSimulator(g *Graph, programs []NodeProgram) (*Simulator, error) {
 			return nil, fmt.Errorf("congest: nil program at node %d", i)
 		}
 	}
-	return &Simulator{graph: g, programs: programs}, nil
+	return newSimulator(newTopology(g), programs), nil
 }
 
-// ensureBuffers allocates the reusable round buffers on first use.
-//
-//dut:coldpath first-use buffer construction behind a len guard; later rounds return early and reuse
-func (s *Simulator) ensureBuffers(n int) {
-	if len(s.done) == n {
-		return
+// newSimulator builds a simulator over a shared topology, one program per
+// node, in a constant number of allocations: every node's inboxes and
+// outbox are views into three flat per-slot generations of cells (inbox
+// generations 0 and 1, then the outboxes).
+func newSimulator(top *topology, programs []NodeProgram) *Simulator {
+	n, slots, nw := top.n(), len(top.nbr), (top.n()+63)/64
+	flags := make([]bool, 3*slots)
+	msgs := make([]Payload, 3*slots)
+	inboxes := make([]Inbox, 2*n)
+	words := make([]uint64, 2*nw)
+	s := &Simulator{
+		top:      top,
+		programs: programs,
+		done:     make([]bool, n),
+		inboxes:  [2][]Inbox{inboxes[:n:n], inboxes[n:]},
+		outs:     make([]Outbox, n),
+		awake:    [2][]uint64{words[:nw:nw], words[nw:]},
+		flags:    flags,
+		words:    words,
 	}
-	s.done = make([]bool, n)
-	s.sortedAdj = make([][]int, n)
-	s.edgeBack = make([][]int, n)
-	s.outs = make([]*Outbox, n)
 	for u := 0; u < n; u++ {
-		adj := s.graph.Neighbors(u)
-		sort.Ints(adj)
-		s.sortedAdj[u] = adj
-	}
-	for u := 0; u < n; u++ {
-		adj := s.sortedAdj[u]
-		back := make([]int, len(adj))
-		for i, v := range adj {
-			pos, ok := slices.BinarySearch(s.sortedAdj[v], u)
-			if !ok {
-				// Graph edges are symmetric by construction; a miss here
-				// would be a Graph invariant violation, not a protocol bug.
-				panic(fmt.Sprintf("congest: edge %d-%d has no reverse entry", u, v))
-			}
-			back[i] = pos
+		for g := range s.inboxes {
+			base := g * slots
+			s.inboxes[g][u] = Inbox{msgs: nodeSlots(top, msgs[base:], u), has: nodeSlots(top, flags[base:], u)}
 		}
-		s.edgeBack[u] = back
-		s.outs[u] = newOutbox(u, adj)
+		base := 2 * slots
+		s.outs[u] = Outbox{node: u, neighbors: nodeSlots(top, top.nbr, u),
+			msgs: nodeSlots(top, msgs[base:], u), has: nodeSlots(top, flags[base:], u)}
 	}
-	for g := range s.inboxes {
-		s.inboxes[g] = make([]Inbox, n)
-		for u := 0; u < n; u++ {
-			deg := len(s.sortedAdj[u])
-			s.inboxes[g][u] = Inbox{msgs: make([]Payload, deg), has: make([]bool, deg)}
-		}
-	}
+	return s
 }
 
-// Reset prepares the simulator for a fresh run over the same graph and
-// program set: statistics restart at zero while the round buffers stay
-// allocated. The programs themselves must be re-armed by the caller
-// (e.g. uniformityNode.reset); Reset-then-Run is bit-identical to a
-// newly constructed simulator because every round's buffers are cleared
-// before use and all iteration is over sorted adjacency slices.
-func (s *Simulator) Reset() {
-	s.rounds, s.messagesSent, s.maxBitsInAMsg = 0, 0, 0
-}
-
-// Run executes rounds until every node has terminated or maxRounds is
-// exhausted (an error: a correct protocol must terminate). The Inbox a
-// program receives is reused between rounds — valid only inside Step.
+// Run executes rounds until every node has terminated. Round 0 steps
+// every node; after that only the nodes with mail or a StayAwake request
+// step (see NodeProgram). When no live node is due to step, Run returns
+// ErrStalled after the current round; when nodes are still live after
+// maxRounds, it returns an error too — a correct protocol terminates.
+// Every Run starts from cleared buffers and zeroed statistics.
 func (s *Simulator) Run(maxRounds int) error {
 	if maxRounds <= 0 {
 		return fmt.Errorf("congest: maxRounds %d", maxRounds)
 	}
-	n := s.graph.N()
-	s.ensureBuffers(n)
-	done := s.done
-	for i := range done {
-		done[i] = false
+	s.rounds, s.messagesSent, s.maxBitsInAMsg = 0, 0, 0
+	clear(s.done)
+	clear(s.flags)
+	clear(s.words)
+	n := len(s.done)
+	for u := 0; u < n; u++ {
+		s.awake[0][u>>6] |= 1 << (u & 63)
 	}
-	inboxes := s.inboxes[0]
-	for i := range inboxes {
-		clear(inboxes[i].has)
-	}
-	nextGen := s.inboxes[1]
 	remaining := n
 	for round := 0; remaining > 0; round++ {
 		if round >= maxRounds {
 			return fmt.Errorf("congest: %d nodes still running after %d rounds", remaining, maxRounds)
 		}
 		s.rounds = round + 1
-		next := nextGen
-		for i := range next {
-			clear(next[i].has)
-		}
-		for u := 0; u < n; u++ {
-			if done[u] {
-				continue
-			}
-			out := s.outs[u]
-			out.reset()
-			finished, err := s.programs[u].Step(round, inboxes[u], out)
-			if err != nil {
-				return fmt.Errorf("congest: node %d round %d: %w", u, round, err)
-			}
-			adj, back := s.sortedAdj[u], s.edgeBack[u]
-			for pos, to := range adj {
-				if !out.has[pos] {
-					continue
+		inboxes, next := s.inboxes[round&1], s.inboxes[(round+1)&1]
+		awake, wakeNext := s.awake[round&1], s.awake[(round+1)&1]
+		for w, word := range awake {
+			awake[w] = 0
+			for ; word != 0; word &= word - 1 {
+				u := w<<6 | bits.TrailingZeros64(word)
+				out := &s.outs[u]
+				out.wake = false
+				finished, err := s.programs[u].Step(round, inboxes[u], out)
+				if err != nil {
+					return fmt.Errorf("congest: node %d round %d: %w", u, round, err)
 				}
-				p := out.msgs[pos]
-				next[to].msgs[back[pos]] = p
-				next[to].has[back[pos]] = true
-				s.messagesSent++
-				if b := bits.Len64(uint64(p)); b > s.maxBitsInAMsg {
-					s.maxBitsInAMsg = b
+				clear(inboxes[u].has)
+				back := s.top.rev[s.top.off[u]:]
+				for pos, to := range out.neighbors {
+					if !out.has[pos] {
+						continue
+					}
+					out.has[pos] = false
+					p := out.msgs[pos]
+					next[to].msgs[back[pos]] = p
+					next[to].has[back[pos]] = true
+					if !s.done[to] {
+						wakeNext[to>>6] |= 1 << (to & 63)
+					}
+					s.messagesSent++
+					if b := bits.Len64(uint64(p)); b > s.maxBitsInAMsg {
+						s.maxBitsInAMsg = b
+					}
+				}
+				switch {
+				case finished:
+					// Mail already delivered to u this round is never read.
+					s.done[u] = true
+					wakeNext[w] &^= 1 << (u & 63)
+					remaining--
+				case out.wake:
+					wakeNext[w] |= 1 << (u & 63)
 				}
 			}
-			if finished {
-				done[u] = true
-				remaining--
-			}
 		}
-		inboxes, nextGen = next, inboxes
+		if remaining > 0 && !slices.ContainsFunc(wakeNext, func(x uint64) bool { return x != 0 }) {
+			return fmt.Errorf("%w: %d nodes live, none due to step after round %d", ErrStalled, remaining, round)
+		}
 	}
 	return nil
 }
 
-// Rounds returns the number of rounds executed.
+// Rounds returns the number of rounds the last Run executed.
 func (s *Simulator) Rounds() int { return s.rounds }
 
-// MessagesSent returns the total number of edge-messages sent.
+// MessagesSent returns the number of edge-messages the last Run sent.
 func (s *Simulator) MessagesSent() int { return s.messagesSent }
 
-// MaxMessageBits returns the largest significant bit-length observed.
+// MaxMessageBits returns the largest significant bit-length the last Run
+// sent.
 func (s *Simulator) MaxMessageBits() int { return s.maxBitsInAMsg }

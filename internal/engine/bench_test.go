@@ -59,7 +59,11 @@ func benchRun(b *testing.B, backend engine.Backend) {
 
 func benchRunWorkers(b *testing.B, backend engine.Backend, workers int) {
 	b.Helper()
-	src := benchSource(b)
+	benchRunSource(b, backend, benchSource(b), workers)
+}
+
+func benchRunSource(b *testing.B, backend engine.Backend, src engine.Source, workers int) {
+	b.Helper()
 	opts := engine.Options{
 		Seed:    xbSeed,
 		Workers: workers,
@@ -180,4 +184,46 @@ func BenchmarkEngineCONGEST(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchRun(b, backend)
+}
+
+// BenchmarkEngineCONGESTGrid is the CONGEST row at dutbench's
+// congest-grid size: FMO's threshold tester at n=64, eps=0.5 on a 16x16
+// grid (k=256, q=22) over uniform input. A trial runs 92 rounds, and in
+// most of them most nodes have no mail, so this row measures the
+// event-driven simulator; EngineCONGEST on K5, where every node has mail
+// in every round, is the control. Each engine worker builds its scratch
+// (256 node programs and the simulator's round buffers) once per run.
+func BenchmarkEngineCONGESTGrid(b *testing.B) {
+	const (
+		n    = 64
+		side = 16
+		eps  = 0.5
+	)
+	k := side * side
+	q := core.RecommendedThresholdSamples(n, k, eps)
+	fmo, err := core.NewThresholdTester(core.ThresholdTesterConfig{N: n, K: k, Q: q, Eps: eps})
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph, err := congest.Grid(side, side)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Root: 0, Q: q, Rule: fmo.Local()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	backend, err := congest.NewBackend(tester)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := dist.Uniform(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := engine.FromDist(u)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRunSource(b, backend, src, 0)
 }
