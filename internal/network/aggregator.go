@@ -2,11 +2,8 @@ package network
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,10 +12,11 @@ import (
 
 // This file implements the sharded referee tree: with Topology.Shards
 // s > 1 the flat star becomes a two-tier tree where each of s L1
-// aggregators owns one shard of players, runs the same accept/HELLO and
-// batch-gather logic the root runs against its shard, reduces every
-// gathered VOTE_BATCH locally, and sends one reduced
-// frame per batch upstream. For threshold- and sum-shaped referees the
+// aggregators owns one shard of players, runs the same accept phase
+// (acceptShard) and gather (gatherShard) the flat root runs over its one
+// shard of all k players, reduces every gathered VOTE_BATCH locally with
+// the flat root's reduction, and sends one reduced frame per batch
+// upstream. For threshold- and sum-shaped referees the
 // reduction is the bit-sliced partial sum itself (AGG_SUM carries the
 // per-lane rejection/value counters, which compose across shards by
 // lane-wise addition); for opaque referees the aggregator forwards its
@@ -194,106 +192,17 @@ func (bs *batchSession) runAggregator(ctx context.Context, a *aggregator, rootAd
 
 // setup runs the aggregator's connect phase: accept the shard's
 // players, start their writers, then dial the root and announce the
-// shard with AGG_HELLO.
+// shard with AGG_HELLO. In quorum mode a partial shard is not an error
+// here: the root checks the global quorum against the summed
+// present-counts.
 func (a *aggregator) setup(ctx context.Context, rootAddr net.Addr) error {
-	slots, present, err := a.acceptMembers(ctx)
+	slots, present, err := a.bs.acceptShard(ctx, a.listener, a.members, fmt.Sprintf("aggregator %d", a.id))
 	if err != nil {
 		return err
 	}
 	a.slots = slots
-	for _, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (closeMembers always closes it); cancellation reaches it through failSlot closing the conn
-		go a.bs.slotWriter(slot)
-	}
-	return a.connectRoot(rootAddr, present)
-}
-
-// acceptMembers accepts the shard's players, mirroring the root's
-// acceptPlayers: strict mode blocks until every member registered,
-// quorum mode bounds the phase with an accept deadline and takes
-// whoever made it (the root checks the global quorum against the
-// summed present-counts, so a partial shard is not an error here).
-//
-//dut:coldpath once-per-session member accept and handshake validation
-func (a *aggregator) acceptMembers(ctx context.Context) ([]*batchSlot, uint32, error) {
-	s := a.bs.server
-	if !s.strict() {
-		dl, ok := a.listener.(acceptDeadliner)
-		if !ok {
-			return nil, 0, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", a.listener)
-		}
-		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
-		_ = dl.SetDeadline(time.Now().Add(s.timeout))
-		defer func() { _ = dl.SetDeadline(time.Time{}) }()
-	}
-	slots := make([]*batchSlot, len(a.members))
-	var present uint32
-	for int(present) < len(a.members) {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		conn, err := a.listener.Accept()
-		if err != nil {
-			if !s.strict() && errors.Is(err, os.ErrDeadlineExceeded) {
-				return slots, present, nil
-			}
-			return nil, 0, fmt.Errorf("network: aggregator %d accept: %w", a.id, err)
-		}
-		a.bs.tracker.track(conn)
-		setReadDeadline(conn, s.timeout)
-		hello, err := expectFrame[Hello](conn, FrameHello)
-		if err != nil {
-			if s.strict() {
-				return nil, 0, fmt.Errorf("network: aggregator %d hello: %w", a.id, err)
-			}
-			_ = conn.Close()
-			continue
-		}
-		if err := a.validateMember(hello, slots); err != nil {
-			if s.strict() {
-				return nil, 0, err
-			}
-			_ = conn.Close()
-			continue
-		}
-		slots[a.position(hello.Player)] = newBatchSlot(&playerSlot{conn: conn, player: hello.Player, bits: hello.Bits})
-		present++
-	}
-	return slots, present, nil
-}
-
-// validateMember is validateHello against the shard: the player must be
-// one of the aggregator's assigned members, announced once, with the
-// pinned message width.
-func (a *aggregator) validateMember(h Hello, slots []*batchSlot) error {
-	if h.Bits < 1 || h.Bits > 64 {
-		return fmt.Errorf("network: player %d announced %d message bits", h.Player, h.Bits)
-	}
-	if s := a.bs.server; s.bits != 0 && int(h.Bits) != s.bits {
-		return fmt.Errorf("network: player %d announced %d-bit messages but the referee's rule decides over %d-bit messages",
-			h.Player, h.Bits, s.bits)
-	}
-	pos := a.position(h.Player)
-	if pos < 0 {
-		return fmt.Errorf("network: player %d dialed aggregator %d, which does not own it", h.Player, a.id)
-	}
-	if slots[pos] != nil {
-		return fmt.Errorf("network: duplicate player id %d", h.Player)
-	}
-	return nil
-}
-
-// position is the player's index within the shard's ascending member
-// list, or -1 if the shard does not own it.
-func (a *aggregator) position(player uint32) int {
-	j := sort.Search(len(a.members), func(n int) bool { return a.members[n] >= player })
-	if j < len(a.members) && a.members[j] == player {
-		return j
-	}
-	return -1
+	a.bs.startWriters(slots)
+	return a.connectRoot(rootAddr, uint32(present))
 }
 
 // connectRoot dials the root with the node-style retry/backoff policy
@@ -316,7 +225,7 @@ func (a *aggregator) connectRoot(addr net.Addr, present uint32) error {
 			continue
 		}
 		a.bs.tracker.track(conn)
-		setWriteDeadline(conn, a.bs.server.timeout)
+		setWriteDeadline(conn, c.timeout)
 		hello := AggHello{Agg: a.id, Bits: uint8(a.bs.msgBits), Present: present, Members: a.members}
 		if err := WriteAggHello(conn, hello); err != nil {
 			_ = conn.Close()
@@ -348,7 +257,7 @@ func (a *aggregator) readRoot() {
 	for {
 		// A root frame can lag a whole decide phase; budget two timeouts,
 		// like every other cross-phase read.
-		setReadDeadline(a.root, 2*bs.server.timeout)
+		setReadDeadline(a.root, 2*bs.c.timeout)
 		kind, msg, err := ReadFrame(a.root)
 		if err != nil {
 			a.fail(fmt.Errorf("network: aggregator %d read: %w", a.id, err))
@@ -476,7 +385,7 @@ func (a *aggregator) reduceLoop() {
 func (a *aggregator) runBatch(b aggBatch) {
 	bs := a.bs
 	words := batchWords(b.count)
-	received := a.gather(b.id, b.count)
+	received := bs.gatherShard(a.slots, a.deliv, b.id, b.count)
 	var err error
 	if bs.shapeOK || bs.sumOK {
 		planes := len(bs.planes)
@@ -485,11 +394,7 @@ func (a *aggregator) runBatch(b aggBatch) {
 			a.sums = make([]uint64, need)
 		}
 		sums := a.sums[:need]
-		if bs.shapeOK {
-			reduceThresholdSums(a.deliv, b.count, words, a.col, sums)
-		} else {
-			reduceValueSums(a.deliv, bs.msgBits, words, a.col, sums)
-		}
+		bs.reduceShard(a.deliv, b.count, a.col, sums)
 		a.enc, err = AppendAggSum(a.enc[:0], AggSum{
 			Agg: a.id, Batch: b.id, Count: uint32(b.count),
 			Bits: uint8(bs.msgBits), Planes: uint8(planes),
@@ -519,55 +424,10 @@ func (a *aggregator) runBatch(b aggBatch) {
 	// The echo record must be in the FIFO before the write: the root can
 	// answer with the batch's AGG_VERDICT the moment the frame lands.
 	a.recordSent(aggSent{batch: b.id, count: uint32(b.count), present: uint32(received)})
-	setWriteDeadline(a.root, bs.server.timeout)
+	setWriteDeadline(a.root, bs.c.timeout)
 	if err := writeCoalesced(a.root, a.enc); err != nil {
 		//lint:ignore dut/hotalloc failure path: fail tears the session down, so the error allocation is the last thing this batch does
 		a.fail(fmt.Errorf("network: aggregator %d reduced batch %d upstream: %w", a.id, b.id, err))
-	}
-}
-
-// gather collects one batch's votes from every live member, with
-// exactly the root gather's echo checks. Delivered plane sets land in
-// a.deliv by shard position (nil = absent); it returns the number of
-// valid deliveries.
-func (a *aggregator) gather(batchID uint32, count int) int {
-	bs := a.bs
-	for i := range a.deliv {
-		a.deliv[i] = nil
-	}
-	var wg sync.WaitGroup
-	for pos, slot := range a.slots {
-		if slot == nil || slot.isDead() {
-			continue
-		}
-		wg.Add(1)
-		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(pos int, slot *batchSlot) {
-			defer wg.Done()
-			planes, err := bs.readVoteBatch(slot, batchID, count)
-			if err != nil {
-				a.failMember(slot, err)
-				return
-			}
-			a.deliv[pos] = planes
-		}(pos, slot)
-	}
-	wg.Wait()
-	received := 0
-	for _, d := range a.deliv {
-		if d != nil {
-			received++
-		}
-	}
-	return received
-}
-
-// failMember marks one member slot dead; in strict mode a member
-// failure dooms the session, exactly as it would on the flat star.
-func (a *aggregator) failMember(slot *batchSlot, err error) {
-	a.bs.failSlot(slot, err)
-	if a.bs.server.strict() {
-		a.bs.failAgg(err)
 	}
 }
 
@@ -590,7 +450,20 @@ func (a *aggregator) closeMembers() {
 			continue
 		}
 		<-slot.writerDone
-		_ = slot.sl.conn.Close()
+		_ = slot.conn.Close()
+	}
+}
+
+// reduceShard reduces one shard's delivered votes (deliv by shard
+// position, nil = absent) into the batch's bit-sliced counters with the
+// reduction that fits the referee's shape: rejection counts for a
+// threshold shape, value sums for a sum shape. An aggregator reduces its
+// members this way, the flat star all k players.
+func (bs *batchSession) reduceShard(deliv [][]uint64, count int, col, sums []uint64) {
+	if bs.shapeOK {
+		reduceThresholdSums(deliv, count, batchWords(count), col, sums)
+	} else {
+		reduceValueSums(deliv, bs.msgBits, batchWords(count), col, sums)
 	}
 }
 
@@ -599,9 +472,8 @@ func (a *aggregator) closeMembers() {
 // member's inverted vote word (1 = rejection) is ripple-carry added
 // into col, and the columns land in sums plane-major (sums[p*words+w]
 // is bit p of every lane in word w). The inversion is masked on the
-// final word so padding lanes stay zero — the flat decide masks its
-// padding only at the verdict, but these counters travel the wire,
-// where AGG_SUM's validation demands zero padding.
+// final word so padding lanes stay zero, as AGG_SUM's validation
+// demands of counters that travel the wire.
 //
 //dut:hotpath
 func reduceThresholdSums(deliv [][]uint64, count, words int, col, sums []uint64) {
@@ -749,89 +621,52 @@ func (bs *batchSession) startSharded(ctx context.Context) error {
 	for _, node := range bs.nodes {
 		bs.spawnNode(node, addrByPlayer[node.id])
 	}
-	slots, err := bs.acceptAggregators(ctx, bs.listener)
-	if err != nil {
-		return err
-	}
-	bs.slots = slots
-	return nil
+	return bs.acceptAggregators(ctx)
 }
 
 // acceptAggregators is the root's accept phase on the sharded tree:
-// every shard's AGG_HELLO in strict mode, or whoever made it before
-// the deadline in quorum mode — where the quorum is checked against
-// the summed per-shard present-counts, because one aggregator speaks
-// for a whole shard of players. The deadline is two timeouts: a quorum
-// aggregator holds its own accept phase open for one timeout waiting
-// out stragglers before it dials upstream.
-func (bs *batchSession) acceptAggregators(ctx context.Context, l net.Listener) ([]*batchSlot, error) {
-	s := bs.server
-	nShards := len(bs.shards)
-	if !s.strict() {
-		dl, ok := l.(acceptDeadliner)
-		if !ok {
-			return nil, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", l)
-		}
-		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
-		_ = dl.SetDeadline(time.Now().Add(2 * s.timeout))
-		defer func() { _ = dl.SetDeadline(time.Time{}) }()
-	}
-	slots := make([]*batchSlot, 0, nShards)
-	seen := make([]bool, nShards)
+// every shard's AGG_HELLO in strict mode, or whoever made it before the
+// deadline in quorum mode, filed in bs.slots by aggregator id. The
+// quorum is checked against the summed per-shard present-counts, because
+// one aggregator speaks for a whole shard of players. The deadline is
+// two timeouts: a quorum aggregator holds its own accept phase open for
+// one timeout waiting out stragglers before it dials upstream.
+func (bs *batchSession) acceptAggregators(ctx context.Context) error {
+	bs.slots = make([]*batchSlot, len(bs.shards))
 	present := 0
-	for len(slots) < nShards {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		conn, err := l.Accept()
-		if err != nil {
-			if !s.strict() && errors.Is(err, os.ErrDeadlineExceeded) {
-				if present >= s.minVotes {
-					return slots, nil
-				}
-				return nil, fmt.Errorf("network: quorum not met: %d of %d players connected before the accept deadline, need %d",
-					present, s.k, s.minVotes)
-			}
-			return nil, fmt.Errorf("network: accept: %w", err)
-		}
-		bs.tracker.track(conn)
-		setReadDeadline(conn, s.timeout)
+	_, err := acceptPhase(ctx, bs.listener, bs.tracker, len(bs.shards), bs.c.acceptWait(2), func(conn net.Conn) error {
+		setReadDeadline(conn, bs.c.timeout)
 		hello, err := expectFrame[AggHello](conn, FrameAggHello)
 		if err != nil {
-			if s.strict() {
-				return nil, fmt.Errorf("network: aggregator hello: %w", err)
-			}
-			_ = conn.Close()
-			continue
+			return fmt.Errorf("network: aggregator hello: %w", err)
 		}
-		if err := bs.validateAggHello(hello, seen); err != nil {
-			if s.strict() {
-				return nil, err
-			}
-			_ = conn.Close()
-			continue
+		if err := bs.validateAggHello(hello); err != nil {
+			return err
 		}
-		seen[hello.Agg] = true
+		bs.slots[hello.Agg] = newBatchSlot(conn, hello.Agg, hello.Bits)
 		present += int(hello.Present)
-		slots = append(slots, newBatchSlot(&playerSlot{conn: conn, player: hello.Agg, bits: hello.Bits}))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return slots, nil
+	return bs.checkQuorum(present)
 }
 
 // validateAggHello checks one aggregator's announcement: a known,
 // unduplicated shard id, the pinned message width, and membership that
 // agrees exactly with the deterministic router — the root never trusts
 // a shard map it did not compute itself.
-func (bs *batchSession) validateAggHello(h AggHello, seen []bool) error {
+func (bs *batchSession) validateAggHello(h AggHello) error {
 	if int(h.Agg) >= len(bs.shards) {
 		return fmt.Errorf("network: aggregator id %d out of range [0, %d)", h.Agg, len(bs.shards))
 	}
-	if seen[h.Agg] {
+	if bs.slots[h.Agg] != nil {
 		return fmt.Errorf("network: duplicate aggregator id %d", h.Agg)
 	}
-	if s := bs.server; s.bits != 0 && int(h.Bits) != s.bits {
+	if int(h.Bits) != bs.msgBits {
 		return fmt.Errorf("network: aggregator %d announced %d-bit messages but the referee's rule decides over %d-bit messages",
-			h.Agg, h.Bits, s.bits)
+			h.Agg, h.Bits, bs.msgBits)
 	}
 	want := bs.shards[h.Agg]
 	if len(h.Members) != len(want) {
@@ -850,7 +685,7 @@ func (bs *batchSession) validateAggHello(h AggHello, seen []bool) error {
 }
 
 // gatherShards collects one batch's reduced frames from every live
-// aggregator concurrently, the tree counterpart of gather. Shaped
+// aggregator concurrently, the tree counterpart of gatherShard. Shaped
 // referees land partial sums in shardSums; opaque referees scatter
 // the forwarded planes back into bs.deliv by player id, so the
 // per-trial fallback sees exactly the flat gather's delivery table.
@@ -869,18 +704,18 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 	words := batchWords(count)
 	var wg sync.WaitGroup
 	for _, slot := range bs.slots {
-		if slot.isDead() {
+		if slot == nil || slot.isDead() {
 			continue
 		}
 		wg.Add(1)
 		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
 		go func(slot *batchSlot) {
 			defer wg.Done()
-			conn := slot.sl.conn
-			agg := slot.sl.player
+			conn := slot.conn
+			agg := slot.player
 			// The reduced frame waits on the aggregator's own member gather
 			// (itself budgeted two timeouts) plus the reduction; budget three.
-			setReadDeadline(conn, 3*bs.server.timeout)
+			setReadDeadline(conn, 3*bs.c.timeout)
 			if shaped {
 				v, err := expectFrame[AggSum](conn, FrameAggSum)
 				if err != nil {
@@ -964,32 +799,37 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 	return received
 }
 
-// decideBatchShards evaluates a gathered sharded batch word-parallel:
-// combine every shard's partial sums lane-wise, check the quorum, then
-// compare each lane's total against the presence-adjusted threshold —
-// the same bit-sliced comparator the flat fast path uses, fed by the
-// tree's counters instead of per-player vote words.
+// decideCounters evaluates a gathered shaped batch word-parallel. It
+// builds the batch's per-lane rejection or value counters — on the tree
+// by combining every shard's partial sums lane-wise, on the flat star by
+// reducing the delivered votes exactly as an aggregator reduces its
+// shard — checks the quorum, then compares each lane's total against the
+// presence-adjusted threshold.
 //
 //dut:hotpath
-func (bs *batchSession) decideBatchShards(count, received int, verdictBits []uint64) error {
+func (bs *batchSession) decideCounters(count, received int, verdictBits []uint64) error {
 	words := batchWords(count)
 	planes := len(bs.planes)
 	need := planes * words
-	if cap(bs.aggSums) < need {
-		bs.aggSums = make([]uint64, need)
+	if cap(bs.sums) < need {
+		bs.sums = make([]uint64, need)
 	}
-	acc := bs.aggSums[:need]
-	clear(acc)
-	for i := range bs.shardGot {
-		if !bs.shardGot[i] {
-			continue
+	acc := bs.sums[:need]
+	if bs.sharded() {
+		clear(acc)
+		for i := range bs.shardGot {
+			if !bs.shardGot[i] {
+				continue
+			}
+			if combineShardSums(acc, bs.shardSums[i], planes, words) {
+				return fmt.Errorf("network: aggregator %d overflowed the referee's batch counters", i)
+			}
 		}
-		if combineShardSums(acc, bs.shardSums[i], planes, words) {
-			return fmt.Errorf("network: aggregator %d overflowed the referee's batch counters", i)
-		}
+	} else {
+		bs.reduceShard(bs.deliv, count, bs.planes, acc)
 	}
-	if received < bs.server.minVotes {
-		return fmt.Errorf("network: quorum not met: %d of %d votes, need %d", received, bs.c.k, bs.server.minVotes)
+	if received < bs.c.minVotes {
+		return fmt.Errorf("network: quorum not met: %d of %d votes, need %d", received, bs.c.k, bs.c.minVotes)
 	}
 	t, err := bs.adjustedThreshold(received)
 	if err != nil {
@@ -1009,14 +849,14 @@ func (bs *batchSession) decideBatchShards(count, received int, verdictBits []uin
 }
 
 // adjustedThreshold maps the batch's presence onto the rejection- or
-// sum-threshold the flat referee's decideVotes would effectively apply
-// with received of k votes in. Absent players enter the flat decision
+// sum-threshold decideVotes would effectively apply with received of k
+// votes in. Absent players enter the flat decision
 // per the resolved absentee policy: Omit re-shapes the rule at the
 // smaller count (exact for every stock threshold rule — AND stays 1,
 // OR and Majority follow the count, fixed thresholds stay fixed);
 // Accept contributes zero rejections (zero value), leaving the
-// threshold alone for sums and — because the tree's counters only ever
-// count real votes — for thresholds too; Reject contributes one
+// threshold alone for sums and — because the counters only ever count
+// real votes — for thresholds too; Reject contributes one
 // rejection (value zero) per absentee, so the remaining votes need
 // that many fewer rejections.
 func (bs *batchSession) adjustedThreshold(received int) (int, error) {
@@ -1025,9 +865,9 @@ func (bs *batchSession) adjustedThreshold(received int) (int, error) {
 		if received == k {
 			return bs.shapeT, nil
 		}
-		switch core.ResolveAbsentee(bs.server.policy, bs.server.decide) {
+		switch core.ResolveAbsentee(bs.c.absentees, bs.c.referee) {
 		case core.AbsenteeOmit:
-			t, ok := core.ThresholdShape(bs.server.decide, received)
+			t, ok := core.ThresholdShape(bs.c.referee, received)
 			if !ok {
 				return 0, fmt.Errorf("network: referee lost its threshold shape at %d votes", received)
 			}
@@ -1041,7 +881,7 @@ func (bs *batchSession) adjustedThreshold(received int) (int, error) {
 	if received == k {
 		return bs.sumT, nil
 	}
-	if core.ResolveAbsentee(bs.server.policy, bs.server.decide) == core.AbsenteeAccept {
+	if core.ResolveAbsentee(bs.c.absentees, bs.c.referee) == core.AbsenteeAccept {
 		// core.Accept is message value 1, so each absentee adds one to the
 		// flat sum; the tree's counters hold only real votes.
 		return bs.sumT - (k - received), nil

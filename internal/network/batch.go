@@ -29,8 +29,11 @@ import (
 // still being gathered is exactly what keeps a window of batches in
 // flight. Determinism is untouched — every vote derives from (shared
 // seed, player id) alone, and the referee's per-batch evaluation
-// reproduces decideVotes bit for bit (word-parallel when the referee has
-// threshold or sum shape, trial by trial otherwise). In quorum mode a
+// reproduces decideVotes bit for bit (word-parallel from bit-sliced
+// counters when the referee has threshold or sum shape, trial by trial
+// otherwise). The flat star runs the tree's per-shard pipeline as one
+// shard of all k players: the same accept phase, gather and reduce,
+// with the root deciding from the reduced counters. In quorum mode a
 // slot that dies (crash, timeout, protocol violation) stays dead for the
 // rest of the session and counts as a straggler in every later trial.
 
@@ -99,12 +102,14 @@ func (q *frameQueue) close() {
 	q.cond.Broadcast()
 }
 
-// batchSlot pairs a referee-side slot (a player on the flat star or at
-// an aggregator, an aggregator at the root) with its writer queue and
-// its failure state, which the writer, the gatherers and the session
-// share under the lock.
+// batchSlot is one referee-side connection — a player on the flat star
+// or at an aggregator, an aggregator at the root: what its HELLO
+// announced, its writer queue, and its failure state, which the writer,
+// the gatherers and the session share under the lock.
 type batchSlot struct {
-	sl         *playerSlot
+	conn       net.Conn
+	player     uint32 // the aggregator id at the root of the tree
+	bits       uint8
 	q          *frameQueue
 	writerDone chan struct{}
 
@@ -113,8 +118,8 @@ type batchSlot struct {
 	err  error
 }
 
-func newBatchSlot(sl *playerSlot) *batchSlot {
-	return &batchSlot{sl: sl, q: newFrameQueue(), writerDone: make(chan struct{})}
+func newBatchSlot(conn net.Conn, player uint32, bits uint8) *batchSlot {
+	return &batchSlot{conn: conn, player: player, bits: bits, q: newFrameQueue(), writerDone: make(chan struct{})}
 }
 
 func (b *batchSlot) isDead() bool {
@@ -170,7 +175,6 @@ func (s *samplerStage) drop(batch uint32) {
 // across runChunk calls (batch ids grow monotonically) until Close.
 type batchSession struct {
 	c        *Cluster
-	server   *RefereeServer
 	listener net.Listener
 	// ctx is the context the session was opened with: teardown waits for
 	// the nodes only while it lives. cancel ends the session's own
@@ -183,7 +187,9 @@ type batchSession struct {
 	nodes     []*PlayerNode
 	nodeWG    sync.WaitGroup
 	stage     *samplerStage
-	slots     []*batchSlot
+	// slots are the root's slots by position: the players by id on the
+	// flat star, the aggregators by id on the tree; nil = absent.
+	slots []*batchSlot
 
 	nextBatch uint32
 
@@ -197,7 +203,7 @@ type batchSession struct {
 
 	// Threshold shape of the referee, when it has one: reject iff at
 	// least shapeT of the k single-bit votes reject. This is what the
-	// word-parallel fast path evaluates.
+	// word-parallel counter decide evaluates.
 	shapeT  int
 	shapeOK bool
 
@@ -208,10 +214,12 @@ type batchSession struct {
 	sumT  int
 	sumOK bool
 
-	// Per-batch scratch: delivered vote planes by player id, and the
-	// bit-sliced counter planes of the fast paths.
+	// Per-batch scratch: delivered vote planes by player id, the
+	// bit-sliced counter planes of one trial word, and the batch's
+	// counters (planes x words, plane-major) the shaped decide compares.
 	deliv  [][]uint64
 	planes []uint64
+	sums   []uint64
 
 	// Chunk scratch, reused across chunks. enc is the frame encode buffer
 	// (push copies bytes into the queue, so it is free again as soon as
@@ -227,7 +235,7 @@ type batchSession struct {
 	// Sharded-tree state, nil/empty on the flat star. aggErr (under mu)
 	// records the first aggregator failure; shardSums/shardPresent/
 	// shardGot are the root's per-shard gather table, indexed by shard
-	// id, and aggSums the combined counter accumulator.
+	// id.
 	shards       [][]uint32
 	aggs         []*aggregator
 	aggListeners []net.Listener
@@ -235,7 +243,6 @@ type batchSession struct {
 	shardSums    [][]uint64
 	shardPresent []uint32
 	shardGot     []bool
-	aggSums      []uint64
 }
 
 // batchFlight is one wire batch of a chunk: its frame id and the trial
@@ -274,41 +281,19 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 	if l == nil {
 		return nil, fmt.Errorf("network: nil listener")
 	}
-	server, err := c.newServer()
-	if err != nil {
-		_ = l.Close()
-		return nil, err
-	}
 	runCtx, cancel := context.WithCancel(ctx)
 	go func() {
 		<-runCtx.Done()
 		_ = l.Close()
 	}()
 	bs := &batchSession{
-		c: c, server: server, listener: l, ctx: ctx, cancel: cancel, nodes: nodes,
+		c: c, listener: l, ctx: ctx, cancel: cancel, nodes: nodes,
 		tracker: &connTracker{},
 		stage:   &samplerStage{m: make(map[uint32][]dist.Sampler)},
-		msgBits: c.rule.Bits(),
-		votes:   make([]core.Message, c.k),
-		got:     make([]bool, c.k),
 	}
 	bs.trackStop = bs.tracker.watch(runCtx)
-	bs.shapeT, bs.shapeOK = core.ThresholdShape(c.referee, c.k)
-	planeLen := bits.Len(uint(c.k))
-	if sumT, sumBits, ok := core.SumShape(c.referee, c.k); ok && sumBits == bs.msgBits {
-		// The bit-sliced sum counter needs Len(k * (2^r - 1)) planes; cap
-		// it where the lane sums (and atLeast's threshold compare) stay
-		// exact, falling back to per-trial decoding beyond.
-		if need := sumBits + bits.Len(uint(c.k)); need <= 62 {
-			bs.sumT, bs.sumOK = sumT, true
-			if need > planeLen {
-				planeLen = need
-			}
-		}
-	}
-	bs.deliv = make([][]uint64, c.k)
-	bs.planes = make([]uint64, planeLen)
-
+	bs.initDecide()
+	var err error
 	if c.topo.enabled() {
 		err = bs.startSharded(runCtx)
 	} else {
@@ -329,28 +314,57 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 		}
 		return nil, err
 	}
-	for _, slot := range bs.slots {
-		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (Close always closes it); cancellation reaches it through failSlot closing the conn
-		go bs.slotWriter(slot)
-	}
+	bs.startWriters(bs.slots)
 	return bs, nil
 }
 
+// initDecide classifies the referee and sizes the decide scratch: the
+// threshold or sum shape the counter decide evaluates, its counter
+// planes, and the per-player delivery table and vote slate.
+func (bs *batchSession) initDecide() {
+	c := bs.c
+	bs.msgBits = c.rule.Bits()
+	bs.shapeT, bs.shapeOK = core.ThresholdShape(c.referee, c.k)
+	planeLen := bits.Len(uint(c.k))
+	if sumT, sumBits, ok := core.SumShape(c.referee, c.k); ok && sumBits == bs.msgBits {
+		// The bit-sliced sum counter needs Len(k * (2^r - 1)) planes; cap
+		// it where the lane sums (and atLeast's threshold compare) stay
+		// exact, falling back to per-trial decoding beyond.
+		if need := sumBits + bits.Len(uint(c.k)); need <= 62 {
+			bs.sumT, bs.sumOK = sumT, true
+			planeLen = max(planeLen, need)
+		}
+	}
+	bs.deliv = make([][]uint64, c.k)
+	bs.planes = make([]uint64, planeLen)
+	bs.votes = make([]core.Message, c.k)
+	bs.got = make([]bool, c.k)
+}
+
 // startFlat runs the flat star's connect phase: every node dials the
-// root listener and the referee accepts the players.
+// root listener and the root accepts the players as one shard of all k,
+// so its slots are indexed by player id.
 func (bs *batchSession) startFlat(ctx context.Context) error {
 	for _, node := range bs.nodes {
 		bs.spawnNode(node, bs.listener.Addr())
 	}
-	slots, err := bs.server.acceptPlayers(ctx, bs.listener, bs.tracker)
+	players := Topology{Shards: 1}.Partition(bs.c.k)[0]
+	slots, present, err := bs.acceptShard(ctx, bs.listener, players, "root")
 	if err != nil {
 		return err
 	}
-	bs.slots = make([]*batchSlot, len(slots))
-	for i, sl := range slots {
-		bs.slots[i] = newBatchSlot(sl)
+	bs.slots = slots
+	return bs.checkQuorum(present)
+}
+
+// startWriters starts the writer goroutine of every accepted slot.
+func (bs *batchSession) startWriters(slots []*batchSlot) {
+	for _, slot := range slots {
+		if slot != nil {
+			//lint:ignore dut/ctxprop the writer drains until its frame queue closes (Close and closeMembers always close it); cancellation reaches it through failSlot closing the conn
+			go bs.slotWriter(slot)
+		}
 	}
-	return nil
 }
 
 // spawnNode runs one node for the life of the session: connect to addr,
@@ -439,7 +453,7 @@ func (bs *batchSession) failSlot(slot *batchSlot, err error) {
 	}
 	slot.mu.Unlock()
 	if !already {
-		_ = slot.sl.conn.Close()
+		_ = slot.conn.Close()
 	}
 }
 
@@ -465,10 +479,10 @@ func (bs *batchSession) slotWriter(slot *batchSlot) {
 		if slot.isDead() {
 			continue // keep draining; the slot is out of the session
 		}
-		setWriteDeadline(slot.sl.conn, time.Duration(frames)*bs.server.timeout)
-		if err := writeCoalesced(slot.sl.conn, run); err != nil {
+		setWriteDeadline(slot.conn, time.Duration(frames)*bs.c.timeout)
+		if err := writeCoalesced(slot.conn, run); err != nil {
 			//lint:ignore dut/hotalloc failure path: failSlot drops the player, so the error allocation never recurs on a live slot
-			bs.failSlot(slot, fmt.Errorf("network: coalesced write of %d frame(s) to player %d: %w", frames, slot.sl.player, err))
+			bs.failSlot(slot, fmt.Errorf("network: coalesced write of %d frame(s) to player %d: %w", frames, slot.player, err))
 		}
 	}
 }
@@ -513,10 +527,10 @@ func (bs *batchSession) runChunk(ctx context.Context, seeds []uint64, samplers [
 		if bs.sharded() {
 			received = bs.gatherShards(fl.id, fl.count)
 		} else {
-			received = bs.gather(fl.id, fl.count)
+			received = bs.gatherShard(bs.slots, bs.deliv, fl.id, fl.count)
 		}
 		bs.stage.drop(fl.id)
-		if bs.server.strict() && received < bs.c.k {
+		if !bs.c.tolerant() && received < bs.c.k {
 			return bs.chunkErr(bs.firstSlotErr())
 		}
 		results := out[fl.start : fl.start+fl.count]
@@ -604,6 +618,9 @@ func (bs *batchSession) firstSlotErr() error {
 		return nil
 	}
 	for _, slot := range bs.slots {
+		if slot == nil {
+			continue
+		}
 		slot.mu.Lock()
 		err := slot.err
 		slot.mu.Unlock()
@@ -642,57 +659,60 @@ func (bs *batchSession) firstSlotErr() error {
 // count the gather expects, and the message width the player announced
 // in HELLO as the plane count.
 func (bs *batchSession) readVoteBatch(slot *batchSlot, batchID uint32, count int) ([]uint64, error) {
-	sl := slot.sl
 	// The vote can lag the node's whole batch of sampling plus a queued
 	// verdict write; budget two timeouts, like every other cross-phase
 	// read.
-	setReadDeadline(sl.conn, 2*bs.server.timeout)
-	vb, err := expectFrame[VoteBatch](sl.conn, FrameVoteBatch)
+	setReadDeadline(slot.conn, 2*bs.c.timeout)
+	vb, err := expectFrame[VoteBatch](slot.conn, FrameVoteBatch)
 	if err != nil {
-		return nil, fmt.Errorf("network: vote batch from player %d: %w", sl.player, err)
+		return nil, fmt.Errorf("network: vote batch from player %d: %w", slot.player, err)
 	}
-	if vb.Player != sl.player {
-		return nil, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, sl.player)
+	if vb.Player != slot.player {
+		return nil, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.player)
 	}
 	if vb.Batch != batchID {
-		return nil, fmt.Errorf("network: player %d answered batch %d, expected %d", sl.player, vb.Batch, batchID)
+		return nil, fmt.Errorf("network: player %d answered batch %d, expected %d", slot.player, vb.Batch, batchID)
 	}
 	if int(vb.Count) != count {
-		return nil, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", sl.player, vb.Count, batchID, count)
+		return nil, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", slot.player, vb.Count, batchID, count)
 	}
-	if w := vb.Width(); w != int(sl.bits) {
-		return nil, fmt.Errorf("network: player %d sent %d-bit votes but announced %d bits at HELLO", sl.player, w, sl.bits)
+	if w := vb.Width(); w != int(slot.bits) {
+		return nil, fmt.Errorf("network: player %d sent %d-bit votes but announced %d bits at HELLO", slot.player, w, slot.bits)
 	}
 	return vb.Planes, nil
 }
 
-// gather collects one batch's VOTE_BATCH from every live slot
-// concurrently. Delivered plane sets land in bs.deliv by player id (nil
-// = absent); it returns the number of valid deliveries.
-func (bs *batchSession) gather(batchID uint32, count int) int {
-	for i := range bs.deliv {
-		bs.deliv[i] = nil
-	}
+// gatherShard collects one batch's VOTE_BATCH from every live player
+// slot of a shard — the flat root's k players or an aggregator's members
+// — concurrently. Delivered plane sets land in deliv at the slot's
+// position (nil = absent); it returns the number of valid deliveries.
+func (bs *batchSession) gatherShard(slots []*batchSlot, deliv [][]uint64, batchID uint32, count int) int {
+	clear(deliv)
 	var wg sync.WaitGroup
-	for _, slot := range bs.slots {
-		if slot.isDead() {
+	for pos, slot := range slots {
+		if slot == nil || slot.isDead() {
 			continue
 		}
 		wg.Add(1)
 		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(slot *batchSlot) {
+		go func(pos int, slot *batchSlot) {
 			defer wg.Done()
 			planes, err := bs.readVoteBatch(slot, batchID, count)
 			if err != nil {
 				bs.failSlot(slot, err)
+				// In strict mode a member failure dooms the session on the
+				// tree too; the flat star's short gather reports it.
+				if bs.sharded() && !bs.c.tolerant() {
+					bs.failAgg(err)
+				}
 				return
 			}
-			bs.deliv[slot.sl.player] = planes
-		}(slot)
+			deliv[pos] = planes
+		}(pos, slot)
 	}
 	wg.Wait()
 	received := 0
-	for _, d := range bs.deliv {
+	for _, d := range deliv {
 		if d != nil {
 			received++
 		}
@@ -701,12 +721,13 @@ func (bs *batchSession) gather(batchID uint32, count int) int {
 }
 
 // decideBatch evaluates every trial of a gathered batch, filling one
-// RoundResult per trial and returning the packed verdict bits. With all
-// k votes in and a threshold-shaped (1-bit) or sum-shaped (r-bit)
-// referee it evaluates the whole batch word-parallel; otherwise
-// (partial batches, opaque referees) it reconstructs each trial's vote
-// slate from the delivered planes and reuses decideVotes, so quorum
-// checks and absentee policy are the referee's by construction.
+// RoundResult per trial and returning the packed verdict bits. A
+// threshold-shaped (1-bit) or sum-shaped (r-bit) referee decides the
+// whole batch word-parallel from bit-sliced counters at any presence
+// (decideCounters); an opaque referee decides trial by trial, through
+// decideVotes on each trial's vote slate rebuilt from the delivered
+// planes, so quorum checks and absentee policy are the referee's by
+// construction.
 func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) ([]uint64, error) {
 	words := batchWords(count)
 	if cap(bs.verdictBits) < words {
@@ -715,11 +736,8 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 	verdictBits := bs.verdictBits[:words]
 	clear(verdictBits)
 	k := bs.c.k
-	if bs.sharded() && (bs.shapeOK || bs.sumOK) {
-		// Shaped sharded batches decide from the combined partial sums at
-		// any presence: the adjusted threshold reproduces decideVotes'
-		// absentee accounting exactly, so no per-trial fallback is needed.
-		if err := bs.decideBatchShards(count, received, verdictBits); err != nil {
+	if bs.shapeOK || bs.sumOK {
+		if err := bs.decideCounters(count, received, verdictBits); err != nil {
 			return nil, err
 		}
 		for j := range out {
@@ -729,22 +747,6 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 				Stragglers: k - received,
 				Messages:   received,
 				Samples:    received * bs.c.q,
-			}
-		}
-		return verdictBits, nil
-	}
-	if received == k && (bs.shapeOK || bs.sumOK) {
-		if bs.shapeOK {
-			bs.decideBatchThreshold(count, verdictBits)
-		} else {
-			bs.decideBatchSum(count, verdictBits)
-		}
-		for j := range out {
-			out[j] = engine.RoundResult{
-				Verdict:  verdictBits[j/64]>>(j%64)&1 == 1,
-				Votes:    k,
-				Messages: k,
-				Samples:  k * bs.c.q,
 			}
 		}
 		return verdictBits, nil
@@ -766,7 +768,7 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 			votes[player] = msg
 			got[player] = true
 		}
-		accept, recv, err := bs.server.decideVotes(votes, got)
+		accept, recv, err := bs.c.decideVotes(votes, got)
 		out[j] = engine.RoundResult{
 			Verdict:    accept,
 			Votes:      recv,
@@ -782,69 +784,6 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 		}
 	}
 	return verdictBits, nil
-}
-
-// decideBatchThreshold evaluates "reject iff at least shapeT of k
-// rejections" for 64 trials per word: the rejection count of every lane
-// is accumulated into bit-sliced counter planes by ripple-carry
-// addition of each player's inverted vote word, then compared against
-// the threshold in one pass. Padding lanes above count are masked off
-// so the verdict bitset stays wire-legal.
-//
-//dut:hotpath
-func (bs *batchSession) decideBatchThreshold(count int, verdictBits []uint64) {
-	planes := bs.planes
-	for w := range verdictBits {
-		for i := range planes {
-			planes[i] = 0
-		}
-		for _, d := range bs.deliv {
-			carry := ^d[w] // 1 = rejection
-			for i := 0; i < len(planes) && carry != 0; i++ {
-				next := planes[i] & carry
-				planes[i] ^= carry
-				carry = next
-			}
-		}
-		verdictBits[w] = ^atLeast(planes, bs.shapeT)
-	}
-	if rem := count % 64; rem != 0 {
-		verdictBits[len(verdictBits)-1] &= 1<<rem - 1
-	}
-}
-
-// decideBatchSum evaluates "reject iff the k r-bit values sum to at
-// least sumT" for 64 trials per word: each player's value planes are
-// accumulated into the bit-sliced counter planes by ripple-carry
-// addition starting at plane b (adding 2^b per set lane of message
-// plane b), then every lane's sum is compared against the threshold in
-// one pass — the r-bit counterpart of decideBatchThreshold. Padding
-// lanes above count are masked off so the verdict bitset stays
-// wire-legal.
-//
-//dut:hotpath
-func (bs *batchSession) decideBatchSum(count int, verdictBits []uint64) {
-	planes := bs.planes
-	words := batchWords(count)
-	for w := range verdictBits {
-		for i := range planes {
-			planes[i] = 0
-		}
-		for _, d := range bs.deliv {
-			for b := 0; b < bs.msgBits; b++ {
-				carry := d[b*words+w]
-				for i := b; i < len(planes) && carry != 0; i++ {
-					next := planes[i] & carry
-					planes[i] ^= carry
-					carry = next
-				}
-			}
-		}
-		verdictBits[w] = ^atLeast(planes, bs.sumT)
-	}
-	if rem := count % 64; rem != 0 {
-		verdictBits[len(verdictBits)-1] &= 1<<rem - 1
-	}
 }
 
 // atLeast returns a word with bit j set iff lane j's bit-sliced counter
@@ -876,11 +815,15 @@ func atLeast(planes []uint64, t int) uint64 {
 func (bs *batchSession) Close() error {
 	finish := AppendFinish(nil)
 	for _, slot := range bs.slots {
-		slot.q.push(finish)
-		slot.q.close()
+		if slot != nil {
+			slot.q.push(finish)
+			slot.q.close()
+		}
 	}
 	for _, slot := range bs.slots {
-		<-slot.writerDone
+		if slot != nil {
+			<-slot.writerDone
+		}
 	}
 	// Sharded: FINISH is now on the wire to every aggregator; each one
 	// relays it, drains its pending reductions and exits. Wait for them

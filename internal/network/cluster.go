@@ -125,13 +125,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if backoff == 0 {
 		backoff = DefaultRetryBackoff
 	}
+	timeout := cfg.Timeout
+	if timeout == 0 {
+		timeout = 10 * time.Second
+	}
 	return &Cluster{
 		k:         cfg.K,
 		q:         cfg.Q,
 		rule:      cfg.Rule,
 		referee:   cfg.Referee,
 		tr:        tr,
-		timeout:   cfg.Timeout,
+		timeout:   timeout,
 		minVotes:  minVotes,
 		absentees: cfg.Absentees,
 		retries:   retries,
@@ -147,17 +151,10 @@ func (c *Cluster) Players() int { return c.k }
 func (c *Cluster) MaxSamplesPerPlayer() int { return c.q }
 
 // tolerant reports whether the cluster runs in quorum mode, where node
-// failures are tolerated down to MinVotes.
+// failures are tolerated down to MinVotes; otherwise it is strict: all k
+// votes are required, exactly the paper's model, and any failure aborts
+// the round.
 func (c *Cluster) tolerant() bool { return c.minVotes < c.k }
-
-// newServer builds the referee server with the cluster's quorum
-// settings; the rule's message width is pinned so a node announcing a
-// different width in HELLO fails by name at handshake time.
-func (c *Cluster) newServer() (*RefereeServer, error) {
-	return NewRefereeServer(c.k, c.referee, c.timeout,
-		WithMinVotes(c.minVotes), WithAbsentees(c.absentees),
-		WithMessageBits(c.rule.Bits()))
-}
 
 // buildNodes constructs all k player nodes before any goroutine is
 // spawned: a construction error must not leave already-spawned nodes

@@ -272,18 +272,6 @@ func TestMemTransportClosedListener(t *testing.T) {
 }
 
 func TestRefereeServerValidation(t *testing.T) {
-	if _, err := NewRefereeServer(0, core.BitReferee{Rule: core.ANDRule{}}, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := NewRefereeServer(1, nil, 0); err == nil {
-		t.Error("nil decision accepted")
-	}
-	if _, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, -1); err == nil {
-		t.Error("negative timeout accepted")
-	}
-	if _, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second, WithMessageBits(65)); err == nil {
-		t.Error("65-bit pinned width accepted")
-	}
 	c := fakeCluster(t, 1, acceptAllRule(), time.Second)
 	if _, err := openBatchSession(context.Background(), c, nil, nil); err == nil {
 		t.Error("nil listener accepted")

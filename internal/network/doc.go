@@ -43,9 +43,10 @@
 // # Straggler tolerance
 //
 // By default the referee is strict — all k votes are required, exactly
-// the paper's model, and any failure aborts the round. WithMinVotes (or
-// ClusterConfig.MinVotes) relaxes it to a quorum: the accept phase is
-// bounded by one timeout, a round succeeds once at least MinVotes valid
+// the paper's model, and any failure aborts the round.
+// ClusterConfig.MinVotes relaxes it to a quorum: the accept phase is
+// bounded by one timeout and fails unless at least MinVotes players
+// connect in it, a round succeeds once at least MinVotes valid
 // votes are in, and players that crashed, timed out, never connected or
 // violated the protocol become stragglers instead of errors. Absent
 // votes enter the decision per a core.AbsenteePolicy — counted as

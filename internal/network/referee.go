@@ -6,90 +6,12 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
 )
-
-// RefereeServer is the referee's configuration and decision: it accepts
-// k players' HELLOs and applies its core.Referee to their votes; the
-// batch session (batch.go) runs the exchange. By default it is strict —
-// all k votes are required, exactly the paper's model. WithMinVotes
-// relaxes it to a quorum: the referee tolerates stragglers, crashed
-// nodes and protocol violators, decides from the votes it has
-// (absentees entering the decision per the configured
-// core.AbsenteePolicy), and reports what happened in a RoundStats.
-type RefereeServer struct {
-	k        int
-	decide   core.Referee
-	timeout  time.Duration
-	minVotes int
-	policy   core.AbsenteePolicy
-	bits     int
-}
-
-// RefereeOption customizes NewRefereeServer beyond the required
-// arguments.
-type RefereeOption func(*RefereeServer)
-
-// WithMinVotes sets the quorum: a round succeeds once at least m valid
-// votes arrive, with missing players treated per the absentee policy.
-// m = k (the default) is strict mode, where any failure aborts the round.
-func WithMinVotes(m int) RefereeOption {
-	return func(s *RefereeServer) { s.minVotes = m }
-}
-
-// WithAbsentees sets how missing votes enter the decision in quorum mode;
-// core.AbsenteeDefault (the default) defers to the decision rule's advice.
-func WithAbsentees(p core.AbsenteePolicy) RefereeOption {
-	return func(s *RefereeServer) { s.policy = p }
-}
-
-// WithMessageBits pins the message width r the referee's rule decides
-// over: a HELLO announcing any other width is rejected by name instead
-// of being discovered later as a width-violation on some vote. Zero
-// (the default) accepts any legal width, preserving the behavior of
-// directly constructed servers that never negotiate.
-func WithMessageBits(r int) RefereeOption {
-	return func(s *RefereeServer) { s.bits = r }
-}
-
-// NewRefereeServer builds the server. timeout bounds each connection's
-// per-frame wait and, in quorum mode, the whole accept phase; zero means
-// 10 seconds.
-func NewRefereeServer(k int, decide core.Referee, timeout time.Duration, opts ...RefereeOption) (*RefereeServer, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("network: referee for %d players", k)
-	}
-	if decide == nil {
-		return nil, fmt.Errorf("network: nil decision function")
-	}
-	if timeout < 0 {
-		return nil, fmt.Errorf("network: negative timeout %v", timeout)
-	}
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	s := &RefereeServer{k: k, decide: decide, timeout: timeout, minVotes: k}
-	for _, o := range opts {
-		o(s)
-	}
-	if s.minVotes < 1 || s.minVotes > k {
-		return nil, fmt.Errorf("network: quorum of %d votes for %d players", s.minVotes, k)
-	}
-	if !s.policy.Valid() {
-		return nil, fmt.Errorf("network: unknown absentee policy %d", int(s.policy))
-	}
-	if s.bits < 0 || s.bits > 64 {
-		return nil, fmt.Errorf("network: referee expecting %d message bits, want 1..64 (or 0 for any)", s.bits)
-	}
-	return s, nil
-}
-
-// strict reports whether all k votes are required (the seed semantics:
-// any failure aborts the round).
-func (s *RefereeServer) strict() bool { return s.minVotes >= s.k }
 
 // RoundStats describes one referee round of a (possibly fault-tolerant)
 // deployment: how many votes actually arrived, how many players
@@ -113,15 +35,6 @@ type RoundStats struct {
 	Wall time.Duration
 	// Verdict is the referee's decision for the round.
 	Verdict bool
-}
-
-// playerSlot is the referee's per-connection state: the connection and
-// what its HELLO announced. Failure state lives on the batch session's
-// batchSlot.
-type playerSlot struct {
-	conn   net.Conn
-	player uint32
-	bits   uint8
 }
 
 // connTracker collects accepted connections so that they are all closed
@@ -159,99 +72,134 @@ func (t *connTracker) watch(ctx context.Context) (stop func()) {
 	return func() { close(done) }
 }
 
+// acceptPhase is every tier's accept loop: it accepts connections on l
+// until want of them have registered. register reads and validates one
+// connection's handshake and files its slot. With wait zero the tier is
+// strict: the phase blocks until everyone is in, and a failed accept or
+// handshake aborts it. With wait > 0 the tier runs in quorum mode: an
+// accept deadline wait from now bounds the phase, a failed handshake
+// drops its connection, and the phase ends at the deadline with whoever
+// registered; the caller checks its own quorum. It returns the number of
+// connections registered.
+func acceptPhase(ctx context.Context, l net.Listener, tracker *connTracker, want int, wait time.Duration, register func(net.Conn) error) (int, error) {
+	if wait > 0 {
+		dl, ok := l.(acceptDeadliner)
+		if !ok {
+			return 0, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", l)
+		}
+		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
+		_ = dl.SetDeadline(time.Now().Add(wait))
+		defer func() { _ = dl.SetDeadline(time.Time{}) }()
+	}
+	registered := 0
+	for registered < want {
+		if err := ctx.Err(); err != nil {
+			return registered, err
+		}
+		conn, err := l.Accept()
+		if err != nil {
+			if wait > 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+				return registered, nil
+			}
+			return registered, fmt.Errorf("network: accept: %w", err)
+		}
+		tracker.track(conn)
+		if err := register(conn); err != nil {
+			if wait == 0 {
+				return registered, err
+			}
+			_ = conn.Close()
+			continue
+		}
+		registered++
+	}
+	return registered, nil
+}
+
+// acceptWait is the accept deadline of a tier that waits n timeouts for
+// its connections: zero in strict mode, where acceptPhase waits for all.
+func (c *Cluster) acceptWait(n int) time.Duration {
+	if !c.tolerant() {
+		return 0
+	}
+	return time.Duration(n) * c.timeout
+}
+
+// acceptShard runs a player tier's accept phase — the flat root's over
+// all k players, or an aggregator's over its shard — and files each
+// valid HELLO's slot at the player's position in members, the tier's
+// ascending player ids; an absent player's slot stays nil. owner names
+// the tier in errors. It returns the slots and how many players
+// registered.
+func (bs *batchSession) acceptShard(ctx context.Context, l net.Listener, members []uint32, owner string) ([]*batchSlot, int, error) {
+	slots := make([]*batchSlot, len(members))
+	present, err := acceptPhase(ctx, l, bs.tracker, len(members), bs.c.acceptWait(1), func(conn net.Conn) error {
+		setReadDeadline(conn, bs.c.timeout)
+		hello, err := expectFrame[Hello](conn, FrameHello)
+		if err != nil {
+			return fmt.Errorf("network: %s hello: %w", owner, err)
+		}
+		pos, err := bs.validateHello(hello, members, slots, owner)
+		if err != nil {
+			return err
+		}
+		slots[pos] = newBatchSlot(conn, hello.Player, hello.Bits)
+		return nil
+	})
+	return slots, present, err
+}
+
 // validateHello checks one player's announcement against the protocol
-// rules: bits in [1,64] and matching the referee's negotiated width
-// when one is pinned (WithMessageBits), id in [0,k), no duplicate ids.
-func (s *RefereeServer) validateHello(h Hello, seen []bool) error {
+// rules — bits in [1,64] and matching the rule's width, an id the tier
+// owns, not yet registered — and returns the player's position in
+// members.
+func (bs *batchSession) validateHello(h Hello, members []uint32, slots []*batchSlot, owner string) (int, error) {
 	if h.Bits < 1 || h.Bits > 64 {
-		return fmt.Errorf("network: player %d announced %d message bits", h.Player, h.Bits)
+		return 0, fmt.Errorf("network: player %d announced %d message bits", h.Player, h.Bits)
 	}
-	if s.bits != 0 && int(h.Bits) != s.bits {
-		return fmt.Errorf("network: player %d announced %d-bit messages but the referee's rule decides over %d-bit messages",
-			h.Player, h.Bits, s.bits)
+	if int(h.Bits) != bs.msgBits {
+		return 0, fmt.Errorf("network: player %d announced %d-bit messages but the referee's rule decides over %d-bit messages",
+			h.Player, h.Bits, bs.msgBits)
 	}
-	if h.Player >= uint32(s.k) {
-		return fmt.Errorf("network: player id %d out of range [0, %d)", h.Player, s.k)
+	pos, ok := slices.BinarySearch(members, h.Player)
+	if !ok {
+		return 0, fmt.Errorf("network: player id %d out of range: %s does not own it", h.Player, owner)
 	}
-	if seen[h.Player] {
-		return fmt.Errorf("network: duplicate player id %d", h.Player)
+	if slots[pos] != nil {
+		return 0, fmt.Errorf("network: duplicate player id %d", h.Player)
+	}
+	return pos, nil
+}
+
+// checkQuorum fails a session whose accept phase ended with fewer than
+// MinVotes players connected: it could not decide a single trial.
+func (bs *batchSession) checkQuorum(present int) error {
+	if present < bs.c.minVotes {
+		return fmt.Errorf("network: quorum not met: %d of %d players connected before the accept deadline, need %d",
+			present, bs.c.k, bs.c.minVotes)
 	}
 	return nil
 }
 
-// acceptPlayers runs the accept/HELLO phase. In strict mode it blocks
-// until all k players have registered (or the listener/context dies). In
-// quorum mode the whole phase is bounded by an accept deadline of one
-// timeout; once the deadline passes, the phase succeeds with at least
-// minVotes players and fails otherwise. Connections with invalid HELLOs
-// (bad bits, out-of-range or duplicate ids) abort the round in strict
-// mode and are dropped in quorum mode.
-func (s *RefereeServer) acceptPlayers(ctx context.Context, l net.Listener, tr *connTracker) ([]*playerSlot, error) {
-	if !s.strict() {
-		dl, ok := l.(acceptDeadliner)
-		if !ok {
-			return nil, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", l)
-		}
-		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
-		_ = dl.SetDeadline(time.Now().Add(s.timeout))
-		defer func() { _ = dl.SetDeadline(time.Time{}) }()
-	}
-	slots := make([]*playerSlot, 0, s.k)
-	seen := make([]bool, s.k)
-	for len(slots) < s.k {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		conn, err := l.Accept()
-		if err != nil {
-			if !s.strict() && errors.Is(err, os.ErrDeadlineExceeded) {
-				if len(slots) >= s.minVotes {
-					return slots, nil
-				}
-				return nil, fmt.Errorf("network: quorum not met: %d of %d players connected before the accept deadline, need %d",
-					len(slots), s.k, s.minVotes)
-			}
-			return nil, fmt.Errorf("network: accept: %w", err)
-		}
-		tr.track(conn)
-		setReadDeadline(conn, s.timeout)
-		hello, err := expectFrame[Hello](conn, FrameHello)
-		if err != nil {
-			if s.strict() {
-				return nil, fmt.Errorf("network: hello: %w", err)
-			}
-			_ = conn.Close()
-			continue
-		}
-		if err := s.validateHello(hello, seen); err != nil {
-			if s.strict() {
-				return nil, err
-			}
-			_ = conn.Close()
-			continue
-		}
-		seen[hello.Player] = true
-		slots = append(slots, &playerSlot{conn: conn, player: hello.Player, bits: hello.Bits})
-	}
-	return slots, nil
-}
-
-// decideVotes checks the quorum and applies the decision function, with
-// absent players entering per the resolved absentee policy. It returns
-// the verdict and the number of votes received.
-func (s *RefereeServer) decideVotes(votes []core.Message, got []bool) (bool, int, error) {
+// decideVotes is the referee's decision on one trial's vote slate, the
+// paper's f(m_1..m_k): it checks the quorum and applies the decision
+// function, with absent players entering per the resolved absentee
+// policy. It returns the verdict and the number of votes received.
+// Opaque referees decide every trial through it; it is also the
+// reference the word-parallel counter decide is tested against.
+func (c *Cluster) decideVotes(votes []core.Message, got []bool) (bool, int, error) {
 	received := 0
 	for _, g := range got {
 		if g {
 			received++
 		}
 	}
-	if received < s.minVotes {
-		return false, received, fmt.Errorf("network: quorum not met: %d of %d votes, need %d", received, s.k, s.minVotes)
+	if received < c.minVotes {
+		return false, received, fmt.Errorf("network: quorum not met: %d of %d votes, need %d", received, c.k, c.minVotes)
 	}
 	msgs := votes
-	if received < s.k {
-		switch core.ResolveAbsentee(s.policy, s.decide) {
+	if received < c.k {
+		switch core.ResolveAbsentee(c.absentees, c.referee) {
 		case core.AbsenteeOmit:
 			msgs = make([]core.Message, 0, received)
 			for i, g := range got {
@@ -277,7 +225,7 @@ func (s *RefereeServer) decideVotes(votes []core.Message, got []bool) (bool, int
 			}
 		}
 	}
-	accept, err := s.decide.Decide(msgs)
+	accept, err := c.referee.Decide(msgs)
 	if err != nil {
 		return false, received, fmt.Errorf("network: referee decision: %w", err)
 	}

@@ -3,6 +3,7 @@ package network
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"strings"
 	"sync"
@@ -309,4 +310,126 @@ func TestNodeRequiresStagedSamplers(t *testing.T) {
 	if err := <-served; err == nil || !strings.Contains(err.Error(), "no samplers staged for batch 5") {
 		t.Errorf("node error = %v, want the unstaged-batch error", err)
 	}
+}
+
+// TestCounterDecideMatchesDecideVotes is the differential test of the
+// shaped decide against the per-trial reference: on seeded random
+// batches — k in [1, 70]; AND, OR, Majority, Threshold(T) and r-bit sum
+// thresholds; random presence down to the quorum; every absentee policy;
+// trial counts around the word boundaries — every trial's verdict and
+// vote count from decideBatch must equal decideVotes on that trial's
+// reconstructed vote slate. Each batch is decided twice: as the flat
+// star, which reduces the delivered votes as one shard, and as a tree
+// that reduces a random partition of them per shard and combines the
+// partial sums.
+func TestCounterDecideMatchesDecideVotes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 0xdec1de))
+	policies := []core.AbsenteePolicy{core.AbsenteeDefault, core.AbsenteeAccept, core.AbsenteeReject, core.AbsenteeOmit}
+	counts := []int{1, 2, 63, 64, 65, 130}
+	widths := []int{1, 2, 3, 5, 8}
+	const batches = 2048
+	trials, withAbsentees := 0, 0
+	for n := 0; n < batches; n++ {
+		k := 1 + rng.IntN(70)
+		msgBits := 1
+		var referee core.Referee
+		switch rng.IntN(5) {
+		case 0:
+			referee = core.BitReferee{Rule: core.ANDRule{}}
+		case 1:
+			referee = core.BitReferee{Rule: core.ORRule{}}
+		case 2:
+			referee = core.BitReferee{Rule: core.MajorityRule{}}
+		case 3:
+			referee = core.BitReferee{Rule: core.ThresholdRule{T: 1 + rng.IntN(k+1)}}
+		default:
+			msgBits = widths[rng.IntN(len(widths))]
+			referee = core.SumThresholdReferee{Bits: msgBits, T: 1 + rng.IntN(k*(1<<msgBits-1)+1)}
+		}
+		minVotes := 1 + rng.IntN(k)
+		c, err := NewCluster(ClusterConfig{
+			K: k, Q: 1,
+			Rule:      treeTestRule{bits: msgBits},
+			Referee:   referee,
+			MinVotes:  minVotes,
+			Absentees: policies[n%len(policies)],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := counts[rng.IntN(len(counts))]
+		words := batchWords(count)
+		received := minVotes + rng.IntN(k-minVotes+1)
+		deliv := make([][]uint64, k)
+		for _, p := range rng.Perm(k)[:received] {
+			planes := make([]uint64, msgBits*words)
+			for i := range planes {
+				planes[i] = rng.Uint64()
+				if rem := count % 64; rem != 0 && i%words == words-1 {
+					planes[i] &= 1<<rem - 1
+				}
+			}
+			deliv[p] = planes
+		}
+		trials += count
+		if received < k {
+			withAbsentees++
+		}
+
+		// The reference: decideVotes on every trial's slate.
+		want := make([]engine.RoundResult, count)
+		votes, got := make([]core.Message, k), make([]bool, k)
+		for j := range want {
+			for p, d := range deliv {
+				votes[p], got[p] = 0, d != nil
+				for b := 0; d != nil && b < msgBits; b++ {
+					votes[p] |= core.Message(d[b*words+j/64]>>(j%64)&1) << b
+				}
+			}
+			accept, recv, err := c.decideVotes(votes, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j] = engine.RoundResult{Verdict: accept, Votes: recv}
+		}
+
+		flat := &batchSession{c: c}
+		flat.initDecide()
+		copy(flat.deliv, deliv)
+		tree := &batchSession{c: c}
+		tree.initDecide()
+		shards := (Topology{Shards: 1 + rng.IntN(min(k, 8)), Seed: rng.Uint64()}).Partition(k)
+		tree.aggs = make([]*aggregator, len(shards))
+		tree.shardGot = make([]bool, len(shards))
+		tree.shardSums = make([][]uint64, len(shards))
+		for i, members := range shards {
+			shard := make([][]uint64, len(members))
+			for pos, p := range members {
+				shard[pos] = deliv[p]
+			}
+			sums := make([]uint64, len(tree.planes)*words)
+			tree.reduceShard(shard, count, make([]uint64, len(tree.planes)), sums)
+			tree.shardGot[i], tree.shardSums[i] = true, sums
+		}
+		for _, side := range []struct {
+			name string
+			bs   *batchSession
+		}{{"flat", flat}, {"tree", tree}} {
+			if !side.bs.shapeOK && !side.bs.sumOK {
+				t.Fatalf("batch %d: %T lost its shape at k=%d", n, referee, k)
+			}
+			out := make([]engine.RoundResult, count)
+			if _, err := side.bs.decideBatch(count, received, out); err != nil {
+				t.Fatalf("batch %d %s: %v", n, side.name, err)
+			}
+			for j := range out {
+				if out[j].Verdict != want[j].Verdict || out[j].Votes != want[j].Votes {
+					t.Fatalf("batch %d %s (%#v, k=%d, %d present, quorum %d, policy %d, %d trials): trial %d decided %v with %d votes, decideVotes %v with %d",
+						n, side.name, referee, k, received, minVotes, c.absentees, count, j,
+						out[j].Verdict, out[j].Votes, want[j].Verdict, want[j].Votes)
+				}
+			}
+		}
+	}
+	t.Logf("%d batches, %d trials, %d batches with absentees", batches, trials, withAbsentees)
 }

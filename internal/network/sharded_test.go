@@ -449,10 +449,11 @@ func TestShardedMemberViolationSurfaces(t *testing.T) {
 	}
 }
 
-// TestShardedQuorumNotMet: losing a whole shard's worth of players
-// below MinVotes fails the session with the flat referee's quorum
-// error, not a hang.
-func TestShardedQuorumNotMet(t *testing.T) {
+// shardLossCluster is an 8-player quorum cluster needing 5 votes whose
+// players 4..7 — shard 1 of a 2-way tree — never connect, over a
+// CountingTransport.
+func shardLossCluster(t *testing.T, shards int) (*Cluster, *CountingTransport) {
+	t.Helper()
 	plans := make(map[uint32]FaultPlan)
 	for p := uint32(4); p < 8; p++ {
 		plans[p] = FaultPlan{DropDials: 1}
@@ -461,22 +462,56 @@ func TestShardedQuorumNotMet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct, err := NewCountingTransport(ft)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := NewCluster(ClusterConfig{
 		K: 8, Q: 1,
 		Rule:        acceptAllRule(),
 		Referee:     core.BitReferee{Rule: core.ThresholdRule{T: 3}},
-		Transport:   ft,
+		Transport:   ct,
 		Timeout:     250 * time.Millisecond,
 		MinVotes:    5,
 		DialRetries: -1,
-		Shards:      2,
+		Shards:      shards,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(56), 2)
+	return c, ct
+}
+
+// TestShardedQuorumNotMet: losing a whole shard's worth of players
+// below MinVotes fails the session with the flat referee's quorum
+// error, not a hang.
+func TestShardedQuorumNotMet(t *testing.T) {
+	c, _ := shardLossCluster(t, 2)
+	_, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(56), 2)
 	if err == nil || !strings.Contains(err.Error(), "quorum not met") {
 		t.Errorf("err = %v, want quorum-not-met error", err)
+	}
+}
+
+// TestShardedQuorumFailsInAcceptPhase: when every aggregator connects
+// but together they speak for fewer than MinVotes players, the tree
+// fails in its accept phase, exactly as the flat star does, instead of
+// opening a session it cannot finish — neither tier sends a single
+// ROUND_BATCH.
+func TestShardedQuorumFailsInAcceptPhase(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, ct := shardLossCluster(t, shards)
+			_, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(56), 2)
+			if err == nil || !strings.Contains(err.Error(), "accept deadline") {
+				t.Errorf("err = %v, want the accept phase's quorum error", err)
+			}
+			root, agg := ct.Snapshot()
+			if n := root.Down[FrameRoundBatch] + agg.Down[FrameRoundBatch]; n != 0 {
+				t.Errorf("root and aggregators wrote %d + %d ROUND_BATCH frames, want none",
+					root.Down[FrameRoundBatch], agg.Down[FrameRoundBatch])
+			}
+		})
 	}
 }
 
@@ -659,66 +694,86 @@ func TestShardedReduceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedDecideZeroAllocs drives decideBatchShards — the root's
-// whole per-batch decision — over a synthetic session and demands zero
-// allocations once its scratch is warm.
+// TestShardedDecideZeroAllocs drives decideBatch — the root's whole
+// per-batch decision — over a synthetic session on both topologies and
+// demands zero allocations once its scratch is warm: the tree combining
+// its shards' partial sums, and the flat star reducing its delivered
+// votes as one shard, with absentees under quorum included.
 func TestShardedDecideZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const (
-		k      = 128
-		shards = 4
-		count  = 256
-	)
-	referee := core.BitReferee{Rule: core.ThresholdRule{T: 40}}
-	server, err := NewRefereeServer(k, referee, time.Second, WithMinVotes(100))
-	if err != nil {
-		t.Fatal(err)
-	}
+	const count = 256
 	words := batchWords(count)
-	planeCount := bits.Len(uint(k))
-	bs := &batchSession{
-		c:            &Cluster{k: k},
-		server:       server,
-		planes:       make([]uint64, planeCount),
-		shardGot:     make([]bool, shards),
-		shardSums:    make([][]uint64, shards),
-		shardPresent: make([]uint32, shards),
+	cases := []struct {
+		name     string
+		k        int
+		shards   int // 0 = flat star
+		absent   int
+		minVotes int
+		policy   core.AbsenteePolicy
+	}{
+		{name: "tree", k: 128, shards: 4, minVotes: 100},
+		{name: "tree/absentees", k: 128, shards: 4, absent: 8, minVotes: 100},
+		{name: "flat/absentees-accept", k: 256, absent: 5, minVotes: 200, policy: core.AbsenteeAccept},
+		{name: "flat/absentees-reject", k: 256, absent: 5, minVotes: 200, policy: core.AbsenteeReject},
 	}
-	bs.shapeT, bs.shapeOK = core.ThresholdShape(referee, k)
-	if !bs.shapeOK {
-		t.Fatal("threshold referee lost its shape")
-	}
-	for i := range bs.shardSums {
-		bs.shardGot[i] = true
-		bs.shardPresent[i] = k / shards
-		sums := make([]uint64, planeCount*words)
-		for j := 0; j < words; j++ {
-			sums[j] = 0x5555555555555555 // plane 0: 1 rejection per shard per lane
-		}
-		bs.shardSums[i] = sums
-	}
-	verdictBits := make([]uint64, words)
-	// Warm run grows aggSums once; after that the decision is pure
-	// arithmetic on the session's scratch.
-	if err := bs.decideBatchShards(count, k, verdictBits); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := bs.decideBatchShards(count, k, verdictBits); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("decideBatchShards allocates %.1f per run", n)
-	}
-	// The presence-adjusted path (absentees under quorum) is just as
-	// clean.
-	if n := testing.AllocsPerRun(100, func() {
-		if err := bs.decideBatchShards(count, k-8, verdictBits); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("decideBatchShards with absentees allocates %.1f per run", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{
+				K: tc.k, Q: 1,
+				Rule:      treeTestRule{bits: 1},
+				Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 40}},
+				MinVotes:  tc.minVotes,
+				Absentees: tc.policy,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs := &batchSession{c: c}
+			bs.initDecide()
+			if !bs.shapeOK {
+				t.Fatal("threshold referee lost its shape")
+			}
+			if tc.shards > 0 {
+				bs.aggs = make([]*aggregator, tc.shards)
+				bs.shardGot = make([]bool, tc.shards)
+				bs.shardSums = make([][]uint64, tc.shards)
+				bs.shardPresent = make([]uint32, tc.shards)
+				for i := range bs.shardSums {
+					bs.shardGot[i] = true
+					bs.shardPresent[i] = uint32(tc.k / tc.shards)
+					sums := make([]uint64, len(bs.planes)*words)
+					for j := 0; j < words; j++ {
+						sums[j] = 0x5555555555555555 // plane 0: 1 rejection per shard per lane
+					}
+					bs.shardSums[i] = sums
+				}
+			} else {
+				for p := range bs.deliv {
+					if p%50 == 3 && p/50 < tc.absent {
+						continue // players 3, 53, 103, ...: absent
+					}
+					planes := make([]uint64, words)
+					for j := range planes {
+						planes[j] = 0xdeadbeefcafef00d * uint64(p+j+1)
+					}
+					bs.deliv[p] = planes
+				}
+			}
+			received := tc.k - tc.absent
+			out := make([]engine.RoundResult, count)
+			decide := func() {
+				if _, err := bs.decideBatch(count, received, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The warm run grows the counter scratch once; after that the
+			// decision is pure arithmetic on the session's scratch.
+			decide()
+			if n := testing.AllocsPerRun(100, decide); n != 0 {
+				t.Errorf("decideBatch allocates %.1f per run", n)
+			}
+		})
 	}
 }

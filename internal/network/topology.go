@@ -132,15 +132,3 @@ func (t Topology) Partition(k int) [][]uint32 {
 	}
 	return shards
 }
-
-// shardOf inverts Partition for a single player: the shard index that
-// owns the player. Nodes use it to pick which aggregator to dial.
-func (t Topology) shardOf(shards [][]uint32, player uint32) int {
-	for i, members := range shards {
-		j := sort.Search(len(members), func(n int) bool { return members[n] >= player })
-		if j < len(members) && members[j] == player {
-			return i
-		}
-	}
-	return -1
-}

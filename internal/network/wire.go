@@ -513,11 +513,12 @@ func appendHeader(buf []byte, t FrameType, size int) []byte {
 	return binary.BigEndian.AppendUint32(buf, uint32(size))
 }
 
-// AppendRoundBatch appends one encoded ROUND_BATCH frame to buf,
-// validated exactly like WriteRoundBatch. The batch session's slot
-// writers encode frame runs with the Append* helpers and flush them
+// AppendRoundBatch appends one encoded ROUND_BATCH frame to buf; a trial
+// count outside 1..MaxBatchTrials is an error and appends nothing. Each
+// Append* helper is the one encoding of its frame layout: the batch
+// session's slot writers encode frame runs with them and flush the runs
 // through writeCoalesced, so a full window of frames costs one write
-// instead of one per frame.
+// instead of one per frame, and the matching Write* sends one frame.
 func AppendRoundBatch(buf []byte, r RoundBatch) ([]byte, error) {
 	count := len(r.Seeds)
 	if count < 1 || count > MaxBatchTrials {
@@ -532,8 +533,9 @@ func AppendRoundBatch(buf []byte, r RoundBatch) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendVerdictBatch appends one encoded VERDICT_BATCH frame to buf,
-// validated exactly like WriteVerdictBatch.
+// AppendVerdictBatch appends one encoded VERDICT_BATCH frame to buf; a
+// bitset with the wrong word count or set padding bits above Count is an
+// error and appends nothing.
 func AppendVerdictBatch(buf []byte, v VerdictBatch) ([]byte, error) {
 	if err := checkBatchBits(FrameVerdictBatch, int(v.Count), v.Bits); err != nil {
 		return buf, err
@@ -561,19 +563,13 @@ func writeCoalesced(w io.Writer, run []byte) error {
 	return err
 }
 
-// WriteRoundBatch sends a ROUND_BATCH frame.
+// WriteRoundBatch sends a ROUND_BATCH frame encoded by AppendRoundBatch.
 func WriteRoundBatch(w io.Writer, r RoundBatch) error {
-	count := len(r.Seeds)
-	if count < 1 || count > MaxBatchTrials {
-		return fmt.Errorf("network: ROUND_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
+	frame, err := AppendRoundBatch(nil, r)
+	if err != nil {
+		return err
 	}
-	p := make([]byte, 8+8*count)
-	binary.BigEndian.PutUint32(p[0:4], r.Batch)
-	binary.BigEndian.PutUint32(p[4:8], uint32(count))
-	for i, seed := range r.Seeds {
-		binary.BigEndian.PutUint64(p[8+8*i:], seed)
-	}
-	return writeFrame(w, FrameRoundBatch, p)
+	return writeCoalesced(w, frame)
 }
 
 // WriteVoteBatch sends a VOTE_BATCH frame; the planes are validated
@@ -594,19 +590,14 @@ func WriteVoteBatch(w io.Writer, v VoteBatch) error {
 	return writeFrame(w, FrameVoteBatch, p)
 }
 
-// WriteVerdictBatch sends a VERDICT_BATCH frame, validated like
-// WriteVoteBatch.
+// WriteVerdictBatch sends a VERDICT_BATCH frame encoded by
+// AppendVerdictBatch: an invalid bitset never reaches the wire.
 func WriteVerdictBatch(w io.Writer, v VerdictBatch) error {
-	if err := checkBatchBits(FrameVerdictBatch, int(v.Count), v.Bits); err != nil {
+	frame, err := AppendVerdictBatch(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 8+8*len(v.Bits))
-	binary.BigEndian.PutUint32(p[0:4], v.Batch)
-	binary.BigEndian.PutUint32(p[4:8], v.Count)
-	for i, word := range v.Bits {
-		binary.BigEndian.PutUint64(p[8+8*i:], word)
-	}
-	return writeFrame(w, FrameVerdictBatch, p)
+	return writeCoalesced(w, frame)
 }
 
 // WriteAggHello sends an AGG_HELLO frame, validated before any byte
@@ -626,74 +617,38 @@ func WriteAggHello(w io.Writer, h AggHello) error {
 	return writeFrame(w, FrameAggHello, p)
 }
 
-// WriteAggSum sends an AGG_SUM frame, validated like WriteVoteBatch:
-// an invalid reduction never reaches the wire.
+// WriteAggSum sends an AGG_SUM frame encoded by AppendAggSum: an
+// invalid reduction never reaches the wire.
 func WriteAggSum(w io.Writer, v AggSum) error {
-	if err := checkAggSum(v); err != nil {
+	frame, err := AppendAggSum(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 18+8*len(v.Sums))
-	binary.BigEndian.PutUint32(p[0:4], v.Agg)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	p[12] = v.Bits
-	p[13] = v.Planes
-	binary.BigEndian.PutUint32(p[14:18], v.Present)
-	for i, word := range v.Sums {
-		binary.BigEndian.PutUint64(p[18+8*i:], word)
-	}
-	return writeFrame(w, FrameAggSum, p)
+	return writeCoalesced(w, frame)
 }
 
-// WriteAggPlanes sends an AGG_PLANES frame, validated like
-// WriteAggSum.
+// WriteAggPlanes sends an AGG_PLANES frame encoded by AppendAggPlanes:
+// an invalid forward never reaches the wire.
 func WriteAggPlanes(w io.Writer, v AggPlanes) error {
-	if err := checkAggPlanes(v); err != nil {
+	frame, err := AppendAggPlanes(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 21+8*(len(v.Mask)+len(v.Planes)))
-	binary.BigEndian.PutUint32(p[0:4], v.Agg)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	p[12] = v.Bits
-	binary.BigEndian.PutUint32(p[13:17], v.Members)
-	binary.BigEndian.PutUint32(p[17:21], v.Present)
-	off := 21
-	for _, word := range v.Mask {
-		binary.BigEndian.PutUint64(p[off:], word)
-		off += 8
-	}
-	for _, word := range v.Planes {
-		binary.BigEndian.PutUint64(p[off:], word)
-		off += 8
-	}
-	return writeFrame(w, FrameAggPlanes, p)
+	return writeCoalesced(w, frame)
 }
 
-// WriteAggVerdict sends an AGG_VERDICT frame, validated like
-// WriteVerdictBatch: an invalid verdict never reaches the wire.
+// WriteAggVerdict sends an AGG_VERDICT frame encoded by
+// AppendAggVerdict: an invalid verdict never reaches the wire.
 func WriteAggVerdict(w io.Writer, v AggVerdict) error {
-	if err := checkAggVerdict(v); err != nil {
+	frame, err := AppendAggVerdict(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 12+4*len(v.Present)+8*len(v.Bits))
-	binary.BigEndian.PutUint32(p[0:4], v.Batch)
-	binary.BigEndian.PutUint32(p[4:8], v.Count)
-	binary.BigEndian.PutUint32(p[8:12], uint32(len(v.Present)))
-	off := 12
-	for _, n := range v.Present {
-		binary.BigEndian.PutUint32(p[off:], n)
-		off += 4
-	}
-	for _, word := range v.Bits {
-		binary.BigEndian.PutUint64(p[off:], word)
-		off += 8
-	}
-	return writeFrame(w, FrameAggVerdict, p)
+	return writeCoalesced(w, frame)
 }
 
 // AppendAggVerdict appends one encoded AGG_VERDICT frame to buf,
-// validated exactly like WriteAggVerdict. The root encodes each batch's
+// validated by checkAggVerdict first. The root encodes each batch's
 // verdict once into reused scratch and queues the same bytes to every
 // aggregator slot, so the downstream fan-out costs O(aggregators)
 // writes and zero allocations at the root regardless of player count.
@@ -714,8 +669,8 @@ func AppendAggVerdict(buf []byte, v AggVerdict) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendAggSum appends one encoded AGG_SUM frame to buf, validated
-// exactly like WriteAggSum. The aggregator's reducer encodes its
+// AppendAggSum appends one encoded AGG_SUM frame to buf, validated by
+// checkAggSum first. The aggregator's reducer encodes its
 // upstream frames with the Append* helpers into a reused buffer and
 // flushes through writeCoalesced, keeping the hot reduce path
 // allocation-free.
@@ -736,7 +691,7 @@ func AppendAggSum(buf []byte, v AggSum) ([]byte, error) {
 }
 
 // AppendAggPlanes appends one encoded AGG_PLANES frame to buf,
-// validated exactly like WriteAggPlanes.
+// validated by checkAggPlanes first.
 func AppendAggPlanes(buf []byte, v AggPlanes) ([]byte, error) {
 	if err := checkAggPlanes(v); err != nil {
 		return buf, err
