@@ -3,16 +3,18 @@ package engine_test
 // Cross-backend determinism at r > 1: the engine's seed contract is not
 // a single-bit artifact. An r-bit message derived from (seed, trial,
 // player) must be the same uint64 whether it rides an in-process slate,
-// a VOTE/VOTE_BATCH_R frame, or a CONGEST convergecast — and the
-// verdict sequence must survive every batch/window shape the cluster
-// backend offers. These tests sweep r over {1, 2, 4, 8} with both a
+// the VOTE_BATCH planes, or a CONGEST convergecast — and the verdict
+// sequence must survive every batch/window shape the cluster backend
+// offers. These tests sweep r over {1, 2, 4, 8, 9, 33} with both a
 // twitchy private-coin rule and the Theorem 6.4 quantized collision
-// rule, demanding bit-identical verdicts everywhere.
+// rule, demanding bit-identical verdicts everywhere; the batch-shape
+// sweep adds the widths where the session's sum decide changes method.
 
 import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,8 +24,19 @@ import (
 	"github.com/distributed-uniformity/dut/internal/network"
 )
 
-// rbitWidths are the message widths every r-bit determinism test sweeps.
-var rbitWidths = []int{1, 2, 4, 8}
+// rbitWidths are the message widths every r-bit determinism test sweeps:
+// the byte-aligned widths, and two that straddle a byte and a 32-bit
+// word.
+var rbitWidths = []int{1, 2, 4, 8, 9, 33}
+
+// rbitCounterEdge are the widths at which the cluster's sum decide
+// changes method at k = xbPlayers: r = 59 is the widest the bit-sliced
+// sum counter covers (59 + Len(5) = 62 planes), and r = 60 the narrowest
+// that falls back to per-trial decode. r = 64 is left out because the
+// sum referee's lane sums overflow there, and CONGEST because its 64-bit
+// edge bandwidth rejects sums this wide; both are limits of the model,
+// not of the session.
+var rbitCounterEdge = []int{59, 60}
 
 // rbitTestRule is the r-bit analogue of xbRule: it folds the samples,
 // the shared seed and a private coin into an r-bit value, so any
@@ -154,14 +167,14 @@ func TestRBitBackendsAgree(t *testing.T) {
 }
 
 func TestRBitClusterBatchShapesAgree(t *testing.T) {
-	// Batch and window reshape the wire traffic (classic VOTE_BATCH at
-	// r = 1, VOTE_BATCH_R planes above), never the verdicts. Shapes
-	// cover a degenerate one-trial batch, uneven chunking of the 12
-	// trials, the default window, and a batch larger than the whole run.
+	// Batch and window reshape the wire traffic (one VOTE_BATCH plane per
+	// message bit), never the verdicts. Shapes cover a degenerate
+	// one-trial batch, uneven chunking of the 12 trials, the default
+	// window, and a batch larger than the whole run.
 	shapes := []struct{ batch, window int }{
 		{1, 1}, {3, 2}, {5, 0}, {64, 3},
 	}
-	for _, r := range rbitWidths {
+	for _, r := range slices.Concat(rbitWidths, rbitCounterEdge) {
 		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
 			t.Parallel()
 			rule := rbitTestRule{bits: r}

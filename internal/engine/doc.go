@@ -13,10 +13,12 @@
 //	RunRound(ctx, RoundSpec) (RoundResult, error)
 //
 // The driver itself calls one method, BatchBackend.RunRoundsScratch, once
-// per chunk of Batch*Window trials; Options.Batch 0 means a chunk of one
-// trial at batch 1. A backend without a batch path is driven through a
-// private adapter that loops its RunRoundScratch (or RunRound) over the
-// chunk, so every backend runs the same driver code.
+// per chunk of Batch*Window consecutive trials of one seed; Options.Batch
+// 0 means a chunk of one trial at batch 1. The cluster backend relies on
+// the consecutive trials: its ROUND_BATCH frames name trial ranges. A
+// backend without a batch path is driven through a private adapter that
+// loops its RunRoundScratch (or RunRound) over the chunk, so every
+// backend runs the same driver code.
 //
 // RoundSpec names the trial index, the engine's base seed and the sampler
 // for the unknown distribution; RoundResult is the uniform per-round
@@ -45,14 +47,15 @@
 //
 // SharedSeed and NodeRNG are splitmix64-mixed PCG streams. A player's
 // private stream is a function of the round's public coin and its own id,
-// so a networked node can rebuild it from the ROUND_BATCH seed alone — no
-// extra wire state — and an SMP round, a cluster round and a CONGEST
-// round with the same rule, player count and sample budget produce
-// bit-identical votes and verdicts. The contract holds for any message
-// width the rule declares (LocalRule.Bits), not just single-bit votes:
-// an r-bit message is the same uint64 on every backend, whether it
-// rides the VOTE_BATCH planes or a CONGEST convergecast. The driver assigns whole trials to workers, so verdict
-// sequences are also independent of Options.Workers.
+// so a networked node rebuilds it from the base seed and trial its
+// ROUND_BATCH frame names — the public coin itself never crosses the
+// wire — and an SMP round, a cluster round and a CONGEST round with the
+// same rule, player count and sample budget produce bit-identical votes
+// and verdicts. The contract holds for any message width the rule
+// declares (LocalRule.Bits), not just single-bit votes: an r-bit message
+// is the same uint64 on every backend, whether it rides the VOTE_BATCH
+// planes or a CONGEST convergecast. The driver assigns whole trials to
+// workers, so verdict sequences are also independent of Options.Workers.
 //
 // # The trial driver
 //

@@ -17,8 +17,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // SharedSeed derives the public-coin seed of one trial from the engine's
-// base seed. Every player of the trial observes this value (it rides in
-// the networked ROUND frame), and all per-player streams derive from it.
+// base seed. Every player of the trial observes this value (a networked
+// node derives it from the base seed and trial its ROUND_BATCH frame
+// names), and all per-player streams derive from it.
 func SharedSeed(seed uint64, trial int) uint64 {
 	return splitmix64(seed ^ splitmix64(uint64(trial)))
 }

@@ -254,10 +254,10 @@ func (a *aggregator) readRoot() {
 	defer close(a.readerDone)
 	defer a.pending.close()
 	bs := a.bs
-	for {
-		// A root frame can lag a whole decide phase; budget two timeouts,
-		// like every other cross-phase read.
-		setReadDeadline(a.root, 2*bs.c.timeout)
+	for first := true; ; first = false {
+		// A root frame can lag a whole accept or decide phase; budget it
+		// like every other read from the tier above (readBudget).
+		setReadDeadline(a.root, readBudget(bs.c.timeout, first))
 		kind, msg, err := ReadFrame(a.root)
 		if err != nil {
 			a.fail(fmt.Errorf("network: aggregator %d read: %w", a.id, err))
@@ -272,7 +272,7 @@ func (a *aggregator) readRoot() {
 				return
 			}
 			broadcast(a.slots, relay)
-			a.pending.push(aggBatch{id: m.Batch, count: len(m.Seeds)})
+			a.pending.push(aggBatch{id: m.Batch, count: int(m.Count)})
 		case AggVerdict:
 			if err := a.relayVerdict(m); err != nil {
 				a.fail(err)

@@ -2,6 +2,7 @@ package network
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
@@ -9,7 +10,8 @@ import (
 )
 
 // clusterBackend runs engine trials through batch sessions. The trial's
-// public coin is engine.SharedSeed(spec.Seed, spec.Trial), so verdicts
+// public coin is engine.SharedSeed(spec.Seed, spec.Trial), which every
+// node derives from the chunk's ROUND_BATCH trial range, so verdicts
 // are bit-identical to the in-process SMP backend's for the same engine
 // seed. It implements engine.BatchBackend: each driver worker keeps one
 // live session in its scratch, opened on its first chunk and reused for
@@ -66,13 +68,18 @@ func NewBackend(c *Cluster, opts ...BackendOption) (engine.Backend, error) {
 // Players implements engine.Backend.
 func (b *clusterBackend) Players() int { return b.c.k }
 
+// ErrChunkNotConsecutive is a chunk that breaks the engine's batch
+// contract: spec i must be trial specs[0].Trial+i of seed specs[0].Seed.
+// A ROUND_BATCH names a trial range, not a list of coins, so any other
+// chunk would have its nodes derive the wrong public coins.
+var ErrChunkNotConsecutive = errors.New("network: chunk specs are not consecutive trials of one seed")
+
 // clusterScratch is one engine worker's reusable cluster state: a live
 // batch session, created lazily on the worker's first chunk and reused
-// across every chunk the worker runs, plus the chunk's seed and sampler
-// buffers. The engine closes it (io.Closer) when the worker exits.
+// across every chunk the worker runs, plus the chunk's sampler buffer.
+// The engine closes it (io.Closer) when the worker exits.
 type clusterScratch struct {
 	batch    *batchSession
-	seeds    []uint64
 	samplers []dist.Sampler
 }
 
@@ -112,10 +119,13 @@ func (b *clusterBackend) RunRoundScratch(ctx context.Context, spec engine.RoundS
 }
 
 // RunRoundsScratch implements engine.BatchBackend: the worker's chunk
-// of trials runs through its persistent session — ROUND_BATCH frames of
-// up to batch seeds, every batch of the chunk in flight at once, packed
-// VOTE_BATCH gathering and per-batch verdict evaluation for any message
-// width, on the flat star or the configured referee tree.
+// of trials runs through its persistent session — ROUND_BATCH frames
+// naming up to batch trials, every batch of the chunk in flight at once,
+// packed VOTE_BATCH gathering and per-batch verdict evaluation for any
+// message width, on the flat star or the configured referee tree. The
+// chunk must be the engine's documented len(specs) consecutive trials of
+// one seed; any other chunk is ErrChunkNotConsecutive before a session
+// opens or a frame is sent.
 //
 //dut:hotpath
 func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []engine.RoundSpec, batch int, out []engine.RoundResult) error {
@@ -126,16 +136,23 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 	if !ok {
 		return fmt.Errorf("network: foreign scratch %T", scratch)
 	}
+	if len(specs) == 0 {
+		return nil
+	}
 	batch = min(max(batch, 1), MaxBatchTrials)
-	seeds, samplers := cs.seeds[:0], cs.samplers[:0]
-	for _, spec := range specs {
+	base, first := specs[0].Seed, specs[0].Trial
+	samplers := cs.samplers[:0]
+	for i, spec := range specs {
 		if spec.Sampler == nil {
 			return fmt.Errorf("network: nil sampler")
 		}
-		seeds = append(seeds, engine.SharedSeed(spec.Seed, spec.Trial))
+		if spec.Seed != base || spec.Trial != first+i {
+			return fmt.Errorf("%w: spec %d is trial %d of seed %#x, want trial %d of seed %#x",
+				ErrChunkNotConsecutive, i, spec.Trial, spec.Seed, first+i, base)
+		}
 		samplers = append(samplers, spec.Sampler)
 	}
-	cs.seeds, cs.samplers = seeds, samplers
+	cs.samplers = samplers
 	if cs.batch == nil {
 		sess, err := newBatchSession(ctx, b.c)
 		if err != nil {
@@ -143,5 +160,5 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 		}
 		cs.batch = sess
 	}
-	return cs.batch.runChunk(ctx, seeds, samplers, batch, out)
+	return cs.batch.runChunk(ctx, base, first, samplers, batch, out)
 }

@@ -17,25 +17,26 @@ import (
 )
 
 // This file implements the one trial protocol every cluster entry point
-// runs: a batch session. The referee keeps the k player connections open,
-// ROUND_BATCH frames carry up to MaxBatchTrials public-coin seeds at
-// once, nodes answer with one VOTE_BATCH of r packed bit-planes, and the
-// referee evaluates a whole batch of verdicts per synchronization before
-// replying VERDICT_BATCH; FINISH ends the session. A single trial is a
-// batch of one. Each slot gets a dedicated writer goroutine fed by an
-// unbounded frame queue: the in-memory transport's writes are fully
-// synchronous (net.Pipe parks the writer until the peer reads), so
-// queueing the next batches' ROUND_BATCH frames while earlier votes are
-// still being gathered is exactly what keeps a window of batches in
-// flight. Determinism is untouched — every vote derives from (shared
-// seed, player id) alone, and the referee's per-batch evaluation
-// reproduces decideVotes bit for bit (word-parallel from bit-sliced
-// counters when the referee has threshold or sum shape, trial by trial
-// otherwise). The flat star runs the tree's per-shard pipeline as one
-// shard of all k players: the same accept phase, gather and reduce,
-// with the root deciding from the reduced counters. In quorum mode a
-// slot that dies (crash, timeout, protocol violation) stays dead for the
-// rest of the session and counts as a straggler in every later trial.
+// runs: a batch session. The referee keeps the k player connections
+// open, each ROUND_BATCH frame names a range of up to MaxBatchTrials
+// trials whose public coins every node derives itself, nodes answer with
+// one VOTE_BATCH of r packed bit-planes, and the referee evaluates a
+// whole batch of verdicts per synchronization before replying
+// VERDICT_BATCH; FINISH ends the session. A single trial is a batch of
+// one. Each slot gets a dedicated writer goroutine fed by an unbounded
+// frame queue: the in-memory transport's writes are fully synchronous
+// (net.Pipe parks the writer until the peer reads), so queueing the next
+// batches' ROUND_BATCH frames while earlier votes are still being
+// gathered is exactly what keeps a window of batches in flight.
+// Determinism is untouched — every vote derives from (shared seed,
+// player id) alone, and the referee's per-batch evaluation reproduces
+// decideVotes bit for bit (word-parallel from bit-sliced counters when
+// the referee has threshold or sum shape, trial by trial otherwise). The
+// flat star runs the tree's per-shard pipeline as one shard of all k
+// players: the same accept phase, gather and reduce, with the root
+// deciding from the reduced counters. In quorum mode a slot that dies
+// (crash, timeout, protocol violation) stays dead for the rest of the
+// session and counts as a straggler in every later trial.
 
 // frameQueue is an unbounded FIFO of already-encoded frames feeding one
 // slot's writer goroutine. Unbounded is deliberate: the aggregator must
@@ -487,27 +488,33 @@ func (bs *batchSession) slotWriter(slot *batchSlot) {
 	}
 }
 
-// runChunk executes one chunk of trials: seeds[i] is trial i's public
-// coin and samplers[i] its sampler. It slices the chunk into wire
-// batches of at most batch trials, issues every ROUND_BATCH up front
-// (putting the whole window in flight), then gathers and decides batch
-// by batch. out receives one RoundResult per trial.
-func (bs *batchSession) runChunk(ctx context.Context, seeds []uint64, samplers []dist.Sampler, batch int, out []engine.RoundResult) error {
-	if len(samplers) != len(seeds) || len(out) != len(seeds) {
-		return fmt.Errorf("network: chunk of %d seeds with %d samplers and %d results", len(seeds), len(samplers), len(out))
+// runChunk executes one chunk of trials: engine trials first, first+1,
+// ... of base seed base, samplers[i] being trial first+i's sampler. It
+// slices the chunk into wire batches of at most batch trials, issues
+// every ROUND_BATCH up front (putting the whole window in flight), then
+// gathers and decides batch by batch. A ROUND_BATCH names its trial
+// range, and every node derives each trial's public coin
+// engine.SharedSeed(base, trial) itself. out receives one RoundResult
+// per trial.
+func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, samplers []dist.Sampler, batch int, out []engine.RoundResult) error {
+	if len(out) != len(samplers) {
+		return fmt.Errorf("network: chunk of %d samplers with %d results", len(samplers), len(out))
 	}
 	flights := bs.flights[:0]
-	for start := 0; start < len(seeds); start += batch {
-		count := min(len(seeds)-start, batch)
+	for start := 0; start < len(samplers); start += batch {
+		count := min(len(samplers)-start, batch)
 		id := bs.nextBatch
-		bs.nextBatch++
-		bs.stage.put(id, samplers[start:start+count])
-		enc, err := AppendRoundBatch(bs.enc[:0], RoundBatch{Batch: id, Seeds: seeds[start : start+count]})
+		// A negative first trial converts past math.MaxInt64, which the
+		// encoder rejects with ErrRoundBatchRange.
+		rb := RoundBatch{Batch: id, Count: uint32(count), Base: base, First: uint64(first + start)}
+		enc, err := AppendRoundBatch(bs.enc[:0], rb)
 		bs.enc = enc
 		if err != nil {
 			bs.flights = flights
 			return err
 		}
+		bs.nextBatch++
+		bs.stage.put(id, samplers[start:start+count])
 		broadcast(bs.slots, enc)
 		flights = append(flights, batchFlight{id: id, start: start, count: count})
 	}
@@ -845,6 +852,21 @@ func (bs *batchSession) Close() error {
 		return bs.peekNodeErr()
 	}
 	return nil
+}
+
+// readBudget is the read deadline of a frame from the tier above. The
+// first frame waits out that tier's accept phase, which lasts up to two
+// timeouts at the root of the tree (it waits for aggregators that each
+// accept their shard for one), so the first read gets three: a full
+// timeout of margin, as the flat star's one-timeout accept phase has
+// under the two-timeout budget. Every later frame lags at most one
+// referee phase and gets two, so a referee that goes silent mid-session
+// is still detected as fast.
+func readBudget(timeout time.Duration, first bool) time.Duration {
+	if first {
+		return 3 * timeout
+	}
+	return 2 * timeout
 }
 
 // setReadDeadline bounds only reads: the batch session's slot writer

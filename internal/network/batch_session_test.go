@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,15 +106,61 @@ func TestBatchEmptyChunkPreservesRetries(t *testing.T) {
 		}
 	}()
 	bs.addRetries(3)
-	if err := bs.runChunk(context.Background(), nil, nil, 4, nil); err != nil {
+	if err := bs.runChunk(context.Background(), 0, 0, nil, 4, nil); err != nil {
 		t.Fatalf("empty chunk: %v", err)
 	}
 	out := make([]engine.RoundResult, 1)
-	if err := bs.runChunk(context.Background(), []uint64{5}, []dist.Sampler{uniformSampler(t, 4)}, 4, out); err != nil {
+	if err := bs.runChunk(context.Background(), 5, 0, []dist.Sampler{uniformSampler(t, 4)}, 4, out); err != nil {
 		t.Fatalf("chunk: %v", err)
 	}
 	if out[0].Retries != 3 {
 		t.Errorf("retries after an empty chunk = %d, want 3 (empty chunks must not swallow them)", out[0].Retries)
+	}
+}
+
+// listenCounter counts the listeners a session opens on its transport.
+type listenCounter struct {
+	Transport
+	listens atomic.Int32
+}
+
+func (l *listenCounter) Listen() (net.Listener, error) {
+	l.listens.Add(1)
+	return l.Transport.Listen()
+}
+
+// TestRunRoundsScratchRejectsNonConsecutiveChunk: a ROUND_BATCH names a
+// trial range, so the backend enforces the engine's chunk contract —
+// spec i is trial specs[0].Trial+i of seed specs[0].Seed — before it
+// opens a session, and no other chunk can reach the wire.
+func TestRunRoundsScratchRejectsNonConsecutiveChunk(t *testing.T) {
+	s := uniformSampler(t, 4)
+	for _, tc := range []struct {
+		name  string
+		specs []engine.RoundSpec
+	}{
+		{"gap", []engine.RoundSpec{{Trial: 4, Seed: 1, Sampler: s}, {Trial: 5, Seed: 1, Sampler: s}, {Trial: 7, Seed: 1, Sampler: s}}},
+		{"reversed", []engine.RoundSpec{{Trial: 5, Seed: 1, Sampler: s}, {Trial: 4, Seed: 1, Sampler: s}}},
+		{"repeated", []engine.RoundSpec{{Trial: 4, Seed: 1, Sampler: s}, {Trial: 4, Seed: 1, Sampler: s}}},
+		{"mixed seeds", []engine.RoundSpec{{Trial: 4, Seed: 1, Sampler: s}, {Trial: 5, Seed: 2, Sampler: s}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &listenCounter{Transport: NewMemTransport()}
+			b, err := NewBackend(strictBatchCluster(t, tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb := b.(engine.BatchBackend)
+			scratch := bb.NewScratch()
+			defer func() { _ = scratch.(io.Closer).Close() }()
+			out := make([]engine.RoundResult, len(tc.specs))
+			if err := bb.RunRoundsScratch(context.Background(), scratch, tc.specs, 4, out); !errors.Is(err, ErrChunkNotConsecutive) {
+				t.Errorf("err = %v, want ErrChunkNotConsecutive", err)
+			}
+			if scratch.(*clusterScratch).batch != nil || tr.listens.Load() != 0 {
+				t.Errorf("a rejected chunk opened a session (%d listeners)", tr.listens.Load())
+			}
+		})
 	}
 }
 

@@ -159,8 +159,8 @@ func (c *Cluster) tolerant() bool { return c.minVotes < c.k }
 // buildNodes constructs all k player nodes before any goroutine is
 // spawned: a construction error must not leave already-spawned nodes
 // running against a live listener. Nodes carry no generator — each derives
-// its randomness per trial from the ROUND_BATCH seed and its id — and no
-// sampler: the session stages each batch's samplers (samplerStage).
+// its randomness per trial from the ROUND_BATCH trial range and its id —
+// and no sampler: the session stages each batch's samplers (samplerStage).
 func (c *Cluster) buildNodes() ([]*PlayerNode, error) {
 	nodes := make([]*PlayerNode, c.k)
 	for i := 0; i < c.k; i++ {
@@ -175,10 +175,11 @@ func (c *Cluster) buildNodes() ([]*PlayerNode, error) {
 }
 
 // Run implements core.Protocol: it executes one networked trial against
-// the sampler and returns the referee's verdict. The trial's public-coin
-// seed is drawn from rng; every node derives its private stream from that
-// seed and its id, so runs are reproducible for a fixed rng state even
-// though nodes execute concurrently.
+// the sampler and returns the referee's verdict. The trial is trial 0 of
+// a base seed drawn from rng, so its public coin is
+// engine.SharedSeed(rng.Uint64(), 0); every node derives its private
+// stream from that coin and its id, so runs are reproducible for a fixed
+// rng state even though nodes execute concurrently.
 func (c *Cluster) Run(sampler dist.Sampler, rng *rand.Rand) (bool, error) {
 	return c.RunContext(context.Background(), sampler, rng)
 }
@@ -195,20 +196,21 @@ func (c *Cluster) RunStats(ctx context.Context, sampler dist.Sampler, rng *rand.
 	if rng == nil {
 		return false, RoundStats{}, fmt.Errorf("network: nil rng")
 	}
-	return c.RunRoundSeeded(ctx, sampler, rng.Uint64())
+	return c.RunRoundSeeded(ctx, sampler, rng.Uint64(), 0)
 }
 
-// RunRoundSeeded executes one networked trial with an explicit
-// public-coin seed: a session carrying a single batch of one trial. The
-// seed rides in the ROUND_BATCH frame and every node's samples and
-// private coins derive from (seed, id), making the verdict bit-identical
-// to the in-process SMP simulator's for the same seed.
-func (c *Cluster) RunRoundSeeded(ctx context.Context, sampler dist.Sampler, seed uint64) (bool, RoundStats, error) {
+// RunRoundSeeded executes engine trial trial of base seed base: a session
+// carrying a single batch of one trial. The ROUND_BATCH frame names the
+// trial, and every node's samples and private coins derive from its
+// public coin engine.SharedSeed(base, trial) and the node's id, making
+// the verdict bit-identical to the in-process SMP simulator's for that
+// coin.
+func (c *Cluster) RunRoundSeeded(ctx context.Context, sampler dist.Sampler, base uint64, trial int) (bool, RoundStats, error) {
 	if sampler == nil {
 		return false, RoundStats{}, fmt.Errorf("network: nil sampler")
 	}
 	var out [1]engine.RoundResult
-	if err := c.runSeeds(ctx, []uint64{seed}, []dist.Sampler{sampler}, out[:]); err != nil {
+	if err := c.runSeeds(ctx, base, trial, []dist.Sampler{sampler}, out[:]); err != nil {
 		return false, RoundStats{}, err
 	}
 	return out[0].Verdict, roundStats(0, out[0]), nil
@@ -236,14 +238,12 @@ func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *r
 		return nil, nil, fmt.Errorf("network: session with %d rounds", rounds)
 	}
 	base := rng.Uint64()
-	seeds := make([]uint64, rounds)
 	samplers := make([]dist.Sampler, rounds)
-	for i := range seeds {
-		seeds[i] = engine.SharedSeed(base, i)
+	for i := range samplers {
 		samplers[i] = sampler
 	}
 	out := make([]engine.RoundResult, rounds)
-	if err := c.runSeeds(ctx, seeds, samplers, out); err != nil {
+	if err := c.runSeeds(ctx, base, 0, samplers, out); err != nil {
 		return nil, nil, err
 	}
 	verdicts := make([]bool, rounds)
@@ -288,9 +288,10 @@ func roundStats(round int, r engine.RoundResult) RoundStats {
 	}
 }
 
-// runSeeds runs one session of len(seeds) lock-step trials with the
-// cluster's own nodes over a fresh listener; see runSession.
-func (c *Cluster) runSeeds(ctx context.Context, seeds []uint64, samplers []dist.Sampler, out []engine.RoundResult) error {
+// runSeeds runs one session of len(samplers) lock-step trials, engine
+// trials first, first+1, ... of base seed base, with the cluster's own
+// nodes over a fresh listener; see runSession.
+func (c *Cluster) runSeeds(ctx context.Context, base uint64, first int, samplers []dist.Sampler, out []engine.RoundResult) error {
 	nodes, err := c.buildNodes()
 	if err != nil {
 		return err
@@ -299,15 +300,16 @@ func (c *Cluster) runSeeds(ctx context.Context, seeds []uint64, samplers []dist.
 	if err != nil {
 		return fmt.Errorf("network: listen: %w", err)
 	}
-	return c.runSession(ctx, l, nodes, seeds, samplers, out)
+	return c.runSession(ctx, l, nodes, base, first, samplers, out)
 }
 
 // runSession opens a session on l with the given nodes (nil when the
-// players dial in from elsewhere), runs seeds[i] as its own batch of one
-// trial, lock-step, and closes the session. The session's accept phase
-// is charged to the first trial's wall time, and every node connect
-// retry lands on the first trial's Retries.
-func (c *Cluster) runSession(ctx context.Context, l net.Listener, nodes []*PlayerNode, seeds []uint64, samplers []dist.Sampler, out []engine.RoundResult) error {
+// players dial in from elsewhere), runs engine trial first+i of base
+// seed base with samplers[i] as its own batch of one trial, lock-step,
+// and closes the session. The session's accept phase is charged to the
+// first trial's wall time, and every node connect retry lands on the
+// first trial's Retries.
+func (c *Cluster) runSession(ctx context.Context, l net.Listener, nodes []*PlayerNode, base uint64, first int, samplers []dist.Sampler, out []engine.RoundResult) error {
 	sw := engine.StartStopwatch()
 	bs, err := openBatchSession(ctx, c, l, nodes)
 	if err != nil {
@@ -315,8 +317,8 @@ func (c *Cluster) runSession(ctx context.Context, l net.Listener, nodes []*Playe
 	}
 	openWall := sw.Elapsed()
 	var runErr error
-	for i := range seeds {
-		if runErr = bs.runChunk(ctx, seeds[i:i+1], samplers[i:i+1], 1, out[i:i+1]); runErr != nil {
+	for i := range samplers {
+		if runErr = bs.runChunk(ctx, base, first+i, samplers[i:i+1], 1, out[i:i+1]); runErr != nil {
 			break
 		}
 	}

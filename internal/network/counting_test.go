@@ -128,7 +128,7 @@ func TestFormatFrameCounts(t *testing.T) {
 // regardless of how reads and writes chop the byte stream.
 func TestFrameScannerReassembly(t *testing.T) {
 	var buf []byte
-	buf, err := AppendRoundBatch(buf, RoundBatch{Batch: 7, Seeds: []uint64{1, 2, 3}})
+	buf, err := AppendRoundBatch(buf, RoundBatch{Batch: 7, Count: 3, Base: 1, First: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

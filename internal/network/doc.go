@@ -9,8 +9,10 @@
 //
 //  1. Every player connects and sends HELLO with its player id and
 //     message width.
-//  2. The referee sends ROUND_BATCH carrying the public-coin seed of each
-//     trial in the batch, shared by all players.
+//  2. The referee sends ROUND_BATCH naming the batch's trials: a base
+//     seed, a first trial and a count. Each player derives every trial's
+//     public coin, engine.SharedSeed(base, trial), itself, so the shared
+//     randomness costs the wire 32 bytes per batch whatever its size.
 //  3. Each player draws its q samples per trial locally, evaluates its
 //     core.LocalRule and sends one VOTE_BATCH: its r-bit messages for the
 //     whole batch as r bit-planes.

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -45,25 +46,62 @@ func FuzzFrame(f *testing.F) {
 		0, 0, 0, 0, 0, 0, 0, 5}) // version-1 VOTE_BATCH
 	f.Add([]byte{0xD0, 0x7A, 1, 2, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1}) // version-1 ROUND
 
+	// Version-2 ROUND_BATCH carried a seed list: batch(4) count(4)
+	// seed(8 each). Two seeds make a 24-byte payload, the size of a
+	// version-3 trial range, so only the version byte tells them apart.
+	f.Add([]byte{0xD0, 0x7A, 2, 6, 0, 0, 0, 24,
+		0, 0, 0, 7, 0, 0, 0, 2,
+		0, 0, 0, 0, 0xfe, 0xed, 0xfa, 0xce,
+		0, 0, 0, 0, 0, 0, 0, 3}) // version-2 ROUND_BATCH, two seeds
+
 	// Valid batch frames, including a partial final word and a bitset
 	// spanning two words.
-	var roundBatch, voteBatch, verdictBatch bytes.Buffer
-	_ = WriteRoundBatch(&roundBatch, RoundBatch{Batch: 7, Seeds: []uint64{1, 0xfeedface, 3}})
+	var voteBatch, verdictBatch bytes.Buffer
 	_ = WriteVoteBatch(&voteBatch, VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}})
 	_ = WriteVerdictBatch(&verdictBatch, VerdictBatch{Batch: 7, Count: 65, Bits: []uint64{^uint64(0), 1}})
-	f.Add(roundBatch.Bytes())
 	f.Add(voteBatch.Bytes())
 	f.Add(verdictBatch.Bytes())
+
+	// Valid trial ranges: one trial, a full batch, and both ending on
+	// the last legal trial, math.MaxInt64.
+	for _, r := range []RoundBatch{
+		{Batch: 7, Count: 1, Base: 0xfeedface, First: 3},
+		{Batch: 7, Count: MaxBatchTrials, Base: 0xfeedface, First: 1 << 40},
+		{Batch: 7, Count: 1, Base: 1, First: math.MaxInt64},
+		{Batch: 7, Count: MaxBatchTrials, Base: 1, First: math.MaxInt64 - (MaxBatchTrials - 1)},
+	} {
+		var buf bytes.Buffer
+		_ = WriteRoundBatch(&buf, r)
+		f.Add(buf.Bytes())
+	}
 
 	// Malformed batch frames the decoder must reject (never panic on):
 	// length prefixes disagreeing with the count field, counts out of
 	// range, wrong bitset word counts, and non-zero padding bits.
-	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 8,
-		0, 0, 0, 7, 0, 0, 0, 5}) // ROUND_BATCH count 5, zero seeds
-	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 8,
-		0, 0, 0, 7, 0, 0, 0, 0}) // ROUND_BATCH count 0
-	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 12,
-		0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4}) // ROUND_BATCH huge count
+	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 23,
+		0, 0, 0, 7, 0, 0, 0, 5,
+		0, 0, 0, 0, 0, 0, 0, 9,
+		0, 0, 0, 0, 0, 0, 0}) // ROUND_BATCH 23-byte payload
+	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 25,
+		0, 0, 0, 7, 0, 0, 0, 5,
+		0, 0, 0, 0, 0, 0, 0, 9,
+		0, 0, 0, 0, 0, 0, 0, 0, 0}) // ROUND_BATCH 25-byte payload
+	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 24,
+		0, 0, 0, 7, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 9,
+		0, 0, 0, 0, 0, 0, 0, 0}) // ROUND_BATCH count 0
+	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 24,
+		0, 0, 0, 7, 0, 0, 0x04, 0x01,
+		0, 0, 0, 0, 0, 0, 0, 9,
+		0, 0, 0, 0, 0, 0, 0, 0}) // ROUND_BATCH count 1025
+	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 24,
+		0, 0, 0, 7, 0, 0, 0, 2,
+		0, 0, 0, 0, 0, 0, 0, 9,
+		0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // ROUND_BATCH last trial MaxInt64+1
+	f.Add([]byte{0xD0, 0x7A, v, 6, 0, 0, 0, 24,
+		0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF,
+		0, 0, 0, 0, 0, 0, 0, 9,
+		0, 0, 0, 0, 0, 0, 0, 0}) // ROUND_BATCH huge count
 	f.Add([]byte{0xD0, 0x7A, v, 7, 0, 0, 0, 20,
 		0, 0, 0, 3, 0, 0, 0, 7, 0, 0, 0, 1,
 		0, 0, 0, 0, 0, 0, 0, 2}) // VOTE_BATCH count 1 with padding bit 1 set
@@ -225,8 +263,8 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("re-encode finish: %v", err)
 			}
 		case RoundBatch:
-			if len(m.Seeds) == 0 {
-				t.Fatalf("decoder accepted empty ROUND_BATCH: %+v", m)
+			if err := checkRoundBatch(m); err != nil {
+				t.Fatalf("decoder accepted invalid ROUND_BATCH: %v", err)
 			}
 			if err := WriteRoundBatch(&buf, m); err != nil {
 				t.Fatalf("re-encode round batch: %v", err)

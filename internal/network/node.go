@@ -148,13 +148,13 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 // FINISH. stage supplies each batch's per-trial samplers; a batch with
 // none staged is an error.
 func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
-	for {
-		// Referee frames can lag a full referee phase behind — the quorum
-		// accept phase before the first ROUND_BATCH, a slow peer's vote
-		// before a VERDICT_BATCH — so reads get a two-timeout budget. Each
-		// direction keeps its own deadline, so a read arms one timer, not
-		// two.
-		setReadDeadline(conn, 2*p.timeout)
+	for first := true; ; first = false {
+		// Referee frames can lag a full referee phase behind — the accept
+		// phase before the first ROUND_BATCH, a slow peer's vote before a
+		// VERDICT_BATCH — so reads get readBudget: three timeouts for the
+		// first frame, two after it. Each direction keeps its own deadline,
+		// so a read arms one timer, not two.
+		setReadDeadline(conn, readBudget(p.timeout, first))
 		t, msg, err := ReadFrame(conn)
 		if err != nil {
 			return fmt.Errorf("network: node %d read: %w", p.id, err)
@@ -194,16 +194,19 @@ func (p *PlayerNode) checkVerdict(m VerdictBatch) error {
 	return nil
 }
 
-// voteBatch computes one vote per seed of a ROUND_BATCH and replies with
-// the packed VOTE_BATCH, one bit-plane per message bit. Each trial's
-// derivation is engine.NodeRNG(seed, id) feeding the sampler kernel and
-// then the rule, so lane j of the reply is the message every other
-// backend derives for seed j and this player.
+// voteBatch computes one vote per trial of a ROUND_BATCH and replies
+// with the packed VOTE_BATCH, one bit-plane per message bit. Trial j's
+// public coin is engine.SharedSeed(Base, First+j), derived here rather
+// than carried on the wire, and engine.NodeRNG(coin, id) feeds the
+// sampler kernel and then the rule, so lane j of the reply is the
+// message every other backend derives for that trial and this player.
+// The decoder bounds First+Count-1 by math.MaxInt64, so the int trial
+// index never wraps.
 //
 //dut:hotpath per-batch node sampling and vote encode
 func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage) error {
 	msgBits := p.rule.Bits()
-	count := len(rb.Seeds)
+	count := int(rb.Count)
 	samplers, staged := stage.get(rb.Batch)
 	if !staged {
 		return fmt.Errorf("network: node %d has no samplers staged for batch %d", p.id, rb.Batch)
@@ -218,7 +221,8 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage
 	}
 	voteBits := p.voteBits[:need]
 	clear(voteBits)
-	for j, seed := range rb.Seeds {
+	for j := 0; j < count; j++ {
+		seed := engine.SharedSeed(rb.Base, int(rb.First)+j)
 		rng := p.rng.SeedNode(seed, int(p.id))
 		p.rng.SampleInto(samplers[j], p.buf)
 		msg, err := p.rule.Message(int(p.id), p.buf, seed, rng)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -35,7 +36,7 @@ func fakeVote(conn net.Conn, player uint32, planes ...uint64) error {
 	if err != nil {
 		return err
 	}
-	return WriteVoteBatch(conn, VoteBatch{Player: player, Batch: rb.Batch, Count: uint32(len(rb.Seeds)), Planes: planes})
+	return WriteVoteBatch(conn, VoteBatch{Player: player, Batch: rb.Batch, Count: rb.Count, Planes: planes})
 }
 
 // fakeCluster is a strict in-memory cluster for scripted players.
@@ -65,14 +66,12 @@ func refereeTrials(t *testing.T, c *Cluster, trials int, players ...func(conn ne
 			fakePlayer(c.tr, l.Addr(), script)
 		}()
 	}
-	seeds := make([]uint64, trials)
 	samplers := make([]dist.Sampler, trials)
 	for i := range samplers {
-		seeds[i] = uint64(7 + i)
 		samplers[i] = dist.NopSampler{}
 	}
 	out := make([]engine.RoundResult, trials)
-	err = c.runSession(context.Background(), l, nil, seeds, samplers, out)
+	err = c.runSession(context.Background(), l, nil, 7, 0, samplers, out)
 	wg.Wait()
 	return out, err
 }
@@ -265,7 +264,7 @@ func TestNodeChecksVerdictEcho(t *testing.T) {
 			go func() { served <- node.serve(nodeConn, stage) }()
 			_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
 			if tc.vote {
-				if err := WriteRoundBatch(referee, RoundBatch{Batch: 3, Seeds: []uint64{1, 2}}); err != nil {
+				if err := WriteRoundBatch(referee, RoundBatch{Batch: 3, Count: 2, Base: 1}); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := expectFrame[VoteBatch](referee, FrameVoteBatch); err != nil {
@@ -304,11 +303,118 @@ func TestNodeRequiresStagedSamplers(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- node.serve(nodeConn, stage) }()
 	_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteRoundBatch(referee, RoundBatch{Batch: 5, Seeds: []uint64{1}}); err != nil {
+	if err := WriteRoundBatch(referee, RoundBatch{Batch: 5, Count: 1, Base: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-served; err == nil || !strings.Contains(err.Error(), "no samplers staged for batch 5") {
 		t.Errorf("node error = %v, want the unstaged-batch error", err)
+	}
+}
+
+// TestNodeDerivesCoinsFromTrialRange drives a real node from a scripted
+// referee with a ROUND_BATCH that names trials 2^40 .. 2^40+64: every
+// lane of its VOTE_BATCH must be the message the in-process SMP derives
+// for public coin engine.SharedSeed(Base, First+j). The range covers a
+// First past 32 bits and a count that is not a multiple of 64.
+func TestNodeDerivesCoinsFromTrialRange(t *testing.T) {
+	const (
+		k, id, q, bits = 5, 3, 3, 5
+		count          = 65
+		base           = 0xba5e5eed
+		first          = 1 << 40
+	)
+	rule := treeTestRule{bits: bits}
+	smp, err := core.NewSMP(k, q, rule, core.SumThresholdReferee{Bits: bits, T: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewPlayerNode(id, q, rule, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := uniformSampler(t, 16)
+	samplers := make([]dist.Sampler, count)
+	for j := range samplers {
+		samplers[j] = sampler
+	}
+	stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+	stage.put(9, samplers)
+	referee, nodeConn := net.Pipe()
+	defer func() { _ = referee.Close() }()
+	served := make(chan error, 1)
+	go func() { served <- node.serve(nodeConn, stage) }()
+	_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteRoundBatch(referee, RoundBatch{Batch: 9, Count: count, Base: base, First: first}); err != nil {
+		t.Fatal(err)
+	}
+	vb, err := expectFrame[VoteBatch](referee, FrameVoteBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vb.Player != id || vb.Batch != 9 || vb.Count != count || vb.Width() != bits {
+		t.Fatalf("VOTE_BATCH player %d batch %d count %d width %d, want %d/9/%d/%d",
+			vb.Player, vb.Batch, vb.Count, vb.Width(), id, count, bits)
+	}
+	words := batchWords(count)
+	for j := 0; j < count; j++ {
+		msgs, err := smp.RunMessagesSeeded(sampler, engine.SharedSeed(base, first+j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got core.Message
+		for b := 0; b < bits; b++ {
+			got |= core.Message(vb.Planes[b*words+j/64]>>(j%64)&1) << b
+		}
+		if got != msgs[id] {
+			t.Errorf("trial %d: node voted %#x, SMP derives %#x", first+j, got, msgs[id])
+		}
+	}
+	if err := WriteVerdictBatch(referee, VerdictBatch{Batch: 9, Count: count, Bits: make([]uint64, words)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFinish(referee); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("node: %v", err)
+	}
+}
+
+// TestNodeDetectsSilentReferee: only a node's first read waits out the
+// referee's accept phase, with a three-timeout budget. Once the session
+// runs, a referee that goes silent fails the node within its
+// two-timeout read budget, well under two and a half timeouts.
+func TestNodeDetectsSilentReferee(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	node, err := NewPlayerNode(0, 1, acceptAllRule(), timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+	stage.put(1, []dist.Sampler{dist.NopSampler{}})
+	referee, nodeConn := net.Pipe()
+	defer func() { _ = referee.Close() }()
+	served := make(chan error, 1)
+	go func() { served <- node.serve(nodeConn, stage) }()
+	_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteRoundBatch(referee, RoundBatch{Batch: 1, Count: 1, Base: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := expectFrame[VoteBatch](referee, FrameVoteBatch); err != nil {
+		t.Fatal(err)
+	}
+	silent := time.Now()
+	select {
+	case err := <-served:
+		elapsed := time.Since(silent)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("node error = %v, want a read deadline", err)
+		}
+		if elapsed >= 5*timeout/2 {
+			t.Errorf("node noticed the silent referee after %v, want under %v", elapsed, 5*timeout/2)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("node never noticed the silent referee")
 	}
 }
 

@@ -230,7 +230,7 @@ func TestSessionCancellation(t *testing.T) {
 func TestRefereeSessionValidation(t *testing.T) {
 	c := fakeCluster(t, 1, acceptAllRule(), time.Second)
 	var out [1]engine.RoundResult
-	err := c.runSession(context.Background(), nil, nil, []uint64{1}, []dist.Sampler{dist.NopSampler{}}, out[:])
+	err := c.runSession(context.Background(), nil, nil, 1, 0, []dist.Sampler{dist.NopSampler{}}, out[:])
 	if err == nil {
 		t.Error("nil listener accepted")
 	}

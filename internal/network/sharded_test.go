@@ -331,6 +331,82 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 	}
 }
 
+// TestShardedAggregatorNeverConnectsMatchesFlat: an aggregator that
+// never reaches the root costs the tree its shard, not the session. The
+// root's accept phase waits two timeouts for the missing aggregator, so
+// the live aggregator and its players must still be listening when the
+// first ROUND_BATCH arrives; the tree then decides every round exactly
+// as the flat star does with that shard's players absent, under every
+// absentee policy. Retries differ by construction (the tree retries one
+// aggregator dial, the flat star four player dials) and are not
+// compared.
+func TestShardedAggregatorNeverConnectsMatchesFlat(t *testing.T) {
+	const (
+		k      = 8
+		shards = 2
+		rounds = 3
+	)
+	policies := []struct {
+		name   string
+		policy core.AbsenteePolicy
+	}{
+		{"default", core.AbsenteeDefault},
+		{"accept", core.AbsenteeAccept},
+		{"reject", core.AbsenteeReject},
+		{"omit", core.AbsenteeOmit},
+	}
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			t.Parallel()
+			run := func(s int, cfg FaultConfig) ([]bool, []RoundStats) {
+				t.Helper()
+				ft, err := NewFaultTransport(NewMemTransport(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := NewCluster(ClusterConfig{
+					K: k, Q: 2,
+					Rule:      parityRule(),
+					Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 3}},
+					Transport: ft,
+					Timeout:   200 * time.Millisecond,
+					MinVotes:  4,
+					Absentees: pol.policy,
+					Shards:    s,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				verdicts, stats, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(88), rounds)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", s, err)
+				}
+				return verdicts, stats
+			}
+			// Shard 1 of the contiguous 2-way partition owns players 4..7.
+			absent := make(map[uint32]FaultPlan)
+			for _, p := range (Topology{Shards: shards}).Partition(k)[1] {
+				absent[p] = FaultPlan{DropDials: 100}
+			}
+			flatVerdicts, flatStats := run(0, FaultConfig{Plans: absent})
+			treeVerdicts, treeStats := run(shards, FaultConfig{AggPlans: map[uint32]FaultPlan{1: {DropDials: 100}}})
+			for i := 0; i < rounds; i++ {
+				if flatStats[i].Votes != k/2 || flatStats[i].Stragglers != k/2 {
+					t.Errorf("flat round %d votes/stragglers = %d/%d, want %d/%d",
+						i, flatStats[i].Votes, flatStats[i].Stragglers, k/2, k/2)
+				}
+				if treeVerdicts[i] != flatVerdicts[i] {
+					t.Errorf("round %d: tree verdict %v, flat decided %v", i, treeVerdicts[i], flatVerdicts[i])
+				}
+				if treeStats[i].Votes != flatStats[i].Votes || treeStats[i].Stragglers != flatStats[i].Stragglers {
+					t.Errorf("round %d: tree votes/stragglers = %d/%d, flat counted %d/%d",
+						i, treeStats[i].Votes, treeStats[i].Stragglers, flatStats[i].Votes, flatStats[i].Stragglers)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedVerdictRelayFaultEqualsShardCrash extends the failure-
 // domain contract to the downstream hop: an aggregator that dies during
 // the verdict relay — killed on an AGG_VERDICT's arrival, or fed a

@@ -2,8 +2,10 @@ package network
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 )
 
@@ -14,10 +16,12 @@ const (
 	// Version is the wire protocol version. Version 2 retired the
 	// per-trial ROUND/VOTE/VERDICT frames and the width-byte VOTE_BATCH_R:
 	// every trial rides a batch frame, a single trial being a batch of one.
-	Version = uint8(2)
-	// MaxFrameSize bounds the payload of the fixed-size frames (HELLO and
-	// FINISH); both are tiny. Batch frames have their own bound, derived
-	// from MaxBatchTrials (see maxPayload).
+	// Version 3 replaced ROUND_BATCH's per-trial seed list with a trial
+	// range every player expands into its public coins itself.
+	Version = uint8(3)
+	// MaxFrameSize bounds the payload of HELLO and FINISH; both are tiny.
+	// Batch frames have their own bound: ROUND_BATCH's fixed 24 bytes, the
+	// others derived from MaxBatchTrials (see maxPayload).
 	MaxFrameSize = 64
 	// MaxBatchTrials bounds the trial count of one batch frame. It caps
 	// the memory a malicious length prefix can make the decoder allocate
@@ -46,10 +50,10 @@ const (
 type FrameType uint8
 
 // Frame types, in round order. The batch frames (6..8) carry the whole
-// exchange: one ROUND_BATCH carries up to MaxBatchTrials public-coin
-// seeds identified by a batch id, each player answers with one
-// VOTE_BATCH of r packed bit-planes echoing the id, and the referee
-// replies with one VERDICT_BATCH. A single trial is a batch of one.
+// exchange: one ROUND_BATCH names a range of up to MaxBatchTrials trials
+// under a batch id, each player answers with one VOTE_BATCH of r packed
+// bit-planes echoing the id, and the referee replies with one
+// VERDICT_BATCH. A single trial is a batch of one.
 // Values 2, 3, 4 (the version-1 per-trial ROUND, VOTE and VERDICT) and 9
 // (VOTE_BATCH_R, whose r-bit planes VOTE_BATCH now carries) are retired
 // and decode as unknown types; the remaining values are wire-stable.
@@ -109,12 +113,42 @@ type Hello struct {
 // Finish tells a player the session is over.
 type Finish struct{}
 
-// RoundBatch carries the public-coin seeds of len(Seeds) consecutive
-// trials, identified by a batch id the player echoes in its VOTE_BATCH.
-// Payload layout: batch(4) count(4) seed[0..count)(8 each), big-endian.
+// RoundBatch names Count consecutive trials of one engine run,
+// identified by a batch id the player echoes in its VOTE_BATCH: trial j
+// of the batch is engine trial First+j under base seed Base, and every
+// player derives its public coin engine.SharedSeed(Base, First+j)
+// itself. The public coin is shared randomness, not communication, so
+// the frame is the same 32 bytes for any Count. The last trial,
+// First+Count-1, must not exceed math.MaxInt64, so the derivation's int
+// trial index never wraps.
+// Payload layout: batch(4) count(4) base(8) first(8), big-endian.
 type RoundBatch struct {
-	Batch uint32
-	Seeds []uint64
+	Batch, Count uint32
+	Base, First  uint64
+}
+
+// roundBatchPayload is the fixed ROUND_BATCH payload size.
+const roundBatchPayload = 24
+
+// ErrRoundBatchCount is a ROUND_BATCH whose trial count is outside
+// 1..MaxBatchTrials.
+var ErrRoundBatchCount = errors.New("network: ROUND_BATCH trial count out of range")
+
+// ErrRoundBatchRange is a ROUND_BATCH whose last trial, First+Count-1,
+// exceeds math.MaxInt64: its public coins would need a trial index the
+// engine cannot name.
+var ErrRoundBatchRange = errors.New("network: ROUND_BATCH trial range past math.MaxInt64")
+
+// checkRoundBatch is the one ROUND_BATCH check, shared by the encoder
+// and the decoder.
+func checkRoundBatch(r RoundBatch) error {
+	if r.Count < 1 || r.Count > MaxBatchTrials {
+		return fmt.Errorf("%w: %d trials, want 1..%d", ErrRoundBatchCount, r.Count, MaxBatchTrials)
+	}
+	if r.First > math.MaxInt64-uint64(r.Count-1) {
+		return fmt.Errorf("%w: %d trials from trial %d", ErrRoundBatchRange, r.Count, r.First)
+	}
+	return nil
 }
 
 // VoteBatch carries one player's r-bit votes for every trial of a batch
@@ -429,11 +463,12 @@ func checkAggVerdict(v AggVerdict) error {
 const headerSize = 8
 
 // maxPayload is the per-type payload bound: HELLO and FINISH stay
-// within MaxFrameSize, batch frames within what MaxBatchTrials implies.
+// within MaxFrameSize, ROUND_BATCH within its fixed payload, and the
+// other batch frames within what MaxBatchTrials implies.
 func maxPayload(t FrameType) int {
 	switch t {
 	case FrameRoundBatch:
-		return 8 + 8*MaxBatchTrials
+		return roundBatchPayload
 	case FrameVoteBatch:
 		return 12 + 8*64*batchWords(MaxBatchTrials)
 	case FrameVerdictBatch:
@@ -513,24 +548,21 @@ func appendHeader(buf []byte, t FrameType, size int) []byte {
 	return binary.BigEndian.AppendUint32(buf, uint32(size))
 }
 
-// AppendRoundBatch appends one encoded ROUND_BATCH frame to buf; a trial
-// count outside 1..MaxBatchTrials is an error and appends nothing. Each
-// Append* helper is the one encoding of its frame layout: the batch
-// session's slot writers encode frame runs with them and flush the runs
-// through writeCoalesced, so a full window of frames costs one write
-// instead of one per frame, and the matching Write* sends one frame.
+// AppendRoundBatch appends one encoded ROUND_BATCH frame to buf; a frame
+// checkRoundBatch rejects is an error and appends nothing. Each Append*
+// helper is the one encoding of its frame layout: the batch session's
+// slot writers encode frame runs with them and flush the runs through
+// writeCoalesced, so a full window of frames costs one write instead of
+// one per frame, and the matching Write* sends one frame.
 func AppendRoundBatch(buf []byte, r RoundBatch) ([]byte, error) {
-	count := len(r.Seeds)
-	if count < 1 || count > MaxBatchTrials {
-		return buf, fmt.Errorf("network: ROUND_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
+	if err := checkRoundBatch(r); err != nil {
+		return buf, err
 	}
-	buf = appendHeader(buf, FrameRoundBatch, 8+8*count)
+	buf = appendHeader(buf, FrameRoundBatch, roundBatchPayload)
 	buf = binary.BigEndian.AppendUint32(buf, r.Batch)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(count))
-	for _, seed := range r.Seeds {
-		buf = binary.BigEndian.AppendUint64(buf, seed)
-	}
-	return buf, nil
+	buf = binary.BigEndian.AppendUint32(buf, r.Count)
+	buf = binary.BigEndian.AppendUint64(buf, r.Base)
+	return binary.BigEndian.AppendUint64(buf, r.First), nil
 }
 
 // AppendVerdictBatch appends one encoded VERDICT_BATCH frame to buf; a
@@ -731,22 +763,19 @@ func ReadFrame(r io.Reader) (FrameType, any, error) {
 		}
 		return t, Finish{}, nil
 	case FrameRoundBatch:
-		if len(payload) < 8 {
-			return 0, nil, fmt.Errorf("network: ROUND_BATCH payload of %d bytes", len(payload))
+		if len(payload) != roundBatchPayload {
+			return 0, nil, fmt.Errorf("network: ROUND_BATCH payload of %d bytes, want %d", len(payload), roundBatchPayload)
 		}
-		count := int(binary.BigEndian.Uint32(payload[4:8]))
-		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: ROUND_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
+		r := RoundBatch{
+			Batch: binary.BigEndian.Uint32(payload[0:4]),
+			Count: binary.BigEndian.Uint32(payload[4:8]),
+			Base:  binary.BigEndian.Uint64(payload[8:16]),
+			First: binary.BigEndian.Uint64(payload[16:24]),
 		}
-		if len(payload) != 8+8*count {
-			return 0, nil, fmt.Errorf("network: ROUND_BATCH payload of %d bytes for %d trials, want %d",
-				len(payload), count, 8+8*count)
+		if err := checkRoundBatch(r); err != nil {
+			return 0, nil, err
 		}
-		seeds := make([]uint64, count)
-		for i := range seeds {
-			seeds[i] = binary.BigEndian.Uint64(payload[8+8*i:])
-		}
-		return t, RoundBatch{Batch: binary.BigEndian.Uint32(payload[0:4]), Seeds: seeds}, nil
+		return t, r, nil
 	case FrameVoteBatch:
 		if len(payload) < 12 {
 			return 0, nil, fmt.Errorf("network: VOTE_BATCH payload of %d bytes", len(payload))

@@ -3,7 +3,9 @@ package network
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -17,9 +19,9 @@ func TestFrameRoundTrips(t *testing.T) {
 		write func(io.Writer) error
 	}{
 		{FrameHello, Hello{Player: 7, Bits: 3}, func(w io.Writer) error { return WriteHello(w, Hello{Player: 7, Bits: 3}) }},
-		{FrameRoundBatch, RoundBatch{Batch: 4, Seeds: []uint64{0xdeadbeefcafe}},
+		{FrameRoundBatch, RoundBatch{Batch: 4, Count: 65, Base: 0xdeadbeefcafe, First: 1 << 40},
 			func(w io.Writer) error {
-				return WriteRoundBatch(w, RoundBatch{Batch: 4, Seeds: []uint64{0xdeadbeefcafe}})
+				return WriteRoundBatch(w, RoundBatch{Batch: 4, Count: 65, Base: 0xdeadbeefcafe, First: 1 << 40})
 			}},
 		{FrameVoteBatch, VoteBatch{Player: 7, Batch: 4, Count: 1, Planes: []uint64{1}},
 			func(w io.Writer) error {
@@ -122,9 +124,10 @@ func TestReadFrameRejectsBadMagic(t *testing.T) {
 }
 
 func TestReadFrameRejectsBadVersion(t *testing.T) {
-	// Version 1 is the retired per-trial protocol: a version-1 peer fails
-	// the first frame instead of being misparsed.
-	for _, v := range []byte{1, 99} {
+	// Version 1 is the retired per-trial protocol and version 2 the
+	// seed-list ROUND_BATCH: an older peer fails the first frame instead
+	// of being misparsed.
+	for _, v := range []byte{1, 2, 99} {
 		var buf bytes.Buffer
 		if err := WriteFinish(&buf); err != nil {
 			t.Fatal(err)
@@ -175,7 +178,8 @@ func TestReadFrameRejectsWrongPayloadSizes(t *testing.T) {
 		t    FrameType
 		size int
 	}{
-		{FrameHello, 4}, {FrameFinish, 1}, {FrameRoundBatch, 7}, {FrameVoteBatch, 11}, {FrameVerdictBatch, 7},
+		{FrameHello, 4}, {FrameFinish, 1}, {FrameRoundBatch, 7}, {FrameRoundBatch, 23}, {FrameRoundBatch, 25},
+		{FrameVoteBatch, 11}, {FrameVerdictBatch, 7},
 	} {
 		if _, _, err := ReadFrame(bytes.NewReader(mk(tt.t, tt.size))); err == nil {
 			t.Errorf("%v with %d-byte payload accepted", tt.t, tt.size)
@@ -224,9 +228,61 @@ func TestReadFrameRejectsMalformedVerdictByte(t *testing.T) {
 	}
 }
 
+// TestRoundBatchIsFixedSize pins the version-3 control cost: a
+// ROUND_BATCH is one 32-byte frame whatever its trial count, and it
+// decodes back to the range it names.
+func TestRoundBatchIsFixedSize(t *testing.T) {
+	var buf []byte
+	for count := uint32(1); count <= MaxBatchTrials; count++ {
+		r := RoundBatch{Batch: count, Count: count, Base: 0x5eed, First: math.MaxInt64 - uint64(count-1)}
+		var err error
+		buf, err = AppendRoundBatch(buf[:0], r)
+		if err != nil {
+			t.Fatalf("count %d: %v", count, err)
+		}
+		if len(buf) != 32 {
+			t.Fatalf("count %d: ROUND_BATCH of %d bytes, want 32", count, len(buf))
+		}
+		typ, msg, err := ReadFrame(bytes.NewReader(buf))
+		if err != nil || typ != FrameRoundBatch || msg != r {
+			t.Fatalf("count %d: decoded (%v, %+v, %v), want %+v", count, typ, msg, err, r)
+		}
+	}
+}
+
+// TestRoundBatchNamedErrors: the encoder and the decoder share one
+// check, and each violation is its own named error.
+func TestRoundBatchNamedErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		r    RoundBatch
+		want error
+	}{
+		{"count 0", RoundBatch{Count: 0}, ErrRoundBatchCount},
+		{"count 1025", RoundBatch{Count: MaxBatchTrials + 1}, ErrRoundBatchCount},
+		{"last trial past MaxInt64", RoundBatch{Count: 2, First: math.MaxInt64}, ErrRoundBatchRange},
+		{"first trial past MaxInt64", RoundBatch{Count: 1, First: math.MaxInt64 + 1}, ErrRoundBatchRange},
+		{"first trial at MaxUint64", RoundBatch{Count: MaxBatchTrials, First: math.MaxUint64}, ErrRoundBatchRange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if buf, err := AppendRoundBatch(nil, tc.r); !errors.Is(err, tc.want) || len(buf) != 0 {
+				t.Errorf("encoder: (%d bytes, %v), want nothing and %v", len(buf), err, tc.want)
+			}
+			raw := appendHeader(nil, FrameRoundBatch, roundBatchPayload)
+			raw = binary.BigEndian.AppendUint32(raw, tc.r.Batch)
+			raw = binary.BigEndian.AppendUint32(raw, tc.r.Count)
+			raw = binary.BigEndian.AppendUint64(raw, tc.r.Base)
+			raw = binary.BigEndian.AppendUint64(raw, tc.r.First)
+			if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, tc.want) {
+				t.Errorf("decoder: %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestExpectFrameTypeMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteRoundBatch(&buf, RoundBatch{Batch: 1, Seeds: []uint64{1}}); err != nil {
+	if err := WriteRoundBatch(&buf, RoundBatch{Batch: 1, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := expectFrame[VoteBatch](&buf, FrameVoteBatch); err == nil {
