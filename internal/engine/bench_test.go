@@ -125,11 +125,12 @@ func BenchmarkEngineClusterSharded(b *testing.B) {
 		Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 2 * shardedK / 5}},
 		Transport: network.NewMemTransport(),
 		Timeout:   60 * time.Second,
+		Shards:    shardedAggs,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend, err := network.NewBackend(c, network.WithShards(shardedAggs))
+	backend, err := network.NewBackend(c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,11 +158,12 @@ func BenchmarkEngineClusterSharded100k(b *testing.B) {
 		Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 2 * shardedK / 5}},
 		Transport: network.NewMemTransport(),
 		Timeout:   120 * time.Second,
+		Shards:    shardedAggs,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend, err := network.NewBackend(c, network.WithShards(shardedAggs))
+	backend, err := network.NewBackend(c)
 	if err != nil {
 		b.Fatal(err)
 	}

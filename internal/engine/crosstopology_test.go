@@ -19,7 +19,10 @@ import (
 
 const xtopPlayers = 12
 
-func xtopCluster(t *testing.T, rule core.LocalRule, referee core.Referee) *network.Cluster {
+// xtopCluster builds the test cluster on the given topology: shards
+// L1 aggregators (0 is the flat star), players dealt in a shuffled
+// order when shardSeed is non-zero.
+func xtopCluster(t *testing.T, rule core.LocalRule, referee core.Referee, shards int, shardSeed uint64) *network.Cluster {
 	t.Helper()
 	c, err := network.NewCluster(network.ClusterConfig{
 		K: xtopPlayers, Q: xbSamples,
@@ -27,6 +30,8 @@ func xtopCluster(t *testing.T, rule core.LocalRule, referee core.Referee) *netwo
 		Referee:   referee,
 		Transport: network.NewMemTransport(),
 		Timeout:   10 * time.Second,
+		Shards:    shards,
+		ShardSeed: shardSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +39,9 @@ func xtopCluster(t *testing.T, rule core.LocalRule, referee core.Referee) *netwo
 	return c
 }
 
-func xtopVerdicts(t *testing.T, c *network.Cluster, batch, window int, opts ...network.BackendOption) []bool {
+func xtopVerdicts(t *testing.T, c *network.Cluster, batch, window int) []bool {
 	t.Helper()
-	b, err := network.NewBackend(c, opts...)
+	b, err := network.NewBackend(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +56,9 @@ func TestCrossTopologyBackendsAgree(t *testing.T) {
 			// Center the threshold on the expected sum of 12 uniform
 			// r-bit values so verdicts flip trial to trial.
 			referee := core.SumThresholdReferee{Bits: r, T: xtopPlayers * ((1 << r) - 1) / 2}
-			c := xtopCluster(t, rule, referee)
-			want := xtopVerdicts(t, c, 0, 0)
+			want := xtopVerdicts(t, xtopCluster(t, rule, referee, 0, 0), 0, 0)
 			for _, s := range []int{2, 3, 6} {
-				got := xtopVerdicts(t, c, 4, 2, network.WithShards(s))
+				got := xtopVerdicts(t, xtopCluster(t, rule, referee, s, 0), 4, 2)
 				assertSameVerdicts(t, fmt.Sprintf("shards=%d", s), want, got)
 			}
 		})
@@ -70,9 +74,8 @@ func TestCrossTopologyQuantizedRuleAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	referee := core.SumThresholdReferee{Bits: 3, T: threshold}
-	c := xtopCluster(t, rule, referee)
-	want := xtopVerdicts(t, c, 0, 0)
-	assertSameVerdicts(t, "sharded", want, xtopVerdicts(t, c, 3, 2, network.WithShards(4)))
+	want := xtopVerdicts(t, xtopCluster(t, rule, referee, 0, 0), 0, 0)
+	assertSameVerdicts(t, "sharded", want, xtopVerdicts(t, xtopCluster(t, rule, referee, 4, 0), 3, 2))
 	assertSameVerdicts(t, "sharded-shuffled", want,
-		xtopVerdicts(t, c, 3, 2, network.WithShards(4), network.WithShardSeed(0xfeed)))
+		xtopVerdicts(t, xtopCluster(t, rule, referee, 4, 0xfeed), 3, 2))
 }

@@ -97,20 +97,28 @@ func e22() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				cluster, err := network.NewCluster(network.ClusterConfig{
+				// The flat star and the tree are the same cluster config;
+				// only the topology differs.
+				clusterCfg := network.ClusterConfig{
 					K: k, Q: q,
 					Rule:    rule,
 					Referee: core.SumThresholdReferee{Bits: bits, T: core.QuantizedSumThreshold(n, k, q)},
 					Timeout: 30 * time.Second,
-				})
+				}
+				flatCluster, err := network.NewCluster(clusterCfg)
 				if err != nil {
 					return nil, err
 				}
-				flat, err := network.NewBackend(cluster)
+				clusterCfg.Shards = s
+				treeCluster, err := network.NewCluster(clusterCfg)
 				if err != nil {
 					return nil, err
 				}
-				tree, err := network.NewBackend(cluster, network.WithShards(s))
+				flat, err := network.NewBackend(flatCluster)
+				if err != nil {
+					return nil, err
+				}
+				tree, err := network.NewBackend(treeCluster)
 				if err != nil {
 					return nil, err
 				}

@@ -15,8 +15,9 @@ import (
 // flags raw conn.Write/conn.Read calls outside the encoder and outside
 // Write/Read wrapper methods, binary.Write/binary.Read anywhere in scope,
 // frame reads (ReadFrame/expectFrame) with no earlier deadline call in
-// the same function, and frame writes after a SampleInto or rule Message
-// call since the last deadline refresh.
+// the same function, and frame writes (writeCoalesced, the one function
+// that writes frames) after a SampleInto or rule Message call since the
+// last deadline refresh.
 var AnalyzerFrameDiscipline = &Analyzer{
 	Name: "dut/framediscipline",
 	Doc:  "raw conn writes, binary.Write/Read, and deadline-less or stale-deadline frame IO",
@@ -26,6 +27,9 @@ var AnalyzerFrameDiscipline = &Analyzer{
 // encoderFiles hold the blessed frame encoder, exempt from the raw-IO
 // rules (the encoder is where the raw write lives by design).
 var encoderFiles = map[string]bool{"wire.go": true}
+
+// frameWriter is the one function that writes frames.
+const frameWriter = "writeCoalesced"
 
 var (
 	deadlineCalls = map[string]bool{
@@ -38,17 +42,9 @@ var (
 	frameReadCalls = map[string]bool{
 		"ReadFrame": true, "readFrame": true, "expectFrame": true,
 	}
-	frameWriteCalls = map[string]bool{
-		"WriteHello": true, "WriteFinish": true, "writeFrame": true,
-		"WriteRoundBatch": true, "WriteVoteBatch": true, "WriteVerdictBatch": true,
-		// The referee tree's aggregator frames: handshake, reduced sums,
-		// and forwarded planes.
-		"WriteAggHello": true, "WriteAggSum": true, "WriteAggPlanes": true,
-		"WriteAggVerdict": true,
-		// The batch session's coalesced flush: a run of frames encoded by
-		// the wire.go Append* helpers, written in one call.
-		"writeCoalesced": true,
-	}
+	// Every frame is encoded by a wire.go Append* function and leaves
+	// through frameWriter, alone or in a coalesced run.
+	frameWriteCalls = map[string]bool{frameWriter: true}
 	// consumingCalls can eat an arbitrary slice of the current deadline
 	// budget: batch sampling and user-provided rule evaluation.
 	consumingCalls = map[string]bool{"SampleInto": true, "Message": true}
@@ -158,7 +154,7 @@ func (p *Pass) checkRawIO(call *ast.CallExpr, connIface *types.Interface, wrappe
 		return
 	}
 	p.Reportf(call.Pos(),
-		"raw conn.%s bypasses the validated frame encoder; use the wire.go Write*/ReadFrame helpers", sel.Sel.Name)
+		"raw conn.%s bypasses the validated frame encoder; encode with the wire.go Append* functions, write with writeCoalesced and read with ReadFrame", sel.Sel.Name)
 }
 
 // checkBinaryIO flags encoding/binary stream IO, which would bypass the

@@ -189,6 +189,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"goroleak", "goroleak", "example.com/internal/network/fixture", AnalyzerGoroLeak},
 		{"atomicdiscipline", "atomicdiscipline", "example.com/internal/core/fixture", AnalyzerAtomicDiscipline},
 		{"wireexhaustive", "wireexhaustive", "example.com/internal/network/fixture", AnalyzerWireExhaustive},
+		{"wireexhaustive-writer", "wireexhaustive_writer", "example.com/internal/network/fixture", AnalyzerWireExhaustive},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

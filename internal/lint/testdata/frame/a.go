@@ -10,14 +10,14 @@ import (
 
 type frame struct{}
 
-func setDeadline(c net.Conn, d time.Duration)          {}
-func setWriteDeadline(c net.Conn, d time.Duration)     {}
-func ReadFrame(c net.Conn) (frame, error)              { return frame{}, nil }
-func WriteHello(c net.Conn, id uint32) error           { return nil }
-func WriteVoteBatch(c net.Conn, bits []uint64) error   { return nil }
-func WriteAggSum(c net.Conn, sums []uint64) error      { return nil }
-func WriteAggHello(c net.Conn, members []uint32) error { return nil }
-func SampleInto(buf []int)                             {}
+func setDeadline(c net.Conn, d time.Duration)            {}
+func setWriteDeadline(c net.Conn, d time.Duration)       {}
+func ReadFrame(c net.Conn) (frame, error)                { return frame{}, nil }
+func AppendHello(buf []byte, id uint32) []byte           { return buf }
+func AppendVoteBatch(buf []byte, bits []uint64) []byte   { return buf }
+func AppendAggSum(buf []byte, sums []uint64) []byte      { return buf }
+func AppendAggHello(buf []byte, members []uint32) []byte { return buf }
+func SampleInto(buf []int)                               {}
 
 func badRaw(c net.Conn, w io.Writer, p []byte) {
 	_, _ = c.Write(p)                                // want "raw conn.Write bypasses the validated frame encoder"
@@ -32,13 +32,13 @@ func badRead(c net.Conn) {
 func badStale(c net.Conn, buf []int) {
 	setDeadline(c, time.Second)
 	SampleInto(buf)
-	_ = WriteHello(c, 1) // want "frame write under a deadline already consumed"
+	_ = writeCoalesced(c, AppendHello(nil, 1)) // want "frame write under a deadline already consumed"
 }
 
 func badStaleBatch(c net.Conn, buf []int, bits []uint64) {
 	setWriteDeadline(c, time.Second)
 	SampleInto(buf)
-	_ = WriteVoteBatch(c, bits) // want "frame write under a deadline already consumed"
+	_ = writeCoalesced(c, AppendVoteBatch(nil, bits)) // want "frame write under a deadline already consumed"
 }
 
 // reusable stands in for engine.ReusableRNG, whose SampleInto is the
@@ -50,28 +50,28 @@ func (*reusable) SampleInto(s any, buf []int) {}
 func badStaleReceiverForm(c net.Conn, r *reusable, buf []int, bits []uint64) {
 	setWriteDeadline(c, time.Second)
 	r.SampleInto(nil, buf)
-	_ = WriteVoteBatch(c, bits) // want "frame write under a deadline already consumed"
+	_ = writeCoalesced(c, AppendVoteBatch(nil, bits)) // want "frame write under a deadline already consumed"
 }
 
 func badStaleAgg(c net.Conn, buf []int, sums []uint64) {
 	setWriteDeadline(c, time.Second)
 	SampleInto(buf)
-	_ = WriteAggSum(c, sums) // want "frame write under a deadline already consumed"
+	_ = writeCoalesced(c, AppendAggSum(nil, sums)) // want "frame write under a deadline already consumed"
 }
 
 func goodAgg(c net.Conn, members []uint32, sums []uint64) error {
 	setWriteDeadline(c, time.Second)
-	if err := WriteAggHello(c, members); err != nil {
+	if err := writeCoalesced(c, AppendAggHello(nil, members)); err != nil {
 		return err
 	}
 	setWriteDeadline(c, time.Second) // fresh budget per frame: clean
-	return WriteAggSum(c, sums)
+	return writeCoalesced(c, AppendAggSum(nil, sums))
 }
 
 func goodBatch(c net.Conn, buf []int, bits []uint64) error {
 	SampleInto(buf)
 	setWriteDeadline(c, time.Second) // fresh write budget after sampling: clean
-	return WriteVoteBatch(c, bits)
+	return writeCoalesced(c, AppendVoteBatch(nil, bits))
 }
 
 func good(c net.Conn, buf []int) error {
@@ -81,7 +81,7 @@ func good(c net.Conn, buf []int) error {
 	}
 	SampleInto(buf)
 	setDeadline(c, time.Second) // refreshed after sampling: clean
-	return WriteHello(c, 1)
+	return writeCoalesced(c, AppendHello(nil, 1))
 }
 
 type wrapConn struct{ net.Conn }

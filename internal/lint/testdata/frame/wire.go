@@ -2,7 +2,7 @@ package fixture
 
 import "net"
 
-func writeFrame(c net.Conn, p []byte) error {
-	_, err := c.Write(p) // the encoder file owns the raw write: clean
+func writeCoalesced(c net.Conn, run []byte) error {
+	_, err := c.Write(run) // the encoder file owns the raw write: clean
 	return err
 }

@@ -1,9 +1,12 @@
 // Package fixture exercises dut/wireexhaustive: every FrameType
-// constant needs an encoder, a validating ReadFrame decoder case, fuzz
-// round-trip and malformed-input seeds, and a dut/framediscipline
-// writer-set entry. FrameHello is fully covered; each other frame is
-// missing exactly one piece.
+// constant needs an Append encoder, a validating ReadFrame decoder case,
+// and fuzz round-trip and malformed-input seeds, and the package's
+// frames must leave through writeCoalesced. FrameHello is fully
+// covered; each other frame is missing exactly one piece, except
+// FrameBogus, whose Write-form encoder no longer counts.
 package fixture
+
+import "io"
 
 // FrameType tags a wire frame.
 type FrameType uint8
@@ -14,15 +17,21 @@ const (
 	FrameVoteBatch    FrameType = 3 // want "has no ReadFrame decoder case"
 	FrameVerdictBatch FrameType = 4 // want "decoder case performs no validation"
 	FrameFinish       FrameType = 5 // want "no FuzzFrame round-trip seed"
-	FrameBogus        FrameType = 6 // want "missing from the dut/framediscipline writer set" "no malformed-input fuzz seed"
+	FrameBogus        FrameType = 6 // want "has no encoder: want AppendBogus" "no malformed-input fuzz seed"
 	FrameSpare        FrameType = 7 //lint:ignore dut/wireexhaustive fixture: the spare frame is decoder-only by design
 )
 
-func WriteHello(buf []byte) []byte        { return append(buf, byte(FrameHello)) }
-func WriteVoteBatch(buf []byte) []byte    { return append(buf, byte(FrameVoteBatch)) }
-func WriteVerdictBatch(buf []byte) []byte { return append(buf, byte(FrameVerdictBatch)) }
-func WriteFinish(buf []byte) []byte       { return append(buf, byte(FrameFinish)) }
-func WriteBogus(buf []byte) []byte        { return append(buf, byte(FrameBogus)) }
+func AppendHello(buf []byte) []byte        { return append(buf, byte(FrameHello)) }
+func AppendVoteBatch(buf []byte) []byte    { return append(buf, byte(FrameVoteBatch)) }
+func AppendVerdictBatch(buf []byte) []byte { return append(buf, byte(FrameVerdictBatch)) }
+func AppendFinish(buf []byte) []byte       { return append(buf, byte(FrameFinish)) }
+func WriteBogus(buf []byte) []byte         { return append(buf, byte(FrameBogus)) }
+
+// writeCoalesced is the one frame writer.
+func writeCoalesced(w io.Writer, run []byte) error {
+	_, err := w.Write(run)
+	return err
+}
 
 // ReadFrame decodes one frame; every covered case must validate.
 func ReadFrame(t FrameType, payload []byte) error {

@@ -13,18 +13,19 @@ import (
 )
 
 // AnalyzerWireExhaustive verifies closure of the wire-frame registry: for
-// every FrameType constant the package declares, there must be an
-// encoder (Write<Name> or Append<Name>), a ReadFrame decoder case with
-// validation errors, a FuzzFrame round-trip seed (the fuzz harness
-// encodes a valid frame of the type), a malformed-input seed (a raw
-// f.Add byte literal carrying the frame's type byte), and a
-// dut/framediscipline writer entry — so the next AGG_*-style frame
-// family cannot ship half-covered. Test files are not part of the
+// every FrameType constant the package declares, there must be its one
+// encoder, Append<Name>, a ReadFrame decoder case with validation, a
+// FuzzFrame round-trip seed (the fuzz harness encodes a valid frame of
+// the type), and a malformed-input seed (a raw f.Add byte literal
+// carrying the frame's type byte) — so the next AGG_*-style frame family
+// cannot ship half-covered. The package's frames must also leave through
+// writeCoalesced, the one frame writer, which must be in the
+// dut/framediscipline writer set. Test files are not part of the
 // type-checked load, so the fuzz seeds are checked syntactically from
 // the package directory's *_test.go sources.
 var AnalyzerWireExhaustive = &Analyzer{
 	Name: "dut/wireexhaustive",
-	Doc:  "FrameType without encoder, validating decoder case, fuzz seeds, or framediscipline entry",
+	Doc:  "FrameType without Append encoder, validating decoder case or fuzz seeds; frames without the framediscipline writer",
 	Run:  runWireExhaustive,
 }
 
@@ -44,20 +45,14 @@ func runWireExhaustive(p *Pass) error {
 		return err
 	}
 
+	if writer, ok := p.Pkg.Scope().Lookup(frameWriter).(*types.Func); !ok {
+		p.Reportf(frames[0].obj.Pos(), "the package declares frames but no %s to write them", frameWriter)
+	} else if !frameWriteCalls[frameWriter] {
+		p.Reportf(writer.Pos(), "%s is missing from the dut/framediscipline writer set (frameWriteCalls)", frameWriter)
+	}
 	for _, fr := range frames {
-		encoder := ""
-		for _, prefix := range []string{"Write", "Append"} {
-			if obj := p.Pkg.Scope().Lookup(prefix + fr.base); obj != nil {
-				if _, ok := obj.(*types.Func); ok {
-					encoder = prefix + fr.base
-					break
-				}
-			}
-		}
-		if encoder == "" {
-			p.Reportf(fr.obj.Pos(), "%s has no encoder: want Write%s or Append%s", fr.name, fr.base, fr.base)
-		} else if !frameWriteCalls[encoder] && !frameWriteCalls["Write"+fr.base] {
-			p.Reportf(fr.obj.Pos(), "%s encoder %s is missing from the dut/framediscipline writer set (frameWriteCalls)", fr.name, encoder)
+		if _, ok := p.Pkg.Scope().Lookup("Append" + fr.base).(*types.Func); !ok {
+			p.Reportf(fr.obj.Pos(), "%s has no encoder: want Append%s", fr.name, fr.base)
 		}
 		if readFrame != nil {
 			if !caseFor[fr.obj] {
@@ -69,7 +64,7 @@ func runWireExhaustive(p *Pass) error {
 			p.Reportf(fr.obj.Pos(), "%s is declared but the package has no ReadFrame decoder", fr.name)
 		}
 		if !roundTrip[fr.base] {
-			p.Reportf(fr.obj.Pos(), "%s has no FuzzFrame round-trip seed (no Write%s/Append%s call in a Fuzz function)", fr.name, fr.base, fr.base)
+			p.Reportf(fr.obj.Pos(), "%s has no FuzzFrame round-trip seed (no Append%s call in a Fuzz function)", fr.name, fr.base)
 		}
 		if !malformed[fr.value] {
 			p.Reportf(fr.obj.Pos(), "%s has no malformed-input fuzz seed (no raw f.Add byte literal with type byte %d)", fr.name, fr.value)
@@ -171,9 +166,9 @@ func decoderCases(p *Pass, readFrame *ast.FuncDecl) (caseFor, validated map[type
 
 // fuzzSeeds scans the package directory's *_test.go sources (parse-only:
 // test files are outside the type-checked load) for the fuzz corpus.
-// roundTrip records encoder suffixes called inside Fuzz* functions;
-// malformed records the type byte of every raw []byte seed handed to
-// f.Add (byte 3 of the frame header).
+// roundTrip records the suffixes of Append* encoders called inside
+// Fuzz* functions; malformed records the type byte of every raw []byte
+// seed handed to f.Add (byte 3 of the frame header).
 func fuzzSeeds(p *Pass) (roundTrip map[string]bool, malformed map[uint64]bool, err error) {
 	roundTrip = map[string]bool{}
 	malformed = map[uint64]bool{}
@@ -201,9 +196,7 @@ func fuzzSeeds(p *Pass) (roundTrip map[string]bool, malformed map[uint64]bool, e
 					return true
 				}
 				cn := calleeName(call)
-				if rest, ok := strings.CutPrefix(cn, "Write"); ok {
-					roundTrip[rest] = true
-				} else if rest, ok := strings.CutPrefix(cn, "Append"); ok {
+				if rest, ok := strings.CutPrefix(cn, "Append"); ok {
 					roundTrip[rest] = true
 				}
 				if cn == "Add" && len(call.Args) == 1 {

@@ -50,11 +50,14 @@ type aggBatch struct {
 
 // aggBatchQueue is an unbounded FIFO of pending reductions feeding the
 // aggregator's reduce loop, mirroring frameQueue's close semantics:
-// pushes after close are dropped, pending items still drain.
+// pushes after close are dropped, pending items still drain. The oldest
+// item sits at head; the slice compacts whenever it drains, so its
+// backing array settles at the high-water mark, like aggregator.sent.
 type aggBatchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []aggBatch
+	head   int
 	closed bool
 }
 
@@ -77,16 +80,16 @@ func (q *aggBatchQueue) push(b aggBatch) {
 func (q *aggBatchQueue) pop() (aggBatch, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return aggBatch{}, false
 	}
-	b := q.items[0]
-	q.items = q.items[1:]
-	if len(q.items) == 0 {
-		q.items = q.items[:0:cap(q.items)]
+	b := q.items[q.head]
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
 	}
 	return b, true
 }
@@ -225,9 +228,12 @@ func (a *aggregator) connectRoot(addr net.Addr, present uint32) error {
 			continue
 		}
 		a.bs.tracker.track(conn)
-		setWriteDeadline(conn, c.timeout)
-		hello := AggHello{Agg: a.id, Bits: uint8(a.bs.msgBits), Present: present, Members: a.members}
-		if err := WriteAggHello(conn, hello); err != nil {
+		hello, err := AppendAggHello(nil, AggHello{Agg: a.id, Bits: uint8(a.bs.msgBits), Present: present, Members: a.members})
+		if err == nil {
+			setWriteDeadline(conn, c.timeout)
+			err = writeCoalesced(conn, hello)
+		}
+		if err != nil {
 			_ = conn.Close()
 			lastErr = fmt.Errorf("network: aggregator %d hello: %w", a.id, err)
 			continue

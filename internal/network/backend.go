@@ -22,45 +22,13 @@ type clusterBackend struct {
 
 var _ engine.BatchBackend = (*clusterBackend)(nil)
 
-// BackendOption adjusts the cluster topology a backend drives, without
-// mutating the caller's Cluster (the backend works on a copy).
-type BackendOption func(*Cluster)
-
-// WithShards sets the number of L1 aggregators in the referee tree;
-// 0 and 1 both select the flat star.
-func WithShards(s int) BackendOption {
-	return func(c *Cluster) { c.topo.Shards = s }
-}
-
-// WithAggregatorWeights sets relative aggregator capacities for
-// heterogeneous placements (must be one weight per shard, each >= 1).
-func WithAggregatorWeights(w []int) BackendOption {
-	return func(c *Cluster) { c.topo.Weights = w }
-}
-
-// WithShardSeed deals players to shards in a deterministically shuffled
-// order instead of contiguous ranges.
-func WithShardSeed(seed uint64) BackendOption {
-	return func(c *Cluster) { c.topo.Seed = seed }
-}
-
-// NewBackend adapts a Cluster to the engine's Backend interface.
-// Options override the cluster's topology for this backend only: the
-// cluster is copied, so the same Cluster can drive a flat and a sharded
-// backend side by side.
-func NewBackend(c *Cluster, opts ...BackendOption) (engine.Backend, error) {
+// NewBackend adapts a Cluster to the engine's Backend interface. The
+// backend drives the cluster's own topology: ClusterConfig.Shards,
+// AggregatorWeights and ShardSeed choose the flat star or the referee
+// tree, so a flat and a sharded backend side by side are two clusters.
+func NewBackend(c *Cluster) (engine.Backend, error) {
 	if c == nil {
 		return nil, fmt.Errorf("network: nil cluster")
-	}
-	if len(opts) > 0 {
-		copied := *c
-		for _, o := range opts {
-			o(&copied)
-		}
-		if err := copied.topo.validate(copied.k); err != nil {
-			return nil, err
-		}
-		c = &copied
 	}
 	return &clusterBackend{c: c}, nil
 }

@@ -301,7 +301,7 @@ func TestRefereeRejectsMisbehavingNode(t *testing.T) {
 	// A node claiming a different player id in its VOTE_BATCH must abort
 	// the trial.
 	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
-		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+		if err := send(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
 		}
 		_ = fakeVote(conn, 99, 1)
@@ -313,7 +313,7 @@ func TestRefereeRejectsMisbehavingNode(t *testing.T) {
 
 func TestRefereeRejectsBadBits(t *testing.T) {
 	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
-		_ = WriteHello(conn, Hello{Player: 0, Bits: 0})
+		_ = send(conn, Hello{Player: 0, Bits: 0})
 	})
 	if err == nil {
 		t.Error("zero-bit hello accepted")

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -28,7 +27,7 @@ const (
 )
 
 // frameKindLimit bounds the tally arrays: every FrameType the wire
-// writers can emit is below it. The scanner only sees streams our own
+// writers can emit is below it. The cursor only sees streams our own
 // writers produced, so anything at or above the limit is ignored.
 const frameKindLimit = int(FrameAggVerdict) + 1
 
@@ -87,9 +86,9 @@ func FormatFrameCounts(m map[FrameType]uint64) string {
 
 // CountingTransport wraps any Transport and tallies, per referee tier,
 // the frames flowing through every connection its listeners accept.
-// Frames are recognized by parsing the 8-byte wire header out of the
-// byte stream, so coalesced writes (writeCoalesced flushing a whole
-// window) still count one tally per frame, not per syscall.
+// Frames are recognized by the wire.go frame cursor, so coalesced
+// writes (writeCoalesced flushing a whole window) still count one tally
+// per frame, not per syscall.
 //
 // Tier attribution uses creation order: the first listener is the
 // root's (a session listens before startSharded builds the aggregator
@@ -230,56 +229,42 @@ func (l *countingListener) SetDeadline(at time.Time) error {
 
 // countingConn tallies the frames crossing one accepted connection:
 // writes are the tier's downstream frames, reads its upstream ones.
-// Each direction has its own scanner — the batch session's slot writer
+// Each direction has its own cursor — the batch session's slot writer
 // and gather reader own the two directions concurrently.
 type countingConn struct {
 	net.Conn
-	tr   *CountingTransport
-	tier Tier
-	wr   frameScanner
-	rd   frameScanner
+	tr     *CountingTransport
+	tier   Tier
+	wr, rd countedStream
+}
+
+// countedStream is one direction of a counted connection.
+type countedStream struct {
+	mu  sync.Mutex
+	cur frameCursor
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	c.wr.feed(p[:n], func(kind FrameType) { c.tr.record(c.tier, true, kind) })
+	c.tally(&c.wr, true, p[:n])
 	return n, err
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.rd.feed(p[:n], func(kind FrameType) { c.tr.record(c.tier, false, kind) })
+	c.tally(&c.rd, false, p[:n])
 	return n, err
 }
 
-// frameScanner reassembles wire headers out of an arbitrary byte
-// stream: frames may arrive split across reads or coalesced many to a
-// write, so it tracks how far into the current header or payload the
-// stream is and emits one frame type per completed header.
-type frameScanner struct {
-	mu   sync.Mutex
-	hdr  [headerSize]byte
-	have int // header bytes collected
-	skip int // payload bytes left to consume
-}
-
-func (s *frameScanner) feed(p []byte, emit func(FrameType)) {
+// tally records every frame whose header completes in p.
+func (c *countingConn) tally(s *countedStream, down bool, p []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(p) > 0 {
-		if s.skip > 0 {
-			n := min(s.skip, len(p))
-			s.skip -= n
-			p = p[n:]
-			continue
+		n, ev := s.cur.next(p)
+		if ev == cursorHeader {
+			c.tr.record(c.tier, down, s.cur.kind)
 		}
-		n := copy(s.hdr[s.have:], p)
-		s.have += n
 		p = p[n:]
-		if s.have == headerSize {
-			emit(FrameType(s.hdr[3]))
-			s.skip = int(binary.BigEndian.Uint32(s.hdr[4:8]))
-			s.have = 0
-		}
 	}
 }

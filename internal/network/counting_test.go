@@ -23,15 +23,12 @@ func countingRun(t *testing.T, k, shards, trials, batch, window int) (root, agg 
 		Referee:   core.BitReferee{Rule: core.MajorityRule{}},
 		Transport: ct,
 		Timeout:   10 * time.Second,
+		Shards:    shards,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []BackendOption
-	if shards > 1 {
-		opts = append(opts, WithShards(shards))
-	}
-	treeResults(t, treeBackend(t, c, opts...), uniformSampler(t, 16), trials, batch, window)
+	treeResults(t, treeBackend(t, c), uniformSampler(t, 16), trials, batch, window)
 	root, agg = ct.Snapshot()
 	return root, agg
 }
@@ -120,37 +117,5 @@ func TestFormatFrameCounts(t *testing.T) {
 	}
 	if got := FormatFrameCounts(nil); got != "0 frames" {
 		t.Errorf("FormatFrameCounts(nil) = %q, want \"0 frames\"", got)
-	}
-}
-
-// TestFrameScannerReassembly feeds one encoded stream through the
-// scanner in every split position: frame boundaries must be recovered
-// regardless of how reads and writes chop the byte stream.
-func TestFrameScannerReassembly(t *testing.T) {
-	var buf []byte
-	buf, err := AppendRoundBatch(buf, RoundBatch{Batch: 7, Count: 3, Base: 1, First: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err = AppendAggVerdict(buf, AggVerdict{Batch: 7, Count: 3, Present: []uint32{2, 1}, Bits: []uint64{0x5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = AppendFinish(buf)
-	want := []FrameType{FrameRoundBatch, FrameAggVerdict, FrameFinish}
-	for split := 0; split <= len(buf); split++ {
-		var s frameScanner
-		var got []FrameType
-		emit := func(kind FrameType) { got = append(got, kind) }
-		s.feed(buf[:split], emit)
-		s.feed(buf[split:], emit)
-		if len(got) != len(want) {
-			t.Fatalf("split %d: scanned %d frames %v, want %v", split, len(got), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("split %d: frame %d = %v, want %v", split, i, got[i], want[i])
-			}
-		}
 	}
 }

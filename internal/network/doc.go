@@ -27,6 +27,20 @@
 // networked deployment can be dropped into the same experiment harness as
 // the in-process simulator (that equivalence is itself covered by tests).
 //
+// # Frame codec
+//
+// wire.go is the only code that knows the frame format. Each frame type
+// has one encoder, Append<Name>, which validates with the frame's check*
+// function and appends nothing on an error; every sender encodes into
+// scratch it keeps and writes through writeCoalesced, the one function
+// that puts frames on a connection. ReadFrame decodes each type through
+// one bounds-checked payload reader and validates with the same check*,
+// so the decoder accepts exactly what the encoders produce. The
+// transport decorators (CountingTransport, FaultTransport) follow their
+// byte streams with frameCursor, which shares readFrame's header decode
+// and takes batch-id and trial-count positions from wire.go, so they
+// split any stream into frames however reads and writes chop it.
+//
 // # Wire validation
 //
 // The referee enforces the protocol, not just the frame format. A HELLO
@@ -66,9 +80,11 @@
 // # Fault injection
 //
 // FaultTransport decorates any Transport with deterministic, seeded
-// faults applied per player id: dropped dial attempts, per-frame write
-// delays, payload corruption of a chosen frame and connection crashes at
-// a chosen round. It is the chaos harness for everything above — every
+// faults applied per player or aggregator id: dropped dial attempts,
+// per-frame write delays, payload corruption of a chosen frame,
+// connection crashes at a chosen round, and a dropped or corrupted
+// AGG_VERDICT on an aggregator's read side. Faults count frames, not
+// Read or Write calls. It is the chaos harness for everything above — every
 // injected fault must surface as a validated protocol error or a
 // tolerated straggler, never as a wrong verdict — and its FaultStats
 // report what was actually injected.

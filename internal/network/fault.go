@@ -1,7 +1,6 @@
 package network
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -43,7 +42,8 @@ type FaultPlan struct {
 	// the given round (1-based); zero never crashes. The player behaves
 	// correctly up to round CrashAtRound-1 and then dies mid-protocol. A
 	// VOTE_BATCH covers as many rounds as its trial count, so a crash
-	// scheduled inside a batch kills the write of the whole batch.
+	// scheduled inside a batch kills the write of the whole batch; frames
+	// ahead of it in the same write still go out.
 	CrashAtRound int
 	// DropVerdict kills the connection as the Nth AGG_VERDICT frame
 	// (1-based) arrives on its read side; zero never drops. Meaningful in
@@ -80,7 +80,7 @@ type FaultConfig struct {
 type FaultStats struct {
 	// DialsDropped counts dial attempts failed by DropDials budgets.
 	DialsDropped int
-	// FramesDelayed counts frame writes that slept a Delay.
+	// FramesDelayed counts written frames that slept a Delay.
 	FramesDelayed int
 	// FramesCorrupted counts frames whose payload was corrupted.
 	FramesCorrupted int
@@ -121,29 +121,11 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) (*FaultTransport, error
 	if inner == nil {
 		return nil, fmt.Errorf("network: fault transport around nil transport")
 	}
-	players := make([]uint32, 0, len(cfg.Plans))
-	for player := range cfg.Plans {
-		players = append(players, player)
+	if err := validatePlans("player", cfg.Plans); err != nil {
+		return nil, err
 	}
-	sort.Slice(players, func(i, j int) bool { return players[i] < players[j] })
-	for _, player := range players {
-		plan := cfg.Plans[player]
-		if plan.DropDials < 0 || plan.Delay < 0 || plan.CorruptFrame < 0 || plan.CrashAtRound < 0 ||
-			plan.DropVerdict < 0 || plan.CorruptVerdict < 0 {
-			return nil, fmt.Errorf("network: negative fault parameter in plan for player %d", player)
-		}
-	}
-	aggs := make([]uint32, 0, len(cfg.AggPlans))
-	for agg := range cfg.AggPlans {
-		aggs = append(aggs, agg)
-	}
-	sort.Slice(aggs, func(i, j int) bool { return aggs[i] < aggs[j] })
-	for _, agg := range aggs {
-		plan := cfg.AggPlans[agg]
-		if plan.DropDials < 0 || plan.Delay < 0 || plan.CorruptFrame < 0 || plan.CrashAtRound < 0 ||
-			plan.DropVerdict < 0 || plan.CorruptVerdict < 0 {
-			return nil, fmt.Errorf("network: negative fault parameter in plan for aggregator %d", agg)
-		}
+	if err := validatePlans("aggregator", cfg.AggPlans); err != nil {
+		return nil, err
 	}
 	return &FaultTransport{
 		inner:    inner,
@@ -151,6 +133,24 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) (*FaultTransport, error
 		dials:    make(map[uint32]int),
 		aggDials: make(map[uint32]int),
 	}, nil
+}
+
+// validatePlans rejects a plan with a negative fault parameter, naming
+// the lowest offending id so the error does not depend on map order.
+func validatePlans(role string, plans map[uint32]FaultPlan) error {
+	ids := make([]uint32, 0, len(plans))
+	for id := range plans {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		plan := plans[id]
+		if plan.DropDials < 0 || plan.Delay < 0 || plan.CorruptFrame < 0 || plan.CrashAtRound < 0 ||
+			plan.DropVerdict < 0 || plan.CorruptVerdict < 0 {
+			return fmt.Errorf("network: negative fault parameter in plan for %s %d", role, id)
+		}
+	}
+	return nil
 }
 
 // Listen implements Transport by delegating to the inner transport; the
@@ -165,29 +165,7 @@ func (f *FaultTransport) Dial(addr net.Addr) (net.Conn, error) { return f.inner.
 // dial-drop budget first, then a fault-wrapped connection for the frame-
 // level faults.
 func (f *FaultTransport) DialPlayer(addr net.Addr, player uint32) (net.Conn, error) {
-	plan, planned := f.cfg.Plans[player]
-	if !planned {
-		return f.inner.Dial(addr)
-	}
-	f.mu.Lock()
-	attempt := f.dials[player]
-	f.dials[player]++
-	if attempt < plan.DropDials {
-		f.stats.DialsDropped++
-		f.mu.Unlock()
-		return nil, fmt.Errorf("network: fault: dropped dial %d of player %d", attempt+1, player)
-	}
-	f.mu.Unlock()
-	conn, err := f.inner.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &faultConn{
-		Conn: conn,
-		tr:   f,
-		plan: plan,
-		rng:  engine.NodeRNG(f.cfg.Seed, int(player)),
-	}, nil
+	return f.dial(addr, "player", player, f.cfg.Plans, f.dials, int(player))
 }
 
 // DialAggregator implements AggregatorDialer: the aggregator's plan is
@@ -196,17 +174,24 @@ func (f *FaultTransport) DialPlayer(addr net.Addr, player uint32) (net.Conn, err
 // the ones' complement of the aggregator id, so it never collides with
 // any player's stream.
 func (f *FaultTransport) DialAggregator(addr net.Addr, agg uint32) (net.Conn, error) {
-	plan, planned := f.cfg.AggPlans[agg]
+	return f.dial(addr, "aggregator", agg, f.cfg.AggPlans, f.aggDials, -1-int(agg))
+}
+
+// dial is the one dial path of both roles: id's plan from plans, its
+// attempt count in attempts, and corruption masks drawn from the RNG
+// stream NodeRNG(seed, stream). An unplanned id passes through.
+func (f *FaultTransport) dial(addr net.Addr, role string, id uint32, plans map[uint32]FaultPlan, attempts map[uint32]int, stream int) (net.Conn, error) {
+	plan, planned := plans[id]
 	if !planned {
 		return f.inner.Dial(addr)
 	}
 	f.mu.Lock()
-	attempt := f.aggDials[agg]
-	f.aggDials[agg]++
+	attempt := attempts[id]
+	attempts[id]++
 	if attempt < plan.DropDials {
 		f.stats.DialsDropped++
 		f.mu.Unlock()
-		return nil, fmt.Errorf("network: fault: dropped dial %d of aggregator %d", attempt+1, agg)
+		return nil, fmt.Errorf("network: fault: dropped dial %d of %s %d", attempt+1, role, id)
 	}
 	f.mu.Unlock()
 	conn, err := f.inner.Dial(addr)
@@ -217,7 +202,7 @@ func (f *FaultTransport) DialAggregator(addr net.Addr, agg uint32) (net.Conn, er
 		Conn: conn,
 		tr:   f,
 		plan: plan,
-		rng:  engine.NodeRNG(f.cfg.Seed, -1-int(agg)),
+		rng:  engine.NodeRNG(f.cfg.Seed, stream),
 	}, nil
 }
 
@@ -235,43 +220,31 @@ func (f *FaultTransport) count(update func(*FaultStats)) {
 }
 
 // faultConn applies frame-level faults to the player side of a
-// connection. Every frame is written with a single Write call (see
-// writeFrame), so write boundaries are frame boundaries.
+// connection. Each direction follows its stream with a wire.go frame
+// cursor, so faults land on frames, not on Read or Write calls,
+// however the stream is chopped.
 type faultConn struct {
 	net.Conn
 	tr   *FaultTransport
 	plan FaultPlan
 	rng  *rand.Rand
 
-	mu     sync.Mutex
-	writes int // frames written on this connection
-	votes  int // rounds voted on, counting a VOTE_BATCH as its trial count
-
-	// Read-side frame cursor for the verdict faults: the downstream
-	// AGG_VERDICT stream arrives on this connection's reads, possibly
-	// split or coalesced, so the scanner tracks where in the current
-	// header or payload the stream is.
-	rd struct {
-		hdr  [headerSize]byte
-		have int  // header bytes collected
-		rem  int  // payload bytes left in the current frame
-		plen int  // payload length of the current frame
-		seen int  // AGG_VERDICT frames observed so far
-		mask byte // pending batch-id corruption for the current frame
-	}
+	mu       sync.Mutex
+	wr, rd   frameCursor
+	frames   int // frames written on this connection
+	votes    int // rounds voted on, counting a vote frame as its trial count
+	verdicts int // AGG_VERDICT frames read off this connection
 }
 
-// VOTE_BATCH payload offsets within a written frame (header included):
-// player(4) batch(4) count(4) bitset words.
-const (
-	voteBatchIDOffset    = headerSize + 7 // low byte of the batch id
-	voteBatchCountOffset = headerSize + 8 // trial-count field
-)
-
-// AGG_VERDICT carries its batch id first, so its low byte sits at
-// payload offset 3 (the read-side scanner walks payload positions, not
-// whole-frame offsets).
-const aggVerdictIDPayloadOffset = 3
+// voteFrame reports the frames that carry votes upstream: a player's
+// VOTE_BATCH and an aggregator's reduced AGG_SUM / AGG_PLANES. Their
+// trial counts advance CrashAtRound's round count, and CorruptFrame
+// hits their batch id: their tail bytes are genuine vote bits or
+// counters, where a flip would be a silent wrong verdict instead of a
+// validated protocol error.
+func voteFrame(t FrameType) bool {
+	return t == FrameVoteBatch || t == FrameAggSum || t == FrameAggPlanes
+}
 
 // Read applies the read-side verdict faults. Write faults model a
 // player (or an aggregator's upstream hop) misbehaving; the verdict
@@ -283,121 +256,110 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	if c.plan.DropVerdict == 0 && c.plan.CorruptVerdict == 0 {
 		return n, err
 	}
-	if keep, kerr := c.scanVerdicts(p[:n]); kerr != nil {
-		return keep, kerr
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	start := 0 // where the current frame starts in p; 0 if an earlier read began it
+	for i := 0; i < n; {
+		if c.rd.at == 0 {
+			start = i
+		}
+		k, ev := c.rd.next(p[i:n])
+		i += k
+		if ev != cursorHeader || c.rd.kind != FrameAggVerdict {
+			continue
+		}
+		c.verdicts++
+		switch c.verdicts {
+		case c.plan.DropVerdict:
+			// The reader keeps only the bytes before the verdict.
+			c.tr.count(func(s *FaultStats) { s.VerdictsDropped++ })
+			_ = c.Conn.Close()
+			return start, fmt.Errorf("network: fault: connection killed on verdict %d's arrival", c.verdicts)
+		case c.plan.CorruptVerdict:
+			c.rd.corrupt(c.rd.batchIDByte(), byte(c.rng.Uint64())|0x80)
+			c.tr.count(func(s *FaultStats) { s.VerdictsCorrupted++ })
+		}
 	}
 	return n, err
 }
 
-// scanVerdicts walks the read stream's frame structure and applies the
-// verdict faults in place. It returns how many leading bytes the reader
-// may keep and a non-nil error when the connection was killed on the
-// target verdict's arrival.
-func (c *faultConn) scanVerdicts(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := 0
-	for i < len(p) {
-		if c.rd.rem > 0 {
-			n := min(c.rd.rem, len(p)-i)
-			if c.rd.mask != 0 {
-				if off := aggVerdictIDPayloadOffset - (c.rd.plen - c.rd.rem); off >= 0 && off < n {
-					p[i+off] ^= c.rd.mask
-					c.rd.mask = 0
-					c.tr.count(func(s *FaultStats) { s.VerdictsCorrupted++ })
-				}
-			}
-			c.rd.rem -= n
-			i += n
-			continue
-		}
-		startedHere := c.rd.have == 0
-		start := i
-		n := copy(c.rd.hdr[c.rd.have:], p[i:])
-		c.rd.have += n
-		i += n
-		if c.rd.have < headerSize {
-			return len(p), nil
-		}
-		c.rd.have = 0
-		c.rd.plen = int(binary.BigEndian.Uint32(c.rd.hdr[4:8]))
-		c.rd.rem = c.rd.plen
-		c.rd.mask = 0
-		if FrameType(c.rd.hdr[3]) != FrameAggVerdict {
-			continue
-		}
-		c.rd.seen++
-		if c.rd.seen == c.plan.DropVerdict {
-			c.tr.count(func(s *FaultStats) { s.VerdictsDropped++ })
-			_ = c.Conn.Close()
-			keep := 0
-			if startedHere {
-				keep = start
-			}
-			return keep, fmt.Errorf("network: fault: connection killed on verdict %d's arrival", c.rd.seen)
-		}
-		if c.rd.seen == c.plan.CorruptVerdict {
-			c.rd.mask = byte(c.rng.Uint64()) | 0x80
-		}
-	}
-	return len(p), nil
-}
-
+// Write applies the write-side faults frame by frame: Delay before each
+// frame that starts in p, CorruptFrame on the plan's Nth frame, and
+// CrashAtRound on the vote frame whose trials reach that round, which
+// dies with the bytes before it written and none of its own.
 func (c *faultConn) Write(p []byte) (int, error) {
-	if c.plan.Delay > 0 {
-		c.tr.count(func(s *FaultStats) { s.FramesDelayed++ })
-		time.Sleep(c.plan.Delay)
-	}
 	c.mu.Lock()
-	c.writes++
-	frame := c.writes
-	var kind FrameType
-	if len(p) >= headerSize && binary.BigEndian.Uint16(p[0:2]) == Magic {
-		kind = FrameType(p[3])
-	}
-	rounds := 0
-	switch kind {
-	case FrameVoteBatch, FrameAggSum, FrameAggPlanes:
-		// Every batch-shaped frame carries its trial count at the same
-		// payload offset: player/agg id (4), batch id (4), count (4).
-		if len(p) >= voteBatchCountOffset+4 {
-			rounds = int(binary.BigEndian.Uint32(p[voteBatchCountOffset : voteBatchCountOffset+4]))
-		}
-	}
-	c.votes += rounds
-	lastRound := c.votes
-	var mask byte
-	if frame == c.plan.CorruptFrame {
-		mask = byte(c.rng.Uint64()) | 0x80
-	}
+	w := c.walkWrite(p)
 	c.mu.Unlock()
-
-	if c.plan.CrashAtRound > 0 && rounds > 0 && lastRound >= c.plan.CrashAtRound {
+	if c.plan.Delay > 0 && w.frames > 0 {
+		c.tr.count(func(s *FaultStats) { s.FramesDelayed += w.frames })
+		time.Sleep(time.Duration(w.frames) * c.plan.Delay)
+	}
+	if w.corrupted {
+		c.tr.count(func(s *FaultStats) { s.FramesCorrupted++ })
+	}
+	if w.crash {
+		n := 0
+		if w.keep > 0 {
+			n, _ = c.Conn.Write(w.out[:w.keep])
+		}
 		c.tr.count(func(s *FaultStats) { s.Crashes++ })
 		_ = c.Conn.Close()
-		return 0, fmt.Errorf("network: fault: player crashed at round %d", c.plan.CrashAtRound)
+		return n, fmt.Errorf("network: fault: player crashed at round %d", c.plan.CrashAtRound)
 	}
-	if mask != 0 && len(p) > headerSize {
-		c.tr.count(func(s *FaultStats) { s.FramesCorrupted++ })
-		q := append([]byte(nil), p...)
-		// Corrupt the batch id of a batch-shaped frame (detected by the
-		// receiver's echo check) and the last payload byte of everything
-		// else; a batch frame's tail bytes are genuine vote bits or
-		// counters, where a flip would be a silent wrong verdict instead
-		// of a validated protocol error.
-		idx := len(q) - 1
-		switch kind {
-		case FrameVoteBatch, FrameAggSum, FrameAggPlanes:
-			if len(q) > voteBatchIDOffset {
-				idx = voteBatchIDOffset
+	n, err := c.Conn.Write(w.out)
+	return min(n, len(p)), err
+}
+
+// faultedWrite is one Write's bytes after the write cursor's walk.
+type faultedWrite struct {
+	out       []byte // p itself, or a copy carrying a corrupted byte
+	keep      int    // bytes of out before a crashing frame
+	frames    int    // frames whose header completes in p
+	corrupted bool   // out carries CorruptFrame's corruption ahead of any crash
+	crash     bool   // a vote frame in p reaches CrashAtRound
+}
+
+// walkWrite runs the write cursor over p, numbering frames, counting
+// the rounds of vote frames and corrupting CorruptFrame's frame in a
+// copy (p is the caller's encode buffer); it stops at a crashing frame.
+func (c *faultConn) walkWrite(p []byte) faultedWrite {
+	w := faultedWrite{out: p, keep: len(p)}
+	start := 0 // where the current frame starts in p; 0 if an earlier write began it
+	for i := 0; i < len(w.out); {
+		if c.wr.at == 0 {
+			start = i
+		}
+		n, ev := c.wr.next(w.out[i:])
+		i += n
+		switch {
+		case ev == cursorHeader:
+			w.frames++
+			c.frames++
+			if c.frames != c.plan.CorruptFrame {
+				continue
+			}
+			mask := byte(c.rng.Uint64()) | 0x80
+			if c.wr.size == 0 {
+				continue
+			}
+			off := c.wr.size - 1
+			if voteFrame(c.wr.kind) {
+				off = c.wr.batchIDByte()
+			}
+			w.out = append([]byte(nil), p...)
+			w.corrupted = true
+			c.wr.corrupt(off, mask)
+		case ev == cursorFields && voteFrame(c.wr.kind):
+			rounds := int(c.wr.count())
+			c.votes += rounds
+			if c.plan.CrashAtRound > 0 && rounds > 0 && c.votes >= c.plan.CrashAtRound {
+				// The crashing frame is never written, corrupted or not.
+				w.keep, w.crash = start, true
+				w.corrupted = w.corrupted && c.frames != c.plan.CorruptFrame
+				return w
 			}
 		}
-		q[idx] ^= mask
-		n, err := c.Conn.Write(q)
-		if n > len(p) {
-			n = len(p)
-		}
-		return n, err
 	}
-	return c.Conn.Write(p)
+	return w
 }

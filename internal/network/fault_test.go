@@ -1,11 +1,17 @@
 package network
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 func andReferee() core.BitReferee {
@@ -112,10 +118,10 @@ func TestFaultTransportCorruptsChosenFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+	if err := send(conn, Hello{Player: 0, Bits: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteVoteBatch(conn, VoteBatch{Player: 0, Batch: 7, Count: 1, Planes: []uint64{1}}); err != nil {
+	if err := send(conn, VoteBatch{Player: 0, Batch: 7, Count: 1, Planes: []uint64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	r := <-got
@@ -136,6 +142,180 @@ func TestFaultTransportCorruptsChosenFrame(t *testing.T) {
 	}
 	if got := ft.Stats().FramesCorrupted; got != 1 {
 		t.Errorf("FramesCorrupted = %d, want 1", got)
+	}
+}
+
+// TestFaultTransportCorruptsFrameInCoalescedWrite: the write side
+// numbers frames, not Write calls, so with HELLO and VOTE_BATCH in one
+// write, CorruptFrame 2 still lands on the VOTE_BATCH's batch id.
+func TestFaultTransportCorruptsFrameInCoalescedWrite(t *testing.T) {
+	ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{
+		Seed:  42,
+		Plans: map[uint32]FaultPlan{0: {CorruptFrame: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := ft.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	type read struct {
+		hello Hello
+		vote  VoteBatch
+		err   error
+	}
+	got := make(chan read, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			got <- read{err: err}
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		hello, err := expectFrame[Hello](conn, FrameHello)
+		if err != nil {
+			got <- read{err: err}
+			return
+		}
+		vote, err := expectFrame[VoteBatch](conn, FrameVoteBatch)
+		got <- read{hello: hello, vote: vote, err: err}
+	}()
+	conn, err := ft.DialPlayer(l.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	run, err := AppendVoteBatch(AppendHello(nil, Hello{Player: 0, Bits: 1}),
+		VoteBatch{Player: 0, Batch: 7, Count: 1, Planes: []uint64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := append([]byte(nil), run...)
+	if err := writeCoalesced(conn, run); err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("referee side: %v", r.err)
+	}
+	if r.hello != (Hello{Player: 0, Bits: 1}) {
+		t.Errorf("hello corrupted: %+v", r.hello)
+	}
+	if r.vote.Batch&0x80 == 0 || r.vote.Batch == 7 {
+		t.Errorf("vote batch id %#x, want high bit set by corruption", r.vote.Batch)
+	}
+	if r.vote.Player != 0 || r.vote.Count != 1 || r.vote.Planes[0] != 1 {
+		t.Errorf("vote %+v: corruption leaked past the batch id", r.vote)
+	}
+	if !bytes.Equal(run, sent) {
+		t.Error("the fault layer corrupted the caller's buffer instead of a copy")
+	}
+	if got := ft.Stats().FramesCorrupted; got != 1 {
+		t.Errorf("FramesCorrupted = %d, want 1", got)
+	}
+}
+
+// stubConn is an in-memory net.Conn for driving one side of a
+// connection by hand: reads replay chunks in order and then report
+// io.EOF, writes are discarded, and deadlines are no-ops that allocate
+// nothing.
+type stubConn struct {
+	net.Conn // methods the tests never call
+	chunks   [][]byte
+}
+
+func (c *stubConn) Read(p []byte) (int, error) {
+	for len(c.chunks) > 0 && len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	c.chunks[0] = c.chunks[0][n:]
+	return n, nil
+}
+
+func (c *stubConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c *stubConn) Close() error                     { return nil }
+func (c *stubConn) SetDeadline(time.Time) error      { return nil }
+func (c *stubConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *stubConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestFaultVerdictsAtEverySplit: the read side follows the stream with
+// the frame cursor, so DropVerdict and CorruptVerdict hit the same
+// AGG_VERDICT wherever the reads split the stream — drop delivers no
+// frame from that verdict on, corrupt flips exactly the low byte of its
+// batch id, with the same seeded mask at every split.
+func TestFaultVerdictsAtEverySplit(t *testing.T) {
+	var stream []byte
+	second := 0 // where the second AGG_VERDICT starts
+	for batch := uint32(0); batch < 2; batch++ {
+		var err error
+		if stream, err = AppendRoundBatch(stream, RoundBatch{Batch: batch, Count: 3}); err != nil {
+			t.Fatal(err)
+		}
+		second = len(stream)
+		if stream, err = AppendAggVerdict(stream, AggVerdict{Batch: batch, Count: 3, Present: []uint32{2, 1}, Bits: []uint64{0b101}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream = AppendFinish(stream)
+	want, _ := decodedFrames(stream)
+
+	readAll := func(plan FaultPlan, split int) ([]byte, FaultStats, error) {
+		ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := &faultConn{
+			Conn: &stubConn{chunks: [][]byte{
+				append([]byte(nil), stream[:split]...), append([]byte(nil), stream[split:]...),
+			}},
+			tr: ft, plan: plan, rng: engine.NodeRNG(9, -1),
+		}
+		var got []byte
+		buf := make([]byte, 2*len(stream))
+		for {
+			n, err := fc.Read(buf)
+			got = append(got, buf[:n]...)
+			if err != nil {
+				return got, ft.Stats(), err
+			}
+		}
+	}
+	var mask byte
+	for split := 0; split <= len(stream); split++ {
+		got, stats, err := readAll(FaultPlan{CorruptVerdict: 2}, split)
+		if !errors.Is(err, io.EOF) || len(got) != len(stream) || stats.VerdictsCorrupted != 1 {
+			t.Fatalf("split %d: corrupt read %d of %d bytes, %v, %+v", split, len(got), len(stream), err, stats)
+		}
+		at := second + headerSize + 3 // the low byte of the batch id
+		diff := got[at] ^ stream[at]
+		if split == 0 {
+			mask = diff
+		}
+		if diff&0x80 == 0 || diff != mask {
+			t.Fatalf("split %d: batch id byte XORed with %#x, want %#x with the high bit set", split, diff, mask)
+		}
+		got[at] = stream[at]
+		if !bytes.Equal(got, stream) {
+			t.Fatalf("split %d: corruption leaked past the second verdict's batch id", split)
+		}
+
+		got, stats, err = readAll(FaultPlan{DropVerdict: 2}, split)
+		if err == nil || errors.Is(err, io.EOF) || stats.VerdictsDropped != 1 {
+			t.Fatalf("split %d: drop ended with %v, %+v", split, err, stats)
+		}
+		if !bytes.Equal(got, stream[:len(got)]) || len(got) >= second+headerSize {
+			t.Fatalf("split %d: drop delivered %d bytes, want a prefix short of the second verdict's header", split, len(got))
+		}
+		if frames, _ := decodedFrames(got); !reflect.DeepEqual(frames, want[:3]) {
+			t.Fatalf("split %d: drop delivered frames %+v, want %+v", split, frames, want[:3])
+		}
 	}
 }
 
@@ -174,12 +354,12 @@ func TestFaultTransportCrashesAtRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+	if err := send(conn, Hello{Player: 0, Bits: 1}); err != nil {
 		t.Fatal(err)
 	}
 	vote := VoteBatch{Player: 0, Batch: 0, Count: 1, Planes: []uint64{1}}
 	// Round 1's vote goes through...
-	if err := WriteVoteBatch(conn, vote); err != nil {
+	if err := send(conn, vote); err != nil {
 		t.Fatalf("round-1 vote: %v", err)
 	}
 	if err := <-done; err != nil {
@@ -187,7 +367,7 @@ func TestFaultTransportCrashesAtRound(t *testing.T) {
 	}
 	// ...round 2's vote crashes the connection.
 	vote.Batch = 1
-	if err := WriteVoteBatch(conn, vote); err == nil {
+	if err := send(conn, vote); err == nil {
 		t.Error("round-2 vote succeeded, want crash")
 	}
 	if got := ft.Stats().Crashes; got != 1 {
@@ -229,7 +409,7 @@ func TestFaultTransportDeterministicCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteVoteBatch(conn, VoteBatch{Player: 0, Batch: 0, Count: 1, Planes: []uint64{0}}); err != nil {
+		if err := send(conn, VoteBatch{Player: 0, Batch: 0, Count: 1, Planes: []uint64{0}}); err != nil {
 			t.Fatal(err)
 		}
 		v, ok := <-got

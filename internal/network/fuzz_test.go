@@ -20,14 +20,13 @@ func FuzzFrame(f *testing.F) {
 	const v = Version
 
 	// Seed with every valid frame type plus structural mutations.
-	var hello, finish bytes.Buffer
-	_ = WriteHello(&hello, Hello{Player: 3, Bits: 1})
-	_ = WriteFinish(&finish)
-	f.Add(hello.Bytes())
+	hello := AppendHello(nil, Hello{Player: 3, Bits: 1})
+	finish := AppendFinish(nil)
+	f.Add(hello)
 	f.Add([]byte{0xD0, 0x7A, v, 2, 0, 0, 0, 8, 0, 0, 0, 0, 0xfe, 0xed, 0xfa, 0xce})   // retired ROUND
 	f.Add([]byte{0xD0, 0x7A, v, 3, 0, 0, 0, 12, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 99}) // retired VOTE
 	f.Add([]byte{0xD0, 0x7A, v, 4, 0, 0, 0, 1, 1})                                    // retired VERDICT
-	f.Add(finish.Bytes())
+	f.Add(finish)
 	f.Add([]byte{})
 	f.Add([]byte{0xD0, 0x7A, v, 14, 0, 0, 0, 0})               // unknown type
 	f.Add([]byte{0x00, 0x00, v, 1, 0, 0, 0, 0})                // bad magic
@@ -56,11 +55,10 @@ func FuzzFrame(f *testing.F) {
 
 	// Valid batch frames, including a partial final word and a bitset
 	// spanning two words.
-	var voteBatch, verdictBatch bytes.Buffer
-	_ = WriteVoteBatch(&voteBatch, VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}})
-	_ = WriteVerdictBatch(&verdictBatch, VerdictBatch{Batch: 7, Count: 65, Bits: []uint64{^uint64(0), 1}})
-	f.Add(voteBatch.Bytes())
-	f.Add(verdictBatch.Bytes())
+	voteBatch, _ := AppendVoteBatch(nil, VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}})
+	verdictBatch, _ := AppendVerdictBatch(nil, VerdictBatch{Batch: 7, Count: 65, Bits: []uint64{^uint64(0), 1}})
+	f.Add(voteBatch)
+	f.Add(verdictBatch)
 
 	// Valid trial ranges: one trial, a full batch, and both ending on
 	// the last legal trial, math.MaxInt64.
@@ -70,9 +68,8 @@ func FuzzFrame(f *testing.F) {
 		{Batch: 7, Count: 1, Base: 1, First: math.MaxInt64},
 		{Batch: 7, Count: MaxBatchTrials, Base: 1, First: math.MaxInt64 - (MaxBatchTrials - 1)},
 	} {
-		var buf bytes.Buffer
-		_ = WriteRoundBatch(&buf, r)
-		f.Add(buf.Bytes())
+		buf, _ := AppendRoundBatch(nil, r)
+		f.Add(buf)
 	}
 
 	// Malformed batch frames the decoder must reject (never panic on):
@@ -130,9 +127,8 @@ func FuzzFrame(f *testing.F) {
 				}
 			}
 		}
-		var buf bytes.Buffer
-		_ = WriteVoteBatch(&buf, VoteBatch{Player: 3, Batch: 7, Count: tc.count, Planes: planes})
-		f.Add(buf.Bytes())
+		buf, _ := AppendVoteBatch(nil, VoteBatch{Player: 3, Batch: 7, Count: tc.count, Planes: planes})
+		f.Add(buf)
 	}
 
 	// Malformed r-bit vote frames the decoder must reject: the retired
@@ -165,26 +161,24 @@ func FuzzFrame(f *testing.F) {
 	// shard, a reduced sum batch with a partial final word, and a
 	// forwarded plane batch with an absent member in the mask — plus the
 	// degenerate all-absent plane frame.
-	var aggHello, aggSum, aggPlanes, aggEmpty bytes.Buffer
-	_ = WriteAggHello(&aggHello, AggHello{Agg: 1, Bits: 3, Present: 2, Members: []uint32{2, 5, 9}})
-	_ = WriteAggSum(&aggSum, AggSum{Agg: 1, Batch: 7, Count: 65, Bits: 2, Planes: 3, Present: 4,
+	aggHello, _ := AppendAggHello(nil, AggHello{Agg: 1, Bits: 3, Present: 2, Members: []uint32{2, 5, 9}})
+	aggSum, _ := AppendAggSum(nil, AggSum{Agg: 1, Batch: 7, Count: 65, Bits: 2, Planes: 3, Present: 4,
 		Sums: []uint64{0xAAAA, 1, 0x5555, 0, 0xF0F0, 1}})
-	_ = WriteAggPlanes(&aggPlanes, AggPlanes{Agg: 1, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 2,
+	aggPlanes, _ := AppendAggPlanes(nil, AggPlanes{Agg: 1, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 2,
 		Mask: []uint64{0b101}, Planes: []uint64{0b101, 0b011, 0b110, 0b001}})
-	_ = WriteAggPlanes(&aggEmpty, AggPlanes{Agg: 2, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 0,
+	aggEmpty, _ := AppendAggPlanes(nil, AggPlanes{Agg: 2, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 0,
 		Mask: []uint64{0}})
-	f.Add(aggHello.Bytes())
-	f.Add(aggSum.Bytes())
-	f.Add(aggPlanes.Bytes())
-	f.Add(aggEmpty.Bytes())
+	f.Add(aggHello)
+	f.Add(aggSum)
+	f.Add(aggPlanes)
+	f.Add(aggEmpty)
 
 	// Valid downstream verdict fan-out frames: a multi-shard accounting
 	// vector with an absent shard, and a bitset spanning two words.
-	var aggVerdict, aggVerdictWide bytes.Buffer
-	_ = WriteAggVerdict(&aggVerdict, AggVerdict{Batch: 7, Count: 3, Present: []uint32{2, 0, 5}, Bits: []uint64{0b101}})
-	_ = WriteAggVerdict(&aggVerdictWide, AggVerdict{Batch: 7, Count: 65, Present: []uint32{9}, Bits: []uint64{^uint64(0), 1}})
-	f.Add(aggVerdict.Bytes())
-	f.Add(aggVerdictWide.Bytes())
+	aggVerdict, _ := AppendAggVerdict(nil, AggVerdict{Batch: 7, Count: 3, Present: []uint32{2, 0, 5}, Bits: []uint64{0b101}})
+	aggVerdictWide, _ := AppendAggVerdict(nil, AggVerdict{Batch: 7, Count: 65, Present: []uint32{9}, Bits: []uint64{^uint64(0), 1}})
+	f.Add(aggVerdict)
+	f.Add(aggVerdictWide)
 
 	// Malformed aggregator frames the decoder must reject: duplicate
 	// members, a present count exceeding the shard, counter strides
@@ -252,69 +246,65 @@ func FuzzFrame(f *testing.F) {
 			return // rejects are fine; panics are not
 		}
 		// Accepted frames must round-trip.
-		var buf bytes.Buffer
+		var buf []byte
 		switch m := msg.(type) {
 		case Hello:
-			if err := WriteHello(&buf, m); err != nil {
-				t.Fatalf("re-encode hello: %v", err)
-			}
+			buf = AppendHello(nil, m)
 		case Finish:
-			if err := WriteFinish(&buf); err != nil {
-				t.Fatalf("re-encode finish: %v", err)
-			}
+			buf = AppendFinish(nil)
 		case RoundBatch:
 			if err := checkRoundBatch(m); err != nil {
 				t.Fatalf("decoder accepted invalid ROUND_BATCH: %v", err)
 			}
-			if err := WriteRoundBatch(&buf, m); err != nil {
+			if buf, err = AppendRoundBatch(nil, m); err != nil {
 				t.Fatalf("re-encode round batch: %v", err)
 			}
 		case VoteBatch:
 			if err := checkVoteBatch(m); err != nil {
 				t.Fatalf("decoder accepted invalid VOTE_BATCH planes: %v", err)
 			}
-			if err := WriteVoteBatch(&buf, m); err != nil {
+			if buf, err = AppendVoteBatch(nil, m); err != nil {
 				t.Fatalf("re-encode vote batch: %v", err)
 			}
 		case AggHello:
 			if err := checkAggHello(m); err != nil {
 				t.Fatalf("decoder accepted invalid AGG_HELLO: %v", err)
 			}
-			if err := WriteAggHello(&buf, m); err != nil {
+			if buf, err = AppendAggHello(nil, m); err != nil {
 				t.Fatalf("re-encode agg hello: %v", err)
 			}
 		case AggSum:
 			if err := checkAggSum(m); err != nil {
 				t.Fatalf("decoder accepted invalid AGG_SUM: %v", err)
 			}
-			if err := WriteAggSum(&buf, m); err != nil {
+			if buf, err = AppendAggSum(nil, m); err != nil {
 				t.Fatalf("re-encode agg sum: %v", err)
 			}
 		case AggPlanes:
 			if err := checkAggPlanes(m); err != nil {
 				t.Fatalf("decoder accepted invalid AGG_PLANES: %v", err)
 			}
-			if err := WriteAggPlanes(&buf, m); err != nil {
+			if buf, err = AppendAggPlanes(nil, m); err != nil {
 				t.Fatalf("re-encode agg planes: %v", err)
 			}
 		case AggVerdict:
 			if err := checkAggVerdict(m); err != nil {
 				t.Fatalf("decoder accepted invalid AGG_VERDICT: %v", err)
 			}
-			if err := WriteAggVerdict(&buf, m); err != nil {
+			if buf, err = AppendAggVerdict(nil, m); err != nil {
 				t.Fatalf("re-encode agg verdict: %v", err)
 			}
 		case VerdictBatch:
 			if err := checkBatchBits(FrameVerdictBatch, int(m.Count), m.Bits); err != nil {
 				t.Fatalf("decoder accepted invalid VERDICT_BATCH bitset: %v", err)
 			}
-			if err := WriteVerdictBatch(&buf, m); err != nil {
+			if buf, err = AppendVerdictBatch(nil, m); err != nil {
 				t.Fatalf("re-encode verdict batch: %v", err)
 			}
 		default:
 			t.Fatalf("decoded unknown type %T", msg)
 		}
-		typ2, msg2, err := ReadFrame(&buf)
+		typ2, msg2, err := ReadFrame(bytes.NewReader(buf))
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
@@ -322,6 +312,38 @@ func FuzzFrame(f *testing.F) {
 		// than ==.
 		if typ2 != typ || !reflect.DeepEqual(msg2, msg) {
 			t.Fatalf("round trip changed frame: (%v, %+v) -> (%v, %+v)", typ, msg, typ2, msg2)
+		}
+	})
+}
+
+// FuzzFrameStream cuts a byte stream at arbitrary points and feeds the
+// pieces to the frame cursor: the frames it reports, with their sizes
+// and trial counts, must be exactly the frames ReadFrame decodes from
+// the stream's valid prefix. Each cuts byte is the length of the next
+// piece. Run with `go test -fuzz '^FuzzFrameStream$' ./internal/network`.
+func FuzzFrameStream(f *testing.F) {
+	var all []byte
+	for _, g := range goldenFrames {
+		all, _ = encode(all, g.msg)
+	}
+	f.Add(all, []byte{1, 7, 3, 0, 12, 200, 5})
+	f.Add(all, bytes.Repeat([]byte{1}, len(all)))
+	f.Add(all, []byte{8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8})
+	f.Add(all[:len(all)-1], []byte{13, 20}) // truncated last frame
+	round, _ := AppendRoundBatch(nil, RoundBatch{Batch: 1, Count: MaxBatchTrials})
+	vote, _ := AppendVoteBatch(nil, VoteBatch{Player: 2, Batch: 1, Count: 65, Planes: []uint64{1, 1}})
+	f.Add(append(append(round, vote...), AppendFinish(nil)...), []byte{16, 3, 1})
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		want, end := decodedFrames(stream)
+		var pos []int
+		for at, i := 0, 0; i < len(cuts); i++ {
+			if at += int(cuts[i]); at > end {
+				break
+			}
+			pos = append(pos, at)
+		}
+		if got := cursorSplit(stream[:end], pos...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cursor reported %+v, ReadFrame decoded %+v", got, want)
 		}
 	})
 }

@@ -43,12 +43,14 @@ type PlayerNode struct {
 	backoff time.Duration
 
 	// Per-trial scratch, allocated once at construction: the sample batch
-	// buffer rng.SampleInto fills, the reseedable per-trial generator and
-	// the packed-vote planes of the VOTE_BATCH reply. A node handles one
-	// frame at a time, so the reuse is race-free.
+	// buffer rng.SampleInto fills and the reseedable per-trial generator.
+	// voteBits, the packed-vote planes of the VOTE_BATCH reply, and enc,
+	// its encoded frame, grow to the largest batch once and are reused. A
+	// node handles one frame at a time, so the reuse is race-free.
 	buf      []int
 	rng      *engine.ReusableRNG
 	voteBits []uint64
+	enc      []byte
 
 	// voted is the FIFO of batches the node voted on and awaits the
 	// verdict of, oldest at votedHead; it compacts whenever it drains.
@@ -132,7 +134,7 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 			continue
 		}
 		setWriteDeadline(conn, p.timeout)
-		if err := WriteHello(conn, Hello{Player: p.id, Bits: uint8(p.rule.Bits())}); err != nil {
+		if err := writeCoalesced(conn, AppendHello(nil, Hello{Player: p.id, Bits: uint8(p.rule.Bits())})); err != nil {
 			_ = conn.Close()
 			lastErr = fmt.Errorf("network: node %d hello: %w", p.id, err)
 			continue
@@ -240,8 +242,13 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage
 	}
 	// A fresh write budget: a large batch of sampling may have consumed
 	// most of the read-phase budget.
+	enc, err := AppendVoteBatch(p.enc[:0], VoteBatch{Player: p.id, Batch: rb.Batch, Count: uint32(count), Planes: voteBits})
+	p.enc = enc
+	if err != nil {
+		return err
+	}
 	setWriteDeadline(conn, p.timeout)
-	if err := WriteVoteBatch(conn, VoteBatch{Player: p.id, Batch: rb.Batch, Count: uint32(count), Planes: voteBits}); err != nil {
+	if err := writeCoalesced(conn, enc); err != nil {
 		return err
 	}
 	//lint:ignore dut/hotalloc the FIFO grows to the window's high-water mark once, then compacts in place as verdicts drain it

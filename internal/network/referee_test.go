@@ -36,7 +36,7 @@ func fakeVote(conn net.Conn, player uint32, planes ...uint64) error {
 	if err != nil {
 		return err
 	}
-	return WriteVoteBatch(conn, VoteBatch{Player: player, Batch: rb.Batch, Count: rb.Count, Planes: planes})
+	return send(conn, VoteBatch{Player: player, Batch: rb.Batch, Count: rb.Count, Planes: planes})
 }
 
 // fakeCluster is a strict in-memory cluster for scripted players.
@@ -80,7 +80,7 @@ func TestRefereeRejectsDuplicatePlayerID(t *testing.T) {
 	// Regression: two nodes claiming the same id used to both get slots,
 	// with votes indexed by accept order.
 	claimZero := func(conn net.Conn) {
-		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+		if err := send(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
 		}
 		_ = fakeVote(conn, 0, 1)
@@ -94,7 +94,7 @@ func TestRefereeRejectsDuplicatePlayerID(t *testing.T) {
 func TestRefereeRejectsOutOfRangePlayerID(t *testing.T) {
 	// Regression: an id >= k used to be accepted silently.
 	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
-		_ = WriteHello(conn, Hello{Player: 5, Bits: 1})
+		_ = send(conn, Hello{Player: 5, Bits: 1})
 	})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("err = %v, want out-of-range error", err)
@@ -107,7 +107,7 @@ func TestRefereeEnforcesAnnouncedBits(t *testing.T) {
 	// vote's plane count is its width, so two planes from a player that
 	// announced one bit fail the gather.
 	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
-		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+		if err := send(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
 		}
 		_ = fakeVote(conn, 0, 0, 1)
@@ -122,7 +122,7 @@ func TestRefereeNegotiatesMessageWidth(t *testing.T) {
 	// different width in HELLO fails the handshake with a named-player,
 	// named-widths error rather than a generic rejection.
 	_, err := refereeTrials(t, fakeCluster(t, 1, treeTestRule{bits: 2}, time.Second), 1, func(conn net.Conn) {
-		_ = WriteHello(conn, Hello{Player: 0, Bits: 7})
+		_ = send(conn, Hello{Player: 0, Bits: 7})
 	})
 	if err == nil {
 		t.Fatal("width mismatch accepted, want handshake error")
@@ -141,7 +141,7 @@ func TestRefereeAcceptsFullWidthMessages(t *testing.T) {
 		planes[i] = 1
 	}
 	_, err := refereeTrials(t, fakeCluster(t, 1, treeTestRule{bits: 64}, time.Second), 1, func(conn net.Conn) {
-		if err := WriteHello(conn, Hello{Player: 0, Bits: 64}); err != nil {
+		if err := send(conn, Hello{Player: 0, Bits: 64}); err != nil {
 			return
 		}
 		if err := fakeVote(conn, 0, planes...); err != nil {
@@ -159,7 +159,7 @@ func TestRefereeAcceptsFullWidthMessages(t *testing.T) {
 // FINISH; it reports every verdict it saw and closes done on FINISH.
 func slowPlayer(rounds int, verdicts chan<- bool, done chan<- struct{}) func(net.Conn) {
 	return func(conn net.Conn) {
-		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+		if err := send(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
 		}
 		for r := 0; r < rounds; r++ {
@@ -168,7 +168,7 @@ func slowPlayer(rounds int, verdicts chan<- bool, done chan<- struct{}) func(net
 				return
 			}
 			time.Sleep(400 * time.Millisecond) // slow, but within the per-frame budget
-			if err := WriteVoteBatch(conn, VoteBatch{Player: 0, Batch: rb.Batch, Count: 1, Planes: []uint64{1}}); err != nil {
+			if err := send(conn, VoteBatch{Player: 0, Batch: rb.Batch, Count: 1, Planes: []uint64{1}}); err != nil {
 				return
 			}
 			time.Sleep(400 * time.Millisecond) // verdict pickup past a stale deadline
@@ -264,18 +264,18 @@ func TestNodeChecksVerdictEcho(t *testing.T) {
 			go func() { served <- node.serve(nodeConn, stage) }()
 			_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
 			if tc.vote {
-				if err := WriteRoundBatch(referee, RoundBatch{Batch: 3, Count: 2, Base: 1}); err != nil {
+				if err := send(referee, RoundBatch{Batch: 3, Count: 2, Base: 1}); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := expectFrame[VoteBatch](referee, FrameVoteBatch); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := WriteVerdictBatch(referee, tc.verdict); err != nil {
+			if err := send(referee, tc.verdict); err != nil {
 				t.Fatal(err)
 			}
 			if tc.ok {
-				if err := WriteFinish(referee); err != nil {
+				if err := send(referee, Finish{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -303,7 +303,7 @@ func TestNodeRequiresStagedSamplers(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- node.serve(nodeConn, stage) }()
 	_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteRoundBatch(referee, RoundBatch{Batch: 5, Count: 1, Base: 1}); err != nil {
+	if err := send(referee, RoundBatch{Batch: 5, Count: 1, Base: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-served; err == nil || !strings.Contains(err.Error(), "no samplers staged for batch 5") {
@@ -344,7 +344,7 @@ func TestNodeDerivesCoinsFromTrialRange(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- node.serve(nodeConn, stage) }()
 	_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteRoundBatch(referee, RoundBatch{Batch: 9, Count: count, Base: base, First: first}); err != nil {
+	if err := send(referee, RoundBatch{Batch: 9, Count: count, Base: base, First: first}); err != nil {
 		t.Fatal(err)
 	}
 	vb, err := expectFrame[VoteBatch](referee, FrameVoteBatch)
@@ -369,10 +369,10 @@ func TestNodeDerivesCoinsFromTrialRange(t *testing.T) {
 			t.Errorf("trial %d: node voted %#x, SMP derives %#x", first+j, got, msgs[id])
 		}
 	}
-	if err := WriteVerdictBatch(referee, VerdictBatch{Batch: 9, Count: count, Bits: make([]uint64, words)}); err != nil {
+	if err := send(referee, VerdictBatch{Batch: 9, Count: count, Bits: make([]uint64, words)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFinish(referee); err != nil {
+	if err := send(referee, Finish{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-served; err != nil {
@@ -384,6 +384,46 @@ func TestNodeDerivesCoinsFromTrialRange(t *testing.T) {
 // referee's accept phase, with a three-timeout budget. Once the session
 // runs, a referee that goes silent fails the node within its
 // two-timeout read budget, well under two and a half timeouts.
+// TestNodeVoteCycleZeroAllocs guards the node's hot path: once its
+// scratch is warm, answering a full ROUND_BATCH with its VOTE_BATCH —
+// sampling, the rule, packing, the encode into the node's scratch and
+// the write — and checking the verdict that answers it allocate nothing.
+// The stub conn discards writes and its deadlines allocate nothing, so
+// the count is the node's own. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestNodeVoteCycleZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const count = 256
+	node, err := NewPlayerNode(3, 4, acceptAllRule(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := make([]dist.Sampler, count)
+	for i := range samplers {
+		samplers[i] = uniformSampler(t, 16)
+	}
+	stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+	stage.put(1, samplers)
+	conn := &stubConn{}
+	rb := RoundBatch{Batch: 1, Count: count, Base: 0x5eed}
+	verdict := VerdictBatch{Batch: 1, Count: count, Bits: make([]uint64, batchWords(count))}
+	cycle := func() {
+		if err := node.voteBatch(conn, rb, stage); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.checkVerdict(verdict); err != nil {
+			t.Fatal(err)
+		}
+		rb.First += count
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a settled vote/verdict cycle allocates %.1f per batch", n)
+	}
+}
+
 func TestNodeDetectsSilentReferee(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	node, err := NewPlayerNode(0, 1, acceptAllRule(), timeout)
@@ -397,7 +437,7 @@ func TestNodeDetectsSilentReferee(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- node.serve(nodeConn, stage) }()
 	_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteRoundBatch(referee, RoundBatch{Batch: 1, Count: 1, Base: 1}); err != nil {
+	if err := send(referee, RoundBatch{Batch: 1, Count: 1, Base: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := expectFrame[VoteBatch](referee, FrameVoteBatch); err != nil {

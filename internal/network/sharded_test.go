@@ -95,13 +95,26 @@ func assertSameResults(t *testing.T, name string, want, got []treeResult) {
 	}
 }
 
-func treeBackend(t *testing.T, c *Cluster, opts ...BackendOption) engine.Backend {
+func treeBackend(t *testing.T, c *Cluster) engine.Backend {
 	t.Helper()
-	b, err := NewBackend(c, opts...)
+	b, err := NewBackend(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// topologyBackend is treeBackend over cfg with its topology replaced:
+// shards L1 aggregators (0 and 1 are the flat star), with weights and a
+// shuffle seed.
+func topologyBackend(t *testing.T, cfg ClusterConfig, shards int, weights []int, seed uint64) engine.Backend {
+	t.Helper()
+	cfg.Shards, cfg.AggregatorWeights, cfg.ShardSeed = shards, weights, seed
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return treeBackend(t, c)
 }
 
 // TestShardedMatchesFlat is the determinism matrix of the referee tree:
@@ -140,17 +153,14 @@ func TestShardedMatchesFlat(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			c, err := NewCluster(ClusterConfig{
+			cfg := ClusterConfig{
 				K: treePlayers, Q: treeSamples,
 				Rule:    tc.rule,
 				Referee: tc.referee,
 				Timeout: 10 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 			sampler := uniformSampler(t, 16)
-			want := treeResults(t, treeBackend(t, c), sampler, treeTrials, 0, 0)
+			want := treeResults(t, topologyBackend(t, cfg, 0, nil, 0), sampler, treeTrials, 0, 0)
 			varied := false
 			for _, r := range want {
 				if r.verdict != want[0].verdict {
@@ -163,11 +173,11 @@ func TestShardedMatchesFlat(t *testing.T) {
 			// Shards = 1 keeps the flat star byte-for-byte: topology
 			// disabled, same code path, same results.
 			assertSameResults(t, "s=1", want,
-				treeResults(t, treeBackend(t, c, WithShards(1)), sampler, treeTrials, 3, 2))
+				treeResults(t, topologyBackend(t, cfg, 1, nil, 0), sampler, treeTrials, 3, 2))
 			for _, s := range []int{2, 4, 8} {
 				for _, shape := range shapes {
 					name := fmt.Sprintf("s=%d/batch=%d/window=%d", s, shape.batch, shape.window)
-					got := treeResults(t, treeBackend(t, c, WithShards(s)), sampler,
+					got := treeResults(t, topologyBackend(t, cfg, s, nil, 0), sampler,
 						treeTrials, shape.batch, shape.window)
 					assertSameResults(t, name, want, got)
 				}
@@ -175,11 +185,11 @@ func TestShardedMatchesFlat(t *testing.T) {
 			// A shuffled placement moves players between aggregators but
 			// must never move a verdict.
 			assertSameResults(t, "s=4/shuffled", want,
-				treeResults(t, treeBackend(t, c, WithShards(4), WithShardSeed(0xdea1)), sampler, treeTrials, 5, 2))
+				treeResults(t, topologyBackend(t, cfg, 4, nil, 0xdea1), sampler, treeTrials, 5, 2))
 			// A lopsided placement (one big aggregator, small siblings)
 			// must not either.
 			assertSameResults(t, "s=3/weighted", want,
-				treeResults(t, treeBackend(t, c, WithShards(3), WithAggregatorWeights([]int{4, 1, 1})), sampler, treeTrials, 4, 2))
+				treeResults(t, topologyBackend(t, cfg, 3, []int{4, 1, 1}, 0), sampler, treeTrials, 4, 2))
 		})
 	}
 }
@@ -591,35 +601,30 @@ func TestShardedQuorumFailsInAcceptPhase(t *testing.T) {
 	}
 }
 
+// TestBackendOptionValidation: the backend's topology is the cluster's
+// own, so a bad shard count or weight vector fails in NewCluster, and
+// NewBackend rejects only a nil cluster.
 func TestBackendOptionValidation(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
+	base := ClusterConfig{
 		K: 4, Q: 1, Rule: acceptAllRule(), Referee: core.BitReferee{Rule: core.ANDRule{}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if _, err := NewBackend(c, WithShards(5)); err == nil {
-		t.Error("more shards than players accepted")
-	}
-	if _, err := NewBackend(c, WithShards(2), WithAggregatorWeights([]int{1})); err == nil {
-		t.Error("short weight vector accepted")
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		weights []int
+	}{
+		{"more shards than players", 5, nil},
+		{"short weight vector", 2, []int{1}},
+		{"zero aggregator weight", 2, []int{0, 1}},
+	} {
+		cfg := base
+		cfg.Shards, cfg.AggregatorWeights = tc.shards, tc.weights
+		if _, err := NewCluster(cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	if _, err := NewBackend(nil); err == nil {
 		t.Error("nil cluster accepted")
-	}
-	// Options must not leak into the caller's cluster.
-	if _, err := NewBackend(c, WithShards(2)); err != nil {
-		t.Fatal(err)
-	}
-	if c.topo.enabled() {
-		t.Error("backend option mutated the shared cluster")
-	}
-	bad := ClusterConfig{
-		K: 4, Q: 1, Rule: acceptAllRule(), Referee: core.BitReferee{Rule: core.ANDRule{}},
-		Shards: 2, AggregatorWeights: []int{0, 1},
-	}
-	if _, err := NewCluster(bad); err == nil {
-		t.Error("zero aggregator weight accepted")
 	}
 }
 
@@ -671,6 +676,33 @@ func TestVerdictRelayZeroAllocs(t *testing.T) {
 	relayOnce()
 	if n := testing.AllocsPerRun(100, relayOnce); n != 0 {
 		t.Errorf("relayVerdict allocates %.1f per run", n)
+	}
+}
+
+// TestAggBatchQueueSettledZeroAllocs guards the aggregator's reduction
+// queue: once settled, a push/pop cycle allocates nothing at any window,
+// because the queue pops from a head index and compacts when it drains
+// instead of re-slicing away its capacity.
+func TestAggBatchQueueSettledZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, window := range []int{1, 4} {
+		q := newAggBatchQueue()
+		cycle := func() {
+			for i := 0; i < window; i++ {
+				q.push(aggBatch{id: uint32(i), count: 64})
+			}
+			for i := 0; i < window; i++ {
+				if b, ok := q.pop(); !ok || b.id != uint32(i) {
+					t.Fatalf("window %d: pop %d = (%+v, %v)", window, i, b, ok)
+				}
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("window %d: a settled push/pop cycle allocates %.2f per run", window, n)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Protocol constants.
@@ -486,20 +487,37 @@ func maxPayload(t FrameType) int {
 	}
 }
 
-// writeFrame writes one frame.
-func writeFrame(w io.Writer, t FrameType, payload []byte) error {
-	if limit := maxPayload(t); len(payload) > limit {
-		return fmt.Errorf("network: %v payload of %d bytes exceeds limit %d", t, len(payload), limit)
+// batchFields reports the payload offsets of a frame's batch id and
+// trial count, the two fields every batch frame leads with; ok is false
+// for HELLO, FINISH and AGG_HELLO, which carry neither.
+func batchFields(t FrameType) (batch, count int, ok bool) {
+	switch t {
+	case FrameRoundBatch, FrameVerdictBatch, FrameAggVerdict:
+		return 0, 4, true
+	case FrameVoteBatch, FrameAggSum, FrameAggPlanes:
+		return 4, 8, true // after the player or aggregator id
+	default:
+		return 0, 0, false
 	}
-	//lint:ignore dut/hotalloc one frame buffer per frame; hot batch paths send one frame per batch, amortized across the batch's trials, and the coalesced writers bypass this helper entirely
-	buf := make([]byte, headerSize+len(payload))
-	binary.BigEndian.PutUint16(buf[0:2], Magic)
-	buf[2] = Version
-	buf[3] = byte(t)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	copy(buf[headerSize:], payload)
-	_, err := w.Write(buf)
-	return err
+}
+
+// decodeHeader validates one frame header — magic, version and the
+// type's payload bound — and returns the frame type and payload size.
+// readFrame and frameCursor share it, so the cursor splits a stream
+// exactly where the decoder does.
+func decodeHeader(h []byte) (FrameType, int, error) {
+	if got := binary.BigEndian.Uint16(h[0:2]); got != Magic {
+		return 0, 0, fmt.Errorf("network: bad magic %#x", got)
+	}
+	if h[2] != Version {
+		return 0, 0, fmt.Errorf("network: unsupported protocol version %d", h[2])
+	}
+	t := FrameType(h[3])
+	size := binary.BigEndian.Uint32(h[4:8])
+	if limit := maxPayload(t); size > uint32(limit) {
+		return 0, 0, fmt.Errorf("network: oversized %v frame of %d bytes", t, size)
+	}
+	return t, int(size), nil
 }
 
 // readFrame reads one frame, validating magic, version and size.
@@ -509,16 +527,9 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return 0, nil, err
 	}
-	if got := binary.BigEndian.Uint16(header[0:2]); got != Magic {
-		return 0, nil, fmt.Errorf("network: bad magic %#x", got)
-	}
-	if header[2] != Version {
-		return 0, nil, fmt.Errorf("network: unsupported protocol version %d", header[2])
-	}
-	t := FrameType(header[3])
-	size := binary.BigEndian.Uint32(header[4:8])
-	if limit := maxPayload(t); size > uint32(limit) {
-		return 0, nil, fmt.Errorf("network: oversized %v frame of %d bytes", t, size)
+	t, size, err := decodeHeader(header[:])
+	if err != nil {
+		return 0, nil, err
 	}
 	//lint:ignore dut/hotalloc one payload buffer per received frame; the batch protocol receives one frame per batch, amortized across the batch's trials
 	payload := make([]byte, size)
@@ -528,32 +539,45 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 	return t, payload, nil
 }
 
-// WriteHello sends a HELLO frame.
-func WriteHello(w io.Writer, h Hello) error {
-	var p [5]byte
-	binary.BigEndian.PutUint32(p[0:4], h.Player)
-	p[4] = h.Bits
-	return writeFrame(w, FrameHello, p[:])
-}
-
-// WriteFinish sends a FINISH frame.
-func WriteFinish(w io.Writer) error {
-	return writeFrame(w, FrameFinish, nil)
-}
-
-// appendHeader appends a frame header for a payload of size bytes.
+// appendHeader appends a frame header for a payload of size bytes. It
+// first grows buf to hold the whole frame, so encoding into a buffer
+// that is too short costs one allocation, not one per field.
 func appendHeader(buf []byte, t FrameType, size int) []byte {
+	buf = slices.Grow(buf, headerSize+size)
 	buf = binary.BigEndian.AppendUint16(buf, Magic)
 	buf = append(buf, Version, byte(t))
 	return binary.BigEndian.AppendUint32(buf, uint32(size))
 }
 
+// appendWords appends words big-endian, 8 bytes each.
+func appendWords(buf []byte, words []uint64) []byte {
+	for _, w := range words {
+		buf = binary.BigEndian.AppendUint64(buf, w)
+	}
+	return buf
+}
+
+// Each Append* function below is the one encoding of its frame: it
+// validates with the same check* the decoder runs, appends nothing on
+// an error, and appends the whole frame otherwise. Callers encode into
+// scratch they keep and send through writeCoalesced, so a run of
+// frames costs one write and a settled sender allocates nothing.
+
+// AppendHello appends one encoded HELLO frame to buf. HELLO has no
+// check: the referee validates the announced width against its session.
+func AppendHello(buf []byte, h Hello) []byte {
+	buf = appendHeader(buf, FrameHello, 5)
+	buf = binary.BigEndian.AppendUint32(buf, h.Player)
+	return append(buf, h.Bits)
+}
+
+// AppendFinish appends one encoded FINISH frame to buf.
+func AppendFinish(buf []byte) []byte {
+	return appendHeader(buf, FrameFinish, 0)
+}
+
 // AppendRoundBatch appends one encoded ROUND_BATCH frame to buf; a frame
-// checkRoundBatch rejects is an error and appends nothing. Each Append*
-// helper is the one encoding of its frame layout: the batch session's
-// slot writers encode frame runs with them and flush the runs through
-// writeCoalesced, so a full window of frames costs one write instead of
-// one per frame, and the matching Write* sends one frame.
+// checkRoundBatch rejects is an error and appends nothing.
 func AppendRoundBatch(buf []byte, r RoundBatch) ([]byte, error) {
 	if err := checkRoundBatch(r); err != nil {
 		return buf, err
@@ -563,6 +587,21 @@ func AppendRoundBatch(buf []byte, r RoundBatch) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, r.Count)
 	buf = binary.BigEndian.AppendUint64(buf, r.Base)
 	return binary.BigEndian.AppendUint64(buf, r.First), nil
+}
+
+// AppendVoteBatch appends one encoded VOTE_BATCH frame to buf; planes
+// that are not 1..64 whole planes of batchWords(Count) words, or that
+// set padding bits above Count, are an error and append nothing, so an
+// invalid batch never reaches the wire.
+func AppendVoteBatch(buf []byte, v VoteBatch) ([]byte, error) {
+	if err := checkVoteBatch(v); err != nil {
+		return buf, err
+	}
+	buf = appendHeader(buf, FrameVoteBatch, 12+8*len(v.Planes))
+	buf = binary.BigEndian.AppendUint32(buf, v.Player)
+	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
+	buf = binary.BigEndian.AppendUint32(buf, v.Count)
+	return appendWords(buf, v.Planes), nil
 }
 
 // AppendVerdictBatch appends one encoded VERDICT_BATCH frame to buf; a
@@ -575,108 +614,59 @@ func AppendVerdictBatch(buf []byte, v VerdictBatch) ([]byte, error) {
 	buf = appendHeader(buf, FrameVerdictBatch, 8+8*len(v.Bits))
 	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
 	buf = binary.BigEndian.AppendUint32(buf, v.Count)
-	for _, word := range v.Bits {
-		buf = binary.BigEndian.AppendUint64(buf, word)
+	return appendWords(buf, v.Bits), nil
+}
+
+// AppendAggHello appends one encoded AGG_HELLO frame to buf, validated
+// by checkAggHello first, so a malformed shard announcement never
+// leaves the aggregator.
+func AppendAggHello(buf []byte, h AggHello) ([]byte, error) {
+	if err := checkAggHello(h); err != nil {
+		return buf, err
+	}
+	buf = appendHeader(buf, FrameAggHello, 13+4*len(h.Members))
+	buf = binary.BigEndian.AppendUint32(buf, h.Agg)
+	buf = append(buf, h.Bits)
+	buf = binary.BigEndian.AppendUint32(buf, h.Present)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(h.Members)))
+	for _, id := range h.Members {
+		buf = binary.BigEndian.AppendUint32(buf, id)
 	}
 	return buf, nil
 }
 
-// AppendFinish appends one encoded FINISH frame to buf.
-func AppendFinish(buf []byte) []byte {
-	return appendHeader(buf, FrameFinish, 0)
+// AppendAggSum appends one encoded AGG_SUM frame to buf, validated by
+// checkAggSum first. The aggregator's reducer encodes its upstream
+// frames into a reused buffer, keeping the hot reduce path
+// allocation-free.
+func AppendAggSum(buf []byte, v AggSum) ([]byte, error) {
+	if err := checkAggSum(v); err != nil {
+		return buf, err
+	}
+	buf = appendHeader(buf, FrameAggSum, 18+8*len(v.Sums))
+	buf = binary.BigEndian.AppendUint32(buf, v.Agg)
+	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
+	buf = binary.BigEndian.AppendUint32(buf, v.Count)
+	buf = append(buf, v.Bits, v.Planes)
+	buf = binary.BigEndian.AppendUint32(buf, v.Present)
+	return appendWords(buf, v.Sums), nil
 }
 
-// writeCoalesced flushes a run of frames already encoded by the Append*
-// helpers in a single write. Living in the encoder file keeps the raw
-// conn write inside the frame-discipline boundary: every byte still
-// originates from a validated encoder.
-func writeCoalesced(w io.Writer, run []byte) error {
-	_, err := w.Write(run)
-	return err
-}
-
-// WriteRoundBatch sends a ROUND_BATCH frame encoded by AppendRoundBatch.
-func WriteRoundBatch(w io.Writer, r RoundBatch) error {
-	frame, err := AppendRoundBatch(nil, r)
-	if err != nil {
-		return err
+// AppendAggPlanes appends one encoded AGG_PLANES frame to buf,
+// validated by checkAggPlanes first.
+func AppendAggPlanes(buf []byte, v AggPlanes) ([]byte, error) {
+	if err := checkAggPlanes(v); err != nil {
+		return buf, err
 	}
-	return writeCoalesced(w, frame)
-}
-
-// WriteVoteBatch sends a VOTE_BATCH frame; the planes are validated
-// against Count (whole planes, 1..64 of them, zero padding in each)
-// before any byte leaves, so an invalid batch never reaches the wire.
-func WriteVoteBatch(w io.Writer, v VoteBatch) error {
-	if err := checkVoteBatch(v); err != nil {
-		return err
-	}
-	//lint:ignore dut/hotalloc one encode buffer per VOTE_BATCH frame; a node sends one such frame per batch covering Count trials
-	p := make([]byte, 12+8*len(v.Planes))
-	binary.BigEndian.PutUint32(p[0:4], v.Player)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	for i, word := range v.Planes {
-		binary.BigEndian.PutUint64(p[12+8*i:], word)
-	}
-	return writeFrame(w, FrameVoteBatch, p)
-}
-
-// WriteVerdictBatch sends a VERDICT_BATCH frame encoded by
-// AppendVerdictBatch: an invalid bitset never reaches the wire.
-func WriteVerdictBatch(w io.Writer, v VerdictBatch) error {
-	frame, err := AppendVerdictBatch(nil, v)
-	if err != nil {
-		return err
-	}
-	return writeCoalesced(w, frame)
-}
-
-// WriteAggHello sends an AGG_HELLO frame, validated before any byte
-// leaves the aggregator.
-func WriteAggHello(w io.Writer, h AggHello) error {
-	if err := checkAggHello(h); err != nil {
-		return err
-	}
-	p := make([]byte, 13+4*len(h.Members))
-	binary.BigEndian.PutUint32(p[0:4], h.Agg)
-	p[4] = h.Bits
-	binary.BigEndian.PutUint32(p[5:9], h.Present)
-	binary.BigEndian.PutUint32(p[9:13], uint32(len(h.Members)))
-	for i, id := range h.Members {
-		binary.BigEndian.PutUint32(p[13+4*i:], id)
-	}
-	return writeFrame(w, FrameAggHello, p)
-}
-
-// WriteAggSum sends an AGG_SUM frame encoded by AppendAggSum: an
-// invalid reduction never reaches the wire.
-func WriteAggSum(w io.Writer, v AggSum) error {
-	frame, err := AppendAggSum(nil, v)
-	if err != nil {
-		return err
-	}
-	return writeCoalesced(w, frame)
-}
-
-// WriteAggPlanes sends an AGG_PLANES frame encoded by AppendAggPlanes:
-// an invalid forward never reaches the wire.
-func WriteAggPlanes(w io.Writer, v AggPlanes) error {
-	frame, err := AppendAggPlanes(nil, v)
-	if err != nil {
-		return err
-	}
-	return writeCoalesced(w, frame)
-}
-
-// WriteAggVerdict sends an AGG_VERDICT frame encoded by
-// AppendAggVerdict: an invalid verdict never reaches the wire.
-func WriteAggVerdict(w io.Writer, v AggVerdict) error {
-	frame, err := AppendAggVerdict(nil, v)
-	if err != nil {
-		return err
-	}
-	return writeCoalesced(w, frame)
+	buf = appendHeader(buf, FrameAggPlanes, 21+8*(len(v.Mask)+len(v.Planes)))
+	buf = binary.BigEndian.AppendUint32(buf, v.Agg)
+	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
+	buf = binary.BigEndian.AppendUint32(buf, v.Count)
+	buf = append(buf, v.Bits)
+	buf = binary.BigEndian.AppendUint32(buf, v.Members)
+	buf = binary.BigEndian.AppendUint32(buf, v.Present)
+	buf = appendWords(buf, v.Mask)
+	return appendWords(buf, v.Planes), nil
 }
 
 // AppendAggVerdict appends one encoded AGG_VERDICT frame to buf,
@@ -695,292 +685,264 @@ func AppendAggVerdict(buf []byte, v AggVerdict) ([]byte, error) {
 	for _, n := range v.Present {
 		buf = binary.BigEndian.AppendUint32(buf, n)
 	}
-	for _, word := range v.Bits {
-		buf = binary.BigEndian.AppendUint64(buf, word)
-	}
-	return buf, nil
+	return appendWords(buf, v.Bits), nil
 }
 
-// AppendAggSum appends one encoded AGG_SUM frame to buf, validated by
-// checkAggSum first. The aggregator's reducer encodes its
-// upstream frames with the Append* helpers into a reused buffer and
-// flushes through writeCoalesced, keeping the hot reduce path
-// allocation-free.
-func AppendAggSum(buf []byte, v AggSum) ([]byte, error) {
-	if err := checkAggSum(v); err != nil {
-		return buf, err
-	}
-	buf = appendHeader(buf, FrameAggSum, 18+8*len(v.Sums))
-	buf = binary.BigEndian.AppendUint32(buf, v.Agg)
-	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
-	buf = binary.BigEndian.AppendUint32(buf, v.Count)
-	buf = append(buf, v.Bits, v.Planes)
-	buf = binary.BigEndian.AppendUint32(buf, v.Present)
-	for _, word := range v.Sums {
-		buf = binary.BigEndian.AppendUint64(buf, word)
-	}
-	return buf, nil
+// writeCoalesced writes a run of frames already encoded by the Append*
+// functions in a single write. It is the one function that writes
+// frames: living in the encoder file keeps the raw conn write inside
+// the frame-discipline boundary, so every byte on a connection
+// originates from a validated encoder.
+func writeCoalesced(w io.Writer, run []byte) error {
+	_, err := w.Write(run)
+	return err
 }
 
-// AppendAggPlanes appends one encoded AGG_PLANES frame to buf,
-// validated by checkAggPlanes first.
-func AppendAggPlanes(buf []byte, v AggPlanes) ([]byte, error) {
-	if err := checkAggPlanes(v); err != nil {
-		return buf, err
+// payloadReader reads one frame payload's fields in wire order. Every
+// read is bounds-checked: a read past the end yields zero values and
+// marks the payload bad, so a decoder case reads all its fields
+// unconditionally and learns once, in check, whether they fit. Runs of
+// words come back as views of the payload, so every slice a decoder
+// allocates is sized by bytes readFrame already read and bounded: a
+// hostile count field cannot make the decoder allocate more.
+type payloadReader struct {
+	p   []byte
+	n   int // payload size, for errors
+	bad bool
+}
+
+// take consumes the next n bytes, or marks the payload bad if fewer
+// remain.
+func (r *payloadReader) take(n int) []byte {
+	if r.bad || n < 0 || n > len(r.p) {
+		r.bad = true
+		return nil
 	}
-	buf = appendHeader(buf, FrameAggPlanes, 21+8*(len(v.Mask)+len(v.Planes)))
-	buf = binary.BigEndian.AppendUint32(buf, v.Agg)
-	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
-	buf = binary.BigEndian.AppendUint32(buf, v.Count)
-	buf = append(buf, v.Bits)
-	buf = binary.BigEndian.AppendUint32(buf, v.Members)
-	buf = binary.BigEndian.AppendUint32(buf, v.Present)
-	for _, word := range v.Mask {
-		buf = binary.BigEndian.AppendUint64(buf, word)
+	b := r.p[:n]
+	r.p = r.p[n:]
+	return b
+}
+
+func (r *payloadReader) u8() uint8 {
+	if b := r.take(1); !r.bad {
+		return b[0]
 	}
-	for _, word := range v.Planes {
-		buf = binary.BigEndian.AppendUint64(buf, word)
+	return 0
+}
+
+func (r *payloadReader) u32() uint32 {
+	if b := r.take(4); !r.bad {
+		return binary.BigEndian.Uint32(b)
 	}
-	return buf, nil
+	return 0
+}
+
+func (r *payloadReader) u64() uint64 {
+	if b := r.take(8); !r.bad {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
+}
+
+// rest consumes the rest of the payload, which must be a whole number of
+// size-byte words: the trailing run whose length the frame's check
+// validates against its other fields.
+func (r *payloadReader) rest(size int) []byte {
+	if len(r.p)%size != 0 {
+		r.bad = true
+		return nil
+	}
+	return r.take(len(r.p))
+}
+
+// check finishes a decoder case: a payload its fields do not fill
+// exactly is malformed whatever they say; otherwise err, the encoder's
+// own check of the decoded frame, decides.
+func (r *payloadReader) check(t FrameType, err error) error {
+	if r.bad || len(r.p) != 0 {
+		return fmt.Errorf("network: %v payload of %d bytes does not fit its layout", t, r.n)
+	}
+	return err
+}
+
+// uint32s decodes raw's big-endian uint32s into dst, which the caller
+// sized to len(raw)/4.
+func uint32s(dst []uint32, raw []byte) []uint32 {
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint32(raw[4*i:])
+	}
+	return dst
+}
+
+// uint64s decodes raw's big-endian uint64s into dst, which the caller
+// sized to len(raw)/8.
+func uint64s(dst []uint64, raw []byte) []uint64 {
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint64(raw[8*i:])
+	}
+	return dst
+}
+
+// decoded is ReadFrame's result for one decoded frame.
+func decoded(t FrameType, msg any, err error) (FrameType, any, error) {
+	if err != nil {
+		return 0, nil, err
+	}
+	return t, msg, nil
 }
 
 // ReadFrame reads and decodes the next frame into one of the typed
-// structs; the first return carries the type tag.
+// structs; the first return carries the type tag. Each case reads its
+// fields through one payloadReader and validates them with the check*
+// its encoder runs, so the decoder accepts exactly what the encoders
+// can produce.
 func ReadFrame(r io.Reader) (FrameType, any, error) {
 	t, payload, err := readFrame(r)
 	if err != nil {
 		return 0, nil, err
 	}
+	p := payloadReader{p: payload, n: len(payload)}
 	switch t {
 	case FrameHello:
-		if len(payload) != 5 {
-			return 0, nil, fmt.Errorf("network: HELLO payload of %d bytes", len(payload))
-		}
-		return t, Hello{Player: binary.BigEndian.Uint32(payload[0:4]), Bits: payload[4]}, nil
+		m := Hello{Player: p.u32(), Bits: p.u8()}
+		return decoded(t, m, p.check(t, nil))
 	case FrameFinish:
-		if len(payload) != 0 {
-			return 0, nil, fmt.Errorf("network: FINISH payload of %d bytes", len(payload))
-		}
-		return t, Finish{}, nil
+		return decoded(t, Finish{}, p.check(t, nil))
 	case FrameRoundBatch:
-		if len(payload) != roundBatchPayload {
-			return 0, nil, fmt.Errorf("network: ROUND_BATCH payload of %d bytes, want %d", len(payload), roundBatchPayload)
-		}
-		r := RoundBatch{
-			Batch: binary.BigEndian.Uint32(payload[0:4]),
-			Count: binary.BigEndian.Uint32(payload[4:8]),
-			Base:  binary.BigEndian.Uint64(payload[8:16]),
-			First: binary.BigEndian.Uint64(payload[16:24]),
-		}
-		if err := checkRoundBatch(r); err != nil {
-			return 0, nil, err
-		}
-		return t, r, nil
+		m := RoundBatch{Batch: p.u32(), Count: p.u32(), Base: p.u64(), First: p.u64()}
+		return decoded(t, m, p.check(t, checkRoundBatch(m)))
 	case FrameVoteBatch:
-		if len(payload) < 12 {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH payload of %d bytes", len(payload))
-		}
-		count := int(binary.BigEndian.Uint32(payload[8:12]))
-		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
-		}
-		// No width field: the plane count r is whatever whole number of
-		// batchWords(count)-word planes the payload holds, and must be
-		// 1..64.
-		planeBytes := 8 * batchWords(count)
-		rest := len(payload) - 12
-		if rest%planeBytes != 0 || rest < planeBytes || rest > 64*planeBytes {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH payload of %d bytes for %d trials is not 1..64 planes of %d bytes",
-				len(payload), count, planeBytes)
-		}
-		planes := make([]uint64, rest/8)
-		for i := range planes {
-			planes[i] = binary.BigEndian.Uint64(payload[12+8*i:])
-		}
-		v := VoteBatch{
-			Player: binary.BigEndian.Uint32(payload[0:4]),
-			Batch:  binary.BigEndian.Uint32(payload[4:8]),
-			Count:  uint32(count),
-			Planes: planes,
-		}
-		if err := checkVoteBatch(v); err != nil {
-			return 0, nil, err
-		}
-		return t, v, nil
+		// No width field: the planes are the rest of the payload, and
+		// checkVoteBatch requires a whole number of 1..64 of them.
+		m := VoteBatch{Player: p.u32(), Batch: p.u32(), Count: p.u32()}
+		planes := p.rest(8)
+		m.Planes = uint64s(make([]uint64, len(planes)/8), planes)
+		return decoded(t, m, p.check(t, checkVoteBatch(m)))
 	case FrameVerdictBatch:
-		if len(payload) < 8 {
-			return 0, nil, fmt.Errorf("network: VERDICT_BATCH payload of %d bytes", len(payload))
-		}
-		count := int(binary.BigEndian.Uint32(payload[4:8]))
-		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: VERDICT_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
-		}
-		if len(payload) != 8+8*batchWords(count) {
-			return 0, nil, fmt.Errorf("network: VERDICT_BATCH payload of %d bytes for %d trials, want %d",
-				len(payload), count, 8+8*batchWords(count))
-		}
-		bits := make([]uint64, batchWords(count))
-		for i := range bits {
-			bits[i] = binary.BigEndian.Uint64(payload[8+8*i:])
-		}
-		if err := checkBatchBits(FrameVerdictBatch, count, bits); err != nil {
-			return 0, nil, err
-		}
-		return t, VerdictBatch{
-			Batch: binary.BigEndian.Uint32(payload[0:4]),
-			Count: uint32(count),
-			Bits:  bits,
-		}, nil
+		m := VerdictBatch{Batch: p.u32(), Count: p.u32()}
+		bits := p.rest(8)
+		m.Bits = uint64s(make([]uint64, len(bits)/8), bits)
+		return decoded(t, m, p.check(t, checkBatchBits(t, int(m.Count), m.Bits)))
 	case FrameAggHello:
-		if len(payload) < 13 {
-			return 0, nil, fmt.Errorf("network: AGG_HELLO payload of %d bytes", len(payload))
-		}
-		count := int(binary.BigEndian.Uint32(payload[9:13]))
-		if count < 1 || count > MaxShardPlayers {
-			return 0, nil, fmt.Errorf("network: AGG_HELLO with %d members, want 1..%d", count, MaxShardPlayers)
-		}
-		if len(payload) != 13+4*count {
-			return 0, nil, fmt.Errorf("network: AGG_HELLO payload of %d bytes for %d members, want %d",
-				len(payload), count, 13+4*count)
-		}
-		members := make([]uint32, count)
-		for i := range members {
-			members[i] = binary.BigEndian.Uint32(payload[13+4*i:])
-		}
-		h := AggHello{
-			Agg:     binary.BigEndian.Uint32(payload[0:4]),
-			Bits:    payload[4],
-			Present: binary.BigEndian.Uint32(payload[5:9]),
-			Members: members,
-		}
-		if err := checkAggHello(h); err != nil {
-			return 0, nil, err
-		}
-		return t, h, nil
+		m := AggHello{Agg: p.u32(), Bits: p.u8(), Present: p.u32()}
+		ids := p.take(4 * int(p.u32()))
+		m.Members = uint32s(make([]uint32, len(ids)/4), ids)
+		return decoded(t, m, p.check(t, checkAggHello(m)))
 	case FrameAggSum:
-		if len(payload) < 18 {
-			return 0, nil, fmt.Errorf("network: AGG_SUM payload of %d bytes", len(payload))
-		}
-		count := int(binary.BigEndian.Uint32(payload[8:12]))
-		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: AGG_SUM with %d trials, want 1..%d", count, MaxBatchTrials)
-		}
-		planes := int(payload[13])
-		if planes < 1 || planes > 64 {
-			return 0, nil, fmt.Errorf("network: AGG_SUM with %d counter planes, want 1..64", planes)
-		}
-		words := planes * batchWords(count)
-		if len(payload) != 18+8*words {
-			return 0, nil, fmt.Errorf("network: AGG_SUM payload of %d bytes for %d trials of %d planes, want %d",
-				len(payload), count, planes, 18+8*words)
-		}
-		sums := make([]uint64, words)
-		for i := range sums {
-			sums[i] = binary.BigEndian.Uint64(payload[18+8*i:])
-		}
-		v := AggSum{
-			Agg:     binary.BigEndian.Uint32(payload[0:4]),
-			Batch:   binary.BigEndian.Uint32(payload[4:8]),
-			Count:   uint32(count),
-			Bits:    payload[12],
-			Planes:  uint8(planes),
-			Present: binary.BigEndian.Uint32(payload[14:18]),
-			Sums:    sums,
-		}
-		if err := checkAggSum(v); err != nil {
-			return 0, nil, err
-		}
-		return t, v, nil
+		m := AggSum{Agg: p.u32(), Batch: p.u32(), Count: p.u32(), Bits: p.u8(), Planes: p.u8(), Present: p.u32()}
+		sums := p.rest(8)
+		m.Sums = uint64s(make([]uint64, len(sums)/8), sums)
+		return decoded(t, m, p.check(t, checkAggSum(m)))
 	case FrameAggPlanes:
-		if len(payload) < 21 {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES payload of %d bytes", len(payload))
-		}
-		count := int(binary.BigEndian.Uint32(payload[8:12]))
-		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d trials, want 1..%d", count, MaxBatchTrials)
-		}
-		msgBits := int(payload[12])
-		if msgBits < 1 || msgBits > 64 {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d message bits, want 1..64", msgBits)
-		}
-		members := int(binary.BigEndian.Uint32(payload[13:17]))
-		if members < 1 || members > MaxShardPlayers {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d members, want 1..%d", members, MaxShardPlayers)
-		}
-		present := int(binary.BigEndian.Uint32(payload[17:21]))
-		if present > members {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d present of %d members", present, members)
-		}
-		maskWords := aggMaskWords(members)
-		planeWords := present * msgBits * batchWords(count)
-		if planeWords > MaxAggPlaneWords {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d plane words, want at most %d — shard wider",
-				planeWords, MaxAggPlaneWords)
-		}
-		if len(payload) != 21+8*(maskWords+planeWords) {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES payload of %d bytes for %d present members of %d bits over %d trials, want %d",
-				len(payload), present, msgBits, count, 21+8*(maskWords+planeWords))
-		}
-		mask := make([]uint64, maskWords)
-		for i := range mask {
-			mask[i] = binary.BigEndian.Uint64(payload[21+8*i:])
-		}
-		planesBuf := make([]uint64, planeWords)
-		for i := range planesBuf {
-			planesBuf[i] = binary.BigEndian.Uint64(payload[21+8*maskWords+8*i:])
-		}
-		v := AggPlanes{
-			Agg:     binary.BigEndian.Uint32(payload[0:4]),
-			Batch:   binary.BigEndian.Uint32(payload[4:8]),
-			Count:   uint32(count),
-			Bits:    uint8(msgBits),
-			Members: uint32(members),
-			Present: uint32(present),
-			Mask:    mask,
-			Planes:  planesBuf,
-		}
-		if err := checkAggPlanes(v); err != nil {
-			return 0, nil, err
-		}
-		return t, v, nil
+		m := AggPlanes{Agg: p.u32(), Batch: p.u32(), Count: p.u32(), Bits: p.u8(), Members: p.u32(), Present: p.u32()}
+		mask := p.take(8 * aggMaskWords(int(m.Members)))
+		m.Mask = uint64s(make([]uint64, len(mask)/8), mask)
+		planes := p.rest(8)
+		m.Planes = uint64s(make([]uint64, len(planes)/8), planes)
+		return decoded(t, m, p.check(t, checkAggPlanes(m)))
 	case FrameAggVerdict:
-		if len(payload) < 12 {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT payload of %d bytes", len(payload))
-		}
-		count := int(binary.BigEndian.Uint32(payload[4:8]))
-		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT with %d trials, want 1..%d", count, MaxBatchTrials)
-		}
-		shards := int(binary.BigEndian.Uint32(payload[8:12]))
-		if shards < 1 || shards > MaxAggShards {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT with %d shards, want 1..%d", shards, MaxAggShards)
-		}
-		words := batchWords(count)
-		if len(payload) != 12+4*shards+8*words {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT payload of %d bytes for %d trials over %d shards, want %d",
-				len(payload), count, shards, 12+4*shards+8*words)
-		}
-		present := make([]uint32, shards)
-		for i := range present {
-			present[i] = binary.BigEndian.Uint32(payload[12+4*i:])
-		}
-		bits := make([]uint64, words)
-		for i := range bits {
-			bits[i] = binary.BigEndian.Uint64(payload[12+4*shards+8*i:])
-		}
-		v := AggVerdict{
-			Batch:   binary.BigEndian.Uint32(payload[0:4]),
-			Count:   uint32(count),
-			Present: present,
-			Bits:    bits,
-		}
-		if err := checkAggVerdict(v); err != nil {
-			return 0, nil, err
-		}
-		return t, v, nil
+		m := AggVerdict{Batch: p.u32(), Count: p.u32()}
+		present := p.take(4 * int(p.u32()))
+		m.Present = uint32s(make([]uint32, len(present)/4), present)
+		bits := p.rest(8)
+		m.Bits = uint64s(make([]uint64, len(bits)/8), bits)
+		return decoded(t, m, p.check(t, checkAggVerdict(m)))
 	default:
 		return 0, nil, fmt.Errorf("network: unknown frame type %d", uint8(t))
 	}
+}
+
+// frameCursor follows the frame structure of a byte stream fed to it in
+// chunks of any size, so a transport decorator can tally, inspect and
+// rewrite frames in place however reads and writes chop the stream.
+// Headers decode through decodeHeader, as in readFrame; a header it
+// rejects leaves the stream unsplittable, and the cursor passes every
+// later byte through unreported for the receiver's decoder to reject.
+type frameCursor struct {
+	buf    [headerSize + 12]byte // the current frame's header and leading batch fields
+	at     int                   // bytes of the current frame consumed, header included
+	kind   FrameType             // the current frame's type, from its header event on
+	size   int                   // its payload size, from its header event on
+	fields int                   // frame offset just past its batch fields; 0 = none
+	patch  int                   // frame offset of a pending XOR (see corrupt)
+	mask   byte                  // the pending XOR mask; 0 = none
+	lost   bool                  // a header failed to decode
+}
+
+// Cursor events: what the bytes consumed by one next call completed.
+const (
+	cursorBytes  = iota // nothing: a header or payload continues
+	cursorHeader        // a header: kind and size are valid
+	cursorFields        // a batch frame's batch id and trial count: see count
+)
+
+// next consumes the leading bytes of p up to the current frame's next
+// event — the end of its header, of its batch fields, or of the frame
+// — applies any pending corrupt to them, and reports how many bytes it
+// consumed and which event they completed. Callers loop until p is
+// spent; a frame starts at p[0] exactly when at is zero before the call.
+func (c *frameCursor) next(p []byte) (int, int) {
+	if c.lost || len(p) == 0 {
+		return len(p), cursorBytes
+	}
+	stop := headerSize
+	if c.at >= headerSize {
+		stop = headerSize + c.size
+		if c.at < c.fields {
+			stop = c.fields
+		}
+	}
+	n := min(stop-c.at, len(p))
+	if c.at < len(c.buf) {
+		copy(c.buf[c.at:], p[:n])
+	}
+	if c.mask != 0 && c.patch >= c.at && c.patch < c.at+n {
+		p[c.patch-c.at] ^= c.mask
+		c.mask = 0
+	}
+	c.at += n
+	ev := cursorBytes
+	switch {
+	case c.at == headerSize:
+		kind, size, err := decodeHeader(c.buf[:headerSize])
+		if err != nil {
+			c.lost = true
+			return n, cursorBytes
+		}
+		c.kind, c.size, c.fields = kind, size, 0
+		if _, count, ok := batchFields(kind); ok && count+4 <= size {
+			c.fields = headerSize + count + 4
+		}
+		ev = cursorHeader
+	case c.at == c.fields:
+		ev = cursorFields
+	}
+	if c.at == headerSize+c.size {
+		c.at, c.fields, c.mask = 0, 0, 0
+	}
+	return n, ev
+}
+
+// count is the current frame's trial count, valid from its
+// cursorFields event on.
+func (c *frameCursor) count() uint32 {
+	_, off, _ := batchFields(c.kind)
+	return binary.BigEndian.Uint32(c.buf[headerSize+off:])
+}
+
+// corrupt XORs mask into the current frame's payload byte at off as it
+// passes through next, rewriting the stream in place. Call it at the
+// frame's header event, before any payload byte has passed.
+func (c *frameCursor) corrupt(off int, mask byte) {
+	c.patch, c.mask = headerSize+off, mask
+}
+
+// batchIDByte is the payload offset of the low byte of the current
+// batch frame's id: corrupting it breaks the id echo every receiver
+// checks, while the frame's votes, sums and verdicts stay intact.
+func (c *frameCursor) batchIDByte() int {
+	batch, _, _ := batchFields(c.kind)
+	return batch + 3
 }
 
 // expectFrame reads the next frame and requires a specific type.

@@ -3,7 +3,9 @@ package network
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -12,38 +14,134 @@ import (
 	"testing"
 )
 
+// encode appends msg's frame with the Append* encoder of its type.
+func encode(buf []byte, msg any) ([]byte, error) {
+	switch m := msg.(type) {
+	case Hello:
+		return AppendHello(buf, m), nil
+	case Finish:
+		return AppendFinish(buf), nil
+	case RoundBatch:
+		return AppendRoundBatch(buf, m)
+	case VoteBatch:
+		return AppendVoteBatch(buf, m)
+	case VerdictBatch:
+		return AppendVerdictBatch(buf, m)
+	case AggHello:
+		return AppendAggHello(buf, m)
+	case AggSum:
+		return AppendAggSum(buf, m)
+	case AggPlanes:
+		return AppendAggPlanes(buf, m)
+	case AggVerdict:
+		return AppendAggVerdict(buf, m)
+	default:
+		return buf, fmt.Errorf("no encoder for %T", msg)
+	}
+}
+
+// send writes msg as one frame through writeCoalesced, the way every
+// sender in the package does.
+func send(w io.Writer, msg any) error {
+	frame, err := encode(nil, msg)
+	if err != nil {
+		return err
+	}
+	return writeCoalesced(w, frame)
+}
+
+// rawFrame encodes msg by its documented payload layout with no check
+// at all: the frame a buggy or hostile peer would put on the wire.
+func rawFrame(msg any) []byte {
+	var p []byte
+	u32 := func(v uint32) { p = binary.BigEndian.AppendUint32(p, v) }
+	words := func(ws []uint64) {
+		for _, w := range ws {
+			p = binary.BigEndian.AppendUint64(p, w)
+		}
+	}
+	var t FrameType
+	switch m := msg.(type) {
+	case Hello:
+		t = FrameHello
+		u32(m.Player)
+		p = append(p, m.Bits)
+	case Finish:
+		t = FrameFinish
+	case RoundBatch:
+		t = FrameRoundBatch
+		u32(m.Batch)
+		u32(m.Count)
+		words([]uint64{m.Base, m.First})
+	case VoteBatch:
+		t = FrameVoteBatch
+		u32(m.Player)
+		u32(m.Batch)
+		u32(m.Count)
+		words(m.Planes)
+	case VerdictBatch:
+		t = FrameVerdictBatch
+		u32(m.Batch)
+		u32(m.Count)
+		words(m.Bits)
+	case AggHello:
+		t = FrameAggHello
+		u32(m.Agg)
+		p = append(p, m.Bits)
+		u32(m.Present)
+		u32(uint32(len(m.Members)))
+		for _, id := range m.Members {
+			u32(id)
+		}
+	case AggSum:
+		t = FrameAggSum
+		u32(m.Agg)
+		u32(m.Batch)
+		u32(m.Count)
+		p = append(p, m.Bits, m.Planes)
+		u32(m.Present)
+		words(m.Sums)
+	case AggPlanes:
+		t = FrameAggPlanes
+		u32(m.Agg)
+		u32(m.Batch)
+		u32(m.Count)
+		p = append(p, m.Bits)
+		u32(m.Members)
+		u32(m.Present)
+		words(m.Mask)
+		words(m.Planes)
+	case AggVerdict:
+		t = FrameAggVerdict
+		u32(m.Batch)
+		u32(m.Count)
+		u32(uint32(len(m.Present)))
+		for _, n := range m.Present {
+			u32(n)
+		}
+		words(m.Bits)
+	default:
+		panic(fmt.Sprintf("rawFrame: %T", msg))
+	}
+	return append(appendHeader(nil, t, len(p)), p...)
+}
+
 func TestFrameRoundTrips(t *testing.T) {
 	frames := []struct {
-		typ   FrameType
-		msg   any
-		write func(io.Writer) error
+		typ FrameType
+		msg any
 	}{
-		{FrameHello, Hello{Player: 7, Bits: 3}, func(w io.Writer) error { return WriteHello(w, Hello{Player: 7, Bits: 3}) }},
-		{FrameRoundBatch, RoundBatch{Batch: 4, Count: 65, Base: 0xdeadbeefcafe, First: 1 << 40},
-			func(w io.Writer) error {
-				return WriteRoundBatch(w, RoundBatch{Batch: 4, Count: 65, Base: 0xdeadbeefcafe, First: 1 << 40})
-			}},
-		{FrameVoteBatch, VoteBatch{Player: 7, Batch: 4, Count: 1, Planes: []uint64{1}},
-			func(w io.Writer) error {
-				return WriteVoteBatch(w, VoteBatch{Player: 7, Batch: 4, Count: 1, Planes: []uint64{1}})
-			}},
-		{FrameVoteBatch, VoteBatch{Player: 7, Batch: 4, Count: 3, Planes: []uint64{0b101, 0b011, 0b110}},
-			func(w io.Writer) error {
-				return WriteVoteBatch(w, VoteBatch{Player: 7, Batch: 4, Count: 3, Planes: []uint64{0b101, 0b011, 0b110}})
-			}},
-		{FrameVerdictBatch, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{1}},
-			func(w io.Writer) error {
-				return WriteVerdictBatch(w, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{1}})
-			}},
-		{FrameVerdictBatch, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{0}},
-			func(w io.Writer) error {
-				return WriteVerdictBatch(w, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{0}})
-			}},
-		{FrameFinish, Finish{}, WriteFinish},
+		{FrameHello, Hello{Player: 7, Bits: 3}},
+		{FrameRoundBatch, RoundBatch{Batch: 4, Count: 65, Base: 0xdeadbeefcafe, First: 1 << 40}},
+		{FrameVoteBatch, VoteBatch{Player: 7, Batch: 4, Count: 1, Planes: []uint64{1}}},
+		{FrameVoteBatch, VoteBatch{Player: 7, Batch: 4, Count: 3, Planes: []uint64{0b101, 0b011, 0b110}}},
+		{FrameVerdictBatch, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{1}}},
+		{FrameVerdictBatch, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{0}}},
+		{FrameFinish, Finish{}},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
-		if err := f.write(&buf); err != nil {
+		if err := send(&buf, f.msg); err != nil {
 			t.Fatalf("%v: %v", f.typ, err)
 		}
 	}
@@ -55,19 +153,219 @@ func TestFrameRoundTrips(t *testing.T) {
 	}
 }
 
+// goldenFrames are valid frames of every type with their version-3
+// wire bytes: the Append* encoders must reproduce every byte.
+var goldenFrames = []struct {
+	msg any
+	hex string
+}{
+	{Hello{Player: 3, Bits: 1}, "d07a0301000000050000000301"},
+	{Finish{}, "d07a030500000000"},
+	{RoundBatch{Batch: 7, Count: 1, Base: 0xfeedface, First: 3},
+		"d07a030600000018000000070000000100000000feedface0000000000000003"},
+	{VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}},
+		"d07a0307000000140000000300000007000000030000000000000005"},
+	{VoteBatch{Player: 3, Batch: 7, Count: 65, Planes: []uint64{0x8000000000000001, 1, 0x4000000000000002, 0, 0x2000000000000004, 1}},
+		"d07a03070000003c000000030000000700000041800000000000000100000000000000014000000000000002000000000000000020000000000000040000000000000001"},
+	{VerdictBatch{Batch: 7, Count: 65, Bits: []uint64{^uint64(0), 1}},
+		"d07a0308000000180000000700000041ffffffffffffffff0000000000000001"},
+	{AggHello{Agg: 1, Bits: 3, Present: 2, Members: []uint32{2, 5, 9}},
+		"d07a030a0000001900000001030000000200000003000000020000000500000009"},
+	{AggSum{Agg: 1, Batch: 7, Count: 65, Bits: 2, Planes: 3, Present: 4, Sums: []uint64{0xAAAA, 1, 0x5555, 0, 0xF0F0, 1}},
+		"d07a030b00000042000000010000000700000041020300000004000000000000aaaa000000000000000100000000000055550000000000000000000000000000f0f00000000000000001"},
+	{AggPlanes{Agg: 1, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 2, Mask: []uint64{0b101}, Planes: []uint64{0b101, 0b011, 0b110, 0b001}},
+		"d07a030c0000003d00000001000000070000000302000000030000000200000000000000050000000000000005000000000000000300000000000000060000000000000001"},
+	{AggPlanes{Agg: 2, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 0, Mask: []uint64{0}, Planes: []uint64{}},
+		"d07a030c0000001d0000000200000007000000030200000003000000000000000000000000"},
+	{AggVerdict{Batch: 7, Count: 3, Present: []uint32{2, 0, 5}, Bits: []uint64{0b101}},
+		"d07a030d000000200000000700000003000000030000000200000000000000050000000000000005"},
+}
+
+// TestFrameGoldenBytes pins the wire: every encoder writes exactly the
+// golden bytes, the documented layout (rawFrame) agrees, and the bytes
+// decode back to the frame.
+func TestFrameGoldenBytes(t *testing.T) {
+	for _, g := range goldenFrames {
+		want, err := hex.DecodeString(g.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encode(nil, g.msg)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%T: encoded (%x, %v), want %x", g.msg, got, err, want)
+		}
+		if raw := rawFrame(g.msg); !bytes.Equal(raw, want) {
+			t.Errorf("%T: documented layout %x, want %x", g.msg, raw, want)
+		}
+		if _, msg, err := ReadFrame(bytes.NewReader(want)); err != nil || !reflect.DeepEqual(msg, g.msg) {
+			t.Errorf("%T: decoded (%+v, %v), want %+v", g.msg, msg, err, g.msg)
+		}
+	}
+}
+
+// TestChecksSharedByEncoderAndDecoder extends TestRoundBatchNamedErrors
+// to every other frame with a check: each struct-level violation is
+// rejected by its Append* encoder, which appends nothing, and the same
+// frame put on the wire by hand is rejected by ReadFrame with the very
+// same error. Two violations have no wire form of their own, and the
+// decoder must only reject them.
+func TestChecksSharedByEncoderAndDecoder(t *testing.T) {
+	ids := func(n int) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = uint32(i)
+		}
+		return out
+	}
+	ones := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = ^uint64(0)
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		msg    any
+		noWire string // why the violation has no wire form; "" = same error on decode
+	}{
+		{"vote count 0", VoteBatch{Count: 0, Planes: []uint64{0}}, ""},
+		{"vote count 1025", VoteBatch{Count: MaxBatchTrials + 1, Planes: make([]uint64, 17)}, ""},
+		{"vote no planes", VoteBatch{Count: 1, Planes: []uint64{}}, ""},
+		{"vote partial plane", VoteBatch{Count: 65, Planes: make([]uint64, 3)}, ""},
+		{"vote 65 planes", VoteBatch{Count: 1, Planes: make([]uint64, 65)}, ""},
+		{"vote padding plane 0", VoteBatch{Count: 1, Planes: []uint64{2}}, ""},
+		{"vote padding plane 1", VoteBatch{Count: 65, Planes: []uint64{0, 1, 0, 2}}, ""},
+
+		{"verdict count 0", VerdictBatch{Count: 0, Bits: []uint64{}}, ""},
+		{"verdict count 1025", VerdictBatch{Count: MaxBatchTrials + 1, Bits: make([]uint64, 16)}, ""},
+		{"verdict extra word", VerdictBatch{Count: 1, Bits: []uint64{1, 0}}, ""},
+		{"verdict padding", VerdictBatch{Count: 63, Bits: []uint64{1 << 63}}, ""},
+
+		{"agg hello bits 0", AggHello{Bits: 0, Members: []uint32{1}}, ""},
+		{"agg hello bits 65", AggHello{Bits: 65, Members: []uint32{1}}, ""},
+		{"agg hello no members", AggHello{Bits: 1, Members: []uint32{}}, ""},
+		{"agg hello too many members", AggHello{Bits: 1, Members: ids(MaxShardPlayers + 1)},
+			"the frame exceeds maxPayload, so readFrame rejects its size first"},
+		{"agg hello duplicate", AggHello{Bits: 1, Members: []uint32{5, 5}}, ""},
+		{"agg hello descending", AggHello{Bits: 1, Members: []uint32{5, 3}}, ""},
+		{"agg hello present above members", AggHello{Bits: 1, Present: 2, Members: []uint32{1}}, ""},
+
+		{"agg sum count 0", AggSum{Count: 0, Bits: 1, Planes: 1, Sums: []uint64{}}, ""},
+		{"agg sum count 1025", AggSum{Count: MaxBatchTrials + 1, Bits: 1, Planes: 1, Sums: make([]uint64, 17)}, ""},
+		{"agg sum bits 0", AggSum{Count: 1, Bits: 0, Planes: 1, Sums: []uint64{0}}, ""},
+		{"agg sum bits 65", AggSum{Count: 1, Bits: 65, Planes: 1, Sums: []uint64{0}}, ""},
+		{"agg sum planes 0", AggSum{Count: 1, Bits: 1, Planes: 0, Sums: []uint64{}}, ""},
+		{"agg sum planes 65", AggSum{Count: 1, Bits: 1, Planes: 65, Sums: make([]uint64, 65)}, ""},
+		{"agg sum present over cap", AggSum{Count: 1, Bits: 1, Planes: 1, Present: MaxShardPlayers + 1, Sums: []uint64{0}}, ""},
+		{"agg sum stride", AggSum{Count: 1, Bits: 1, Planes: 2, Sums: []uint64{0}}, ""},
+		{"agg sum padding", AggSum{Count: 1, Bits: 1, Planes: 2, Sums: []uint64{0, 2}}, ""},
+
+		{"agg planes count 0", AggPlanes{Count: 0, Bits: 1, Members: 1, Mask: []uint64{0}, Planes: []uint64{}}, ""},
+		{"agg planes bits 0", AggPlanes{Count: 1, Bits: 0, Members: 1, Mask: []uint64{0}, Planes: []uint64{}}, ""},
+		{"agg planes no members", AggPlanes{Count: 1, Bits: 1, Members: 0, Mask: []uint64{}, Planes: []uint64{}}, ""},
+		{"agg planes too many members", AggPlanes{Count: 1, Bits: 1, Members: MaxShardPlayers + 1,
+			Mask: make([]uint64, aggMaskWords(MaxShardPlayers+1)), Planes: []uint64{}}, ""},
+		{"agg planes mask length", AggPlanes{Count: 1, Bits: 1, Members: 1, Mask: []uint64{0, 0}, Planes: []uint64{}},
+			"the wire has no mask length: the decoder reads aggMaskWords(Members) words and the rest as planes"},
+		{"agg planes mask padding", AggPlanes{Count: 1, Bits: 1, Members: 1, Present: 1, Mask: []uint64{0b11}, Planes: []uint64{0, 0}}, ""},
+		{"agg planes present above popcount", AggPlanes{Count: 1, Bits: 1, Members: 2, Present: 2, Mask: []uint64{0b01}, Planes: []uint64{0}}, ""},
+		{"agg planes over the word cap", AggPlanes{Count: MaxBatchTrials, Bits: 64, Members: 1025, Present: 1025,
+			Mask: append(ones(16), 1), Planes: []uint64{}}, ""},
+		{"agg planes stride", AggPlanes{Count: 1, Bits: 2, Members: 1, Present: 1, Mask: []uint64{1}, Planes: []uint64{0}}, ""},
+		{"agg planes padding", AggPlanes{Count: 1, Bits: 1, Members: 1, Present: 1, Mask: []uint64{1}, Planes: []uint64{2}}, ""},
+
+		{"agg verdict no shards", AggVerdict{Count: 1, Present: []uint32{}, Bits: []uint64{0}}, ""},
+		{"agg verdict too many shards", AggVerdict{Count: 1, Present: make([]uint32, MaxAggShards+1), Bits: []uint64{0}}, ""},
+		{"agg verdict present over cap", AggVerdict{Count: 1, Present: []uint32{MaxShardPlayers + 1}, Bits: []uint64{0}}, ""},
+		{"agg verdict count 0", AggVerdict{Count: 0, Present: []uint32{1}, Bits: []uint64{}}, ""},
+		{"agg verdict extra word", AggVerdict{Count: 1, Present: []uint32{1}, Bits: []uint64{0, 0}}, ""},
+		{"agg verdict padding", AggVerdict{Count: 1, Present: []uint32{1}, Bits: []uint64{2}}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			buf, err := encode(nil, tc.msg)
+			if err == nil || len(buf) != 0 {
+				t.Fatalf("encoder: (%d bytes, %v), want nothing and an error", len(buf), err)
+			}
+			_, _, derr := ReadFrame(bytes.NewReader(rawFrame(tc.msg)))
+			switch {
+			case derr == nil:
+				t.Errorf("decoder accepted the frame the encoder rejects with %q", err)
+			case tc.noWire == "" && derr.Error() != err.Error():
+				t.Errorf("decoder: %q, want the encoder's %q", derr, err)
+			}
+		})
+	}
+}
+
+// TestMaxPayloadIsLargestFrame pins maxPayload from both sides: the
+// largest batch and aggregator frame each check accepts encodes to
+// exactly maxPayload bytes of payload and decodes, so the bound neither
+// clips a legal frame nor admits an allocation no legal frame needs;
+// HELLO and FINISH stay within MaxFrameSize.
+func TestMaxPayloadIsLargestFrame(t *testing.T) {
+	full := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = ^uint64(0)
+		}
+		return out
+	}
+	trials := batchWords(MaxBatchTrials)
+	members := make([]uint32, MaxShardPlayers)
+	for i := range members {
+		members[i] = uint32(i)
+	}
+	// AGG_PLANES at the plane-word cap: 1024 present players of 64-bit
+	// messages over a full batch, in the largest shard.
+	present := MaxAggPlaneWords / (64 * trials)
+	mask := make([]uint64, aggMaskWords(MaxShardPlayers))
+	copy(mask, full(present/64))
+	for _, tc := range []struct {
+		typ FrameType
+		msg any
+	}{
+		{FrameRoundBatch, RoundBatch{Count: MaxBatchTrials}},
+		{FrameVoteBatch, VoteBatch{Count: MaxBatchTrials, Planes: full(64 * trials)}},
+		{FrameVerdictBatch, VerdictBatch{Count: MaxBatchTrials, Bits: full(trials)}},
+		{FrameAggHello, AggHello{Bits: 64, Present: MaxShardPlayers, Members: members}},
+		{FrameAggSum, AggSum{Count: MaxBatchTrials, Bits: 64, Planes: 64, Present: MaxShardPlayers, Sums: full(64 * trials)}},
+		{FrameAggPlanes, AggPlanes{Count: MaxBatchTrials, Bits: 64, Members: MaxShardPlayers, Present: uint32(present),
+			Mask: mask, Planes: full(MaxAggPlaneWords)}},
+		{FrameAggVerdict, AggVerdict{Count: MaxBatchTrials, Present: make([]uint32, MaxAggShards), Bits: full(trials)}},
+	} {
+		frame, err := encode(nil, tc.msg)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.typ, err)
+		}
+		if got := len(frame) - headerSize; got != maxPayload(tc.typ) {
+			t.Errorf("%v: largest frame carries %d payload bytes, maxPayload is %d", tc.typ, got, maxPayload(tc.typ))
+		}
+		if typ, _, err := ReadFrame(bytes.NewReader(frame)); err != nil || typ != tc.typ {
+			t.Errorf("%v: largest frame decoded as (%v, %v)", tc.typ, typ, err)
+		}
+	}
+	for _, frame := range [][]byte{AppendHello(nil, Hello{Player: math.MaxUint32, Bits: 64}), AppendFinish(nil)} {
+		if len(frame)-headerSize > MaxFrameSize {
+			t.Errorf("% x: payload over MaxFrameSize", frame)
+		}
+	}
+}
+
 // TestVoteBatchOneBitLayout pins the r = 1 encoding: one bitset plane and
 // no width byte, so a 1-bit vote batch carries exactly the version-1
 // VOTE_BATCH payload.
 func TestVoteBatchOneBitLayout(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVoteBatch(&buf, VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}}); err != nil {
+	got, err := AppendVoteBatch(nil, VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := []byte{0xD0, 0x7A, Version, byte(FrameVoteBatch), 0, 0, 0, 20,
 		0, 0, 0, 3, 0, 0, 0, 7, 0, 0, 0, 3,
 		0, 0, 0, 0, 0, 0, 0, 0b101}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("1-bit VOTE_BATCH = % x, want % x", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("1-bit VOTE_BATCH = % x, want % x", got, want)
 	}
 }
 
@@ -111,7 +409,7 @@ func TestVoteBatchWidthFromLength(t *testing.T) {
 			t.Errorf("count %d with %d plane words decoded as %d-bit, want %d", tc.count, tc.planeWords, got, tc.width)
 		}
 	}
-	if err := WriteVoteBatch(io.Discard, VoteBatch{Count: 65, Planes: make([]uint64, 3)}); err == nil {
+	if _, err := AppendVoteBatch(nil, VoteBatch{Count: 65, Planes: make([]uint64, 3)}); err == nil {
 		t.Error("encoder accepted a partial plane")
 	}
 }
@@ -128,11 +426,7 @@ func TestReadFrameRejectsBadVersion(t *testing.T) {
 	// seed-list ROUND_BATCH: an older peer fails the first frame instead
 	// of being misparsed.
 	for _, v := range []byte{1, 2, 99} {
-		var buf bytes.Buffer
-		if err := WriteFinish(&buf); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
+		raw := AppendFinish(nil)
 		raw[2] = v
 		if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Errorf("version %d: %v", v, err)
@@ -152,11 +446,10 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 }
 
 func TestReadFrameRejectsTruncatedPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVoteBatch(&buf, VoteBatch{Player: 1, Batch: 2, Count: 1, Planes: []uint64{1}}); err != nil {
+	raw, err := AppendVoteBatch(nil, VoteBatch{Player: 1, Batch: 2, Count: 1, Planes: []uint64{1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	if _, _, err := ReadFrame(bytes.NewReader(raw[:len(raw)-3])); err == nil {
 		t.Error("truncated payload accepted")
 	}
@@ -281,18 +574,12 @@ func TestRoundBatchNamedErrors(t *testing.T) {
 }
 
 func TestExpectFrameTypeMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRoundBatch(&buf, RoundBatch{Batch: 1, Count: 1}); err != nil {
+	buf, err := AppendRoundBatch(nil, RoundBatch{Batch: 1, Count: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := expectFrame[VoteBatch](&buf, FrameVoteBatch); err == nil {
+	if _, err := expectFrame[VoteBatch](bytes.NewReader(buf), FrameVoteBatch); err == nil {
 		t.Error("type mismatch accepted")
-	}
-}
-
-func TestWriteFrameRejectsHugePayload(t *testing.T) {
-	if err := writeFrame(io.Discard, FrameHello, make([]byte, MaxFrameSize+1)); err == nil {
-		t.Error("oversized write accepted")
 	}
 }
 
@@ -304,5 +591,113 @@ func TestFrameTypeString(t *testing.T) {
 		if got, want := unknown.String(), "FrameType("+strconv.Itoa(int(unknown))+")"; got != want {
 			t.Errorf("FrameType(%d).String() = %q, want %q", uint8(unknown), got, want)
 		}
+	}
+}
+
+// cursorFrame is what a frameCursor reports of one frame.
+type cursorFrame struct {
+	kind  FrameType
+	size  int
+	count uint32 // a batch frame's trial count, from its fields event
+}
+
+// cursorSplit feeds stream to a fresh frameCursor in chunks cut at the
+// ascending positions cuts and returns the frames it reports.
+func cursorSplit(stream []byte, cuts ...int) []cursorFrame {
+	var c frameCursor
+	var out []cursorFrame
+	prev := 0
+	for _, end := range append(cuts, len(stream)) {
+		for p := stream[prev:end]; len(p) > 0; {
+			n, ev := c.next(p)
+			switch ev {
+			case cursorHeader:
+				out = append(out, cursorFrame{kind: c.kind, size: c.size})
+			case cursorFields:
+				out[len(out)-1].count = c.count()
+			}
+			p = p[n:]
+		}
+		prev = end
+	}
+	return out
+}
+
+// decodedFrames decodes stream with ReadFrame up to its first error and
+// returns each frame as a cursor would report it, plus the length of
+// the decoded prefix.
+func decodedFrames(stream []byte) ([]cursorFrame, int) {
+	r := bytes.NewReader(stream)
+	var out []cursorFrame
+	end := 0
+	for {
+		t, msg, err := ReadFrame(r)
+		if err != nil {
+			return out, end
+		}
+		next := len(stream) - r.Len()
+		f := cursorFrame{kind: t, size: next - end - headerSize}
+		switch m := msg.(type) {
+		case RoundBatch:
+			f.count = m.Count
+		case VoteBatch:
+			f.count = m.Count
+		case VerdictBatch:
+			f.count = m.Count
+		case AggSum:
+			f.count = m.Count
+		case AggPlanes:
+			f.count = m.Count
+		case AggVerdict:
+			f.count = m.Count
+		}
+		out = append(out, f)
+		end = next
+	}
+}
+
+// TestFrameScannerReassembly feeds one encoded stream through the frame
+// cursor in every split position: frame boundaries, types and trial
+// counts must be recovered regardless of how reads and writes chop the
+// byte stream.
+func TestFrameScannerReassembly(t *testing.T) {
+	var buf []byte
+	for _, g := range goldenFrames {
+		var err error
+		if buf, err = encode(buf, g.msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, end := decodedFrames(buf)
+	if end != len(buf) || len(want) != len(goldenFrames) {
+		t.Fatalf("decoded %d frames over %d of %d bytes", len(want), end, len(buf))
+	}
+	for split := 0; split <= len(buf); split++ {
+		if got := cursorSplit(buf, split); !reflect.DeepEqual(got, want) {
+			t.Fatalf("split %d: cursor reported %+v, want %+v", split, got, want)
+		}
+	}
+	for stride := 1; stride <= 9; stride++ {
+		var cuts []int
+		for at := stride; at < len(buf); at += stride {
+			cuts = append(cuts, at)
+		}
+		if got := cursorSplit(buf, cuts...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte chunks: cursor reported %+v, want %+v", stride, got, want)
+		}
+	}
+}
+
+// TestFrameCursorStopsOnBadHeader: a header decodeHeader rejects makes
+// the rest of the stream unsplittable, so the cursor reports nothing
+// past it instead of guessing at boundaries.
+func TestFrameCursorStopsOnBadHeader(t *testing.T) {
+	stream := AppendHello(nil, Hello{Player: 1, Bits: 1})
+	bad := AppendFinish(nil)
+	bad[2] = Version + 1
+	stream = append(append(stream, bad...), AppendFinish(nil)...)
+	got := cursorSplit(stream, 3, 11)
+	if want := []cursorFrame{{kind: FrameHello, size: 5}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("cursor reported %+v, want %+v", got, want)
 	}
 }
