@@ -530,19 +530,28 @@ func cmdNetDemo(args []string) int {
 
 // runDemo drives the cluster through the engine's trial driver on one
 // worker (so the frame counter's tier attribution holds) and maps the
-// per-trial results back to the RoundStats shape the demo prints.
+// per-trial results back to the RoundStats shape the demo prints. It
+// closes the engine's backend before returning, so the session's FINISH
+// frames are on the wire when the caller reads the frame counts.
 func runDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rounds, batch, window int) ([]bool, []network.RoundStats, error) {
 	backend, err := network.NewBackend(cluster)
 	if err != nil {
 		return nil, nil, err
 	}
-	src := func(int, *rand.Rand) (dist.Sampler, error) { return sampler, nil }
-	results, err := engine.Run(context.Background(), backend, src, rounds, engine.Options{
+	eng, err := engine.New(backend, engine.Options{
 		Workers: 1,
 		Seed:    rng.Uint64(),
 		Batch:   batch,
 		Window:  window,
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	src := func(int, *rand.Rand) (dist.Sampler, error) { return sampler, nil }
+	results, err := eng.Run(context.Background(), src, rounds)
+	if closeErr := eng.Close(); err == nil {
+		err = closeErr
+	}
 	if err != nil {
 		return nil, nil, err
 	}

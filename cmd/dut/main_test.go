@@ -1,7 +1,10 @@
 package main
 
 import (
+	"io"
 	"math/rand/v2"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -140,6 +143,75 @@ func TestCmdNetDemoBatched(t *testing.T) {
 	if code := cmdNetDemo([]string{"-n", "256", "-k", "4", "-batch", "-1"}); code != 2 {
 		t.Errorf("negative -batch exit = %d", code)
 	}
+}
+
+// TestCmdNetDemoFrameCounts pins the per-tier frame counts netdemo
+// prints, FINISH included: the demo closes its backend, which finishes
+// the session the engine left parked, before it reads the counts.
+func TestCmdNetDemoFrameCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{
+			name: "flat star",
+			args: []string{"-n", "256", "-k", "4", "-seed", "3", "-rounds", "9", "-batch", "4", "-window", "2"},
+			want: []string{
+				"frames root -> players: 28 frames (FINISH:4 ROUND_BATCH:12 VERDICT_BATCH:12)",
+				"frames players -> root: 16 frames (HELLO:4 VOTE_BATCH:12)",
+			},
+		},
+		{
+			name: "referee tree",
+			args: []string{"-k", "16", "-shards", "4", "-batch", "8", "-window", "2", "-rounds", "32", "-seed", "7"},
+			want: []string{
+				"frames root -> aggregators:    36 frames (FINISH:4 ROUND_BATCH:16 AGG_VERDICT:16)",
+				"frames aggregators -> root:    20 frames (AGG_HELLO:4 AGG_SUM:16)",
+				"frames aggregators -> players: 144 frames (FINISH:16 ROUND_BATCH:64 VERDICT_BATCH:64)",
+				"frames players -> aggregators: 80 frames (HELLO:16 VOTE_BATCH:64)",
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, code := captureStdout(t, func() int { return cmdNetDemo(tc.args) })
+			if code != 0 {
+				t.Fatalf("netdemo exit = %d; output:\n%s", code, out)
+			}
+			var got []string
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, "frames ") {
+					got = append(got, line)
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("frame counts:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+			}
+		})
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what it printed with its result.
+func captureStdout(t *testing.T, f func() int) (string, int) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	code := f()
+	os.Stdout = stdout
+	_ = w.Close()
+	out := <-printed
+	_ = r.Close()
+	return string(out), code
 }
 
 func newTestRand() *rand.Rand {

@@ -365,7 +365,10 @@ var (
 	BackendFor = core.BackendFor
 	// NewClusterBackend adapts a networked Cluster: each trial is one
 	// full networked round whose verdict is bit-identical to the SMP
-	// backend's for the same seed.
+	// backend's for the same seed. The backend keeps its sessions open
+	// between engine calls and is an io.Closer: close it when done,
+	// directly or through the Engine's Close. An idle session closes by
+	// itself after ClusterConfig.Timeout.
 	NewClusterBackend = network.NewBackend
 	// NewCONGESTBackend adapts a CONGEST tester; trials additionally
 	// report Messages and CommRounds.

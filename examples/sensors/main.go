@@ -56,6 +56,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The backend keeps its sessions open between runs; Close ends them.
+	defer func() {
+		if err := eng.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 	const rounds = 15
 	scenario := func(name string, d dut.Distribution) {
 		sampler, err := dut.NewSampler(d)

@@ -51,10 +51,7 @@ func batchCluster(t *testing.T, referee core.Referee, minVotes int) engine.Backe
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := network.NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := clusterBackend(t, c)
 	return b
 }
 

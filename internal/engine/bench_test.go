@@ -99,10 +99,7 @@ func BenchmarkEngineCluster(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend, err := network.NewBackend(c)
-	if err != nil {
-		b.Fatal(err)
-	}
+	backend := clusterBackend(b, c)
 	benchRun(b, backend)
 }
 
@@ -130,10 +127,7 @@ func BenchmarkEngineClusterSharded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend, err := network.NewBackend(c)
-	if err != nil {
-		b.Fatal(err)
-	}
+	backend := clusterBackend(b, c)
 	benchRunWorkers(b, backend, 2)
 }
 
@@ -163,10 +157,7 @@ func BenchmarkEngineClusterSharded100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend, err := network.NewBackend(c)
-	if err != nil {
-		b.Fatal(err)
-	}
+	backend := clusterBackend(b, c)
 	benchRunWorkers(b, backend, 1)
 }
 

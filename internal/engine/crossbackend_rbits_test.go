@@ -110,10 +110,7 @@ func rbitClusterBackend(t *testing.T, rule core.LocalRule, referee core.Referee)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := network.NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := clusterBackend(t, c)
 	return b
 }
 

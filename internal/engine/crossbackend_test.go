@@ -9,6 +9,7 @@ package engine_test
 
 import (
 	"context"
+	"io"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -19,6 +20,23 @@ import (
 	"github.com/distributed-uniformity/dut/internal/engine"
 	"github.com/distributed-uniformity/dut/internal/network"
 )
+
+// clusterBackend adapts a cluster to the engine and closes the backend,
+// with the sessions it keeps between calls, when the test or benchmark
+// ends (a benchmark's cleanup runs after each of its passes).
+func clusterBackend(tb testing.TB, c *network.Cluster) engine.Backend {
+	tb.Helper()
+	b, err := network.NewBackend(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if err := b.(io.Closer).Close(); err != nil {
+			tb.Errorf("close cluster backend: %v", err)
+		}
+	})
+	return b
+}
 
 const (
 	xbPlayers = 5
@@ -100,10 +118,7 @@ func clusterVerdicts(t *testing.T, referee core.Referee, minVotes int, absentees
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := network.NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := clusterBackend(t, c)
 	return runVerdicts(t, b)
 }
 
@@ -222,10 +237,7 @@ func TestSessionAgreesWithSingleRounds(t *testing.T) {
 	if len(stats) != xbTrials {
 		t.Fatalf("%d stats, want %d", len(stats), xbTrials)
 	}
-	b, err := network.NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := clusterBackend(t, c)
 	results, err := engine.Run(context.Background(), b, engine.Fixed(sampler), xbTrials,
 		engine.Options{Seed: baseSeed, Workers: 1})
 	if err != nil {

@@ -41,10 +41,7 @@ func xtopCluster(t *testing.T, rule core.LocalRule, referee core.Referee, shards
 
 func xtopVerdicts(t *testing.T, c *network.Cluster, batch, window int) []bool {
 	t.Helper()
-	b, err := network.NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := clusterBackend(t, c)
 	return rbitVerdicts(t, b, batch, window)
 }
 

@@ -32,7 +32,8 @@
 //   - core.BackendFor adapts any core.Protocol; *core.SMP gets the
 //     deterministic per-player treatment below.
 //   - network.NewBackend adapts a *network.Cluster (one live batch
-//     session per driver worker).
+//     session per driver worker, parked between calls for the next
+//     call to reuse; Engine.Close closes the parked sessions).
 //   - congest.NewBackend adapts a *congest.Tester (one synchronous-round
 //     graph simulation per trial).
 //

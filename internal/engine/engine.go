@@ -88,7 +88,8 @@ type WorkerLimiter interface {
 // RoundSpec (the batch path is an optimization, never a semantic fork).
 // A scratch that also implements io.Closer is closed when its worker
 // retires, so a scratch may hold live resources (the cluster batch
-// scratch keeps an open multi-round session).
+// scratch holds an open multi-round session, which its close parks for
+// the backend's next call).
 type ScratchBackend interface {
 	Backend
 	// NewScratch allocates one worker's reusable round state.
@@ -412,7 +413,7 @@ func (l loopBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []
 }
 
 // closeScratch releases a worker's scratch when it holds live resources
-// (io.Closer — e.g. the cluster batch scratch's open session). Teardown
+// (io.Closer — e.g. the cluster batch scratch's open session). Release
 // runs after every result of the worker has been validated, so a close
 // failure is not a round failure and is dropped.
 func closeScratch(scratch any) {
@@ -594,4 +595,15 @@ func (e *Engine) Separates(ctx context.Context, null, far Source, target float64
 // Amplify.
 func (e *Engine) Amplify(ctx context.Context, src Source, rounds int) (bool, []RoundResult, error) {
 	return Amplify(ctx, e.backend, src, rounds, e.opts)
+}
+
+// Close closes the backend when it holds resources between calls
+// (io.Closer, the convention closeScratch follows for scratches): the
+// cluster backend's parked sessions. Other backends hold none, and Close
+// returns nil.
+func (e *Engine) Close() error {
+	if c, ok := e.backend.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }

@@ -17,7 +17,8 @@ import (
 // nondeterminism in the driver would show up as verdict flips.
 type fakeBackend struct {
 	players  int
-	failAt   int // trial index that errors; -1 disables
+	failAt   int  // trial index that errors; -1 disables
+	block    bool // every other trial blocks until its context is done
 	ran      atomic.Int64
 	maxConc  atomic.Int64
 	curConc  atomic.Int64
@@ -47,6 +48,10 @@ func (b *fakeBackend) RunRound(ctx context.Context, spec RoundSpec) (RoundResult
 	}
 	if spec.Trial == b.failAt {
 		return RoundResult{}, fmt.Errorf("injected failure at trial %d", spec.Trial)
+	}
+	if b.block {
+		<-ctx.Done()
+		return RoundResult{}, ctx.Err()
 	}
 	b.ran.Add(1)
 	accept := PlayerRNG(spec.Seed, spec.Trial, 0).Uint64()&1 == 0
@@ -110,20 +115,35 @@ func TestRunFillsTrialIndices(t *testing.T) {
 	}
 }
 
+// TestRunAbortsOnFirstError: every trial but the failing one blocks
+// until the run's context is done, so trials 0..2 hold three of the
+// four workers and the fourth must take trial 3, whose failure alone can
+// end the run. The abort must surface that failure, not a cancellation,
+// and must skip every queued trial: no trial past the first Workers ever
+// reaches the backend.
 func TestRunAbortsOnFirstError(t *testing.T) {
-	const trials = 2000
-	b := &fakeBackend{players: 2, failAt: 3}
-	_, err := Run(context.Background(), b, uniformSource(t, 4), trials, Options{Workers: 4, Seed: 1})
+	const (
+		trials  = 2000
+		workers = 4
+	)
+	b := &fakeBackend{players: 2, failAt: 3, block: true}
+	_, err := Run(context.Background(), b, uniformSource(t, 4), trials, Options{Workers: workers, Seed: 1})
 	if err == nil {
 		t.Fatal("expected an error")
 	}
 	if want := "injected failure at trial 3"; !errorContains(err, want) {
 		t.Fatalf("error %q does not mention %q", err, want)
 	}
-	// The abort must actually skip work: with trial 3 failing almost
-	// immediately, nowhere near all trials may run.
-	if ran := b.ran.Load(); ran >= trials-4 {
-		t.Fatalf("%d of %d trials ran despite the abort", ran, trials)
+	if errors.Is(err, context.Canceled) {
+		t.Fatalf("cancellation masked the root cause: %v", err)
+	}
+	if len(b.sequence) > workers {
+		t.Errorf("the backend ran %d trials, want at most %d (one per worker)", len(b.sequence), workers)
+	}
+	for _, trial := range b.sequence {
+		if trial >= workers {
+			t.Errorf("queued trial %d reached the backend after the abort", trial)
+		}
 	}
 }
 
@@ -332,6 +352,37 @@ func TestEngineHandle(t *testing.T) {
 	}
 	if res.Estimate.P != direct.Estimate.P {
 		t.Fatalf("handle estimate %v != direct %v", res.Estimate.P, direct.Estimate.P)
+	}
+}
+
+// closingBackend is a backend that holds resources between calls.
+type closingBackend struct {
+	fakeBackend
+	closes int
+	err    error
+}
+
+func (b *closingBackend) Close() error {
+	b.closes++
+	return b.err
+}
+
+// TestEngineClose: Close closes an io.Closer backend, passing its error
+// through, and is a no-op for a backend that holds nothing.
+func TestEngineClose(t *testing.T) {
+	e, err := New(&fakeBackend{players: 1, failAt: -1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Errorf("Close of a backend without resources: %v", err)
+	}
+	b := &closingBackend{fakeBackend: fakeBackend{players: 1, failAt: -1}, err: errors.New("close failed")}
+	if e, err = New(b, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); !errors.Is(err, b.err) || b.closes != 1 {
+		t.Errorf("Close = %v after %d backend closes, want the backend's error after 1", err, b.closes)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"time"
 
@@ -92,10 +93,13 @@ func e22() Experiment {
 					n, q, bits, s, trials, FmtF(floor)),
 				"k", "T", "accept(U)", "accept(far)", "U-far gap", "k / learner floor",
 			)
-			for _, k := range ks {
+			// cell runs configuration k on the flat star and on the tree.
+			// Both backends keep their sessions between calls and are
+			// closed before the next configuration.
+			cell := func(k int) (pu, pf float64, err error) {
 				rule, err := core.NewQuantizedCollisionRule(n, q, bits)
 				if err != nil {
-					return nil, err
+					return 0, 0, err
 				}
 				// The flat star and the tree are the same cluster config;
 				// only the topology differs.
@@ -107,24 +111,25 @@ func e22() Experiment {
 				}
 				flatCluster, err := network.NewCluster(clusterCfg)
 				if err != nil {
-					return nil, err
+					return 0, 0, err
 				}
 				clusterCfg.Shards = s
 				treeCluster, err := network.NewCluster(clusterCfg)
 				if err != nil {
-					return nil, err
+					return 0, 0, err
 				}
 				flat, err := network.NewBackend(flatCluster)
 				if err != nil {
-					return nil, err
+					return 0, 0, err
 				}
+				defer closeBackend(flat, &err)
 				tree, err := network.NewBackend(treeCluster)
 				if err != nil {
-					return nil, err
+					return 0, 0, err
 				}
+				defer closeBackend(tree, &err)
 				seedU := cfg.Seed + 220
 				seedF := seedU ^ 0x5851f42d4c957f2d
-				var pu, pf float64
 				for _, src := range []struct {
 					source engine.Source
 					seed   uint64
@@ -132,18 +137,25 @@ func e22() Experiment {
 				}{{uniform, seedU, &pu}, {far, seedF, &pf}} {
 					flatV, p, err := verdicts(flat, src.source, src.seed)
 					if err != nil {
-						return nil, err
+						return 0, 0, err
 					}
 					treeV, _, err := verdicts(tree, src.source, src.seed)
 					if err != nil {
-						return nil, err
+						return 0, 0, err
 					}
 					for i := range flatV {
 						if flatV[i] != treeV[i] {
-							return nil, fmt.Errorf("experiments: E22 tree verdict diverged from flat at k=%d trial %d; the sharded referee broke its bit-identical contract", k, i)
+							return 0, 0, fmt.Errorf("experiments: E22 tree verdict diverged from flat at k=%d trial %d; the sharded referee broke its bit-identical contract", k, i)
 						}
 					}
 					*src.p = p
+				}
+				return pu, pf, nil
+			}
+			for _, k := range ks {
+				pu, pf, err := cell(k)
+				if err != nil {
+					return nil, err
 				}
 				table.MustAddRow(
 					FmtInt(k), FmtInt(core.QuantizedSumThreshold(n, k, q)),
@@ -161,5 +173,17 @@ func e22() Experiment {
 				"star, with bit-identical verdicts trial by trial — the sweep aborts on the first divergence."
 			return table, nil
 		},
+	}
+}
+
+// closeBackend closes a backend that holds sessions between calls
+// (io.Closer), folding its error into *err when none is set yet.
+func closeBackend(b engine.Backend, err *error) {
+	c, ok := b.(io.Closer)
+	if !ok {
+		return
+	}
+	if closeErr := c.Close(); *err == nil {
+		*err = closeErr
 	}
 }

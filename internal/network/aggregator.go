@@ -59,6 +59,9 @@ type aggBatchQueue struct {
 	items  []aggBatch
 	head   int
 	closed bool
+	// work counts each pushed batch until the reduce loop has sent its
+	// reduction upstream.
+	work *workCount
 }
 
 func newAggBatchQueue() *aggBatchQueue {
@@ -71,6 +74,7 @@ func (q *aggBatchQueue) push(b aggBatch) {
 	q.mu.Lock()
 	if !q.closed {
 		q.items = append(q.items, b)
+		q.work.add(1)
 	}
 	q.mu.Unlock()
 	q.cond.Signal()
@@ -160,12 +164,14 @@ type aggregator struct {
 }
 
 func newAggregator(bs *batchSession, id uint32, members []uint32, l net.Listener) *aggregator {
+	pending := newAggBatchQueue()
+	pending.work = bs.work
 	return &aggregator{
 		bs:         bs,
 		id:         id,
 		members:    members,
 		listener:   l,
-		pending:    newAggBatchQueue(),
+		pending:    pending,
 		readerDone: make(chan struct{}),
 		done:       make(chan struct{}),
 		deliv:      make([][]uint64, len(members)),
@@ -380,6 +386,7 @@ func (a *aggregator) reduceLoop() {
 			return
 		}
 		a.runBatch(b)
+		a.pending.work.done(1)
 	}
 }
 
@@ -570,6 +577,7 @@ func (bs *batchSession) failAgg(err error) {
 		bs.aggErr = err
 	}
 	bs.mu.Unlock()
+	bs.work.poke()
 	if !bs.c.tolerant() {
 		bs.cancel()
 	}
@@ -649,7 +657,7 @@ func (bs *batchSession) acceptAggregators(ctx context.Context) error {
 		if err := bs.validateAggHello(hello); err != nil {
 			return err
 		}
-		bs.slots[hello.Agg] = newBatchSlot(conn, hello.Agg, hello.Bits)
+		bs.slots[hello.Agg] = newBatchSlot(conn, hello.Agg, hello.Bits, bs.work)
 		present += int(hello.Present)
 		return nil
 	})

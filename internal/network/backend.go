@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
+	"sync"
+	"time"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
@@ -13,24 +17,130 @@ import (
 // public coin is engine.SharedSeed(spec.Seed, spec.Trial), which every
 // node derives from the chunk's ROUND_BATCH trial range, so verdicts
 // are bit-identical to the in-process SMP backend's for the same engine
-// seed. It implements engine.BatchBackend: each driver worker keeps one
-// live session in its scratch, opened on its first chunk and reused for
-// every later one; the per-trial methods are chunks of one trial.
+// seed. It implements engine.BatchBackend: each driver worker holds one
+// live session in its scratch for all its chunks; the per-trial methods
+// are chunks of one trial.
+//
+// Sessions outlive an engine call. A worker takes a parked session if
+// one is idle and opens one otherwise; when it retires, its session
+// parks once it has quiesced healthy (release). A parked session that no
+// call takes within one timeout is closed by its timer, and Close closes
+// every parked session. A session is only opened when none is parked, so
+// the pool never holds more sessions than were live at once.
 type clusterBackend struct {
 	c *Cluster
+
+	mu     sync.Mutex
+	idle   []*parkedSession // the most recently parked last
+	closed bool
+	// evicting counts the evictions tearing a session down, which Close
+	// waits for.
+	evicting sync.WaitGroup
 }
 
-var _ engine.BatchBackend = (*clusterBackend)(nil)
+// parkedSession is an idle session and the timer that evicts it.
+type parkedSession struct {
+	bs    *batchSession
+	timer *time.Timer
+}
+
+var (
+	_ engine.BatchBackend = (*clusterBackend)(nil)
+	_ io.Closer           = (*clusterBackend)(nil)
+)
 
 // NewBackend adapts a Cluster to the engine's Backend interface. The
 // backend drives the cluster's own topology: ClusterConfig.Shards,
 // AggregatorWeights and ShardSeed choose the flat star or the referee
 // tree, so a flat and a sharded backend side by side are two clusters.
+// The backend keeps its sessions open between engine calls and
+// implements io.Closer: close it when done (engine.Engine.Close does).
+// An idle session closes by itself after ClusterConfig.Timeout.
 func NewBackend(c *Cluster) (engine.Backend, error) {
 	if c == nil {
 		return nil, fmt.Errorf("network: nil cluster")
 	}
 	return &clusterBackend{c: c}, nil
+}
+
+// Close implements io.Closer: it closes every parked session, waits for
+// their teardown and for any eviction in progress, and returns the first
+// error. A session released after Close is closed, not parked. Close is
+// idempotent.
+func (b *clusterBackend) Close() error {
+	b.mu.Lock()
+	b.closed = true
+	idle := b.idle
+	b.idle = nil
+	b.mu.Unlock()
+	var first error
+	for _, p := range idle {
+		p.timer.Stop()
+		if err := p.bs.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	b.evicting.Wait()
+	return first
+}
+
+// take hands out the most recently parked session, or nil when none is
+// idle. A session that failed while parked is closed and the next one
+// tried.
+func (b *clusterBackend) take() *batchSession {
+	for {
+		b.mu.Lock()
+		n := len(b.idle)
+		if n == 0 {
+			b.mu.Unlock()
+			return nil
+		}
+		p := b.idle[n-1]
+		b.idle = slices.Delete(b.idle, n-1, n)
+		b.mu.Unlock()
+		p.timer.Stop()
+		if p.bs.healthy() {
+			return p.bs
+		}
+		_ = p.bs.Close()
+	}
+}
+
+// release ends a worker's hold on its session. The session parks when
+// it quiesces healthy, its call's cancellation has not reached it and
+// the backend is open; otherwise it is closed.
+func (b *clusterBackend) release(bs *batchSession) error {
+	if !bs.quiesce() || !bs.untie() {
+		return bs.Close()
+	}
+	// Its nodes now sit in their frame loops, so whoever closes the
+	// parked session waits for them all.
+	bs.callCtx = context.Background()
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return bs.Close()
+	}
+	p := &parkedSession{bs: bs}
+	p.timer = time.AfterFunc(b.c.timeout, func() { b.evict(p) })
+	b.idle = append(b.idle, p)
+	b.mu.Unlock()
+	return nil
+}
+
+// evict closes a session its timer found still parked.
+func (b *clusterBackend) evict(p *parkedSession) {
+	b.mu.Lock()
+	i := slices.Index(b.idle, p)
+	if i < 0 {
+		b.mu.Unlock()
+		return
+	}
+	b.idle = slices.Delete(b.idle, i, i+1)
+	b.evicting.Add(1)
+	b.mu.Unlock()
+	defer b.evicting.Done()
+	_ = p.bs.Close()
 }
 
 // Players implements engine.Backend.
@@ -42,33 +152,42 @@ func (b *clusterBackend) Players() int { return b.c.k }
 // chunk would have its nodes derive the wrong public coins.
 var ErrChunkNotConsecutive = errors.New("network: chunk specs are not consecutive trials of one seed")
 
-// clusterScratch is one engine worker's reusable cluster state: a live
-// batch session, created lazily on the worker's first chunk and reused
-// across every chunk the worker runs, plus the chunk's sampler buffer.
-// The engine closes it (io.Closer) when the worker exits.
+// clusterScratch is one engine worker's reusable cluster state: the
+// session it holds, taken or opened on the worker's first chunk and used
+// for every chunk the worker runs, plus the chunk's sampler buffer. The
+// engine closes it (io.Closer) when the worker exits, which releases the
+// session to the backend's pool.
 type clusterScratch struct {
-	batch    *batchSession
+	b     *clusterBackend
+	batch *batchSession
+	// failed marks a session a chunk failed on: it can hold batches in
+	// flight or be torn down already, so it is closed, never parked.
+	failed   bool
 	samplers []dist.Sampler
 }
 
-// Close implements io.Closer: it finishes the worker's batch session,
-// if one was started.
+// Close implements io.Closer: it releases the worker's session, if it
+// holds one.
 func (s *clusterScratch) Close() error {
-	if s.batch == nil {
+	bs := s.batch
+	if bs == nil {
 		return nil
 	}
-	err := s.batch.Close()
 	s.batch = nil
-	return err
+	if s.failed {
+		s.failed = false
+		return bs.Close()
+	}
+	return s.b.release(bs)
 }
 
-// NewScratch implements engine.ScratchBackend; the session itself opens
-// on the first chunk.
-func (b *clusterBackend) NewScratch() any { return &clusterScratch{} }
+// NewScratch implements engine.ScratchBackend; the session itself is
+// taken or opened on the first chunk.
+func (b *clusterBackend) NewScratch() any { return &clusterScratch{b: b} }
 
 // RunRound implements engine.Backend: one trial on a session of its own.
 func (b *clusterBackend) RunRound(ctx context.Context, spec engine.RoundSpec) (engine.RoundResult, error) {
-	var cs clusterScratch
+	cs := clusterScratch{b: b}
 	res, err := b.RunRoundScratch(ctx, spec, &cs)
 	if closeErr := cs.Close(); err == nil && closeErr != nil {
 		return engine.RoundResult{}, closeErr
@@ -87,7 +206,7 @@ func (b *clusterBackend) RunRoundScratch(ctx context.Context, spec engine.RoundS
 }
 
 // RunRoundsScratch implements engine.BatchBackend: the worker's chunk
-// of trials runs through its persistent session — ROUND_BATCH frames
+// of trials runs through the session it holds — ROUND_BATCH frames
 // naming up to batch trials, every batch of the chunk in flight at once,
 // packed VOTE_BATCH gathering and per-batch verdict evaluation for any
 // message width, on the flat star or the configured referee tree. The
@@ -122,11 +241,20 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 	}
 	cs.samplers = samplers
 	if cs.batch == nil {
-		sess, err := newBatchSession(ctx, b.c)
-		if err != nil {
-			return err
+		if sess := b.take(); sess != nil {
+			sess.hold(ctx)
+			cs.batch = sess
+		} else {
+			sess, err := newBatchSession(ctx, b.c)
+			if err != nil {
+				return err
+			}
+			cs.batch = sess
 		}
-		cs.batch = sess
 	}
-	return cs.batch.runChunk(ctx, base, first, samplers, batch, out)
+	err := cs.batch.runChunk(ctx, base, first, samplers, batch, out)
+	if err != nil {
+		cs.failed = true
+	}
+	return err
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
@@ -38,6 +39,40 @@ import (
 // (crash, timeout, protocol violation) stays dead for the rest of the
 // session and counts as a straggler in every later trial.
 
+// workCount is a session's work in flight: frames queued on a slot and
+// not yet written, batches an aggregator relayed and has not yet
+// reduced, and verdicts a node has not yet checked. A session parks only
+// at zero, so no frame of one engine call spills into the next. The
+// decrement that drains it to zero wakes the quiesce wait, as does every
+// recorded failure (poke). A nil *workCount counts nothing: the bare
+// queues and stages of unit tests have none.
+type workCount struct {
+	n    atomic.Int64
+	wake chan struct{} // capacity 1: one pending wake-up
+}
+
+func newWorkCount() *workCount { return &workCount{wake: make(chan struct{}, 1)} }
+
+func (w *workCount) add(n int) {
+	if w != nil {
+		w.n.Add(int64(n))
+	}
+}
+
+func (w *workCount) done(n int) {
+	if w != nil && w.n.Add(-int64(n)) == 0 {
+		w.poke()
+	}
+}
+
+// poke wakes the quiesce wait, if one is waiting or about to.
+func (w *workCount) poke() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
 // frameQueue is an unbounded FIFO of already-encoded frames feeding one
 // slot's writer goroutine. Unbounded is deliberate: the aggregator must
 // never block enqueueing (a bounded queue toward a stalled node could
@@ -55,6 +90,8 @@ type frameQueue struct {
 	buf    []byte // pending frames, encoded by the wire.go Append* helpers
 	frames int    // number of frames in buf
 	closed bool
+	// work counts each pushed frame until its writer has written it.
+	work *workCount
 }
 
 func newFrameQueue() *frameQueue {
@@ -71,6 +108,7 @@ func (q *frameQueue) push(frame []byte) {
 	if !q.closed {
 		q.buf = append(q.buf, frame...)
 		q.frames++
+		q.work.add(1)
 	}
 	q.mu.Unlock()
 	q.cond.Signal()
@@ -119,8 +157,20 @@ type batchSlot struct {
 	err  error
 }
 
-func newBatchSlot(conn net.Conn, player uint32, bits uint8) *batchSlot {
-	return &batchSlot{conn: conn, player: player, bits: bits, q: newFrameQueue(), writerDone: make(chan struct{})}
+func newBatchSlot(conn net.Conn, player uint32, bits uint8, work *workCount) *batchSlot {
+	q := newFrameQueue()
+	q.work = work
+	return &batchSlot{conn: conn, player: player, bits: bits, q: q, writerDone: make(chan struct{})}
+}
+
+// allLive reports whether a tier has every slot present and live.
+func allLive(slots []*batchSlot) bool {
+	for _, slot := range slots {
+		if slot == nil || slot.isDead() {
+			return false
+		}
+	}
+	return true
 }
 
 func (b *batchSlot) isDead() bool {
@@ -149,6 +199,9 @@ func broadcast(slots []*batchSlot, frame []byte) {
 type samplerStage struct {
 	mu sync.RWMutex
 	m  map[uint32][]dist.Sampler
+	// work is the session's work in flight: every node settles one unit
+	// per verdict it checks.
+	work *workCount
 }
 
 func (s *samplerStage) put(batch uint32, samplers []dist.Sampler) {
@@ -170,24 +223,35 @@ func (s *samplerStage) drop(batch uint32) {
 	s.mu.Unlock()
 }
 
+func (s *samplerStage) empty() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.m) == 0
+}
+
 // batchSession is one live session: the referee's accepted slots with
 // their writers, the in-process node goroutines (none when the players
 // are external), and the per-batch evaluation scratch. It persists
-// across runChunk calls (batch ids grow monotonically) until Close.
+// across runChunk calls (batch ids grow monotonically) until Close, and
+// the cluster backend parks it between engine calls.
 type batchSession struct {
 	c        *Cluster
 	listener net.Listener
-	// ctx is the context the session was opened with: teardown waits for
-	// the nodes only while it lives. cancel ends the session's own
-	// derived context, which closes the listener and, through tracker,
-	// every referee-side connection.
-	ctx       context.Context
+	// life is the session's own context, detached from every call;
+	// cancel ends it, which closes the listeners and, through tracker,
+	// every referee-side connection. hold ties it to the call that holds
+	// the session (stopTie undoes the tie), and callCtx is that call's
+	// context: teardown waits for the nodes only while it lives.
+	life      context.Context
 	cancel    context.CancelFunc
+	callCtx   context.Context
+	stopTie   func() bool
 	tracker   *connTracker
 	trackStop func()
 	nodes     []*PlayerNode
 	nodeWG    sync.WaitGroup
 	stage     *samplerStage
+	work      *workCount
 	// slots are the root's slots by position: the players by id on the
 	// flat star, the aggregators by id on the tree; nil = absent.
 	slots []*batchSlot
@@ -282,27 +346,31 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 	if l == nil {
 		return nil, fmt.Errorf("network: nil listener")
 	}
-	runCtx, cancel := context.WithCancel(ctx)
+	life, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	go func() {
-		<-runCtx.Done()
+		<-life.Done()
 		_ = l.Close()
 	}()
+	work := newWorkCount()
 	bs := &batchSession{
-		c: c, listener: l, ctx: ctx, cancel: cancel, nodes: nodes,
+		c: c, listener: l, life: life, cancel: cancel, nodes: nodes,
 		tracker: &connTracker{},
-		stage:   &samplerStage{m: make(map[uint32][]dist.Sampler)},
+		stage:   &samplerStage{m: make(map[uint32][]dist.Sampler), work: work},
+		work:    work,
 	}
-	bs.trackStop = bs.tracker.watch(runCtx)
+	bs.hold(ctx)
+	bs.trackStop = bs.tracker.watch(life)
 	bs.initDecide()
 	var err error
 	if c.topo.enabled() {
-		err = bs.startSharded(runCtx)
+		err = bs.startSharded(life)
 	} else {
-		err = bs.startFlat(runCtx)
+		err = bs.startFlat(life)
 	}
 	if err != nil {
 		cancel()
 		bs.waitNodes()
+		bs.untie()
 		// A strict-mode node or aggregator failure is the root cause; the
 		// accept error it provokes is only a symptom.
 		if !c.tolerant() {
@@ -317,6 +385,74 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 	}
 	bs.startWriters(bs.slots)
 	return bs, nil
+}
+
+// hold ties the session to the call that holds it: the call's
+// cancellation cancels the session, and teardown waits for the nodes
+// only while the call's context lives.
+func (bs *batchSession) hold(ctx context.Context) {
+	bs.callCtx = ctx
+	bs.stopTie = context.AfterFunc(ctx, bs.cancel)
+}
+
+// untie releases the hold's tie. It reports false when the call's
+// cancellation has already reached the session.
+func (bs *batchSession) untie() bool {
+	if bs.stopTie == nil {
+		return true
+	}
+	ok := bs.stopTie()
+	bs.stopTie = nil
+	return ok
+}
+
+// healthy reports whether the session can serve another call: its
+// context lives, no node or aggregator failure is recorded, every slot
+// on every tier is present and live, no batch is staged and no connect
+// retry awaits its report. A quorum-mode absentee or dead slot therefore
+// disqualifies it, so quorum carry-over stays within one call.
+func (bs *batchSession) healthy() bool {
+	if bs.life.Err() != nil {
+		return false
+	}
+	bs.mu.Lock()
+	failed := bs.nodeErr != nil || bs.aggErr != nil || bs.retries != 0
+	bs.mu.Unlock()
+	// Every root slot is live before any aggregator's is read: a live
+	// aggregator slot means its AGG_HELLO, sent after it filed its own
+	// slots, was read.
+	if failed || !bs.stage.empty() || !allLive(bs.slots) {
+		return false
+	}
+	for _, a := range bs.aggs {
+		if !allLive(a.slots) {
+			return false
+		}
+	}
+	return true
+}
+
+// quiesce waits until the session has no work in flight — every queued
+// frame written, every relayed batch reduced and every verdict checked by
+// its node — and reports whether it is then healthy: only a quiesced,
+// healthy session parks. The wait ends as soon as the session fails, and
+// gives up after one timeout.
+func (bs *batchSession) quiesce() bool {
+	timer := time.NewTimer(bs.c.timeout)
+	defer timer.Stop()
+	for bs.work.n.Load() != 0 {
+		if !bs.healthy() {
+			return false
+		}
+		select {
+		case <-bs.work.wake:
+		case <-bs.life.Done():
+			return false
+		case <-timer.C:
+			return false
+		}
+	}
+	return bs.healthy()
 }
 
 // initDecide classifies the referee and sizes the decide scratch: the
@@ -389,9 +525,10 @@ func (bs *batchSession) spawnNode(node *PlayerNode, addr net.Addr) {
 }
 
 // waitNodes waits for the node goroutines, but not past the death of
-// the context the session was opened with: a node stuck inside its own
-// rule cannot be force-aborted, and with its connection closed it
-// unwinds as soon as the rule returns.
+// the holding call's context: a node stuck inside its own rule cannot be
+// force-aborted, and with its connection closed it unwinds as soon as
+// the rule returns. A parked session's nodes sit in their frame loops,
+// so closing it waits for them all.
 //
 //dut:coldpath session teardown and strict-mode failure only
 func (bs *batchSession) waitNodes() {
@@ -403,7 +540,7 @@ func (bs *batchSession) waitNodes() {
 	}()
 	select {
 	case <-done:
-	case <-bs.ctx.Done():
+	case <-bs.callCtx.Done():
 	}
 }
 
@@ -431,6 +568,7 @@ func (bs *batchSession) failNode(err error) {
 		bs.nodeErr = err
 	}
 	bs.mu.Unlock()
+	bs.work.poke()
 	if !bs.c.tolerant() {
 		bs.cancel()
 	}
@@ -455,6 +593,7 @@ func (bs *batchSession) failSlot(slot *batchSlot, err error) {
 	slot.mu.Unlock()
 	if !already {
 		_ = slot.conn.Close()
+		bs.work.poke()
 	}
 }
 
@@ -477,14 +616,16 @@ func (bs *batchSession) slotWriter(slot *batchSlot) {
 		if !ok {
 			return
 		}
-		if slot.isDead() {
-			continue // keep draining; the slot is out of the session
+		// A dead slot's frames are drained and dropped: it is out of the
+		// session.
+		if !slot.isDead() {
+			setWriteDeadline(slot.conn, time.Duration(frames)*bs.c.timeout)
+			if err := writeCoalesced(slot.conn, run); err != nil {
+				//lint:ignore dut/hotalloc failure path: failSlot drops the player, so the error allocation never recurs on a live slot
+				bs.failSlot(slot, fmt.Errorf("network: coalesced write of %d frame(s) to player %d: %w", frames, slot.player, err))
+			}
 		}
-		setWriteDeadline(slot.conn, time.Duration(frames)*bs.c.timeout)
-		if err := writeCoalesced(slot.conn, run); err != nil {
-			//lint:ignore dut/hotalloc failure path: failSlot drops the player, so the error allocation never recurs on a live slot
-			bs.failSlot(slot, fmt.Errorf("network: coalesced write of %d frame(s) to player %d: %w", frames, slot.player, err))
-		}
+		slot.q.work.done(frames)
 	}
 }
 
@@ -515,6 +656,8 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 		}
 		bs.nextBatch++
 		bs.stage.put(id, samplers[start:start+count])
+		// Every in-process node owes the batch one verdict check.
+		bs.work.add(len(bs.nodes))
 		broadcast(bs.slots, enc)
 		flights = append(flights, batchFlight{id: id, start: start, count: count})
 	}
@@ -820,6 +963,7 @@ func atLeast(planes []uint64, t int) uint64 {
 // mode it reports a node failure, such as a node's verdict check, that
 // surfaced after the last trial.
 func (bs *batchSession) Close() error {
+	bs.untie()
 	finish := AppendFinish(nil)
 	for _, slot := range bs.slots {
 		if slot != nil {

@@ -146,10 +146,7 @@ func TestRunRoundsScratchRejectsNonConsecutiveChunk(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &listenCounter{Transport: NewMemTransport()}
-			b, err := NewBackend(strictBatchCluster(t, tr))
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := testBackend(t, strictBatchCluster(t, tr))
 			bb := b.(engine.BatchBackend)
 			scratch := bb.NewScratch()
 			defer func() { _ = scratch.(io.Closer).Close() }()
@@ -177,10 +174,7 @@ func TestBatchStrictAllSlotsCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := strictBatchCluster(t, ft)
-	b, err := NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := testBackend(t, c)
 	_, err = engine.Run(context.Background(), b, engine.Fixed(uniformSampler(t, 4)), 8,
 		engine.Options{Seed: 5, Workers: 1, Batch: 2, Window: 2})
 	if err == nil {

@@ -58,10 +58,7 @@ func TestBatchSessionSurvivesChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := chaosCluster(t, ft)
-			b, err := NewBackend(c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := testBackend(t, c)
 			// One worker keeps a single session alive across all chunks, so
 			// the per-connection fault plans fire exactly once.
 			results, err := engine.Run(context.Background(), b, engine.Fixed(paritySampler(t, tt.even)), trials,
@@ -126,10 +123,7 @@ func TestBatchStrictModeFailsOnCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := testBackend(t, c)
 	_, err = engine.Run(context.Background(), b, engine.Fixed(uniformSampler(t, 4)), 8,
 		engine.Options{Seed: 5, Workers: 1, Batch: 4, Window: 2})
 	if err == nil {
@@ -158,10 +152,7 @@ func TestBatchCorruptionDetectedStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := testBackend(t, c)
 	_, err = engine.Run(context.Background(), b, engine.Fixed(uniformSampler(t, 4)), 4,
 		engine.Options{Seed: 5, Workers: 1, Batch: 4, Window: 1})
 	if err == nil || !strings.Contains(err.Error(), "batch") {

@@ -88,6 +88,7 @@ func chaosCluster(t *testing.T, ft *FaultTransport) *Cluster {
 }
 
 func TestClusterSurvivesChaos(t *testing.T) {
+	checkGoroutines(t)
 	const rounds = 3
 	for _, tt := range []struct {
 		name string
@@ -152,6 +153,7 @@ func TestClusterSurvivesChaos(t *testing.T) {
 }
 
 func TestClusterChaosSingleRound(t *testing.T) {
+	checkGoroutines(t)
 	// The single-round path tolerates the same chaos.
 	ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{
 		Seed:  7,
@@ -174,6 +176,7 @@ func TestClusterChaosSingleRound(t *testing.T) {
 }
 
 func TestClusterQuorumNotMet(t *testing.T) {
+	checkGoroutines(t)
 	// Too many players never connect: the round fails with a quorum error
 	// instead of a hang or a silent verdict.
 	plans := make(map[uint32]FaultPlan)
@@ -203,6 +206,7 @@ func TestClusterQuorumNotMet(t *testing.T) {
 }
 
 func TestClusterStrictModeStillFailsOnCrash(t *testing.T) {
+	checkGoroutines(t)
 	// Without MinVotes the seed semantics stand: any crash aborts.
 	ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{
 		Plans: map[uint32]FaultPlan{0: {CrashAtRound: 1}},

@@ -28,7 +28,7 @@ func countingRun(t *testing.T, k, shards, trials, batch, window int) (root, agg 
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeResults(t, treeBackend(t, c), uniformSampler(t, 16), trials, batch, window)
+	treeResults(t, testBackend(t, c), uniformSampler(t, 16), trials, batch, window)
 	root, agg = ct.Snapshot()
 	return root, agg
 }

@@ -21,6 +21,12 @@
 //  5. Steps 2-4 repeat, up to a window of batches in flight, until FINISH
 //     ends the session.
 //
+// The engine backend keeps its sessions between calls: a session that
+// has quiesced healthy when its worker retires — every verdict checked
+// by its node, every slot live — parks, and the next call takes it
+// instead of dialing k players again. An idle session closes after one
+// timeout, and the backend's Close closes the rest (backend.go).
+//
 // With Topology.Shards > 1 a tier of aggregators sits between the players
 // and the root (aggregator.go); players see the same frames either way.
 // Cluster wires the pieces together and implements core.Protocol, so a

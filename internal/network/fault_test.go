@@ -320,6 +320,7 @@ func TestFaultVerdictsAtEverySplit(t *testing.T) {
 }
 
 func TestFaultTransportCrashesAtRound(t *testing.T) {
+	checkGoroutines(t)
 	ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{
 		Plans: map[uint32]FaultPlan{0: {CrashAtRound: 2}},
 	})

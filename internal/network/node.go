@@ -148,7 +148,8 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 // answers every ROUND_BATCH with its VOTE_BATCH, checks every
 // VERDICT_BATCH against the oldest batch it voted on, and returns on
 // FINISH. stage supplies each batch's per-trial samplers; a batch with
-// none staged is an error.
+// none staged is an error. Each checked verdict settles one unit of the
+// session's work in flight.
 func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
 	for first := true; ; first = false {
 		// Referee frames can lag a full referee phase behind — the accept
@@ -170,6 +171,7 @@ func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
 			if err := p.checkVerdict(m); err != nil {
 				return err
 			}
+			stage.work.done(1)
 		case Finish:
 			return nil
 		default:

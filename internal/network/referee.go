@@ -143,7 +143,7 @@ func (bs *batchSession) acceptShard(ctx context.Context, l net.Listener, members
 		if err != nil {
 			return err
 		}
-		slots[pos] = newBatchSlot(conn, hello.Player, hello.Bits)
+		slots[pos] = newBatchSlot(conn, hello.Player, hello.Bits, bs.work)
 		return nil
 	})
 	return slots, present, err

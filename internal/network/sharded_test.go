@@ -95,16 +95,7 @@ func assertSameResults(t *testing.T, name string, want, got []treeResult) {
 	}
 }
 
-func treeBackend(t *testing.T, c *Cluster) engine.Backend {
-	t.Helper()
-	b, err := NewBackend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// topologyBackend is treeBackend over cfg with its topology replaced:
+// topologyBackend is testBackend over cfg with its topology replaced:
 // shards L1 aggregators (0 and 1 are the flat star), with weights and a
 // shuffle seed.
 func topologyBackend(t *testing.T, cfg ClusterConfig, shards int, weights []int, seed uint64) engine.Backend {
@@ -114,7 +105,7 @@ func topologyBackend(t *testing.T, cfg ClusterConfig, shards int, weights []int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return treeBackend(t, c)
+	return testBackend(t, c)
 }
 
 // TestShardedMatchesFlat is the determinism matrix of the referee tree:
@@ -249,14 +240,14 @@ func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 					return c
 				}
 				sampler := uniformSampler(t, 16)
-				want := treeResults(t, treeBackend(t, cluster(0)), sampler, trials, 3, 2)
+				want := treeResults(t, testBackend(t, cluster(0)), sampler, trials, 3, 2)
 				for _, r := range want {
 					if r.stragglers != 2 || r.votes != k-2 {
 						t.Fatalf("flat run counted %+v, want 2 stragglers of %d players", r, k)
 					}
 				}
 				for _, s := range []int{2, 4} {
-					got := treeResults(t, treeBackend(t, cluster(s)), sampler, trials, 3, 2)
+					got := treeResults(t, testBackend(t, cluster(s)), sampler, trials, 3, 2)
 					assertSameResults(t, fmt.Sprintf("s=%d", s), want, got)
 				}
 			})
@@ -269,6 +260,7 @@ func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 // verdicts and RoundStats as every player of its shard crashing at the
 // same round — on the tree and on the flat star alike.
 func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
+	checkGoroutines(t)
 	const (
 		k      = 8
 		shards = 2
@@ -351,6 +343,7 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 // aggregator dial, the flat star four player dials) and are not
 // compared.
 func TestShardedAggregatorNeverConnectsMatchesFlat(t *testing.T) {
+	checkGoroutines(t)
 	const (
 		k      = 8
 		shards = 2
@@ -425,6 +418,7 @@ func TestShardedAggregatorNeverConnectsMatchesFlat(t *testing.T) {
 // faulted verdict's round (the root had already decided it before the
 // relay) and is absent from the next round on.
 func TestShardedVerdictRelayFaultEqualsShardCrash(t *testing.T) {
+	checkGoroutines(t)
 	const (
 		k       = 8
 		shards  = 2
@@ -511,6 +505,7 @@ func TestShardedVerdictRelayFaultEqualsShardCrash(t *testing.T) {
 // must fail the session with the player named, not vanish behind the
 // aggregator.
 func TestShardedMemberViolationSurfaces(t *testing.T) {
+	checkGoroutines(t)
 	ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{
 		Seed:  3,
 		Plans: map[uint32]FaultPlan{2: {CorruptFrame: 2}}, // frames: HELLO=1, VOTE_BATCH b0=2
@@ -572,6 +567,7 @@ func shardLossCluster(t *testing.T, shards int) (*Cluster, *CountingTransport) {
 // below MinVotes fails the session with the flat referee's quorum
 // error, not a hang.
 func TestShardedQuorumNotMet(t *testing.T) {
+	checkGoroutines(t)
 	c, _ := shardLossCluster(t, 2)
 	_, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(56), 2)
 	if err == nil || !strings.Contains(err.Error(), "quorum not met") {
@@ -585,6 +581,7 @@ func TestShardedQuorumNotMet(t *testing.T) {
 // opening a session it cannot finish — neither tier sends a single
 // ROUND_BATCH.
 func TestShardedQuorumFailsInAcceptPhase(t *testing.T) {
+	checkGoroutines(t)
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			c, ct := shardLossCluster(t, shards)
