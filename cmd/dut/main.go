@@ -488,10 +488,9 @@ func cmdNetDemo(args []string) int {
 	}
 	start := time.Now()
 	// One session regardless of the round count: the engine drives the
-	// cluster backend's batch session (ROUND_BATCH/VOTE_BATCH/
-	// VERDICT_BATCH frames), one trial per batch unless -batch says
-	// otherwise, so a 1-round demo and a full amplification session
-	// exercise the same path.
+	// cluster backend's batch session (ROUND_BATCH/VOTE_BATCH frames),
+	// one trial per batch unless -batch says otherwise, so a 1-round demo
+	// and a full amplification session exercise the same path.
 	var accept bool
 	verdicts, allStats, err := runDemo(cluster, sampler, rng, *rounds, *batch, *window)
 	if err == nil {

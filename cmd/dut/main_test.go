@@ -158,7 +158,7 @@ func TestCmdNetDemoFrameCounts(t *testing.T) {
 			name: "flat star",
 			args: []string{"-n", "256", "-k", "4", "-seed", "3", "-rounds", "9", "-batch", "4", "-window", "2"},
 			want: []string{
-				"frames root -> players: 28 frames (FINISH:4 ROUND_BATCH:12 VERDICT_BATCH:12)",
+				"frames root -> players: 16 frames (FINISH:4 ROUND_BATCH:12)",
 				"frames players -> root: 16 frames (HELLO:4 VOTE_BATCH:12)",
 			},
 		},
@@ -166,9 +166,9 @@ func TestCmdNetDemoFrameCounts(t *testing.T) {
 			name: "referee tree",
 			args: []string{"-k", "16", "-shards", "4", "-batch", "8", "-window", "2", "-rounds", "32", "-seed", "7"},
 			want: []string{
-				"frames root -> aggregators:    36 frames (FINISH:4 ROUND_BATCH:16 AGG_VERDICT:16)",
+				"frames root -> aggregators:    20 frames (FINISH:4 ROUND_BATCH:16)",
 				"frames aggregators -> root:    20 frames (AGG_HELLO:4 AGG_SUM:16)",
-				"frames aggregators -> players: 144 frames (FINISH:16 ROUND_BATCH:64 VERDICT_BATCH:64)",
+				"frames aggregators -> players: 80 frames (FINISH:16 ROUND_BATCH:64)",
 				"frames players -> aggregators: 80 frames (HELLO:16 VOTE_BATCH:64)",
 			},
 		},

@@ -131,14 +131,13 @@ func BenchmarkEngineClusterSharded(b *testing.B) {
 	benchRunWorkers(b, backend, 2)
 }
 
-// BenchmarkEngineClusterSharded100k is the broadcast-wall row: 100,000
-// players behind 32 L1 aggregators. At this width the root's verdict
-// fan-out is the line the tree either breaks or holds — with the
-// AGG_VERDICT relay the root writes 32 frames per batch (one per
-// aggregator, encoded once) while the aggregators re-expand them to the
-// 100k per-player VERDICT_BATCHes in parallel. A single pinned worker
-// owns the whole 100k-node session: the session's goroutine count
-// already saturates the host, and pinning keeps allocs/op — the
+// BenchmarkEngineClusterSharded100k is the widest row: 100,000 players
+// behind 32 L1 aggregators. Per batch the root writes one ROUND_BATCH to
+// each aggregator, 32 frames where a flat star would write 100k, and
+// reads one AGG_SUM back from each; the aggregators relay the ROUND_BATCH
+// to their shards and reduce the votes in parallel. A single pinned
+// worker owns the whole 100k-node session: the session's goroutine
+// count already saturates the host, and pinning keeps allocs/op — the
 // CI-gated metric, archived per commit in results/bench/<sha>.json —
 // host-independent.
 func BenchmarkEngineClusterSharded100k(b *testing.B) {

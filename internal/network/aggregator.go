@@ -52,7 +52,7 @@ type aggBatch struct {
 // aggregator's reduce loop, mirroring frameQueue's close semantics:
 // pushes after close are dropped, pending items still drain. The oldest
 // item sits at head; the slice compacts whenever it drains, so its
-// backing array settles at the high-water mark, like aggregator.sent.
+// backing array settles at the high-water mark.
 type aggBatchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -105,26 +105,12 @@ func (q *aggBatchQueue) close() {
 	q.cond.Broadcast()
 }
 
-// aggSent is one reduction's upstream echo record: the batch id, trial
-// count and present count the aggregator reported to the root. The
-// reader validates the root's AGG_VERDICT against the matching record
-// before relaying, so the root cannot make an aggregator fan out a
-// verdict for a batch it never reduced or with accounting that
-// disagrees with what the shard actually delivered.
-type aggSent struct {
-	batch   uint32
-	count   uint32
-	present uint32
-}
-
 // aggregator is one L1 node of the referee tree: it accepts its shard's
-// players, relays the root's ROUND_BATCH / FINISH frames downstream,
-// reduces each batch's votes into one upstream frame, and re-expands
-// each AGG_VERDICT into the VERDICT_BATCH its shard's sessions expect —
-// encoded once into reused scratch, then queued to every member. Its
-// reader and reducer run as separate goroutines so the next batch's
-// relay is never blocked behind the previous batch's gather — the same
-// pipelining the flat session gets from its writer queues.
+// players, relays the root's ROUND_BATCH / FINISH frames downstream and
+// reduces each batch's votes into one upstream frame. Its reader and
+// reducer run as separate goroutines so the next batch's relay is never
+// blocked behind the previous batch's gather — the same pipelining the
+// flat session gets from its writer queues.
 type aggregator struct {
 	bs       *batchSession
 	id       uint32
@@ -137,16 +123,6 @@ type aggregator struct {
 	pending    *aggBatchQueue
 	readerDone chan struct{}
 	done       chan struct{}
-
-	// sent is the FIFO of upstream echo records, pushed by the reducer
-	// just before each reduced frame's write and popped by the reader on
-	// the matching AGG_VERDICT. The root decides batches in flight order,
-	// so FIFO order is the only legal verdict order; sentMu covers the
-	// reducer/reader handoff. The backing array settles at the session's
-	// window high-water mark, like the frame queues.
-	sentMu   sync.Mutex
-	sent     []aggSent
-	sentHead int
 
 	// Reduce scratch, reused per batch so the hot path stays at zero
 	// allocations: deliv holds delivered plane sets by shard position,
@@ -254,12 +230,9 @@ func (a *aggregator) connectRoot(addr net.Addr, present uint32) error {
 
 // readRoot relays the root's frames downstream. Every relayed
 // ROUND_BATCH also queues a reduction descriptor for the reduce loop,
-// so relaying batch n+1 never waits on gathering batch n. Verdicts
-// arrive as AGG_VERDICT — one frame per batch carrying the packed
-// verdicts for the whole tree — and are audited against the oldest
-// unanswered reduction before the shard sees a byte of them. The
-// pending queue is closed on exit (FINISH or failure), which is what
-// ends the reduce loop.
+// so relaying batch n+1 never waits on gathering batch n. The pending
+// queue is closed on exit (FINISH or failure), which is what ends the
+// reduce loop.
 //
 //dut:hotpath per-batch downstream relay loop
 func (a *aggregator) readRoot() {
@@ -285,11 +258,6 @@ func (a *aggregator) readRoot() {
 			}
 			broadcast(a.slots, relay)
 			a.pending.push(aggBatch{id: m.Batch, count: int(m.Count)})
-		case AggVerdict:
-			if err := a.relayVerdict(m); err != nil {
-				a.fail(err)
-				return
-			}
 		case Finish:
 			a.relay = AppendFinish(a.relay[:0])
 			broadcast(a.slots, a.relay)
@@ -300,70 +268,6 @@ func (a *aggregator) readRoot() {
 			return
 		}
 	}
-}
-
-// recordSent pushes one reduction's echo record; the reducer calls it
-// immediately before the reduced frame's upstream write, so by the time
-// the root can possibly answer, the record the reader will audit
-// against is already in the FIFO.
-func (a *aggregator) recordSent(r aggSent) {
-	a.sentMu.Lock()
-	a.sent = append(a.sent, r)
-	a.sentMu.Unlock()
-}
-
-// takeSent pops the oldest unanswered echo record. The slice compacts
-// whenever it fully drains — which happens once per settled window — so
-// the backing array stops growing at the window's high-water mark.
-func (a *aggregator) takeSent() (aggSent, bool) {
-	a.sentMu.Lock()
-	defer a.sentMu.Unlock()
-	if a.sentHead == len(a.sent) {
-		return aggSent{}, false
-	}
-	r := a.sent[a.sentHead]
-	a.sentHead++
-	if a.sentHead == len(a.sent) {
-		a.sent = a.sent[:0]
-		a.sentHead = 0
-	}
-	return r, true
-}
-
-// relayVerdict audits one AGG_VERDICT against the oldest unanswered
-// reduction — batch id, trial count and the root's present-count
-// accounting for this shard must all echo what the reducer sent
-// upstream — then fans the verdicts out: the VERDICT_BATCH bytes are
-// built once in the relay scratch and queued to every live member
-// (push copies them), so the per-member cost is one enqueue and the
-// relay path settles at zero allocations per batch.
-//
-//dut:hotpath per-batch verdict fan-out
-func (a *aggregator) relayVerdict(m AggVerdict) error {
-	sent, ok := a.takeSent()
-	if !ok {
-		return fmt.Errorf("network: aggregator %d got a verdict for batch %d with no reduction awaiting one", a.id, m.Batch)
-	}
-	if m.Batch != sent.batch {
-		return fmt.Errorf("network: aggregator %d got a verdict for batch %d, expected %d", a.id, m.Batch, sent.batch)
-	}
-	if m.Count != sent.count {
-		return fmt.Errorf("network: aggregator %d got %d verdict trials for batch %d, expected %d", a.id, m.Count, m.Batch, sent.count)
-	}
-	if int(a.id) >= len(m.Present) {
-		return fmt.Errorf("network: aggregator %d missing from a %d-shard verdict accounting", a.id, len(m.Present))
-	}
-	if got := m.Present[a.id]; got != sent.present {
-		return fmt.Errorf("network: root credited aggregator %d with %d present players for batch %d, it reported %d",
-			a.id, got, m.Batch, sent.present)
-	}
-	relay, err := AppendVerdictBatch(a.relay[:0], VerdictBatch{Batch: m.Batch, Count: m.Count, Bits: m.Bits})
-	a.relay = relay
-	if err != nil {
-		return fmt.Errorf("network: aggregator %d relay: %w", a.id, err)
-	}
-	broadcast(a.slots, relay)
-	return nil
 }
 
 func (a *aggregator) closeQueues() {
@@ -434,9 +338,6 @@ func (a *aggregator) runBatch(b aggBatch) {
 		a.fail(fmt.Errorf("network: aggregator %d reduce batch %d: %w", a.id, b.id, err))
 		return
 	}
-	// The echo record must be in the FIFO before the write: the root can
-	// answer with the batch's AGG_VERDICT the moment the frame lands.
-	a.recordSent(aggSent{batch: b.id, count: uint32(b.count), present: uint32(received)})
 	setWriteDeadline(a.root, bs.c.timeout)
 	if err := writeCoalesced(a.root, a.enc); err != nil {
 		//lint:ignore dut/hotalloc failure path: fail tears the session down, so the error allocation is the last thing this batch does

@@ -22,10 +22,10 @@ import (
 // open, each ROUND_BATCH frame names a range of up to MaxBatchTrials
 // trials whose public coins every node derives itself, nodes answer with
 // one VOTE_BATCH of r packed bit-planes, and the referee evaluates a
-// whole batch of verdicts per synchronization before replying
-// VERDICT_BATCH; FINISH ends the session. A single trial is a batch of
-// one. Each slot gets a dedicated writer goroutine fed by an unbounded
-// frame queue: the in-memory transport's writes are fully synchronous
+// whole batch of verdicts per synchronization and writes nothing back;
+// FINISH ends the session. A single trial is a batch of one. Each slot
+// gets a dedicated writer goroutine fed by an unbounded frame queue:
+// the in-memory transport's writes are fully synchronous
 // (net.Pipe parks the writer until the peer reads), so queueing the next
 // batches' ROUND_BATCH frames while earlier votes are still being
 // gathered is exactly what keeps a window of batches in flight.
@@ -40,12 +40,11 @@ import (
 // session and counts as a straggler in every later trial.
 
 // workCount is a session's work in flight: frames queued on a slot and
-// not yet written, batches an aggregator relayed and has not yet
-// reduced, and verdicts a node has not yet checked. A session parks only
-// at zero, so no frame of one engine call spills into the next. The
-// decrement that drains it to zero wakes the quiesce wait, as does every
-// recorded failure (poke). A nil *workCount counts nothing: the bare
-// queues and stages of unit tests have none.
+// not yet written, and batches an aggregator relayed and has not yet
+// reduced. A session parks only at zero, so no frame of one engine call
+// spills into the next. The decrement that drains it to zero wakes the
+// quiesce wait, as does every recorded failure (poke). A nil *workCount
+// counts nothing: the bare queues of unit tests have none.
 type workCount struct {
 	n    atomic.Int64
 	wake chan struct{} // capacity 1: one pending wake-up
@@ -199,9 +198,6 @@ func broadcast(slots []*batchSlot, frame []byte) {
 type samplerStage struct {
 	mu sync.RWMutex
 	m  map[uint32][]dist.Sampler
-	// work is the session's work in flight: every node settles one unit
-	// per verdict it checks.
-	work *workCount
 }
 
 func (s *samplerStage) put(batch uint32, samplers []dist.Sampler) {
@@ -288,7 +284,8 @@ type batchSession struct {
 
 	// Chunk scratch, reused across chunks. enc is the frame encode buffer
 	// (push copies bytes into the queue, so it is free again as soon as
-	// the pushes return).
+	// the pushes return); verdictBits is the shaped decide's verdict
+	// bitset.
 	enc         []byte
 	flights     []batchFlight
 	verdictBits []uint64
@@ -355,7 +352,7 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 	bs := &batchSession{
 		c: c, listener: l, life: life, cancel: cancel, nodes: nodes,
 		tracker: &connTracker{},
-		stage:   &samplerStage{m: make(map[uint32][]dist.Sampler), work: work},
+		stage:   &samplerStage{m: make(map[uint32][]dist.Sampler)},
 		work:    work,
 	}
 	bs.hold(ctx)
@@ -433,10 +430,14 @@ func (bs *batchSession) healthy() bool {
 }
 
 // quiesce waits until the session has no work in flight — every queued
-// frame written, every relayed batch reduced and every verdict checked by
-// its node — and reports whether it is then healthy: only a quiesced,
-// healthy session parks. The wait ends as soon as the session fails, and
-// gives up after one timeout.
+// frame written and every relayed batch reduced — and reports whether it
+// is then healthy: only a quiesced, healthy session parks. The wait is
+// needed although every batch is decided: a slot writer counts a frame
+// only after its write returns, and can lag behind the vote that frame
+// provoked. Every live node is then blocked in its next read, because
+// the last batch was decided only once each live node's vote for it had
+// arrived. The wait ends as soon as the session fails, and gives up
+// after one timeout.
 func (bs *batchSession) quiesce() bool {
 	timer := time.NewTimer(bs.c.timeout)
 	defer timer.Stop()
@@ -656,8 +657,6 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 		}
 		bs.nextBatch++
 		bs.stage.put(id, samplers[start:start+count])
-		// Every in-process node owes the batch one verdict check.
-		bs.work.add(len(bs.nodes))
 		broadcast(bs.slots, enc)
 		flights = append(flights, batchFlight{id: id, start: start, count: count})
 	}
@@ -684,30 +683,9 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 			return bs.chunkErr(bs.firstSlotErr())
 		}
 		results := out[fl.start : fl.start+fl.count]
-		verdictBits, err := bs.decideBatch(fl.count, received, results)
-		if err != nil {
+		if err := bs.decideBatch(fl.count, received, results); err != nil {
 			return bs.chunkErr(err)
 		}
-		// Verdict fan-out mirrors the gather's shape: on the tree the root
-		// encodes one AGG_VERDICT — verdict bitset plus the per-shard
-		// present accounting it just decided with — and queues the same
-		// bytes to every aggregator, so its downstream work is
-		// O(aggregators) regardless of player count; each aggregator
-		// re-expands it into the VERDICT_BATCH its shard expects. The flat
-		// star pushes VERDICT_BATCH to every player directly.
-		var enc []byte
-		if bs.sharded() {
-			av := AggVerdict{Batch: fl.id, Count: uint32(fl.count), Present: bs.shardPresent, Bits: verdictBits}
-			enc, err = AppendAggVerdict(bs.enc[:0], av)
-		} else {
-			vb := VerdictBatch{Batch: fl.id, Count: uint32(fl.count), Bits: verdictBits}
-			enc, err = AppendVerdictBatch(bs.enc[:0], vb)
-		}
-		bs.enc = enc
-		if err != nil {
-			return bs.chunkErr(err)
-		}
-		broadcast(bs.slots, enc)
 		// Wall time is shared evenly: the batch synchronized once for
 		// count trials (the division remainder lands on the first trial so
 		// the batch's summed wall time equals its elapsed time).
@@ -809,9 +787,8 @@ func (bs *batchSession) firstSlotErr() error {
 // count the gather expects, and the message width the player announced
 // in HELLO as the plane count.
 func (bs *batchSession) readVoteBatch(slot *batchSlot, batchID uint32, count int) ([]uint64, error) {
-	// The vote can lag the node's whole batch of sampling plus a queued
-	// verdict write; budget two timeouts, like every other cross-phase
-	// read.
+	// The vote can lag the node's whole batch of sampling; budget two
+	// timeouts, like every other cross-phase read.
 	setReadDeadline(slot.conn, 2*bs.c.timeout)
 	vb, err := expectFrame[VoteBatch](slot.conn, FrameVoteBatch)
 	if err != nil {
@@ -871,24 +848,22 @@ func (bs *batchSession) gatherShard(slots []*batchSlot, deliv [][]uint64, batchI
 }
 
 // decideBatch evaluates every trial of a gathered batch, filling one
-// RoundResult per trial and returning the packed verdict bits. A
-// threshold-shaped (1-bit) or sum-shaped (r-bit) referee decides the
-// whole batch word-parallel from bit-sliced counters at any presence
-// (decideCounters); an opaque referee decides trial by trial, through
-// decideVotes on each trial's vote slate rebuilt from the delivered
-// planes, so quorum checks and absentee policy are the referee's by
-// construction.
-func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) ([]uint64, error) {
+// RoundResult per trial. A threshold-shaped (1-bit) or sum-shaped
+// (r-bit) referee decides the whole batch word-parallel from bit-sliced
+// counters at any presence (decideCounters), into the verdict bitset
+// scratch; an opaque referee decides trial by trial, through decideVotes
+// on each trial's vote slate rebuilt from the delivered planes, so
+// quorum checks and absentee policy are the referee's by construction.
+func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) error {
 	words := batchWords(count)
-	if cap(bs.verdictBits) < words {
-		bs.verdictBits = make([]uint64, words)
-	}
-	verdictBits := bs.verdictBits[:words]
-	clear(verdictBits)
 	k := bs.c.k
 	if bs.shapeOK || bs.sumOK {
+		if cap(bs.verdictBits) < words {
+			bs.verdictBits = make([]uint64, words)
+		}
+		verdictBits := bs.verdictBits[:words]
 		if err := bs.decideCounters(count, received, verdictBits); err != nil {
-			return nil, err
+			return err
 		}
 		for j := range out {
 			out[j] = engine.RoundResult{
@@ -899,7 +874,7 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 				Samples:    received * bs.c.q,
 			}
 		}
-		return verdictBits, nil
+		return nil
 	}
 	votes, got := bs.votes, bs.got
 	for j := 0; j < count; j++ {
@@ -927,13 +902,10 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 			Samples:    recv * bs.c.q,
 		}
 		if err != nil {
-			return nil, err
-		}
-		if accept {
-			verdictBits[j/64] |= 1 << (j % 64)
+			return err
 		}
 	}
-	return verdictBits, nil
+	return nil
 }
 
 // atLeast returns a word with bit j set iff lane j's bit-sliced counter
@@ -958,10 +930,9 @@ func atLeast(planes []uint64, t int) uint64 {
 }
 
 // Close finishes the session: FINISH rides each slot's queue behind any
-// pending verdicts, the writers drain and exit, the aggregators and
-// nodes unwind, and every connection and listener closes. In strict
-// mode it reports a node failure, such as a node's verdict check, that
-// surfaced after the last trial.
+// pending frames, the writers drain and exit, the aggregators and nodes
+// unwind, and every connection and listener closes. In strict mode it
+// reports a node failure that surfaced after the last trial.
 func (bs *batchSession) Close() error {
 	bs.untie()
 	finish := AppendFinish(nil)

@@ -222,9 +222,10 @@ func (c *Cluster) RunRoundSeeded(ctx context.Context, sampler dist.Sampler, base
 // Round i's public coin is engine.SharedSeed(base, i) for a base seed
 // drawn from rng, exactly as the engine derives trial seeds, so a
 // session's verdict sequence reproduces the in-process SMP backend's.
-// Rounds run lock-step, each a batch of one trial decided and answered
-// before the next is issued, so a fault in one round's verdict relay
-// lands before the next round's votes. With ClusterConfig.MinVotes set,
+// Rounds run lock-step, each a batch of one trial decided before the
+// next is issued, so a fault injected in one round (a crash, a corrupted
+// vote, a delay past the deadline) has settled its player's slot before
+// the next round's ROUND_BATCH goes out. With ClusterConfig.MinVotes set,
 // node failures injected by faults are tolerated down to the quorum and
 // a failed player stays absent for the rest of the session.
 func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, []RoundStats, error) {

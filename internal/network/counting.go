@@ -29,7 +29,7 @@ const (
 // frameKindLimit bounds the tally arrays: every FrameType the wire
 // writers can emit is below it. The cursor only sees streams our own
 // writers produced, so anything at or above the limit is ignored.
-const frameKindLimit = int(FrameAggVerdict) + 1
+const frameKindLimit = int(FrameAggPlanes) + 1
 
 // TierCounts is a snapshot of one tier's frame traffic, keyed by frame
 // type. Down counts frames the tier's listeners wrote to their dialers

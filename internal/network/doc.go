@@ -17,15 +17,17 @@
 //     core.LocalRule and sends one VOTE_BATCH: its r-bit messages for the
 //     whole batch as r bit-planes.
 //  4. After collecting all k votes the referee applies its core.Referee
-//     decision function to every trial and broadcasts VERDICT_BATCH.
+//     decision function to every trial and outputs the verdicts. As in
+//     the model, nothing is written back: the players never learn them.
 //  5. Steps 2-4 repeat, up to a window of batches in flight, until FINISH
 //     ends the session.
 //
 // The engine backend keeps its sessions between calls: a session that
-// has quiesced healthy when its worker retires — every verdict checked
-// by its node, every slot live — parks, and the next call takes it
-// instead of dialing k players again. An idle session closes after one
-// timeout, and the backend's Close closes the rest (backend.go).
+// has quiesced healthy when its worker retires — every queued frame
+// written, every relayed batch reduced, every slot live — parks, and the
+// next call takes it instead of dialing k players again. An idle session
+// closes after one timeout, and the backend's Close closes the rest
+// (backend.go).
 //
 // With Topology.Shards > 1 a tier of aggregators sits between the players
 // and the root (aggregator.go); players see the same frames either way.
@@ -56,11 +58,13 @@
 // VOTE_BATCH must carry the id of the connection it arrives on, echo the
 // batch id and trial count of the ROUND_BATCH it answers, and carry as
 // many bit-planes as the player announced bits at HELLO — a 1-bit rule
-// cannot smuggle a wide message past the decision function. In the other
-// direction each node checks every VERDICT_BATCH against the oldest batch
-// it voted on and fails with ErrVerdictMismatch on anything else. On the
-// frame layer, set padding bits above a batch's trial count are a
-// malformed frame, never extra votes or verdicts.
+// cannot smuggle a wide message past the decision function. On the tree
+// the root checks every AGG_SUM and AGG_PLANES the same way: the
+// aggregator id of the connection, the batch id, trial count and width,
+// and a present count within the shard. On the frame layer, set padding
+// bits above a batch's trial count are a malformed frame, never extra
+// votes, and no length prefix can make the decoder allocate past the
+// type's Max* bound.
 //
 // # Straggler tolerance
 //
@@ -87,10 +91,9 @@
 //
 // FaultTransport decorates any Transport with deterministic, seeded
 // faults applied per player or aggregator id: dropped dial attempts,
-// per-frame write delays, payload corruption of a chosen frame,
-// connection crashes at a chosen round, and a dropped or corrupted
-// AGG_VERDICT on an aggregator's read side. Faults count frames, not
-// Read or Write calls. It is the chaos harness for everything above — every
+// per-frame write delays, payload corruption of a chosen frame and
+// connection crashes at a chosen round. Faults count frames, not Write
+// calls. It is the chaos harness for everything above — every
 // injected fault must surface as a validated protocol error or a
 // tolerated straggler, never as a wrong verdict — and its FaultStats
 // report what was actually injected.

@@ -45,18 +45,6 @@ type FaultPlan struct {
 	// scheduled inside a batch kills the write of the whole batch; frames
 	// ahead of it in the same write still go out.
 	CrashAtRound int
-	// DropVerdict kills the connection as the Nth AGG_VERDICT frame
-	// (1-based) arrives on its read side; zero never drops. Meaningful in
-	// AggPlans: verdicts flow downstream, so the fault models an
-	// aggregator dying mid-relay — its shard votes through round N and is
-	// absent from round N+1 on, exactly as if every member had crashed at
-	// round N+1.
-	DropVerdict int
-	// CorruptVerdict corrupts the batch id of the Nth AGG_VERDICT frame
-	// (1-based) read off the connection; zero corrupts nothing. The
-	// aggregator's echo audit rejects the mismatched id deterministically,
-	// so the observable failure domain is identical to DropVerdict's.
-	CorruptVerdict int
 }
 
 // FaultConfig configures NewFaultTransport.
@@ -86,12 +74,6 @@ type FaultStats struct {
 	FramesCorrupted int
 	// Crashes counts connections killed by CrashAtRound.
 	Crashes int
-	// VerdictsDropped counts connections killed by DropVerdict on an
-	// AGG_VERDICT's arrival.
-	VerdictsDropped int
-	// VerdictsCorrupted counts AGG_VERDICT frames corrupted in flight by
-	// CorruptVerdict.
-	VerdictsCorrupted int
 }
 
 // FaultTransport wraps any Transport and injects the configured faults on
@@ -145,8 +127,7 @@ func validatePlans(role string, plans map[uint32]FaultPlan) error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		plan := plans[id]
-		if plan.DropDials < 0 || plan.Delay < 0 || plan.CorruptFrame < 0 || plan.CrashAtRound < 0 ||
-			plan.DropVerdict < 0 || plan.CorruptVerdict < 0 {
+		if plan.DropDials < 0 || plan.Delay < 0 || plan.CorruptFrame < 0 || plan.CrashAtRound < 0 {
 			return fmt.Errorf("network: negative fault parameter in plan for %s %d", role, id)
 		}
 	}
@@ -220,20 +201,20 @@ func (f *FaultTransport) count(update func(*FaultStats)) {
 }
 
 // faultConn applies frame-level faults to the player side of a
-// connection. Each direction follows its stream with a wire.go frame
-// cursor, so faults land on frames, not on Read or Write calls,
-// however the stream is chopped.
+// connection. It follows its write stream with a wire.go frame cursor,
+// so faults land on frames, not on Write calls, however the stream is
+// chopped. Reads pass through: every fault models the dialing side
+// misbehaving.
 type faultConn struct {
 	net.Conn
 	tr   *FaultTransport
 	plan FaultPlan
 	rng  *rand.Rand
 
-	mu       sync.Mutex
-	wr, rd   frameCursor
-	frames   int // frames written on this connection
-	votes    int // rounds voted on, counting a vote frame as its trial count
-	verdicts int // AGG_VERDICT frames read off this connection
+	mu     sync.Mutex
+	wr     frameCursor
+	frames int // frames written on this connection
+	votes  int // rounds voted on, counting a vote frame as its trial count
 }
 
 // voteFrame reports the frames that carry votes upstream: a player's
@@ -244,43 +225,6 @@ type faultConn struct {
 // validated protocol error.
 func voteFrame(t FrameType) bool {
 	return t == FrameVoteBatch || t == FrameAggSum || t == FrameAggPlanes
-}
-
-// Read applies the read-side verdict faults. Write faults model a
-// player (or an aggregator's upstream hop) misbehaving; the verdict
-// faults model the downstream relay dying, and AGG_VERDICT arrives on
-// the aggregator's dialed connection as a read. Plans without verdict
-// faults pass straight through.
-func (c *faultConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if c.plan.DropVerdict == 0 && c.plan.CorruptVerdict == 0 {
-		return n, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	start := 0 // where the current frame starts in p; 0 if an earlier read began it
-	for i := 0; i < n; {
-		if c.rd.at == 0 {
-			start = i
-		}
-		k, ev := c.rd.next(p[i:n])
-		i += k
-		if ev != cursorHeader || c.rd.kind != FrameAggVerdict {
-			continue
-		}
-		c.verdicts++
-		switch c.verdicts {
-		case c.plan.DropVerdict:
-			// The reader keeps only the bytes before the verdict.
-			c.tr.count(func(s *FaultStats) { s.VerdictsDropped++ })
-			_ = c.Conn.Close()
-			return start, fmt.Errorf("network: fault: connection killed on verdict %d's arrival", c.verdicts)
-		case c.plan.CorruptVerdict:
-			c.rd.corrupt(c.rd.batchIDByte(), byte(c.rng.Uint64())|0x80)
-			c.tr.count(func(s *FaultStats) { s.VerdictsCorrupted++ })
-		}
-	}
-	return n, err
 }
 
 // Write applies the write-side faults frame by frame: Delay before each

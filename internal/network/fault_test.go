@@ -3,15 +3,11 @@ package network
 import (
 	"bytes"
 	"context"
-	"errors"
-	"io"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
-	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 func andReferee() core.BitReferee {
@@ -218,25 +214,10 @@ func TestFaultTransportCorruptsFrameInCoalescedWrite(t *testing.T) {
 	}
 }
 
-// stubConn is an in-memory net.Conn for driving one side of a
-// connection by hand: reads replay chunks in order and then report
-// io.EOF, writes are discarded, and deadlines are no-ops that allocate
-// nothing.
+// stubConn is an in-memory net.Conn a node can write to by hand:
+// writes are discarded, and deadlines are no-ops that allocate nothing.
 type stubConn struct {
 	net.Conn // methods the tests never call
-	chunks   [][]byte
-}
-
-func (c *stubConn) Read(p []byte) (int, error) {
-	for len(c.chunks) > 0 && len(c.chunks[0]) == 0 {
-		c.chunks = c.chunks[1:]
-	}
-	if len(c.chunks) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, c.chunks[0])
-	c.chunks[0] = c.chunks[0][n:]
-	return n, nil
 }
 
 func (c *stubConn) Write(p []byte) (int, error)      { return len(p), nil }
@@ -244,80 +225,6 @@ func (c *stubConn) Close() error                     { return nil }
 func (c *stubConn) SetDeadline(time.Time) error      { return nil }
 func (c *stubConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *stubConn) SetWriteDeadline(time.Time) error { return nil }
-
-// TestFaultVerdictsAtEverySplit: the read side follows the stream with
-// the frame cursor, so DropVerdict and CorruptVerdict hit the same
-// AGG_VERDICT wherever the reads split the stream — drop delivers no
-// frame from that verdict on, corrupt flips exactly the low byte of its
-// batch id, with the same seeded mask at every split.
-func TestFaultVerdictsAtEverySplit(t *testing.T) {
-	var stream []byte
-	second := 0 // where the second AGG_VERDICT starts
-	for batch := uint32(0); batch < 2; batch++ {
-		var err error
-		if stream, err = AppendRoundBatch(stream, RoundBatch{Batch: batch, Count: 3}); err != nil {
-			t.Fatal(err)
-		}
-		second = len(stream)
-		if stream, err = AppendAggVerdict(stream, AggVerdict{Batch: batch, Count: 3, Present: []uint32{2, 1}, Bits: []uint64{0b101}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stream = AppendFinish(stream)
-	want, _ := decodedFrames(stream)
-
-	readAll := func(plan FaultPlan, split int) ([]byte, FaultStats, error) {
-		ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc := &faultConn{
-			Conn: &stubConn{chunks: [][]byte{
-				append([]byte(nil), stream[:split]...), append([]byte(nil), stream[split:]...),
-			}},
-			tr: ft, plan: plan, rng: engine.NodeRNG(9, -1),
-		}
-		var got []byte
-		buf := make([]byte, 2*len(stream))
-		for {
-			n, err := fc.Read(buf)
-			got = append(got, buf[:n]...)
-			if err != nil {
-				return got, ft.Stats(), err
-			}
-		}
-	}
-	var mask byte
-	for split := 0; split <= len(stream); split++ {
-		got, stats, err := readAll(FaultPlan{CorruptVerdict: 2}, split)
-		if !errors.Is(err, io.EOF) || len(got) != len(stream) || stats.VerdictsCorrupted != 1 {
-			t.Fatalf("split %d: corrupt read %d of %d bytes, %v, %+v", split, len(got), len(stream), err, stats)
-		}
-		at := second + headerSize + 3 // the low byte of the batch id
-		diff := got[at] ^ stream[at]
-		if split == 0 {
-			mask = diff
-		}
-		if diff&0x80 == 0 || diff != mask {
-			t.Fatalf("split %d: batch id byte XORed with %#x, want %#x with the high bit set", split, diff, mask)
-		}
-		got[at] = stream[at]
-		if !bytes.Equal(got, stream) {
-			t.Fatalf("split %d: corruption leaked past the second verdict's batch id", split)
-		}
-
-		got, stats, err = readAll(FaultPlan{DropVerdict: 2}, split)
-		if err == nil || errors.Is(err, io.EOF) || stats.VerdictsDropped != 1 {
-			t.Fatalf("split %d: drop ended with %v, %+v", split, err, stats)
-		}
-		if !bytes.Equal(got, stream[:len(got)]) || len(got) >= second+headerSize {
-			t.Fatalf("split %d: drop delivered %d bytes, want a prefix short of the second verdict's header", split, len(got))
-		}
-		if frames, _ := decodedFrames(got); !reflect.DeepEqual(frames, want[:3]) {
-			t.Fatalf("split %d: drop delivered frames %+v, want %+v", split, frames, want[:3])
-		}
-	}
-}
 
 func TestFaultTransportCrashesAtRound(t *testing.T) {
 	checkGoroutines(t)

@@ -53,12 +53,26 @@ func FuzzFrame(f *testing.F) {
 		0, 0, 0, 0, 0xfe, 0xed, 0xfa, 0xce,
 		0, 0, 0, 0, 0, 0, 0, 3}) // version-2 ROUND_BATCH, two seeds
 
-	// Valid batch frames, including a partial final word and a bitset
-	// spanning two words.
+	// Version-3 frames: a HELLO and a ROUND_BATCH laid out exactly as
+	// version 4 lays them out, and the verdict downlink's VERDICT_BATCH
+	// and AGG_VERDICT, are all rejected on the version byte.
+	f.Add([]byte{0xD0, 0x7A, 3, 1, 0, 0, 0, 5, 0, 0, 0, 3, 1}) // version-3 HELLO
+	f.Add([]byte{0xD0, 0x7A, 3, 6, 0, 0, 0, 24,
+		0, 0, 0, 7, 0, 0, 0, 1,
+		0, 0, 0, 0, 0xfe, 0xed, 0xfa, 0xce,
+		0, 0, 0, 0, 0, 0, 0, 3}) // version-3 ROUND_BATCH
+	f.Add([]byte{0xD0, 0x7A, 3, 8, 0, 0, 0, 24,
+		0, 0, 0, 7, 0, 0, 0, 65,
+		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+		0, 0, 0, 0, 0, 0, 0, 1}) // version-3 VERDICT_BATCH, 65 trials
+	f.Add([]byte{0xD0, 0x7A, 3, 13, 0, 0, 0, 32,
+		0, 0, 0, 7, 0, 0, 0, 3, 0, 0, 0, 3,
+		0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 5,
+		0, 0, 0, 0, 0, 0, 0, 5}) // version-3 AGG_VERDICT, three shards, one absent
+
+	// A valid vote batch with a partial final word.
 	voteBatch, _ := AppendVoteBatch(nil, VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}})
-	verdictBatch, _ := AppendVerdictBatch(nil, VerdictBatch{Batch: 7, Count: 65, Bits: []uint64{^uint64(0), 1}})
 	f.Add(voteBatch)
-	f.Add(verdictBatch)
 
 	// Valid trial ranges: one trial, a full batch, and both ending on
 	// the last legal trial, math.MaxInt64.
@@ -110,8 +124,8 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{0xD0, 0x7A, v, 8, 0, 0, 0, 24,
 		0, 0, 0, 7, 0, 0, 0, 1,
 		0, 0, 0, 0, 0, 0, 0, 1,
-		0, 0, 0, 0, 0, 0, 0, 0}) // VERDICT_BATCH count 1 with two words
-	f.Add([]byte{0xD0, 0x7A, v, 8, 0xFF, 0xFF, 0xFF, 0xFF}) // VERDICT_BATCH huge length prefix
+		0, 0, 0, 0, 0, 0, 0, 0}) // retired VERDICT_BATCH, count 1 with two words
+	f.Add([]byte{0xD0, 0x7A, v, 8, 0xFF, 0xFF, 0xFF, 0xFF}) // retired VERDICT_BATCH, huge length prefix
 
 	// Valid r-bit vote batches across the width range: single plane,
 	// two planes, and wide frames whose trial lanes span plane strides.
@@ -173,13 +187,6 @@ func FuzzFrame(f *testing.F) {
 	f.Add(aggPlanes)
 	f.Add(aggEmpty)
 
-	// Valid downstream verdict fan-out frames: a multi-shard accounting
-	// vector with an absent shard, and a bitset spanning two words.
-	aggVerdict, _ := AppendAggVerdict(nil, AggVerdict{Batch: 7, Count: 3, Present: []uint32{2, 0, 5}, Bits: []uint64{0b101}})
-	aggVerdictWide, _ := AppendAggVerdict(nil, AggVerdict{Batch: 7, Count: 65, Present: []uint32{9}, Bits: []uint64{^uint64(0), 1}})
-	f.Add(aggVerdict)
-	f.Add(aggVerdictWide)
-
 	// Malformed aggregator frames the decoder must reject: duplicate
 	// members, a present count exceeding the shard, counter strides
 	// disagreeing with the plane count, non-zero padding above the trial
@@ -219,26 +226,24 @@ func FuzzFrame(f *testing.F) {
 		0, 0, 0, 0, 0, 0, 0, 1,
 		0, 0, 0, 0, 0, 0, 0, 2}) // AGG_PLANES padding bit above trial 0
 
-	// Malformed AGG_VERDICT frames the decoder must reject: an empty
-	// shard accounting vector, a bitset stride disagreeing with the trial
-	// count, non-zero padding above the count, and a present echo larger
-	// than any shard can hold.
+	// The retired AGG_VERDICT (type 13), laid out as version 3 sent it:
+	// the decoder must reject every one as an unknown type.
 	f.Add([]byte{0xD0, 0x7A, v, 13, 0, 0, 0, 12,
-		0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 0}) // AGG_VERDICT zero shards
+		0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 0}) // retired AGG_VERDICT, zero shards
 	f.Add([]byte{0xD0, 0x7A, v, 13, 0, 0, 0, 32,
 		0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 1,
 		0, 0, 0, 1,
 		0, 0, 0, 0, 0, 0, 0, 1,
-		0, 0, 0, 0, 0, 0, 0, 0}) // AGG_VERDICT count 1 with two words
+		0, 0, 0, 0, 0, 0, 0, 0}) // retired AGG_VERDICT, count 1 with two words
 	f.Add([]byte{0xD0, 0x7A, v, 13, 0, 0, 0, 24,
 		0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 1,
 		0, 0, 0, 1,
-		0, 0, 0, 0, 0, 0, 0, 2}) // AGG_VERDICT padding bit above trial 0
+		0, 0, 0, 0, 0, 0, 0, 2}) // retired AGG_VERDICT, padding bit above trial 0
 	f.Add([]byte{0xD0, 0x7A, v, 13, 0, 0, 0, 24,
 		0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 1,
 		0xFF, 0xFF, 0xFF, 0xFF,
-		0, 0, 0, 0, 0, 0, 0, 1}) // AGG_VERDICT present over the shard cap
-	f.Add([]byte{0xD0, 0x7A, v, 13, 0xFF, 0xFF, 0xFF, 0xFF}) // AGG_VERDICT huge length prefix
+		0, 0, 0, 0, 0, 0, 0, 1}) // retired AGG_VERDICT, present over the shard cap
+	f.Add([]byte{0xD0, 0x7A, v, 13, 0xFF, 0xFF, 0xFF, 0xFF}) // retired AGG_VERDICT, huge length prefix
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, msg, err := ReadFrame(bytes.NewReader(data))
@@ -286,20 +291,6 @@ func FuzzFrame(f *testing.F) {
 			}
 			if buf, err = AppendAggPlanes(nil, m); err != nil {
 				t.Fatalf("re-encode agg planes: %v", err)
-			}
-		case AggVerdict:
-			if err := checkAggVerdict(m); err != nil {
-				t.Fatalf("decoder accepted invalid AGG_VERDICT: %v", err)
-			}
-			if buf, err = AppendAggVerdict(nil, m); err != nil {
-				t.Fatalf("re-encode agg verdict: %v", err)
-			}
-		case VerdictBatch:
-			if err := checkBatchBits(FrameVerdictBatch, int(m.Count), m.Bits); err != nil {
-				t.Fatalf("decoder accepted invalid VERDICT_BATCH bitset: %v", err)
-			}
-			if buf, err = AppendVerdictBatch(nil, m); err != nil {
-				t.Fatalf("re-encode verdict batch: %v", err)
 			}
 		default:
 			t.Fatalf("decoded unknown type %T", msg)

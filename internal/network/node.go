@@ -1,7 +1,6 @@
 package network
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -20,13 +19,6 @@ const (
 	// on every subsequent retry.
 	DefaultRetryBackoff = 5 * time.Millisecond
 )
-
-// ErrVerdictMismatch is the node-side verdict check's failure: a
-// VERDICT_BATCH whose batch id or trial count disagrees with the oldest
-// batch the node voted on and has no verdict for yet (or that arrives
-// with no vote awaiting one). Verdicts answer votes in flight order, so
-// any other verdict is a corrupted, replayed or misrouted frame.
-var ErrVerdictMismatch = errors.New("network: verdict does not answer the oldest unanswered vote")
 
 // PlayerNode is one sensor/server in the network: it draws its local
 // observations from the samplers its session stages for each batch and
@@ -51,17 +43,6 @@ type PlayerNode struct {
 	rng      *engine.ReusableRNG
 	voteBits []uint64
 	enc      []byte
-
-	// voted is the FIFO of batches the node voted on and awaits the
-	// verdict of, oldest at votedHead; it compacts whenever it drains.
-	voted     []votedBatch
-	votedHead int
-}
-
-// votedBatch is one batch a node voted on: the id and trial count its
-// VERDICT_BATCH must echo.
-type votedBatch struct {
-	id, count uint32
 }
 
 // NewPlayerNode builds a node. timeout bounds each frame wait; zero means
@@ -145,18 +126,17 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 }
 
 // serve is the node's frame loop over an established connection: it
-// answers every ROUND_BATCH with its VOTE_BATCH, checks every
-// VERDICT_BATCH against the oldest batch it voted on, and returns on
-// FINISH. stage supplies each batch's per-trial samplers; a batch with
-// none staged is an error. Each checked verdict settles one unit of the
-// session's work in flight.
+// answers every ROUND_BATCH with its VOTE_BATCH and returns on FINISH.
+// As in the paper's model the player never learns the verdict: nothing
+// else arrives. stage supplies each batch's per-trial samplers; a batch
+// with none staged is an error.
 func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
 	for first := true; ; first = false {
 		// Referee frames can lag a full referee phase behind — the accept
-		// phase before the first ROUND_BATCH, a slow peer's vote before a
-		// VERDICT_BATCH — so reads get readBudget: three timeouts for the
-		// first frame, two after it. Each direction keeps its own deadline,
-		// so a read arms one timer, not two.
+		// phase before the first ROUND_BATCH, a slow peer's vote before the
+		// next chunk's ROUND_BATCH — so reads get readBudget: three timeouts
+		// for the first frame, two after it. Each direction keeps its own
+		// deadline, so a read arms one timer, not two.
 		setReadDeadline(conn, readBudget(p.timeout, first))
 		t, msg, err := ReadFrame(conn)
 		if err != nil {
@@ -167,35 +147,12 @@ func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
 			if err := p.voteBatch(conn, m, stage); err != nil {
 				return err
 			}
-		case VerdictBatch:
-			if err := p.checkVerdict(m); err != nil {
-				return err
-			}
-			stage.work.done(1)
 		case Finish:
 			return nil
 		default:
 			return fmt.Errorf("network: node %d got unexpected %v mid-session", p.id, t)
 		}
 	}
-}
-
-// checkVerdict pops the oldest unanswered vote and requires the verdict
-// to echo its batch id and trial count.
-func (p *PlayerNode) checkVerdict(m VerdictBatch) error {
-	if p.votedHead == len(p.voted) {
-		return fmt.Errorf("%w: node %d got a verdict for batch %d with no vote awaiting one", ErrVerdictMismatch, p.id, m.Batch)
-	}
-	want := p.voted[p.votedHead]
-	p.votedHead++
-	if p.votedHead == len(p.voted) {
-		p.voted, p.votedHead = p.voted[:0], 0
-	}
-	if m.Batch != want.id || m.Count != want.count {
-		return fmt.Errorf("%w: node %d got a verdict for batch %d of %d trials, its oldest unanswered vote is batch %d of %d trials",
-			ErrVerdictMismatch, p.id, m.Batch, m.Count, want.id, want.count)
-	}
-	return nil
 }
 
 // voteBatch computes one vote per trial of a ROUND_BATCH and replies
@@ -250,10 +207,5 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage
 		return err
 	}
 	setWriteDeadline(conn, p.timeout)
-	if err := writeCoalesced(conn, enc); err != nil {
-		return err
-	}
-	//lint:ignore dut/hotalloc the FIFO grows to the window's high-water mark once, then compacts in place as verdicts drain it
-	p.voted = append(p.voted, votedBatch{id: rb.Batch, count: uint32(count)})
-	return nil
+	return writeCoalesced(conn, enc)
 }

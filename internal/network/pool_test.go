@@ -217,8 +217,10 @@ func TestSessionPoolReusesSessions(t *testing.T) {
 
 // TestSessionPoolQuiescesBeforeParking: a call returns only once its
 // session has quiesced, so the frame counts read the moment it returns
-// already hold every verdict of the call, and no FINISH: the session is
-// parked, not closed. Close then finishes it.
+// already hold every ROUND_BATCH of the call, although a slot writer
+// counts a frame only after its write returns and can lag behind the
+// vote the frame provoked. They hold no FINISH: the session is parked,
+// not closed. Close then finishes it.
 func TestSessionPoolQuiescesBeforeParking(t *testing.T) {
 	checkGoroutines(t)
 	const (
@@ -233,15 +235,15 @@ func TestSessionPoolQuiescesBeforeParking(t *testing.T) {
 			for call := uint64(1); call <= calls; call++ {
 				poolCall(t, b, trials, engine.Options{Seed: call, Workers: 1, Batch: batch, Window: window})
 				root, agg := ct.Snapshot()
-				verdicts, finishes := root.Down[FrameVerdictBatch], root.Down[FrameFinish]+agg.Down[FrameFinish]
+				rounds, finishes := root.Down[FrameRoundBatch], root.Down[FrameFinish]+agg.Down[FrameFinish]
 				if shards > 1 {
-					verdicts = agg.Down[FrameVerdictBatch]
-					if got, want := root.Down[FrameAggVerdict], call*batches*poolShards; got != want {
-						t.Errorf("after call %d the root wrote %d AGG_VERDICT frames, want %d", call, got, want)
+					rounds = agg.Down[FrameRoundBatch]
+					if got, want := root.Down[FrameRoundBatch], call*batches*poolShards; got != want {
+						t.Errorf("after call %d the root wrote %d ROUND_BATCH frames, want %d", call, got, want)
 					}
 				}
-				if want := call * batches * poolPlayers; verdicts != want {
-					t.Errorf("after call %d the players were sent %d VERDICT_BATCH frames, want %d", call, verdicts, want)
+				if want := call * batches * poolPlayers; rounds != want {
+					t.Errorf("after call %d the players were sent %d ROUND_BATCH frames, want %d", call, rounds, want)
 				}
 				if finishes != 0 {
 					t.Errorf("after call %d %d FINISH frames were sent to a parked session", call, finishes)

@@ -3,6 +3,7 @@ package network
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -134,6 +135,21 @@ func TestRefereeNegotiatesMessageWidth(t *testing.T) {
 	}
 }
 
+// TestRefereeRejectsVersion3Hello: a node still speaking version 3, the
+// wire with the verdict downlink, fails the referee's accept phase on
+// its first frame instead of joining a session whose verdicts it would
+// wait for.
+func TestRefereeRejectsVersion3Hello(t *testing.T) {
+	_, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), time.Second), 1, func(conn net.Conn) {
+		hello := AppendHello(nil, Hello{Player: 0, Bits: 1})
+		hello[2] = 3
+		_ = writeCoalesced(conn, hello)
+	})
+	if err == nil || !strings.Contains(err.Error(), "unsupported protocol version 3") {
+		t.Errorf("err = %v, want the version error", err)
+	}
+}
+
 func TestRefereeAcceptsFullWidthMessages(t *testing.T) {
 	// A 64-bit announcement admits any message: 64 all-ones planes.
 	planes := make([]uint64, 64)
@@ -147,7 +163,7 @@ func TestRefereeAcceptsFullWidthMessages(t *testing.T) {
 		if err := fakeVote(conn, 0, planes...); err != nil {
 			return
 		}
-		_, _ = expectFrame[VerdictBatch](conn, FrameVerdictBatch)
+		_, _ = expectFrame[Finish](conn, FrameFinish)
 	})
 	if err != nil {
 		t.Errorf("full-width message rejected: %v", err)
@@ -155,9 +171,8 @@ func TestRefereeAcceptsFullWidthMessages(t *testing.T) {
 }
 
 // slowPlayer votes accept on each of rounds trials, taking 400 ms before
-// each vote and 400 ms before picking up each verdict, then waits for
-// FINISH; it reports every verdict it saw and closes done on FINISH.
-func slowPlayer(rounds int, verdicts chan<- bool, done chan<- struct{}) func(net.Conn) {
+// each vote, then waits for FINISH and closes done.
+func slowPlayer(rounds int, done chan<- struct{}) func(net.Conn) {
 	return func(conn net.Conn) {
 		if err := send(conn, Hello{Player: 0, Bits: 1}); err != nil {
 			return
@@ -171,12 +186,6 @@ func slowPlayer(rounds int, verdicts chan<- bool, done chan<- struct{}) func(net
 			if err := send(conn, VoteBatch{Player: 0, Batch: rb.Batch, Count: 1, Planes: []uint64{1}}); err != nil {
 				return
 			}
-			time.Sleep(400 * time.Millisecond) // verdict pickup past a stale deadline
-			v, err := expectFrame[VerdictBatch](conn, FrameVerdictBatch)
-			if err != nil {
-				return
-			}
-			verdicts <- v.Bits[0] == 1
 		}
 		if _, err := expectFrame[Finish](conn, FrameFinish); err != nil {
 			return
@@ -185,48 +194,16 @@ func slowPlayer(rounds int, verdicts chan<- bool, done chan<- struct{}) func(net
 	}
 }
 
-func TestVerdictBroadcastSurvivesSlowRound(t *testing.T) {
-	// Regression: the verdict broadcast used to reuse the deadline set
-	// before vote gathering, so a round whose vote phase plus verdict
-	// delivery outlasted one timeout failed spuriously even though every
-	// individual frame wait was within budget.
-	verdicts := make(chan bool, 1)
+func TestRefereeSurvivesSlowRound(t *testing.T) {
+	// A vote that takes most of a timeout is within budget: the round is
+	// decided, and the FINISH after it goes out under a fresh deadline.
 	done := make(chan struct{})
-	out, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), 600*time.Millisecond), 1, slowPlayer(1, verdicts, done))
+	out, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), 600*time.Millisecond), 1, slowPlayer(1, done))
 	if err != nil {
 		t.Fatalf("slow round failed: %v", err)
 	}
 	if !out[0].Verdict {
 		t.Error("verdict = reject, want accept")
-	}
-	select {
-	case v := <-verdicts:
-		if !v {
-			t.Error("player saw reject")
-		}
-	case <-time.After(3 * time.Second):
-		t.Error("player never received the verdict")
-	}
-}
-
-func TestSessionVerdictBroadcastSurvivesSlowRound(t *testing.T) {
-	// Same regression across lock-step rounds of one session: every
-	// round's slow vote and slow verdict pickup stay within budget, and
-	// the session still ends with FINISH.
-	const rounds = 2
-	verdicts := make(chan bool, rounds)
-	done := make(chan struct{})
-	out, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), 600*time.Millisecond), rounds, slowPlayer(rounds, verdicts, done))
-	if err != nil {
-		t.Fatalf("slow session round failed: %v", err)
-	}
-	for i, r := range out {
-		if !r.Verdict {
-			t.Errorf("round %d verdict = reject", i)
-		}
-		if v := <-verdicts; !v {
-			t.Errorf("round %d: player saw reject", i)
-		}
 	}
 	select {
 	case <-done:
@@ -235,58 +212,25 @@ func TestSessionVerdictBroadcastSurvivesSlowRound(t *testing.T) {
 	}
 }
 
-// TestNodeChecksVerdictEcho drives one node over a pipe with forged
-// verdicts: a VERDICT_BATCH must echo the batch id and trial count of
-// the oldest batch the node voted on, and a verdict with no vote
-// awaiting one is as much a violation as a mismatched one.
-func TestNodeChecksVerdictEcho(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		verdict VerdictBatch
-		vote    bool // vote on batch 3 of 2 trials first
-		ok      bool
-	}{
-		{name: "matching verdict", verdict: VerdictBatch{Batch: 3, Count: 2, Bits: []uint64{0b10}}, vote: true, ok: true},
-		{name: "wrong batch id", verdict: VerdictBatch{Batch: 4, Count: 2, Bits: []uint64{0b10}}, vote: true},
-		{name: "wrong trial count", verdict: VerdictBatch{Batch: 3, Count: 1, Bits: []uint64{1}}, vote: true},
-		{name: "no vote awaiting", verdict: VerdictBatch{Batch: 3, Count: 2, Bits: []uint64{0b10}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			node, err := NewPlayerNode(0, 1, acceptAllRule(), time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
-			stage.put(3, []dist.Sampler{dist.NopSampler{}, dist.NopSampler{}})
-			referee, nodeConn := net.Pipe()
-			defer func() { _ = referee.Close() }()
-			served := make(chan error, 1)
-			go func() { served <- node.serve(nodeConn, stage) }()
-			_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
-			if tc.vote {
-				if err := send(referee, RoundBatch{Batch: 3, Count: 2, Base: 1}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := expectFrame[VoteBatch](referee, FrameVoteBatch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := send(referee, tc.verdict); err != nil {
-				t.Fatal(err)
-			}
-			if tc.ok {
-				if err := send(referee, Finish{}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			err = <-served
-			if tc.ok && err != nil {
-				t.Errorf("node rejected a matching verdict: %v", err)
-			}
-			if !tc.ok && !errors.Is(err, ErrVerdictMismatch) {
-				t.Errorf("node error = %v, want ErrVerdictMismatch", err)
-			}
-		})
+func TestSessionSurvivesSlowRounds(t *testing.T) {
+	// Same across lock-step rounds of one session: the slow votes outlast
+	// one timeout together, but every frame wait is within budget, and
+	// the session still ends with FINISH.
+	const rounds = 2
+	done := make(chan struct{})
+	out, err := refereeTrials(t, fakeCluster(t, 1, acceptAllRule(), 600*time.Millisecond), rounds, slowPlayer(rounds, done))
+	if err != nil {
+		t.Fatalf("slow session round failed: %v", err)
+	}
+	for i, r := range out {
+		if !r.Verdict {
+			t.Errorf("round %d verdict = reject", i)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Error("player never reached FINISH")
 	}
 }
 
@@ -369,9 +313,6 @@ func TestNodeDerivesCoinsFromTrialRange(t *testing.T) {
 			t.Errorf("trial %d: node voted %#x, SMP derives %#x", first+j, got, msgs[id])
 		}
 	}
-	if err := send(referee, VerdictBatch{Batch: 9, Count: count, Bits: make([]uint64, words)}); err != nil {
-		t.Fatal(err)
-	}
 	if err := send(referee, Finish{}); err != nil {
 		t.Fatal(err)
 	}
@@ -380,16 +321,11 @@ func TestNodeDerivesCoinsFromTrialRange(t *testing.T) {
 	}
 }
 
-// TestNodeDetectsSilentReferee: only a node's first read waits out the
-// referee's accept phase, with a three-timeout budget. Once the session
-// runs, a referee that goes silent fails the node within its
-// two-timeout read budget, well under two and a half timeouts.
 // TestNodeVoteCycleZeroAllocs guards the node's hot path: once its
 // scratch is warm, answering a full ROUND_BATCH with its VOTE_BATCH —
 // sampling, the rule, packing, the encode into the node's scratch and
-// the write — and checking the verdict that answers it allocate nothing.
-// The stub conn discards writes and its deadlines allocate nothing, so
-// the count is the node's own. Skipped under the race detector, whose
+// the write — allocates nothing. The stub conn discards writes and its
+// deadlines allocate nothing, so the count is the node's own. Skipped under the race detector, whose
 // instrumentation allocates.
 func TestNodeVoteCycleZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -408,22 +344,22 @@ func TestNodeVoteCycleZeroAllocs(t *testing.T) {
 	stage.put(1, samplers)
 	conn := &stubConn{}
 	rb := RoundBatch{Batch: 1, Count: count, Base: 0x5eed}
-	verdict := VerdictBatch{Batch: 1, Count: count, Bits: make([]uint64, batchWords(count))}
 	cycle := func() {
 		if err := node.voteBatch(conn, rb, stage); err != nil {
-			t.Fatal(err)
-		}
-		if err := node.checkVerdict(verdict); err != nil {
 			t.Fatal(err)
 		}
 		rb.First += count
 	}
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Errorf("a settled vote/verdict cycle allocates %.1f per batch", n)
+		t.Errorf("a settled vote cycle allocates %.1f per batch", n)
 	}
 }
 
+// TestNodeDetectsSilentReferee: only a node's first read waits out the
+// referee's accept phase, with a three-timeout budget. Once the session
+// runs, a referee that goes silent fails the node within its
+// two-timeout read budget, well under two and a half timeouts.
 func TestNodeDetectsSilentReferee(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	node, err := NewPlayerNode(0, 1, acceptAllRule(), timeout)
@@ -455,6 +391,95 @@ func TestNodeDetectsSilentReferee(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("node never noticed the silent referee")
+	}
+}
+
+// hostileFrame is one frame a tier may read from the tier above it
+// that no version-4 sender writes there.
+type hostileFrame struct {
+	name  string
+	frame []byte
+	eof   bool   // the sender closes its end after frame
+	want  string // in the reader's error
+}
+
+// hostileDownlink lists the frames a node or an aggregator must reject
+// from the tier above: the retired verdict downlink, a version-3 frame,
+// frames that only flow upward, and a ROUND_BATCH cut short by a
+// closing peer.
+func hostileDownlink(t *testing.T) []hostileFrame {
+	t.Helper()
+	enc := func(msg any) []byte {
+		frame, err := encode(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	// raw is a version-4 header of type ft over payload, unchecked.
+	raw := func(ft FrameType, payload ...byte) []byte {
+		return append(appendHeader(nil, ft, len(payload)), payload...)
+	}
+	round := enc(RoundBatch{Batch: 2, Count: 1, Base: 1, First: 1})
+	v3 := append([]byte(nil), round...)
+	v3[2] = 3
+	return []hostileFrame{
+		{name: "retired VERDICT_BATCH", frame: raw(8,
+			0, 0, 0, 1, 0, 0, 0, 1,
+			0, 0, 0, 0, 0, 0, 0, 1), want: "unknown frame type 8"},
+		{name: "retired AGG_VERDICT", frame: raw(13,
+			0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2,
+			0, 0, 0, 0, 0, 0, 0, 1), want: "unknown frame type 13"},
+		{name: "version-3 ROUND_BATCH", frame: v3, want: "unsupported protocol version 3"},
+		{name: "HELLO", frame: enc(Hello{Player: 0, Bits: 1}), want: "unexpected HELLO"},
+		{name: "VOTE_BATCH", frame: enc(VoteBatch{Player: 0, Batch: 1, Count: 1, Planes: []uint64{1}}), want: "unexpected VOTE_BATCH"},
+		{name: "AGG_SUM", frame: enc(AggSum{Batch: 1, Count: 1, Bits: 1, Planes: 1, Present: 1, Sums: []uint64{1}}), want: "unexpected AGG_SUM"},
+		{name: "truncated ROUND_BATCH", frame: round[:20], eof: true, want: io.ErrUnexpectedEOF.Error()},
+	}
+}
+
+// TestNodeRejectsHostileDownlink: after voting on a batch, a node fails
+// with an error naming itself and the cause on the first frame no
+// version-4 referee sends it, and fails on that frame, not at its read
+// deadline.
+func TestNodeRejectsHostileDownlink(t *testing.T) {
+	checkGoroutines(t)
+	for _, tc := range hostileDownlink(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			node, err := NewPlayerNode(0, 1, acceptAllRule(), 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+			stage.put(1, []dist.Sampler{dist.NopSampler{}})
+			referee, nodeConn := net.Pipe()
+			defer func() { _ = referee.Close() }()
+			served := make(chan error, 1)
+			go func() {
+				served <- node.serve(nodeConn, stage)
+				_ = nodeConn.Close()
+			}()
+			_ = referee.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := send(referee, RoundBatch{Batch: 1, Count: 1, Base: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := expectFrame[VoteBatch](referee, FrameVoteBatch); err != nil {
+				t.Fatal(err)
+			}
+			// The node may stop reading mid-frame, so the write can fail.
+			_ = writeCoalesced(referee, tc.frame)
+			if tc.eof {
+				_ = referee.Close()
+			}
+			select {
+			case err := <-served:
+				if err == nil || !strings.Contains(err.Error(), "node 0") || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("node error = %v, want one naming node 0 and %q", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("node still reading 5 s after the frame")
+			}
+		})
 	}
 }
 
@@ -565,7 +590,7 @@ func TestCounterDecideMatchesDecideVotes(t *testing.T) {
 				t.Fatalf("batch %d: %T lost its shape at k=%d", n, referee, k)
 			}
 			out := make([]engine.RoundResult, count)
-			if _, err := side.bs.decideBatch(count, received, out); err != nil {
+			if err := side.bs.decideBatch(count, received, out); err != nil {
 				t.Fatalf("batch %d %s: %v", n, side.name, err)
 			}
 			for j := range out {

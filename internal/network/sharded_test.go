@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -410,96 +411,6 @@ func TestShardedAggregatorNeverConnectsMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestShardedVerdictRelayFaultEqualsShardCrash extends the failure-
-// domain contract to the downstream hop: an aggregator that dies during
-// the verdict relay — killed on an AGG_VERDICT's arrival, or fed a
-// corrupted one its echo audit rejects — is indistinguishable from its
-// whole shard crashing one round later. The shard still votes in the
-// faulted verdict's round (the root had already decided it before the
-// relay) and is absent from the next round on.
-func TestShardedVerdictRelayFaultEqualsShardCrash(t *testing.T) {
-	checkGoroutines(t)
-	const (
-		k       = 8
-		shards  = 2
-		rounds  = 6
-		verdict = 3 // 1-based AGG_VERDICT the relay dies on
-	)
-	run := func(t *testing.T, s int, cfg FaultConfig) ([]bool, []RoundStats, FaultStats) {
-		t.Helper()
-		ft, err := NewFaultTransport(NewMemTransport(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := NewCluster(ClusterConfig{
-			K: k, Q: 2,
-			Rule:      parityRule(),
-			Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 3}},
-			Transport: ft,
-			Timeout:   500 * time.Millisecond,
-			MinVotes:  2,
-			Shards:    s,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		verdicts, stats, err := c.RunManyStats(context.Background(), paritySampler(t, true), testRand(77), rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return verdicts, stats, ft.Stats()
-	}
-	// Baseline: shard 1 of the contiguous 2-way partition (players 4..7)
-	// crashes one round after the faulted verdict.
-	shardPlans := func() map[uint32]FaultPlan {
-		plans := make(map[uint32]FaultPlan)
-		for _, p := range (Topology{Shards: shards}).Partition(k)[1] {
-			plans[p] = FaultPlan{CrashAtRound: verdict + 1}
-		}
-		return plans
-	}
-	flatVerdicts, flatStats, _ := run(t, 0, FaultConfig{Plans: shardPlans()})
-	dropVerdicts, dropStats, dropFaults := run(t, shards, FaultConfig{
-		AggPlans: map[uint32]FaultPlan{1: {DropVerdict: verdict}},
-	})
-	corrVerdicts, corrStats, corrFaults := run(t, shards, FaultConfig{
-		Seed:     11,
-		AggPlans: map[uint32]FaultPlan{1: {CorruptVerdict: verdict}},
-	})
-	if dropFaults.VerdictsDropped != 1 || dropFaults.VerdictsCorrupted != 0 {
-		t.Errorf("drop run injected %+v, want exactly one dropped verdict", dropFaults)
-	}
-	if corrFaults.VerdictsCorrupted != 1 || corrFaults.VerdictsDropped != 0 {
-		t.Errorf("corrupt run injected %+v, want exactly one corrupted verdict", corrFaults)
-	}
-	check := func(name string, verdicts []bool, stats []RoundStats) {
-		t.Helper()
-		for i := 0; i < rounds; i++ {
-			if verdicts[i] != flatVerdicts[i] || verdicts[i] != stats[i].Verdict {
-				t.Errorf("%s: round %d verdict %v, flat decided %v", name, i, verdicts[i], flatVerdicts[i])
-			}
-			if stats[i].Votes != flatStats[i].Votes || stats[i].Stragglers != flatStats[i].Stragglers {
-				t.Errorf("%s: round %d votes/stragglers = %d/%d, flat counted %d/%d",
-					name, i, stats[i].Votes, stats[i].Stragglers, flatStats[i].Votes, flatStats[i].Stragglers)
-			}
-		}
-	}
-	check("dropped verdict", dropVerdicts, dropStats)
-	check("corrupted verdict", corrVerdicts, corrStats)
-	// The baseline itself has the plan's shape: full house through the
-	// faulted verdict's round, half the players gone from the next.
-	for i, s := range flatStats {
-		wantVotes := k
-		if i >= verdict {
-			wantVotes = k / 2
-		}
-		if s.Votes != wantVotes || s.Stragglers != k-wantVotes {
-			t.Errorf("flat round %d votes/stragglers = %d/%d, want %d/%d",
-				i, s.Votes, s.Stragglers, wantVotes, k-wantVotes)
-		}
-	}
-}
-
 // TestShardedMemberViolationSurfaces pins strict-mode error reporting
 // through the tree: a protocol violation on a player -> aggregator hop
 // must fail the session with the player named, not vanish behind the
@@ -527,6 +438,61 @@ func TestShardedMemberViolationSurfaces(t *testing.T) {
 	_, _, err = c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(55), 3)
 	if err == nil || !strings.Contains(err.Error(), "player 2") {
 		t.Errorf("err = %v, want a violation naming player 2", err)
+	}
+}
+
+// TestAggregatorRejectsHostileDownlink: after relaying a batch, an
+// aggregator's root reader fails with an error naming the aggregator
+// and the cause on the first frame no version-4 root sends it, and
+// fails on that frame, not at its read deadline. The failure tears the
+// strict session down and closes the upstream connection, so the root
+// sees the loss. It also closes the reduction queue behind the relayed
+// batch, so the reduce loop ends too.
+func TestAggregatorRejectsHostileDownlink(t *testing.T) {
+	checkGoroutines(t)
+	c := fakeCluster(t, 2, acceptAllRule(), 10*time.Second)
+	for _, tc := range hostileDownlink(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			life, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			bs := &batchSession{c: c, cancel: cancel, work: newWorkCount()}
+			a := newAggregator(bs, 1, []uint32{0, 1}, nil)
+			root, upstream := net.Pipe()
+			defer func() { _ = root.Close() }()
+			a.root = upstream
+			go a.readRoot()
+			_ = root.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := send(root, RoundBatch{Batch: 1, Count: 1, Base: 1}); err != nil {
+				t.Fatal(err)
+			}
+			// The reader may stop mid-frame, so the write can fail.
+			_ = writeCoalesced(root, tc.frame)
+			if tc.eof {
+				_ = root.Close()
+			}
+			select {
+			case <-a.readerDone:
+			case <-time.After(5 * time.Second):
+				t.Fatal("aggregator still reading 5 s after the frame")
+			}
+			if err := bs.peekAggErr(); err == nil || !strings.Contains(err.Error(), "aggregator 1") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("aggregator error = %v, want one naming aggregator 1 and %q", err, tc.want)
+			}
+			if life.Err() == nil {
+				t.Error("the strict session outlived its aggregator's failure")
+			}
+			if !tc.eof {
+				if _, err := root.Read(make([]byte, 1)); err == nil {
+					t.Error("the upstream connection is still open")
+				}
+			}
+			if b, ok := a.pending.pop(); !ok || b != (aggBatch{id: 1, count: 1}) {
+				t.Errorf("pending reduction = (%+v, %v), want the relayed batch 1", b, ok)
+			}
+			if b, ok := a.pending.pop(); ok {
+				t.Errorf("reduction queue still open after the reader failed: popped %+v", b)
+			}
+		})
 	}
 }
 
@@ -625,57 +591,6 @@ func TestBackendOptionValidation(t *testing.T) {
 	}
 }
 
-// TestVerdictRelayZeroAllocs guards the downstream half of the tree's
-// hot path: once an aggregator's scratch is warm, auditing an
-// AGG_VERDICT and fanning the re-encoded VERDICT_BATCH out to a full
-// shard must not allocate — the frame is built once in the relay
-// scratch and each member costs one queue enqueue into a settled
-// buffer. The queues are drained between runs exactly as the slot
-// writers would, so the ping-pong buffers settle at their high-water
-// mark. Skipped under the race detector, whose instrumentation
-// allocates.
-func TestVerdictRelayZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	const (
-		members = 64
-		count   = 256
-		present = 16
-	)
-	words := batchWords(count)
-	a := &aggregator{id: 1, slots: make([]*batchSlot, members)}
-	for i := range a.slots {
-		a.slots[i] = &batchSlot{q: newFrameQueue()}
-	}
-	verdicts := make([]uint64, words)
-	for i := range verdicts {
-		verdicts[i] = 0xaaaaaaaaaaaaaaaa
-	}
-	m := AggVerdict{Count: count, Present: []uint32{present, present, present, present}, Bits: verdicts}
-	spares := make([][]byte, members)
-	next := uint32(0)
-	relayOnce := func() {
-		a.recordSent(aggSent{batch: next, count: count, present: present})
-		m.Batch = next
-		next++
-		if err := a.relayVerdict(m); err != nil {
-			t.Fatal(err)
-		}
-		for i, slot := range a.slots {
-			run, _, _ := slot.q.drain(spares[i])
-			spares[i] = run
-		}
-	}
-	// Two warm runs: the first grows the relay scratch and the queue
-	// buffers, the second grows the drain spares they ping-pong with.
-	relayOnce()
-	relayOnce()
-	if n := testing.AllocsPerRun(100, relayOnce); n != 0 {
-		t.Errorf("relayVerdict allocates %.1f per run", n)
-	}
-}
-
 // TestAggBatchQueueSettledZeroAllocs guards the aggregator's reduction
 // queue: once settled, a push/pop cycle allocates nothing at any window,
 // because the queue pops from a head index and compacts when it drains
@@ -701,57 +616,6 @@ func TestAggBatchQueueSettledZeroAllocs(t *testing.T) {
 			t.Errorf("window %d: a settled push/pop cycle allocates %.2f per run", window, n)
 		}
 	}
-}
-
-// TestVerdictRelayAuditRejects pins the aggregator-side audit: a
-// verdict for the wrong batch, the wrong trial count, a foreign
-// present-count echo or with no reduction awaiting one must all fail
-// before a byte reaches the shard.
-func TestVerdictRelayAuditRejects(t *testing.T) {
-	mk := func() *aggregator {
-		a := &aggregator{id: 1, slots: []*batchSlot{{q: newFrameQueue()}}}
-		a.recordSent(aggSent{batch: 3, count: 64, present: 5})
-		return a
-	}
-	good := AggVerdict{Batch: 3, Count: 64, Present: []uint32{9, 5}, Bits: []uint64{0}}
-	cases := []struct {
-		name   string
-		mutate func(*AggVerdict)
-	}{
-		{"batch mismatch", func(v *AggVerdict) { v.Batch = 4 }},
-		{"count mismatch", func(v *AggVerdict) { v.Count = 32; v.Bits = v.Bits[:1] }},
-		{"present mismatch", func(v *AggVerdict) { v.Present = []uint32{9, 6} }},
-		{"shard missing from accounting", func(v *AggVerdict) { v.Present = []uint32{9} }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a := mk()
-			v := good
-			v.Bits = append([]uint64(nil), good.Bits...)
-			tc.mutate(&v)
-			if err := a.relayVerdict(v); err == nil {
-				t.Error("audited verdict accepted")
-			}
-			if got := a.slots[0].q.frames; got != 0 {
-				t.Errorf("%d frame(s) relayed despite failed audit", got)
-			}
-		})
-	}
-	t.Run("no reduction in flight", func(t *testing.T) {
-		a := &aggregator{id: 1, slots: []*batchSlot{{q: newFrameQueue()}}}
-		if err := a.relayVerdict(good); err == nil {
-			t.Error("verdict with no reduction awaiting one accepted")
-		}
-	})
-	t.Run("echoed verdict relays", func(t *testing.T) {
-		a := mk()
-		if err := a.relayVerdict(good); err != nil {
-			t.Fatal(err)
-		}
-		if got := a.slots[0].q.frames; got != 1 {
-			t.Errorf("relayed %d frame(s), want 1", got)
-		}
-	})
 }
 
 // TestShardedReduceZeroAllocs guards the hot path of the tree: the L1
@@ -869,7 +733,7 @@ func TestShardedDecideZeroAllocs(t *testing.T) {
 			received := tc.k - tc.absent
 			out := make([]engine.RoundResult, count)
 			decide := func() {
-				if _, err := bs.decideBatch(count, received, out); err != nil {
+				if err := bs.decideBatch(count, received, out); err != nil {
 					t.Fatal(err)
 				}
 			}

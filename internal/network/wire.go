@@ -18,8 +18,11 @@ const (
 	// per-trial ROUND/VOTE/VERDICT frames and the width-byte VOTE_BATCH_R:
 	// every trial rides a batch frame, a single trial being a batch of one.
 	// Version 3 replaced ROUND_BATCH's per-trial seed list with a trial
-	// range every player expands into its public coins itself.
-	Version = uint8(3)
+	// range every player expands into its public coins itself. Version 4
+	// retired the verdict downlink (VERDICT_BATCH and AGG_VERDICT): the
+	// referee decides and writes nothing back, so a version-3 peer fails
+	// on its first frame instead of waiting for verdicts.
+	Version = uint8(4)
 	// MaxFrameSize bounds the payload of HELLO and FINISH; both are tiny.
 	// Batch frames have their own bound: ROUND_BATCH's fixed 24 bytes, the
 	// others derived from MaxBatchTrials (see maxPayload).
@@ -40,43 +43,33 @@ const (
 	// keeps the decoder's largest allocation at 8 MiB instead of the
 	// structural gigabyte worst case.
 	MaxAggPlaneWords = 1 << 20
-	// MaxAggShards bounds the shard count an AGG_VERDICT's present-count
-	// echo vector may cover: the decoder's allocation cap for the vector,
-	// far above any tree a root could usefully fan out to (the bench
-	// ceiling is 32 aggregators over 100k players).
-	MaxAggShards = 1 << 10
 )
 
 // FrameType enumerates the message kinds. Values are wire-stable.
 type FrameType uint8
 
-// Frame types, in round order. The batch frames (6..8) carry the whole
+// Frame types, in round order. The batch frames (6, 7) carry the whole
 // exchange: one ROUND_BATCH names a range of up to MaxBatchTrials trials
-// under a batch id, each player answers with one VOTE_BATCH of r packed
-// bit-planes echoing the id, and the referee replies with one
-// VERDICT_BATCH. A single trial is a batch of one.
-// Values 2, 3, 4 (the version-1 per-trial ROUND, VOTE and VERDICT) and 9
-// (VOTE_BATCH_R, whose r-bit planes VOTE_BATCH now carries) are retired
-// and decode as unknown types; the remaining values are wire-stable.
-// The aggregator frames (10..13) carry the two hops of the two-tier
+// under a batch id and each player answers with one VOTE_BATCH of r
+// packed bit-planes echoing the id. The referee decides and writes
+// nothing back. A single trial is a batch of one.
+// Values 2, 3, 4 (the version-1 per-trial ROUND, VOTE and VERDICT), 9
+// (VOTE_BATCH_R, whose r-bit planes VOTE_BATCH now carries) and 8 and 13
+// (the version-3 VERDICT_BATCH and AGG_VERDICT) are retired and decode
+// as unknown types; the remaining values are wire-stable.
+// The aggregator frames (10..12) carry the upstream hop of the two-tier
 // referee tree: AGG_HELLO announces an aggregator's shard membership,
 // AGG_SUM carries a shard's bit-sliced partial rejection / value sums
-// for shaped referees, AGG_PLANES forwards the shard's packed vote
-// planes verbatim for opaque referees, and AGG_VERDICT is the root ->
-// L1 mirror of VERDICT_BATCH: one strictly-validated frame per
-// aggregator per batch, carrying the packed verdicts plus the root's
-// per-shard present-count accounting for the aggregator to audit
-// before it relays the verdicts to its shard.
+// for shaped referees, and AGG_PLANES forwards the shard's packed vote
+// planes verbatim for opaque referees.
 const (
-	FrameHello        FrameType = 1
-	FrameFinish       FrameType = 5
-	FrameRoundBatch   FrameType = 6
-	FrameVoteBatch    FrameType = 7
-	FrameVerdictBatch FrameType = 8
-	FrameAggHello     FrameType = 10
-	FrameAggSum       FrameType = 11
-	FrameAggPlanes    FrameType = 12
-	FrameAggVerdict   FrameType = 13
+	FrameHello      FrameType = 1
+	FrameFinish     FrameType = 5
+	FrameRoundBatch FrameType = 6
+	FrameVoteBatch  FrameType = 7
+	FrameAggHello   FrameType = 10
+	FrameAggSum     FrameType = 11
+	FrameAggPlanes  FrameType = 12
 )
 
 // String implements fmt.Stringer for diagnostics.
@@ -90,16 +83,12 @@ func (t FrameType) String() string {
 		return "ROUND_BATCH"
 	case FrameVoteBatch:
 		return "VOTE_BATCH"
-	case FrameVerdictBatch:
-		return "VERDICT_BATCH"
 	case FrameAggHello:
 		return "AGG_HELLO"
 	case FrameAggSum:
 		return "AGG_SUM"
 	case FrameAggPlanes:
 		return "AGG_PLANES"
-	case FrameAggVerdict:
-		return "AGG_VERDICT"
 	default:
 		return fmt.Sprintf("FrameType(%d)", uint8(t))
 	}
@@ -163,8 +152,7 @@ func checkRoundBatch(r RoundBatch) error {
 // Padding bits past Count must be zero in every plane — the decoder
 // rejects frames that violate it, so a corrupted tail byte surfaces as
 // a protocol error, never as silent extra votes. The referee checks r
-// against the width the player announced in HELLO. Verdicts stay
-// single-bit, so VERDICT_BATCH is unchanged for any r.
+// against the width the player announced in HELLO.
 // Payload layout: player(4) batch(4) count(4) planes (8 each).
 type VoteBatch struct {
 	Player uint32
@@ -180,15 +168,6 @@ func (v VoteBatch) Width() int {
 		return 0
 	}
 	return len(v.Planes) / words
-}
-
-// VerdictBatch carries the referee's verdicts for every trial of a
-// batch, packed exactly like a 1-bit VoteBatch plane (1 = accept).
-// Payload layout: batch(4) count(4) words (8 each).
-type VerdictBatch struct {
-	Batch uint32
-	Count uint32
-	Bits  []uint64
 }
 
 // AggHello is an L1 aggregator's first frame to the root referee: the
@@ -253,38 +232,12 @@ type AggPlanes struct {
 	Planes  []uint64
 }
 
-// AggVerdict carries the root's verdicts for one batch down the tree:
-// the batch id, trial count and packed verdict bitset (laid out exactly
-// like VerdictBatch.Bits, 1 = accept) plus the root's per-shard
-// present-count accounting for the batch — Present[a] is the number of
-// player votes the root credited to shard a when it decided, zero for
-// an absent shard. The vector is indexed by aggregator id and covers
-// every shard, so the root encodes one frame per batch and queues the
-// same bytes to every aggregator; each aggregator checks its own entry
-// against the present count it sent upstream, so a corrupted, replayed
-// or mis-accounted verdict surfaces as a protocol error at the tier
-// that can still stop it instead of fanning out to the shard.
-// Payload layout: batch(4) count(4) shards(4) present (4 each)
-// words (8 each).
-type AggVerdict struct {
-	Batch   uint32
-	Count   uint32
-	Present []uint32
-	Bits    []uint64
-}
-
 // batchWords is the number of 64-bit bitset words covering count trials.
 func batchWords(count int) int { return (count + 63) / 64 }
 
 // aggMaskWords is the number of 64-bit mask words covering a shard of
 // members players.
 func aggMaskWords(members int) int { return (members + 63) / 64 }
-
-// checkBatchBits validates a packed verdict bitset against its trial
-// count: a single plane with exact word count and zero padding.
-func checkBatchBits(kind FrameType, count int, bits []uint64) error {
-	return checkBatchPlanes(kind, count, 1, bits)
-}
 
 // checkVoteBatch validates a vote batch: trial count in range, a plane
 // run that is a whole number of 1..64 planes of batchWords(Count)
@@ -299,29 +252,11 @@ func checkVoteBatch(v VoteBatch) error {
 		return fmt.Errorf("network: VOTE_BATCH with %d plane words for %d trials, want 1..64 planes of %d words",
 			len(v.Planes), count, words)
 	}
-	return checkBatchPlanes(FrameVoteBatch, count, len(v.Planes)/words, v.Planes)
-}
-
-// checkBatchPlanes validates an r-bit plane set against its trial count
-// and message width: exact stride (msgBits planes of batchWords(count)
-// words each) and zero padding bits above count in every plane.
-func checkBatchPlanes(kind FrameType, count, msgBits int, planes []uint64) error {
-	if count < 1 || count > MaxBatchTrials {
-		return fmt.Errorf("network: %v with %d trials, want 1..%d", kind, count, MaxBatchTrials)
-	}
-	if msgBits < 1 || msgBits > 64 {
-		return fmt.Errorf("network: %v with %d message bits, want 1..64", kind, msgBits)
-	}
-	words := batchWords(count)
-	if len(planes) != msgBits*words {
-		return fmt.Errorf("network: %v with %d plane words for %d trials of %d bits, want %d",
-			kind, len(planes), count, msgBits, msgBits*words)
-	}
 	if rem := count % 64; rem != 0 {
-		for b := 0; b < msgBits; b++ {
-			if pad := planes[(b+1)*words-1] &^ (1<<rem - 1); pad != 0 {
-				return fmt.Errorf("network: %v with non-zero padding bits %#x above trial %d in plane %d",
-					kind, pad, count, b)
+		for b := 0; b < len(v.Planes)/words; b++ {
+			if pad := v.Planes[(b+1)*words-1] &^ (1<<rem - 1); pad != 0 {
+				return fmt.Errorf("network: VOTE_BATCH with non-zero padding bits %#x above trial %d in plane %d",
+					pad, count, b)
 			}
 		}
 	}
@@ -441,25 +376,6 @@ func checkAggPlanes(v AggPlanes) error {
 	return nil
 }
 
-// checkAggVerdict validates a downstream verdict frame: at least one
-// shard (a zero-shard tree has nobody to relay to, so an empty vector
-// is a malformed frame, not a degenerate legal one) within the shard
-// bound, per-shard present counts within the per-shard player bound,
-// and the verdict bitset validated exactly like VERDICT_BATCH (exact
-// word count, zero padding above Count).
-func checkAggVerdict(v AggVerdict) error {
-	if len(v.Present) < 1 || len(v.Present) > MaxAggShards {
-		return fmt.Errorf("network: AGG_VERDICT with %d shards, want 1..%d", len(v.Present), MaxAggShards)
-	}
-	for i, p := range v.Present {
-		if p > MaxShardPlayers {
-			return fmt.Errorf("network: AGG_VERDICT with %d present players in shard %d, want at most %d",
-				p, i, MaxShardPlayers)
-		}
-	}
-	return checkBatchBits(FrameAggVerdict, int(v.Count), v.Bits)
-}
-
 // frame layout: magic(2) version(1) type(1) length(4) payload(length).
 const headerSize = 8
 
@@ -472,16 +388,12 @@ func maxPayload(t FrameType) int {
 		return roundBatchPayload
 	case FrameVoteBatch:
 		return 12 + 8*64*batchWords(MaxBatchTrials)
-	case FrameVerdictBatch:
-		return 8 + 8*batchWords(MaxBatchTrials)
 	case FrameAggHello:
 		return 13 + 4*MaxShardPlayers
 	case FrameAggSum:
 		return 18 + 8*64*batchWords(MaxBatchTrials)
 	case FrameAggPlanes:
 		return 21 + 8*aggMaskWords(MaxShardPlayers) + 8*MaxAggPlaneWords
-	case FrameAggVerdict:
-		return 12 + 4*MaxAggShards + 8*batchWords(MaxBatchTrials)
 	default:
 		return MaxFrameSize
 	}
@@ -492,7 +404,7 @@ func maxPayload(t FrameType) int {
 // for HELLO, FINISH and AGG_HELLO, which carry neither.
 func batchFields(t FrameType) (batch, count int, ok bool) {
 	switch t {
-	case FrameRoundBatch, FrameVerdictBatch, FrameAggVerdict:
+	case FrameRoundBatch:
 		return 0, 4, true
 	case FrameVoteBatch, FrameAggSum, FrameAggPlanes:
 		return 4, 8, true // after the player or aggregator id
@@ -604,19 +516,6 @@ func AppendVoteBatch(buf []byte, v VoteBatch) ([]byte, error) {
 	return appendWords(buf, v.Planes), nil
 }
 
-// AppendVerdictBatch appends one encoded VERDICT_BATCH frame to buf; a
-// bitset with the wrong word count or set padding bits above Count is an
-// error and appends nothing.
-func AppendVerdictBatch(buf []byte, v VerdictBatch) ([]byte, error) {
-	if err := checkBatchBits(FrameVerdictBatch, int(v.Count), v.Bits); err != nil {
-		return buf, err
-	}
-	buf = appendHeader(buf, FrameVerdictBatch, 8+8*len(v.Bits))
-	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
-	buf = binary.BigEndian.AppendUint32(buf, v.Count)
-	return appendWords(buf, v.Bits), nil
-}
-
 // AppendAggHello appends one encoded AGG_HELLO frame to buf, validated
 // by checkAggHello first, so a malformed shard announcement never
 // leaves the aggregator.
@@ -667,25 +566,6 @@ func AppendAggPlanes(buf []byte, v AggPlanes) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, v.Present)
 	buf = appendWords(buf, v.Mask)
 	return appendWords(buf, v.Planes), nil
-}
-
-// AppendAggVerdict appends one encoded AGG_VERDICT frame to buf,
-// validated by checkAggVerdict first. The root encodes each batch's
-// verdict once into reused scratch and queues the same bytes to every
-// aggregator slot, so the downstream fan-out costs O(aggregators)
-// writes and zero allocations at the root regardless of player count.
-func AppendAggVerdict(buf []byte, v AggVerdict) ([]byte, error) {
-	if err := checkAggVerdict(v); err != nil {
-		return buf, err
-	}
-	buf = appendHeader(buf, FrameAggVerdict, 12+4*len(v.Present)+8*len(v.Bits))
-	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
-	buf = binary.BigEndian.AppendUint32(buf, v.Count)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Present)))
-	for _, n := range v.Present {
-		buf = binary.BigEndian.AppendUint32(buf, n)
-	}
-	return appendWords(buf, v.Bits), nil
 }
 
 // writeCoalesced writes a run of frames already encoded by the Append*
@@ -818,11 +698,6 @@ func ReadFrame(r io.Reader) (FrameType, any, error) {
 		planes := p.rest(8)
 		m.Planes = uint64s(make([]uint64, len(planes)/8), planes)
 		return decoded(t, m, p.check(t, checkVoteBatch(m)))
-	case FrameVerdictBatch:
-		m := VerdictBatch{Batch: p.u32(), Count: p.u32()}
-		bits := p.rest(8)
-		m.Bits = uint64s(make([]uint64, len(bits)/8), bits)
-		return decoded(t, m, p.check(t, checkBatchBits(t, int(m.Count), m.Bits)))
 	case FrameAggHello:
 		m := AggHello{Agg: p.u32(), Bits: p.u8(), Present: p.u32()}
 		ids := p.take(4 * int(p.u32()))
@@ -840,13 +715,6 @@ func ReadFrame(r io.Reader) (FrameType, any, error) {
 		planes := p.rest(8)
 		m.Planes = uint64s(make([]uint64, len(planes)/8), planes)
 		return decoded(t, m, p.check(t, checkAggPlanes(m)))
-	case FrameAggVerdict:
-		m := AggVerdict{Batch: p.u32(), Count: p.u32()}
-		present := p.take(4 * int(p.u32()))
-		m.Present = uint32s(make([]uint32, len(present)/4), present)
-		bits := p.rest(8)
-		m.Bits = uint64s(make([]uint64, len(bits)/8), bits)
-		return decoded(t, m, p.check(t, checkAggVerdict(m)))
 	default:
 		return 0, nil, fmt.Errorf("network: unknown frame type %d", uint8(t))
 	}
@@ -939,7 +807,7 @@ func (c *frameCursor) corrupt(off int, mask byte) {
 
 // batchIDByte is the payload offset of the low byte of the current
 // batch frame's id: corrupting it breaks the id echo every receiver
-// checks, while the frame's votes, sums and verdicts stay intact.
+// checks, while the frame's votes and sums stay intact.
 func (c *frameCursor) batchIDByte() int {
 	batch, _, _ := batchFields(c.kind)
 	return batch + 3

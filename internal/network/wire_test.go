@@ -25,16 +25,12 @@ func encode(buf []byte, msg any) ([]byte, error) {
 		return AppendRoundBatch(buf, m)
 	case VoteBatch:
 		return AppendVoteBatch(buf, m)
-	case VerdictBatch:
-		return AppendVerdictBatch(buf, m)
 	case AggHello:
 		return AppendAggHello(buf, m)
 	case AggSum:
 		return AppendAggSum(buf, m)
 	case AggPlanes:
 		return AppendAggPlanes(buf, m)
-	case AggVerdict:
-		return AppendAggVerdict(buf, m)
 	default:
 		return buf, fmt.Errorf("no encoder for %T", msg)
 	}
@@ -79,11 +75,6 @@ func rawFrame(msg any) []byte {
 		u32(m.Batch)
 		u32(m.Count)
 		words(m.Planes)
-	case VerdictBatch:
-		t = FrameVerdictBatch
-		u32(m.Batch)
-		u32(m.Count)
-		words(m.Bits)
 	case AggHello:
 		t = FrameAggHello
 		u32(m.Agg)
@@ -111,15 +102,6 @@ func rawFrame(msg any) []byte {
 		u32(m.Present)
 		words(m.Mask)
 		words(m.Planes)
-	case AggVerdict:
-		t = FrameAggVerdict
-		u32(m.Batch)
-		u32(m.Count)
-		u32(uint32(len(m.Present)))
-		for _, n := range m.Present {
-			u32(n)
-		}
-		words(m.Bits)
 	default:
 		panic(fmt.Sprintf("rawFrame: %T", msg))
 	}
@@ -135,8 +117,6 @@ func TestFrameRoundTrips(t *testing.T) {
 		{FrameRoundBatch, RoundBatch{Batch: 4, Count: 65, Base: 0xdeadbeefcafe, First: 1 << 40}},
 		{FrameVoteBatch, VoteBatch{Player: 7, Batch: 4, Count: 1, Planes: []uint64{1}}},
 		{FrameVoteBatch, VoteBatch{Player: 7, Batch: 4, Count: 3, Planes: []uint64{0b101, 0b011, 0b110}}},
-		{FrameVerdictBatch, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{1}}},
-		{FrameVerdictBatch, VerdictBatch{Batch: 4, Count: 1, Bits: []uint64{0}}},
 		{FrameFinish, Finish{}},
 	}
 	var buf bytes.Buffer
@@ -153,32 +133,28 @@ func TestFrameRoundTrips(t *testing.T) {
 	}
 }
 
-// goldenFrames are valid frames of every type with their version-3
+// goldenFrames are valid frames of every type with their version-4
 // wire bytes: the Append* encoders must reproduce every byte.
 var goldenFrames = []struct {
 	msg any
 	hex string
 }{
-	{Hello{Player: 3, Bits: 1}, "d07a0301000000050000000301"},
-	{Finish{}, "d07a030500000000"},
+	{Hello{Player: 3, Bits: 1}, "d07a0401000000050000000301"},
+	{Finish{}, "d07a040500000000"},
 	{RoundBatch{Batch: 7, Count: 1, Base: 0xfeedface, First: 3},
-		"d07a030600000018000000070000000100000000feedface0000000000000003"},
+		"d07a040600000018000000070000000100000000feedface0000000000000003"},
 	{VoteBatch{Player: 3, Batch: 7, Count: 3, Planes: []uint64{0b101}},
-		"d07a0307000000140000000300000007000000030000000000000005"},
+		"d07a0407000000140000000300000007000000030000000000000005"},
 	{VoteBatch{Player: 3, Batch: 7, Count: 65, Planes: []uint64{0x8000000000000001, 1, 0x4000000000000002, 0, 0x2000000000000004, 1}},
-		"d07a03070000003c000000030000000700000041800000000000000100000000000000014000000000000002000000000000000020000000000000040000000000000001"},
-	{VerdictBatch{Batch: 7, Count: 65, Bits: []uint64{^uint64(0), 1}},
-		"d07a0308000000180000000700000041ffffffffffffffff0000000000000001"},
+		"d07a04070000003c000000030000000700000041800000000000000100000000000000014000000000000002000000000000000020000000000000040000000000000001"},
 	{AggHello{Agg: 1, Bits: 3, Present: 2, Members: []uint32{2, 5, 9}},
-		"d07a030a0000001900000001030000000200000003000000020000000500000009"},
+		"d07a040a0000001900000001030000000200000003000000020000000500000009"},
 	{AggSum{Agg: 1, Batch: 7, Count: 65, Bits: 2, Planes: 3, Present: 4, Sums: []uint64{0xAAAA, 1, 0x5555, 0, 0xF0F0, 1}},
-		"d07a030b00000042000000010000000700000041020300000004000000000000aaaa000000000000000100000000000055550000000000000000000000000000f0f00000000000000001"},
+		"d07a040b00000042000000010000000700000041020300000004000000000000aaaa000000000000000100000000000055550000000000000000000000000000f0f00000000000000001"},
 	{AggPlanes{Agg: 1, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 2, Mask: []uint64{0b101}, Planes: []uint64{0b101, 0b011, 0b110, 0b001}},
-		"d07a030c0000003d00000001000000070000000302000000030000000200000000000000050000000000000005000000000000000300000000000000060000000000000001"},
+		"d07a040c0000003d00000001000000070000000302000000030000000200000000000000050000000000000005000000000000000300000000000000060000000000000001"},
 	{AggPlanes{Agg: 2, Batch: 7, Count: 3, Bits: 2, Members: 3, Present: 0, Mask: []uint64{0}, Planes: []uint64{}},
-		"d07a030c0000001d0000000200000007000000030200000003000000000000000000000000"},
-	{AggVerdict{Batch: 7, Count: 3, Present: []uint32{2, 0, 5}, Bits: []uint64{0b101}},
-		"d07a030d000000200000000700000003000000030000000200000000000000050000000000000005"},
+		"d07a040c0000001d0000000200000007000000030200000003000000000000000000000000"},
 }
 
 // TestFrameGoldenBytes pins the wire: every encoder writes exactly the
@@ -237,11 +213,6 @@ func TestChecksSharedByEncoderAndDecoder(t *testing.T) {
 		{"vote padding plane 0", VoteBatch{Count: 1, Planes: []uint64{2}}, ""},
 		{"vote padding plane 1", VoteBatch{Count: 65, Planes: []uint64{0, 1, 0, 2}}, ""},
 
-		{"verdict count 0", VerdictBatch{Count: 0, Bits: []uint64{}}, ""},
-		{"verdict count 1025", VerdictBatch{Count: MaxBatchTrials + 1, Bits: make([]uint64, 16)}, ""},
-		{"verdict extra word", VerdictBatch{Count: 1, Bits: []uint64{1, 0}}, ""},
-		{"verdict padding", VerdictBatch{Count: 63, Bits: []uint64{1 << 63}}, ""},
-
 		{"agg hello bits 0", AggHello{Bits: 0, Members: []uint32{1}}, ""},
 		{"agg hello bits 65", AggHello{Bits: 65, Members: []uint32{1}}, ""},
 		{"agg hello no members", AggHello{Bits: 1, Members: []uint32{}}, ""},
@@ -274,13 +245,6 @@ func TestChecksSharedByEncoderAndDecoder(t *testing.T) {
 			Mask: append(ones(16), 1), Planes: []uint64{}}, ""},
 		{"agg planes stride", AggPlanes{Count: 1, Bits: 2, Members: 1, Present: 1, Mask: []uint64{1}, Planes: []uint64{0}}, ""},
 		{"agg planes padding", AggPlanes{Count: 1, Bits: 1, Members: 1, Present: 1, Mask: []uint64{1}, Planes: []uint64{2}}, ""},
-
-		{"agg verdict no shards", AggVerdict{Count: 1, Present: []uint32{}, Bits: []uint64{0}}, ""},
-		{"agg verdict too many shards", AggVerdict{Count: 1, Present: make([]uint32, MaxAggShards+1), Bits: []uint64{0}}, ""},
-		{"agg verdict present over cap", AggVerdict{Count: 1, Present: []uint32{MaxShardPlayers + 1}, Bits: []uint64{0}}, ""},
-		{"agg verdict count 0", AggVerdict{Count: 0, Present: []uint32{1}, Bits: []uint64{}}, ""},
-		{"agg verdict extra word", AggVerdict{Count: 1, Present: []uint32{1}, Bits: []uint64{0, 0}}, ""},
-		{"agg verdict padding", AggVerdict{Count: 1, Present: []uint32{1}, Bits: []uint64{2}}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -328,12 +292,10 @@ func TestMaxPayloadIsLargestFrame(t *testing.T) {
 	}{
 		{FrameRoundBatch, RoundBatch{Count: MaxBatchTrials}},
 		{FrameVoteBatch, VoteBatch{Count: MaxBatchTrials, Planes: full(64 * trials)}},
-		{FrameVerdictBatch, VerdictBatch{Count: MaxBatchTrials, Bits: full(trials)}},
 		{FrameAggHello, AggHello{Bits: 64, Present: MaxShardPlayers, Members: members}},
 		{FrameAggSum, AggSum{Count: MaxBatchTrials, Bits: 64, Planes: 64, Present: MaxShardPlayers, Sums: full(64 * trials)}},
 		{FrameAggPlanes, AggPlanes{Count: MaxBatchTrials, Bits: 64, Members: MaxShardPlayers, Present: uint32(present),
 			Mask: mask, Planes: full(MaxAggPlaneWords)}},
-		{FrameAggVerdict, AggVerdict{Count: MaxBatchTrials, Present: make([]uint32, MaxAggShards), Bits: full(trials)}},
 	} {
 		frame, err := encode(nil, tc.msg)
 		if err != nil {
@@ -422,10 +384,11 @@ func TestReadFrameRejectsBadMagic(t *testing.T) {
 }
 
 func TestReadFrameRejectsBadVersion(t *testing.T) {
-	// Version 1 is the retired per-trial protocol and version 2 the
-	// seed-list ROUND_BATCH: an older peer fails the first frame instead
-	// of being misparsed.
-	for _, v := range []byte{1, 2, 99} {
+	// Version 1 is the retired per-trial protocol, version 2 the
+	// seed-list ROUND_BATCH and version 3 the verdict downlink: an older
+	// peer fails the first frame instead of being misparsed or waiting
+	// for verdicts.
+	for _, v := range []byte{1, 2, 3, 99} {
 		raw := AppendFinish(nil)
 		raw[2] = v
 		if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version") {
@@ -434,14 +397,45 @@ func TestReadFrameRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// byteCounter counts the bytes read through it.
+type byteCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *byteCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadFrameRejectsOversized: no length prefix can make the decoder
+// allocate past its type's bound. A header announcing one byte more than
+// maxPayload fails as oversized, for every live type, and so does a
+// retired type's header announcing 0xFFFFFFFF bytes; either way ReadFrame
+// has consumed the 8 header bytes and no payload byte.
 func TestReadFrameRejectsOversized(t *testing.T) {
-	var header [8]byte
-	binary.BigEndian.PutUint16(header[0:2], Magic)
-	header[2] = Version
-	header[3] = byte(FrameHello)
-	binary.BigEndian.PutUint32(header[4:8], MaxFrameSize+1)
-	if _, _, err := ReadFrame(bytes.NewReader(header[:])); err == nil || !strings.Contains(err.Error(), "oversized") {
-		t.Errorf("oversized: %v", err)
+	check := func(ft FrameType, size uint32) {
+		t.Run(ft.String(), func(t *testing.T) {
+			var header [headerSize]byte
+			binary.BigEndian.PutUint16(header[0:2], Magic)
+			header[2] = Version
+			header[3] = byte(ft)
+			binary.BigEndian.PutUint32(header[4:8], size)
+			r := &byteCounter{r: bytes.NewReader(append(header[:], make([]byte, MaxFrameSize)...))}
+			if _, _, err := ReadFrame(r); err == nil || !strings.Contains(err.Error(), "oversized") {
+				t.Errorf("%d-byte length prefix: %v, want an oversized error", size, err)
+			}
+			if r.n != headerSize {
+				t.Errorf("%d-byte length prefix: ReadFrame consumed %d bytes, want the %d header bytes", size, r.n, headerSize)
+			}
+		})
+	}
+	for _, ft := range []FrameType{FrameHello, FrameFinish, FrameRoundBatch, FrameVoteBatch, FrameAggHello, FrameAggSum, FrameAggPlanes} {
+		check(ft, uint32(maxPayload(ft))+1)
+	}
+	for _, ft := range []FrameType{2, 3, 4, 8, 9, 13} {
+		check(ft, math.MaxUint32)
 	}
 }
 
@@ -472,51 +466,21 @@ func TestReadFrameRejectsWrongPayloadSizes(t *testing.T) {
 		size int
 	}{
 		{FrameHello, 4}, {FrameFinish, 1}, {FrameRoundBatch, 7}, {FrameRoundBatch, 23}, {FrameRoundBatch, 25},
-		{FrameVoteBatch, 11}, {FrameVerdictBatch, 7},
+		{FrameVoteBatch, 11},
 	} {
 		if _, _, err := ReadFrame(bytes.NewReader(mk(tt.t, tt.size))); err == nil {
 			t.Errorf("%v with %d-byte payload accepted", tt.t, tt.size)
 		}
 	}
-	// The retired version-1 types (ROUND, VOTE, VERDICT, VOTE_BATCH_R) are
-	// unknown now, at any payload size they used to carry.
+	// The retired types are unknown now, at any payload size they used to
+	// carry: version 1's ROUND, VOTE and VERDICT, version 2's VOTE_BATCH_R,
+	// and version 3's VERDICT_BATCH and AGG_VERDICT.
 	for _, tt := range []struct {
 		t    FrameType
 		size int
-	}{{2, 8}, {3, 12}, {4, 1}, {9, 21}, {77, 0}} {
+	}{{2, 8}, {3, 12}, {4, 1}, {9, 21}, {8, 16}, {13, 24}, {77, 0}} {
 		if _, _, err := ReadFrame(bytes.NewReader(mk(tt.t, tt.size))); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
 			t.Errorf("frame type %d: err = %v, want unknown-type error", uint8(tt.t), err)
-		}
-	}
-}
-
-func TestReadFrameRejectsMalformedVerdictByte(t *testing.T) {
-	// A verdict carries exactly one bit per trial: set padding bits above
-	// the trial count, or a bitset word count disagreeing with it, are a
-	// malformed frame, never extra verdicts.
-	mk := func(count uint32, words ...uint64) []byte {
-		var header [8]byte
-		binary.BigEndian.PutUint16(header[0:2], Magic)
-		header[2] = Version
-		header[3] = byte(FrameVerdictBatch)
-		binary.BigEndian.PutUint32(header[4:8], uint32(8+8*len(words)))
-		p := binary.BigEndian.AppendUint32(header[:], 7)
-		p = binary.BigEndian.AppendUint32(p, count)
-		for _, w := range words {
-			p = binary.BigEndian.AppendUint64(p, w)
-		}
-		return p
-	}
-	for _, frame := range [][]byte{mk(1, 2), mk(1, 0xFF), mk(63, 1<<63), mk(1, 1, 0), mk(65, 1)} {
-		if _, _, err := ReadFrame(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "VERDICT_BATCH") {
-			t.Errorf("verdict frame % x: err = %v, want malformed-verdict error", frame, err)
-		}
-	}
-	// The two legal single-trial verdicts still decode.
-	for b, want := range map[uint64]bool{0: false, 1: true} {
-		typ, msg, err := ReadFrame(bytes.NewReader(mk(1, b)))
-		if err != nil || typ != FrameVerdictBatch || (msg.(VerdictBatch).Bits[0] == 1) != want {
-			t.Errorf("verdict bit %d: (%v, %v, %v)", b, typ, msg, err)
 		}
 	}
 }
@@ -584,10 +548,10 @@ func TestExpectFrameTypeMismatch(t *testing.T) {
 }
 
 func TestFrameTypeString(t *testing.T) {
-	if FrameHello.String() != "HELLO" || FrameVerdictBatch.String() != "VERDICT_BATCH" {
+	if FrameHello.String() != "HELLO" || FrameAggPlanes.String() != "AGG_PLANES" {
 		t.Error("frame names wrong")
 	}
-	for _, unknown := range []FrameType{2, 9, 77} {
+	for _, unknown := range []FrameType{2, 8, 9, 13, 77} {
 		if got, want := unknown.String(), "FrameType("+strconv.Itoa(int(unknown))+")"; got != want {
 			t.Errorf("FrameType(%d).String() = %q, want %q", uint8(unknown), got, want)
 		}
@@ -642,13 +606,9 @@ func decodedFrames(stream []byte) ([]cursorFrame, int) {
 			f.count = m.Count
 		case VoteBatch:
 			f.count = m.Count
-		case VerdictBatch:
-			f.count = m.Count
 		case AggSum:
 			f.count = m.Count
 		case AggPlanes:
-			f.count = m.Count
-		case AggVerdict:
 			f.count = m.Count
 		}
 		out = append(out, f)

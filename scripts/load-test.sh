@@ -3,7 +3,7 @@
 # tree through `dut netdemo`.
 #
 # Usage:
-#   scripts/load-test.sh [basic|throughput|chaos|broadcast|broadcast-chaos] [extra netdemo flags...]
+#   scripts/load-test.sh [basic|throughput|chaos|wide-chaos] [extra netdemo flags...]
 #
 # Profiles:
 #   basic       a mid-size tree on in-memory pipes: 1k players, 8
@@ -13,14 +13,9 @@
 #               aggregators, batched rounds with windows in flight.
 #   chaos       a quorum-mode tree under fault injection (crashed and
 #               delayed players) with shuffled shard placement.
-#   broadcast   the verdict fan-out wall: 100k players behind 32
-#               aggregators with batched rounds in flight. The per-tier
-#               frame counts netdemo prints show the root writing one
-#               AGG_VERDICT per aggregator per batch while the
-#               aggregators re-expand them to 100k VERDICT_BATCHes.
-#   broadcast-chaos
-#               the same 100k x 32 tree in quorum mode with crashed and
-#               delayed players riding the relay path.
+#   wide-chaos  the widest tree: 100k players behind 32 aggregators in
+#               quorum mode, with crashed and delayed players and
+#               batched rounds in flight.
 #
 # Every profile pins its seed, so two runs of the same profile exercise
 # byte-identical traffic. Extra flags are passed through to netdemo and
@@ -50,16 +45,12 @@ chaos)
     run -n 1024 -k 1000 -q 4 -shards 8 -shardseed 7 -rounds 8 \
         -minvotes 900 -crash 20 -delay 2ms -batch 8 -window 2 -seed 3 "$@"
     ;;
-broadcast)
-    run -n 4096 -k 100000 -q 2 -shards 32 -rounds 16 \
-        -batch 8 -window 2 -seed 4 "$@"
-    ;;
-broadcast-chaos)
+wide-chaos)
     run -n 4096 -k 100000 -q 2 -shards 32 -shardseed 7 -rounds 8 \
         -minvotes 99000 -crash 200 -delay 1ms -batch 4 -window 2 -seed 5 "$@"
     ;;
 *)
-    echo "load-test.sh: unknown profile '$profile' (want basic, throughput, chaos, broadcast or broadcast-chaos)" >&2
+    echo "load-test.sh: unknown profile '$profile' (want basic, throughput, chaos or wide-chaos)" >&2
     exit 2
     ;;
 esac
