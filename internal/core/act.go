@@ -136,9 +136,17 @@ func NewCollisionReferee(n, buckets, k int, eps float64) (*CollisionReferee, err
 // Threshold returns the acceptance threshold on the collision count.
 func (r *CollisionReferee) Threshold() float64 { return r.threshold }
 
-// Decide implements Referee.
+// Decide implements Referee. Up to 64 buckets (messages of at most 6
+// bits) count into an array on the stack, so the decide allocates
+// nothing; wider messages count into a fresh slice.
 func (r *CollisionReferee) Decide(msgs []Message) (bool, error) {
-	counts := make([]int64, r.buckets)
+	var small [64]int64
+	var counts []int64
+	if r.buckets <= len(small) {
+		counts = small[:r.buckets]
+	} else {
+		counts = make([]int64, r.buckets)
+	}
 	for _, m := range msgs {
 		b := uint64(m)
 		if b >= uint64(r.buckets) {

@@ -109,3 +109,44 @@ func TestThresholdTesterScratchRoundAllocs(t *testing.T) {
 		t.Fatalf("threshold tester scratch round allocates %.2f per round, want 0", allocs)
 	}
 }
+
+// TestCollisionRefereeDecideAllocs holds the ACT referee's decide to
+// zero allocations at l=4, the width cluster-short runs, where the
+// cluster's opaque per-trial decide calls it once per trial. Its counts
+// live on the stack up to 64 buckets; a 128-bucket referee takes the
+// heap path and must decide the same collision pattern alike.
+func TestCollisionRefereeDecideAllocs(t *testing.T) {
+	msgs := make([]Message, 514)
+	for i := range msgs {
+		msgs[i] = Message(i * 7 % 16)
+	}
+	// The 514 messages fill 16 buckets with 32 or 33 each: 8,000
+	// colliding pairs, under the 16-bucket threshold (about 8,498) and
+	// over the 128-bucket one (about 1,288).
+	for _, tc := range []struct {
+		buckets int
+		accept  bool
+	}{{16, true}, {128, false}} {
+		r, err := NewCollisionReferee(64, tc.buckets, len(msgs), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept, err := r.Decide(msgs); err != nil || accept != tc.accept {
+			t.Errorf("%d buckets: Decide = (%v, %v), want %v (threshold %.1f)", tc.buckets, accept, err, tc.accept, r.Threshold())
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r, err := NewCollisionReferee(64, 16, len(msgs), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.Decide(msgs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("collision referee decide allocates %.2f per call at 16 buckets, want 0", allocs)
+	}
+}

@@ -14,8 +14,9 @@ import (
 // deadline that sampling or rule evaluation has already consumed. It
 // flags raw conn.Write/conn.Read calls outside the encoder and outside
 // Write/Read wrapper methods, binary.Write/binary.Read anywhere in scope,
-// frame reads (ReadFrame/expectFrame) with no earlier deadline call in
-// the same function, and frame writes (writeCoalesced, the one function
+// frame reads (ReadFrame, expectFrame and the frameReader's read method)
+// with no earlier deadline call in the same function, and frame writes
+// (writeCoalesced, the one function
 // that writes frames) after a SampleInto or rule Message call since the
 // last deadline refresh.
 var AnalyzerFrameDiscipline = &Analyzer{
@@ -39,9 +40,7 @@ var (
 		// writer goroutines through these wrappers.
 		"setReadDeadline": true, "setWriteDeadline": true,
 	}
-	frameReadCalls = map[string]bool{
-		"ReadFrame": true, "readFrame": true, "expectFrame": true,
-	}
+	frameReadCalls = map[string]bool{"ReadFrame": true, "expectFrame": true}
 	// Every frame is encoded by a wire.go Append* function and leaves
 	// through frameWriter, alone or in a coalesced run.
 	frameWriteCalls = map[string]bool{frameWriter: true}
@@ -49,6 +48,38 @@ var (
 	// budget: batch sampling and user-provided rule evaluation.
 	consumingCalls = map[string]bool{"SampleInto": true, "Message": true}
 )
+
+// frameDecoder and frameDecoderRead name the per-connection frame
+// reader and its read method: a frame read like ReadFrame, matched by
+// its receiver type, and the home of the package's one decode switch,
+// which dut/wireexhaustive checks.
+const (
+	frameDecoder     = "frameReader"
+	frameDecoderRead = "read"
+)
+
+// isDecoderRead reports whether call is the frame decoder's read method.
+func (p *Pass) isDecoderRead(call *ast.CallExpr) bool {
+	fn := calleeFunc(p.Info, call)
+	return fn != nil && fn.Name() == frameDecoderRead && recvTypeName(fn) == frameDecoder
+}
+
+// recvTypeName is the name of a method's receiver type, pointer or not;
+// "" for a function.
+func recvTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
 
 // frameEvent is one ordered IO-relevant call inside a function body.
 type frameEvent struct {
@@ -101,7 +132,7 @@ func (p *Pass) checkFrameFunc(body *ast.BlockStmt, connIface *types.Interface, w
 			events = append(events, frameEvent{call.Pos(), evDeadline})
 		case consumingCalls[name]:
 			events = append(events, frameEvent{call.Pos(), evConsume})
-		case frameReadCalls[name]:
+		case frameReadCalls[name], p.isDecoderRead(call):
 			events = append(events, frameEvent{call.Pos(), evRead})
 		case frameWriteCalls[name]:
 			events = append(events, frameEvent{call.Pos(), evWrite})

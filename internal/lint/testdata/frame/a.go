@@ -12,6 +12,7 @@ type frame struct{}
 
 func setDeadline(c net.Conn, d time.Duration)            {}
 func setWriteDeadline(c net.Conn, d time.Duration)       {}
+func setReadDeadline(c net.Conn, d time.Duration)        {}
 func ReadFrame(c net.Conn) (frame, error)                { return frame{}, nil }
 func AppendHello(buf []byte, id uint32) []byte           { return buf }
 func AppendVoteBatch(buf []byte, bits []uint64) []byte   { return buf }
@@ -27,6 +28,28 @@ func badRaw(c net.Conn, w io.Writer, p []byte) {
 
 func badRead(c net.Conn) {
 	_, _ = ReadFrame(c) // want "frame read without a deadline"
+}
+
+// frameReader stands in for the per-connection decoder, whose read
+// method is a frame read.
+type frameReader struct{ c net.Conn }
+
+func (fr *frameReader) read() (frame, error) { return frame{}, nil }
+
+// otherReader's read method is not the decoder's.
+type otherReader struct{}
+
+func (otherReader) read() error { return nil }
+
+func badReaderRead(fr *frameReader) {
+	_, _ = fr.read() // want "frame read without a deadline"
+}
+
+func goodReaderRead(c net.Conn, fr *frameReader, o otherReader) error {
+	_ = o.read() // not a frame read: clean
+	setReadDeadline(c, time.Second)
+	_, err := fr.read()
+	return err
 }
 
 func badStale(c net.Conn, buf []int) {

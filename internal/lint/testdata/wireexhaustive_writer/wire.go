@@ -10,11 +10,14 @@ const FrameHello FrameType = 1 // want "declares frames but no writeCoalesced"
 
 func AppendHello(buf []byte) []byte { return append(buf, byte(FrameHello)) }
 
-// ReadFrame decodes one frame.
-func ReadFrame(t FrameType, payload []byte) error {
+// frameReader is the package's one decoder.
+type frameReader struct{ payload []byte }
+
+// read decodes one frame.
+func (fr *frameReader) read(t FrameType) error {
 	switch t {
 	case FrameHello:
-		return checkHello(payload)
+		return checkHello(fr.payload)
 	}
 	return nil
 }

@@ -14,7 +14,8 @@ import (
 
 // AnalyzerWireExhaustive verifies closure of the wire-frame registry: for
 // every FrameType constant the package declares, there must be its one
-// encoder, Append<Name>, a ReadFrame decoder case with validation, a
+// encoder, Append<Name>, a decoder case with validation in the switch of
+// the frameReader's read method (the package's one decoder), a
 // FuzzFrame round-trip seed (the fuzz harness encodes a valid frame of
 // the type), and a malformed-input seed (a raw f.Add byte literal
 // carrying the frame's type byte) — so the next AGG_*-style frame family
@@ -38,8 +39,8 @@ func runWireExhaustive(p *Pass) error {
 		return nil
 	}
 
-	readFrame := p.findFuncDecl("ReadFrame")
-	caseFor, validated := decoderCases(p, readFrame)
+	decoder := p.findMethodDecl(frameDecoder, frameDecoderRead)
+	caseFor, validated := decoderCases(p, decoder)
 	roundTrip, malformed, err := fuzzSeeds(p)
 	if err != nil {
 		return err
@@ -54,14 +55,14 @@ func runWireExhaustive(p *Pass) error {
 		if _, ok := p.Pkg.Scope().Lookup("Append" + fr.base).(*types.Func); !ok {
 			p.Reportf(fr.obj.Pos(), "%s has no encoder: want Append%s", fr.name, fr.base)
 		}
-		if readFrame != nil {
+		if decoder != nil {
 			if !caseFor[fr.obj] {
-				p.Reportf(fr.obj.Pos(), "%s has no ReadFrame decoder case", fr.name)
+				p.Reportf(fr.obj.Pos(), "%s has no %s.%s decoder case", fr.name, frameDecoder, frameDecoderRead)
 			} else if !validated[fr.obj] {
 				p.Reportf(fr.obj.Pos(), "%s decoder case performs no validation (no error construction or check* call)", fr.name)
 			}
 		} else {
-			p.Reportf(fr.obj.Pos(), "%s is declared but the package has no ReadFrame decoder", fr.name)
+			p.Reportf(fr.obj.Pos(), "%s is declared but the package has no %s.%s decoder", fr.name, frameDecoder, frameDecoderRead)
 		}
 		if !roundTrip[fr.base] {
 			p.Reportf(fr.obj.Pos(), "%s has no FuzzFrame round-trip seed (no Append%s call in a Fuzz function)", fr.name, fr.base)
@@ -109,11 +110,11 @@ func frameConsts(pkg *types.Package) []wireFrame {
 	return out
 }
 
-// findFuncDecl locates a package-level function declaration by name.
-func (p *Pass) findFuncDecl(name string) *ast.FuncDecl {
+// findMethodDecl locates the declaration of method name on type recv.
+func (p *Pass) findMethodDecl(recv, name string) *ast.FuncDecl {
 	for _, f := range p.Files {
 		for _, fd := range funcDecls(f) {
-			if fd.Recv == nil && fd.Name.Name == name {
+			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok && fd.Name.Name == name && recvTypeName(fn) == recv {
 				return fd
 			}
 		}
@@ -121,16 +122,16 @@ func (p *Pass) findFuncDecl(name string) *ast.FuncDecl {
 	return nil
 }
 
-// decoderCases maps each frame constant to whether ReadFrame has a case
-// for it and whether that case validates (constructs an error or calls
-// a check* helper).
-func decoderCases(p *Pass, readFrame *ast.FuncDecl) (caseFor, validated map[types.Object]bool) {
+// decoderCases maps each frame constant to whether the decoder has a
+// case for it and whether that case validates (constructs an error or
+// calls a check* helper).
+func decoderCases(p *Pass, decoder *ast.FuncDecl) (caseFor, validated map[types.Object]bool) {
 	caseFor = map[types.Object]bool{}
 	validated = map[types.Object]bool{}
-	if readFrame == nil {
+	if decoder == nil {
 		return caseFor, validated
 	}
-	ast.Inspect(readFrame.Body, func(n ast.Node) bool {
+	ast.Inspect(decoder.Body, func(n ast.Node) bool {
 		clause, ok := n.(*ast.CaseClause)
 		if !ok {
 			return true

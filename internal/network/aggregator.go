@@ -118,6 +118,7 @@ type aggregator struct {
 	listener net.Listener
 
 	root  net.Conn
+	up    frameReader  // decodes the root's frames
 	slots []*batchSlot // by shard position; nil = absent (quorum mode)
 
 	pending    *aggBatchQueue
@@ -129,14 +130,16 @@ type aggregator struct {
 	// col the bit-sliced per-word counters, sums the encoded partial
 	// sums, mask/fwd the AGG_PLANES membership mask and forwarded
 	// planes. enc backs the upstream frame encode, relay the downstream
-	// re-encode of root frames.
-	deliv [][]uint64
-	col   []uint64
-	sums  []uint64
-	mask  []uint64
-	fwd   []uint64
-	enc   []byte
-	relay []byte
+	// re-encode of root frames. gathered counts the member reads in
+	// flight.
+	deliv    [][]uint64
+	col      []uint64
+	sums     []uint64
+	mask     []uint64
+	fwd      []uint64
+	enc      []byte
+	relay    []byte
+	gathered sync.WaitGroup
 }
 
 func newAggregator(bs *batchSession, id uint32, members []uint32, l net.Listener) *aggregator {
@@ -186,7 +189,7 @@ func (a *aggregator) setup(ctx context.Context, rootAddr net.Addr) error {
 		return err
 	}
 	a.slots = slots
-	a.bs.startWriters(slots)
+	a.bs.startSlots(slots, false)
 	return a.connectRoot(rootAddr, uint32(present))
 }
 
@@ -239,17 +242,20 @@ func (a *aggregator) readRoot() {
 	defer close(a.readerDone)
 	defer a.pending.close()
 	bs := a.bs
+	fr := &a.up
+	fr.r = a.root
 	for first := true; ; first = false {
 		// A root frame can lag a whole accept or decide phase; budget it
 		// like every other read from the tier above (readBudget).
 		setReadDeadline(a.root, readBudget(bs.c.timeout, first))
-		kind, msg, err := ReadFrame(a.root)
+		kind, err := fr.read()
 		if err != nil {
 			a.fail(fmt.Errorf("network: aggregator %d read: %w", a.id, err))
 			return
 		}
-		switch m := msg.(type) {
-		case RoundBatch:
+		switch kind {
+		case FrameRoundBatch:
+			m := fr.round
 			relay, err := AppendRoundBatch(a.relay[:0], m)
 			a.relay = relay
 			if err != nil {
@@ -258,7 +264,7 @@ func (a *aggregator) readRoot() {
 			}
 			broadcast(a.slots, relay)
 			a.pending.push(aggBatch{id: m.Batch, count: int(m.Count)})
-		case Finish:
+		case FrameFinish:
 			a.relay = AppendFinish(a.relay[:0])
 			broadcast(a.slots, a.relay)
 			a.closeQueues()
@@ -302,7 +308,7 @@ func (a *aggregator) reduceLoop() {
 func (a *aggregator) runBatch(b aggBatch) {
 	bs := a.bs
 	words := batchWords(b.count)
-	received := bs.gatherShard(a.slots, a.deliv, b.id, b.count)
+	received := bs.gatherShard(a.slots, a.deliv, &a.gathered, b.id, b.count)
 	var err error
 	if bs.shapeOK || bs.sumOK {
 		planes := len(bs.planes)
@@ -356,15 +362,13 @@ func (a *aggregator) fail(err error) {
 }
 
 // closeMembers finishes the shard: queues close (pending frames still
-// drain), writers exit, connections close.
+// drain), writers and readers exit, connections close.
 func (a *aggregator) closeMembers() {
-	a.closeQueues()
+	closeSlots(a.slots)
 	for _, slot := range a.slots {
-		if slot == nil {
-			continue
+		if slot != nil {
+			_ = slot.conn.Close()
 		}
-		<-slot.writerDone
-		_ = slot.conn.Close()
 	}
 }
 
@@ -600,12 +604,10 @@ func (bs *batchSession) validateAggHello(h AggHello) error {
 }
 
 // gatherShards collects one batch's reduced frames from every live
-// aggregator concurrently, the tree counterpart of gatherShard. Shaped
-// referees land partial sums in shardSums; opaque referees scatter
-// the forwarded planes back into bs.deliv by player id, so the
-// per-trial fallback sees exactly the flat gather's delivery table.
-// It returns the number of player votes the tree received, summed
-// from the per-shard present-counts.
+// aggregator concurrently, the tree counterpart of gatherShard: it sends
+// each live aggregator slot's reader one request and waits for them all.
+// It returns the number of player votes the tree received, summed from
+// the per-shard present-counts.
 func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 	for i := range bs.deliv {
 		bs.deliv[i] = nil
@@ -615,96 +617,14 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 		bs.shardSums[i] = nil
 		bs.shardPresent[i] = 0
 	}
-	shaped := bs.shapeOK || bs.sumOK
-	words := batchWords(count)
-	var wg sync.WaitGroup
 	for _, slot := range bs.slots {
 		if slot == nil || slot.isDead() {
 			continue
 		}
-		wg.Add(1)
-		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(slot *batchSlot) {
-			defer wg.Done()
-			conn := slot.conn
-			agg := slot.player
-			// The reduced frame waits on the aggregator's own member gather
-			// (itself budgeted two timeouts) plus the reduction; budget three.
-			setReadDeadline(conn, 3*bs.c.timeout)
-			if shaped {
-				v, err := expectFrame[AggSum](conn, FrameAggSum)
-				if err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: reduced batch from aggregator %d: %w", agg, err))
-					return
-				}
-				if v.Agg != agg {
-					bs.failSlot(slot, fmt.Errorf("network: reduced batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
-					return
-				}
-				if v.Batch != batchID {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
-					return
-				}
-				if int(v.Count) != count {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d reduced %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
-					return
-				}
-				if int(v.Bits) != bs.msgBits {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit sums, the rule uses %d bits", agg, v.Bits, bs.msgBits))
-					return
-				}
-				if int(v.Planes) != len(bs.planes) {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d counter planes, the referee needs %d", agg, v.Planes, len(bs.planes)))
-					return
-				}
-				if int(v.Present) > len(bs.shards[agg]) {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d reports %d present of %d members", agg, v.Present, len(bs.shards[agg])))
-					return
-				}
-				bs.shardSums[agg] = v.Sums
-				bs.shardPresent[agg] = v.Present
-				bs.shardGot[agg] = true
-			} else {
-				v, err := expectFrame[AggPlanes](conn, FrameAggPlanes)
-				if err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: forwarded batch from aggregator %d: %w", agg, err))
-					return
-				}
-				if v.Agg != agg {
-					bs.failSlot(slot, fmt.Errorf("network: forwarded batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
-					return
-				}
-				if v.Batch != batchID {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
-					return
-				}
-				if int(v.Count) != count {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
-					return
-				}
-				if int(v.Bits) != bs.msgBits {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit planes, the rule uses %d bits", agg, v.Bits, bs.msgBits))
-					return
-				}
-				members := bs.shards[agg]
-				if int(v.Members) != len(members) {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d members, the router assigns it %d", agg, v.Members, len(members)))
-					return
-				}
-				stride := bs.msgBits * words
-				mi := 0
-				for pos, player := range members {
-					if v.Mask[pos/64]>>(pos%64)&1 == 1 {
-						bs.deliv[player] = v.Planes[mi*stride : (mi+1)*stride]
-						mi++
-					}
-				}
-				bs.shardPresent[agg] = v.Present
-				bs.shardGot[agg] = true
-			}
-		}(slot)
+		bs.gathered.Add(1)
+		slot.gather <- gatherReq{batch: batchID, count: count, wg: &bs.gathered}
 	}
-	wg.Wait()
+	bs.gathered.Wait()
 	received := 0
 	for i := range bs.shardGot {
 		if bs.shardGot[i] {
@@ -712,6 +632,86 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 		}
 	}
 	return received
+}
+
+// readReduced reads one aggregator slot's reduced frame for a batch,
+// validates its echoes and files it: shaped referees' partial sums in
+// shardSums, and for opaque referees the forwarded planes scattered back
+// into bs.deliv by player id, so the per-trial fallback sees exactly the
+// flat gather's delivery table. What it files are views of the slot's
+// frameReader.
+func (bs *batchSession) readReduced(slot *batchSlot, batchID uint32, count int) error {
+	agg := slot.player
+	// The reduced frame waits on the aggregator's own member gather
+	// (itself budgeted two timeouts) plus the reduction; budget three.
+	setReadDeadline(slot.conn, 3*bs.c.timeout)
+	if bs.shapeOK || bs.sumOK {
+		t, err := slot.fr.read()
+		if err == nil && t != FrameAggSum {
+			err = unexpectedFrame(FrameAggSum, t)
+		}
+		if err != nil {
+			return fmt.Errorf("network: reduced batch from aggregator %d: %w", agg, err)
+		}
+		v := &slot.fr.aggSum
+		if v.Agg != agg {
+			return fmt.Errorf("network: reduced batch claims aggregator %d on aggregator %d's connection", v.Agg, agg)
+		}
+		if v.Batch != batchID {
+			return fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID)
+		}
+		if int(v.Count) != count {
+			return fmt.Errorf("network: aggregator %d reduced %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count)
+		}
+		if int(v.Bits) != bs.msgBits {
+			return fmt.Errorf("network: aggregator %d sent %d-bit sums, the rule uses %d bits", agg, v.Bits, bs.msgBits)
+		}
+		if int(v.Planes) != len(bs.planes) {
+			return fmt.Errorf("network: aggregator %d sent %d counter planes, the referee needs %d", agg, v.Planes, len(bs.planes))
+		}
+		if int(v.Present) > len(bs.shards[agg]) {
+			return fmt.Errorf("network: aggregator %d reports %d present of %d members", agg, v.Present, len(bs.shards[agg]))
+		}
+		bs.shardSums[agg] = v.Sums
+		bs.shardPresent[agg] = v.Present
+		bs.shardGot[agg] = true
+		return nil
+	}
+	t, err := slot.fr.read()
+	if err == nil && t != FrameAggPlanes {
+		err = unexpectedFrame(FrameAggPlanes, t)
+	}
+	if err != nil {
+		return fmt.Errorf("network: forwarded batch from aggregator %d: %w", agg, err)
+	}
+	v := &slot.fr.aggPlanes
+	if v.Agg != agg {
+		return fmt.Errorf("network: forwarded batch claims aggregator %d on aggregator %d's connection", v.Agg, agg)
+	}
+	if v.Batch != batchID {
+		return fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID)
+	}
+	if int(v.Count) != count {
+		return fmt.Errorf("network: aggregator %d forwarded %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count)
+	}
+	if int(v.Bits) != bs.msgBits {
+		return fmt.Errorf("network: aggregator %d sent %d-bit planes, the rule uses %d bits", agg, v.Bits, bs.msgBits)
+	}
+	members := bs.shards[agg]
+	if int(v.Members) != len(members) {
+		return fmt.Errorf("network: aggregator %d forwarded %d members, the router assigns it %d", agg, v.Members, len(members))
+	}
+	stride := bs.msgBits * batchWords(count)
+	mi := 0
+	for pos, player := range members {
+		if v.Mask[pos/64]>>(pos%64)&1 == 1 {
+			bs.deliv[player] = v.Planes[mi*stride : (mi+1)*stride]
+			mi++
+		}
+	}
+	bs.shardPresent[agg] = v.Present
+	bs.shardGot[agg] = true
+	return nil
 }
 
 // decideCounters evaluates a gathered shaped batch word-parallel. It

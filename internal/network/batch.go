@@ -24,11 +24,13 @@ import (
 // one VOTE_BATCH of r packed bit-planes, and the referee evaluates a
 // whole batch of verdicts per synchronization and writes nothing back;
 // FINISH ends the session. A single trial is a batch of one. Each slot
-// gets a dedicated writer goroutine fed by an unbounded frame queue:
-// the in-memory transport's writes are fully synchronous
-// (net.Pipe parks the writer until the peer reads), so queueing the next
-// batches' ROUND_BATCH frames while earlier votes are still being
-// gathered is exactly what keeps a window of batches in flight.
+// gets a dedicated writer goroutine fed by an unbounded frame queue, so
+// the referee queues the next batches' ROUND_BATCH frames while earlier
+// votes are still being gathered and never blocks on a slow peer: that
+// is what keeps a window of batches in flight. Each slot also gets one
+// long-lived reader goroutine, which serves the gather's per-batch
+// requests and decodes through the slot's one frameReader, so a settled
+// batch starts no goroutine and allocates nothing.
 // Determinism is untouched — every vote derives from (shared seed,
 // player id) alone, and the referee's per-batch evaluation reproduces
 // decideVotes bit for bit (word-parallel from bit-sliced counters when
@@ -142,14 +144,20 @@ func (q *frameQueue) close() {
 
 // batchSlot is one referee-side connection — a player on the flat star
 // or at an aggregator, an aggregator at the root: what its HELLO
-// announced, its writer queue, and its failure state, which the writer,
-// the gatherers and the session share under the lock.
+// announced, its writer queue, its reader's frame decoder and request
+// channel, and its failure state, which the writer, the reader and the
+// session share under the lock.
 type batchSlot struct {
 	conn       net.Conn
 	player     uint32 // the aggregator id at the root of the tree
 	bits       uint8
 	q          *frameQueue
 	writerDone chan struct{}
+	// fr decodes every frame the slot's reader reads; gather holds the
+	// reader's one pending request, so a gather's send never blocks.
+	fr         frameReader
+	gather     chan gatherReq
+	readerDone chan struct{}
 
 	mu   sync.Mutex
 	dead bool
@@ -159,7 +167,39 @@ type batchSlot struct {
 func newBatchSlot(conn net.Conn, player uint32, bits uint8, work *workCount) *batchSlot {
 	q := newFrameQueue()
 	q.work = work
-	return &batchSlot{conn: conn, player: player, bits: bits, q: q, writerDone: make(chan struct{})}
+	return &batchSlot{
+		conn: conn, player: player, bits: bits, q: q, writerDone: make(chan struct{}),
+		fr: frameReader{r: conn}, gather: make(chan gatherReq, 1), readerDone: make(chan struct{}),
+	}
+}
+
+// gatherReq asks a slot's reader for one batch's frame: the batch id and
+// trial count it must echo, where a member's vote planes land, and the
+// gather's WaitGroup, marked done once the frame is filed or the slot
+// has failed.
+type gatherReq struct {
+	batch uint32
+	count int
+	dst   *[]uint64
+	wg    *sync.WaitGroup
+}
+
+// closeSlots ends a tier's slots once its gathers are over: the queues
+// close (pending frames still drain), the writers exit, and then the
+// readers' request channels close and the readers exit.
+func closeSlots(slots []*batchSlot) {
+	for _, slot := range slots {
+		if slot != nil {
+			slot.q.close()
+		}
+	}
+	for _, slot := range slots {
+		if slot != nil {
+			<-slot.writerDone
+			close(slot.gather)
+			<-slot.readerDone
+		}
+	}
 }
 
 // allLive reports whether a tier has every slot present and live.
@@ -278,9 +318,11 @@ type batchSession struct {
 	// Per-batch scratch: delivered vote planes by player id, the
 	// bit-sliced counter planes of one trial word, and the batch's
 	// counters (planes x words, plane-major) the shaped decide compares.
-	deliv  [][]uint64
-	planes []uint64
-	sums   []uint64
+	// gathered counts the root's slot reads in flight.
+	deliv    [][]uint64
+	planes   []uint64
+	sums     []uint64
+	gathered sync.WaitGroup
 
 	// Chunk scratch, reused across chunks. enc is the frame encode buffer
 	// (push copies bytes into the queue, so it is free again as soon as
@@ -380,7 +422,7 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 		}
 		return nil, err
 	}
-	bs.startWriters(bs.slots)
+	bs.startSlots(bs.slots, bs.sharded())
 	return bs, nil
 }
 
@@ -495,12 +537,16 @@ func (bs *batchSession) startFlat(ctx context.Context) error {
 	return bs.checkQuorum(present)
 }
 
-// startWriters starts the writer goroutine of every accepted slot.
-func (bs *batchSession) startWriters(slots []*batchSlot) {
+// startSlots starts the writer and the reader goroutine of every
+// accepted slot. reduced selects what the readers read: the aggregators'
+// reduced frames at the root of the tree, the members' votes otherwise.
+func (bs *batchSession) startSlots(slots []*batchSlot, reduced bool) {
 	for _, slot := range slots {
 		if slot != nil {
-			//lint:ignore dut/ctxprop the writer drains until its frame queue closes (Close and closeMembers always close it); cancellation reaches it through failSlot closing the conn
+			//lint:ignore dut/ctxprop the writer drains until its frame queue closes (closeSlots always closes it); cancellation reaches it through failSlot closing the conn
 			go bs.slotWriter(slot)
+			//lint:ignore dut/ctxprop the reader serves until its request channel closes (closeSlots always closes it); each read is deadline-bounded, and cancellation closes the conn under it
+			go bs.slotReader(slot, reduced)
 		}
 	}
 }
@@ -599,7 +645,7 @@ func (bs *batchSession) failSlot(slot *batchSlot, err error) {
 }
 
 // slotWriter drains one slot's frame queue onto its connection. Writes
-// use the write deadline only — the gather goroutines own the same
+// use the write deadline only — the slot's reader owns the same
 // connection's read deadline concurrently. Each wake-up claims every
 // pending frame and flushes them in a single write under one deadline
 // scaled by the frame count, so a full window of queued frames costs
@@ -676,7 +722,7 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 		if bs.sharded() {
 			received = bs.gatherShards(fl.id, fl.count)
 		} else {
-			received = bs.gatherShard(bs.slots, bs.deliv, fl.id, fl.count)
+			received = bs.gatherShard(bs.slots, bs.deliv, &bs.gathered, fl.id, fl.count)
 		}
 		bs.stage.drop(fl.id)
 		if !bs.c.tolerant() && received < bs.c.k {
@@ -782,18 +828,54 @@ func (bs *batchSession) firstSlotErr() error {
 	return fmt.Errorf("network: batch gather incomplete with no recorded slot failure")
 }
 
+// slotReader serves one slot's gather requests until closeSlots closes
+// its request channel: each request reads one batch's frame through the
+// slot's frameReader and files it, a member's vote planes at the
+// request's destination and an aggregator's reduced frame in the root's
+// shard table. What it files are views of the reader's scratch, valid
+// until its next request, which the gather sends only once the batch is
+// reduced or decided. A parked session's readers wait on their channel,
+// not in a read, so parking never trips a deadline.
+//
+//dut:hotpath per-batch slot read
+func (bs *batchSession) slotReader(slot *batchSlot, reduced bool) {
+	defer close(slot.readerDone)
+	for req := range slot.gather {
+		var err error
+		if reduced {
+			err = bs.readReduced(slot, req.batch, req.count)
+		} else {
+			*req.dst, err = bs.readVoteBatch(slot, req.batch, req.count)
+		}
+		if err != nil {
+			bs.failSlot(slot, err)
+			// In strict mode a member failure dooms the session on the tree
+			// too; the flat star's short gather reports it.
+			if !reduced && bs.sharded() && !bs.c.tolerant() {
+				bs.failAgg(err)
+			}
+		}
+		req.wg.Done()
+	}
+}
+
 // readVoteBatch reads one slot's VOTE_BATCH for a batch and validates
 // its echoes: the player id of the connection, the batch id and trial
 // count the gather expects, and the message width the player announced
-// in HELLO as the plane count.
+// in HELLO as the plane count. The planes it returns are a view of the
+// slot's frameReader.
 func (bs *batchSession) readVoteBatch(slot *batchSlot, batchID uint32, count int) ([]uint64, error) {
 	// The vote can lag the node's whole batch of sampling; budget two
 	// timeouts, like every other cross-phase read.
 	setReadDeadline(slot.conn, 2*bs.c.timeout)
-	vb, err := expectFrame[VoteBatch](slot.conn, FrameVoteBatch)
+	t, err := slot.fr.read()
+	if err == nil && t != FrameVoteBatch {
+		err = unexpectedFrame(FrameVoteBatch, t)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("network: vote batch from player %d: %w", slot.player, err)
 	}
+	vb := &slot.fr.vote
 	if vb.Player != slot.player {
 		return nil, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.player)
 	}
@@ -811,31 +893,18 @@ func (bs *batchSession) readVoteBatch(slot *batchSlot, batchID uint32, count int
 
 // gatherShard collects one batch's VOTE_BATCH from every live player
 // slot of a shard — the flat root's k players or an aggregator's members
-// — concurrently. Delivered plane sets land in deliv at the slot's
-// position (nil = absent); it returns the number of valid deliveries.
-func (bs *batchSession) gatherShard(slots []*batchSlot, deliv [][]uint64, batchID uint32, count int) int {
+// — concurrently: it sends each live slot's reader one request and waits
+// on the tier's WaitGroup wg. Delivered plane sets land in deliv at the
+// slot's position (nil = absent); it returns the number of valid
+// deliveries.
+func (bs *batchSession) gatherShard(slots []*batchSlot, deliv [][]uint64, wg *sync.WaitGroup, batchID uint32, count int) int {
 	clear(deliv)
-	var wg sync.WaitGroup
 	for pos, slot := range slots {
 		if slot == nil || slot.isDead() {
 			continue
 		}
 		wg.Add(1)
-		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(pos int, slot *batchSlot) {
-			defer wg.Done()
-			planes, err := bs.readVoteBatch(slot, batchID, count)
-			if err != nil {
-				bs.failSlot(slot, err)
-				// In strict mode a member failure dooms the session on the
-				// tree too; the flat star's short gather reports it.
-				if bs.sharded() && !bs.c.tolerant() {
-					bs.failAgg(err)
-				}
-				return
-			}
-			deliv[pos] = planes
-		}(pos, slot)
+		slot.gather <- gatherReq{batch: batchID, count: count, dst: &deliv[pos], wg: wg}
 	}
 	wg.Wait()
 	received := 0
@@ -930,23 +999,19 @@ func atLeast(planes []uint64, t int) uint64 {
 }
 
 // Close finishes the session: FINISH rides each slot's queue behind any
-// pending frames, the writers drain and exit, the aggregators and nodes
-// unwind, and every connection and listener closes. In strict mode it
-// reports a node failure that surfaced after the last trial.
+// pending frames, the writers drain and exit, the readers exit, the
+// aggregators and nodes unwind, and every connection and listener
+// closes. In strict mode it reports a node failure that surfaced after
+// the last trial.
 func (bs *batchSession) Close() error {
 	bs.untie()
 	finish := AppendFinish(nil)
 	for _, slot := range bs.slots {
 		if slot != nil {
 			slot.q.push(finish)
-			slot.q.close()
 		}
 	}
-	for _, slot := range bs.slots {
-		if slot != nil {
-			<-slot.writerDone
-		}
-	}
+	closeSlots(bs.slots)
 	// Sharded: FINISH is now on the wire to every aggregator; each one
 	// relays it, drains its pending reductions and exits. Wait for them
 	// before cancelling so a clean shutdown never races the force-close.

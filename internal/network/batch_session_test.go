@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
@@ -216,6 +217,80 @@ func TestFirstSlotErr(t *testing.T) {
 			}
 			if tc.want != "" && (got == nil || !strings.Contains(got.Error(), tc.want)) {
 				t.Errorf("firstSlotErr = %v, want it to mention %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunChunkZeroAllocs guards a settled session's whole batch: one
+// warm 256-trial batch through runChunk — the ROUND_BATCH broadcast,
+// every node's read, vote and write, the slot readers' gathers, the
+// aggregators' relay and reduce, and the decide — allocates nothing,
+// counted process-wide so every tier's goroutines count. It covers the
+// benchmark's cluster geometries: a k=4096 tree under 8 aggregators
+// (AGG_SUM), a k=256 flat star and a k=514 ACT star, whose opaque
+// referee decides every trial through decideVotes. Skipped under the
+// race detector, whose instrumentation allocates.
+func TestRunChunkZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const (
+		n     = 64
+		eps   = 0.5
+		batch = 256
+	)
+	actPlayers := core.RecommendedACTPlayers(n, 4, eps)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		runs   int
+		tester func() (*core.SMP, error)
+	}{
+		{"tree k=4096 under 8 aggregators", 8, 5, func() (*core.SMP, error) {
+			return core.NewQuantizedSumTester(n, 4096, 4, 3)
+		}},
+		{"flat star k=256", 0, 20, func() (*core.SMP, error) {
+			return core.NewThresholdTester(core.ThresholdTesterConfig{N: n, K: 256, Q: core.RecommendedThresholdSamples(n, 256, eps), Eps: eps})
+		}},
+		{fmt.Sprintf("ACT star k=%d", actPlayers), 0, 20, func() (*core.SMP, error) {
+			return core.NewACTTester(n, actPlayers, 4, eps)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.tester()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCluster(ClusterConfig{K: p.Players(), Q: p.MaxSamplesPerPlayer(), Rule: p.Local(), Referee: p.RefereeFunc(),
+				Shards: tc.shards, Timeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs, err := newBatchSession(context.Background(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := bs.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			samplers := make([]dist.Sampler, batch)
+			for i := range samplers {
+				samplers[i] = uniformSampler(t, n)
+			}
+			out := make([]engine.RoundResult, batch)
+			first := 0
+			run := func() {
+				if err := bs.runChunk(context.Background(), 1, first, samplers, batch, out); err != nil {
+					t.Fatal(err)
+				}
+				first += batch
+			}
+			run()
+			if allocs := testing.AllocsPerRun(tc.runs, run); allocs != 0 {
+				t.Errorf("a warm %d-trial batch allocates %.1f", batch, allocs)
 			}
 		})
 	}

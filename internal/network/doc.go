@@ -1,7 +1,8 @@
 // Package network runs the paper's simultaneous-message-passing model as a
 // real message-passing system: a referee server and k player nodes
-// exchanging length-prefixed frames over a Transport (in-memory pipes for
-// tests and simulations, TCP loopback for the deployment-shaped demo).
+// exchanging length-prefixed frames over a Transport (buffered in-memory
+// connections for tests and simulations, TCP loopback for the
+// deployment-shaped demo).
 //
 // A trial follows the model exactly, and every entry point — Cluster.Run,
 // Cluster.RunManyStats and the engine backend — runs it the same way, on
@@ -41,13 +42,26 @@
 // has one encoder, Append<Name>, which validates with the frame's check*
 // function and appends nothing on an error; every sender encodes into
 // scratch it keeps and writes through writeCoalesced, the one function
-// that puts frames on a connection. ReadFrame decodes each type through
-// one bounds-checked payload reader and validates with the same check*,
-// so the decoder accepts exactly what the encoders produce. The
-// transport decorators (CountingTransport, FaultTransport) follow their
-// byte streams with frameCursor, which shares readFrame's header decode
-// and takes batch-id and trial-count positions from wire.go, so they
-// split any stream into frames however reads and writes chop it.
+// that puts frames on a connection. frameReader is the one decoder: its
+// read decodes each type through one bounds-checked payload reader and
+// validates with the same check*, so the decoder accepts exactly what
+// the encoders produce. Each connection reads through one long-lived
+// frameReader, whose decoded slices are views of its scratch, valid
+// until its next read; ReadFrame is a fresh reader's read, so its results
+// own their memory. The transport decorators (CountingTransport,
+// FaultTransport) follow their byte streams with frameCursor, which
+// shares the reader's header decode and takes batch-id and trial-count
+// positions from wire.go, so they split any stream into frames however
+// reads and writes chop it.
+//
+// # Frame I/O
+//
+// A settled session allocates nothing per frame. MemTransport's
+// connection buffers up to 64 KiB per direction, so a write copies and
+// returns, and a deadline re-arms one timer in place; its errors are
+// net.Pipe's. Every referee-side slot has a writer goroutine draining its
+// frame queue and one long-lived reader goroutine that serves the
+// gather's per-batch requests, so a batch starts no goroutine.
 //
 // # Wire validation
 //

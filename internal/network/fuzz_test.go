@@ -311,7 +311,11 @@ func FuzzFrame(f *testing.F) {
 // pieces to the frame cursor: the frames it reports, with their sizes
 // and trial counts, must be exactly the frames ReadFrame decodes from
 // the stream's valid prefix. Each cuts byte is the length of the next
-// piece. Run with `go test -fuzz '^FuzzFrameStream$' ./internal/network`.
+// piece. It also reads the whole stream through one reused frameReader,
+// which must decode every frame to the value, and fail where and as, a
+// fresh ReadFrame does: no word a longer earlier frame leaves in the
+// reader's scratch may show in a shorter later one. Run with
+// `go test -fuzz '^FuzzFrameStream$' ./internal/network`.
 func FuzzFrameStream(f *testing.F) {
 	var all []byte
 	for _, g := range goldenFrames {
@@ -324,7 +328,32 @@ func FuzzFrameStream(f *testing.F) {
 	round, _ := AppendRoundBatch(nil, RoundBatch{Batch: 1, Count: MaxBatchTrials})
 	vote, _ := AppendVoteBatch(nil, VoteBatch{Player: 2, Batch: 1, Count: 65, Planes: []uint64{1, 1}})
 	f.Add(append(append(round, vote...), AppendFinish(nil)...), []byte{16, 3, 1})
+	// Longer frames before shorter ones of the same type, so a reused
+	// reader's scratch holds stale words past every later frame's end.
+	wide, _ := AppendVoteBatch(nil, VoteBatch{Player: 2, Batch: 1, Count: 65, Planes: []uint64{3, 1, 5, 1}})
+	narrow, _ := AppendVoteBatch(nil, VoteBatch{Player: 2, Batch: 2, Count: 3, Planes: []uint64{6}})
+	planesWide, _ := AppendAggPlanes(nil, AggPlanes{Agg: 1, Batch: 1, Count: 3, Bits: 2, Members: 3, Present: 2,
+		Mask: []uint64{0b101}, Planes: []uint64{0b101, 0b011, 0b110, 0b001}})
+	planesEmpty, _ := AppendAggPlanes(nil, AggPlanes{Agg: 1, Batch: 2, Count: 3, Bits: 2, Members: 3, Present: 0,
+		Mask: []uint64{0}})
+	helloWide, _ := AppendAggHello(nil, AggHello{Agg: 1, Bits: 3, Present: 2, Members: []uint32{2, 5, 9}})
+	helloNarrow, _ := AppendAggHello(nil, AggHello{Agg: 2, Bits: 3, Present: 1, Members: []uint32{4}})
+	f.Add(bytes.Join([][]byte{wide, narrow, planesWide, planesEmpty, helloWide, helloNarrow}, nil), []byte{40, 2, 60})
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		fresh, reused := bytes.NewReader(stream), &frameReader{r: bytes.NewReader(stream)}
+		for i := 0; ; i++ {
+			typ, msg, err := ReadFrame(fresh)
+			rtyp, rerr := reused.read()
+			if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+				t.Fatalf("frame %d: fresh ReadFrame failed with %v, the reused reader with %v", i, err, rerr)
+			}
+			if err != nil {
+				break
+			}
+			if got := reused.boxed(rtyp); rtyp != typ || !reflect.DeepEqual(got, msg) {
+				t.Fatalf("frame %d: reused reader decoded (%v, %+v), fresh ReadFrame (%v, %+v)", i, rtyp, got, typ, msg)
+			}
+		}
 		want, end := decodedFrames(stream)
 		var pos []int
 		for at, i := 0, 0; i < len(cuts); i++ {

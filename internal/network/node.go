@@ -131,23 +131,24 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 // else arrives. stage supplies each batch's per-trial samplers; a batch
 // with none staged is an error.
 func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
+	fr := &frameReader{r: conn}
 	for first := true; ; first = false {
 		// Referee frames can lag a full referee phase behind — the accept
 		// phase before the first ROUND_BATCH, a slow peer's vote before the
 		// next chunk's ROUND_BATCH — so reads get readBudget: three timeouts
 		// for the first frame, two after it. Each direction keeps its own
-		// deadline, so a read arms one timer, not two.
+		// deadline, so a read re-arms one timer, not two.
 		setReadDeadline(conn, readBudget(p.timeout, first))
-		t, msg, err := ReadFrame(conn)
+		t, err := fr.read()
 		if err != nil {
 			return fmt.Errorf("network: node %d read: %w", p.id, err)
 		}
-		switch m := msg.(type) {
-		case RoundBatch:
-			if err := p.voteBatch(conn, m, stage); err != nil {
+		switch t {
+		case FrameRoundBatch:
+			if err := p.voteBatch(conn, fr.round, stage); err != nil {
 				return err
 			}
-		case Finish:
+		case FrameFinish:
 			return nil
 		default:
 			return fmt.Errorf("network: node %d got unexpected %v mid-session", p.id, t)

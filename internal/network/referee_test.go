@@ -356,6 +356,61 @@ func TestNodeVoteCycleZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestNodeServeCycleZeroAllocs guards the node's whole frame loop over
+// MemTransport's connection: once warm, a referee's ROUND_BATCH, the
+// node's read, vote and write, and the referee's read of the VOTE_BATCH
+// allocate nothing, counted process-wide so the node goroutine's reads
+// and deadline re-arms count too. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestNodeServeCycleZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const count = 256
+	node, err := NewPlayerNode(3, 4, acceptAllRule(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := make([]dist.Sampler, count)
+	for i := range samplers {
+		samplers[i] = uniformSampler(t, 16)
+	}
+	stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+	stage.put(1, samplers)
+	referee, nodeConn := newMemConn("test")
+	served := make(chan error, 1)
+	go func() { served <- node.serve(nodeConn, stage) }()
+	fr := &frameReader{r: referee}
+	var enc []byte
+	rb := RoundBatch{Batch: 1, Count: count, Base: 0x5eed}
+	cycle := func() {
+		if enc, err = AppendRoundBatch(enc[:0], rb); err != nil {
+			t.Fatal(err)
+		}
+		setWriteDeadline(referee, time.Minute)
+		if err := writeCoalesced(referee, enc); err != nil {
+			t.Fatal(err)
+		}
+		setReadDeadline(referee, time.Minute)
+		if kind, err := fr.read(); err != nil || kind != FrameVoteBatch || fr.vote.Count != count {
+			t.Fatalf("read = (%v, %v), want a %d-trial VOTE_BATCH", kind, err, count)
+		}
+		rb.First += count
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a settled serve cycle allocates %.1f per batch", n)
+	}
+	if err := writeCoalesced(referee, AppendFinish(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("node: %v", err)
+	}
+	_ = referee.Close()
+	_ = nodeConn.Close()
+}
+
 // TestNodeDetectsSilentReferee: only a node's first read waits out the
 // referee's accept phase, with a three-timeout budget. Once the session
 // runs, a referee that goes silent fails the node within its

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -59,8 +60,11 @@ func (TCPTransport) Dial(addr net.Addr) (net.Conn, error) {
 	return net.Dial(addr.Network(), addr.String())
 }
 
-// MemTransport connects through in-process net.Pipe pairs: zero syscalls,
-// fully deterministic scheduling aside from goroutine interleaving.
+// MemTransport connects through in-process buffered connections (memConn):
+// zero syscalls, fully deterministic scheduling aside from goroutine
+// interleaving. A write copies into the peer's buffer and returns, as on
+// a socket, and deadlines re-arm one timer in place, so a settled
+// connection moves frames without allocating.
 type MemTransport struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
@@ -100,7 +104,7 @@ func (m *MemTransport) Dial(addr net.Addr) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("network: no in-memory listener at %q", addr)
 	}
-	client, server := net.Pipe()
+	client, server := newMemConn(l.addr)
 	select {
 	case l.accept <- server:
 		return client, nil
@@ -170,3 +174,218 @@ func (l *memListener) Close() error {
 }
 
 func (l *memListener) Addr() net.Addr { return l.addr }
+
+// memConnBuffer bounds each direction of a memConn: a writer waits once
+// this many bytes are unread, as on a socket, so a stalled reader still
+// trips the writer's deadline. It holds a whole window of frames — a
+// ROUND_BATCH is 32 bytes, the widest VOTE_BATCH 8,212 — so a settled
+// writer copies its bytes and returns.
+const memConnBuffer = 64 << 10
+
+// memConn is one end of MemTransport's in-memory connection. It replaces
+// net.Pipe, which hands every write over by rendezvous and allocates a
+// timer per deadline. Each direction is a memPipe: a bounded byte buffer
+// with its reader's and writer's deadlines. Errors are net.Pipe's: after
+// a local Close, Read and Write fail with io.ErrClosedPipe; after the
+// peer closes, Read drains the buffered bytes and then returns io.EOF
+// and Write fails with io.ErrClosedPipe; an expired deadline fails with
+// os.ErrDeadlineExceeded, checked before buffered data.
+type memConn struct {
+	rd, wr *memPipe   // rd carries the peer's writes to this end, wr this end's to the peer
+	wmu    sync.Mutex // serializes Writes, so concurrent ones never interleave
+	addr   net.Addr
+}
+
+// newMemConn returns the two ends of one connection to the listener at
+// addr.
+func newMemConn(addr memAddr) (*memConn, *memConn) {
+	up, down := newMemPipe(), newMemPipe()
+	return &memConn{rd: down, wr: up, addr: addr}, &memConn{rd: up, wr: down, addr: addr}
+}
+
+// Read reads the bytes the peer has written, waiting while there are
+// none.
+func (c *memConn) Read(b []byte) (int, error) { return c.rd.read(b) }
+
+// Write copies b into the peer's buffer, waiting while the buffer is
+// full.
+func (c *memConn) Write(b []byte) (int, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.wr.write(b)
+}
+
+// Close is idempotent: it wakes every waiter on both ends and stops this
+// end's deadline timers, so a closed connection is garbage as soon as
+// it is dropped.
+func (c *memConn) Close() error {
+	c.rd.close(true)
+	c.wr.close(false)
+	return nil
+}
+
+func (c *memConn) LocalAddr() net.Addr  { return c.addr }
+func (c *memConn) RemoteAddr() net.Addr { return c.addr }
+
+func (c *memConn) SetDeadline(t time.Time) error {
+	if err := c.SetReadDeadline(t); err != nil {
+		return err
+	}
+	return c.SetWriteDeadline(t)
+}
+
+func (c *memConn) SetReadDeadline(t time.Time) error  { return c.rd.arm(true, t) }
+func (c *memConn) SetWriteDeadline(t time.Time) error { return c.wr.arm(false, t) }
+
+// memPipe is one direction of a memConn: the unread bytes buf[off:],
+// which the writing end appends to and the reading end consumes, each
+// end's closed flag and deadline, and the conditions either end waits
+// on. The buffer compacts before it grows, so it settles at the
+// connection's high-water mark.
+type memPipe struct {
+	mu       sync.Mutex
+	readable sync.Cond // bytes arrived, an end closed or a deadline expired
+	writable sync.Cond // space freed, an end closed or a deadline expired
+	buf      []byte
+	off      int
+	rclosed  bool // the reading end closed
+	wclosed  bool // the writing end closed
+	rdl, wdl memDeadline
+}
+
+// memDeadline is one end's deadline on one direction. Its timer is
+// created by the first arm and re-armed in place by Reset after that.
+type memDeadline struct {
+	at      time.Time
+	expired bool
+	timer   *time.Timer
+}
+
+func newMemPipe() *memPipe {
+	p := &memPipe{}
+	p.readable.L = &p.mu
+	p.writable.L = &p.mu
+	return p
+}
+
+func (p *memPipe) read(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		switch {
+		case p.rclosed:
+			return 0, io.ErrClosedPipe
+		case p.rdl.expired:
+			return 0, os.ErrDeadlineExceeded
+		case p.off < len(p.buf):
+			n := copy(b, p.buf[p.off:])
+			p.off += n
+			if p.off == len(p.buf) {
+				p.buf, p.off = p.buf[:0], 0
+			}
+			p.writable.Broadcast()
+			return n, nil
+		case p.wclosed:
+			return 0, io.EOF
+		}
+		p.readable.Wait()
+	}
+}
+
+func (p *memPipe) write(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for {
+		switch {
+		case p.wclosed, p.rclosed:
+			return n, io.ErrClosedPipe
+		case p.wdl.expired:
+			return n, os.ErrDeadlineExceeded
+		case len(b) == 0:
+			return n, nil
+		}
+		free := memConnBuffer - (len(p.buf) - p.off)
+		if free == 0 {
+			p.writable.Wait()
+			continue
+		}
+		m := min(free, len(b))
+		if p.off > 0 && len(p.buf)+m > cap(p.buf) {
+			p.buf, p.off = p.buf[:copy(p.buf, p.buf[p.off:])], 0
+		}
+		p.buf = append(p.buf, b[:m]...)
+		b, n = b[m:], n+m
+		p.readable.Broadcast()
+	}
+}
+
+// close marks the reading or the writing end closed and wakes both.
+// Closing the reading end drops the unread bytes.
+func (p *memPipe) close(reader bool) {
+	p.mu.Lock()
+	dl := &p.wdl
+	if reader {
+		dl = &p.rdl
+		p.rclosed, p.buf, p.off = true, nil, 0
+	} else {
+		p.wclosed = true
+	}
+	if dl.timer != nil {
+		dl.timer.Stop()
+	}
+	p.mu.Unlock()
+	p.readable.Broadcast()
+	p.writable.Broadcast()
+}
+
+// arm sets the reading or the writing end's deadline: the zero time
+// disarms it, a time not in the future expires it at once, and any other
+// time re-arms the end's one timer.
+func (p *memPipe) arm(reader bool, t time.Time) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	dl, closed := &p.wdl, p.wclosed
+	if reader {
+		dl, closed = &p.rdl, p.rclosed
+	}
+	if closed {
+		return io.ErrClosedPipe
+	}
+	dl.at, dl.expired = t, false
+	if t.IsZero() {
+		if dl.timer != nil {
+			dl.timer.Stop()
+		}
+		return nil
+	}
+	wait := time.Until(t)
+	switch {
+	case wait <= 0:
+		dl.expired = true
+		if dl.timer != nil {
+			dl.timer.Stop()
+		}
+		p.readable.Broadcast()
+		p.writable.Broadcast()
+	case dl.timer == nil:
+		dl.timer = time.AfterFunc(wait, func() { p.expire(dl) })
+	default:
+		dl.timer.Reset(wait)
+	}
+	return nil
+}
+
+// expire is a deadline timer's callback. A firing left over from an
+// earlier deadline finds a later instant stored and does nothing.
+func (p *memPipe) expire(dl *memDeadline) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds frame IO waits, never the verdict
+	if dl.at.IsZero() || time.Now().Before(dl.at) {
+		return
+	}
+	dl.expired = true
+	p.readable.Broadcast()
+	p.writable.Broadcast()
+}

@@ -415,7 +415,7 @@ func batchFields(t FrameType) (batch, count int, ok bool) {
 
 // decodeHeader validates one frame header — magic, version and the
 // type's payload bound — and returns the frame type and payload size.
-// readFrame and frameCursor share it, so the cursor splits a stream
+// frameReader and frameCursor share it, so the cursor splits a stream
 // exactly where the decoder does.
 func decodeHeader(h []byte) (FrameType, int, error) {
 	if got := binary.BigEndian.Uint16(h[0:2]); got != Magic {
@@ -430,25 +430,6 @@ func decodeHeader(h []byte) (FrameType, int, error) {
 		return 0, 0, fmt.Errorf("network: oversized %v frame of %d bytes", t, size)
 	}
 	return t, int(size), nil
-}
-
-// readFrame reads one frame, validating magic, version and size.
-func readFrame(r io.Reader) (FrameType, []byte, error) {
-	//lint:ignore dut/hotalloc the 8-byte header escapes through the io.Reader interface; one read per frame, one frame per batch on the hot gather path
-	var header [headerSize]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return 0, nil, err
-	}
-	t, size, err := decodeHeader(header[:])
-	if err != nil {
-		return 0, nil, err
-	}
-	//lint:ignore dut/hotalloc one payload buffer per received frame; the batch protocol receives one frame per batch, amortized across the batch's trials
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return t, payload, nil
 }
 
 // appendHeader appends a frame header for a payload of size bytes. It
@@ -582,8 +563,8 @@ func writeCoalesced(w io.Writer, run []byte) error {
 // read is bounds-checked: a read past the end yields zero values and
 // marks the payload bad, so a decoder case reads all its fields
 // unconditionally and learns once, in check, whether they fit. Runs of
-// words come back as views of the payload, so every slice a decoder
-// allocates is sized by bytes readFrame already read and bounded: a
+// words come back as views of the payload, so every word a decoder
+// stores is sized by bytes the frameReader already read and bounded: a
 // hostile count field cannot make the decoder allocate more.
 type payloadReader struct {
 	p   []byte
@@ -663,67 +644,159 @@ func uint64s(dst []uint64, raw []byte) []uint64 {
 	return dst
 }
 
-// decoded is ReadFrame's result for one decoded frame.
-func decoded(t FrameType, msg any, err error) (FrameType, any, error) {
-	if err != nil {
-		return 0, nil, err
-	}
-	return t, msg, nil
+// frameReader is the package's one frame decoder. It reads one
+// connection's frames into scratch it keeps: the header, a payload
+// buffer that grows to the largest frame seen (so maxPayload bounds it),
+// and the decoded word and id runs. read decodes each frame into the
+// typed field of its type; the slices in those fields are views of the
+// reader's scratch, valid until its next read. A reader reads exactly
+// one frame's bytes per read, never ahead, so a connection may change
+// readers between frames. ReadFrame is a fresh reader's read, so its
+// results own their memory.
+type frameReader struct {
+	r       io.Reader
+	header  [headerSize]byte
+	payload []byte
+	words   []uint64 // VOTE_BATCH planes, AGG_SUM sums, AGG_PLANES mask and planes
+	ids     []uint32 // AGG_HELLO members
+
+	hello     Hello
+	round     RoundBatch
+	vote      VoteBatch
+	aggHello  AggHello
+	aggSum    AggSum
+	aggPlanes AggPlanes
 }
 
-// ReadFrame reads and decodes the next frame into one of the typed
-// structs; the first return carries the type tag. Each case reads its
-// fields through one payloadReader and validates them with the check*
-// its encoder runs, so the decoder accepts exactly what the encoders
-// can produce.
-func ReadFrame(r io.Reader) (FrameType, any, error) {
-	t, payload, err := readFrame(r)
-	if err != nil {
-		return 0, nil, err
+// read reads and decodes the next frame into the field of its type and
+// returns the type. Each case reads its fields through one
+// payloadReader and validates them with the check* its encoder runs, so
+// the decoder accepts exactly what the encoders can produce. An unknown
+// type fails once its payload is read.
+func (fr *frameReader) read() (FrameType, error) {
+	if _, err := io.ReadFull(fr.r, fr.header[:]); err != nil {
+		return 0, err
 	}
-	p := payloadReader{p: payload, n: len(payload)}
+	t, size, err := decodeHeader(fr.header[:])
+	if err != nil {
+		return 0, err
+	}
+	if cap(fr.payload) < size {
+		fr.payload = make([]byte, size)
+	}
+	payload := fr.payload[:size]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return 0, err
+	}
+	p := payloadReader{p: payload, n: size}
 	switch t {
 	case FrameHello:
-		m := Hello{Player: p.u32(), Bits: p.u8()}
-		return decoded(t, m, p.check(t, nil))
+		fr.hello = Hello{Player: p.u32(), Bits: p.u8()}
+		return decoded(t, p.check(t, nil))
 	case FrameFinish:
-		return decoded(t, Finish{}, p.check(t, nil))
+		return decoded(t, p.check(t, nil))
 	case FrameRoundBatch:
-		m := RoundBatch{Batch: p.u32(), Count: p.u32(), Base: p.u64(), First: p.u64()}
-		return decoded(t, m, p.check(t, checkRoundBatch(m)))
+		fr.round = RoundBatch{Batch: p.u32(), Count: p.u32(), Base: p.u64(), First: p.u64()}
+		return decoded(t, p.check(t, checkRoundBatch(fr.round)))
 	case FrameVoteBatch:
 		// No width field: the planes are the rest of the payload, and
 		// checkVoteBatch requires a whole number of 1..64 of them.
 		m := VoteBatch{Player: p.u32(), Batch: p.u32(), Count: p.u32()}
 		planes := p.rest(8)
-		m.Planes = uint64s(make([]uint64, len(planes)/8), planes)
-		return decoded(t, m, p.check(t, checkVoteBatch(m)))
+		m.Planes = uint64s(reuse(&fr.words, len(planes)/8), planes)
+		fr.vote = m
+		return decoded(t, p.check(t, checkVoteBatch(m)))
 	case FrameAggHello:
 		m := AggHello{Agg: p.u32(), Bits: p.u8(), Present: p.u32()}
 		ids := p.take(4 * int(p.u32()))
-		m.Members = uint32s(make([]uint32, len(ids)/4), ids)
-		return decoded(t, m, p.check(t, checkAggHello(m)))
+		m.Members = uint32s(reuse(&fr.ids, len(ids)/4), ids)
+		fr.aggHello = m
+		return decoded(t, p.check(t, checkAggHello(m)))
 	case FrameAggSum:
 		m := AggSum{Agg: p.u32(), Batch: p.u32(), Count: p.u32(), Bits: p.u8(), Planes: p.u8(), Present: p.u32()}
 		sums := p.rest(8)
-		m.Sums = uint64s(make([]uint64, len(sums)/8), sums)
-		return decoded(t, m, p.check(t, checkAggSum(m)))
+		m.Sums = uint64s(reuse(&fr.words, len(sums)/8), sums)
+		fr.aggSum = m
+		return decoded(t, p.check(t, checkAggSum(m)))
 	case FrameAggPlanes:
 		m := AggPlanes{Agg: p.u32(), Batch: p.u32(), Count: p.u32(), Bits: p.u8(), Members: p.u32(), Present: p.u32()}
 		mask := p.take(8 * aggMaskWords(int(m.Members)))
-		m.Mask = uint64s(make([]uint64, len(mask)/8), mask)
 		planes := p.rest(8)
-		m.Planes = uint64s(make([]uint64, len(planes)/8), planes)
-		return decoded(t, m, p.check(t, checkAggPlanes(m)))
+		words := reuse(&fr.words, (len(mask)+len(planes))/8)
+		m.Mask = uint64s(words[:len(mask)/8:len(mask)/8], mask)
+		m.Planes = uint64s(words[len(mask)/8:], planes)
+		fr.aggPlanes = m
+		return decoded(t, p.check(t, checkAggPlanes(m)))
 	default:
-		return 0, nil, fmt.Errorf("network: unknown frame type %d", uint8(t))
+		return 0, fmt.Errorf("network: unknown frame type %d", uint8(t))
 	}
+}
+
+// reuse returns n elements of the scratch *buf, reallocated only when it
+// is too short. The result is never nil, as a fresh make is not, so a
+// reused reader decodes to exactly a fresh one's values.
+func reuse[T uint32 | uint64](buf *[]T, n int) []T {
+	if *buf == nil || cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n:n]
+}
+
+// decoded is read's result for one decoded frame.
+func decoded(t FrameType, err error) (FrameType, error) {
+	if err != nil {
+		return 0, err
+	}
+	return t, nil
+}
+
+// ReadFrame reads and decodes the next frame with a fresh frameReader
+// and returns it boxed as one of the typed structs; the first return
+// carries the type tag. The fresh reader's scratch is the frame's own,
+// so its slices stay valid. The session's hot reads use a long-lived
+// frameReader instead.
+func ReadFrame(r io.Reader) (FrameType, any, error) {
+	fr := frameReader{r: r}
+	t, err := fr.read()
+	if err != nil {
+		return 0, nil, err
+	}
+	return t, fr.boxed(t), nil
+}
+
+// boxed returns the decoded frame of type t, as read last left it.
+func (fr *frameReader) boxed(t FrameType) any {
+	switch t {
+	case FrameHello:
+		return fr.hello
+	case FrameFinish:
+		return Finish{}
+	case FrameRoundBatch:
+		return fr.round
+	case FrameVoteBatch:
+		return fr.vote
+	case FrameAggHello:
+		return fr.aggHello
+	case FrameAggSum:
+		return fr.aggSum
+	case FrameAggPlanes:
+		return fr.aggPlanes
+	}
+	return nil
+}
+
+// unexpectedFrame is the error of a read that wanted a frame of type
+// want and got one of type got.
+//
+//dut:coldpath protocol-violation error construction; the reader's slot fails on it
+func unexpectedFrame(want, got FrameType) error {
+	return fmt.Errorf("network: expected %v, got %v", want, got)
 }
 
 // frameCursor follows the frame structure of a byte stream fed to it in
 // chunks of any size, so a transport decorator can tally, inspect and
 // rewrite frames in place however reads and writes chop the stream.
-// Headers decode through decodeHeader, as in readFrame; a header it
+// Headers decode through decodeHeader, as in frameReader.read; a header it
 // rejects leaves the stream unsplittable, and the cursor passes every
 // later byte through unreported for the receiver's decoder to reject.
 type frameCursor struct {
@@ -821,7 +894,7 @@ func expectFrame[T any](r io.Reader, want FrameType) (T, error) {
 		return zero, err
 	}
 	if t != want {
-		return zero, fmt.Errorf("network: expected %v, got %v", want, t)
+		return zero, unexpectedFrame(want, t)
 	}
 	typed, ok := msg.(T)
 	if !ok {
