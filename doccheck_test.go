@@ -14,15 +14,21 @@ import (
 	"testing"
 )
 
+// minDocCheckedFiles is a floor on the files the walk must parse: far
+// fewer means it skipped most of the tree and checked nothing.
+const minDocCheckedFiles = 100
+
 func TestAllExportedIdentifiersDocumented(t *testing.T) {
 	var missing []string
+	parsed, sawFacade := 0, false
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
+			// The walk root "." is the module itself, not a hidden directory.
 			name := d.Name()
-			if name == "examples" || name == "results" || name == "testdata" || strings.HasPrefix(name, ".") {
+			if path != "." && (name == "examples" || name == "results" || name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -35,6 +41,8 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		parsed++
+		sawFacade = sawFacade || path == "dut.go"
 		for _, decl := range file.Decls {
 			switch dd := decl.(type) {
 			case *ast.FuncDecl:
@@ -63,6 +71,9 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sawFacade || parsed < minDocCheckedFiles {
+		t.Fatalf("the walk parsed %d files (dut.go among them: %v), want dut.go and at least %d", parsed, sawFacade, minDocCheckedFiles)
 	}
 	for _, m := range missing {
 		t.Errorf("exported identifier without doc comment: %s", m)

@@ -135,4 +135,5 @@ func (g *GroupLearner) EstimateL1Error(truth dist.Dist, trials int, seed uint64)
 // decide.
 type refereeNop struct{}
 
+// Decide accepts every round: the learner reads the messages, not a verdict.
 func (refereeNop) Decide([]Message) (bool, error) { return true, nil }

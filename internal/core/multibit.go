@@ -14,8 +14,9 @@ import (
 // Bit i of plane b is bit b of player i's message, so plane 0 alone is
 // exactly the packed vote bitset of the 1-bit protocol and an r-bit rule
 // reads a player's value by gathering its lane across planes. The layout
-// is shared with the VOTE_BATCH_R wire frame (DESIGN.md section 10),
-// which packs the same planes with trials in place of players.
+// is shared with the VOTE_BATCH wire frame (DESIGN.md section 10), which
+// packs the same planes with trials in place of players; PackPlaneWord
+// and UnpackPlaneWord map messages to and from the lanes of one word.
 type Slate struct {
 	k     int
 	bits  int
@@ -92,9 +93,54 @@ func (s *Slate) SetMessages(msgs []Message) error {
 		if s.bits < 64 && m >= 1<<s.bits {
 			return fmt.Errorf("core: player %d message %#x wider than the slate's %d bits", i, uint64(m), s.bits)
 		}
-		s.Set(i, m)
+	}
+	for w := 0; w < s.words; w++ {
+		PackPlaneWord(s.planes, s.words, w, s.bits, msgs[w*64:min(w*64+64, s.k)])
 	}
 	return nil
+}
+
+// PackPlaneWord writes msgs, a run of at most 64 messages, into word w of
+// each of the `bits` planes stored back to back in planes, `words` words
+// per plane — the layout of a Slate and of a VOTE_BATCH frame: bit b of
+// msgs[j] becomes bit j of planes[b*words+w]. Each plane word is built in
+// a register, with no branch on a message bit, and stored whole, so lanes
+// at and above len(msgs) read zero. Message bits at or above `bits` are
+// ignored; callers check widths first.
+func PackPlaneWord(planes []uint64, words, w, bits int, msgs []Message) {
+	msgs = msgs[:min(len(msgs), 64)]
+	for b := 0; b < bits; b++ {
+		var word uint64
+		for j, m := range msgs {
+			// b and j are below 64; the masks let the compiler drop its
+			// oversized-shift handling.
+			word |= uint64(m>>(uint(b)&63)&1) << (uint(j) & 63)
+		}
+		planes[b*words+w] = word
+	}
+}
+
+// UnpackPlaneWord is PackPlaneWord's inverse: it rebuilds the message of
+// lane j of word w of the `bits` planes and stores it at msgs[j*stride],
+// for every lane whose slot lies within msgs, at most 64. A stride of 1
+// fills a run of messages; a stride of k fills one player's column of a
+// trial-major block of k-message rows.
+func UnpackPlaneWord(msgs []Message, stride int, planes []uint64, words, w, bits int) {
+	if len(msgs) == 0 {
+		return
+	}
+	var word [64]uint64
+	for b := range word[:bits] {
+		word[b] = planes[b*words+w]
+	}
+	lanes := min((len(msgs)-1)/stride+1, 64)
+	for j := 0; j < lanes; j++ {
+		var m Message
+		for b, x := range word[:bits] {
+			m |= Message(x>>(uint(j)&63)&1) << (uint(b) & 63)
+		}
+		msgs[j*stride] = m
+	}
 }
 
 // SlateDecider is the allocation-free r-bit referee path: referees that

@@ -391,8 +391,10 @@ func batchOf(b Backend) BatchBackend {
 // RunRound per trial.
 type noScratch struct{ Backend }
 
+// NewScratch returns no scratch: the wrapped backend keeps none.
 func (noScratch) NewScratch() any { return nil }
 
+// RunRoundScratch runs the trial through the wrapped RunRound.
 func (n noScratch) RunRoundScratch(ctx context.Context, spec RoundSpec, _ any) (RoundResult, error) {
 	return n.RunRound(ctx, spec)
 }
@@ -401,6 +403,7 @@ func (n noScratch) RunRoundScratch(ctx context.Context, spec RoundSpec, _ any) (
 // is its trials in order.
 type loopBackend struct{ ScratchBackend }
 
+// RunRoundsScratch runs the chunk's trials one by one, in order.
 func (l loopBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []RoundSpec, _ int, out []RoundResult) error {
 	for i, spec := range specs {
 		res, err := l.RunRoundScratch(ctx, spec, scratch)

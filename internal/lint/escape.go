@@ -28,6 +28,8 @@ type EscapeMiss struct {
 	Text string
 }
 
+// String renders the miss as file:line:col, the hot function and the
+// compiler's diagnostic.
 func (m EscapeMiss) String() string {
 	return fmt.Sprintf("%s:%d:%d escape in hot %s: %s", m.Pos.Filename, m.Pos.Line, m.Pos.Column, m.Fn, m.Text)
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
@@ -154,16 +153,14 @@ var ErrChunkNotConsecutive = errors.New("network: chunk specs are not consecutiv
 
 // clusterScratch is one engine worker's reusable cluster state: the
 // session it holds, taken or opened on the worker's first chunk and used
-// for every chunk the worker runs, plus the chunk's sampler buffer. The
-// engine closes it (io.Closer) when the worker exits, which releases the
-// session to the backend's pool.
+// for every chunk the worker runs. The engine closes it (io.Closer) when
+// the worker exits, which releases the session to the backend's pool.
 type clusterScratch struct {
 	b     *clusterBackend
 	batch *batchSession
 	// failed marks a session a chunk failed on: it can hold batches in
 	// flight or be torn down already, so it is closed, never parked.
-	failed   bool
-	samplers []dist.Sampler
+	failed bool
 }
 
 // Close implements io.Closer: it releases the worker's session, if it
@@ -228,7 +225,6 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 	}
 	batch = min(max(batch, 1), MaxBatchTrials)
 	base, first := specs[0].Seed, specs[0].Trial
-	samplers := cs.samplers[:0]
 	for i, spec := range specs {
 		if spec.Sampler == nil {
 			return fmt.Errorf("network: nil sampler")
@@ -237,9 +233,7 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 			return fmt.Errorf("%w: spec %d is trial %d of seed %#x, want trial %d of seed %#x",
 				ErrChunkNotConsecutive, i, spec.Trial, spec.Seed, first+i, base)
 		}
-		samplers = append(samplers, spec.Sampler)
 	}
-	cs.samplers = samplers
 	if cs.batch == nil {
 		if sess := b.take(); sess != nil {
 			sess.hold(ctx)
@@ -252,6 +246,13 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 			cs.batch = sess
 		}
 	}
+	// The sampler buffer lives on the session, which outlives the engine
+	// call and its scratch, so a warm call does not regrow it.
+	samplers := cs.batch.samplers[:0]
+	for _, spec := range specs {
+		samplers = append(samplers, spec.Sampler)
+	}
+	cs.batch.samplers = samplers
 	err := cs.batch.runChunk(ctx, base, first, samplers, batch, out)
 	if err != nil {
 		cs.failed = true

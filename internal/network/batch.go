@@ -324,17 +324,21 @@ type batchSession struct {
 	sums     []uint64
 	gathered sync.WaitGroup
 
-	// Chunk scratch, reused across chunks. enc is the frame encode buffer
-	// (push copies bytes into the queue, so it is free again as soon as
-	// the pushes return); verdictBits is the shaped decide's verdict
-	// bitset.
+	// Chunk scratch, reused across chunks and engine calls. enc is the
+	// frame encode buffer (push copies bytes into the queue, so it is free
+	// again as soon as the pushes return); samplers holds the chunk's
+	// per-trial samplers, which the stage publishes to the nodes;
+	// verdictBits is the shaped decide's verdict bitset.
 	enc         []byte
 	flights     []batchFlight
+	samplers    []dist.Sampler
 	verdictBits []uint64
 
-	// Per-trial fallback scratch for decideVotes.
-	votes []core.Message
+	// Opaque-referee scratch for decideVotes: the batch's presence by
+	// player id and the trial-major block of unpacked messages, grown
+	// once to 64 rows of k.
 	got   []bool
+	block []core.Message
 
 	// Sharded-tree state, nil/empty on the flat star. aggErr (under mu)
 	// records the first aggregator failure; shardSums/shardPresent/
@@ -500,7 +504,8 @@ func (bs *batchSession) quiesce() bool {
 
 // initDecide classifies the referee and sizes the decide scratch: the
 // threshold or sum shape the counter decide evaluates, its counter
-// planes, and the per-player delivery table and vote slate.
+// planes, and the per-player delivery and presence tables. The opaque
+// decide's message block grows on its first batch.
 func (bs *batchSession) initDecide() {
 	c := bs.c
 	bs.msgBits = c.rule.Bits()
@@ -517,7 +522,6 @@ func (bs *batchSession) initDecide() {
 	}
 	bs.deliv = make([][]uint64, c.k)
 	bs.planes = make([]uint64, planeLen)
-	bs.votes = make([]core.Message, c.k)
 	bs.got = make([]bool, c.k)
 }
 
@@ -921,8 +925,10 @@ func (bs *batchSession) gatherShard(slots []*batchSlot, deliv [][]uint64, wg *sy
 // (r-bit) referee decides the whole batch word-parallel from bit-sliced
 // counters at any presence (decideCounters), into the verdict bitset
 // scratch; an opaque referee decides trial by trial, through decideVotes
-// on each trial's vote slate rebuilt from the delivered planes, so
-// quorum checks and absentee policy are the referee's by construction.
+// on each trial's vote slate, so quorum checks and absentee policy are
+// the referee's by construction. The slates are the rows of a
+// trial-major block that each word of the delivered planes unpacks
+// into, 64 trials at a time.
 func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) error {
 	words := batchWords(count)
 	k := bs.c.k
@@ -945,33 +951,37 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 		}
 		return nil
 	}
-	votes, got := bs.votes, bs.got
-	for j := 0; j < count; j++ {
-		for i := range votes {
-			votes[i] = 0
-			got[i] = false
-		}
+	// Presence is fixed for the whole batch. Each plane word unpacks into
+	// at most 64 rows of k messages, one column per present player; an
+	// absent player's column is left as it was and never enters a
+	// decision.
+	got := bs.got
+	for player, d := range bs.deliv {
+		got[player] = d != nil
+	}
+	if need := min(count, 64) * k; cap(bs.block) < need {
+		bs.block = make([]core.Message, need)
+	}
+	for w := 0; w < words; w++ {
+		rows := min(count-w*64, 64)
+		block := bs.block[:rows*k]
 		for player, d := range bs.deliv {
-			if d == nil {
-				continue
+			if d != nil {
+				core.UnpackPlaneWord(block[player:], k, d, words, w, bs.msgBits)
 			}
-			var msg core.Message
-			for b := 0; b < bs.msgBits; b++ {
-				msg |= core.Message(d[b*words+j/64]>>(j%64)&1) << b
+		}
+		for i := 0; i < rows; i++ {
+			accept, recv, err := bs.c.decideVotes(block[i*k:(i+1)*k], got)
+			out[w*64+i] = engine.RoundResult{
+				Verdict:    accept,
+				Votes:      recv,
+				Stragglers: k - recv,
+				Messages:   recv,
+				Samples:    recv * bs.c.q,
 			}
-			votes[player] = msg
-			got[player] = true
-		}
-		accept, recv, err := bs.c.decideVotes(votes, got)
-		out[j] = engine.RoundResult{
-			Verdict:    accept,
-			Votes:      recv,
-			Stragglers: k - recv,
-			Messages:   recv,
-			Samples:    recv * bs.c.q,
-		}
-		if err != nil {
-			return err
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

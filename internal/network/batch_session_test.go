@@ -295,3 +295,44 @@ func TestRunChunkZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmCallReusesSamplerBuffer: a warm engine call on the cluster
+// backend — a fresh scratch, as the engine builds for every call, that
+// takes the parked session and releases it again — allocates as much for
+// 64 trials as for one. The chunk's sampler buffer lives on the session,
+// which outlives the call, so it does not regrow from nil per call.
+// Skipped under the race detector, whose instrumentation allocates.
+func TestWarmCallReusesSamplerBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	c, err := NewCluster(ClusterConfig{K: 4, Q: 1, Rule: acceptAllRule(), Referee: andReferee(), Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := testBackend(t, c).(*clusterBackend)
+	const trials = 64
+	specs := make([]engine.RoundSpec, trials)
+	out := make([]engine.RoundResult, trials)
+	sampler := uniformSampler(t, 16)
+	first := 0
+	call := func(n int) {
+		for i := range specs[:n] {
+			specs[i] = engine.RoundSpec{Trial: first + i, Seed: 1, Sampler: sampler}
+		}
+		first += n
+		scratch := b.NewScratch()
+		if err := b.RunRoundsScratch(context.Background(), scratch, specs[:n], trials, out[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := scratch.(io.Closer).Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call(trials)
+	one := testing.AllocsPerRun(20, func() { call(1) })
+	full := testing.AllocsPerRun(20, func() { call(trials) })
+	if full != one {
+		t.Errorf("a warm %d-trial call allocates %.1f, a 1-trial call %.1f", trials, full, one)
+	}
+}

@@ -206,6 +206,8 @@ type countingListener struct {
 	tier  Tier
 }
 
+// Accept wraps each accepted connection to count its frames under the
+// listener's tier.
 func (l *countingListener) Accept() (net.Conn, error) {
 	conn, err := l.inner.Accept()
 	if err != nil {
@@ -214,7 +216,10 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return &countingConn{Conn: conn, tr: l.tr, tier: l.tier}, nil
 }
 
-func (l *countingListener) Close() error   { return l.inner.Close() }
+// Close closes the wrapped listener.
+func (l *countingListener) Close() error { return l.inner.Close() }
+
+// Addr is the wrapped listener's address.
 func (l *countingListener) Addr() net.Addr { return l.inner.Addr() }
 
 // SetDeadline forwards the accept deadline the quorum-mode referee
@@ -244,12 +249,15 @@ type countedStream struct {
 	cur frameCursor
 }
 
+// Write writes through and tallies the downstream frames in what was
+// written.
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.tally(&c.wr, true, p[:n])
 	return n, err
 }
 
+// Read reads through and tallies the upstream frames in what was read.
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.tally(&c.rd, false, p[:n])

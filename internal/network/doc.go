@@ -58,10 +58,17 @@
 //
 // A settled session allocates nothing per frame. MemTransport's
 // connection buffers up to 64 KiB per direction, so a write copies and
-// returns, and a deadline re-arms one timer in place; its errors are
-// net.Pipe's. Every referee-side slot has a writer goroutine draining its
-// frame queue and one long-lived reader goroutine that serves the
-// gather's per-batch requests, so a batch starts no goroutine.
+// returns; its errors are net.Pipe's. Each direction's deadline owns one
+// timer: a deadline moved earlier re-arms it in place, and one moved
+// later — each frame's fresh budget — is only stored, the timer
+// re-arming itself for the rest of the wait when it fires early. Every
+// referee-side slot has a writer goroutine draining its frame queue and
+// one long-lived reader goroutine that serves the gather's per-batch
+// requests, so a batch starts no goroutine. Vote planes move a word at a
+// time: a node packs each 64-trial block of messages into one word of
+// every plane (core.PackPlaneWord), and an opaque referee's decide
+// unpacks one word per present player into 64 trials' slates
+// (core.UnpackPlaneWord).
 //
 // # Wire validation
 //

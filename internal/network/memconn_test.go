@@ -172,6 +172,83 @@ func TestMemConnDeadlineMovedLater(t *testing.T) {
 	}
 }
 
+// TestMemConnDeadlineExtendedFiresAtLastInstant: a read deadline moved
+// later 1,000 times fails the blocked read at its last instant and never
+// before. Each move lands after the pending timer's firing and is only
+// stored; that firing finds the later instant and re-arms the timer.
+func TestMemConnDeadlineExtendedFiresAtLastInstant(t *testing.T) {
+	a, _ := memPair(t)
+	const (
+		first = 100 * time.Millisecond
+		step  = 100 * time.Microsecond
+		moves = 1000
+	)
+	start := time.Now()
+	last := start.Add(first)
+	if err := a.SetReadDeadline(last); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= moves; i++ {
+		last = start.Add(first + time.Duration(i)*step)
+		if err := a.SetReadDeadline(last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type result struct {
+		err error
+		at  time.Time
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, err := a.Read(make([]byte, 1))
+		done <- result{err, time.Now()}
+	}()
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read err = %v, want os.ErrDeadlineExceeded", r.err)
+		}
+		if r.at.Before(last) {
+			t.Errorf("read failed %v before the last deadline", last.Sub(r.at))
+		}
+		if late := r.at.Sub(last); late > memConnSlack {
+			t.Errorf("read failed %v after the last deadline, want at most %v", late, memConnSlack)
+		}
+	case <-time.After(time.Until(last) + 5*memConnSlack):
+		t.Fatalf("read still blocked %v after its last deadline: the timer was not re-armed", 5*memConnSlack)
+	}
+}
+
+// TestMemConnDeadlineExtendedThenMovedEarlier: after 1,000 moves later,
+// which only store the deadline, a move earlier than the pending timer's
+// firing re-arms the timer, and the read fails at the earlier instant.
+func TestMemConnDeadlineExtendedThenMovedEarlier(t *testing.T) {
+	a, _ := memPair(t)
+	const (
+		far   = 10 * time.Second
+		moves = 1000
+		early = 50 * time.Millisecond
+	)
+	start := time.Now()
+	for i := 0; i <= moves; i++ {
+		if err := a.SetReadDeadline(start.Add(far + time.Duration(i)*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(early)
+	if err := a.SetReadDeadline(deadline); err != nil {
+		t.Fatal(err)
+	}
+	_, err := a.Read(make([]byte, 1))
+	at := time.Now()
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read err = %v, want os.ErrDeadlineExceeded", err)
+	}
+	if at.Before(deadline) || at.Sub(deadline) > memConnSlack {
+		t.Errorf("read failed %v after the earlier deadline, want 0 to %v", at.Sub(deadline), memConnSlack)
+	}
+}
+
 // TestMemConnCloseWakesBlocked: closing either end wakes a Read blocked
 // for data and a Write blocked on a full buffer, on both ends, with
 // net.Pipe's errors — io.ErrClosedPipe on the closing end and for every

@@ -182,23 +182,26 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage
 		p.voteBits = make([]uint64, need)
 	}
 	voteBits := p.voteBits[:need]
-	clear(voteBits)
-	for j := 0; j < count; j++ {
-		seed := engine.SharedSeed(rb.Base, int(rb.First)+j)
-		rng := p.rng.SeedNode(seed, int(p.id))
-		p.rng.SampleInto(samplers[j], p.buf)
-		msg, err := p.rule.Message(int(p.id), p.buf, seed, rng)
-		if err != nil {
-			return fmt.Errorf("network: node %d rule: %w", p.id, err)
-		}
-		if msgBits < 64 && msg >= 1<<msgBits {
-			return fmt.Errorf("network: node %d message %#x wider than the rule's %d bits", p.id, uint64(msg), msgBits)
-		}
-		for b := 0; b < msgBits; b++ {
-			if msg>>b&1 == 1 {
-				voteBits[b*words+j/64] |= 1 << (j % 64)
+	// Each 64-trial block of messages packs into one word of every plane,
+	// written whole, so the padding lanes above count are zero.
+	var block [64]core.Message
+	for w := 0; w < words; w++ {
+		run := block[:min(count-w*64, 64)]
+		for i := range run {
+			j := w*64 + i
+			seed := engine.SharedSeed(rb.Base, int(rb.First)+j)
+			rng := p.rng.SeedNode(seed, int(p.id))
+			p.rng.SampleInto(samplers[j], p.buf)
+			msg, err := p.rule.Message(int(p.id), p.buf, seed, rng)
+			if err != nil {
+				return fmt.Errorf("network: node %d rule: %w", p.id, err)
 			}
+			if msgBits < 64 && msg >= 1<<msgBits {
+				return fmt.Errorf("network: node %d message %#x wider than the rule's %d bits", p.id, uint64(msg), msgBits)
+			}
+			run[i] = msg
 		}
+		core.PackPlaneWord(voteBits, words, w, msgBits, run)
 	}
 	// A fresh write budget: a large batch of sampling may have consumed
 	// most of the read-phase budget.

@@ -659,3 +659,121 @@ func TestCounterDecideMatchesDecideVotes(t *testing.T) {
 	}
 	t.Logf("%d batches, %d trials, %d batches with absentees", batches, trials, withAbsentees)
 }
+
+// digestReferee is an opaque referee, neither threshold- nor sum-shaped.
+// It accepts on one bit of a position-sensitive hash of every message it
+// is handed and logs each hash, so a wrong bit anywhere in a decided
+// slate shows in the log even where the verdict happens to agree.
+type digestReferee struct{ log []uint64 }
+
+func (r *digestReferee) Decide(msgs []core.Message) (bool, error) {
+	h := uint64(len(msgs))
+	for _, m := range msgs {
+		h = (h ^ uint64(m)) * 0x9e3779b97f4a7c15
+		h ^= h >> 31
+	}
+	r.log = append(r.log, h)
+	return h&1 == 1, nil
+}
+
+// TestOpaqueDecideMatchesDecideVotes is the differential test of the
+// opaque referee's decide, which unpacks each plane word into a
+// trial-major block, against the per-trial reference: decideVotes on
+// messages rebuilt from the delivered planes one bit at a time. It
+// sweeps widths r in {1, 2, 3, 4, 7, 8, 33, 63, 64}, batch counts around
+// the word boundaries up to the largest batch, k in [1, 70], random
+// presence down to the quorum and every absentee policy. Each session
+// decides three batches in a row, so a block row left over from an
+// earlier word or batch cannot pass. Every trial's verdict and vote
+// count, and the hash of every slate the referee was handed, must equal
+// the reference's.
+func TestOpaqueDecideMatchesDecideVotes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 0x0a9e))
+	policies := []core.AbsenteePolicy{core.AbsenteeDefault, core.AbsenteeAccept, core.AbsenteeReject, core.AbsenteeOmit}
+	widths := []int{1, 2, 3, 4, 7, 8, 33, 63, 64}
+	counts := []int{1, 63, 64, 65, 130, 256, 1024}
+	const (
+		sessions = 360
+		batches  = 3
+	)
+	trials, withAbsentees := 0, 0
+	for n := 0; n < sessions; n++ {
+		k := 1 + rng.IntN(70)
+		msgBits := widths[n%len(widths)]
+		minVotes := 1 + rng.IntN(k)
+		referee := &digestReferee{}
+		c, err := NewCluster(ClusterConfig{
+			K: k, Q: 1,
+			Rule:      treeTestRule{bits: msgBits},
+			Referee:   referee,
+			MinVotes:  minVotes,
+			Absentees: policies[n%len(policies)],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := &batchSession{c: c}
+		bs.initDecide()
+		if bs.shapeOK || bs.sumOK {
+			t.Fatalf("session %d: the digest referee took a shaped decide", n)
+		}
+		for batch := 0; batch < batches; batch++ {
+			count := counts[rng.IntN(len(counts))]
+			words := batchWords(count)
+			received := minVotes + rng.IntN(k-minVotes+1)
+			deliv := make([][]uint64, k)
+			for _, p := range rng.Perm(k)[:received] {
+				planes := make([]uint64, msgBits*words)
+				for i := range planes {
+					planes[i] = rng.Uint64()
+					if rem := count % 64; rem != 0 && i%words == words-1 {
+						planes[i] &= 1<<rem - 1
+					}
+				}
+				deliv[p] = planes
+			}
+			trials += count
+			if received < k {
+				withAbsentees++
+			}
+
+			// The reference: decideVotes on every trial's slate, rebuilt
+			// bit by bit.
+			want := make([]engine.RoundResult, count)
+			votes, got := make([]core.Message, k), make([]bool, k)
+			for j := range want {
+				for p, d := range deliv {
+					votes[p], got[p] = 0, d != nil
+					for b := 0; d != nil && b < msgBits; b++ {
+						votes[p] |= core.Message(d[b*words+j/64]>>(j%64)&1) << b
+					}
+				}
+				accept, recv, err := c.decideVotes(votes, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[j] = engine.RoundResult{Verdict: accept, Votes: recv}
+			}
+			wantLog := referee.log
+			referee.log = nil
+
+			copy(bs.deliv, deliv)
+			out := make([]engine.RoundResult, count)
+			if err := bs.decideBatch(count, received, out); err != nil {
+				t.Fatalf("session %d batch %d: %v", n, batch, err)
+			}
+			if len(referee.log) != count {
+				t.Fatalf("session %d batch %d: the referee decided %d slates for %d trials", n, batch, len(referee.log), count)
+			}
+			for j := range out {
+				if out[j].Verdict != want[j].Verdict || out[j].Votes != want[j].Votes || referee.log[j] != wantLog[j] {
+					t.Fatalf("session %d batch %d (r=%d, k=%d, %d present, quorum %d, policy %d, %d trials): trial %d decided %v with %d votes on slate %#x, decideVotes %v with %d on %#x",
+						n, batch, msgBits, k, received, minVotes, c.absentees, count, j,
+						out[j].Verdict, out[j].Votes, referee.log[j], want[j].Verdict, want[j].Votes, wantLog[j])
+				}
+			}
+			referee.log = nil
+		}
+	}
+	t.Logf("%d sessions, %d trials, %d batches with absentees", sessions, trials, withAbsentees)
+}

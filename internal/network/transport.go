@@ -115,8 +115,11 @@ func (m *MemTransport) Dial(addr net.Addr) (net.Conn, error) {
 
 type memAddr string
 
+// Network names the in-memory network, "mem".
 func (a memAddr) Network() string { return "mem" }
-func (a memAddr) String() string  { return string(a) }
+
+// String is the listener's name.
+func (a memAddr) String() string { return string(a) }
 
 type memListener struct {
 	addr    memAddr
@@ -139,6 +142,8 @@ func (l *memListener) SetDeadline(t time.Time) error {
 	return nil
 }
 
+// Accept waits for the next dialed connection, until the listener closes
+// or its accept deadline passes.
 func (l *memListener) Accept() (net.Conn, error) {
 	l.mu.Lock()
 	deadline := l.deadline
@@ -163,6 +168,7 @@ func (l *memListener) Accept() (net.Conn, error) {
 	}
 }
 
+// Close is idempotent: it fails pending and later Accepts and Dials.
 func (l *memListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
@@ -173,6 +179,7 @@ func (l *memListener) Close() error {
 	return nil
 }
 
+// Addr is the name MemTransport.Dial takes.
 func (l *memListener) Addr() net.Addr { return l.addr }
 
 // memConnBuffer bounds each direction of a memConn: a writer waits once
@@ -224,9 +231,13 @@ func (c *memConn) Close() error {
 	return nil
 }
 
-func (c *memConn) LocalAddr() net.Addr  { return c.addr }
+// LocalAddr is the listener's address, on both ends.
+func (c *memConn) LocalAddr() net.Addr { return c.addr }
+
+// RemoteAddr is the listener's address, on both ends.
 func (c *memConn) RemoteAddr() net.Addr { return c.addr }
 
+// SetDeadline sets the read and the write deadline.
 func (c *memConn) SetDeadline(t time.Time) error {
 	if err := c.SetReadDeadline(t); err != nil {
 		return err
@@ -234,7 +245,11 @@ func (c *memConn) SetDeadline(t time.Time) error {
 	return c.SetWriteDeadline(t)
 }
 
-func (c *memConn) SetReadDeadline(t time.Time) error  { return c.rd.arm(true, t) }
+// SetReadDeadline bounds Reads: past t they fail with
+// os.ErrDeadlineExceeded, and the zero time clears the deadline.
+func (c *memConn) SetReadDeadline(t time.Time) error { return c.rd.arm(true, t) }
+
+// SetWriteDeadline bounds Writes as SetReadDeadline bounds Reads.
 func (c *memConn) SetWriteDeadline(t time.Time) error { return c.wr.arm(false, t) }
 
 // memPipe is one direction of a memConn: the unread bytes buf[off:],
@@ -255,10 +270,24 @@ type memPipe struct {
 
 // memDeadline is one end's deadline on one direction. Its timer is
 // created by the first arm and re-armed in place by Reset after that.
+// fires is the instant the pending timer fires, zero when none is
+// pending. A deadline moved later than that instant is only stored: the
+// timer fires early, finds the later instant and re-arms for the rest of
+// the wait, so a connection whose deadline moves forward on every frame
+// touches the runtime's timer heap about once per wait, not per frame.
 type memDeadline struct {
 	at      time.Time
+	fires   time.Time
 	expired bool
 	timer   *time.Timer
+}
+
+// stop stops the pending timer, if any.
+func (dl *memDeadline) stop() {
+	if dl.timer != nil {
+		dl.timer.Stop()
+	}
+	dl.fires = time.Time{}
 }
 
 func newMemPipe() *memPipe {
@@ -331,16 +360,17 @@ func (p *memPipe) close(reader bool) {
 	} else {
 		p.wclosed = true
 	}
-	if dl.timer != nil {
-		dl.timer.Stop()
-	}
+	// Disarmed, so a firing already under way finds nothing to re-arm.
+	dl.at = time.Time{}
+	dl.stop()
 	p.mu.Unlock()
 	p.readable.Broadcast()
 	p.writable.Broadcast()
 }
 
 // arm sets the reading or the writing end's deadline: the zero time
-// disarms it, a time not in the future expires it at once, and any other
+// disarms it, a time not in the future expires it at once, a time no
+// earlier than the pending timer's firing is only stored, and any other
 // time re-arms the end's one timer.
 func (p *memPipe) arm(reader bool, t time.Time) error {
 	p.mu.Lock()
@@ -354,38 +384,45 @@ func (p *memPipe) arm(reader bool, t time.Time) error {
 	}
 	dl.at, dl.expired = t, false
 	if t.IsZero() {
-		if dl.timer != nil {
-			dl.timer.Stop()
-		}
+		dl.stop()
 		return nil
 	}
 	wait := time.Until(t)
 	switch {
 	case wait <= 0:
 		dl.expired = true
-		if dl.timer != nil {
-			dl.timer.Stop()
-		}
+		dl.stop()
 		p.readable.Broadcast()
 		p.writable.Broadcast()
+	case !dl.fires.IsZero() && !t.Before(dl.fires):
+		// The pending timer fires first and re-arms for the rest.
 	case dl.timer == nil:
 		dl.timer = time.AfterFunc(wait, func() { p.expire(dl) })
+		dl.fires = t
 	default:
 		dl.timer.Reset(wait)
+		dl.fires = t
 	}
 	return nil
 }
 
-// expire is a deadline timer's callback. A firing left over from an
-// earlier deadline finds a later instant stored and does nothing.
+// expire is a deadline timer's callback. It re-arms the timer when a
+// later instant is stored — a deadline moved forward since the timer was
+// set, or a firing left over from an earlier deadline — and expires the
+// deadline otherwise; a disarmed deadline is left alone.
 func (p *memPipe) expire(dl *memDeadline) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds frame IO waits, never the verdict
-	if dl.at.IsZero() || time.Now().Before(dl.at) {
+	if dl.at.IsZero() {
+		return
+	}
+	if wait := time.Until(dl.at); wait > 0 {
+		dl.timer.Reset(wait)
+		dl.fires = dl.at
 		return
 	}
 	dl.expired = true
+	dl.fires = time.Time{}
 	p.readable.Broadcast()
 	p.writable.Broadcast()
 }
