@@ -491,23 +491,22 @@ func cmdNetDemo(args []string) int {
 	// cluster backend's batch session (ROUND_BATCH/VOTE_BATCH frames),
 	// one trial per batch unless -batch says otherwise, so a 1-round demo
 	// and a full amplification session exercise the same path.
-	var accept bool
-	verdicts, allStats, err := runDemo(cluster, sampler, rng, *rounds, *batch, *window)
-	if err == nil {
-		accept, err = network.MajorityVerdict(verdicts)
-	}
+	results, err := runDemo(cluster, sampler, rng, *rounds, *batch, *window)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dut netdemo: round failed: %v\n", err)
 		return 1
 	}
-	for _, s := range allStats {
+	accepts := 0
+	for _, r := range results {
 		verdict := "REJECT"
-		if s.Verdict {
+		if r.Verdict {
 			verdict = "ACCEPT"
+			accepts++
 		}
 		fmt.Printf("round %d: verdict=%s votes=%d/%d stragglers=%d retries=%d wall=%v\n",
-			s.Round, verdict, s.Votes, *k, s.Stragglers, s.Retries, s.Wall.Round(time.Microsecond))
+			r.Trial, verdict, r.Votes, *k, r.Stragglers, r.Retries, r.Wall.Round(time.Microsecond))
 	}
+	accept := 2*accepts > len(results)
 	rootC, aggC := counter.Snapshot()
 	if *shards > 1 {
 		fmt.Printf("frames root -> aggregators:    %s\n", network.FormatFrameCounts(rootC.Down))
@@ -528,14 +527,14 @@ func cmdNetDemo(args []string) int {
 }
 
 // runDemo drives the cluster through the engine's trial driver on one
-// worker (so the frame counter's tier attribution holds) and maps the
-// per-trial results back to the RoundStats shape the demo prints. It
-// closes the engine's backend before returning, so the session's FINISH
-// frames are on the wire when the caller reads the frame counts.
-func runDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rounds, batch, window int) ([]bool, []network.RoundStats, error) {
+// worker (so the frame counter's tier attribution holds) and returns the
+// per-trial results. It closes the engine's backend before returning, so
+// the session's FINISH frames are on the wire when the caller reads the
+// frame counts.
+func runDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rounds, batch, window int) ([]engine.RoundResult, error) {
 	backend, err := network.NewBackend(cluster)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	eng, err := engine.New(backend, engine.Options{
 		Workers: 1,
@@ -544,30 +543,16 @@ func runDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rou
 		Window:  window,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	src := func(int, *rand.Rand) (dist.Sampler, error) { return sampler, nil }
-	results, err := eng.Run(context.Background(), src, rounds)
+	results, err := eng.Run(context.Background(), engine.Fixed(sampler), rounds)
 	if closeErr := eng.Close(); err == nil {
 		err = closeErr
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	verdicts := make([]bool, len(results))
-	stats := make([]network.RoundStats, len(results))
-	for i, r := range results {
-		verdicts[i] = r.Verdict
-		stats[i] = network.RoundStats{
-			Round:      r.Trial,
-			Votes:      r.Votes,
-			Stragglers: r.Stragglers,
-			Retries:    r.Retries,
-			Wall:       r.Wall,
-			Verdict:    r.Verdict,
-		}
-	}
-	return verdicts, stats, nil
+	return results, nil
 }
 
 func cmdBounds(args []string) int {

@@ -81,9 +81,6 @@ type (
 	ClusterConfig = network.ClusterConfig
 	// Transport carries the cluster's frames.
 	Transport = network.Transport
-	// RoundStats reports one networked round: votes received, stragglers
-	// tolerated, connect retries and wall time.
-	RoundStats = network.RoundStats
 	// FaultTransport decorates a Transport with deterministic injected
 	// faults for chaos testing.
 	FaultTransport = network.FaultTransport
@@ -235,9 +232,11 @@ var (
 var (
 	// NewCluster runs a protocol as a referee server plus player nodes.
 	// Cluster.Run executes one round; Cluster.RunMany keeps the
-	// connections open for a multi-round amplification session. With
+	// connections open for a multi-round amplification session. Each is
+	// one engine call on a cluster backend the call opens and closes. With
 	// ClusterConfig.MinVotes set the cluster tolerates stragglers down to
-	// the quorum (see RunStats/RunManyStats for the per-round accounting).
+	// the quorum (RunStats and RunManyStats report each round's
+	// RoundResult).
 	NewCluster = network.NewCluster
 	// NewMemTransport is the in-process transport.
 	NewMemTransport = network.NewMemTransport
@@ -337,7 +336,7 @@ type (
 	// bit-identical to the unbatched run.
 	BatchBackend = engine.BatchBackend
 	// RoundResult is the uniform per-round accounting every backend
-	// reports (a superset of the networked RoundStats).
+	// reports, a networked Cluster's RunStats and RunManyStats included.
 	RoundResult = engine.RoundResult
 	// EngineOptions configures the trial driver (workers, confidence,
 	// base seed).
@@ -361,7 +360,8 @@ var (
 	// NewEngine bundles a backend with driver options.
 	NewEngine = engine.New
 	// BackendFor adapts any Protocol to the engine (a *core.SMP gets the
-	// fully deterministic cross-backend treatment).
+	// fully deterministic cross-backend treatment, and a *Cluster its
+	// NewClusterBackend, with the same verdicts).
 	BackendFor = core.BackendFor
 	// NewClusterBackend adapts a networked Cluster: each trial is one
 	// full networked round whose verdict is bit-identical to the SMP

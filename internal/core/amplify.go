@@ -82,11 +82,12 @@ func (a *AmplifiedProtocol) RunContext(ctx context.Context, sampler dist.Sampler
 	if rng == nil {
 		return false, fmt.Errorf("core: nil rng")
 	}
-	b, err := BackendFor(a.inner)
-	if err != nil {
-		return false, err
-	}
-	accept, _, err := engine.Amplify(ctx, b, engine.Fixed(sampler), a.rounds, engine.Options{Seed: rng.Uint64()})
+	var accept bool
+	err := runEngine(a.inner, engine.Options{Seed: rng.Uint64()}, func(e *engine.Engine) error {
+		var err error
+		accept, _, err = e.Amplify(ctx, engine.Fixed(sampler), a.rounds)
+		return err
+	})
 	if err != nil {
 		return false, err
 	}

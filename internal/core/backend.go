@@ -12,8 +12,11 @@ import (
 // BackendFor adapts a Protocol to the engine's Backend interface. A
 // *SMP gets the fully deterministic treatment — per-player streams
 // derived from the round's public coin, so its verdicts are
-// bit-reproducible against the networked and CONGEST backends — while
-// any other Protocol runs against the per-trial stream (deterministic in
+// bit-reproducible against the networked and CONGEST backends. A
+// Protocol that builds its own backend gets it: a *network.Cluster gets
+// network.NewBackend, whose verdicts equal the *SMP backend's and which
+// keeps sessions open until it is closed (engine.Engine.Close). Any
+// other Protocol runs against the per-trial stream (deterministic in
 // (seed, trial), but with no cross-backend vote identity).
 func BackendFor(p Protocol) (engine.Backend, error) {
 	if p == nil {
@@ -22,7 +25,36 @@ func BackendFor(p Protocol) (engine.Backend, error) {
 	if smp, ok := p.(*SMP); ok {
 		return &smpBackend{p: smp, totalSamples: smp.TotalSamples()}, nil
 	}
+	if bp, ok := p.(backendProvider); ok {
+		return bp.NewBackend()
+	}
 	return &protocolBackend{p: p}, nil
+}
+
+// backendProvider is a Protocol that builds its own engine backend
+// (network.Cluster does). It is an interface because core cannot import
+// the packages that implement it.
+type backendProvider interface {
+	NewBackend() (engine.Backend, error)
+}
+
+// runEngine runs fn on an engine over p's backend and closes the engine
+// before it returns, so no session the backend keeps between calls
+// outlives the call. A close error is reported when fn succeeded.
+func runEngine(p Protocol, opts engine.Options, fn func(*engine.Engine) error) error {
+	b, err := BackendFor(p)
+	if err != nil {
+		return err
+	}
+	e, err := engine.New(b, opts)
+	if err != nil {
+		return err
+	}
+	err = fn(e)
+	if closeErr := e.Close(); err == nil {
+		err = closeErr
+	}
+	return err
 }
 
 // smpBackend is the in-process SMP execution backend: one RunRound is one
@@ -114,7 +146,7 @@ func (b *smpBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []
 }
 
 // contextProtocol is the optional context-aware run surface a Protocol
-// may expose (network.Cluster does); the generic backend prefers it so
+// may expose (AmplifiedProtocol does); the generic backend prefers it so
 // driver cancellation reaches mid-round waits.
 type contextProtocol interface {
 	RunContext(ctx context.Context, sampler dist.Sampler, rng *rand.Rand) (bool, error)

@@ -229,19 +229,20 @@ func engineOptions(opts stats.EstimateOptions) engine.Options {
 // Parallelism. New code should build a backend with BackendFor and call
 // engine.Estimate (or dut.NewEngine) directly.
 func EstimateAcceptance(p Protocol, d dist.Dist, trials int, opts stats.EstimateOptions) (stats.SuccessEstimate, error) {
-	b, err := BackendFor(p)
+	var est stats.SuccessEstimate
+	err := runEngine(p, engineOptions(opts), func(e *engine.Engine) error {
+		src, err := engine.FromDist(d)
+		if err != nil {
+			return err
+		}
+		res, err := e.Estimate(context.Background(), src, trials)
+		est = res.Estimate
+		return err
+	})
 	if err != nil {
 		return stats.SuccessEstimate{}, err
 	}
-	src, err := engine.FromDist(d)
-	if err != nil {
-		return stats.SuccessEstimate{}, err
-	}
-	res, err := engine.Estimate(context.Background(), b, src, trials, engineOptions(opts))
-	if err != nil {
-		return stats.SuccessEstimate{}, err
-	}
-	return res.Estimate, nil
+	return est, nil
 }
 
 // Separates reports whether the protocol both accepts `null` and rejects
@@ -255,19 +256,19 @@ func EstimateAcceptance(p Protocol, d dist.Dist, trials int, opts stats.Estimate
 // This is a compatibility wrapper over the unified trial driver; new
 // code should use engine.Separates via BackendFor (or dut.NewEngine).
 func Separates(p Protocol, null, far dist.Dist, target float64, trials int, opts stats.EstimateOptions) (ok bool, acceptNull, acceptFar float64, err error) {
-	b, err := BackendFor(p)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	nullSrc, err := engine.FromDist(null)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	farSrc, err := engine.FromDist(far)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	sep, err := engine.Separates(context.Background(), b, nullSrc, farSrc, target, trials, engineOptions(opts))
+	var sep engine.Separation
+	err = runEngine(p, engineOptions(opts), func(e *engine.Engine) error {
+		nullSrc, err := engine.FromDist(null)
+		if err != nil {
+			return err
+		}
+		farSrc, err := engine.FromDist(far)
+		if err != nil {
+			return err
+		}
+		sep, err = e.Separates(context.Background(), nullSrc, farSrc, target, trials)
+		return err
+	})
 	if err != nil {
 		return false, 0, 0, err
 	}

@@ -24,16 +24,19 @@
 // for the unknown distribution; RoundResult is the uniform per-round
 // accounting (verdict, votes, stragglers, retries, samples drawn, wall
 // time, and — for message-passing backends — message and communication
-// round counts). It is a superset of the networked cluster's RoundStats,
-// so in-process runs get the same accounting a deployment has.
+// round counts). The networked cluster's RunStats and RunManyStats
+// report it too, so in-process runs get the same accounting a
+// deployment has.
 //
 // Adapters live next to the types they wrap, keeping this package a leaf:
 //
 //   - core.BackendFor adapts any core.Protocol; *core.SMP gets the
-//     deterministic per-player treatment below.
+//     deterministic per-player treatment below, and a *network.Cluster
+//     gets network.NewBackend.
 //   - network.NewBackend adapts a *network.Cluster (one live batch
 //     session per driver worker, parked between calls for the next
-//     call to reuse; Engine.Close closes the parked sessions).
+//     call to reuse; Engine.Close closes the parked sessions). Every
+//     Cluster.Run* method is one engine call on a backend of its own.
 //   - congest.NewBackend adapts a *congest.Tester (one synchronous-round
 //     graph simulation per trial).
 //
@@ -70,8 +73,10 @@
 //
 // # Deprecation path
 //
-// The pre-engine entry points survive as thin wrappers and keep their
-// seed-test semantics: core.EstimateAcceptance, core.Separates and
-// core.Amplify delegate here via core.BackendFor. New code should
-// construct a Backend and call the engine (or dut.NewEngine) directly.
+// The pre-engine entry points survive as thin wrappers:
+// core.EstimateAcceptance, core.Separates and core.Amplify delegate here
+// via core.BackendFor, and the network.Cluster Run* methods via
+// network.NewBackend. Each closes its backend before it returns. New
+// code should construct a Backend and call the engine (or
+// dut.NewEngine) directly.
 package engine

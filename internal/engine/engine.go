@@ -28,9 +28,10 @@ type RoundSpec struct {
 	Sampler dist.Sampler
 }
 
-// RoundResult is the uniform per-round accounting every backend reports —
-// a superset of the networked cluster's RoundStats, so in-process and
-// CONGEST runs carry the same bookkeeping a deployment has.
+// RoundResult is the uniform per-round accounting every backend reports,
+// and what the networked cluster's RunStats and RunManyStats return, so
+// in-process and CONGEST runs carry the same bookkeeping a deployment
+// has.
 type RoundResult struct {
 	// Trial is the 0-based trial index (filled by the driver).
 	Trial int

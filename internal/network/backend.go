@@ -62,6 +62,11 @@ func NewBackend(c *Cluster) (engine.Backend, error) {
 	return &clusterBackend{c: c}, nil
 }
 
+// NewBackend is NewBackend(c): the backend core.BackendFor builds for
+// the cluster, so core.EstimateAcceptance, Separates and Amplify run
+// their trials through its batch sessions.
+func (c *Cluster) NewBackend() (engine.Backend, error) { return NewBackend(c) }
+
 // Close implements io.Closer: it closes every parked session, waits for
 // their teardown and for any eviction in progress, and returns the first
 // error. A session released after Close is closed, not parked. Close is

@@ -711,13 +711,7 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 		flights = append(flights, batchFlight{id: id, start: start, count: count})
 	}
 	bs.flights = flights
-	// Claim connect retries only when a flight will carry them; an empty
-	// chunk must leave them accumulated for the next chunk's stats.
-	retries := 0
-	if len(flights) > 0 {
-		retries = bs.takeRetries()
-	}
-	for _, fl := range flights {
+	for i, fl := range flights {
 		if err := ctx.Err(); err != nil {
 			return bs.chunkErr(err)
 		}
@@ -740,8 +734,13 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 		// count trials (the division remainder lands on the first trial so
 		// the batch's summed wall time equals its elapsed time).
 		engine.SpreadWall(results, sw.Elapsed())
-		results[0].Retries = retries
-		retries = 0
+		// The chunk's first batch claims the connect retries once it is
+		// gathered: a node records its retries before it serves, so every
+		// node that voted on the batch has recorded them. An empty chunk
+		// claims none, leaving them for the next chunk's stats.
+		if i == 0 {
+			results[0].Retries = bs.takeRetries()
+		}
 	}
 	return nil
 }

@@ -119,6 +119,40 @@ func TestBatchEmptyChunkPreservesRetries(t *testing.T) {
 	}
 }
 
+// TestBatchChunkClaimsRetriesRecordedInFlight: a chunk claims connect
+// retries once its first batch is gathered, so retries a node records
+// before it votes on that batch land on the chunk's first trial. A node
+// records its retries only after its HELLO is sent, so the referee can
+// have registered it and issued the first ROUND_BATCH by then; a
+// one-round RunStats would otherwise report none.
+func TestBatchChunkClaimsRetriesRecordedInFlight(t *testing.T) {
+	rule := &gateRule{treeTestRule: treeTestRule{bits: 1}, entered: make(chan struct{}), release: make(chan struct{})}
+	rule.armed.Store(true)
+	cfg := poolConfig(NewMemTransport(), 0, 10*time.Second)
+	cfg.Rule = rule
+	bs, err := newBatchSession(context.Background(), poolCluster(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := bs.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	go func() {
+		<-rule.entered
+		bs.addRetries(2)
+		close(rule.release)
+	}()
+	out := make([]engine.RoundResult, 1)
+	if err := bs.runChunk(context.Background(), 5, 0, []dist.Sampler{uniformSampler(t, 16)}, 1, out); err != nil {
+		t.Fatalf("chunk: %v", err)
+	}
+	if out[0].Retries != 2 {
+		t.Errorf("retries recorded while the batch was in flight = %d, want 2", out[0].Retries)
+	}
+}
+
 // listenCounter counts the listeners a session opens on its transport.
 type listenCounter struct {
 	Transport

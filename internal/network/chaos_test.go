@@ -14,7 +14,7 @@ import (
 // The chaos suite drives a quorum-mode cluster through a FaultTransport
 // with a mix of injected faults — crashes, dropped dials, delays and
 // payload corruption — and checks that every round still reaches the
-// correct verdict with the damage accounted for in RoundStats.
+// correct verdict with the damage accounted for in its RoundResult.
 
 // paritySampler samples a distribution whose support is all-even (accept
 // under parityRule) or all-odd (reject) outcomes of [0, 4).
@@ -123,8 +123,8 @@ func TestClusterSurvivesChaos(t *testing.T) {
 			// Round 1 on: players 2 (crashed) and 4 (corrupted) drop too.
 			wantStragglers := []int{2, 4, 4}
 			for i, s := range stats {
-				if s.Round != i {
-					t.Errorf("stats[%d].Round = %d", i, s.Round)
+				if s.Trial != i {
+					t.Errorf("stats[%d].Trial = %d", i, s.Trial)
 				}
 				if s.Stragglers != wantStragglers[i] {
 					t.Errorf("round %d stragglers = %d, want %d", i, s.Stragglers, wantStragglers[i])

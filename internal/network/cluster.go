@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
@@ -17,7 +16,8 @@ import (
 // networked deployment plugs into the same measurement harness as the
 // in-process SMP simulator. With MinVotes set it runs in quorum mode:
 // stragglers, crashed nodes and protocol violators are tolerated down to
-// the quorum and reported in RoundStats instead of failing the round.
+// the quorum and reported in each trial's engine.RoundResult instead of
+// failing the round.
 type Cluster struct {
 	k         int
 	q         int
@@ -190,45 +190,33 @@ func (c *Cluster) RunContext(ctx context.Context, sampler dist.Sampler, rng *ran
 	return accept, err
 }
 
-// RunStats is RunContext with the trial's statistics: votes received,
-// stragglers tolerated, node-side connect retries, and wall time.
-func (c *Cluster) RunStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand) (bool, RoundStats, error) {
-	if rng == nil {
-		return false, RoundStats{}, fmt.Errorf("network: nil rng")
+// RunStats is RunContext with the trial's accounting: votes received,
+// stragglers tolerated, node-side connect retries, and wall time. It is
+// RunManyStats with one round.
+func (c *Cluster) RunStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand) (bool, engine.RoundResult, error) {
+	verdicts, results, err := c.RunManyStats(ctx, sampler, rng, 1)
+	if err != nil {
+		return false, engine.RoundResult{}, err
 	}
-	return c.RunRoundSeeded(ctx, sampler, rng.Uint64(), 0)
-}
-
-// RunRoundSeeded executes engine trial trial of base seed base: a session
-// carrying a single batch of one trial. The ROUND_BATCH frame names the
-// trial, and every node's samples and private coins derive from its
-// public coin engine.SharedSeed(base, trial) and the node's id, making
-// the verdict bit-identical to the in-process SMP simulator's for that
-// coin.
-func (c *Cluster) RunRoundSeeded(ctx context.Context, sampler dist.Sampler, base uint64, trial int) (bool, RoundStats, error) {
-	if sampler == nil {
-		return false, RoundStats{}, fmt.Errorf("network: nil sampler")
-	}
-	var out [1]engine.RoundResult
-	if err := c.runSeeds(ctx, base, trial, []dist.Sampler{sampler}, out[:]); err != nil {
-		return false, RoundStats{}, err
-	}
-	return out[0].Verdict, roundStats(0, out[0]), nil
+	return verdicts[0], results[0], nil
 }
 
 // RunManyStats runs a multi-round session end to end: one connection per
-// node for all rounds, one verdict and one RoundStats per round. The
-// majority of the verdicts is the amplified decision (see core.Amplify).
-// Round i's public coin is engine.SharedSeed(base, i) for a base seed
-// drawn from rng, exactly as the engine derives trial seeds, so a
-// session's verdict sequence reproduces the in-process SMP backend's.
-// Rounds run lock-step, each a batch of one trial decided before the
-// next is issued, so a fault injected in one round (a crash, a corrupted
-// vote, a delay past the deadline) has settled its player's slot before
-// the next round's ROUND_BATCH goes out. With ClusterConfig.MinVotes set,
-// node failures injected by faults are tolerated down to the quorum and
-// a failed player stays absent for the rest of the session.
-func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, []RoundStats, error) {
+// node for all rounds, one verdict and one engine.RoundResult per round.
+// The majority of the verdicts is the amplified decision (see
+// core.Amplify). It is one engine call on a cluster backend of its own,
+// which it closes before it returns, so a Cluster holds nothing between
+// calls. Round i is engine trial i of a base seed drawn from rng, so its
+// public coin is engine.SharedSeed(base, i) and a session's verdict
+// sequence reproduces the in-process SMP backend's. Rounds run
+// lock-step on one worker, each a batch of one trial decided before the
+// next is issued, so a fault injected in one round (a crash, a
+// corrupted vote, a delay past the deadline) has settled its player's
+// slot before the next round's ROUND_BATCH goes out. With
+// ClusterConfig.MinVotes set, node failures injected by faults are
+// tolerated down to the quorum and a failed player stays absent for the
+// rest of the session.
+func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, []engine.RoundResult, error) {
 	if sampler == nil {
 		return nil, nil, fmt.Errorf("network: nil sampler")
 	}
@@ -238,22 +226,19 @@ func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *r
 	if rounds < 1 {
 		return nil, nil, fmt.Errorf("network: session with %d rounds", rounds)
 	}
-	base := rng.Uint64()
-	samplers := make([]dist.Sampler, rounds)
-	for i := range samplers {
-		samplers[i] = sampler
+	b := &clusterBackend{c: c}
+	results, err := engine.Run(ctx, b, engine.Fixed(sampler), rounds, engine.Options{Workers: 1, Seed: rng.Uint64()})
+	if closeErr := b.Close(); err == nil {
+		err = closeErr
 	}
-	out := make([]engine.RoundResult, rounds)
-	if err := c.runSeeds(ctx, base, 0, samplers, out); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	verdicts := make([]bool, rounds)
-	stats := make([]RoundStats, rounds)
-	for i, r := range out {
+	for i, r := range results {
 		verdicts[i] = r.Verdict
-		stats[i] = roundStats(i, r)
 	}
-	return verdicts, stats, nil
+	return verdicts, results, nil
 }
 
 // RunMany is RunManyStats without the statistics.
@@ -274,68 +259,4 @@ func MajorityVerdict(verdicts []bool) (bool, error) {
 		}
 	}
 	return 2*accepts > len(verdicts), nil
-}
-
-// roundStats maps one trial's engine accounting onto the cluster's
-// per-round stats.
-func roundStats(round int, r engine.RoundResult) RoundStats {
-	return RoundStats{
-		Round:      round,
-		Votes:      r.Votes,
-		Stragglers: r.Stragglers,
-		Retries:    r.Retries,
-		Wall:       r.Wall,
-		Verdict:    r.Verdict,
-	}
-}
-
-// runSeeds runs one session of len(samplers) lock-step trials, engine
-// trials first, first+1, ... of base seed base, with the cluster's own
-// nodes over a fresh listener; see runSession.
-func (c *Cluster) runSeeds(ctx context.Context, base uint64, first int, samplers []dist.Sampler, out []engine.RoundResult) error {
-	nodes, err := c.buildNodes()
-	if err != nil {
-		return err
-	}
-	l, err := c.tr.Listen()
-	if err != nil {
-		return fmt.Errorf("network: listen: %w", err)
-	}
-	return c.runSession(ctx, l, nodes, base, first, samplers, out)
-}
-
-// runSession opens a session on l with the given nodes (nil when the
-// players dial in from elsewhere), runs engine trial first+i of base
-// seed base with samplers[i] as its own batch of one trial, lock-step,
-// and closes the session. The session's accept phase is charged to the
-// first trial's wall time, and every node connect retry lands on the
-// first trial's Retries.
-func (c *Cluster) runSession(ctx context.Context, l net.Listener, nodes []*PlayerNode, base uint64, first int, samplers []dist.Sampler, out []engine.RoundResult) error {
-	sw := engine.StartStopwatch()
-	bs, err := openBatchSession(ctx, c, l, nodes)
-	if err != nil {
-		return err
-	}
-	openWall := sw.Elapsed()
-	var runErr error
-	for i := range samplers {
-		if runErr = bs.runChunk(ctx, base, first+i, samplers[i:i+1], 1, out[i:i+1]); runErr != nil {
-			break
-		}
-	}
-	closeErr := bs.Close()
-	if runErr != nil {
-		return runErr
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	out[0].Wall += openWall
-	retries := bs.takeRetries()
-	for i := 1; i < len(out); i++ {
-		retries += out[i].Retries
-		out[i].Retries = 0
-	}
-	out[0].Retries += retries
-	return nil
 }

@@ -2,7 +2,7 @@ package network
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"math/rand/v2"
 	"net"
 	"strings"
@@ -154,7 +154,8 @@ func TestClusterSharedSeedReachesAllNodes(t *testing.T) {
 
 func TestClusterMatchesInProcessSMP(t *testing.T) {
 	// The networked cluster and the in-process SMP runner implement the
-	// same protocol; their acceptance probabilities must agree.
+	// same protocol, and core.BackendFor gives both the engine's public
+	// coins, so they accept exactly the same trials.
 	const (
 		n   = 256
 		k   = 8
@@ -186,8 +187,56 @@ func TestClusterMatchesInProcessSMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(inProc.P-networked.P) > 0.15 {
-		t.Errorf("in-process %v vs networked %v", inProc.P, networked.P)
+	if networked.Successes != inProc.Successes {
+		t.Errorf("networked accepted %d of 200 trials, in-process %d", networked.Successes, inProc.Successes)
+	}
+}
+
+// verdictString renders verdicts as a string of 1 (accept) and 0
+// (reject).
+func verdictString(verdicts []bool) string {
+	b := make([]byte, len(verdicts))
+	for i, v := range verdicts {
+		b[i] = '0'
+		if v {
+			b[i] = '1'
+		}
+	}
+	return string(b)
+}
+
+// TestClusterVerdictStreamGolden pins the public verdict stream for a
+// fixed rng, on the flat star and the tree: RunMany's 64 rounds, then
+// 16 Run calls drawing from one rng. The literals were recorded before
+// RunManyStats became one engine call; a change to how a Cluster
+// derives its coins shows here.
+func TestClusterVerdictStreamGolden(t *testing.T) {
+	const (
+		wantMany = "1010110101101000110110110011110011100110000001101101100001111001"
+		wantRuns = "1100101110101010"
+	)
+	for _, shards := range []int{0, poolShards} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			c := poolCluster(t, poolConfig(NewMemTransport(), shards, 10*time.Second))
+			s := uniformSampler(t, 16)
+			verdicts, err := c.RunMany(context.Background(), s, testRand(2024), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := verdictString(verdicts); got != wantMany {
+				t.Errorf("RunMany verdicts\n got %s\nwant %s", got, wantMany)
+			}
+			rng := testRand(7)
+			runs := make([]bool, 16)
+			for i := range runs {
+				if runs[i], err = c.Run(s, rng); err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+			}
+			if got := verdictString(runs); got != wantRuns {
+				t.Errorf("Run verdicts\n got %s\nwant %s", got, wantRuns)
+			}
+		})
 	}
 }
 

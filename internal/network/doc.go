@@ -4,9 +4,10 @@
 // connections for tests and simulations, TCP loopback for the
 // deployment-shaped demo).
 //
-// A trial follows the model exactly, and every entry point — Cluster.Run,
-// Cluster.RunManyStats and the engine backend — runs it the same way, on
-// a batch session (batch.go) in which a single trial is a batch of one:
+// A trial follows the model exactly, and every entry point runs it the
+// same way: Cluster.Run and Cluster.RunManyStats are engine calls on a
+// cluster backend (NewBackend), which runs trials on batch sessions
+// (batch.go) in which a single trial is a batch of one:
 //
 //  1. Every player connects and sends HELLO with its player id and
 //     message width.
@@ -101,8 +102,8 @@
 // to the decision rule's own advice (a ThresholdRule counts absentees as
 // accepts, since a silent sensor cannot push the rejection count over
 // the threshold). A player that fails stays absent for the rest of the
-// session. Every round reports what happened in a RoundStats: votes
-// received, stragglers, node-side connect retries and wall time.
+// session. Every round reports what happened in an engine.RoundResult:
+// votes received, stragglers, node-side connect retries and wall time.
 //
 // Node-side, PlayerNode retries a failed dial or HELLO with exponential
 // backoff (SetRetryPolicy), so transient connection drops are survivable

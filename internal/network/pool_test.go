@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
+	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
+	"github.com/distributed-uniformity/dut/internal/stats"
 )
 
 // The session pool suite: the cluster backend parks each quiesced,
@@ -212,6 +214,114 @@ func TestSessionPoolReusesSessions(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBackendForClusterTakesBatchPath: core.BackendFor hands a cluster
+// its own batch backend. core.EstimateAcceptance on two workers then
+// opens one session per worker per call, and closes them before it
+// returns, instead of dialing the k players for every trial. Over that
+// backend the engine decides every trial exactly as network.NewBackend
+// and the SMP reference do for the same seed, and core.Separates and
+// core.Amplify agree with engine.Separates and engine.Amplify over
+// network.NewBackend, on the flat star and the tree.
+func TestBackendForClusterTakesBatchPath(t *testing.T) {
+	checkGoroutines(t)
+	const workers = 2
+	for _, topo := range []struct {
+		name   string
+		shards int
+	}{{"flat", 0}, {"tree", poolShards}} {
+		t.Run(topo.name, func(t *testing.T) {
+			ct, err := NewCountingTransport(NewMemTransport())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := poolConfig(ct, topo.shards, 10*time.Second)
+			c := poolCluster(t, cfg)
+			null, err := dist.Uniform(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			far, err := dist.PairedBump(16, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := stats.EstimateOptions{Seed: 0x5eed3, Parallelism: workers}
+			for call := 1; call <= 2; call++ {
+				if _, err := core.EstimateAcceptance(c, null, poolTrials, opts); err != nil {
+					t.Fatalf("call %d: %v", call, err)
+				}
+				hellos, aggHellos := helloCounts(ct)
+				if want := uint64(call * workers * poolPlayers); hellos != want {
+					t.Errorf("%d HELLO frames after %d call(s) on %d workers, want %d", hellos, call, workers, want)
+				}
+				if want := uint64(call * workers * topo.shards); aggHellos != want {
+					t.Errorf("%d AGG_HELLO frames after %d call(s) on %d workers, want %d", aggHellos, call, workers, want)
+				}
+			}
+
+			b, err := core.BackendFor(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb, ok := b.(*clusterBackend)
+			if !ok {
+				t.Errorf("BackendFor(cluster) = %T, want the cluster backend", b)
+			} else {
+				t.Cleanup(func() {
+					if err := cb.Close(); err != nil {
+						t.Errorf("close backend: %v", err)
+					}
+				})
+			}
+			eopts := engine.Options{Seed: opts.Seed, Workers: workers}
+			got := poolVerdicts(poolCall(t, b, poolTrials, eopts))
+			fresh, smp := freshVerdicts(t, cfg, poolTrials, eopts)
+			sameVerdicts(t, "BackendFor vs NewBackend", got, fresh)
+			sameVerdicts(t, "BackendFor vs the SMP reference", got, smp)
+
+			ok, acceptNull, acceptFar, err := core.Separates(c, null, far, 2.0/3, poolTrials, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nullSrc, err := engine.FromDist(null)
+			if err != nil {
+				t.Fatal(err)
+			}
+			farSrc, err := engine.FromDist(far)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sep, err := engine.Separates(context.Background(), testBackend(t, c), nullSrc, farSrc, 2.0/3, poolTrials, eopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != (sep.Outcome == engine.Separated) || acceptNull != sep.Null.Estimate.P || acceptFar != sep.Far.Estimate.P {
+				t.Errorf("core.Separates = %v, %v, %v; engine.Separates = %v, %v, %v",
+					ok, acceptNull, acceptFar, sep.Outcome, sep.Null.Estimate.P, sep.Far.Estimate.P)
+			}
+
+			amp, err := core.Amplify(c, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := uniformSampler(t, 16)
+			for seed := uint64(1); seed <= 4; seed++ {
+				accept, err := amp.Run(s, testRand(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := engine.Amplify(context.Background(), testBackend(t, c), engine.Fixed(s), 5,
+					engine.Options{Seed: testRand(seed).Uint64()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if accept != want {
+					t.Errorf("rng %d: core.Amplify accepted %v, engine.Amplify %v", seed, accept, want)
+				}
+			}
+		})
 	}
 }
 

@@ -13,30 +13,6 @@ import (
 	"github.com/distributed-uniformity/dut/internal/core"
 )
 
-// RoundStats describes one referee round of a (possibly fault-tolerant)
-// deployment: how many votes actually arrived, how many players
-// straggled, how hard the nodes had to retry, and how long the round
-// took. Cluster threads it back to callers of RunStats / RunManyStats.
-type RoundStats struct {
-	// Round is the 0-based round index within the session.
-	Round int
-	// Votes is the number of valid votes received.
-	Votes int
-	// Stragglers is k minus Votes: players absent, crashed, timed out or
-	// rejected for protocol violations.
-	Stragglers int
-	// Retries is the total number of node-side dial/HELLO retry attempts.
-	// It is filled in by Cluster (the referee cannot see retries); for
-	// multi-round sessions the setup-phase retries are reported on the
-	// first round's stats.
-	Retries int
-	// Wall is the wall-clock duration of the round; for the first round
-	// of a session it includes the accept phase.
-	Wall time.Duration
-	// Verdict is the referee's decision for the round.
-	Verdict bool
-}
-
 // connTracker collects accepted connections so that they are all closed
 // when the round/session ends and force-closed when the context dies.
 type connTracker struct {

@@ -50,9 +50,10 @@ func fakeCluster(t *testing.T, k int, rule core.LocalRule, timeout time.Duration
 	return c
 }
 
-// refereeTrials runs a session of the given number of lock-step trials
-// whose players are the scripts, each dialing in on its own goroutine,
-// and returns once the referee and every script are done.
+// refereeTrials runs a session of the given number of lock-step trials,
+// a chunk of one trial each, whose players are the scripts, each dialing
+// in on its own goroutine, and returns once the referee and every script
+// are done.
 func refereeTrials(t *testing.T, c *Cluster, trials int, players ...func(conn net.Conn)) ([]engine.RoundResult, error) {
 	t.Helper()
 	l, err := c.tr.Listen()
@@ -67,12 +68,20 @@ func refereeTrials(t *testing.T, c *Cluster, trials int, players ...func(conn ne
 			fakePlayer(c.tr, l.Addr(), script)
 		}()
 	}
-	samplers := make([]dist.Sampler, trials)
-	for i := range samplers {
-		samplers[i] = dist.NopSampler{}
-	}
+	ctx := context.Background()
 	out := make([]engine.RoundResult, trials)
-	err = c.runSession(context.Background(), l, nil, 7, 0, samplers, out)
+	bs, err := openBatchSession(ctx, c, l, nil)
+	if err == nil {
+		samplers := []dist.Sampler{dist.NopSampler{}}
+		for i := range out {
+			if err = bs.runChunk(ctx, 7, i, samplers, 1, out[i:i+1]); err != nil {
+				break
+			}
+		}
+		if closeErr := bs.Close(); err == nil {
+			err = closeErr
+		}
+	}
 	wg.Wait()
 	return out, err
 }

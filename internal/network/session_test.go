@@ -9,7 +9,6 @@ import (
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
-	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 func TestRunManyBasics(t *testing.T) {
@@ -229,11 +228,6 @@ func TestSessionCancellation(t *testing.T) {
 
 func TestRefereeSessionValidation(t *testing.T) {
 	c := fakeCluster(t, 1, acceptAllRule(), time.Second)
-	var out [1]engine.RoundResult
-	err := c.runSession(context.Background(), nil, nil, 1, 0, []dist.Sampler{dist.NopSampler{}}, out[:])
-	if err == nil {
-		t.Error("nil listener accepted")
-	}
 	if _, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(0), 0); err == nil {
 		t.Error("zero rounds accepted")
 	}

@@ -258,7 +258,7 @@ func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 
 // TestShardedKillAggregatorEqualsShardAbsent is the failure-domain
 // contract: crashing one aggregator mid-session yields the same
-// verdicts and RoundStats as every player of its shard crashing at the
+// verdicts and RoundResults as every player of its shard crashing at the
 // same round — on the tree and on the flat star alike.
 func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 	checkGoroutines(t)
@@ -268,7 +268,7 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 		rounds = 6
 		crash  = 4 // 1-based round of the first missing vote
 	)
-	run := func(t *testing.T, s int, cfg FaultConfig) ([]bool, []RoundStats) {
+	run := func(t *testing.T, s int, cfg FaultConfig) ([]bool, []engine.RoundResult) {
 		t.Helper()
 		ft, err := NewFaultTransport(NewMemTransport(), cfg)
 		if err != nil {
@@ -306,7 +306,7 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 	treeVerdicts, treeStats := run(t, shards, FaultConfig{Plans: shardPlans()})
 	flatVerdicts, flatStats := run(t, 0, FaultConfig{Plans: shardPlans()})
 
-	check := func(name string, verdicts []bool, stats []RoundStats) {
+	check := func(name string, verdicts []bool, stats []engine.RoundResult) {
 		t.Helper()
 		for i := 0; i < rounds; i++ {
 			if verdicts[i] != flatVerdicts[i] || verdicts[i] != stats[i].Verdict {
@@ -362,7 +362,7 @@ func TestShardedAggregatorNeverConnectsMatchesFlat(t *testing.T) {
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(s int, cfg FaultConfig) ([]bool, []RoundStats) {
+			run := func(s int, cfg FaultConfig) ([]bool, []engine.RoundResult) {
 				t.Helper()
 				ft, err := NewFaultTransport(NewMemTransport(), cfg)
 				if err != nil {
