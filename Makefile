@@ -2,23 +2,7 @@
 
 GO ?= go
 
-# bench regression gate: percent the gated metric may regress vs the
-# committed BENCH_engine.json before `make bench` fails; 0 disables.
-BENCH_MAX_REGRESS ?= 0
-# Metric the gate compares: trials_per_sec (a drop fails) or
-# allocs_per_op (an increase fails; deterministic, so the right choice
-# on noisy shared runners).
-BENCH_REGRESS_METRIC ?= trials_per_sec
-# Batch geometry of the engine benchmarks: trials per wire frame and
-# batches in flight. Empty uses the in-tree defaults (256/4); a batch of
-# 0 benches one trial per frame.
-BENCH_BATCH ?=
-BENCH_WINDOW ?=
-# Per-benchmark time budget passed to `go test -benchtime`, e.g. 2s or
-# 5000x for a fixed trial count (what CI uses for stable allocs/op).
-BENCH_TIME ?= 1s
-
-.PHONY: all build vet fmt staticcheck govulncheck lint lint-json lint-escape test test-short test-race cover bench bench-all bench-history verify results clean
+.PHONY: all build vet fmt staticcheck govulncheck lint lint-json lint-escape test test-short test-race cover bench-all verify results clean
 
 all: build test
 
@@ -97,8 +81,11 @@ lint-escape:
 # race anywhere on the aggregation path fails CI. The plain pass
 # includes the allocation guards (the sampler kernels, engine.ReusableRNG
 # reseeding and SampleInto, the SMP scratch hot path, the paper's
-# collision rules, and the L1 reduce/root decide path); they skip
-# themselves in the race pass, whose instrumentation allocates.
+# collision rules, the L1 reduce/root decide path, a warm batch on every
+# cluster geometry, and the engine's gates: a warm call on every backend
+# allocates a fixed count whatever its trial count, and a cold call on a
+# k=1024 referee tree stays within its budget); they skip themselves in
+# the race pass, whose instrumentation allocates.
 # dutlint runs once here: all ten rules share one cached load and call
 # graph per invocation, so splitting rules across targets would re-pay
 # the load cost per rule for nothing.
@@ -116,35 +103,9 @@ test-race:
 cover:
 	$(GO) test -cover ./...
 
-# Engine throughput: trials/sec per backend (SMP, cluster, CONGEST)
-# under the unified driver, distilled into BENCH_engine.json. The
-# committed report is read first and per-benchmark deltas (trials/sec,
-# B/op, allocs/op) are printed before it is overwritten. BENCH_BATCH /
-# BENCH_WINDOW select the wire batch geometry, BENCH_TIME the benchtime,
-# and BENCH_MAX_REGRESS / BENCH_REGRESS_METRIC the regression gate.
-bench:
-	BENCH_BATCH=$(BENCH_BATCH) BENCH_WINDOW=$(BENCH_WINDOW) \
-		$(GO) test -bench . -benchmem -benchtime $(BENCH_TIME) -run '^$$' ./internal/engine | tee bench_engine.txt
-	$(GO) run ./cmd/benchjson -baseline BENCH_engine.json -o BENCH_engine.json \
-		-max-regress $(BENCH_MAX_REGRESS) -regress-metric $(BENCH_REGRESS_METRIC) < bench_engine.txt
-	@echo "wrote BENCH_engine.json"
-	@mkdir -p results/bench
-	@sha="$$(git rev-parse --short HEAD 2>/dev/null || echo nogit)"; \
-	dirty=""; \
-	if [ -n "$$(git status --porcelain -- . ':!BENCH_engine.json' ':!bench_engine.txt' ':!results' 2>/dev/null)" ]; then dirty="-dirty"; fi; \
-	cp BENCH_engine.json "results/bench/$$sha$$dirty.json"; \
-	echo "archived results/bench/$$sha$$dirty.json"
-
 # Every benchmark in the repository (experiments + micro-benchmarks).
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
-
-# Per-benchmark trend table over the archived `make bench` reports:
-# trials/sec and allocs/op per commit, rendered to
-# results/bench/TREND.md. CI regenerates and uploads it next to
-# BENCH_engine.json after the bench gate.
-bench-history:
-	$(GO) run ./cmd/benchjson -history results/bench
 
 # Numeric verification of every lemma/claim (exhaustive small instances).
 verify:
@@ -155,4 +116,4 @@ results:
 	$(GO) run ./cmd/dut exp -run all -scale 1 -seed 1 -out results -csv
 
 clean:
-	rm -f test_output.txt bench_output.txt bench_engine.txt dutlint.json
+	rm -f test_output.txt bench_output.txt dutlint.json

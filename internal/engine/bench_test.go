@@ -1,13 +1,16 @@
 package engine_test
 
-// Benchmarks comparing trial throughput across the three backends under
-// the same engine driver. `make bench` runs these and distills them into
-// BENCH_engine.json (trials/sec per backend).
+// Micro-benchmarks of trial throughput across the three backends under
+// the same engine driver, run by hand:
+//
+//	go test -run '^$' -bench Engine -benchmem ./internal/engine
+//
+// They are not a gate: TestWarmCallAllocsFixed and
+// TestColdTreeCallAllocs hold the allocation counts, and the bench/
+// module measures the end-to-end workloads.
 
 import (
 	"context"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -18,77 +21,46 @@ import (
 	"github.com/distributed-uniformity/dut/internal/network"
 )
 
-// Batch geometry of the benchmarks, overridable via BENCH_BATCH /
-// BENCH_WINDOW (0 disables batching). The defaults are the headline
-// configuration BENCH_engine.json records.
+// Batch geometry of the benchmarks: trials per batch frame and batches in
+// flight per worker.
 const (
-	benchDefaultBatch  = 256
-	benchDefaultWindow = 4
+	benchBatch  = 256
+	benchWindow = 4
 )
 
-func benchEnvInt(b *testing.B, name string, def int) int {
-	b.Helper()
-	v := os.Getenv(name)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		b.Fatalf("%s=%q: want a non-negative integer", name, v)
-	}
-	return n
-}
-
-func benchSource(b *testing.B) engine.Source {
-	b.Helper()
-	u, err := dist.Uniform(xbDomain)
+// uniformSource serves the alias sampler of the uniform distribution on
+// n elements.
+func uniformSource(tb testing.TB, n int) engine.Source {
+	tb.Helper()
+	u, err := dist.Uniform(n)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	src, err := engine.FromDist(u)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return src
 }
 
-func benchRun(b *testing.B, backend engine.Backend) {
-	b.Helper()
-	benchRunWorkers(b, backend, 0)
-}
-
-func benchRunWorkers(b *testing.B, backend engine.Backend, workers int) {
-	b.Helper()
-	benchRunSource(b, backend, benchSource(b), workers)
-}
-
-func benchRunSource(b *testing.B, backend engine.Backend, src engine.Source, workers int) {
-	b.Helper()
-	opts := engine.Options{
-		Seed:    xbSeed,
-		Workers: workers,
-		Batch:   benchEnvInt(b, "BENCH_BATCH", benchDefaultBatch),
-		Window:  benchEnvInt(b, "BENCH_WINDOW", benchDefaultWindow),
-	}
-	b.ResetTimer()
-	if _, err := engine.Run(context.Background(), backend, src, b.N, opts); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkEngineSMP(b *testing.B) {
+// smpBackend is the in-process SMP row: xbRule on xbPlayers players
+// under a threshold referee.
+func smpBackend(tb testing.TB) (engine.Backend, engine.Source) {
+	tb.Helper()
 	p, err := core.NewSMP(xbPlayers, xbSamples, xbRule(), core.BitReferee{Rule: core.ThresholdRule{T: 2}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	backend, err := core.BackendFor(p)
+	b, err := core.BackendFor(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	benchRun(b, backend)
+	return b, xbSource(tb)
 }
 
-func BenchmarkEngineCluster(b *testing.B) {
+// flatClusterBackend is smpBackend's protocol on a flat cluster star.
+func flatClusterBackend(tb testing.TB) (engine.Backend, engine.Source) {
+	tb.Helper()
 	c, err := network.NewCluster(network.ClusterConfig{
 		K: xbPlayers, Q: xbSamples,
 		Rule:      xbRule(),
@@ -97,95 +69,42 @@ func BenchmarkEngineCluster(b *testing.B) {
 		Timeout:   10 * time.Second,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	backend := clusterBackend(b, c)
-	benchRun(b, backend)
+	return clusterBackend(tb, c), xbSource(tb)
 }
 
-// BenchmarkEngineClusterSharded is the committed large-k row: the same
-// driver pushed through the two-tier referee tree at 10,000 players and
-// 16 L1 aggregators — the regime the flat accept loop cannot reach with
-// one aggregation point. Each engine worker owns a full 10k-node
-// session, so the worker count is pinned: it bounds the goroutine count
-// on wide hosts, and it keeps allocs/op (the CI-gated metric, dominated
-// here by per-session setup amortized over the fixed trial budget)
-// host-independent.
-func BenchmarkEngineClusterSharded(b *testing.B) {
-	const (
-		shardedK    = 10000
-		shardedAggs = 16
-	)
-	c, err := network.NewCluster(network.ClusterConfig{
-		K: shardedK, Q: xbSamples,
-		Rule:      xbRule(),
-		Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 2 * shardedK / 5}},
-		Transport: network.NewMemTransport(),
-		Timeout:   60 * time.Second,
-		Shards:    shardedAggs,
-	})
+// congestBackend runs a CONGEST tester on the graph over uniform input
+// on n elements.
+func congestBackend(tb testing.TB, graph *congest.Graph, q int, rule core.LocalRule, threshold, n int) (engine.Backend, engine.Source) {
+	tb.Helper()
+	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Root: 0, Q: q, Rule: rule, T: threshold})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	backend := clusterBackend(b, c)
-	benchRunWorkers(b, backend, 2)
-}
-
-// BenchmarkEngineClusterSharded100k is the widest row: 100,000 players
-// behind 32 L1 aggregators. Per batch the root writes one ROUND_BATCH to
-// each aggregator, 32 frames where a flat star would write 100k, and
-// reads one AGG_SUM back from each; the aggregators relay the ROUND_BATCH
-// to their shards and reduce the votes in parallel. A single pinned
-// worker owns the whole 100k-node session: the session's goroutine
-// count already saturates the host, and pinning keeps allocs/op — the
-// CI-gated metric, archived per commit in results/bench/<sha>.json —
-// host-independent.
-func BenchmarkEngineClusterSharded100k(b *testing.B) {
-	const (
-		shardedK    = 100_000
-		shardedAggs = 32
-	)
-	c, err := network.NewCluster(network.ClusterConfig{
-		K: shardedK, Q: xbSamples,
-		Rule:      xbRule(),
-		Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 2 * shardedK / 5}},
-		Transport: network.NewMemTransport(),
-		Timeout:   120 * time.Second,
-		Shards:    shardedAggs,
-	})
+	b, err := congest.NewBackend(tester)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	backend := clusterBackend(b, c)
-	benchRunWorkers(b, backend, 1)
+	return b, uniformSource(tb, n)
 }
 
-func BenchmarkEngineCONGEST(b *testing.B) {
+// k5Backend is smpBackend's protocol on CONGEST's complete graph K5,
+// where every node has mail in every round.
+func k5Backend(tb testing.TB) (engine.Backend, engine.Source) {
+	tb.Helper()
 	graph, err := congest.Complete(xbPlayers)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	tester, err := congest.NewTester(congest.TesterConfig{
-		Graph: graph, Root: 0, Q: xbSamples, Rule: xbRule(), T: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	backend, err := congest.NewBackend(tester)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRun(b, backend)
+	return congestBackend(tb, graph, xbSamples, xbRule(), 2, xbDomain)
 }
 
-// BenchmarkEngineCONGESTGrid is the CONGEST row at dutbench's
-// congest-grid size: FMO's threshold tester at n=64, eps=0.5 on a 16x16
-// grid (k=256, q=22) over uniform input. A trial runs 92 rounds, and in
-// most of them most nodes have no mail, so this row measures the
-// event-driven simulator; EngineCONGEST on K5, where every node has mail
-// in every round, is the control. Each engine worker builds its scratch
-// (256 node programs and the simulator's round buffers) once per run.
-func BenchmarkEngineCONGESTGrid(b *testing.B) {
+// gridBackend is dutbench's congest-grid: FMO's threshold tester at
+// n=64, eps=0.5 on a 16x16 grid (k=256, q=22) over uniform input. A
+// trial runs 92 rounds, and in most of them most nodes have no mail.
+func gridBackend(tb testing.TB) (engine.Backend, engine.Source) {
+	tb.Helper()
 	const (
 		n    = 64
 		side = 16
@@ -195,27 +114,91 @@ func BenchmarkEngineCONGESTGrid(b *testing.B) {
 	q := core.RecommendedThresholdSamples(n, k, eps)
 	fmo, err := core.NewThresholdTester(core.ThresholdTesterConfig{N: n, K: k, Q: q, Eps: eps})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	graph, err := congest.Grid(side, side)
 	if err != nil {
+		tb.Fatal(err)
+	}
+	return congestBackend(tb, graph, q, fmo.Local(), 0, n)
+}
+
+func benchRun(b *testing.B, backend engine.Backend, src engine.Source, workers int) {
+	b.Helper()
+	opts := engine.Options{
+		Seed:    xbSeed,
+		Workers: workers,
+		Batch:   benchBatch,
+		Window:  benchWindow,
+	}
+	b.ResetTimer()
+	if _, err := engine.Run(context.Background(), backend, src, b.N, opts); err != nil {
 		b.Fatal(err)
 	}
-	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Root: 0, Q: q, Rule: fmo.Local()})
+}
+
+func BenchmarkEngineSMP(b *testing.B) {
+	backend, src := smpBackend(b)
+	benchRun(b, backend, src, 0)
+}
+
+func BenchmarkEngineCluster(b *testing.B) {
+	backend, src := flatClusterBackend(b)
+	benchRun(b, backend, src, 0)
+}
+
+// shardedBackend is xbRule on a referee tree of k players under aggs L1
+// aggregators.
+func shardedBackend(b *testing.B, k, aggs int, timeout time.Duration) engine.Backend {
+	b.Helper()
+	c, err := network.NewCluster(network.ClusterConfig{
+		K: k, Q: xbSamples,
+		Rule:      xbRule(),
+		Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 2 * k / 5}},
+		Transport: network.NewMemTransport(),
+		Timeout:   timeout,
+		Shards:    aggs,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend, err := congest.NewBackend(tester)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u, err := dist.Uniform(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := engine.FromDist(u)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRunSource(b, backend, src, 0)
+	return clusterBackend(b, c)
+}
+
+// BenchmarkEngineClusterSharded is the large-k row: the same driver
+// pushed through the two-tier referee tree at 10,000 players and 16 L1
+// aggregators — the regime the flat accept loop cannot reach with one
+// aggregation point. Each engine worker owns a full 10k-node session, so
+// the worker count is pinned: it bounds the goroutine count on wide
+// hosts, and it keeps allocs/op (dominated here by per-session setup
+// amortized over the trial count) host-independent.
+func BenchmarkEngineClusterSharded(b *testing.B) {
+	benchRun(b, shardedBackend(b, 10_000, 16, 60*time.Second), xbSource(b), 2)
+}
+
+// BenchmarkEngineClusterSharded100k is the widest row: 100,000 players
+// behind 32 L1 aggregators. Per batch the root writes one ROUND_BATCH to
+// each aggregator, 32 frames where a flat star would write 100k, and
+// reads one AGG_SUM back from each; the aggregators relay the ROUND_BATCH
+// to their shards and reduce the votes in parallel. A single pinned
+// worker owns the whole 100k-node session: the session's goroutine
+// count already saturates the host, and pinning keeps allocs/op
+// host-independent.
+func BenchmarkEngineClusterSharded100k(b *testing.B) {
+	benchRun(b, shardedBackend(b, 100_000, 32, 120*time.Second), xbSource(b), 1)
+}
+
+func BenchmarkEngineCONGEST(b *testing.B) {
+	backend, src := k5Backend(b)
+	benchRun(b, backend, src, 0)
+}
+
+// BenchmarkEngineCONGESTGrid is the CONGEST row at dutbench's
+// congest-grid size (gridBackend). It measures the event-driven
+// simulator; EngineCONGEST on K5 is the control. Each engine worker
+// builds its scratch (256 node programs and the simulator's round
+// buffers) once per run.
+func BenchmarkEngineCONGESTGrid(b *testing.B) {
+	backend, src := gridBackend(b)
+	benchRun(b, backend, src, 0)
 }

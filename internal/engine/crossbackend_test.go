@@ -64,17 +64,9 @@ func xbRule() core.LocalRule {
 	})
 }
 
-func xbSource(t *testing.T) engine.Source {
-	t.Helper()
-	u, err := dist.Uniform(xbDomain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := engine.FromDist(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
+func xbSource(tb testing.TB) engine.Source {
+	tb.Helper()
+	return uniformSource(tb, xbDomain)
 }
 
 func runVerdicts(t *testing.T, b engine.Backend) []bool {

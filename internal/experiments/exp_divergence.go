@@ -54,12 +54,14 @@ func e14() Experiment {
 				if !lowerbound.Lemma42Precondition(in.N(), in.Q, in.Eps) {
 					continue
 				}
-				strategies := map[string]func() (boolfn.Func, error){
-					"random p=0.5":  func() (boolfn.Func, error) { return lowerbound.RandomStrategy(in, 0.5, rng) },
-					"sign detector": func() (boolfn.Func, error) { return lowerbound.SignAgreementDetector(in) },
-				}
-				for name, mk := range strategies {
-					g, err := mk()
+				for _, st := range []struct {
+					name string
+					mk   func() (boolfn.Func, error)
+				}{
+					{"random p=0.5", func() (boolfn.Func, error) { return lowerbound.RandomStrategy(in, 0.5, rng) }},
+					{"sign detector", func() (boolfn.Func, error) { return lowerbound.SignAgreementDetector(in) }},
+				} {
+					g, err := st.mk()
 					if err != nil {
 						return nil, err
 					}
@@ -79,7 +81,7 @@ func e14() Experiment {
 						return nil, err
 					}
 					budget.MustAddRow(
-						FmtInt(ic.ell), FmtInt(ic.q), FmtF(ic.eps), name,
+						FmtInt(ic.ell), FmtInt(ic.q), FmtF(ic.eps), st.name,
 						FmtSci(div), FmtSci(bound), FmtRatio(ratioOrZero(div, bound)),
 					)
 				}

@@ -24,9 +24,16 @@ func lemmaInstances() []struct {
 	}
 }
 
-// strategyMenu enumerates the strategies each lemma is checked against.
-func strategyMenu(in lowerbound.Instance, rng *rand.Rand) (map[string]boolfn.Func, error) {
-	menu := make(map[string]boolfn.Func)
+// namedStrategy is one entry of a strategy menu.
+type namedStrategy struct {
+	name string
+	g    boolfn.Func
+}
+
+// strategyMenu enumerates the strategies each lemma is checked against,
+// in a fixed order.
+func strategyMenu(in lowerbound.Instance, rng *rand.Rand) ([]namedStrategy, error) {
+	var menu []namedStrategy
 	for _, p := range []struct {
 		name string
 		p    float64
@@ -35,29 +42,30 @@ func strategyMenu(in lowerbound.Instance, rng *rand.Rand) (map[string]boolfn.Fun
 		if err != nil {
 			return nil, err
 		}
-		menu[p.name] = g
+		menu = append(menu, namedStrategy{p.name, g})
 	}
 	sign, err := lowerbound.SignAgreementDetector(in)
 	if err != nil {
 		return nil, err
 	}
-	menu["sign detector"] = sign
 	matched, err := lowerbound.MatchedPairDetector(in)
 	if err != nil {
 		return nil, err
 	}
-	menu["matched detector"] = matched
 	optimal, _, err := lowerbound.OptimalFirstMomentStrategy(in)
 	if err != nil {
 		return nil, err
 	}
-	menu["OPTIMAL (1st moment)"] = optimal
+	menu = append(menu,
+		namedStrategy{"sign detector", sign},
+		namedStrategy{"matched detector", matched},
+		namedStrategy{"OPTIMAL (1st moment)", optimal})
 	if lowerbound.AdversaryFeasible(in) {
 		greedy, _, err := lowerbound.GreedySecondMomentAdversary(in, optimal, 50)
 		if err != nil {
 			return nil, err
 		}
-		menu["GREEDY (2nd moment)"] = greedy
+		menu = append(menu, namedStrategy{"GREEDY (2nd moment)", greedy})
 	}
 	return menu, nil
 }
@@ -85,8 +93,8 @@ func e6() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				for name, g := range menu {
-					e, err := lowerbound.NewDiffEvaluator(in, g)
+				for _, st := range menu {
+					e, err := lowerbound.NewDiffEvaluator(in, st.g)
 					if err != nil {
 						return nil, err
 					}
@@ -111,7 +119,7 @@ func e6() Experiment {
 						worst42 = r42
 					}
 					table.MustAddRow(
-						FmtInt(ic.ell), FmtInt(ic.q), FmtF(ic.eps), name,
+						FmtInt(ic.ell), FmtInt(ic.q), FmtF(ic.eps), st.name,
 						FmtSci(math.Abs(mean)), FmtSci(b51), FmtRatio(r51),
 						FmtSci(second), FmtSci(b42), FmtRatio(r42),
 					)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
@@ -15,26 +14,18 @@ import (
 // successTarget is the paper's correctness requirement.
 const successTarget = 2.0 / 3
 
-// errOnce keeps the first error recorded across trial goroutines, for
-// experiments still driving stats.EstimateSuccess directly.
-type errOnce struct {
-	mu  sync.Mutex
-	err error
-}
+// errOnce keeps the first error a stats.EstimateSuccess trial records:
+// a trial function reports success only, so an experiment's trial files
+// its error here and checks it once the estimate returns.
+type errOnce struct{ err error }
 
 func (e *errOnce) record(err error) {
-	e.mu.Lock()
 	if e.err == nil {
 		e.err = err
 	}
-	e.mu.Unlock()
 }
 
-func (e *errOnce) get() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
+func (e *errOnce) get() error { return e.err }
 
 // engineOptions maps the legacy estimation options onto the engine's.
 func engineOptions(opts stats.EstimateOptions) engine.Options {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,36 @@ func TestRegistryRejectsNegativeParallelism(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "parallelism") {
 			t.Errorf("%s: error %q does not mention parallelism", e.ID, err)
+		}
+	}
+}
+
+// TestTablesIndependentOfCoreCount runs every registered experiment at a
+// small scale under GOMAXPROCS 1 and 4 and requires identical tables: a
+// table is a function of its seed and scale alone, never of the core
+// count or of map order, so `make results` prints the committed files on
+// any machine.
+func TestTablesIndependentOfCoreCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment, twice, in -short mode")
+	}
+	cfg := Config{Scale: 0.01, Seed: 1}
+	tables := func(procs int) map[string]string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := make(map[string]string)
+		for _, e := range Registry() {
+			table, err := e.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s under GOMAXPROCS %d: %v", e.ID, procs, err)
+			}
+			out[e.ID] = table.Markdown()
+		}
+		return out
+	}
+	one, four := tables(1), tables(4)
+	for _, e := range Registry() {
+		if one[e.ID] != four[e.ID] {
+			t.Errorf("%s prints different tables under GOMAXPROCS 1 and 4:\n%s\n%s", e.ID, one[e.ID], four[e.ID])
 		}
 	}
 }

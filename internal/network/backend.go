@@ -22,7 +22,7 @@ import (
 //
 // Sessions outlive an engine call. A worker takes a parked session if
 // one is idle and opens one otherwise; when it retires, its session
-// parks once it has quiesced healthy (release). A parked session that no
+// parks once it has quiesced healthy (park). A parked session that no
 // call takes within one timeout is closed by its timer, and Close closes
 // every parked session. A session is only opened when none is parked, so
 // the pool never holds more sessions than were live at once.
@@ -110,26 +110,25 @@ func (b *clusterBackend) take() *batchSession {
 	}
 }
 
-// release ends a worker's hold on its session. The session parks when
-// it quiesces healthy, its call's cancellation has not reached it and
-// the backend is open; otherwise it is closed.
-func (b *clusterBackend) release(bs *batchSession) error {
+// park parks a worker's session for the backend's next call when it
+// quiesces healthy, its call's cancellation has not reached it and the
+// backend is open, and reports whether it did.
+func (b *clusterBackend) park(bs *batchSession) bool {
 	if !bs.quiesce() || !bs.untie() {
-		return bs.Close()
+		return false
 	}
 	// Its nodes now sit in their frame loops, so whoever closes the
 	// parked session waits for them all.
 	bs.callCtx = context.Background()
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
-		return bs.Close()
+		return false
 	}
 	p := &parkedSession{bs: bs}
 	p.timer = time.AfterFunc(b.c.timeout, func() { b.evict(p) })
 	b.idle = append(b.idle, p)
-	b.mu.Unlock()
-	return nil
+	return true
 }
 
 // evict closes a session its timer found still parked.
@@ -166,21 +165,30 @@ type clusterScratch struct {
 	// failed marks a session a chunk failed on: it can hold batches in
 	// flight or be torn down already, so it is closed, never parked.
 	failed bool
+	// last is the result of the last trial the worker ran.
+	last *engine.RoundResult
 }
 
 // Close implements io.Closer: it releases the worker's session, if it
-// holds one.
+// holds one. A session that does not park is closed, and the connect
+// retries its teardown waited out go on the worker's last trial: a node
+// still dialling when that trial was decided records them only then,
+// after every chunk has claimed its own.
 func (s *clusterScratch) Close() error {
-	bs := s.batch
+	bs, last := s.batch, s.last
 	if bs == nil {
 		return nil
 	}
-	s.batch = nil
-	if s.failed {
-		s.failed = false
-		return bs.Close()
+	s.batch, s.last = nil, nil
+	if !s.failed && s.b.park(bs) {
+		return nil
 	}
-	return s.b.release(bs)
+	s.failed = false
+	err := bs.Close()
+	if last != nil {
+		last.Retries += bs.takeRetries()
+	}
+	return err
 }
 
 // NewScratch implements engine.ScratchBackend; the session itself is
@@ -190,11 +198,16 @@ func (b *clusterBackend) NewScratch() any { return &clusterScratch{b: b} }
 // RunRound implements engine.Backend: one trial on a session of its own.
 func (b *clusterBackend) RunRound(ctx context.Context, spec engine.RoundSpec) (engine.RoundResult, error) {
 	cs := clusterScratch{b: b}
-	res, err := b.RunRoundScratch(ctx, spec, &cs)
-	if closeErr := cs.Close(); err == nil && closeErr != nil {
-		return engine.RoundResult{}, closeErr
+	specs := [1]engine.RoundSpec{spec}
+	var out [1]engine.RoundResult
+	err := b.RunRoundsScratch(ctx, &cs, specs[:], 1, out[:])
+	if closeErr := cs.Close(); err == nil {
+		err = closeErr
 	}
-	return res, err
+	if err != nil {
+		return engine.RoundResult{}, err
+	}
+	return out[0], nil
 }
 
 // RunRoundScratch implements engine.ScratchBackend: a chunk of one trial.
@@ -258,9 +271,10 @@ func (b *clusterBackend) RunRoundsScratch(ctx context.Context, scratch any, spec
 		samplers = append(samplers, spec.Sampler)
 	}
 	cs.batch.samplers = samplers
-	err := cs.batch.runChunk(ctx, base, first, samplers, batch, out)
-	if err != nil {
+	if err := cs.batch.runChunk(ctx, base, first, samplers, batch, out); err != nil {
 		cs.failed = true
+		return err
 	}
-	return err
+	cs.last = &out[len(out)-1]
+	return nil
 }

@@ -153,6 +153,40 @@ func TestBatchChunkClaimsRetriesRecordedInFlight(t *testing.T) {
 	}
 }
 
+// TestClosedSessionReportsTeardownRetries: a player whose every dial is
+// dropped spends its retry budget after the quorum accept phase has
+// ended, so its retries are recorded after the only trial was gathered.
+// The session has an absent player and does not park; its worker's
+// scratch closes it, waits for the player, and reports the two retries
+// on the trial. Each RunStats opens and closes its own session.
+func TestClosedSessionReportsTeardownRetries(t *testing.T) {
+	ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{Plans: map[uint32]FaultPlan{3: {DropDials: 100}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterConfig{
+		K: 4, Q: 1, Rule: acceptAllRule(), Referee: andReferee(),
+		Transport: ft, Timeout: 100 * time.Millisecond, MinVotes: 3,
+		DialRetries: 2, RetryBackoff: 80 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := testRand(41)
+	for call := 1; call <= 3; call++ {
+		_, res, err := c.RunStats(context.Background(), uniformSampler(t, 16), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Retries != 2 || res.Votes != 3 {
+			t.Errorf("call %d: %d retries, %d votes; want 2 retries, 3 votes", call, res.Retries, res.Votes)
+		}
+		if got := ft.Stats().DialsDropped; got != 3*call {
+			t.Errorf("call %d: %d dials dropped in all, want %d", call, got, 3*call)
+		}
+	}
+}
+
 // listenCounter counts the listeners a session opens on its transport.
 type listenCounter struct {
 	Transport

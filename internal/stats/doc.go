@@ -3,8 +3,8 @@
 // confidence intervals for Bernoulli estimates, special functions
 // (regularized incomplete gamma, chi-square and normal tails), combinatorial
 // helpers (double factorials, log-binomials), Monte-Carlo success-probability
-// estimation with parallel trials, and monotone threshold search used to
-// measure empirical sample complexities.
+// estimation, and monotone threshold search used to measure empirical
+// sample complexities.
 //
 // Everything is implemented from scratch against published formulas
 // (Numerical Recipes-style series/continued-fraction evaluation for the

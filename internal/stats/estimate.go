@@ -3,8 +3,6 @@ package stats
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
-	"sync"
 )
 
 // TrialFunc runs one randomized trial and reports success. Implementations
@@ -21,24 +19,27 @@ type SuccessEstimate struct {
 	CI        Interval // Wilson interval at the requested confidence
 }
 
-// EstimateOptions configures EstimateSuccess. The zero value requests
-// sequential execution, 95% confidence, and seed 0.
+// EstimateOptions configures EstimateSuccess and the engine-backed
+// estimators that take it. The zero value requests 95% confidence and
+// seed 0.
 type EstimateOptions struct {
-	// Parallelism is the number of worker goroutines; 0 or negative means
-	// GOMAXPROCS.
+	// Parallelism is the engine worker count of the engine-backed
+	// wrappers core.EstimateAcceptance and core.Separates (and of the
+	// experiments' engine helpers); 0 or negative means GOMAXPROCS, and
+	// their results do not depend on it. EstimateSuccess ignores it.
 	Parallelism int
 	// Confidence is the Wilson interval confidence level; 0 means 0.95.
 	Confidence float64
-	// Seed derives the per-worker generators; runs with equal seeds and
-	// parallelism produce identical counts.
+	// Seed derives the trial generator; runs with equal seeds produce
+	// identical counts.
 	Seed uint64
 }
 
 // EstimateSuccess runs the trial function the requested number of times and
 // returns the empirical success probability with a Wilson confidence
-// interval. Trials are distributed over worker goroutines, each with an
-// independent seeded generator, so results are deterministic for a fixed
-// (Seed, Parallelism) pair.
+// interval. The trials run in order on one generator seeded from
+// opts.Seed, so the estimate is a function of the seed alone, whatever
+// machine runs it.
 func EstimateSuccess(trials int, f TrialFunc, opts EstimateOptions) (SuccessEstimate, error) {
 	if trials <= 0 {
 		return SuccessEstimate{}, fmt.Errorf("stats: estimating with %d trials", trials)
@@ -46,89 +47,26 @@ func EstimateSuccess(trials int, f TrialFunc, opts EstimateOptions) (SuccessEsti
 	if f == nil {
 		return SuccessEstimate{}, fmt.Errorf("stats: nil trial function")
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
 	confidence := opts.Confidence
 	//lint:ignore dut/floateq exact zero-value Options sentinel, never a computed float
 	if confidence == 0 {
 		confidence = 0.95
 	}
-
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := trials * w / workers
-		hi := trials * (w + 1) / workers
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(opts.Seed, uint64(w)*0x9e3779b97f4a7c15+1))
-			succ := 0
-			for i := 0; i < n; i++ {
-				if f(rng) {
-					succ++
-				}
-			}
-			counts[w] = succ
-		}(w, hi-lo)
+	rng := rand.New(rand.NewPCG(opts.Seed, 1))
+	successes := 0
+	for i := 0; i < trials; i++ {
+		if f(rng) {
+			successes++
+		}
 	}
-	wg.Wait()
-
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	ci, err := WilsonInterval(total, trials, confidence)
+	ci, err := WilsonInterval(successes, trials, confidence)
 	if err != nil {
 		return SuccessEstimate{}, err
 	}
 	return SuccessEstimate{
-		Successes: total,
+		Successes: successes,
 		Trials:    trials,
-		P:         float64(total) / float64(trials),
+		P:         float64(successes) / float64(trials),
 		CI:        ci,
 	}, nil
-}
-
-// EstimateMean runs a real-valued trial the requested number of times in
-// parallel and returns a merged accumulator.
-func EstimateMean(trials int, f func(rng *rand.Rand) float64, opts EstimateOptions) (*Accumulator, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("stats: estimating with %d trials", trials)
-	}
-	if f == nil {
-		return nil, fmt.Errorf("stats: nil trial function")
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	accs := make([]Accumulator, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := trials * w / workers
-		hi := trials * (w + 1) / workers
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(opts.Seed, uint64(w)*0x9e3779b97f4a7c15+1))
-			for i := 0; i < n; i++ {
-				accs[w].Add(f(rng))
-			}
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	var out Accumulator
-	for w := range accs {
-		out.Merge(&accs[w])
-	}
-	return &out, nil
 }

@@ -80,21 +80,3 @@ func GrowThenShrink(start, max int, pred Predicate) (int, error) {
 	}
 	return MinimalSufficient(lo, hi, pred)
 }
-
-// SuccessAtLeast builds a Predicate from a parameterized randomized trial:
-// pred(v) runs `trials` Monte-Carlo trials of run(v) and reports whether the
-// empirical success probability is at least target. Choose `trials` large
-// enough that the Bernoulli noise at the decision boundary is acceptable;
-// the returned minimal value is itself a random variable.
-func SuccessAtLeast(target float64, trials int, run func(v int) TrialFunc, opts EstimateOptions) Predicate {
-	return func(v int) (bool, error) {
-		if run == nil {
-			return false, fmt.Errorf("stats: nil trial factory")
-		}
-		est, err := EstimateSuccess(trials, run(v), opts)
-		if err != nil {
-			return false, err
-		}
-		return est.P >= target, nil
-	}
-}
