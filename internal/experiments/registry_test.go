@@ -52,28 +52,27 @@ func TestRegistryRejectsNegativeParallelism(t *testing.T) {
 // small scale under GOMAXPROCS 1 and 4 and requires identical tables: a
 // table is a function of its seed and scale alone, never of the core
 // count or of map order, so `make results` prints the committed files on
-// any machine.
+// any machine. Each experiment is a subtest named by its ID, so a failure
+// names the experiment and `-run TablesIndependentOfCoreCount/E19` reruns
+// one.
 func TestTablesIndependentOfCoreCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every experiment, twice, in -short mode")
 	}
 	cfg := Config{Scale: 0.01, Seed: 1}
-	tables := func(procs int) map[string]string {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		out := make(map[string]string)
-		for _, e := range Registry() {
-			table, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s under GOMAXPROCS %d: %v", e.ID, procs, err)
-			}
-			out[e.ID] = table.Markdown()
-		}
-		return out
-	}
-	one, four := tables(1), tables(4)
 	for _, e := range Registry() {
-		if one[e.ID] != four[e.ID] {
-			t.Errorf("%s prints different tables under GOMAXPROCS 1 and 4:\n%s\n%s", e.ID, one[e.ID], four[e.ID])
-		}
+		t.Run(e.ID, func(t *testing.T) {
+			table := func(procs int) string {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				table, err := e.Run(cfg)
+				if err != nil {
+					t.Fatalf("under GOMAXPROCS %d: %v", procs, err)
+				}
+				return table.Markdown()
+			}
+			if one, four := table(1), table(4); one != four {
+				t.Errorf("different tables under GOMAXPROCS 1 and 4:\n%s\n%s", one, four)
+			}
+		})
 	}
 }

@@ -138,6 +138,20 @@ func TestEstimateSuccessValidation(t *testing.T) {
 	}
 }
 
+// TestEstimateSuccessMoreWorkersThanTrials: a Parallelism above the trial
+// count, which EstimateSuccess ignores, still runs each trial exactly
+// once.
+func TestEstimateSuccessMoreWorkersThanTrials(t *testing.T) {
+	calls := 0
+	est, err := EstimateSuccess(3, func(*rand.Rand) bool { calls++; return true }, EstimateOptions{Parallelism: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Successes != 3 || calls != 3 {
+		t.Errorf("successes = %d after %d calls, want 3 and 3", est.Successes, calls)
+	}
+}
+
 func TestMinimalSufficient(t *testing.T) {
 	pred := func(v int) (bool, error) { return v >= 37, nil }
 	got, err := MinimalSufficient(0, 100, pred)
