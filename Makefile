@@ -74,7 +74,7 @@ lint-escape:
 # staticcheck when available, and additionally runs the
 # concurrency-heavy packages (the
 # networked referee/nodes, the engine's worker-pool driver, and the
-# pooled collision statistic every backend's local rule shares) under
+# pooled collision statistic the SMP and CONGEST workers share) under
 # the race detector. That race pass covers the cross-topology determinism
 # tests — flat star vs sharded referee tree on a fixed small budget
 # (engine/crosstopology_test.go, network/sharded_test.go) — so a data

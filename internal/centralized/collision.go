@@ -8,8 +8,8 @@ import (
 
 // CollisionCount returns the number of colliding sample pairs,
 // sum_i C(c_i, 2) over the histogram counts c_i. It runs the collision
-// kernel over a fresh n-wide counter slice; CollisionStatistic reuses
-// pooled ones instead.
+// kernel over a fresh n-wide counter slice; a CollisionCounter reuses its
+// own instead.
 func CollisionCount(samples []int, n int) (int64, error) {
 	return countCollisions(samples, make([]int64, n))
 }
@@ -21,7 +21,7 @@ func CollisionCount(samples []int, n int) (int64, error) {
 // histogram sum, exactly, without visiting untouched slots. The kernel
 // re-zeroes exactly the slots it touched on every return, the
 // out-of-domain error included, so counts is all-zero again afterwards
-// and a pooled slice can be reused as is.
+// and the slice can be reused as is.
 //
 //dut:hotpath
 func countCollisions(samples []int, counts []int64) (int64, error) {
@@ -45,23 +45,48 @@ func clearSlots(counts []int64, samples []int) {
 	}
 }
 
-// collisionStat is the pooled CollisionStatistic: one rule value is
-// shared by every player goroutine and engine worker, so each call takes
-// an n-wide counter slice from the pool and returns it zeroed.
+// CollisionCounter is the collision kernel over an n-wide counter slice
+// it owns: the per-player memory of a collision-based local rule. Every
+// Count leaves the slice all-zero, the out-of-domain error included, so
+// one counter serves all of its owner's calls without a pool. It is not
+// safe for concurrent use; CollisionStatistic pools counters for callers
+// that share one value.
+type CollisionCounter struct {
+	counts []int64
+}
+
+// NewCollisionCounter returns a counter over the domain [0, n). It is a
+// value, so a rule that owns one embeds it and allocates only the slice.
+func NewCollisionCounter(n int) CollisionCounter {
+	return CollisionCounter{counts: make([]int64, n)}
+}
+
+// Count returns the number of colliding sample pairs, as CollisionCount
+// does, without allocating.
+//
+//dut:hotpath
+func (c *CollisionCounter) Count(samples []int) (int64, error) {
+	return countCollisions(samples, c.counts)
+}
+
+// collisionStat is the pooled CollisionStatistic: one rule value can be
+// shared by many goroutines at once (the engine workers of the SMP and
+// CONGEST backends), so each call takes a counter from the pool and
+// returns it zeroed.
 type collisionStat struct {
 	n    int
-	pool sync.Pool // of *[]int64, each all-zero and n long
+	pool sync.Pool // of *CollisionCounter
 }
 
 // CollisionStatistic adapts the collision count to the Statistic type for
-// a fixed domain size. The returned statistic is safe for concurrent use.
-// It is built holding one counter slice, so the set-up pays the first
-// allocation; a call allocates only when the pool has no slice at hand
-// (another goroutine holds it, the caller moved to another processor, or
-// garbage collection emptied the pool).
+// a fixed domain size. The returned statistic is safe for concurrent use:
+// it is a pool of CollisionCounters. It is built holding one counter, so
+// the set-up pays the first allocation; a call allocates only when the
+// pool has no counter at hand (another goroutine holds it, the caller
+// moved to another processor, or garbage collection emptied the pool).
 func CollisionStatistic(n int) Statistic {
 	s := &collisionStat{n: n}
-	s.pool.Put(s.newCounts())
+	s.pool.Put(s.newCounter())
 	return s.count
 }
 
@@ -69,19 +94,19 @@ func CollisionStatistic(n int) Statistic {
 //
 //dut:hotpath
 func (s *collisionStat) count(samples []int) (float64, error) {
-	counts, _ := s.pool.Get().(*[]int64)
-	if counts == nil {
-		counts = s.newCounts()
+	c, _ := s.pool.Get().(*CollisionCounter)
+	if c == nil {
+		c = s.newCounter()
 	}
-	c, err := countCollisions(samples, *counts)
-	s.pool.Put(counts)
-	return float64(c), err
+	coll, err := c.Count(samples)
+	s.pool.Put(c)
+	return float64(coll), err
 }
 
-//dut:coldpath pool miss: one counter slice per concurrent caller, reused by every later call
-func (s *collisionStat) newCounts() *[]int64 {
-	counts := make([]int64, s.n)
-	return &counts
+//dut:coldpath pool miss: one counter per concurrent caller, reused by every later call
+func (s *collisionStat) newCounter() *CollisionCounter {
+	c := NewCollisionCounter(s.n)
+	return &c
 }
 
 // CollisionTester is the Goldreich-Ron collision-based uniformity tester:

@@ -233,6 +233,40 @@ func TestCollisionStatisticConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// FuzzCollisionCounter runs one reused CollisionCounter against
+// CollisionCount's fresh slice over arbitrary sample sequences: each
+// byte is a sample in [-128, 127], so negative and too-large values land
+// anywhere in a slice. The data is counted in runs of a fuzzed length,
+// all on the same counter, and then whole; every call must return the
+// fresh slice's count and error, which holds only if each return, the
+// error path included, leaves the counter all-zero.
+func FuzzCollisionCounter(f *testing.F) {
+	f.Add(uint8(16), uint8(3), []byte{1, 2, 1, 3, 3, 3})
+	f.Add(uint8(4), uint8(2), []byte{0, 0, 9, 0, 1, 1})
+	f.Add(uint8(8), uint8(5), []byte{2, 0xff, 2, 2, 7, 7})
+	f.Add(uint8(1), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, n, run uint8, data []byte) {
+		domain := int(n%64) + 1
+		samples := make([]int, len(data))
+		for i, b := range data {
+			samples[i] = int(int8(b))
+		}
+		c := NewCollisionCounter(domain)
+		check := func(part []int) {
+			want, wantErr := CollisionCount(part, domain)
+			got, err := c.Count(part)
+			if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("domain %d, samples %v: counter (%d, %v), fresh slice (%d, %v)", domain, part, got, err, want, wantErr)
+			}
+		}
+		step := int(run%16) + 1
+		for lo := 0; lo < len(samples); lo += step {
+			check(samples[lo:min(lo+step, len(samples))])
+		}
+		check(samples)
+	})
+}
+
 func TestNewCollisionTesterValidation(t *testing.T) {
 	if _, err := NewCollisionTester(0, 10, 0.5); err == nil {
 		t.Error("empty domain accepted")

@@ -35,6 +35,28 @@ type LocalRule interface {
 	Bits() int
 }
 
+// Instancer is an optional LocalRule extension for a rule that keeps
+// scratch per call. One rule value may serve many concurrent callers —
+// the engine workers of an SMP backend, the players of a CONGEST
+// simulation — so such a rule borrows its scratch from a pool on every
+// call. A caller that keeps the rule for many calls, one at a time, can
+// take an instance instead: a copy that owns its scratch, derives the
+// same messages bit for bit and is not safe for concurrent use. A cluster
+// node takes one when it is built. See Instance.
+type Instancer interface {
+	// Instance returns a copy of the rule for one caller.
+	Instance() LocalRule
+}
+
+// Instance returns rule's own copy for one caller when the rule is an
+// Instancer, and rule itself otherwise.
+func Instance(rule LocalRule) LocalRule {
+	if in, ok := rule.(Instancer); ok {
+		return in.Instance()
+	}
+	return rule
+}
+
 // Referee decides from the k messages; implementations define the decision
 // function f of the model.
 type Referee interface {

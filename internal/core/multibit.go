@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-
-	"github.com/distributed-uniformity/dut/internal/centralized"
 )
 
 // Slate is the packed r-bit message slate the referee decides over: k
@@ -268,12 +266,15 @@ func SumShape(r Referee, k int) (t, msgBits int, ok bool) {
 // property experiment E21 uses to exhibit the 2^-Theta(r) information
 // decay as a monotone acceptance gap.
 type QuantizedCollisionRule struct {
-	stat centralized.Statistic
+	coll collisions
 	bits int
 	cap  int64
 }
 
-var _ LocalRule = (*QuantizedCollisionRule)(nil)
+var (
+	_ LocalRule = (*QuantizedCollisionRule)(nil)
+	_ Instancer = (*QuantizedCollisionRule)(nil)
+)
 
 // NewQuantizedCollisionRule builds the rule for domain size n, q samples
 // per player, and message width `bits` in [1,60].
@@ -288,7 +289,7 @@ func NewQuantizedCollisionRule(n, q, bits int) (*QuantizedCollisionRule, error) 
 		return nil, fmt.Errorf("core: quantized rule with %d message bits outside [1,60]", bits)
 	}
 	return &QuantizedCollisionRule{
-		stat: centralized.CollisionStatistic(n),
+		coll: sharedCollisions(n),
 		bits: bits,
 		cap:  int64(1)<<bits - 1,
 	}, nil
@@ -296,11 +297,10 @@ func NewQuantizedCollisionRule(n, q, bits int) (*QuantizedCollisionRule, error) 
 
 // Message implements LocalRule.
 func (r *QuantizedCollisionRule) Message(_ int, samples []int, _ uint64, _ *rand.Rand) (Message, error) {
-	v, err := r.stat(samples)
+	count, err := r.coll.count(samples)
 	if err != nil {
 		return Reject, err
 	}
-	count := int64(v)
 	if count > r.cap {
 		count = r.cap
 	}
@@ -309,6 +309,14 @@ func (r *QuantizedCollisionRule) Message(_ int, samples []int, _ uint64, _ *rand
 
 // Bits implements LocalRule.
 func (r *QuantizedCollisionRule) Bits() int { return r.bits }
+
+// Instance implements Instancer: the same rule counting into a counter
+// of its own.
+func (r *QuantizedCollisionRule) Instance() LocalRule {
+	in := *r
+	in.coll = r.coll.instance()
+	return &in
+}
 
 // QuantizedSumThreshold returns the referee threshold the r-bit tester
 // pairs with QuantizedCollisionRule: two standard deviations above the

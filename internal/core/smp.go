@@ -210,15 +210,6 @@ func (p *SMP) RunSeeded(sampler dist.Sampler, shared uint64) (bool, error) {
 	return p.referee.Decide(msgs)
 }
 
-// engineOptions maps the legacy estimation options onto the engine's.
-func engineOptions(opts stats.EstimateOptions) engine.Options {
-	return engine.Options{
-		Workers:    opts.Parallelism,
-		Confidence: opts.Confidence,
-		Seed:       opts.Seed,
-	}
-}
-
 // EstimateAcceptance measures Pr[protocol accepts] against the given
 // distribution by Monte Carlo, with a Wilson confidence interval.
 //
@@ -230,7 +221,7 @@ func engineOptions(opts stats.EstimateOptions) engine.Options {
 // engine.Estimate (or dut.NewEngine) directly.
 func EstimateAcceptance(p Protocol, d dist.Dist, trials int, opts stats.EstimateOptions) (stats.SuccessEstimate, error) {
 	var est stats.SuccessEstimate
-	err := runEngine(p, engineOptions(opts), func(e *engine.Engine) error {
+	err := runEngine(p, engine.FromEstimateOptions(opts), func(e *engine.Engine) error {
 		src, err := engine.FromDist(d)
 		if err != nil {
 			return err
@@ -257,7 +248,7 @@ func EstimateAcceptance(p Protocol, d dist.Dist, trials int, opts stats.Estimate
 // code should use engine.Separates via BackendFor (or dut.NewEngine).
 func Separates(p Protocol, null, far dist.Dist, target float64, trials int, opts stats.EstimateOptions) (ok bool, acceptNull, acceptFar float64, err error) {
 	var sep engine.Separation
-	err = runEngine(p, engineOptions(opts), func(e *engine.Engine) error {
+	err = runEngine(p, engine.FromEstimateOptions(opts), func(e *engine.Engine) error {
 		nullSrc, err := engine.FromDist(null)
 		if err != nil {
 			return err

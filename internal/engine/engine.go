@@ -163,6 +163,17 @@ type Options struct {
 	Window int
 }
 
+// FromEstimateOptions maps the legacy estimation options onto the
+// driver's: Parallelism is the worker count, and Confidence and Seed
+// carry over. Batch and Window stay zero, one trial per chunk.
+func FromEstimateOptions(opts stats.EstimateOptions) Options {
+	return Options{
+		Workers:    opts.Parallelism,
+		Confidence: opts.Confidence,
+		Seed:       opts.Seed,
+	}
+}
+
 // Totals aggregates RoundResult accounting over a run.
 type Totals struct {
 	// Trials is the number of rounds executed.

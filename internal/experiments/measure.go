@@ -27,15 +27,6 @@ func (e *errOnce) record(err error) {
 
 func (e *errOnce) get() error { return e.err }
 
-// engineOptions maps the legacy estimation options onto the engine's.
-func engineOptions(opts stats.EstimateOptions) engine.Options {
-	return engine.Options{
-		Workers:    opts.Parallelism,
-		Confidence: opts.Confidence,
-		Seed:       opts.Seed,
-	}
-}
-
 // acceptUniform estimates Pr[protocol accepts] under U_n via the engine's
 // trial driver.
 func acceptUniform(p core.Protocol, n, trials int, opts stats.EstimateOptions) (float64, error) {
@@ -51,7 +42,7 @@ func acceptUniform(p core.Protocol, n, trials int, opts stats.EstimateOptions) (
 	if err != nil {
 		return 0, err
 	}
-	res, err := engine.Estimate(context.Background(), b, src, trials, engineOptions(opts))
+	res, err := engine.Estimate(context.Background(), b, src, trials, engine.FromEstimateOptions(opts))
 	if err != nil {
 		return 0, err
 	}
@@ -77,7 +68,7 @@ func acceptHardFamily(p core.Protocol, h dist.HardInstance, trials int, opts sta
 		}
 		return dist.NewAliasSampler(nu)
 	}
-	res, err := engine.Estimate(context.Background(), b, src, trials, engineOptions(opts))
+	res, err := engine.Estimate(context.Background(), b, src, trials, engine.FromEstimateOptions(opts))
 	if err != nil {
 		return 0, err
 	}

@@ -37,10 +37,16 @@ type clusterBackend struct {
 	evicting sync.WaitGroup
 }
 
-// parkedSession is an idle session and the timer that evicts it.
+// parkedSession is a session's entry in the idle pool: the session and
+// the timer that evicts it. Every session has one, whose timer its first
+// park builds and every later park re-arms, so a warm park allocates
+// nothing. stale counts the firings a take was too late to stop; evict
+// ignores that many, so a late firing cannot close the session once it
+// is parked again. The backend's mu guards stale and the timer's arming.
 type parkedSession struct {
 	bs    *batchSession
 	timer *time.Timer
+	stale int
 }
 
 var (
@@ -101,8 +107,10 @@ func (b *clusterBackend) take() *batchSession {
 		}
 		p := b.idle[n-1]
 		b.idle = slices.Delete(b.idle, n-1, n)
+		if !p.timer.Stop() {
+			p.stale++
+		}
 		b.mu.Unlock()
-		p.timer.Stop()
 		if p.bs.healthy() {
 			return p.bs
 		}
@@ -125,15 +133,27 @@ func (b *clusterBackend) park(bs *batchSession) bool {
 	if b.closed {
 		return false
 	}
-	p := &parkedSession{bs: bs}
-	p.timer = time.AfterFunc(b.c.timeout, func() { b.evict(p) })
+	p := &bs.parked
+	if p.timer == nil {
+		p.bs = bs
+		p.timer = time.AfterFunc(b.c.timeout, func() { b.evict(p) })
+	} else {
+		p.timer.Reset(b.c.timeout)
+	}
 	b.idle = append(b.idle, p)
 	return true
 }
 
-// evict closes a session its timer found still parked.
+// evict closes a session its timer found still parked. A firing a take
+// overtook is stale and ignored: the session it was armed for was taken,
+// and may be parked again since.
 func (b *clusterBackend) evict(p *parkedSession) {
 	b.mu.Lock()
+	if p.stale > 0 {
+		p.stale--
+		b.mu.Unlock()
+		return
+	}
 	i := slices.Index(b.idle, p)
 	if i < 0 {
 		b.mu.Unlock()

@@ -298,6 +298,12 @@ type batchSession struct {
 	nodeErr error
 	retries int // accumulated node connect retries, not yet reported
 
+	// quiet is quiesce's timer and parked the session's entry in its
+	// backend's idle pool; both are built on first use and reused, so a
+	// warm handoff between engine calls allocates no timer.
+	quiet  *time.Timer
+	parked parkedSession
+
 	// msgBits is the rule's message width r: the plane count of every
 	// VOTE_BATCH.
 	msgBits int
@@ -485,8 +491,12 @@ func (bs *batchSession) healthy() bool {
 // arrived. The wait ends as soon as the session fails, and gives up
 // after one timeout.
 func (bs *batchSession) quiesce() bool {
-	timer := time.NewTimer(bs.c.timeout)
-	defer timer.Stop()
+	if bs.quiet == nil {
+		bs.quiet = time.NewTimer(bs.c.timeout)
+	} else {
+		bs.quiet.Reset(bs.c.timeout)
+	}
+	defer stopTimer(bs.quiet)
 	for bs.work.n.Load() != 0 {
 		if !bs.healthy() {
 			return false
@@ -495,11 +505,24 @@ func (bs *batchSession) quiesce() bool {
 		case <-bs.work.wake:
 		case <-bs.life.Done():
 			return false
-		case <-timer.C:
+		case <-bs.quiet.C:
 			return false
 		}
 	}
 	return bs.healthy()
+}
+
+// stopTimer stops a channel timer and drains a firing it was too late to
+// stop, so the next Reset starts clean: go.mod's go 1.22 keeps the timer
+// channel semantics before Go 1.23, where a stopped timer's channel can
+// still hold a stale tick.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }
 
 // initDecide classifies the referee and sizes the decide scratch: the
@@ -1058,16 +1081,27 @@ func readBudget(timeout time.Duration, first bool) time.Duration {
 	return 2 * timeout
 }
 
-// setReadDeadline bounds only reads: the batch session's slot writer
-// owns the same connection's write deadline concurrently, and a full
-// SetDeadline from either side would clobber the other's budget.
-func setReadDeadline(conn net.Conn, d time.Duration) {
-	//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds frame IO waits, never the verdict
-	_ = conn.SetReadDeadline(time.Now().Add(d))
-}
+// setReadDeadline bounds only reads, for d from now: the batch
+// session's slot writer owns the same connection's write deadline
+// concurrently, and a full SetDeadline from either side would clobber
+// the other's budget.
+func setReadDeadline(conn net.Conn, d time.Duration) { setDeadlineIn(conn, true, d) }
 
 // setWriteDeadline is setReadDeadline's write-side counterpart.
-func setWriteDeadline(conn net.Conn, d time.Duration) {
+func setWriteDeadline(conn net.Conn, d time.Duration) { setDeadlineIn(conn, false, d) }
+
+// setDeadlineIn sets the read or the write deadline d from now with one
+// clock read: an in-memory connection is armed with the instant and its
+// distance d together, where its SetReadDeadline would read the clock
+// again to find the distance.
+func setDeadlineIn(conn net.Conn, read bool, d time.Duration) {
 	//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds frame IO waits, never the verdict
-	_ = conn.SetWriteDeadline(time.Now().Add(d))
+	t := time.Now().Add(d)
+	if c, ok := conn.(*memConn); ok {
+		_ = c.armIn(read, t, d)
+	} else if read {
+		_ = conn.SetReadDeadline(t)
+	} else {
+		_ = conn.SetWriteDeadline(t)
+	}
 }

@@ -22,7 +22,8 @@ const (
 
 // PlayerNode is one sensor/server in the network: it draws its local
 // observations from the samplers its session stages for each batch and
-// votes with a core.LocalRule. Transient
+// votes with its own instance of a core.LocalRule (core.Instance), so a
+// collision rule counts into counters the node owns. Transient
 // dial and HELLO failures are retried with exponential backoff (see
 // SetRetryPolicy), so the faults a FaultTransport injects at connect
 // time are survivable.
@@ -47,7 +48,11 @@ type PlayerNode struct {
 
 // NewPlayerNode builds a node. timeout bounds each frame wait; zero means
 // 10 seconds. The rule's Bits() must be in [1, 64] — the referee would
-// reject the HELLO anyway, and failing here keeps the error local.
+// reject the HELLO anyway, and failing here keeps the error local. The
+// node takes the rule's per-caller instance once, here: it votes one
+// message at a time for as long as its session lives, so a rule that
+// keeps scratch (core.Instancer) never reaches for a pool on the node's
+// vote path.
 func NewPlayerNode(id uint32, q int, rule core.LocalRule, timeout time.Duration) (*PlayerNode, error) {
 	if q < 0 {
 		return nil, fmt.Errorf("network: node %d with %d samples", id, q)
@@ -65,7 +70,7 @@ func NewPlayerNode(id uint32, q int, rule core.LocalRule, timeout time.Duration)
 		return nil, fmt.Errorf("network: node %d rule uses %d message bits, want 1..64", id, b)
 	}
 	return &PlayerNode{
-		id: id, q: q, rule: rule, timeout: timeout,
+		id: id, q: q, rule: core.Instance(rule), timeout: timeout,
 		retries: DefaultDialRetries, backoff: DefaultRetryBackoff,
 		buf: make([]int, q), rng: engine.NewReusableRNG(),
 	}, nil

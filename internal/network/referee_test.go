@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -362,6 +363,62 @@ func TestNodeVoteCycleZeroAllocs(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("a settled vote cycle allocates %.1f per batch", n)
+	}
+}
+
+// TestNodeVoteCycleZeroAllocsAfterGC: a node counts collisions into
+// counters it owns, so a vote cycle allocates nothing even right after
+// garbage collection has emptied every sync.Pool. The node runs the
+// r-bit quantized collision rule, whose shared value counts through a
+// pooled statistic, and two collections — the first moves a pool's
+// contents to its victim cache, the second drops them — precede every
+// cycle. Only the cycle is counted, on one P: the collections allocate
+// on their own account. The count is the cycles' total divided by their
+// number, rounded down as testing.AllocsPerRun rounds, so a stray
+// runtime allocation now and then does not fail it. Skipped under the
+// race detector, whose instrumentation allocates.
+func TestNodeVoteCycleZeroAllocsAfterGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const count, q = 256, 4
+	rule, err := core.NewQuantizedCollisionRule(16, q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewPlayerNode(3, q, rule, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := make([]dist.Sampler, count)
+	for i := range samplers {
+		samplers[i] = uniformSampler(t, 16)
+	}
+	stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+	stage.put(1, samplers)
+	conn := &stubConn{}
+	rb := RoundBatch{Batch: 1, Count: count, Base: 0x5eed}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cycle := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := node.voteBatch(conn, rb, stage); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		rb.First += count
+		return after.Mallocs - before.Mallocs
+	}
+	cycle()
+	const cycles = 50
+	var total uint64
+	for range cycles {
+		total += cycle()
+	}
+	if n := total / cycles; n != 0 {
+		t.Errorf("a vote cycle after garbage collection allocates %d per batch (%d in %d cycles)", n, total, cycles)
 	}
 }
 

@@ -239,18 +239,29 @@ func (c *memConn) RemoteAddr() net.Addr { return c.addr }
 
 // SetDeadline sets the read and the write deadline.
 func (c *memConn) SetDeadline(t time.Time) error {
-	if err := c.SetReadDeadline(t); err != nil {
+	wait := time.Until(t)
+	if err := c.armIn(true, t, wait); err != nil {
 		return err
 	}
-	return c.SetWriteDeadline(t)
+	return c.armIn(false, t, wait)
 }
 
 // SetReadDeadline bounds Reads: past t they fail with
 // os.ErrDeadlineExceeded, and the zero time clears the deadline.
-func (c *memConn) SetReadDeadline(t time.Time) error { return c.rd.arm(true, t) }
+func (c *memConn) SetReadDeadline(t time.Time) error { return c.armIn(true, t, time.Until(t)) }
 
 // SetWriteDeadline bounds Writes as SetReadDeadline bounds Reads.
-func (c *memConn) SetWriteDeadline(t time.Time) error { return c.wr.arm(false, t) }
+func (c *memConn) SetWriteDeadline(t time.Time) error { return c.armIn(false, t, time.Until(t)) }
+
+// armIn sets the read or the write deadline t, which is wait from now;
+// the caller that built t from the clock passes the distance it added,
+// so a deadline set costs one clock read.
+func (c *memConn) armIn(read bool, t time.Time, wait time.Duration) error {
+	if read {
+		return c.rd.arm(true, t, wait)
+	}
+	return c.wr.arm(false, t, wait)
+}
 
 // memPipe is one direction of a memConn: the unread bytes buf[off:],
 // which the writing end appends to and the reading end consumes, each
@@ -368,11 +379,11 @@ func (p *memPipe) close(reader bool) {
 	p.writable.Broadcast()
 }
 
-// arm sets the reading or the writing end's deadline: the zero time
-// disarms it, a time not in the future expires it at once, a time no
-// earlier than the pending timer's firing is only stored, and any other
-// time re-arms the end's one timer.
-func (p *memPipe) arm(reader bool, t time.Time) error {
+// arm sets the reading or the writing end's deadline t, which is wait
+// from now: the zero time disarms it, a time not in the future expires it
+// at once, a time no earlier than the pending timer's firing is only
+// stored, and any other time re-arms the end's one timer.
+func (p *memPipe) arm(reader bool, t time.Time, wait time.Duration) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	dl, closed := &p.wdl, p.wclosed
@@ -387,7 +398,6 @@ func (p *memPipe) arm(reader bool, t time.Time) error {
 		dl.stop()
 		return nil
 	}
-	wait := time.Until(t)
 	switch {
 	case wait <= 0:
 		dl.expired = true
@@ -397,13 +407,20 @@ func (p *memPipe) arm(reader bool, t time.Time) error {
 	case !dl.fires.IsZero() && !t.Before(dl.fires):
 		// The pending timer fires first and re-arms for the rest.
 	case dl.timer == nil:
-		dl.timer = time.AfterFunc(wait, func() { p.expire(dl) })
+		dl.timer = p.newTimer(dl, wait)
 		dl.fires = t
 	default:
 		dl.timer.Reset(wait)
 		dl.fires = t
 	}
 	return nil
+}
+
+// newTimer builds the end's one deadline timer, which fires expire.
+//
+//dut:coldpath first arm of an end only; every later arm re-arms this timer in place
+func (p *memPipe) newTimer(dl *memDeadline, wait time.Duration) *time.Timer {
+	return time.AfterFunc(wait, func() { p.expire(dl) })
 }
 
 // expire is a deadline timer's callback. It re-arms the timer when a
