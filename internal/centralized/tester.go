@@ -2,7 +2,6 @@ package centralized
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/stats"
@@ -45,11 +44,12 @@ func CalibrateThreshold(stat Statistic, null dist.Dist, q, trials int, alpha flo
 	if err != nil {
 		return 0, err
 	}
-	src := rand.NewPCG(seed, seed^0xa5a5a5a5a5a5a5a5)
+	var src dist.PCG
+	src.Seed(seed, seed^0xa5a5a5a5a5a5a5a5)
 	vals := make([]float64, trials)
 	buf := make([]int, q)
 	for t := range vals {
-		sampler.SampleInto(buf, src)
+		sampler.SampleInto(buf, &src)
 		v, err := stat(buf)
 		if err != nil {
 			return 0, err

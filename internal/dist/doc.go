@@ -4,6 +4,19 @@
 // (PODC 2019), and Goldreich's reduction from identity testing to uniformity
 // testing.
 //
+// # Batch sampling
+//
+// Every hot path draws through a BatchSampler's SampleInto, which fills
+// a caller-owned buffer from a *PCG: math/rand/v2's PCG generator word
+// for word, owned by this package so that a kernel can hold the state in
+// locals for a whole batch. A kernel consumes exactly the words that as
+// many Sample calls on rand.New(src) would, so batching never changes a
+// seeded stream. The alias kernel computes a sample's index and coin
+// states from one starting state (the coin's through two-step LCG
+// constants), tests the coin as an integer against the cell's keep
+// threshold, and over a full table, which the uniform distribution
+// yields, steps past the coin word without mixing it.
+//
 // # Domain conventions for the hard family
 //
 // The paper views the universe of size n = 2^(ell+1) as two copies of the

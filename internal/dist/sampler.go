@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"sort"
@@ -9,7 +10,7 @@ import (
 
 // Sampler draws iid samples from a fixed distribution. Implementations are
 // safe for concurrent use as long as each goroutine supplies its own
-// *rand.Rand (its own *rand.PCG, for a BatchSampler's kernel).
+// *rand.Rand (its own *PCG, for a BatchSampler's kernel).
 type Sampler interface {
 	// Sample draws one element.
 	Sample(rng *rand.Rand) int
@@ -19,22 +20,23 @@ type Sampler interface {
 
 // BatchSampler is the batched extension of Sampler used on every hot
 // path: one SampleInto fills a caller-owned buffer without allocating,
-// drawing straight from a concrete PCG so each draw's Uint64 inlines into
-// the loop instead of going through the rand.Source interface.
+// drawing straight from the package's PCG. Each kernel loads the
+// generator's state into locals once per call, steps it there, and
+// stores it once at the end.
 //
 // Stream compatibility contract: for any PCG state, SampleInto(dst, src)
 // must consume exactly the same draws from src — and therefore produce
 // exactly the same elements — as len(dst) successive Sample(rand.New(src))
 // calls. The kernels reproduce rand.Rand's IntN (a mask for a power-of-two
 // n, otherwise Lemire's multiply with the same rejection loop) and its
-// 53-bit Float64 exactly. The property and golden tests in
+// 53-bit Float64 exactly. The property, fuzz and golden tests in
 // sampler_batch_test.go enforce this for every implementation in the
 // package, and the engine's cross-backend bit-identical verdict tests
 // depend on it.
 type BatchSampler interface {
 	Sampler
 	// SampleInto fills dst with iid samples drawn from src.
-	SampleInto(dst []int, src *rand.PCG)
+	SampleInto(dst []int, src *PCG)
 }
 
 // Verify interface compliance.
@@ -48,38 +50,76 @@ var (
 // AliasSampler draws samples in O(1) time using Vose's alias method, after
 // O(n) preprocessing. It is the default sampler throughout the repository.
 type AliasSampler struct {
-	prob  []float64
-	alias []int
+	cells []aliasCell
+	// full is set when every cell keeps its own element, which Vose's
+	// construction yields exactly for the uniform distribution: no coin
+	// can change a pick.
+	full bool
+}
+
+// aliasCell is one column of the alias table. A coin word keeps the
+// cell's own element when its low 53 bits fall below keep, and takes
+// alias otherwise.
+type aliasCell struct {
+	keep  uint64
+	alias int
+}
+
+// coinMask selects the 53 bits of a word that rand.Rand.Float64 keeps.
+const coinMask = 1<<53 - 1
+
+// coinKeep turns the coin test Float64() < prob into the exact integer
+// test m < keep on the same word, where m is the word's low 53 bits and
+// Float64() = m/2^53: keep = ⌈prob·2^53⌉, or 0 when prob ≤ 0. Scaling by
+// 2^53 is exact for any prob ≤ 1, subnormals included, and an integer m
+// is below a real x exactly when it is below ⌈x⌉.
+func coinKeep(prob float64) uint64 {
+	if !(prob > 0) {
+		return 0
+	}
+	return uint64(math.Ceil(prob * (1 << 53)))
 }
 
 // NewAliasSampler preprocesses d with Vose's algorithm.
 func NewAliasSampler(d Dist) (*AliasSampler, error) {
-	n := d.N()
-	if n == 0 {
+	if d.N() == 0 {
 		return nil, fmt.Errorf("dist: alias sampler over empty domain")
 	}
-	scaled := make([]float64, n)
+	cells, _ := vose(d.p)
+	full := true
+	for i, c := range cells {
+		full = full && c.alias == i
+	}
+	return &AliasSampler{cells: cells, full: full}, nil
+}
+
+// vose builds the alias table of p with Vose's algorithm. It also
+// returns each cell's keep probability, the float that the cell's
+// integer coin threshold was converted from.
+func vose(p []float64) ([]aliasCell, []float64) {
+	n := len(p)
+	// prob holds p scaled by n; a cell's entry is final once the cell
+	// leaves small.
+	prob := make([]float64, n)
 	small := make([]int, 0, n)
 	large := make([]int, 0, n)
-	for i, v := range d.p {
-		scaled[i] = v * float64(n)
-		if scaled[i] < 1 {
+	for i, v := range p {
+		prob[i] = v * float64(n)
+		if prob[i] < 1 {
 			small = append(small, i)
 		} else {
 			large = append(large, i)
 		}
 	}
-	prob := make([]float64, n)
-	alias := make([]int, n)
+	cells := make([]aliasCell, n)
 	for len(small) > 0 && len(large) > 0 {
 		s := small[len(small)-1]
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		prob[s] = scaled[s]
-		alias[s] = l
-		scaled[l] = (scaled[l] + scaled[s]) - 1
-		if scaled[l] < 1 {
+		cells[s].alias = l
+		prob[l] = (prob[l] + prob[s]) - 1
+		if prob[l] < 1 {
 			small = append(small, l)
 		} else {
 			large = append(large, l)
@@ -87,54 +127,86 @@ func NewAliasSampler(d Dist) (*AliasSampler, error) {
 	}
 	for _, i := range large {
 		prob[i] = 1
-		alias[i] = i
+		cells[i].alias = i
 	}
 	for _, i := range small {
 		// Only reachable through floating-point drift; the cell is full.
 		prob[i] = 1
-		alias[i] = i
+		cells[i].alias = i
 	}
-	return &AliasSampler{prob: prob, alias: alias}, nil
+	for i := range cells {
+		cells[i].keep = coinKeep(prob[i])
+	}
+	return cells, prob
 }
 
 // N returns the domain size.
-func (a *AliasSampler) N() int { return len(a.prob) }
+func (a *AliasSampler) N() int { return len(a.cells) }
 
 // Sample draws one element in O(1).
 func (a *AliasSampler) Sample(rng *rand.Rand) int {
-	i := rng.IntN(len(a.prob))
-	return pickAlias(a.prob, a.alias, i, rng.Float64())
+	i := rng.IntN(len(a.cells))
+	return a.cells[i].pick(i, rng.Uint64())
 }
 
-// SampleInto implements BatchSampler: Sample's two draws per element,
-// taken straight from src. On the hard family half the cells are split
-// between two elements, so a branch on the coin would mispredict about
-// half the time; the pick is a conditional move instead.
+// SampleInto implements BatchSampler: Sample's two words per element.
+// A draw's index word comes from its first state and its coin word from
+// its second; both states are computed from the draw's starting state,
+// the second with the two-step constants, so the loop carries one
+// 128-bit multiply-add per draw instead of two in series. On the hard
+// family half the cells are split between two elements, so a branch on
+// the coin would mispredict about half the time; the pick is a
+// conditional move instead. Over a full table the coin cannot change the
+// pick, so the power-of-two loop steps past the coin word without
+// mixing it.
 //
 //dut:hotpath
-func (a *AliasSampler) SampleInto(dst []int, src *rand.PCG) {
-	prob, alias := a.prob, a.alias
-	n := uint64(len(prob))
-	if n&(n-1) == 0 {
+func (a *AliasSampler) SampleInto(dst []int, src *PCG) {
+	cells := a.cells
+	n := uint64(len(cells))
+	hi, lo := src.hi, src.lo
+	switch {
+	case n&(n-1) != 0:
+		for j := range dst {
+			h1, l1 := pcgStep(hi, lo)
+			hi, lo = pcgStep2(hi, lo)
+			i, frac := bits.Mul64(pcgOut(h1, l1), n)
+			if frac < n {
+				// IntN's rejection loop: the word at (hi, lo) redraws
+				// the index, and the coin moves one state on.
+				thresh := -n % n
+				for frac < thresh {
+					i, frac = bits.Mul64(pcgOut(hi, lo), n)
+					hi, lo = pcgStep(hi, lo)
+				}
+			}
+			dst[j] = cells[i].pick(int(i), pcgOut(hi, lo))
+		}
+	case a.full:
 		mask := n - 1
 		for j := range dst {
-			i := int(src.Uint64() & mask)
-			dst[j] = pickAlias(prob, alias, i, unitFloat(src.Uint64()))
+			h1, l1 := pcgStep(hi, lo)
+			hi, lo = pcgStep2(hi, lo)
+			dst[j] = int(pcgOut(h1, l1) & mask)
 		}
-		return
+	default:
+		mask := n - 1
+		for j := range dst {
+			h1, l1 := pcgStep(hi, lo)
+			hi, lo = pcgStep2(hi, lo)
+			i := int(pcgOut(h1, l1) & mask)
+			dst[j] = cells[i].pick(i, pcgOut(hi, lo))
+		}
 	}
-	for j := range dst {
-		i := int(lemire(src, n))
-		dst[j] = pickAlias(prob, alias, i, unitFloat(src.Uint64()))
-	}
+	src.hi, src.lo = hi, lo
 }
 
-// pickAlias resolves alias cell i with coin u: i itself when u < prob[i],
-// else its alias. Both candidates are loaded before the compare so the
-// compiler selects without a branch.
-func pickAlias(prob []float64, alias []int, i int, u float64) int {
-	k := alias[i]
-	if u < prob[i] {
+// pick resolves cell c, at index i, with coin word w: i itself when w's
+// low 53 bits fall below keep, else the alias. Both candidates are at
+// hand before the compare so the compiler selects without a branch.
+func (c aliasCell) pick(i int, w uint64) int {
+	k := c.alias
+	if w&coinMask < c.keep {
 		k = i
 	}
 	return k
@@ -175,10 +247,13 @@ func (c *CDFSampler) Sample(rng *rand.Rand) int {
 // SampleInto implements BatchSampler.
 //
 //dut:hotpath
-func (c *CDFSampler) SampleInto(dst []int, src *rand.PCG) {
+func (c *CDFSampler) SampleInto(dst []int, src *PCG) {
+	hi, lo := src.hi, src.lo
 	for j := range dst {
-		dst[j] = sort.SearchFloat64s(c.cdf, unitFloat(src.Uint64()))
+		hi, lo = pcgStep(hi, lo)
+		dst[j] = sort.SearchFloat64s(c.cdf, unitFloat(pcgOut(hi, lo)))
 	}
+	src.hi, src.lo = hi, lo
 }
 
 // UniformSampler is the dedicated fast path for U_n: one IntN per element
@@ -209,18 +284,31 @@ func (u *UniformSampler) Sample(rng *rand.Rand) int { return rng.IntN(u.n) }
 // SampleInto implements BatchSampler.
 //
 //dut:hotpath
-func (u *UniformSampler) SampleInto(dst []int, src *rand.PCG) {
+func (u *UniformSampler) SampleInto(dst []int, src *PCG) {
 	n := uint64(u.n)
+	hi, lo := src.hi, src.lo
 	if n&(n-1) == 0 {
 		mask := n - 1
 		for j := range dst {
-			dst[j] = int(src.Uint64() & mask)
+			hi, lo = pcgStep(hi, lo)
+			dst[j] = int(pcgOut(hi, lo) & mask)
 		}
-		return
+	} else {
+		for j := range dst {
+			hi, lo = pcgStep(hi, lo)
+			i, frac := bits.Mul64(pcgOut(hi, lo), n)
+			if frac < n {
+				// IntN's rejection loop, redrawing from the next word.
+				thresh := -n % n
+				for frac < thresh {
+					hi, lo = pcgStep(hi, lo)
+					i, frac = bits.Mul64(pcgOut(hi, lo), n)
+				}
+			}
+			dst[j] = int(i)
+		}
 	}
-	for j := range dst {
-		dst[j] = int(lemire(src, n))
-	}
+	src.hi, src.lo = hi, lo
 }
 
 // NopSampler is the shared no-op sampler for backends whose players draw
@@ -235,7 +323,7 @@ func (NopSampler) Sample(*rand.Rand) int { return 0 }
 // SampleInto implements BatchSampler.
 //
 //dut:hotpath
-func (NopSampler) SampleInto(dst []int, _ *rand.PCG) {
+func (NopSampler) SampleInto(dst []int, _ *PCG) {
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -265,20 +353,6 @@ func SampleInto(s Sampler, buf []int, rng *rand.Rand) {
 // its low 53 bits over 2^53.
 func unitFloat(x uint64) float64 {
 	return float64(x<<11>>11) / (1 << 53)
-}
-
-// lemire reduces draws from src to [0, n) for an n that is not a power of
-// two, exactly as rand.Rand.IntN does: the high word of draw·n, redrawing
-// while the low word falls below 2^64 mod n.
-func lemire(src *rand.PCG, n uint64) uint64 {
-	hi, lo := bits.Mul64(src.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(src.Uint64(), n)
-		}
-	}
-	return hi
 }
 
 // Histogram counts occurrences of each element among the samples over a

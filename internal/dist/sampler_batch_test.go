@@ -3,6 +3,8 @@ package dist
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
+	"math/big"
 	"math/bits"
 	"math/rand/v2"
 	"testing"
@@ -13,14 +15,7 @@ import (
 // their own distribution).
 func batchSamplers(t *testing.T, n int) map[string]BatchSampler {
 	t.Helper()
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = float64(i%7 + 1)
-	}
-	d, err := FromWeights(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := skewed(t, n)
 	alias, err := NewAliasSampler(d)
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +36,21 @@ func batchSamplers(t *testing.T, n int) map[string]BatchSampler {
 	}
 }
 
+// skewed is the common skewed distribution of the contract tests:
+// weights 1..7 repeating over n elements.
+func skewed(t testing.TB, n int) Dist {
+	t.Helper()
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(i%7 + 1)
+	}
+	d, err := FromWeights(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // contractDomains are the domain sizes the stream-contract tests run
 // each sampler kind over: a power of two, where IntN masks one draw, and
 // a non-power of two, where it takes Lemire's multiply.
@@ -49,7 +59,8 @@ var contractDomains = []int{64, 100}
 // TestSampleIntoMatchesSample is the stream-compatibility property test:
 // for every BatchSampler, domain, seed, and batch-size split, the kernel
 // must consume the same PCG draws — and yield the same elements — as
-// repeated Sample on a rand.Rand over that PCG.
+// repeated Sample on a rand.Rand over math/rand/v2's PCG, so every case
+// also checks PCG against the stdlib generator.
 func TestSampleIntoMatchesSample(t *testing.T) {
 	for _, name := range []string{"alias", "cdf", "uniform", "nop"} {
 		t.Run(name, func(t *testing.T) {
@@ -58,6 +69,33 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 			}
 		})
 	}
+	// The alias kernel's other two loops: U_64, where every cell is full
+	// and the coin word is stepped past unmixed, and the n=64 hard far
+	// table, where half the cells are split.
+	t.Run("alias-uniform-64", func(t *testing.T) {
+		s := mustAliasSampler(t, mustUniform(t, 64))
+		if !s.full {
+			t.Fatal("U_64's alias table is not full; the full-table loop is untested")
+		}
+		checkStreamContract(t, s, 257)
+	})
+	t.Run("alias-hard-far-64", func(t *testing.T) {
+		s := mustAliasSampler(t, hardFar(t, 5))
+		if s.full {
+			t.Fatal("the hard far table is full; the split-cell loop is untested")
+		}
+		checkStreamContract(t, s, 257)
+	})
+	// No seed above reaches IntN(100)'s rejection loop, which takes
+	// about one word in 10^18; from a state whose next word it rejects,
+	// the kernels' redraw paths must still match Sample.
+	t.Run("rejection-100", func(t *testing.T) {
+		for _, start := range rejectingStates(t) {
+			for _, name := range []string{"alias", "uniform"} {
+				checkStreamFrom(t, batchSamplers(t, 100)[name], start, 16, 1, 16)
+			}
+		}
+	})
 	// At n = 2^62+1 the Lemire threshold 2^64 mod n is n−4, so about a
 	// quarter of IntN's draws are rejected and redrawn.
 	t.Run("uniform-huge", func(t *testing.T) {
@@ -70,51 +108,153 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 		}
 		const total = 257
 		checkStreamContract(t, s, total)
-		src := rand.NewPCG(3, 3^0xabcdef)
+		src := newPCG(3, 3^0xabcdef)
 		s.SampleInto(make([]int, total), src)
-		if words := wordsConsumed(rand.NewPCG(3, 3^0xabcdef), src); words <= total {
+		if words := wordsConsumed(newPCG(3, 3^0xabcdef), src); words <= total {
 			t.Fatalf("%d draws consumed %d words; the rejection loop never ran", total, words)
 		}
 	})
 }
 
+// FuzzAliasKernel checks the alias kernel against Sample over
+// math/rand/v2's PCG, elements and generator state after the batch both.
+// The weights are bytes repeated over a domain of 1 to 4096 elements, so
+// zero cells, one-hot and uniform tables, power-of-two and other domains
+// are all in reach, under any seed and batch split.
+func FuzzAliasKernel(f *testing.F) {
+	f.Add([]byte{1}, uint16(63), uint64(1), uint64(2), uint16(300), uint8(15))          // U_64: full table
+	f.Add([]byte{1}, uint16(99), uint64(1), uint64(2), uint16(300), uint8(15))          // U_100
+	f.Add([]byte{0, 0, 9, 0, 0}, uint16(4), uint64(3), uint64(4), uint16(64), uint8(0)) // one-hot
+	f.Add([]byte{3, 1}, uint16(4095), uint64(5), uint64(6), uint16(642), uint8(255))    // split cells
+	f.Add([]byte{0, 2, 0, 7, 1, 0}, uint16(5), uint64(7), uint64(8), uint16(100), uint8(2))
+	f.Fuzz(func(t *testing.T, weights []byte, domain uint16, seed1, seed2 uint64, total uint16, chunk uint8) {
+		if len(weights) == 0 {
+			return
+		}
+		w := make([]float64, 1+int(domain)%4096)
+		for i := range w {
+			w[i] = float64(weights[i%len(weights)])
+		}
+		d, err := FromWeights(w)
+		if err != nil {
+			return // every weight is zero
+		}
+		checkStreamFrom(t, mustAliasSampler(t, d), PCG{hi: seed1, lo: seed2}, int(total)%1024, 1+int(chunk))
+	})
+}
+
 // checkStreamContract checks s's kernel against repeated Sample over
-// eight seeds and several batch splits of total draws, elements and
-// post-batch PCG state both.
+// eight seeds and several batch splits of total draws: single-element
+// and large batches and a ragged tail.
 func checkStreamContract(t *testing.T, s BatchSampler, total int) {
 	t.Helper()
 	for seed := uint64(0); seed < 8; seed++ {
-		want := make([]int, total)
-		seqRNG := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-		for i := range want {
-			want[i] = s.Sample(seqRNG)
+		checkStreamFrom(t, s, PCG{hi: seed, lo: seed ^ 0xabcdef}, total, 1, 3, 16, total)
+	}
+}
+
+// checkStreamFrom checks s's kernel against repeated Sample over
+// math/rand/v2's PCG from state start: total draws, filled through
+// batches of each of the given sizes, must yield the same elements and
+// leave the generator in the same state.
+func checkStreamFrom(t testing.TB, s BatchSampler, start PCG, total int, chunks ...int) {
+	t.Helper()
+	want := make([]int, total)
+	ref := rand.NewPCG(start.hi, start.lo)
+	seqRNG := rand.New(ref)
+	for i := range want {
+		want[i] = s.Sample(seqRNG)
+	}
+	after := stdState(ref)
+	for _, chunk := range chunks {
+		src := start
+		got := make([]int, total)
+		for lo := 0; lo < total; lo += chunk {
+			s.SampleInto(got[lo:min(lo+chunk, total)], &src)
 		}
-		after := seqRNG.Uint64()
-		// Fill the same total through batches of varying sizes,
-		// exercising single-element and large batches and a ragged tail.
-		for _, chunk := range []int{1, 3, 16, total} {
-			src := rand.NewPCG(seed, seed^0xabcdef)
-			got := make([]int, total)
-			for lo := 0; lo < total; lo += chunk {
-				s.SampleInto(got[lo:min(lo+chunk, total)], src)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d start %+v chunk %d: element %d is %d via SampleInto, %d via Sample",
+					s.N(), start, chunk, i, got[i], want[i])
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d seed %d chunk %d: element %d is %d via SampleInto, %d via Sample",
-						s.N(), seed, chunk, i, got[i], want[i])
-				}
-			}
-			// Both paths must leave the generator in the same state.
-			if a := src.Uint64(); a != after {
-				t.Fatalf("n=%d seed %d chunk %d: PCG states diverge after batch (%d vs %d)", s.N(), seed, chunk, a, after)
-			}
+		}
+		if src != after {
+			t.Fatalf("n=%d start %+v chunk %d: PCG states diverge after batch (%+v vs %+v)", s.N(), start, chunk, src, after)
 		}
 	}
 }
 
+// rejectingStates returns eight PCG states whose next word IntN(100)
+// rejects: the word x = 25⁻¹ mod 2^62, for which x·100 ≡ 4 (mod 2^64),
+// below the threshold 2^64 mod 100 = 16. DXSM ends by multiplying the
+// mixed high half by lo|1, so lo is solved for under each of eight high
+// halves whose mix is odd, and the LCG step is inverted to land one step
+// before that state.
+func rejectingStates(t *testing.T) []PCG {
+	t.Helper()
+	oddInverse := func(u uint64) uint64 {
+		inv := u // correct to 3 bits; each Newton step doubles that
+		for i := 0; i < 5; i++ {
+			inv *= 2 - u*inv
+		}
+		return inv
+	}
+	u128 := func(hi, lo uint64) *big.Int {
+		v := new(big.Int).SetUint64(hi)
+		return v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(lo))
+	}
+	mod := new(big.Int).Lsh(big.NewInt(1), 128)
+	invMul := new(big.Int).ModInverse(u128(pcgMulHi, pcgMulLo), mod)
+	x := oddInverse(25) & (1<<62 - 1)
+	var states []PCG
+	for hi := uint64(1); len(states) < 8; hi++ {
+		if pcgOut(hi, 0)&1 == 0 {
+			continue
+		}
+		prev := u128(hi, x*oddInverse(pcgOut(hi, 0)))
+		prev.Sub(prev, u128(pcgIncHi, pcgIncLo))
+		prev.Mul(prev, invMul)
+		prev.Mod(prev, mod)
+		start := PCG{hi: new(big.Int).Rsh(prev, 64).Uint64(), lo: prev.Uint64()}
+		ref := rand.NewPCG(start.hi, start.lo)
+		rand.New(ref).IntN(100)
+		from, to := start, stdState(ref)
+		if words := wordsConsumed(&from, &to); words != 2 {
+			t.Fatalf("IntN(100) took %d words from the crafted state %+v, want 2", words, start)
+		}
+		states = append(states, start)
+	}
+	return states
+}
+
+// newPCG returns a PCG seeded as rand.NewPCG(seed1, seed2).
+func newPCG(seed1, seed2 uint64) *PCG {
+	p := new(PCG)
+	p.Seed(seed1, seed2)
+	return p
+}
+
+// stdState reads a math/rand/v2 PCG's state through its binary encoding.
+func stdState(p *rand.PCG) PCG {
+	b, err := p.MarshalBinary()
+	if err != nil {
+		panic(err)
+	}
+	return PCG{hi: binary.BigEndian.Uint64(b[4:]), lo: binary.BigEndian.Uint64(b[12:])}
+}
+
+func mustAliasSampler(t testing.TB, d Dist) *AliasSampler {
+	t.Helper()
+	s, err := NewAliasSampler(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // wordsConsumed counts the Uint64 words that take a PCG from start to
 // the state of end.
-func wordsConsumed(start, end *rand.PCG) int {
+func wordsConsumed(start, end *PCG) int {
 	words := 0
 	for ; *start != *end; words++ {
 		start.Uint64()
@@ -135,7 +275,7 @@ func TestPackageSampleIntoDispatchesBatch(t *testing.T) {
 				ref := make([]int, q)
 				SampleInto(s, ref, rand.New(rand.NewPCG(5, 11)))
 				got := make([]int, q)
-				s.SampleInto(got, rand.NewPCG(5, 11))
+				s.SampleInto(got, newPCG(5, 11))
 				for i := range ref {
 					if got[i] != ref[i] {
 						t.Fatalf("n=%d element %d: kernel %d, reference %d", n, i, got[i], ref[i])
@@ -146,12 +286,12 @@ func TestPackageSampleIntoDispatchesBatch(t *testing.T) {
 	}
 }
 
-// hardFar is the far input of the seed-1 benchmark runs: the Section 3
-// hard instance at n=4096 (ell=11, eps=0.5) under the perturbation drawn
-// from seed 1.
-func hardFar(t testing.TB) Dist {
+// hardFar is the Section 3 hard instance at n=2^(ell+1) and eps=0.5
+// under the perturbation drawn from seed 1. At ell=11 (n=4096) it is the
+// far input of the seed-1 benchmark runs.
+func hardFar(t testing.TB, ell int) Dist {
 	t.Helper()
-	h, err := NewHardInstance(11, 0.5)
+	h, err := NewHardInstance(ell, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +327,7 @@ func streamDigest(draws []int, next uint64) uint64 {
 // change to Sample and the kernel together, which would silently
 // reshuffle every seeded verdict and the results/ tables.
 func TestSamplerStreamsGolden(t *testing.T) {
-	far := hardFar(t)
+	far := hardFar(t, 11)
 	u64, err := Uniform(64)
 	if err != nil {
 		t.Fatal(err)
@@ -231,12 +371,50 @@ func TestSamplerStreamsGolden(t *testing.T) {
 			if got := streamDigest(draws, rng.Uint64()); got != c.want {
 				t.Errorf("Sample digest %#016x, want %#016x", got, c.want)
 			}
-			src := rand.NewPCG(1, 2)
+			src := newPCG(1, 2)
 			c.s.SampleInto(draws, src)
 			if got := streamDigest(draws, src.Uint64()); got != c.want {
 				t.Errorf("SampleInto digest %#016x, want %#016x", got, c.want)
 			}
 		})
+	}
+}
+
+// TestCoinKeepExact checks that a cell's integer coin m < keep decides
+// as the float coin m/2^53 < prob it replaces, for every cell of the
+// tables under test and for edge probabilities: zero, one, a small
+// negative drift, 2^-53, a subnormal and 0.5 ± one ulp. Both tests are
+// monotone in m, so agreement at m = keep−1 and m = keep, each clamped
+// to [0, 2^53−1], settles every coin.
+func TestCoinKeepExact(t *testing.T) {
+	type coin struct {
+		prob float64
+		keep uint64
+	}
+	var coins []coin
+	for _, p := range []float64{
+		0, 1, -0x1p-52, 0x1p-53, math.SmallestNonzeroFloat64,
+		math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1),
+	} {
+		coins = append(coins, coin{p, coinKeep(p)})
+	}
+	tables := []Dist{hardFar(t, 11), hardFar(t, 5), mustUniform(t, 64), mustUniform(t, 100)}
+	for _, n := range contractDomains {
+		tables = append(tables, skewed(t, n))
+	}
+	for _, d := range tables {
+		cells, prob := vose(d.p)
+		for i, c := range cells {
+			coins = append(coins, coin{prob[i], c.keep})
+		}
+	}
+	for _, c := range coins {
+		for _, m := range []int64{int64(c.keep) - 1, int64(c.keep)} {
+			m = min(max(m, 0), coinMask)
+			if got, want := uint64(m) < c.keep, float64(m)/(1<<53) < c.prob; got != want {
+				t.Errorf("prob %v, keep %d: coin %d keeps %v, the float test %v", c.prob, c.keep, m, got, want)
+			}
+		}
 	}
 }
 
@@ -252,7 +430,7 @@ func TestUniformSamplerBounds(t *testing.T) {
 		t.Fatalf("N() = %d, want %d", u.N(), n)
 	}
 	buf := make([]int, total)
-	u.SampleInto(buf, rand.NewPCG(1, 2))
+	u.SampleInto(buf, newPCG(1, 2))
 	counts := make([]int, n)
 	for _, s := range buf {
 		if s < 0 || s >= n {
@@ -278,8 +456,8 @@ func TestNopSampler(t *testing.T) {
 	if s.N() != 1 {
 		t.Fatalf("N() = %d, want 1", s.N())
 	}
-	src := rand.NewPCG(3, 4)
-	probe := rand.NewPCG(3, 4)
+	src := newPCG(3, 4)
+	probe := newPCG(3, 4)
 	buf := []int{9, 9, 9}
 	s.SampleInto(buf, src)
 	for i, v := range buf {
@@ -300,7 +478,7 @@ func TestNopSampler(t *testing.T) {
 // kind.
 func TestSampleIntoNoAllocs(t *testing.T) {
 	for name, s := range batchSamplers(t, 64) {
-		src := rand.NewPCG(7, 9)
+		src := newPCG(7, 9)
 		rng := rand.New(rand.NewPCG(7, 9))
 		buf := make([]int, 128)
 		if allocs := testing.AllocsPerRun(100, func() { s.SampleInto(buf, src) }); allocs != 0 {
@@ -331,16 +509,16 @@ func BenchmarkAliasSamplePerElement(b *testing.B) {
 	}
 }
 
+// BenchmarkAliasSampleInto times the alias kernel's full-table loop:
+// over U_1024 every cell keeps its own element, so the coin word is
+// stepped past unmixed.
 func BenchmarkAliasSampleInto(b *testing.B) {
 	d, err := Uniform(1024)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewAliasSampler(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rand.NewPCG(1, 2)
+	s := mustAliasSampler(b, d)
+	src := newPCG(1, 2)
 	buf := make([]int, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -348,33 +526,41 @@ func BenchmarkAliasSampleInto(b *testing.B) {
 	}
 }
 
-// BenchmarkAliasFar draws one player's q=642 samples from the hard far
-// instance at n=4096, where half the alias cells are split between two
-// elements and the coin goes each way about half the time. It reports
-// ns/draw for the PCG kernel and for the *rand.Rand reference path.
+// BenchmarkAliasFar draws one player's q=642 samples at n=4096 and
+// reports ns/draw. On the hard far instance half the alias cells are
+// split between two elements and the coin goes each way about half the
+// time: "kernel" times the kernel's split-cell loop there, and
+// "reference" the *rand.Rand reference path. "uniform" times the
+// full-table loop over U_4096 at the same geometry.
 func BenchmarkAliasFar(b *testing.B) {
-	s, err := NewAliasSampler(hardFar(b))
+	far := mustAliasSampler(b, hardFar(b, 11))
+	u, err := Uniform(4096)
 	if err != nil {
 		b.Fatal(err)
 	}
+	uniform := mustAliasSampler(b, u)
 	buf := make([]int, 642)
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/draw")
 	}
-	b.Run("kernel", func(b *testing.B) {
-		src := rand.NewPCG(1, 2)
-		for i := 0; i < b.N; i++ {
-			s.SampleInto(buf, src)
+	kernel := func(s *AliasSampler) func(*testing.B) {
+		return func(b *testing.B) {
+			src := newPCG(1, 2)
+			for i := 0; i < b.N; i++ {
+				s.SampleInto(buf, src)
+			}
+			report(b)
 		}
-		report(b)
-	})
+	}
+	b.Run("kernel", kernel(far))
 	b.Run("reference", func(b *testing.B) {
 		rng := rand.New(rand.NewPCG(1, 2))
 		for i := 0; i < b.N; i++ {
-			SampleInto(s, buf, rng)
+			SampleInto(far, buf, rng)
 		}
 		report(b)
 	})
+	b.Run("uniform", kernel(uniform))
 }
 
 func BenchmarkUniformSampleInto(b *testing.B) {
@@ -382,7 +568,7 @@ func BenchmarkUniformSampleInto(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := rand.NewPCG(1, 2)
+	src := newPCG(1, 2)
 	buf := make([]int, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -81,23 +81,26 @@ func TrialRNG(seed uint64, trial int) *rand.Rand {
 }
 
 // ReusableRNG is an allocation-free stand-in for NodeRNG/TrialRNG on hot
-// paths: one PCG and one rand.Rand are allocated at construction and
-// reseeded in place per (trial) or per (round, player). Each Seed* call
-// returns the same *rand.Rand positioned at the start of exactly the
-// stream the allocating derivation would produce, so batch paths that
-// reuse one ReusableRNG stay bit-identical to per-call NodeRNG/TrialRNG
-// users. SampleInto draws from the PCG behind that view, so a player's
-// samples and its later private coins read one stream, in that order.
-// Not safe for concurrent use; give each worker its own.
+// paths: it holds one dist.PCG by value and one rand.Rand over it, both
+// allocated at construction, and reseeds the PCG in place per (trial) or
+// per (round, player). dist.PCG is math/rand/v2's
+// PCG word for word, so each Seed* call returns the same *rand.Rand
+// positioned at the start of exactly the stream the allocating
+// derivation would produce, and batch paths that reuse one ReusableRNG
+// stay bit-identical to per-call NodeRNG/TrialRNG users. SampleInto
+// draws from the PCG behind that view, so a player's samples and its
+// later private coins read one stream, in that order. Not safe for
+// concurrent use; give each worker its own.
 type ReusableRNG struct {
-	pcg  *rand.PCG
+	pcg  dist.PCG
 	rand *rand.Rand
 }
 
-// NewReusableRNG allocates the generator pair once.
+// NewReusableRNG allocates the generator and its rand.Rand view once.
 func NewReusableRNG() *ReusableRNG {
-	pcg := rand.NewPCG(0, 0)
-	return &ReusableRNG{pcg: pcg, rand: rand.New(pcg)}
+	r := &ReusableRNG{}
+	r.rand = rand.New(&r.pcg)
+	return r
 }
 
 // SeedNode repositions the generator at the start of NodeRNG(shared,
@@ -124,7 +127,7 @@ func (r *ReusableRNG) SeedTrial(seed uint64, trial int) *rand.Rand {
 //dut:hotpath
 func (r *ReusableRNG) SampleInto(s dist.Sampler, dst []int) {
 	if bs, ok := s.(dist.BatchSampler); ok {
-		bs.SampleInto(dst, r.pcg)
+		bs.SampleInto(dst, &r.pcg)
 		return
 	}
 	for i := range dst {

@@ -112,7 +112,8 @@ func TestReusableRNGReseedsCleanly(t *testing.T) {
 }
 
 // TestReusableRNGSeedsAllocateOnce guards the whole point of the type:
-// reseeding is allocation-free.
+// reseeding is allocation-free, and construction allocates twice, the
+// ReusableRNG with its PCG held by value and the rand.Rand over it.
 func TestReusableRNGSeedsAllocateOnce(t *testing.T) {
 	r := NewReusableRNG()
 	var sink *rand.Rand
@@ -123,6 +124,9 @@ func TestReusableRNGSeedsAllocateOnce(t *testing.T) {
 	_ = sink
 	if allocs != 0 {
 		t.Fatalf("reseed allocates %.1f per call pair, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r = NewReusableRNG() }); allocs != 2 {
+		t.Fatalf("NewReusableRNG allocates %.1f, want 2", allocs)
 	}
 }
 

@@ -8,7 +8,8 @@
 //
 //   - dut/nondeterminism — deterministic packages (internal/core, dist,
 //     engine, congest, network) must not read wall-clock time, use the
-//     global math/rand generators, construct ad-hoc rand.Rand values, or
+//     global math/rand generators, construct ad-hoc rand.Rand values,
+//     seed a dist.PCG outside internal/engine and internal/dist, or
 //     iterate maps (iteration order leaks into behavior). Randomness
 //     routes through engine.NodeRNG / TrialRNG / ReusableRNG; timing
 //     through engine.Stopwatch.

@@ -15,6 +15,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -88,7 +89,7 @@ func loadFixture(t *testing.T, dir, pkgPath string) *Package {
 		srcs[name] = src
 	}
 	info := newInfo()
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: stubImporter{fset: fset, std: imp}}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
@@ -102,6 +103,35 @@ func loadFixture(t *testing.T, dir, pkgPath string) *Package {
 		Types: tpkg,
 		Info:  info,
 	}
+}
+
+// stubImporter resolves a fixture's example.com imports to the stub
+// packages under testdata/stubs, named by the import path's last
+// element and type-checked from source, so a fixture can call a stand-in
+// for a repository package; every other import goes to std.
+type stubImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+}
+
+func (imp stubImporter) Import(path string) (*types.Package, error) {
+	if !strings.HasPrefix(path, "example.com/") {
+		return imp.std.Import(path)
+	}
+	names, err := filepath.Glob(filepath.Join("testdata", "stubs", pathpkg.Base(path), "*.go"))
+	if err != nil || len(names) == 0 {
+		return nil, fmt.Errorf("stub package %s: %v (files %v)", path, err, names)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(imp.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: imp.std}
+	return conf.Check(path, imp.fset, files, nil)
 }
 
 // wantRe extracts the quoted substrings of a `// want "a" "b"` comment.
@@ -179,6 +209,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}{
 		{"nondeterminism", "nondet", "example.com/internal/core/fixture", AnalyzerNondeterminism},
 		{"nondeterminism-engine-blessing", "nondet_engine", "example.com/internal/engine", AnalyzerNondeterminism},
+		{"nondeterminism-pcg-seed", "nondet_pcg", "example.com/internal/core/fixture", AnalyzerNondeterminism},
 		{"scratchalias", "scratch", "example.com/internal/dist/fixture", AnalyzerScratchAlias},
 		{"floateq", "floateq", "example.com/internal/stats/fixture", AnalyzerFloatEq},
 		{"framediscipline", "frame", "example.com/internal/network/fixture", AnalyzerFrameDiscipline},

@@ -10,7 +10,8 @@ import (
 // pure function of the engine seed. It flags wall-clock reads (time.Now /
 // time.Since outside engine's clock.go), the global math/rand generators,
 // ad-hoc rand generator construction outside the blessed engine
-// derivations, and map iteration (whose order is randomized per run).
+// derivations, seeding a dist.PCG outside internal/engine and
+// internal/dist, and map iteration (whose order is randomized per run).
 var AnalyzerNondeterminism = &Analyzer{
 	Name: "dut/nondeterminism",
 	Doc:  "wall-clock, global/ad-hoc rand, and map-order dependence in deterministic packages",
@@ -63,13 +64,22 @@ func runNondeterminism(p *Pass) error {
 	return nil
 }
 
-// checkNondetCall flags time.Now/Since and math/rand usage.
+// checkNondetCall flags time.Now/Since, math/rand usage and dist.PCG
+// seeding.
 func (p *Pass) checkNondetCall(call *ast.CallExpr, inBlessedConstructor bool) {
 	fn := calleeFunc(p.Info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
 	pkg, name := fn.Pkg().Path(), fn.Name()
+	// The batch kernels' generator is seeded only where the engine
+	// derives a stream (ReusableRNG) or where the type lives.
+	if name == "Seed" && recvTypeName(fn) == "PCG" && pathIn(pkg, "internal/dist") &&
+		!pathIn(p.PkgPath, "internal/engine", "internal/dist") {
+		p.Reportf(call.Pos(),
+			"ad-hoc dist.PCG seeding (PCG.Seed) outside the engine derivations; use engine.ReusableRNG")
+		return
+	}
 	switch pkg {
 	case "time":
 		if (name == "Now" || name == "Since") && !blessedClockFiles[p.fileBase(call.Pos())] {
