@@ -76,37 +76,48 @@ func TestQuantizedCollisionRuleAllocs(t *testing.T) {
 }
 
 // TestThresholdTesterScratchRoundAllocs holds a whole SMP scratch round
-// of the FMO threshold tester — k players sampling and counting
-// collisions, then the referee — to zero allocations.
+// — k players sampling and counting collisions, then the referee — to
+// zero allocations, for the FMO threshold tester and for the r-bit
+// quantized sum tester at r=3, whose SumThresholdReferee sums the
+// messages in its Decide.
 func TestThresholdTesterScratchRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	p, err := NewThresholdTester(ThresholdTesterConfig{N: allocN, K: allocK, Q: allocQ, Eps: 0.5})
+	threshold, err := NewThresholdTester(ThresholdTesterConfig{N: allocN, K: allocK, Q: allocQ, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BackendFor(p)
+	quantized, err := NewQuantizedSumTester(allocN, allocK, allocQ, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	sb, ok := b.(engine.ScratchBackend)
-	if !ok {
-		t.Fatal("SMP backend does not implement engine.ScratchBackend")
 	}
 	sampler := allocSampler(t)
-	scratch := sb.NewScratch()
 	ctx := context.Background()
-	trial := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		spec := engine.RoundSpec{Trial: trial, Seed: allocSeed, Sampler: sampler}
-		trial++
-		if _, err := sb.RunRoundScratch(ctx, spec, scratch); err != nil {
+	for _, tc := range []struct {
+		name string
+		p    *SMP
+	}{{"threshold tester", threshold}, {"quantized sum tester r=3", quantized}} {
+		b, err := BackendFor(tc.p)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("threshold tester scratch round allocates %.2f per round, want 0", allocs)
+		sb, ok := b.(engine.ScratchBackend)
+		if !ok {
+			t.Fatal("SMP backend does not implement engine.ScratchBackend")
+		}
+		scratch := sb.NewScratch()
+		trial := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			spec := engine.RoundSpec{Trial: trial, Seed: allocSeed, Sampler: sampler}
+			trial++
+			if _, err := sb.RunRoundScratch(ctx, spec, scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s scratch round allocates %.2f per round, want 0", tc.name, allocs)
+		}
 	}
 }
 

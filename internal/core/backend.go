@@ -74,7 +74,7 @@ var (
 )
 
 // smpRoundScratch is one worker's reusable round state: the protocol
-// Scratch (sample buffer, bit buffer, reseedable RNG) plus the message
+// Scratch (sample buffer, reseedable RNG) plus the message
 // slice the referee decides over.
 type smpRoundScratch struct {
 	sc   *Scratch

@@ -26,7 +26,12 @@
 //     when it is built, and over such a domain never touches the pool.
 //   - Referee: the decision function. Boolean single-bit decision rules —
 //     AND, OR, T-threshold, majority, arbitrary — implement DecisionRule
-//     and are lifted by BitReferee.
+//     and are lifted by BitReferee, which decides the four stock rules by
+//     counting rejections (no allocation) and hands any other rule its
+//     []bool. SumThresholdReferee, the r-bit tester's referee, sums the
+//     message values. Both are counts, so the cluster decides them
+//     word-parallel from ThresholdShape and SumShape; any other referee
+//     is decided trial by trial.
 //   - SMP: the simultaneous-message protocol runner, supporting
 //     heterogeneous per-player sample counts (the asymmetric-cost model of
 //     Section 6.2) and shared randomness (a per-run public seed).

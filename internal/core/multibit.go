@@ -3,108 +3,18 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand/v2"
 )
 
-// Slate is the packed r-bit message slate the referee decides over: k
-// players times r bits, stored as r bit-planes of ceil(k/64) words each.
-// Bit i of plane b is bit b of player i's message, so plane 0 alone is
-// exactly the packed vote bitset of the 1-bit protocol and an r-bit rule
-// reads a player's value by gathering its lane across planes. The layout
-// is shared with the VOTE_BATCH wire frame (DESIGN.md section 10), which
-// packs the same planes with trials in place of players; PackPlaneWord
-// and UnpackPlaneWord map messages to and from the lanes of one word.
-type Slate struct {
-	k     int
-	bits  int
-	words int
-	// planes holds the r planes back to back: plane b occupies words
-	// [b*words, (b+1)*words).
-	planes []uint64
-}
-
-// NewSlate allocates a zeroed slate for k players of `bits`-bit messages.
-func NewSlate(k, bits int) (*Slate, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: slate for %d players", k)
-	}
-	if bits < 1 || bits > 64 {
-		return nil, fmt.Errorf("core: slate with %d-bit messages outside [1,64]", bits)
-	}
-	words := (k + 63) / 64
-	return &Slate{k: k, bits: bits, words: words, planes: make([]uint64, bits*words)}, nil
-}
-
-// Players returns k.
-func (s *Slate) Players() int { return s.k }
-
-// Bits returns the message width r.
-func (s *Slate) Bits() int { return s.bits }
-
-// Reset clears every plane.
-func (s *Slate) Reset() {
-	for i := range s.planes {
-		s.planes[i] = 0
-	}
-}
-
-// Plane returns plane b (bit b of every player's message), aliasing the
-// slate's storage; the caller must not grow it.
-func (s *Slate) Plane(b int) []uint64 {
-	return s.planes[b*s.words : (b+1)*s.words]
-}
-
-// Set stores player i's message, overwriting any previous value. Message
-// bits at or above Bits() are ignored.
-func (s *Slate) Set(player int, m Message) {
-	w, mask := player/64, uint64(1)<<(player%64)
-	for b := 0; b < s.bits; b++ {
-		if m>>b&1 == 1 {
-			s.planes[b*s.words+w] |= mask
-		} else {
-			s.planes[b*s.words+w] &^= mask
-		}
-	}
-}
-
-// Get reads player i's message back out of the planes.
-func (s *Slate) Get(player int) Message {
-	w, mask := player/64, uint64(1)<<(player%64)
-	var m Message
-	for b := 0; b < s.bits; b++ {
-		if s.planes[b*s.words+w]&mask != 0 {
-			m |= 1 << b
-		}
-	}
-	return m
-}
-
-// SetMessages packs a full k-message round into the slate. It rejects a
-// wrong-length slice or a message wider than Bits(), so a rule whose
-// Bits() understates its output cannot silently lose high bits.
-func (s *Slate) SetMessages(msgs []Message) error {
-	if len(msgs) != s.k {
-		return fmt.Errorf("core: slate for %d players packed with %d messages", s.k, len(msgs))
-	}
-	for i, m := range msgs {
-		if s.bits < 64 && m >= 1<<s.bits {
-			return fmt.Errorf("core: player %d message %#x wider than the slate's %d bits", i, uint64(m), s.bits)
-		}
-	}
-	for w := 0; w < s.words; w++ {
-		PackPlaneWord(s.planes, s.words, w, s.bits, msgs[w*64:min(w*64+64, s.k)])
-	}
-	return nil
-}
-
 // PackPlaneWord writes msgs, a run of at most 64 messages, into word w of
 // each of the `bits` planes stored back to back in planes, `words` words
-// per plane — the layout of a Slate and of a VOTE_BATCH frame: bit b of
-// msgs[j] becomes bit j of planes[b*words+w]. Each plane word is built in
-// a register, with no branch on a message bit, and stored whole, so lanes
-// at and above len(msgs) read zero. Message bits at or above `bits` are
-// ignored; callers check widths first.
+// per plane. That is the layout of a VOTE_BATCH frame's vote planes
+// (DESIGN.md section 10), with trials as the lanes: bit b of msgs[j]
+// becomes bit j of planes[b*words+w], so plane 0 alone is the packed
+// 1-bit vote bitset. Each plane word is built in a register, with no
+// branch on a message bit, and stored whole, so lanes at and above
+// len(msgs) read zero. Message bits at or above `bits` are ignored;
+// callers check widths first.
 func PackPlaneWord(planes []uint64, words, w, bits int, msgs []Message) {
 	msgs = msgs[:min(len(msgs), 64)]
 	for b := 0; b < bits; b++ {
@@ -118,11 +28,13 @@ func PackPlaneWord(planes []uint64, words, w, bits int, msgs []Message) {
 	}
 }
 
-// UnpackPlaneWord is PackPlaneWord's inverse: it rebuilds the message of
-// lane j of word w of the `bits` planes and stores it at msgs[j*stride],
-// for every lane whose slot lies within msgs, at most 64. A stride of 1
-// fills a run of messages; a stride of k fills one player's column of a
-// trial-major block of k-message rows.
+// UnpackPlaneWord is PackPlaneWord's inverse over the same VOTE_BATCH
+// plane layout: it rebuilds the message of lane j of word w of the
+// `bits` planes and stores it at msgs[j*stride], for every lane whose
+// slot lies within msgs, at most 64. A stride of 1 fills a run of
+// messages; a stride of k fills one player's column of a trial-major
+// block of k-message rows, which is how the opaque referee's decide
+// rebuilds each trial's messages.
 func UnpackPlaneWord(msgs []Message, stride int, planes []uint64, words, w, bits int) {
 	if len(msgs) == 0 {
 		return
@@ -141,24 +53,14 @@ func UnpackPlaneWord(msgs []Message, stride int, planes []uint64, words, w, bits
 	}
 }
 
-// SlateDecider is the allocation-free r-bit referee path: referees that
-// can decide straight off the packed planes implement it, and the SMP
-// scratch runner (and the batch evaluators downstream) prefer it over
-// expanding every message. It is the r-bit analogue of the private
-// bitsDecider fast path the 1-bit threshold family uses.
-type SlateDecider interface {
-	// DecideSlate returns the verdict for one full round; the slate's
-	// width must match the referee's expected message width.
-	DecideSlate(s *Slate) (bool, error)
-}
-
 // SumThresholdReferee is the canonical r-bit referee: each player reports
 // an r-bit magnitude (larger = more evidence against uniformity, e.g. a
 // saturating collision count) and the referee rejects iff the values sum
 // to at least T. For r = 1 it degenerates to counting raised flags —
 // note the polarity is opposite to the 1-bit ThresholdRule convention,
-// where bit 1 means accept. Decide sums lanes; DecideSlate sums planes
-// word-parallel (popcount of plane b contributes 2^b per set lane).
+// where bit 1 means accept. Decide sums the messages with no allocation;
+// the networked referee decides whole batches of it word-parallel, from
+// SumShape.
 type SumThresholdReferee struct {
 	// Bits is the message width r in [1,64] every player must honor.
 	Bits int
@@ -169,7 +71,6 @@ type SumThresholdReferee struct {
 
 var (
 	_ Referee         = SumThresholdReferee{}
-	_ SlateDecider    = SumThresholdReferee{}
 	_ AbsenteeAdvisor = SumThresholdReferee{}
 )
 
@@ -201,35 +102,6 @@ func (r SumThresholdReferee) Decide(msgs []Message) (bool, error) {
 		next := sum + uint64(m)
 		if next < sum {
 			return false, fmt.Errorf("core: sum referee value overflow at player %d", i)
-		}
-		sum = next
-	}
-	return sum < uint64(r.T), nil
-}
-
-// DecideSlate implements SlateDecider via weighted plane popcounts.
-func (r SumThresholdReferee) DecideSlate(s *Slate) (bool, error) {
-	if err := r.validate(); err != nil {
-		return false, err
-	}
-	if s == nil || s.k == 0 {
-		return false, fmt.Errorf("core: sum referee over an empty slate")
-	}
-	if s.bits != r.Bits {
-		return false, fmt.Errorf("core: %d-bit slate decided by a %d-bit sum referee", s.bits, r.Bits)
-	}
-	var sum uint64
-	for b := 0; b < s.bits; b++ {
-		var pop uint64
-		for _, w := range s.Plane(b) {
-			pop += uint64(bits.OnesCount64(w))
-		}
-		if pop != 0 && bits.Len64(pop)+b > 64 {
-			return false, fmt.Errorf("core: sum referee plane overflow at bit %d", b)
-		}
-		next := sum + pop<<b
-		if next < sum {
-			return false, fmt.Errorf("core: sum referee value overflow at bit %d", b)
 		}
 		sum = next
 	}

@@ -109,49 +109,6 @@ func TestPlaneCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSlateSetMessagesMatchesSet: SetMessages, which packs through
-// PackPlaneWord, leaves every plane exactly as per-player Set does, over
-// slates of 1–200 players and every width, and Get reads each message
-// back.
-func TestSlateSetMessagesMatchesSet(t *testing.T) {
-	rng := rand.New(rand.NewPCG(23, 0x5e7))
-	for _, k := range []int{1, 2, 63, 64, 65, 127, 128, 129, 200} {
-		for bits := 1; bits <= 64; bits++ {
-			msgs := make([]Message, k)
-			for i := range msgs {
-				msgs[i] = Message(rng.Uint64())
-				if bits < 64 {
-					msgs[i] &= 1<<bits - 1
-				}
-			}
-			packed, err := NewSlate(k, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			set, err := NewSlate(k, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := packed.SetMessages(msgs); err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range msgs {
-				set.Set(i, m)
-			}
-			for i := range packed.planes {
-				if packed.planes[i] != set.planes[i] {
-					t.Fatalf("k=%d r=%d: SetMessages word %d = %#x, per-player Set %#x", k, bits, i, packed.planes[i], set.planes[i])
-				}
-			}
-			for i, m := range msgs {
-				if got := packed.Get(i); got != m {
-					t.Fatalf("k=%d r=%d: player %d reads %#x, set %#x", k, bits, i, got, m)
-				}
-			}
-		}
-	}
-}
-
 // FuzzVotePlanes compares the plane codec with the bit-at-a-time
 // reference for any width, run length, word position and messages: the
 // first three bytes pick the width (1–64), the run length (1–64) and

@@ -133,34 +133,28 @@ func (r FuncRule) Name() string {
 }
 
 // BitReferee lifts a DecisionRule to the Referee interface, reading bit 0
-// of every message.
+// of every message. A stock rule — AND, OR, majority or a T-threshold —
+// is decided by counting the rejecting messages, with no allocation; any
+// other rule is handed the messages' bits as a fresh []bool.
 type BitReferee struct {
 	Rule DecisionRule
 }
 
-var (
-	_ Referee     = BitReferee{}
-	_ bitsDecider = BitReferee{}
-)
-
-// bitsDecider is the allocation-free referee path the SMP scratch runner
-// probes for: decide into a caller-owned bit buffer instead of a fresh
-// slice per round.
-type bitsDecider interface {
-	decideBits(msgs []Message, bits []bool) (bool, error)
-}
+var _ Referee = BitReferee{}
 
 // Decide implements Referee.
 func (r BitReferee) Decide(msgs []Message) (bool, error) {
-	return r.decideBits(msgs, make([]bool, len(msgs)))
-}
-
-// decideBits implements bitsDecider; bits must hold len(msgs) entries.
-func (r BitReferee) decideBits(msgs []Message, bits []bool) (bool, error) {
 	if r.Rule == nil {
 		return false, fmt.Errorf("core: BitReferee with nil rule")
 	}
-	bits = bits[:len(msgs)]
+	if t, ok := rejectionThreshold(r.Rule, len(msgs)); ok {
+		rejections := 0
+		for _, m := range msgs {
+			rejections += int(^m & 1)
+		}
+		return rejections < t, nil
+	}
+	bits := make([]bool, len(msgs))
 	for i, m := range msgs {
 		bits[i] = m.Bit()
 	}
@@ -176,14 +170,23 @@ func (r BitReferee) decideBits(msgs []Message, bits []bool) (bool, error) {
 // expanding every trial to a []bool. FuncRule and non-BitReferee
 // referees are opaque and return ok=false.
 func ThresholdShape(r Referee, k int) (t int, ok bool) {
-	if k < 1 {
-		return 0, false
-	}
 	br, isBits := r.(BitReferee)
 	if !isBits {
 		return 0, false
 	}
-	switch rule := br.Rule.(type) {
+	return rejectionThreshold(br.Rule, k)
+}
+
+// rejectionThreshold returns the T at which a stock rule over k votes
+// rejects: the rule's Decide over k bits equals "reject iff at least T
+// bits are false". It reports ok = false for any other rule, and where
+// the rule's own Decide errors (k < 1, or a threshold below 1), so the
+// caller reaches that error through Decide.
+func rejectionThreshold(rule DecisionRule, k int) (t int, ok bool) {
+	if k < 1 {
+		return 0, false
+	}
+	switch rule := rule.(type) {
 	case ANDRule:
 		return 1, true
 	case ORRule:
@@ -198,16 +201,4 @@ func ThresholdShape(r Referee, k int) (t int, ok bool) {
 	default:
 		return 0, false
 	}
-}
-
-// CountRejections returns the number of false entries, the referee-side
-// statistic of the threshold rule.
-func CountRejections(bits []bool) int {
-	rejections := 0
-	for _, b := range bits {
-		if !b {
-			rejections++
-		}
-	}
-	return rejections
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -144,15 +145,6 @@ func TestRuleNames(t *testing.T) {
 	}
 }
 
-func TestCountRejections(t *testing.T) {
-	if CountRejections([]bool{true, false, false, true, false}) != 3 {
-		t.Error("count wrong")
-	}
-	if CountRejections(nil) != 0 {
-		t.Error("empty count wrong")
-	}
-}
-
 func TestBitReferee(t *testing.T) {
 	ref := BitReferee{Rule: ANDRule{}}
 	got, err := ref.Decide([]Message{1, 1, 3}) // bit 0 set on all
@@ -165,6 +157,74 @@ func TestBitReferee(t *testing.T) {
 	}
 	if _, err := (BitReferee{}).Decide([]Message{1}); err == nil {
 		t.Error("nil rule accepted")
+	}
+}
+
+// TestBitRefereeMatchesRule is the differential test of BitReferee's
+// decide, which counts the rejections of a stock rule, against the
+// rule's own Decide over the messages' bits: for k from 0 to 10, every
+// one of the 2^k accept/reject patterns, with random bits above bit 0 in
+// every message, under AND, OR, majority, a FuncRule and ThresholdRule{T}
+// for T from -1 to k+2, the verdicts must agree, and so must whether
+// the decide errors. A nil rule errors.
+func TestBitRefereeMatchesRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 0xb175))
+	// A rule no count decides: accept iff player 0 accepts or an odd
+	// number of players do.
+	oddOrFirst := FuncRule{Label: "odd-or-first", F: func(bits []bool) bool {
+		odd := false
+		for _, b := range bits {
+			odd = odd != b
+		}
+		return bits[0] || odd
+	}}
+	for k := 0; k <= 10; k++ {
+		rules := []DecisionRule{ANDRule{}, ORRule{}, MajorityRule{}, oddOrFirst}
+		for T := -1; T <= k+2; T++ {
+			rules = append(rules, ThresholdRule{T: T})
+		}
+		msgs, bits := make([]Message, k), make([]bool, k)
+		for pattern := 0; pattern < 1<<k; pattern++ {
+			for i := range msgs {
+				bits[i] = pattern>>i&1 == 1
+				msgs[i] = Message(rng.Uint64())&^1 | Message(pattern>>i&1)
+			}
+			for _, rule := range rules {
+				want, wantErr := rule.Decide(bits)
+				got, err := BitReferee{Rule: rule}.Decide(msgs)
+				if got != want || (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s over %d messages %#x: BitReferee = (%v, %v), rule over bits = (%v, %v)",
+						rule.Name(), k, msgs, got, err, want, wantErr)
+				}
+			}
+		}
+	}
+	for _, msgs := range [][]Message{nil, {1}, {0, 1}} {
+		if _, err := (BitReferee{}).Decide(msgs); err == nil {
+			t.Errorf("nil rule decided %d messages", len(msgs))
+		}
+	}
+}
+
+// TestBitRefereeDecideAllocs: BitReferee decides the four stock rules
+// by counting, so a decide over 4,096 messages allocates nothing.
+func TestBitRefereeDecideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	msgs := make([]Message, 4096)
+	for i := range msgs {
+		msgs[i] = Message(i * 7 % 5)
+	}
+	for _, rule := range []DecisionRule{ANDRule{}, ORRule{}, MajorityRule{}, ThresholdRule{T: 1000}} {
+		var ref Referee = BitReferee{Rule: rule}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ref.Decide(msgs); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: deciding %d messages allocates %.1f, want 0", rule.Name(), len(msgs), allocs)
+		}
 	}
 }
 

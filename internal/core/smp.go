@@ -128,27 +128,16 @@ func (p *SMP) RunMessagesSeeded(sampler dist.Sampler, shared uint64) ([]Message,
 // reseedable per-player generator. One Scratch serves any number of
 // sequential rounds; it must not be shared across goroutines.
 type Scratch struct {
-	buf   []int
-	bits  []bool
-	slate *Slate
-	rng   *engine.ReusableRNG
+	buf []int
+	rng *engine.ReusableRNG
 }
 
-// NewScratch sizes a Scratch for this protocol. When the referee decides
-// over packed r-bit slates (SlateDecider), the scratch owns the slate so
-// multi-bit rounds stay allocation-free like single-bit ones.
+// NewScratch sizes a Scratch for this protocol.
 func (p *SMP) NewScratch() *Scratch {
-	sc := &Scratch{
-		buf:  make([]int, p.MaxSamplesPerPlayer()),
-		bits: make([]bool, len(p.qs)),
-		rng:  engine.NewReusableRNG(),
+	return &Scratch{
+		buf: make([]int, p.MaxSamplesPerPlayer()),
+		rng: engine.NewReusableRNG(),
 	}
-	if _, ok := p.referee.(SlateDecider); ok {
-		// An invalid width surfaces as an error on the allocating
-		// fallback path instead of a panic here.
-		sc.slate, _ = NewSlate(len(p.qs), p.local.Bits())
-	}
-	return sc
 }
 
 // runMessagesScratch is the batch vote path behind RunMessagesSeeded:
@@ -174,19 +163,11 @@ func (p *SMP) runMessagesScratch(sampler dist.Sampler, shared uint64, msgs []Mes
 }
 
 // runSeededScratch is RunSeeded over a reusable Scratch and message
-// slice: zero allocations per round for bit-voting referees.
+// slice: zero allocations per round for the stock referees, whose Decide
+// counts over the messages.
 func (p *SMP) runSeededScratch(sampler dist.Sampler, shared uint64, msgs []Message, sc *Scratch) (bool, error) {
 	if err := p.runMessagesScratch(sampler, shared, msgs, sc); err != nil {
 		return false, err
-	}
-	if bd, ok := p.referee.(bitsDecider); ok {
-		return bd.decideBits(msgs, sc.bits)
-	}
-	if sd, ok := p.referee.(SlateDecider); ok && sc.slate != nil {
-		if err := sc.slate.SetMessages(msgs); err != nil {
-			return false, err
-		}
-		return sd.DecideSlate(sc.slate)
 	}
 	return p.referee.Decide(msgs)
 }

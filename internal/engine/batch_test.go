@@ -84,7 +84,13 @@ func TestClusterBatchOpaqueRefereeMatchesUnbatched(t *testing.T) {
 	referee := core.BitReferee{Rule: core.FuncRule{
 		Label: "inverted-majority",
 		F: func(bits []bool) bool {
-			return core.CountRejections(bits) >= (len(bits)+1)/2
+			rejections := 0
+			for _, b := range bits {
+				if !b {
+					rejections++
+				}
+			}
+			return rejections >= (len(bits)+1)/2
 		},
 	}}
 	want := clusterVerdicts(t, referee, 0, core.AbsenteeDefault)

@@ -16,10 +16,10 @@ import (
 // (acceptShard) and gather (gatherShard) the flat root runs over its one
 // shard of all k players, reduces every gathered VOTE_BATCH locally with
 // the flat root's reduction, and sends one reduced frame per batch
-// upstream. For threshold- and sum-shaped referees the
-// reduction is the bit-sliced partial sum itself (AGG_SUM carries the
-// per-lane rejection/value counters, which compose across shards by
-// lane-wise addition); for opaque referees the aggregator forwards its
+// upstream. For shaped referees the reduction is the bit-sliced
+// partial sum itself (AGG_SUM carries the per-lane counters of vote
+// values, rejections for a threshold rule, which compose across shards
+// by lane-wise addition); for opaque referees the aggregator forwards its
 // shard's packed planes in one AGG_PLANES frame, and the root scatters
 // them back into the per-player delivery table so the per-trial
 // decideVotes fallback is reached with exactly the flat referee's
@@ -302,15 +302,15 @@ func (a *aggregator) reduceLoop() {
 
 // runBatch gathers one batch from the shard and sends the reduced frame
 // upstream: bit-sliced partial sums (AGG_SUM) when the referee is
-// threshold- or sum-shaped, the packed planes with a membership mask
-// (AGG_PLANES) otherwise. Both encodes reuse the aggregator's scratch,
+// shaped, the packed planes with a membership mask (AGG_PLANES)
+// otherwise. Both encodes reuse the aggregator's scratch,
 // so a settled session reduces at zero allocations per batch.
 func (a *aggregator) runBatch(b aggBatch) {
 	bs := a.bs
 	words := batchWords(b.count)
 	received := bs.gatherShard(a.slots, a.deliv, &a.gathered, b.id, b.count)
 	var err error
-	if bs.shapeOK || bs.sumOK {
+	if bs.shaped {
 		planes := len(bs.planes)
 		need := planes * words
 		if cap(a.sums) < need {
@@ -373,81 +373,56 @@ func (a *aggregator) closeMembers() {
 }
 
 // reduceShard reduces one shard's delivered votes (deliv by shard
-// position, nil = absent) into the batch's bit-sliced counters with the
-// reduction that fits the referee's shape: rejection counts for a
-// threshold shape, value sums for a sum shape. An aggregator reduces its
-// members this way, the flat star all k players.
+// position, nil = absent) into the batch's bit-sliced counters of the
+// referee's vote values: an aggregator reduces its members this way, the
+// flat star all k players.
 func (bs *batchSession) reduceShard(deliv [][]uint64, count int, col, sums []uint64) {
-	if bs.shapeOK {
-		reduceThresholdSums(deliv, count, batchWords(count), col, sums)
-	} else {
-		reduceValueSums(deliv, bs.msgBits, batchWords(count), col, sums)
-	}
+	reduceSums(deliv, count, bs.valueBits, bs.flip, col, sums)
 }
 
-// reduceThresholdSums accumulates the shard's per-lane rejection counts
-// into bit-sliced counter planes: for each trial word, every present
-// member's inverted vote word (1 = rejection) is ripple-carry added
-// into col, and the columns land in sums plane-major (sums[p*words+w]
-// is bit p of every lane in word w). The inversion is masked on the
-// final word so padding lanes stay zero, as AGG_SUM's validation
-// demands of counters that travel the wire.
+// reduceSums accumulates a shard's per-lane vote values into bit-sliced
+// counter planes. A vote's value is its low valueBits planes, plane b
+// weighing 2^b, or under flip the complement of plane 0, so a threshold
+// referee's counters count rejections. For each trial word, value plane
+// b of every present member is ripple-carry added into col from counter
+// plane b up, and the columns land in sums plane-major (sums[p*words+w]
+// is bit p of every lane in word w). Each plane word enters as
+// (word ^ inv) & lanes: inv is all ones under flip, and lanes masks the
+// final word's padding, so padding lanes stay zero, as AGG_SUM's
+// validation demands of counters that travel the wire. The loop runs
+// word, then value plane, then member, with no branch on flip.
 //
 //dut:hotpath
-func reduceThresholdSums(deliv [][]uint64, count, words int, col, sums []uint64) {
-	clear(sums)
-	rem := count % 64
-	for w := 0; w < words; w++ {
-		for i := range col {
-			col[i] = 0
-		}
-		for _, d := range deliv {
-			if d == nil {
-				continue
-			}
-			carry := ^d[w]
-			if w == words-1 && rem != 0 {
-				carry &= 1<<rem - 1
-			}
-			for i := 0; i < len(col) && carry != 0; i++ {
-				next := col[i] & carry
-				col[i] ^= carry
-				carry = next
-			}
-		}
-		for p := range col {
-			sums[p*words+w] = col[p]
-		}
+func reduceSums(deliv [][]uint64, count, valueBits int, flip bool, col, sums []uint64) {
+	words := batchWords(count)
+	var inv uint64
+	if flip {
+		inv = ^uint64(0)
 	}
-}
-
-// reduceValueSums is reduceThresholdSums for r-bit sum-shaped referees:
-// message plane b adds 2^b per set lane, so the ripple starts at
-// counter plane b. Value planes are wire-validated to have zero
-// padding, so no masking is needed.
-//
-//dut:hotpath
-func reduceValueSums(deliv [][]uint64, msgBits, words int, col, sums []uint64) {
-	clear(sums)
 	for w := 0; w < words; w++ {
-		for i := range col {
-			col[i] = 0
+		lanes := ^uint64(0)
+		if rem := count - w*64; rem < 64 {
+			lanes = 1<<rem - 1
 		}
-		for _, d := range deliv {
-			if d == nil {
-				continue
-			}
-			for b := 0; b < msgBits; b++ {
-				carry := d[b*words+w]
-				for i := b; i < len(col) && carry != 0; i++ {
-					next := col[i] & carry
-					col[i] ^= carry
-					carry = next
+		clear(col)
+		for b := 0; b < valueBits; b++ {
+			at, up := b*words+w, col[b:]
+			for _, d := range deliv {
+				if d == nil {
+					continue
+				}
+				carry := (d[at] ^ inv) & lanes
+				for i, c := range up {
+					if carry == 0 {
+						break
+					}
+					up[i] = c ^ carry
+					carry &= c
 				}
 			}
 		}
-		for p := range col {
-			sums[p*words+w] = col[p]
+		for p, c := range col {
+			sums[p*words+w] = c
 		}
 	}
 }
@@ -645,7 +620,7 @@ func (bs *batchSession) readReduced(slot *batchSlot, batchID uint32, count int) 
 	// The reduced frame waits on the aggregator's own member gather
 	// (itself budgeted two timeouts) plus the reduction; budget three.
 	setReadDeadline(slot.conn, 3*bs.c.timeout)
-	if bs.shapeOK || bs.sumOK {
+	if bs.shaped {
 		t, err := slot.fr.read()
 		if err == nil && t != FrameAggSum {
 			err = unexpectedFrame(FrameAggSum, t)
@@ -763,44 +738,37 @@ func (bs *batchSession) decideCounters(count, received int, verdictBits []uint64
 	return nil
 }
 
-// adjustedThreshold maps the batch's presence onto the rejection- or
-// sum-threshold decideVotes would effectively apply with received of k
-// votes in. Absent players enter the flat decision
-// per the resolved absentee policy: Omit re-shapes the rule at the
-// smaller count (exact for every stock threshold rule — AND stays 1,
-// OR and Majority follow the count, fixed thresholds stay fixed);
-// Accept contributes zero rejections (zero value), leaving the
-// threshold alone for sums and — because the counters only ever count
-// real votes — for thresholds too; Reject contributes one
-// rejection (value zero) per absentee, so the remaining votes need
-// that many fewer rejections.
+// adjustedThreshold maps the batch's presence onto the threshold
+// decideVotes would effectively apply to the counters with received of k
+// votes in; the counters hold only real votes. Under Omit the referee
+// decides over the received votes alone: a threshold rule is shaped
+// again at the smaller count (AND stays 1, OR and Majority follow the
+// count, fixed thresholds stay fixed), and a sum keeps its T. Under
+// Accept or Reject each absentee stands for that message, whose value
+// the present votes no longer need to reach: under flip a rejection
+// counts 1, and in a sum an acceptance does.
 func (bs *batchSession) adjustedThreshold(received int) (int, error) {
 	k := bs.c.k
-	if bs.shapeOK {
-		if received == k {
-			return bs.shapeT, nil
-		}
-		switch core.ResolveAbsentee(bs.c.absentees, bs.c.referee) {
-		case core.AbsenteeOmit:
-			t, ok := core.ThresholdShape(bs.c.referee, received)
-			if !ok {
-				return 0, fmt.Errorf("network: referee lost its threshold shape at %d votes", received)
-			}
-			return t, nil
-		case core.AbsenteeAccept:
-			return bs.shapeT, nil
-		default: // core.AbsenteeReject: each absentee is one rejection already counted for.
-			return bs.shapeT - (k - received), nil
-		}
-	}
 	if received == k {
-		return bs.sumT, nil
+		return bs.shapeT, nil
 	}
-	if core.ResolveAbsentee(bs.c.absentees, bs.c.referee) == core.AbsenteeAccept {
-		// core.Accept is message value 1, so each absentee adds one to the
-		// flat sum; the tree's counters hold only real votes.
-		return bs.sumT - (k - received), nil
+	stand := core.Accept
+	switch core.ResolveAbsentee(bs.c.absentees, bs.c.referee) {
+	case core.AbsenteeOmit:
+		if !bs.flip {
+			return bs.shapeT, nil
+		}
+		t, ok := core.ThresholdShape(bs.c.referee, received)
+		if !ok {
+			return 0, fmt.Errorf("network: referee lost its threshold shape at %d votes", received)
+		}
+		return t, nil
+	case core.AbsenteeReject:
+		stand = core.Reject
 	}
-	// Omit and Reject both contribute value zero to the sum.
-	return bs.sumT, nil
+	v := int(stand)
+	if bs.flip {
+		v = 1 - v
+	}
+	return bs.shapeT - (k-received)*v, nil
 }

@@ -308,18 +308,15 @@ type batchSession struct {
 	// VOTE_BATCH.
 	msgBits int
 
-	// Threshold shape of the referee, when it has one: reject iff at
-	// least shapeT of the k single-bit votes reject. This is what the
-	// word-parallel counter decide evaluates.
-	shapeT  int
-	shapeOK bool
-
-	// Sum shape of the referee, when it has one: reject iff the k r-bit
-	// values sum to at least sumT. sumOK additionally requires the
-	// referee's width to match the rule's and the counter planes to fit,
-	// so the word-parallel sum path is only taken when it is exact.
-	sumT  int
-	sumOK bool
+	// Counter shape of the referee, when it has one (shaped): reject
+	// iff the k votes' values sum to at least shapeT. A vote's value is
+	// its low valueBits bits; with flip set it is the complement of bit
+	// 0, so a threshold rule's counters count rejections. This is what
+	// the word-parallel counter decide evaluates.
+	shaped    bool
+	shapeT    int
+	valueBits int
+	flip      bool
 
 	// Per-batch scratch: delivered vote planes by player id, the
 	// bit-sliced counter planes of one trial word, and the batch's
@@ -526,22 +523,22 @@ func stopTimer(t *time.Timer) {
 }
 
 // initDecide classifies the referee and sizes the decide scratch: the
-// threshold or sum shape the counter decide evaluates, its counter
-// planes, and the per-player delivery and presence tables. The opaque
-// decide's message block grows on its first batch.
+// counter shape the counter decide evaluates, its counter planes, and
+// the per-player delivery and presence tables. A threshold rule counts
+// rejections in Len(k) planes; a sum referee of the rule's width r
+// counts values in Len(k) + r, and only while that stays within 62
+// planes, where the lane sums (and atLeast's threshold compare) are
+// exact: beyond, it is decided per trial. The opaque decide's message
+// block grows on its first batch.
 func (bs *batchSession) initDecide() {
 	c := bs.c
 	bs.msgBits = c.rule.Bits()
-	bs.shapeT, bs.shapeOK = core.ThresholdShape(c.referee, c.k)
 	planeLen := bits.Len(uint(c.k))
-	if sumT, sumBits, ok := core.SumShape(c.referee, c.k); ok && sumBits == bs.msgBits {
-		// The bit-sliced sum counter needs Len(k * (2^r - 1)) planes; cap
-		// it where the lane sums (and atLeast's threshold compare) stay
-		// exact, falling back to per-trial decoding beyond.
-		if need := sumBits + bits.Len(uint(c.k)); need <= 62 {
-			bs.sumT, bs.sumOK = sumT, true
-			planeLen = max(planeLen, need)
-		}
+	if t, ok := core.ThresholdShape(c.referee, c.k); ok {
+		bs.shaped, bs.shapeT, bs.valueBits, bs.flip = true, t, 1, true
+	} else if t, r, ok := core.SumShape(c.referee, c.k); ok && r == bs.msgBits && r+planeLen <= 62 {
+		bs.shaped, bs.shapeT, bs.valueBits = true, t, r
+		planeLen += r
 	}
 	bs.deliv = make([][]uint64, c.k)
 	bs.planes = make([]uint64, planeLen)
@@ -943,18 +940,18 @@ func (bs *batchSession) gatherShard(slots []*batchSlot, deliv [][]uint64, wg *sy
 }
 
 // decideBatch evaluates every trial of a gathered batch, filling one
-// RoundResult per trial. A threshold-shaped (1-bit) or sum-shaped
-// (r-bit) referee decides the whole batch word-parallel from bit-sliced
-// counters at any presence (decideCounters), into the verdict bitset
-// scratch; an opaque referee decides trial by trial, through decideVotes
-// on each trial's vote slate, so quorum checks and absentee policy are
-// the referee's by construction. The slates are the rows of a
-// trial-major block that each word of the delivered planes unpacks
-// into, 64 trials at a time.
+// RoundResult per trial. A shaped referee — a threshold rule counting
+// rejections, or a sum referee counting values — decides the whole batch
+// word-parallel from bit-sliced counters at any presence
+// (decideCounters), into the verdict bitset scratch; an opaque referee
+// decides trial by trial, through decideVotes on each trial's vote
+// slate, so quorum checks and absentee policy are the referee's by
+// construction. The slates are the rows of a trial-major block that each
+// word of the delivered planes unpacks into, 64 trials at a time.
 func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) error {
 	words := batchWords(count)
 	k := bs.c.k
-	if bs.shapeOK || bs.sumOK {
+	if bs.shaped {
 		if cap(bs.verdictBits) < words {
 			bs.verdictBits = make([]uint64, words)
 		}

@@ -604,126 +604,175 @@ func TestNodeRejectsHostileDownlink(t *testing.T) {
 	}
 }
 
+// Referee kinds of the counter decide's differential test: the four
+// stock rules under BitReferee, which read bit 0 of votes of any width,
+// and the r-bit sum referee.
+const (
+	counterAND = iota
+	counterOR
+	counterMajority
+	counterThreshold
+	counterSum
+	counterKinds
+)
+
+// checkCounterDecide decides one random batch through decideBatch and
+// compares every trial's verdict and vote count with decideVotes on that
+// trial's vote slate, rebuilt bit by bit from the delivered planes. The
+// batch is decided twice: as the flat star, which reduces the delivered
+// votes as one shard, and as a tree that reduces a random partition of
+// them per shard and combines the partial sums. k, the referee kind, the
+// vote width msgBits and the trial count are given; rng draws the rest:
+// the referee's T, the quorum, the absentee policy, which players are
+// present, their vote planes and the partition. It reports whether the
+// batch had absentees.
+func checkCounterDecide(t *testing.T, rng *rand.Rand, k, kind, msgBits, count int) bool {
+	t.Helper()
+	var referee core.Referee
+	switch kind {
+	case counterAND:
+		referee = core.BitReferee{Rule: core.ANDRule{}}
+	case counterOR:
+		referee = core.BitReferee{Rule: core.ORRule{}}
+	case counterMajority:
+		referee = core.BitReferee{Rule: core.MajorityRule{}}
+	case counterThreshold:
+		referee = core.BitReferee{Rule: core.ThresholdRule{T: 1 + rng.IntN(k+1)}}
+	default:
+		referee = core.SumThresholdReferee{Bits: msgBits, T: 1 + rng.IntN(k*(1<<msgBits-1)+1)}
+	}
+	policies := []core.AbsenteePolicy{core.AbsenteeDefault, core.AbsenteeAccept, core.AbsenteeReject, core.AbsenteeOmit}
+	minVotes := 1 + rng.IntN(k)
+	c, err := NewCluster(ClusterConfig{
+		K: k, Q: 1,
+		Rule:      treeTestRule{bits: msgBits},
+		Referee:   referee,
+		MinVotes:  minVotes,
+		Absentees: policies[rng.IntN(len(policies))],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := batchWords(count)
+	received := minVotes + rng.IntN(k-minVotes+1)
+	deliv := make([][]uint64, k)
+	for _, p := range rng.Perm(k)[:received] {
+		planes := make([]uint64, msgBits*words)
+		for i := range planes {
+			planes[i] = rng.Uint64()
+			if rem := count % 64; rem != 0 && i%words == words-1 {
+				planes[i] &= 1<<rem - 1
+			}
+		}
+		deliv[p] = planes
+	}
+
+	// The reference: decideVotes on every trial's slate.
+	want := make([]engine.RoundResult, count)
+	votes, got := make([]core.Message, k), make([]bool, k)
+	for j := range want {
+		for p, d := range deliv {
+			votes[p], got[p] = 0, d != nil
+			for b := 0; d != nil && b < msgBits; b++ {
+				votes[p] |= core.Message(d[b*words+j/64]>>(j%64)&1) << b
+			}
+		}
+		accept, recv, err := c.decideVotes(votes, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[j] = engine.RoundResult{Verdict: accept, Votes: recv}
+	}
+
+	flat := &batchSession{c: c}
+	flat.initDecide()
+	copy(flat.deliv, deliv)
+	tree := &batchSession{c: c}
+	tree.initDecide()
+	shards := (Topology{Shards: 1 + rng.IntN(min(k, 8)), Seed: rng.Uint64()}).Partition(k)
+	tree.aggs = make([]*aggregator, len(shards))
+	tree.shardGot = make([]bool, len(shards))
+	tree.shardSums = make([][]uint64, len(shards))
+	for i, members := range shards {
+		shard := make([][]uint64, len(members))
+		for pos, p := range members {
+			shard[pos] = deliv[p]
+		}
+		sums := make([]uint64, len(tree.planes)*words)
+		tree.reduceShard(shard, count, make([]uint64, len(tree.planes)), sums)
+		tree.shardGot[i], tree.shardSums[i] = true, sums
+	}
+	for _, side := range []struct {
+		name string
+		bs   *batchSession
+	}{{"flat", flat}, {"tree", tree}} {
+		if !side.bs.shaped {
+			t.Fatalf("%T lost its shape at k=%d", referee, k)
+		}
+		out := make([]engine.RoundResult, count)
+		if err := side.bs.decideBatch(count, received, out); err != nil {
+			t.Fatalf("%s (%#v, r=%d, k=%d): %v", side.name, referee, msgBits, k, err)
+		}
+		for j := range out {
+			if out[j].Verdict != want[j].Verdict || out[j].Votes != want[j].Votes {
+				t.Fatalf("%s (%#v, r=%d, k=%d, %d present, quorum %d, policy %d, %d trials): trial %d decided %v with %d votes, decideVotes %v with %d",
+					side.name, referee, msgBits, k, received, minVotes, c.absentees, count, j,
+					out[j].Verdict, out[j].Votes, want[j].Verdict, want[j].Votes)
+			}
+		}
+	}
+	return received < k
+}
+
 // TestCounterDecideMatchesDecideVotes is the differential test of the
-// shaped decide against the per-trial reference: on seeded random
-// batches — k in [1, 70]; AND, OR, Majority, Threshold(T) and r-bit sum
-// thresholds; random presence down to the quorum; every absentee policy;
-// trial counts around the word boundaries — every trial's verdict and
-// vote count from decideBatch must equal decideVotes on that trial's
-// reconstructed vote slate. Each batch is decided twice: as the flat
-// star, which reduces the delivered votes as one shard, and as a tree
-// that reduces a random partition of them per shard and combines the
-// partial sums.
+// shaped decide against the per-trial reference: checkCounterDecide on
+// seeded random batches — k in [1, 70]; AND, OR, Majority and
+// Threshold(T) over 1-bit votes and over r-bit votes (r in {2, 3, 8}, of
+// which the counters must read plane 0 only), and r-bit sum thresholds;
+// trial counts around the word boundaries.
 func TestCounterDecideMatchesDecideVotes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 0xdec1de))
-	policies := []core.AbsenteePolicy{core.AbsenteeDefault, core.AbsenteeAccept, core.AbsenteeReject, core.AbsenteeOmit}
 	counts := []int{1, 2, 63, 64, 65, 130}
-	widths := []int{1, 2, 3, 5, 8}
+	sumWidths := []int{1, 2, 3, 5, 8}
+	voteWidths := []int{2, 3, 8}
 	const batches = 2048
 	trials, withAbsentees := 0, 0
 	for n := 0; n < batches; n++ {
 		k := 1 + rng.IntN(70)
+		kind := rng.IntN(counterKinds)
 		msgBits := 1
-		var referee core.Referee
-		switch rng.IntN(5) {
-		case 0:
-			referee = core.BitReferee{Rule: core.ANDRule{}}
-		case 1:
-			referee = core.BitReferee{Rule: core.ORRule{}}
-		case 2:
-			referee = core.BitReferee{Rule: core.MajorityRule{}}
-		case 3:
-			referee = core.BitReferee{Rule: core.ThresholdRule{T: 1 + rng.IntN(k+1)}}
-		default:
-			msgBits = widths[rng.IntN(len(widths))]
-			referee = core.SumThresholdReferee{Bits: msgBits, T: 1 + rng.IntN(k*(1<<msgBits-1)+1)}
-		}
-		minVotes := 1 + rng.IntN(k)
-		c, err := NewCluster(ClusterConfig{
-			K: k, Q: 1,
-			Rule:      treeTestRule{bits: msgBits},
-			Referee:   referee,
-			MinVotes:  minVotes,
-			Absentees: policies[n%len(policies)],
-		})
-		if err != nil {
-			t.Fatal(err)
+		switch {
+		case kind == counterSum:
+			msgBits = sumWidths[rng.IntN(len(sumWidths))]
+		case rng.IntN(2) == 0:
+			msgBits = voteWidths[rng.IntN(len(voteWidths))]
 		}
 		count := counts[rng.IntN(len(counts))]
-		words := batchWords(count)
-		received := minVotes + rng.IntN(k-minVotes+1)
-		deliv := make([][]uint64, k)
-		for _, p := range rng.Perm(k)[:received] {
-			planes := make([]uint64, msgBits*words)
-			for i := range planes {
-				planes[i] = rng.Uint64()
-				if rem := count % 64; rem != 0 && i%words == words-1 {
-					planes[i] &= 1<<rem - 1
-				}
-			}
-			deliv[p] = planes
-		}
 		trials += count
-		if received < k {
+		if checkCounterDecide(t, rng, k, kind, msgBits, count) {
 			withAbsentees++
-		}
-
-		// The reference: decideVotes on every trial's slate.
-		want := make([]engine.RoundResult, count)
-		votes, got := make([]core.Message, k), make([]bool, k)
-		for j := range want {
-			for p, d := range deliv {
-				votes[p], got[p] = 0, d != nil
-				for b := 0; d != nil && b < msgBits; b++ {
-					votes[p] |= core.Message(d[b*words+j/64]>>(j%64)&1) << b
-				}
-			}
-			accept, recv, err := c.decideVotes(votes, got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[j] = engine.RoundResult{Verdict: accept, Votes: recv}
-		}
-
-		flat := &batchSession{c: c}
-		flat.initDecide()
-		copy(flat.deliv, deliv)
-		tree := &batchSession{c: c}
-		tree.initDecide()
-		shards := (Topology{Shards: 1 + rng.IntN(min(k, 8)), Seed: rng.Uint64()}).Partition(k)
-		tree.aggs = make([]*aggregator, len(shards))
-		tree.shardGot = make([]bool, len(shards))
-		tree.shardSums = make([][]uint64, len(shards))
-		for i, members := range shards {
-			shard := make([][]uint64, len(members))
-			for pos, p := range members {
-				shard[pos] = deliv[p]
-			}
-			sums := make([]uint64, len(tree.planes)*words)
-			tree.reduceShard(shard, count, make([]uint64, len(tree.planes)), sums)
-			tree.shardGot[i], tree.shardSums[i] = true, sums
-		}
-		for _, side := range []struct {
-			name string
-			bs   *batchSession
-		}{{"flat", flat}, {"tree", tree}} {
-			if !side.bs.shapeOK && !side.bs.sumOK {
-				t.Fatalf("batch %d: %T lost its shape at k=%d", n, referee, k)
-			}
-			out := make([]engine.RoundResult, count)
-			if err := side.bs.decideBatch(count, received, out); err != nil {
-				t.Fatalf("batch %d %s: %v", n, side.name, err)
-			}
-			for j := range out {
-				if out[j].Verdict != want[j].Verdict || out[j].Votes != want[j].Votes {
-					t.Fatalf("batch %d %s (%#v, k=%d, %d present, quorum %d, policy %d, %d trials): trial %d decided %v with %d votes, decideVotes %v with %d",
-						n, side.name, referee, k, received, minVotes, c.absentees, count, j,
-						out[j].Verdict, out[j].Votes, want[j].Verdict, want[j].Votes)
-				}
-			}
 		}
 	}
 	t.Logf("%d batches, %d trials, %d batches with absentees", batches, trials, withAbsentees)
+}
+
+// FuzzCounterDecide is checkCounterDecide over fuzzed batches: the four
+// byte arguments pin k (1–256), the referee kind, the vote width (1–16)
+// and the trial count (1–256), so the corpus can reach the word and
+// counter-plane boundaries, and the seed drives the rest. Every trial's
+// verdict and vote count, on the flat star and on the tree, must equal
+// decideVotes.
+func FuzzCounterDecide(f *testing.F) {
+	f.Add(uint8(0), uint8(counterAND), uint8(0), uint8(0), uint64(1))
+	f.Add(uint8(62), uint8(counterOR), uint8(1), uint8(63), uint64(2))
+	f.Add(uint8(63), uint8(counterThreshold), uint8(2), uint8(64), uint64(3))
+	f.Add(uint8(64), uint8(counterSum), uint8(7), uint8(128), uint64(4))
+	f.Add(uint8(255), uint8(counterMajority), uint8(15), uint8(255), uint64(5))
+	f.Add(uint8(127), uint8(counterSum), uint8(15), uint8(64), uint64(6))
+	f.Fuzz(func(t *testing.T, k, kind, width, count uint8, seed uint64) {
+		rng := rand.New(rand.NewPCG(seed, 0xc0de))
+		checkCounterDecide(t, rng, 1+int(k), int(kind)%counterKinds, 1+int(width)%16, 1+int(count))
+	})
 }
 
 // digestReferee is an opaque referee, neither threshold- nor sum-shaped.
@@ -780,7 +829,7 @@ func TestOpaqueDecideMatchesDecideVotes(t *testing.T) {
 		}
 		bs := &batchSession{c: c}
 		bs.initDecide()
-		if bs.shapeOK || bs.sumOK {
+		if bs.shaped {
 			t.Fatalf("session %d: the digest referee took a shaped decide", n)
 		}
 		for batch := 0; batch < batches; batch++ {

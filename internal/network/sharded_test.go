@@ -619,9 +619,9 @@ func TestAggBatchQueueSettledZeroAllocs(t *testing.T) {
 }
 
 // TestShardedReduceZeroAllocs guards the hot path of the tree: the L1
-// reduction kernels and the root's combine-and-decide must not allocate
-// per batch. Skipped under the race detector, whose instrumentation
-// allocates.
+// reduction kernel, over rejections and over values, and the root's
+// combine-and-decide must not allocate per batch. Skipped under the race
+// detector, whose instrumentation allocates.
 func TestShardedReduceZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -644,14 +644,14 @@ func TestShardedReduceZeroAllocs(t *testing.T) {
 	col := make([]uint64, planeCount)
 	sums := make([]uint64, planeCount*words)
 	if n := testing.AllocsPerRun(100, func() {
-		reduceThresholdSums(deliv, count, words, col[:bits.Len(members)], sums[:bits.Len(members)*words])
+		reduceSums(deliv, count, 1, true, col[:bits.Len(members)], sums[:bits.Len(members)*words])
 	}); n != 0 {
-		t.Errorf("reduceThresholdSums allocates %.1f per run", n)
+		t.Errorf("reduceSums over rejections allocates %.1f per run", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		reduceValueSums(deliv, msgBits, words, col, sums)
+		reduceSums(deliv, count, msgBits, false, col, sums)
 	}); n != 0 {
-		t.Errorf("reduceValueSums allocates %.1f per run", n)
+		t.Errorf("reduceSums over values allocates %.1f per run", n)
 	}
 	acc := make([]uint64, planeCount*words)
 	if n := testing.AllocsPerRun(100, func() {
@@ -660,6 +660,47 @@ func TestShardedReduceZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("combineShardSums allocates %.1f per run", n)
+	}
+}
+
+// BenchmarkReduceSums times reduceSums over one 256-trial batch, run by
+// hand:
+//
+//	go test -run '^$' -bench ReduceSums -cpu 1 ./internal/network
+//
+// "rejections" is cluster-flat's decide: 256 voters' 1-bit votes,
+// flipped, into 9 counter planes of rejections. "values" is one
+// cluster-tree shard: 512 members' 3-bit values into 16 counter planes.
+// The vote words are uniform random bits.
+func BenchmarkReduceSums(b *testing.B) {
+	const count = 256
+	words := batchWords(count)
+	rng := rand.New(rand.NewPCG(28, 0x5e5))
+	for _, tc := range []struct {
+		name      string
+		members   int
+		valueBits int
+		planes    int
+		flip      bool
+	}{
+		{"rejections", 256, 1, 9, true},
+		{"values", 512, 3, 16, false},
+	} {
+		deliv := make([][]uint64, tc.members)
+		for i := range deliv {
+			d := make([]uint64, tc.valueBits*words)
+			for j := range d {
+				d[j] = rng.Uint64()
+			}
+			deliv[i] = d
+		}
+		col := make([]uint64, tc.planes)
+		sums := make([]uint64, tc.planes*words)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				reduceSums(deliv, count, tc.valueBits, tc.flip, col, sums)
+			}
+		})
 	}
 }
 
@@ -701,7 +742,7 @@ func TestShardedDecideZeroAllocs(t *testing.T) {
 			}
 			bs := &batchSession{c: c}
 			bs.initDecide()
-			if !bs.shapeOK {
+			if !bs.flip {
 				t.Fatal("threshold referee lost its shape")
 			}
 			if tc.shards > 0 {
