@@ -73,8 +73,9 @@ lint-escape:
 # The default test target checks gofmt, vets everything, runs
 # staticcheck when available, and additionally runs the
 # concurrency-heavy packages (the
-# networked referee/nodes, the engine's worker-pool driver, and the
-# pooled collision statistic the SMP and CONGEST workers share) under
+# networked referee/nodes, the engine's worker-pool driver, the
+# pooled collision statistic the SMP workers share, and the CONGEST
+# workers, each with its own rule copy) under
 # the race detector. That race pass covers the cross-topology determinism
 # tests — flat star vs sharded referee tree on a fixed small budget
 # (engine/crosstopology_test.go, network/sharded_test.go) — so a data

@@ -70,9 +70,9 @@ func (c *CollisionCounter) Count(samples []int) (int64, error) {
 }
 
 // collisionStat is the pooled CollisionStatistic: one rule value can be
-// shared by many goroutines at once (the engine workers of the SMP and
-// CONGEST backends), so each call takes a counter from the pool and
-// returns it zeroed.
+// shared by many goroutines at once (the engine workers of the SMP
+// backend), so each call takes a counter from the pool and returns it
+// zeroed.
 type collisionStat struct {
 	n    int
 	pool sync.Pool // of *CollisionCounter

@@ -9,7 +9,9 @@ import (
 
 // denseSimulator is the differential reference for Simulator: the
 // simulator as it was before rounds went event-driven, kept verbatim but
-// for its name. It steps every live node in every round, clears the whole
+// for its name and for reading and writing the Inbox and Outbox mail bits
+// where it read and wrote one flag per position. It steps every live node
+// in every round, scans every position of every outbox, clears the whole
 // next inbox generation up front, and builds its own sorted adjacency and
 // reverse-edge index from the Graph, so it shares nothing with Simulator
 // but the Outbox and Inbox types the programs see. It ignores StayAwake.
@@ -41,14 +43,14 @@ func newOutbox(node int, neighbors []int) *Outbox {
 		node:      node,
 		neighbors: neighbors,
 		msgs:      make([]Payload, len(neighbors)),
-		has:       make([]bool, len(neighbors)),
+		sent:      make([]uint64, (len(neighbors)+63)/64),
 	}
 }
 
 // reset clears the outbox for a fresh round. Simulator clears each slot
 // as it delivers it instead.
 func (o *Outbox) reset() {
-	clear(o.has)
+	clear(o.sent)
 }
 
 // ensureBuffers allocates the reusable round buffers on first use.
@@ -84,7 +86,7 @@ func (s *denseSimulator) ensureBuffers(n int) {
 		s.inboxes[g] = make([]Inbox, n)
 		for u := 0; u < n; u++ {
 			deg := len(s.sortedAdj[u])
-			s.inboxes[g][u] = Inbox{msgs: make([]Payload, deg), has: make([]bool, deg)}
+			s.inboxes[g][u] = Inbox{msgs: make([]Payload, deg), mail: make([]uint64, (deg+63)/64)}
 		}
 	}
 }
@@ -103,7 +105,7 @@ func (s *denseSimulator) Run(maxRounds int) error {
 	}
 	inboxes := s.inboxes[0]
 	for i := range inboxes {
-		clear(inboxes[i].has)
+		clear(inboxes[i].mail)
 	}
 	nextGen := s.inboxes[1]
 	remaining := n
@@ -114,7 +116,7 @@ func (s *denseSimulator) Run(maxRounds int) error {
 		s.rounds = round + 1
 		next := nextGen
 		for i := range next {
-			clear(next[i].has)
+			clear(next[i].mail)
 		}
 		for u := 0; u < n; u++ {
 			if done[u] {
@@ -128,12 +130,12 @@ func (s *denseSimulator) Run(maxRounds int) error {
 			}
 			adj, back := s.sortedAdj[u], s.edgeBack[u]
 			for pos, to := range adj {
-				if !out.has[pos] {
+				if out.sent[pos>>6]&(1<<(pos&63)) == 0 {
 					continue
 				}
 				p := out.msgs[pos]
 				next[to].msgs[back[pos]] = p
-				next[to].has[back[pos]] = true
+				next[to].mail[back[pos]>>6] |= 1 << (back[pos] & 63)
 				s.messagesSent++
 				if b := bits.Len64(uint64(p)); b > s.maxBitsInAMsg {
 					s.maxBitsInAMsg = b

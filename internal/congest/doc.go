@@ -15,7 +15,8 @@
 //   - Simulator: a deterministic synchronous-round engine with per-edge
 //     message-size accounting; protocols are node state machines. Rounds
 //     are event-driven: after round 0 only the nodes with mail or a wake
-//     request step.
+//     request step, and inboxes and outboxes carry one mail bit per
+//     neighbor, so a round delivers only the messages that were sent.
 //   - UniformityProtocol: the tree-aggregation tester — build a BFS tree
 //     from a root, have every node vote with the same local collision rule
 //     the SMP testers use, convergecast the rejection count, apply the

@@ -129,21 +129,25 @@ func (g *Graph) Diameter() int {
 // an index in that range is an edge slot, so per-edge state anywhere in
 // the package is one flat slice indexed by slot (see nodeSlots). For the
 // slot of u's edge to v, rev holds u's position in v's sorted list, which
-// makes delivery along an edge a direct index. A topology is immutable: a
-// Tester builds one and every worker's simulator and node programs share
-// it read-only.
+// makes delivery along an edge a direct index. Per-edge bit sets (mail,
+// owed messages) take ⌈deg/64⌉ words per node, node u's at
+// [woff[u], woff[u+1]) of a flat word slice (see nodeWords). A topology
+// is immutable: a Tester builds one and every worker's simulator and node
+// programs share it read-only.
 type topology struct {
-	off []int
-	nbr []int
-	rev []int
+	off  []int
+	woff []int
+	nbr  []int
+	rev  []int
 }
 
 // newTopology sorts and flattens g's adjacency.
 func newTopology(g *Graph) *topology {
 	n := g.N()
-	t := &topology{off: make([]int, n+1)}
+	t := &topology{off: make([]int, n+1), woff: make([]int, n+1)}
 	for u, adj := range g.adj {
 		t.off[u+1] = t.off[u] + len(adj)
+		t.woff[u+1] = t.woff[u] + (len(adj)+63)/64
 	}
 	t.nbr = make([]int, t.off[n])
 	t.rev = make([]int, t.off[n])
@@ -177,6 +181,16 @@ func nodeSlots[T any](t *topology, cells []T, u int) []T {
 	lo, hi := t.off[u], t.off[u+1]
 	return cells[lo:hi:hi]
 }
+
+// nodeWords returns node u's part of a per-edge bit-set slice: bit pos&63
+// of word pos>>6 stands for the neighbor at position pos.
+func nodeWords(t *topology, words []uint64, u int) []uint64 {
+	lo, hi := t.woff[u], t.woff[u+1]
+	return words[lo:hi:hi]
+}
+
+// words returns the length of a per-edge bit-set slice.
+func (t *topology) words() int { return t.woff[len(t.woff)-1] }
 
 // Builders.
 

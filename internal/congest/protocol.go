@@ -41,10 +41,12 @@ const (
 // uniformityNode is the per-node state machine of the tree-aggregation
 // tester. All per-neighbor state is indexed by the neighbor's position
 // in the ascending-sorted neighbor list — the same indexing the
-// simulator's Inbox uses — and is carved from flat per-edge-slot slices
-// shared by a whole node set (newUniformityNodes), so building a worker's
-// k nodes takes a constant number of allocations and a trial's worth of
-// steps allocates nothing.
+// simulator's Inbox and Outbox use — and is carved from flat per-edge
+// slices shared by a whole node set (newUniformityNodes): statuses one
+// per slot, and the owed-message and explorer sets one bit per position,
+// ⌈deg/64⌉ words per node. So building a worker's k nodes takes a
+// constant number of allocations and a trial's worth of steps allocates
+// nothing.
 type uniformityNode struct {
 	id        int
 	root      bool
@@ -53,11 +55,13 @@ type uniformityNode struct {
 
 	neighbors  []int            // ascending neighbor ids (shared, read-only)
 	status     []neighborStatus // by position
-	oweNack    []bool           // by position
-	oweExplore []bool           // by position
-	explorers  []int            // per-step scratch: explorer positions
+	unknown    int              // positions still nbUnknown
+	oweNack    []uint64         // bit set by position
+	oweExplore []uint64         // bit set by position
+	explorers  []uint64         // per-step scratch: explorer positions, all zero between steps
 
 	parent      int // parent node id (not position); -1 until adopted
+	parentPos   int // parent's position; -1 until adopted, and at the root
 	adopted     bool
 	waveSent    bool
 	oweChild    bool
@@ -76,13 +80,12 @@ var _ NodeProgram = (*uniformityNode)(nil)
 
 // newUniformityNodes builds the state machines of every node of top, with
 // root as the aggregation root and threshold as its T. The per-neighbor
-// state of all nodes comes from three flat slices, so the set costs four
+// state of all nodes comes from two flat slices, so the set costs three
 // allocations whatever the graph. Each node needs reset before a run.
 func newUniformityNodes(top *topology, root, threshold int) []uniformityNode {
-	slots := len(top.nbr)
-	status := make([]neighborStatus, slots)
-	owe := make([]bool, 2*slots)
-	explorers := make([]int, slots)
+	mw := top.words()
+	status := make([]neighborStatus, len(top.nbr))
+	masks := make([]uint64, 3*mw)
 	nodes := make([]uniformityNode, top.n())
 	for u := range nodes {
 		nodes[u] = uniformityNode{
@@ -91,9 +94,9 @@ func newUniformityNodes(top *topology, root, threshold int) []uniformityNode {
 			threshold:  threshold,
 			neighbors:  nodeSlots(top, top.nbr, u),
 			status:     nodeSlots(top, status, u),
-			oweNack:    nodeSlots(top, owe, u),
-			oweExplore: nodeSlots(top, owe[slots:], u),
-			explorers:  nodeSlots(top, explorers, u)[:0],
+			oweNack:    nodeWords(top, masks, u),
+			oweExplore: nodeWords(top, masks[mw:], u),
+			explorers:  nodeWords(top, masks[2*mw:], u),
 		}
 	}
 	return nodes
@@ -108,9 +111,12 @@ func (n *uniformityNode) reset(score uint64, result *bool) {
 	n.score = score
 	n.result = result
 	clear(n.status) // nbUnknown is the zero status
+	n.unknown = len(n.status)
 	clear(n.oweNack)
 	clear(n.oweExplore)
+	clear(n.explorers)
 	n.parent = -1
+	n.parentPos = -1
 	n.adopted = false
 	n.waveSent = false
 	n.oweChild = false
@@ -123,10 +129,19 @@ func (n *uniformityNode) reset(score uint64, result *bool) {
 	if n.root {
 		n.adopted = true
 		n.parent = n.id
-		for pos := range n.oweExplore {
-			n.oweExplore[pos] = true
+		for pos := range n.status {
+			n.oweExplore[pos>>6] |= 1 << (pos & 63)
 		}
 	}
+}
+
+// resolve classifies the edge at pos, counting it off unknown the first
+// time.
+func (n *uniformityNode) resolve(pos int, st neighborStatus) {
+	if n.status[pos] == nbUnknown {
+		n.unknown--
+	}
+	n.status[pos] = st
 }
 
 // Step implements NodeProgram. Its one wake request is the REPORT held
@@ -135,99 +150,102 @@ func (n *uniformityNode) reset(score uint64, result *bool) {
 //
 //dut:hotpath per-round node step; the simulator reaches it only through the NodeProgram interface
 func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
-	// 1. Digest the inbox.
-	explorers := n.explorers[:0]
-	for pos, from := range n.neighbors {
-		p, ok := in.Get(pos)
-		if !ok {
-			continue
-		}
-		tag, value := decode(p)
-		switch tag {
-		case tagExplore:
-			explorers = append(explorers, pos)
-		case tagChild:
-			if n.status[pos] == nbChild {
-				return false, fmt.Errorf("duplicate CHILD from %d", from)
+	// 1. Digest the inbox: only the positions with mail, in ascending
+	// order.
+	for w, word := range in.mail {
+		for ; word != 0; word &= word - 1 {
+			bit := word & -word
+			pos := w<<6 | bits.TrailingZeros64(word)
+			tag, value := decode(in.msgs[pos])
+			switch tag {
+			case tagExplore:
+				n.explorers[w] |= bit
+			case tagChild:
+				if n.status[pos] == nbChild {
+					return false, fmt.Errorf("duplicate CHILD from %d", n.neighbors[pos])
+				}
+				n.resolve(pos, nbChild)
+				n.childCount++
+				n.oweExplore[w] &^= bit
+			case tagNack:
+				n.resolve(pos, nbNotChild)
+				n.oweExplore[w] &^= bit
+			case tagReport:
+				if n.status[pos] != nbChild {
+					return false, fmt.Errorf("REPORT from non-child %d", n.neighbors[pos])
+				}
+				n.reportsIn++
+				n.scoreSum += value
+			case tagDecide:
+				if pos != n.parentPos {
+					return false, fmt.Errorf("DECIDE from non-parent %d", n.neighbors[pos])
+				}
+				n.verdict = value&1 == 1
+				n.verdictSeen = true
+			default:
+				return false, fmt.Errorf("unknown tag %d from %d", tag, n.neighbors[pos])
 			}
-			n.status[pos] = nbChild
-			n.childCount++
-			n.oweExplore[pos] = false
-		case tagNack:
-			n.status[pos] = nbNotChild
-			n.oweExplore[pos] = false
-		case tagReport:
-			if n.status[pos] != nbChild {
-				return false, fmt.Errorf("REPORT from non-child %d", from)
-			}
-			n.reportsIn++
-			n.scoreSum += value
-		case tagDecide:
-			if from != n.parent {
-				return false, fmt.Errorf("DECIDE from non-parent %d", from)
-			}
-			n.verdict = value&1 == 1
-			n.verdictSeen = true
-		default:
-			return false, fmt.Errorf("unknown tag %d from %d", tag, from)
 		}
 	}
 
 	// 2. Adoption: pick the smallest explorer as parent; everyone else who
-	// explored is resolved as not-a-child and owed a NACK. explorers holds
-	// positions in ascending order, which is ascending id order — no sort
-	// needed. Its capacity is the node's degree, so append never grows it.
-	for _, pos := range explorers {
-		if !n.adopted {
-			n.adopted = true
-			n.parent = n.neighbors[pos]
-			n.status[pos] = nbParent
-			n.oweChild = true
-			n.oweExplore[pos] = false
-			// Schedule the wave to the remaining unknown neighbors.
-			for v := range n.neighbors {
-				if n.status[v] == nbUnknown {
-					n.oweExplore[v] = true
+	// explored is resolved as not-a-child and owed a NACK. The explorer
+	// set is walked in ascending position order, which is ascending id
+	// order, and cleared as it goes.
+	for w, word := range n.explorers {
+		n.explorers[w] = 0
+		for ; word != 0; word &= word - 1 {
+			bit := word & -word
+			pos := w<<6 | bits.TrailingZeros64(word)
+			if !n.adopted {
+				n.adopted = true
+				n.parent, n.parentPos = n.neighbors[pos], pos
+				n.resolve(pos, nbParent)
+				n.oweChild = true
+				n.oweExplore[w] &^= bit
+				// Schedule the wave to the remaining unknown neighbors.
+				for v, st := range n.status {
+					if st == nbUnknown {
+						n.oweExplore[v>>6] |= 1 << (v & 63)
+					}
 				}
+				continue
 			}
-			continue
-		}
-		if n.status[pos] == nbUnknown || n.status[pos] == nbNotChild {
-			// An explorer already has its own parent; it can never be our
-			// child.
-			n.status[pos] = nbNotChild
-			n.oweNack[pos] = true
-			n.oweExplore[pos] = false
+			if n.status[pos] == nbUnknown || n.status[pos] == nbNotChild {
+				// An explorer already has its own parent; it can never be
+				// our child.
+				n.resolve(pos, nbNotChild)
+				n.oweNack[w] |= bit
+				n.oweExplore[w] &^= bit
+			}
 		}
 	}
 
 	// 3. Send: one message per neighbor per round, with NACK/CHILD taking
 	// precedence over a now-pointless EXPLORE.
 	if n.oweChild {
-		if err := out.Send(n.parent, encode(tagChild, 0)); err != nil {
+		if err := out.SendAt(n.parentPos, encode(tagChild, 0)); err != nil {
 			return false, err
 		}
 		n.oweChild = false
 	}
-	for pos, v := range n.neighbors {
-		if !n.oweNack[pos] {
-			continue
-		}
-		if err := out.Send(v, encode(tagNack, 0)); err != nil {
-			return false, err
-		}
-		n.oweNack[pos] = false
-		n.oweExplore[pos] = false
-	}
-	if n.adopted {
-		for pos, v := range n.neighbors {
-			if !n.oweExplore[pos] {
-				continue
-			}
-			if err := out.Send(v, encode(tagExplore, 0)); err != nil {
+	for w, word := range n.oweNack {
+		n.oweNack[w] = 0
+		n.oweExplore[w] &^= word
+		for ; word != 0; word &= word - 1 {
+			if err := out.SendAt(w<<6|bits.TrailingZeros64(word), encode(tagNack, 0)); err != nil {
 				return false, err
 			}
-			n.oweExplore[pos] = false
+		}
+	}
+	if n.adopted {
+		for w, word := range n.oweExplore {
+			n.oweExplore[w] = 0
+			for ; word != 0; word &= word - 1 {
+				if err := out.SendAt(w<<6|bits.TrailingZeros64(word), encode(tagExplore, 0)); err != nil {
+					return false, err
+				}
+			}
 		}
 		n.waveSent = true
 	}
@@ -236,7 +254,7 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 	// message (CHILD) already went to the parent this round, wait one
 	// round rather than double-send on the edge — and ask to be stepped
 	// then, as no mail may arrive to wake the node.
-	if n.adopted && n.waveSent && !n.reportSent && n.allResolved() && n.reportsIn == n.childCount {
+	if n.adopted && n.waveSent && !n.reportSent && n.unknown == 0 && n.reportsIn == n.childCount {
 		total := n.scoreSum + n.score
 		switch {
 		case n.root:
@@ -245,10 +263,10 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 			n.verdictSeen = true
 			*n.result = accept
 			n.reportSent = true
-		case out.Queued(n.parent):
+		case out.QueuedAt(n.parentPos):
 			out.StayAwake()
 		default:
-			if err := out.Send(n.parent, encode(tagReport, total)); err != nil {
+			if err := out.SendAt(n.parentPos, encode(tagReport, total)); err != nil {
 				return false, err
 			}
 			n.reportSent = true
@@ -261,9 +279,9 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 		if n.verdict {
 			bit = 1
 		}
-		for pos, v := range n.neighbors {
-			if n.status[pos] == nbChild {
-				if err := out.Send(v, encode(tagDecide, bit)); err != nil {
+		for pos, st := range n.status {
+			if st == nbChild {
+				if err := out.SendAt(pos, encode(tagDecide, bit)); err != nil {
 					return false, err
 				}
 			}
@@ -271,16 +289,6 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// allResolved reports whether every incident edge has been classified.
-func (n *uniformityNode) allResolved() bool {
-	for _, st := range n.status {
-		if st == nbUnknown {
-			return false
-		}
-	}
-	return true
 }
 
 // Tester runs distributed uniformity testing in the CONGEST model: the
@@ -445,14 +453,19 @@ func (t *Tester) RunSeeded(sampler dist.Sampler, shared uint64) (bool, error) {
 }
 
 // runScratch is one worker's reusable per-run state: the sample batch
-// buffer, the reseedable per-node generator, the node state machines and
-// the simulator with its round buffers, all amortized across every run
-// on this worker. Nodes are reset (not rebuilt) per run; reset restores
-// exactly the state of a first run, so scratch runs stay bit-identical
-// to fresh ones.
+// buffer, the reseedable per-node generator, the worker's own copy of
+// the local rule, the node state machines and the simulator with its
+// round buffers, all amortized across every run on this worker. Nodes
+// are reset (not rebuilt) per run; reset restores exactly the state of a
+// first run, so scratch runs stay bit-identical to fresh ones.
 type runScratch struct {
-	buf   []int
-	rng   *engine.ReusableRNG
+	buf []int
+	rng *engine.ReusableRNG
+	// rule is core.Instance of the tester's rule: the worker votes its
+	// nodes one at a time, so the collision rules count into a counter
+	// the worker owns (over a domain of at most 256) instead of the
+	// shared rule's pool.
+	rule  core.LocalRule
 	nodes []uniformityNode
 	sim   *Simulator
 	// verdict is the root's result sink. It lives on the scratch (not the
@@ -474,6 +487,7 @@ func (t *Tester) newScratch() *runScratch {
 	return &runScratch{
 		buf:   make([]int, t.q),
 		rng:   engine.NewReusableRNG(),
+		rule:  core.Instance(t.rule),
 		nodes: nodes,
 		sim:   newSimulator(t.top, programs),
 	}
@@ -488,9 +502,11 @@ func (t *Tester) runSeeded(sampler dist.Sampler, shared uint64) (bool, *Simulato
 
 // runSeededScratch is runSeeded over a caller-owned scratch: node-side
 // sampling goes through the scratch generator's batched SampleInto into
-// the reused buffer, and each node's stream comes from that reseeded
-// generator — exactly the engine.NodeRNG stream, so scratch runs are
-// bit-identical to allocating ones.
+// the reused buffer, each node's stream comes from that reseeded
+// generator — exactly the engine.NodeRNG stream — and each node votes
+// through the scratch's rule instance, which derives the shared rule's
+// messages bit for bit, so scratch runs are bit-identical to allocating
+// ones.
 func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runScratch) (bool, *Simulator, error) {
 	if sampler == nil {
 		return false, nil, fmt.Errorf("congest: nil sampler")
@@ -500,7 +516,7 @@ func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runSc
 	for u := range sc.nodes {
 		rng := sc.rng.SeedNode(shared, u)
 		sc.rng.SampleInto(sampler, sc.buf)
-		msg, err := t.rule.Message(u, sc.buf, shared, rng)
+		msg, err := sc.rule.Message(u, sc.buf, shared, rng)
 		if err != nil {
 			return false, nil, fmt.Errorf("congest: node %d vote: %w", u, err)
 		}

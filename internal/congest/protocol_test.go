@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/core"
@@ -383,6 +384,50 @@ func TestOutboxEnforcesModel(t *testing.T) {
 	out3 := newOutbox(0, []int{1})
 	if err := out3.Send(2, 1); err == nil {
 		t.Error("non-neighbor send accepted")
+	}
+	// By position: one outside the list is an error, and a second send on
+	// a position is one too, whichever of Send and SendAt queued first.
+	// Queued and QueuedAt agree on every neighbor, and QueuedAt is false
+	// outside the list.
+	neighbors := make([]int, 70)
+	for i := range neighbors {
+		neighbors[i] = 2 * (i + 1)
+	}
+	wide := newOutbox(1, neighbors)
+	for _, pos := range []int{-1, len(neighbors)} {
+		if err := wide.SendAt(pos, 1); err == nil {
+			t.Errorf("SendAt(%d, p) on %d neighbors accepted", pos, len(neighbors))
+		}
+		if wide.QueuedAt(pos) {
+			t.Errorf("QueuedAt(%d) true on %d neighbors", pos, len(neighbors))
+		}
+	}
+	for _, pos := range []int{0, 63, 64, 69} {
+		if err := wide.SendAt(pos, 1); err != nil {
+			t.Fatalf("SendAt(%d, p): %v", pos, err)
+		}
+		if err := wide.SendAt(pos, 2); err == nil {
+			t.Errorf("second SendAt(%d, p) accepted", pos)
+		}
+		if err := wide.Send(neighbors[pos], 2); err == nil {
+			t.Errorf("Send after SendAt(%d, p) accepted", pos)
+		}
+	}
+	if err := wide.Send(neighbors[5], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.SendAt(5, 2); err == nil {
+		t.Error("SendAt after Send to the same neighbor accepted")
+	}
+	queued := []int{0, 5, 63, 64, 69}
+	for pos, v := range neighbors {
+		at, by := wide.QueuedAt(pos), wide.Queued(v)
+		if at != by || at != slices.Contains(queued, pos) {
+			t.Errorf("position %d (neighbor %d): QueuedAt %v, Queued %v", pos, v, at, by)
+		}
+		if wide.Queued(v + 1) {
+			t.Errorf("Queued(%d) true for a non-neighbor", v+1)
+		}
 	}
 }
 

@@ -29,14 +29,16 @@ var ErrStalled = errors.New("congest: stalled")
 
 // Outbox collects a node's messages for the current round. Slots are
 // indexed by the neighbor's position in the node's ascending-sorted
-// neighbor list — flat slices instead of a per-round map, so a round of
-// sends touches no allocator and no hashing.
+// neighbor list, and sent holds one bit per position — flat slices
+// instead of a per-round map, so a round of sends touches no allocator
+// and no hashing, and delivery visits only the positions that were sent.
 type Outbox struct {
 	node      int
 	neighbors []int // ascending neighbor ids
+	back      []int // by position: this node's position in that neighbor's list
 	msgs      []Payload
-	has       []bool
-	wake      bool // StayAwake was called this step
+	sent      []uint64 // bit pos&63 of word pos>>6: a message to position pos
+	wake      bool     // StayAwake was called this step
 }
 
 // Send queues a message to a neighbor; sending twice to the same neighbor
@@ -48,13 +50,24 @@ func (o *Outbox) Send(to int, p Payload) error {
 	if !ok {
 		return fmt.Errorf("congest: node %d sending to non-neighbor %d", o.node, to)
 	}
-	if o.has[pos] {
-		return fmt.Errorf("congest: node %d sending twice to %d in one round", o.node, to)
+	return o.SendAt(pos, p)
+}
+
+// SendAt is Send to the neighbor at the given position in the node's
+// sorted neighbor list; a position outside the list is an error.
+func (o *Outbox) SendAt(pos int, p Payload) error {
+	if pos < 0 || pos >= len(o.neighbors) {
+		return fmt.Errorf("congest: node %d sending to position %d of %d neighbors", o.node, pos, len(o.neighbors))
+	}
+	bit := uint64(1) << (pos & 63)
+	if o.sent[pos>>6]&bit != 0 {
+		return fmt.Errorf("congest: node %d sending twice to %d in one round", o.node, o.neighbors[pos])
 	}
 	if !p.fitsBits(MessageBits) {
 		return fmt.Errorf("congest: message exceeds %d bits", MessageBits)
 	}
-	o.msgs[pos], o.has[pos] = p, true
+	o.msgs[pos] = p
+	o.sent[pos>>6] |= bit
 	return nil
 }
 
@@ -63,7 +76,13 @@ func (o *Outbox) Send(to int, p Payload) error {
 // instead of violating the one-message-per-edge-per-round rule.
 func (o *Outbox) Queued(to int) bool {
 	pos, ok := slices.BinarySearch(o.neighbors, to)
-	return ok && o.has[pos]
+	return ok && o.QueuedAt(pos)
+}
+
+// QueuedAt is Queued for the neighbor at the given position; it is false
+// for a position outside the neighbor list.
+func (o *Outbox) QueuedAt(pos int) bool {
+	return pos >= 0 && pos < len(o.neighbors) && o.sent[pos>>6]&(1<<(pos&63)) != 0
 }
 
 // StayAwake asks for the node to be stepped in the next round even if no
@@ -71,16 +90,17 @@ func (o *Outbox) Queued(to int) bool {
 func (o *Outbox) StayAwake() { o.wake = true }
 
 // Inbox is the set of messages a node received last round, indexed by the
-// sender's position in the node's ascending-sorted neighbor list.
+// sender's position in the node's ascending-sorted neighbor list, with
+// one mail bit per position.
 type Inbox struct {
 	msgs []Payload
-	has  []bool
+	mail []uint64 // bit pos&63 of word pos>>6: a message from position pos
 }
 
 // Get returns the message from the neighbor at the given position in the
 // node's sorted neighbor list, and whether one arrived this round.
 func (in Inbox) Get(pos int) (Payload, bool) {
-	if !in.has[pos] {
+	if in.mail[pos>>6]&(1<<(pos&63)) == 0 {
 		return 0, false
 	}
 	return in.msgs[pos], true
@@ -105,11 +125,10 @@ type NodeProgram interface {
 // Simulator drives a set of node programs over a graph in synchronous,
 // event-driven rounds (see NodeProgram). Its round buffers — inboxes,
 // outboxes, step sets and termination flags — are sized at construction,
-// carved from flat slices indexed by edge slot (see topology) and cleared
-// per Run, so a rerun loop (the engine's batch scratch path) executes
-// allocation-free.
+// carved from flat slices indexed by edge slot and by mail word (see
+// topology) and cleared per Run, so a rerun loop (the engine's batch
+// scratch path) executes allocation-free.
 type Simulator struct {
-	top      *topology
 	programs []NodeProgram
 	// Stats of the last Run.
 	rounds        int
@@ -118,16 +137,15 @@ type Simulator struct {
 	// Round buffers. The two inbox generations swap every round: round r
 	// reads generation r%2, and the messages its steps send are delivered
 	// into the other. awake[g] holds one bit per node, set for the live
-	// nodes that step in the round reading generation g; a node's inbox
+	// nodes that step in the round reading generation g; a node's mail
 	// is cleared right after it steps, and a terminated node's inbox is
-	// never read again. flags backs every has flag and words every awake
-	// bit, so Run clears them in two calls. An Inbox or Outbox handed to
-	// Step is only valid for that call.
+	// never read again. words backs every mail, sent and awake bit, so
+	// Run clears them in one call. An Inbox or Outbox handed to Step is
+	// only valid for that call.
 	done    []bool
 	inboxes [2][]Inbox
 	outs    []Outbox
 	awake   [2][]uint64
-	flags   []bool
 	words   []uint64
 }
 
@@ -149,32 +167,29 @@ func NewSimulator(g *Graph, programs []NodeProgram) (*Simulator, error) {
 
 // newSimulator builds a simulator over a shared topology, one program per
 // node, in a constant number of allocations: every node's inboxes and
-// outbox are views into three flat per-slot generations of cells (inbox
-// generations 0 and 1, then the outboxes).
+// outbox are views into three flat per-slot generations of cells and
+// three flat generations of mail words (inbox generations 0 and 1, then
+// the outboxes), the words followed by the two awake sets.
 func newSimulator(top *topology, programs []NodeProgram) *Simulator {
-	n, slots, nw := top.n(), len(top.nbr), (top.n()+63)/64
-	flags := make([]bool, 3*slots)
+	n, slots, mw, nw := top.n(), len(top.nbr), top.words(), (top.n()+63)/64
 	msgs := make([]Payload, 3*slots)
 	inboxes := make([]Inbox, 2*n)
-	words := make([]uint64, 2*nw)
+	words := make([]uint64, 3*mw+2*nw)
+	awake := words[3*mw:]
 	s := &Simulator{
-		top:      top,
 		programs: programs,
 		done:     make([]bool, n),
 		inboxes:  [2][]Inbox{inboxes[:n:n], inboxes[n:]},
 		outs:     make([]Outbox, n),
-		awake:    [2][]uint64{words[:nw:nw], words[nw:]},
-		flags:    flags,
+		awake:    [2][]uint64{awake[:nw:nw], awake[nw:]},
 		words:    words,
 	}
 	for u := 0; u < n; u++ {
 		for g := range s.inboxes {
-			base := g * slots
-			s.inboxes[g][u] = Inbox{msgs: nodeSlots(top, msgs[base:], u), has: nodeSlots(top, flags[base:], u)}
+			s.inboxes[g][u] = Inbox{msgs: nodeSlots(top, msgs[g*slots:], u), mail: nodeWords(top, words[g*mw:], u)}
 		}
-		base := 2 * slots
-		s.outs[u] = Outbox{node: u, neighbors: nodeSlots(top, top.nbr, u),
-			msgs: nodeSlots(top, msgs[base:], u), has: nodeSlots(top, flags[base:], u)}
+		s.outs[u] = Outbox{node: u, neighbors: nodeSlots(top, top.nbr, u), back: nodeSlots(top, top.rev, u),
+			msgs: nodeSlots(top, msgs[2*slots:], u), sent: nodeWords(top, words[2*mw:], u)}
 	}
 	return s
 }
@@ -191,7 +206,6 @@ func (s *Simulator) Run(maxRounds int) error {
 	}
 	s.rounds, s.messagesSent, s.maxBitsInAMsg = 0, 0, 0
 	clear(s.done)
-	clear(s.flags)
 	clear(s.words)
 	n := len(s.done)
 	for u := 0; u < n; u++ {
@@ -215,22 +229,21 @@ func (s *Simulator) Run(maxRounds int) error {
 				if err != nil {
 					return fmt.Errorf("congest: node %d round %d: %w", u, round, err)
 				}
-				clear(inboxes[u].has)
-				back := s.top.rev[s.top.off[u]:]
-				for pos, to := range out.neighbors {
-					if !out.has[pos] {
-						continue
-					}
-					out.has[pos] = false
-					p := out.msgs[pos]
-					next[to].msgs[back[pos]] = p
-					next[to].has[back[pos]] = true
-					if !s.done[to] {
-						wakeNext[to>>6] |= 1 << (to & 63)
-					}
-					s.messagesSent++
-					if b := bits.Len64(uint64(p)); b > s.maxBitsInAMsg {
-						s.maxBitsInAMsg = b
+				clear(inboxes[u].mail)
+				for sw, sent := range out.sent {
+					out.sent[sw] = 0
+					for ; sent != 0; sent &= sent - 1 {
+						pos := sw<<6 | bits.TrailingZeros64(sent)
+						to, at, p := out.neighbors[pos], out.back[pos], out.msgs[pos]
+						next[to].msgs[at] = p
+						next[to].mail[at>>6] |= 1 << (at & 63)
+						if !s.done[to] {
+							wakeNext[to>>6] |= 1 << (to & 63)
+						}
+						s.messagesSent++
+						if b := bits.Len64(uint64(p)); b > s.maxBitsInAMsg {
+							s.maxBitsInAMsg = b
+						}
 					}
 				}
 				switch {

@@ -146,14 +146,20 @@ func checkTree(g *Graph, root, threshold int, scores []uint64, r treeRun) error 
 // TestEventDrivenMatchesDense runs the tree-aggregation nodes under the
 // event-driven Simulator and under the dense reference, from every root
 // of paths, rings, stars, complete graphs and random trees up to 40 nodes
-// and grids up to 8x8, with random scores and thresholds in both the
-// rejection-count mode (0/1 scores, T <= n) and the r-bit sum mode. Both
-// runs must agree exactly and be right on their own (checkTree).
+// and grids up to 8x8, and from the hub (node 0), a leaf (node 1) and the
+// last node of Star(65), Star(129) and Complete(66). Their wide nodes
+// use mask positions the smaller shapes never reach: Star(65)'s hub
+// fills one whole word (bit 63), Star(129)'s hub two, and every node of
+// Complete(66) spills one position into a second word. Scores and
+// thresholds are random, in both the rejection-count mode (0/1 scores,
+// T <= n) and the r-bit sum mode. Both runs must agree exactly and be
+// right on their own (checkTree).
 func TestEventDrivenMatchesDense(t *testing.T) {
 	rng := testRand(15)
 	type shape struct {
-		name string
-		g    *Graph
+		name  string
+		g     *Graph
+		roots []int // nil: every node
 	}
 	var shapes []shape
 	add := func(name string, g *Graph, err error) {
@@ -161,7 +167,7 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		shapes = append(shapes, shape{name, g})
+		shapes = append(shapes, shape{name: name, g: g})
 	}
 	for n := 1; n <= 40; n++ {
 		g, err := Path(n)
@@ -185,10 +191,25 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 			add(fmt.Sprintf("grid(%dx%d)", rows, cols), g, err)
 		}
 	}
+	for _, n := range []int{65, 129} {
+		g, err := Star(n)
+		add(fmt.Sprintf("star(%d)", n), g, err)
+	}
+	g, err := Complete(66)
+	add("complete(66)", g, err)
+	for i := len(shapes) - 3; i < len(shapes); i++ {
+		shapes[i].roots = []int{0, 1, shapes[i].g.N() - 1}
+	}
 	cases := 0
 	for _, sh := range shapes {
 		n := sh.g.N()
-		for root := 0; root < n; root++ {
+		roots := sh.roots
+		if roots == nil {
+			for root := 0; root < n; root++ {
+				roots = append(roots, root)
+			}
+		}
+		for _, root := range roots {
 			for _, r := range []int{1, 2 + rng.IntN(7)} {
 				scores := make([]uint64, n)
 				for u := range scores {
@@ -216,6 +237,77 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 		}
 	}
 	t.Logf("%d graph x root x mode cases agree", cases)
+}
+
+// FuzzSimulatorMatchesDense is TestEventDrivenMatchesDense over graphs
+// built from the fuzz input: a random tree on 1 to 200 nodes drawn from
+// seed, up to 255 extra random edges, and optionally a hub joined to
+// every other node, which puts its mail and owed messages in up to four
+// mask words. The input also picks the root, the mode (1-bit rejection
+// counts or r-bit sums, r <= 8), T and, through seed, the scores. The
+// event-driven run must equal the dense reference, be right on its own
+// (checkTree) and take no more steps.
+func FuzzSimulatorMatchesDense(f *testing.F) {
+	f.Add(uint64(1), uint8(15), uint8(0), false, uint16(0), uint8(0), uint32(3))
+	f.Add(uint64(2), uint8(199), uint8(40), true, uint16(7), uint8(3), uint32(100))
+	f.Add(uint64(3), uint8(64), uint8(0), true, uint16(64), uint8(1), uint32(5))
+	f.Add(uint64(4), uint8(130), uint8(255), false, uint16(129), uint8(7), uint32(1<<20))
+	f.Fuzz(func(t *testing.T, seed uint64, size, extra uint8, hub bool, root uint16, mode uint8, tSel uint32) {
+		n := 1 + int(size)%200
+		rng := testRand(seed)
+		tree, err := RandomTree(n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges [][2]int
+		seen := make(map[[2]int]bool)
+		join := func(u, v int) {
+			key := [2]int{min(u, v), max(u, v)}
+			if u != v && !seen[key] {
+				seen[key] = true
+				edges = append(edges, key)
+			}
+		}
+		for u := 0; u < n; u++ {
+			for _, v := range tree.adj[u] {
+				join(u, v)
+			}
+		}
+		for range int(extra) {
+			join(rng.IntN(n), rng.IntN(n))
+		}
+		if hub {
+			h := rng.IntN(n)
+			for v := 0; v < n; v++ {
+				join(h, v)
+			}
+		}
+		g, err := NewGraph(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := 1 + int(mode)%8
+		scores := make([]uint64, n)
+		for u := range scores {
+			scores[u] = rng.Uint64N(1 << r)
+		}
+		threshold := 1 + int(tSel%uint32(n))
+		if r > 1 {
+			threshold = 1 + int(tSel%uint32(n*(1<<r-1)+1))
+		}
+		from := int(root) % n
+		dense := runTree(t, g, from, threshold, scores, true)
+		sparse := runTree(t, g, from, threshold, scores, false)
+		if d := diffRuns(dense, sparse); d != "" {
+			t.Fatalf("n=%d edges=%d root %d r=%d T=%d: %s", n, len(edges), from, r, threshold, d)
+		}
+		if err := checkTree(g, from, threshold, scores, sparse); err != nil {
+			t.Fatalf("n=%d edges=%d root %d r=%d T=%d: %v", n, len(edges), from, r, threshold, err)
+		}
+		if sparse.steps > dense.steps {
+			t.Fatalf("n=%d edges=%d root %d: %d event-driven steps, %d dense", n, len(edges), from, sparse.steps, dense.steps)
+		}
+	})
 }
 
 // TestEventDrivenStepCount pins the saving on the benchmark's 16x16 grid

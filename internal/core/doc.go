@@ -18,12 +18,13 @@
 //     concurrent callers, so the collision rules — the threshold vote and
 //     QuantizedCollisionRule — count through a pooled statistic
 //     (centralized.CollisionStatistic); that shared path is what the SMP
-//     and CONGEST backends' workers use. A rule that keeps scratch
-//     implements Instancer, and Instance returns a copy for one caller
-//     that counts into a centralized.CollisionCounter of its own when
-//     the domain is at most maxOwnedDomain (256, so 2 KiB per copy) and
-//     through the pooled statistic otherwise: a cluster node takes one
-//     when it is built, and over such a domain never touches the pool.
+//     backend's workers use. A rule that keeps scratch implements
+//     Instancer, and Instance returns a copy for one caller that counts
+//     into a centralized.CollisionCounter of its own when the domain is
+//     at most maxOwnedDomain (256, so 2 KiB per copy) and through the
+//     pooled statistic otherwise: a cluster node takes one when it is
+//     built, and a CONGEST worker with its scratch, and over such a
+//     domain neither touches the pool.
 //   - Referee: the decision function. Boolean single-bit decision rules —
 //     AND, OR, T-threshold, majority, arbitrary — implement DecisionRule
 //     and are lifted by BitReferee, which decides the four stock rules by

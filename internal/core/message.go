@@ -37,12 +37,13 @@ type LocalRule interface {
 
 // Instancer is an optional LocalRule extension for a rule that keeps
 // scratch per call. One rule value may serve many concurrent callers —
-// the engine workers of an SMP backend, the players of a CONGEST
-// simulation — so such a rule borrows its scratch from a pool on every
-// call. A caller that keeps the rule for many calls, one at a time, can
-// take an instance instead: a copy that owns its scratch, derives the
-// same messages bit for bit and is not safe for concurrent use. A cluster
-// node takes one when it is built. See Instance.
+// the engine workers of an SMP backend — so such a rule borrows its
+// scratch from a pool on every call. A caller that keeps the rule for
+// many calls, one at a time, can take an instance instead: a copy that
+// owns its scratch, derives the same messages bit for bit and is not
+// safe for concurrent use. A cluster node takes one when it is built,
+// and a CONGEST engine worker with its scratch, for the players it
+// votes one after another. See Instance.
 type Instancer interface {
 	// Instance returns a copy of the rule for one caller.
 	Instance() LocalRule
