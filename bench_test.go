@@ -3,8 +3,9 @@ package dut
 // The benchmark harness: one testing.B benchmark per experiment of the
 // reproduction (DESIGN.md section 3), each regenerating its table at a
 // reduced scale per iteration, plus micro-benchmarks of the load-bearing
-// primitives (Walsh-Hadamard transform, samplers, collision counting, the
-// Lemma 4.1 evaluator, a full networked round). Run
+// primitives (Walsh-Hadamard transform, samplers, the Lemma 4.1
+// evaluator, a full networked round). The collision counter's benchmark
+// is BenchmarkCollisionCounter in internal/centralized. Run
 //
 //	go test -bench=. -benchmem
 //
@@ -16,7 +17,6 @@ import (
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/boolfn"
-	"github.com/distributed-uniformity/dut/internal/centralized"
 	"github.com/distributed-uniformity/dut/internal/congest"
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
@@ -128,26 +128,6 @@ func BenchmarkSamplers(b *testing.B) {
 			_ = s.Sample(rng)
 		}
 	})
-}
-
-func BenchmarkCollisionCount(b *testing.B) {
-	const n = 1 << 12
-	q := centralized.RecommendedSamples(n, 0.5)
-	u, err := dist.Uniform(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := dist.NewAliasSampler(u)
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := dist.SampleN(s, q, NewRand(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := centralized.CollisionCount(samples, n); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkDiffEvaluator(b *testing.B) {

@@ -8,71 +8,68 @@ import (
 
 // CollisionCount returns the number of colliding sample pairs,
 // sum_i C(c_i, 2) over the histogram counts c_i. It runs the collision
-// kernel over a fresh n-wide counter slice; a CollisionCounter reuses its
-// own instead.
+// kernel over a fresh counter; a CollisionCounter reuses its own.
 func CollisionCount(samples []int, n int) (int64, error) {
-	return countCollisions(samples, make([]int64, n))
+	c := NewCollisionCounter(n)
+	return c.Count(samples)
 }
 
-// countCollisions is the package's one collision kernel: O(q) time over
-// an all-zero counter slice whose length is the domain size. Each sample
-// adds the count already in its slot before incrementing it, so a slot
-// that ends at c contributes 0 + 1 + ... + (c-1) = C(c, 2) — the
-// histogram sum, exactly, without visiting untouched slots. The kernel
-// re-zeroes exactly the slots it touched on every return, the
-// out-of-domain error included, so counts is all-zero again afterwards
-// and the slice can be reused as is.
-//
-//dut:hotpath
-func countCollisions(samples []int, counts []int64) (int64, error) {
-	var coll int64
-	for i, s := range samples {
-		if s < 0 || s >= len(counts) {
-			clearSlots(counts, samples[:i])
-			return 0, fmt.Errorf("centralized: dist: sample %d outside domain of size %d", s, len(counts))
-		}
-		coll += counts[s]
-		counts[s]++
-	}
-	clearSlots(counts, samples)
-	return coll, nil
-}
-
-// clearSlots zeroes the counter slot of every (in-domain) sample.
-func clearSlots(counts []int64, samples []int) {
-	for _, s := range samples {
-		counts[s] = 0
-	}
-}
-
-// CollisionCounter is the collision kernel over an n-wide counter slice
-// it owns: the per-player memory of a collision-based local rule. Every
-// Count leaves the slice all-zero, the out-of-domain error included, so
-// one counter serves all of its owner's calls without a pool. It is not
-// safe for concurrent use; CollisionStatistic pools counters for callers
-// that share one value.
+// CollisionCounter is the package's one collision kernel, over an
+// n-wide slice of slots it owns: the per-player memory of a
+// collision-based local rule. A slot holds a call's epoch in its high 32
+// bits and a count in its low 32. Each Count call takes the next epoch
+// e, and a slot from an older call holds less than e·2^32, so it reads
+// as count 0 through max(slot, e·2^32): no call clears a slot, the
+// out-of-domain error included. The slice is cleared once, when the
+// epoch wraps after 2^32−1 calls. One counter serves all of its owner's
+// calls without a pool. It is not safe for concurrent use;
+// CollisionStatistic pools counters for callers that share one value.
 type CollisionCounter struct {
-	counts []int64
+	slots []uint64
+	epoch uint32
 }
 
 // NewCollisionCounter returns a counter over the domain [0, n). It is a
 // value, so a rule that owns one embeds it and allocates only the slice.
 func NewCollisionCounter(n int) CollisionCounter {
-	return CollisionCounter{counts: make([]int64, n)}
+	return CollisionCounter{slots: make([]uint64, n)}
 }
 
 // Count returns the number of colliding sample pairs, as CollisionCount
-// does, without allocating.
+// does, without allocating: O(q) time. Each sample adds the count
+// already in its slot before incrementing it, so a slot that ends at c
+// contributes 0 + 1 + ... + (c-1) = C(c, 2), the histogram sum, exactly,
+// without visiting untouched slots. A count must fit a slot's low 32
+// bits, so a call of 2^32 or more samples is an error.
 //
 //dut:hotpath
 func (c *CollisionCounter) Count(samples []int) (int64, error) {
-	return countCollisions(samples, c.counts)
+	if uint64(len(samples)) > math.MaxUint32 {
+		return 0, fmt.Errorf("centralized: %d samples in one collision count, above 2^32-1", len(samples))
+	}
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.slots)
+		c.epoch = 1
+	}
+	epoch := uint64(c.epoch) << 32
+	slots := c.slots
+	var coll uint64
+	for _, s := range samples {
+		if uint(s) >= uint(len(slots)) {
+			return 0, fmt.Errorf("centralized: dist: sample %d outside domain of size %d", s, len(slots))
+		}
+		v := max(slots[s], epoch)
+		coll += v - epoch
+		slots[s] = v + 1
+	}
+	return int64(coll), nil
 }
 
 // collisionStat is the pooled CollisionStatistic: one rule value can be
 // shared by many goroutines at once (the engine workers of the SMP
-// backend), so each call takes a counter from the pool and returns it
-// zeroed.
+// backend), so each call takes a counter from the pool and puts it
+// back.
 type collisionStat struct {
 	n    int
 	pool sync.Pool // of *CollisionCounter

@@ -1,6 +1,7 @@
 package centralized
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -168,10 +169,10 @@ func TestCollisionKernelAllEqualSamples(t *testing.T) {
 	}
 }
 
-// TestCollisionKernelCleanAfterOutOfDomain pins that the error path
-// re-zeroes the counters it touched: the kernel leaves its slice
-// all-zero, and a later call on the same pooled statistic still returns
-// the reference count.
+// TestCollisionKernelCleanAfterOutOfDomain pins the error path: a call
+// that fails midway returns the reference's error, and a later call on
+// the same pooled statistic, whose counter the failed call left
+// partly counted, still returns the reference count.
 func TestCollisionKernelCleanAfterOutOfDomain(t *testing.T) {
 	const n = 64
 	rng := testRand(4)
@@ -190,16 +191,37 @@ func TestCollisionKernelCleanAfterOutOfDomain(t *testing.T) {
 		if _, err := stat(bad); err == nil || err.Error() != wantErr {
 			t.Errorf("CollisionStatistic error %v, want %q", err, wantErr)
 		}
-		counts := make([]int64, n)
-		if _, err := countCollisions(bad, counts); err == nil {
-			t.Fatal("kernel accepted an out-of-domain sample")
-		}
-		for i, c := range counts {
-			if c != 0 {
-				t.Fatalf("slot %d left at %d after the error path", i, c)
-			}
-		}
 		checkKernel(t, stat, randomSamples(rng, n, 200), n)
+	}
+}
+
+// TestCollisionCounterEpochWrap runs one counter across the wrap of its
+// 32-bit epoch: the first call counts at the last epoch before the wrap,
+// the second clears the slice and restarts at epoch 1, and the third
+// fails out of domain midway. Every call draws from 16 of 64 slots, so
+// each one lands on slots the calls before it counted into, and each
+// must return what CollisionCount's fresh slice returns.
+func TestCollisionCounterEpochWrap(t *testing.T) {
+	const n = 64
+	rng := testRand(5)
+	c := NewCollisionCounter(n)
+	c.epoch = math.MaxUint32 - 1
+	for call, wantEpoch := range []uint32{math.MaxUint32, 1, 2, 3, 4} {
+		samples := randomSamples(rng, 16, 200)
+		if call == 2 {
+			samples[100] = n
+		}
+		want, wantErr := CollisionCount(samples, n)
+		got, err := c.Count(samples)
+		if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("call %d: counter (%d, %v), fresh slice (%d, %v)", call, got, err, want, wantErr)
+		}
+		if call == 2 && err == nil {
+			t.Fatal("call 2 accepted an out-of-domain sample")
+		}
+		if c.epoch != wantEpoch {
+			t.Fatalf("call %d ran at epoch %d, want %d", call, c.epoch, wantEpoch)
+		}
 	}
 }
 
@@ -238,8 +260,8 @@ func TestCollisionStatisticConcurrent(t *testing.T) {
 // byte is a sample in [-128, 127], so negative and too-large values land
 // anywhere in a slice. The data is counted in runs of a fuzzed length,
 // all on the same counter, and then whole; every call must return the
-// fresh slice's count and error, which holds only if each return, the
-// error path included, leaves the counter all-zero.
+// fresh slice's count and error, which holds only if the slots every
+// earlier call counted into, through the error path too, read as zero.
 func FuzzCollisionCounter(f *testing.F) {
 	f.Add(uint8(16), uint8(3), []byte{1, 2, 1, 3, 3, 3})
 	f.Add(uint8(4), uint8(2), []byte{0, 0, 9, 0, 1, 1})
@@ -416,5 +438,24 @@ func TestCalibrateThresholdValidation(t *testing.T) {
 	}
 	if _, err := CalibrateThreshold(stat, u, 10, 10, 1, 0); err == nil {
 		t.Error("alpha=1 accepted")
+	}
+}
+
+// BenchmarkCollisionCounter times one reused counter at the workloads'
+// geometries: smp-sampling's n=4096 q=642, and n=64 with q=22 and q=4
+// (congest-grid and cluster-flat, and cluster-tree). The samples are
+// drawn once, uniformly, before the timer starts.
+func BenchmarkCollisionCounter(b *testing.B) {
+	for _, g := range []struct{ n, q int }{{4096, 642}, {64, 22}, {64, 4}} {
+		b.Run(fmt.Sprintf("n=%d/q=%d", g.n, g.q), func(b *testing.B) {
+			samples := randomSamples(testRand(6), g.n, g.q)
+			c := NewCollisionCounter(g.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Count(samples); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 // are random; now and then one sample mid-slice is out of the domain.
 // Domains run past maxOwnedDomain, so some instances own a counter and
 // the others count through the pool. Each instance serves a run of
-// calls, so the calls after an error check that the error left its
-// counter zeroed.
+// calls, so the calls after an error check that the slots the failed
+// call counted into read as zero.
 func TestCollisionRuleInstanceMatchesShared(t *testing.T) {
 	rng := rand.New(rand.NewPCG(26, 1))
 	errors := 0

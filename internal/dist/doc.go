@@ -13,9 +13,10 @@
 // many Sample calls on rand.New(src) would, so batching never changes a
 // seeded stream. The alias kernel computes a sample's index and coin
 // states from one starting state (the coin's through two-step LCG
-// constants), tests the coin as an integer against the cell's keep
-// threshold, and over a full table, which the uniform distribution
-// yields, steps past the coin word without mixing it.
+// constants) and tests the coin as an integer against the cell's keep
+// threshold. Over a full table, which the uniform distribution yields,
+// it reads only the index words: the even and the odd draws' index
+// states form two chains, each moved four LCG steps by one multiply-add.
 //
 // # Domain conventions for the hard family
 //

@@ -27,9 +27,11 @@ func (p *PCG) Uint64() uint64 {
 	return pcgOut(p.hi, p.lo)
 }
 
-// The LCG's one-step multiplier and increment (math/rand/v2's), and the
-// two-step pair mul2 = mul² and inc2 = mul·inc + inc, all mod 2^128. A
-// state s steps to mul·s + inc, so two steps take it to mul2·s + inc2.
+// The LCG's one-step multiplier and increment (math/rand/v2's), the
+// two-step pair mul2 = mul² and inc2 = mul·inc + inc, and the four-step
+// pair mul4 = mul⁴ and inc4 = inc·(mul³ + mul² + mul + 1), all mod
+// 2^128. A state s steps to mul·s + inc, so two steps take it to
+// mul2·s + inc2 and four to mul4·s + inc4.
 const (
 	pcgMulHi  = 0x2360ed051fc65da4
 	pcgMulLo  = 0x4385df649fccf645
@@ -39,6 +41,10 @@ const (
 	pcgMul2Lo = 0x529ed9eb20e0ae99
 	pcgInc2Hi = 0x4871bec9994273f8
 	pcgInc2Lo = 0xac1f8a1c3883459a
+	pcgMul4Hi = 0xf4dd417327db7a9b
+	pcgMul4Lo = 0xd194dfbe42d45771
+	pcgInc4Hi = 0x93d2c4665cea0ea8
+	pcgInc4Lo = 0xca268d515f068aa4
 )
 
 // pcgStep advances the state (hi, lo) by one LCG step.
@@ -51,6 +57,13 @@ func pcgStep(hi, lo uint64) (uint64, uint64) {
 // first.
 func pcgStep2(hi, lo uint64) (uint64, uint64) {
 	return pcgAffine(hi, lo, pcgMul2Hi, pcgMul2Lo, pcgInc2Hi, pcgInc2Lo)
+}
+
+// pcgStep4 advances the state (hi, lo) by four LCG steps with one
+// 128-bit multiply-add: the full-table alias loop's two index chains
+// each move by four states per pair of draws.
+func pcgStep4(hi, lo uint64) (uint64, uint64) {
+	return pcgAffine(hi, lo, pcgMul4Hi, pcgMul4Lo, pcgInc4Hi, pcgInc4Lo)
 }
 
 // pcgAffine returns (hi, lo)·(mulHi, mulLo) + (incHi, incLo) mod 2^128:

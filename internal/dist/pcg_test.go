@@ -32,9 +32,10 @@ func TestPCGMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestPCGTwoStep checks the two-step constants: one pcgStep2 equals two
-// pcgStep calls on random states and at the extremes.
-func TestPCGTwoStep(t *testing.T) {
+// TestPCGMultiStep checks the two-step and four-step constants: one
+// pcgStep2 equals two pcgStep calls, and one pcgStep4 four, on random
+// states and at the extremes.
+func TestPCGMultiStep(t *testing.T) {
 	states := [][2]uint64{{0, 0}, {^uint64(0), ^uint64(0)}, {0, ^uint64(0)}, {^uint64(0), 0}}
 	pick := rand.New(rand.NewPCG(7, 8))
 	for len(states) < 10000 {
@@ -44,6 +45,10 @@ func TestPCGTwoStep(t *testing.T) {
 		wantHi, wantLo := pcgStep(pcgStep(s[0], s[1]))
 		if hi, lo := pcgStep2(s[0], s[1]); hi != wantHi || lo != wantLo {
 			t.Fatalf("state %#x: two-step (%#x, %#x), two single steps (%#x, %#x)", s, hi, lo, wantHi, wantLo)
+		}
+		wantHi, wantLo = pcgStep(pcgStep(wantHi, wantLo))
+		if hi, lo := pcgStep4(s[0], s[1]); hi != wantHi || lo != wantLo {
+			t.Fatalf("state %#x: four-step (%#x, %#x), four single steps (%#x, %#x)", s, hi, lo, wantHi, wantLo)
 		}
 	}
 }

@@ -157,8 +157,12 @@ func (a *AliasSampler) Sample(rng *rand.Rand) int {
 // family half the cells are split between two elements, so a branch on
 // the coin would mispredict about half the time; the pick is a
 // conditional move instead. Over a full table the coin cannot change the
-// pick, so the power-of-two loop steps past the coin word without
-// mixing it.
+// pick, so the power-of-two loop reads only the index words: draw j's
+// is state 2j+1, so the even draws' index states lie four steps apart
+// and so do the odd draws'. Two chains, from states 1 and 3, each move
+// by one four-step multiply-add per pair of draws, and the batch ends
+// one step past the last index state. A batch of one draw starts no
+// second chain.
 //
 //dut:hotpath
 func (a *AliasSampler) SampleInto(dst []int, src *PCG) {
@@ -182,6 +186,24 @@ func (a *AliasSampler) SampleInto(dst []int, src *PCG) {
 			}
 			dst[j] = cells[i].pick(int(i), pcgOut(hi, lo))
 		}
+	case a.full && len(dst) > 1:
+		mask := n - 1
+		eh, el := pcgStep(hi, lo)
+		oh, ol := pcgStep2(eh, el)
+		d := dst
+		for len(d) > 2 {
+			d[0] = int(pcgOut(eh, el) & mask)
+			d[1] = int(pcgOut(oh, ol) & mask)
+			eh, el = pcgStep4(eh, el)
+			oh, ol = pcgStep4(oh, ol)
+			d = d[2:]
+		}
+		d[0] = int(pcgOut(eh, el) & mask)
+		if len(d) == 2 {
+			d[1] = int(pcgOut(oh, ol) & mask)
+			eh, el = oh, ol
+		}
+		hi, lo = pcgStep(eh, el)
 	case a.full:
 		mask := n - 1
 		for j := range dst {

@@ -70,14 +70,26 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 		})
 	}
 	// The alias kernel's other two loops: U_64, where every cell is full
-	// and the coin word is stepped past unmixed, and the n=64 hard far
-	// table, where half the cells are split.
+	// and only the index words are read, and the n=64 hard far table,
+	// where half the cells are split.
 	t.Run("alias-uniform-64", func(t *testing.T) {
 		s := mustAliasSampler(t, mustUniform(t, 64))
 		if !s.full {
 			t.Fatal("U_64's alias table is not full; the full-table loop is untested")
 		}
 		checkStreamContract(t, s, 257)
+	})
+	// smp-sampling's null, U_4096, through the full-table loop's two
+	// index chains: single draws, which start no second chain, batches
+	// of 2, where the pair loop never runs, odd batches of 3, and q=642.
+	t.Run("alias-uniform-4096", func(t *testing.T) {
+		s := mustAliasSampler(t, mustUniform(t, 4096))
+		if !s.full {
+			t.Fatal("U_4096's alias table is not full; the full-table loop is untested")
+		}
+		for seed := uint64(0); seed < 8; seed++ {
+			checkStreamFrom(t, s, PCG{hi: seed, lo: seed ^ 0xabcdef}, 1285, 1, 2, 3, 642)
+		}
 	})
 	t.Run("alias-hard-far-64", func(t *testing.T) {
 		s := mustAliasSampler(t, hardFar(t, 5))
@@ -123,6 +135,8 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 // are all in reach, under any seed and batch split.
 func FuzzAliasKernel(f *testing.F) {
 	f.Add([]byte{1}, uint16(63), uint64(1), uint64(2), uint16(300), uint8(15))          // U_64: full table
+	f.Add([]byte{1}, uint16(63), uint64(11), uint64(12), uint16(301), uint8(4))         // U_64, odd chunks
+	f.Add([]byte{1}, uint16(4095), uint64(9), uint64(10), uint16(642), uint8(255))      // U_4096, even chunks
 	f.Add([]byte{1}, uint16(99), uint64(1), uint64(2), uint16(300), uint8(15))          // U_100
 	f.Add([]byte{0, 0, 9, 0, 0}, uint16(4), uint64(3), uint64(4), uint16(64), uint8(0)) // one-hot
 	f.Add([]byte{3, 1}, uint16(4095), uint64(5), uint64(6), uint16(642), uint8(255))    // split cells
@@ -510,8 +524,8 @@ func BenchmarkAliasSamplePerElement(b *testing.B) {
 }
 
 // BenchmarkAliasSampleInto times the alias kernel's full-table loop:
-// over U_1024 every cell keeps its own element, so the coin word is
-// stepped past unmixed.
+// over U_1024 every cell keeps its own element, so only the index words
+// are read.
 func BenchmarkAliasSampleInto(b *testing.B) {
 	d, err := Uniform(1024)
 	if err != nil {
