@@ -117,4 +117,4 @@ results:
 	$(GO) run ./cmd/dut exp -run all -scale 1 -seed 1 -out results -csv
 
 clean:
-	rm -f test_output.txt bench_output.txt dutlint.json
+	rm -f dutlint.json

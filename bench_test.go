@@ -20,6 +20,7 @@ import (
 	"github.com/distributed-uniformity/dut/internal/congest"
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 	"github.com/distributed-uniformity/dut/internal/experiments"
 	"github.com/distributed-uniformity/dut/internal/lowerbound"
 	"github.com/distributed-uniformity/dut/internal/network"
@@ -337,7 +338,21 @@ func BenchmarkSessionAmortization(b *testing.B) {
 		rng := NewRand(10)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.RunMany(context.Background(), s, rng, rounds); err != nil {
+			// One session per iteration: a backend of its own, closed
+			// after its rounds, run lock-step on one worker.
+			be, err := network.NewBackend(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := engine.New(be, engine.Options{Workers: 1, Seed: rng.Uint64()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = e.Run(context.Background(), engine.Fixed(s), rounds)
+			if closeErr := e.Close(); err == nil {
+				err = closeErr
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -96,8 +96,6 @@ type (
 	// AcceptanceEstimate reports a Monte-Carlo acceptance probability with
 	// a Wilson confidence interval.
 	AcceptanceEstimate = stats.SuccessEstimate
-	// EstimateOptions tunes Monte-Carlo estimation.
-	EstimateOptions = stats.EstimateOptions
 )
 
 // Decision rules, re-exported.
@@ -215,36 +213,25 @@ var (
 	// DefaultThresholdT is the referee threshold making the threshold
 	// tester sample-optimal.
 	DefaultThresholdT = core.DefaultThresholdT
-	// EstimateAcceptance measures a protocol's acceptance probability.
-	EstimateAcceptance = core.EstimateAcceptance
-	// Separates checks the 2/3-vs-1/3 guarantee against a null and an
-	// alternative.
-	Separates = core.Separates
-	// Amplify majority-votes a protocol over an odd number of rounds,
-	// driving its error down exponentially.
-	Amplify = core.Amplify
-	// RoundsForFailure sizes the amplification for a target failure
-	// probability.
+	// RoundsForFailure sizes Engine.Amplify's majority vote for a target
+	// failure probability.
 	RoundsForFailure = core.RoundsForFailure
 )
 
 // Networked deployment.
 var (
 	// NewCluster runs a protocol as a referee server plus player nodes.
-	// Cluster.Run executes one round; Cluster.RunMany keeps the
-	// connections open for a multi-round amplification session. Each is
-	// one engine call on a cluster backend the call opens and closes. With
-	// ClusterConfig.MinVotes set the cluster tolerates stragglers down to
-	// the quorum (RunStats and RunManyStats report each round's
-	// RoundResult).
+	// Cluster.Run executes one round on a cluster backend it opens and
+	// closes. Many rounds, an amplification session among them, are an
+	// Engine over NewClusterBackend (or BackendFor), which keeps the
+	// connections open across rounds and reports each round's
+	// RoundResult. With ClusterConfig.MinVotes set the cluster tolerates
+	// stragglers down to the quorum.
 	NewCluster = network.NewCluster
 	// NewMemTransport is the in-process transport.
 	NewMemTransport = network.NewMemTransport
 	// NewFaultTransport decorates a transport with seeded fault injection.
 	NewFaultTransport = network.NewFaultTransport
-	// MajorityVerdict reduces a session's per-round verdicts to the
-	// amplified decision.
-	MajorityVerdict = network.MajorityVerdict
 )
 
 // Absentee policies for quorum-mode clusters: how a vote that never
@@ -323,7 +310,8 @@ type (
 // regardless of worker count.
 type (
 	// Engine bundles a Backend with EngineOptions; build one with
-	// NewEngine and drive it via Run/Estimate/Separates/Amplify.
+	// NewEngine and drive it via Run/Estimate/Separates/Amplify, the one
+	// way to run many trials, and Close it when done.
 	Engine = engine.Engine
 	// Backend executes protocol rounds for the engine's trial driver.
 	Backend = engine.Backend
@@ -336,7 +324,8 @@ type (
 	// bit-identical to the unbatched run.
 	BatchBackend = engine.BatchBackend
 	// RoundResult is the uniform per-round accounting every backend
-	// reports, a networked Cluster's RunStats and RunManyStats included.
+	// reports: the verdict, votes and stragglers, samples, and a CONGEST
+	// round's messages and communication rounds.
 	RoundResult = engine.RoundResult
 	// EngineOptions configures the trial driver (workers, confidence,
 	// base seed).
@@ -360,8 +349,9 @@ var (
 	// NewEngine bundles a backend with driver options.
 	NewEngine = engine.New
 	// BackendFor adapts any Protocol to the engine (a *core.SMP gets the
-	// fully deterministic cross-backend treatment, and a *Cluster its
-	// NewClusterBackend, with the same verdicts).
+	// fully deterministic cross-backend treatment, a *Cluster its
+	// NewClusterBackend and a *CONGESTTester its NewCONGESTBackend, with
+	// the same verdicts).
 	BackendFor = core.BackendFor
 	// NewClusterBackend adapts a networked Cluster: each trial is one
 	// full networked round whose verdict is bit-identical to the SMP

@@ -85,8 +85,8 @@ func TestTestUniformityValidation(t *testing.T) {
 }
 
 func TestFacadeDistributedRound(t *testing.T) {
-	// End-to-end through the public API only: build a tester, estimate
-	// acceptance, compare to the theorem floor.
+	// End-to-end through the public API only: build a tester, check the
+	// separation on the engine, compare to the theorem floor.
 	const (
 		n   = 1024
 		k   = 16
@@ -105,12 +105,29 @@ func TestFacadeDistributedRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, pNull, pFar, err := Separates(p, u, far, 2.0/3, 200, EstimateOptions{Seed: 3})
+	backend, err := BackendFor(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Errorf("threshold tester failed to separate: accept(U)=%v accept(far)=%v", pNull, pFar)
+	eng, err := NewEngine(backend, EngineOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nullSrc, err := DistSource(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	farSrc, err := DistSource(far)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sep, err := eng.Separates(context.Background(), nullSrc, farSrc, 2.0/3, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sep.Outcome != Separated {
+		t.Errorf("threshold tester failed to separate: accept(U)=%v accept(far)=%v",
+			sep.Null.Estimate.P, sep.Far.Estimate.P)
 	}
 	floor, err := LowerBoundSamples(n, k, eps, 1)
 	if err != nil {
@@ -267,27 +284,37 @@ func TestFacadeCONGESTTester(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSampler(u)
+	src, err := DistSource(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := NewRand(31)
+	// BackendFor hands the tester its CONGEST backend, whose trials
+	// report their communication rounds.
+	backend, err := BackendFor(tester)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(backend, EngineOptions{Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.Run(context.Background(), src, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	accepts := 0
-	for i := 0; i < 10; i++ {
-		ok, err := tester.Run(s, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
+	for _, r := range results {
+		if r.Verdict {
 			accepts++
+		}
+		if r.CommRounds < grid.Diameter() {
+			t.Errorf("trial %d: rounds %d below diameter %d", r.Trial, r.CommRounds, grid.Diameter())
 		}
 	}
 	if accepts < 7 {
 		t.Errorf("CONGEST tester accepted uniform only %d/10 rounds", accepts)
 	}
-	if tester.LastRounds() < grid.Diameter() {
-		t.Errorf("rounds %d below diameter %d", tester.LastRounds(), grid.Diameter())
-	}
+	rng := NewRand(31)
 	tree, err := RandomTreeGraph(12, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +324,9 @@ func TestFacadeCONGESTTester(t *testing.T) {
 	}
 }
 
-func TestFacadeSessionRunMany(t *testing.T) {
+func TestFacadeSession(t *testing.T) {
+	// A multi-round amplification session over a networked cluster: an
+	// Engine on one worker over the cluster's backend, closed when done.
 	const (
 		n   = 256
 		k   = 4
@@ -320,20 +349,27 @@ func TestFacadeSessionRunMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSampler(u)
+	src, err := DistSource(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verdicts, err := cluster.RunMany(context.Background(), s, NewRand(41), 9)
+	backend, err := NewClusterBackend(cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maj, err := MajorityVerdict(verdicts)
+	eng, err := NewEngine(backend, EngineOptions{Workers: 1, Seed: NewRand(41).Uint64()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maj, rounds, err := eng.Amplify(context.Background(), src, 9)
+	if closeErr := eng.Close(); err == nil {
+		err = closeErr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !maj {
-		t.Errorf("majority rejected uniform input: %v", verdicts)
+		t.Errorf("majority rejected uniform input: %v", rounds)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dut_test
 
 import (
+	"context"
 	"fmt"
 
 	dut "github.com/distributed-uniformity/dut"
@@ -57,14 +58,22 @@ func ExampleLowerBoundSamples() {
 }
 
 // Majority-vote amplification turns the model's 2/3 guarantee into any
-// target confidence.
-func ExampleAmplify() {
+// target confidence: Engine.Amplify runs an odd number of rounds, each
+// with fresh samples, and returns their majority verdict.
+func ExampleEngine_Amplify() {
 	const n, k, eps = 256, 8, 0.5
 	q := dut.RecommendedThresholdSamples(n, k, eps)
-	inner, _ := dut.NewThresholdTester(dut.ThresholdTesterConfig{N: n, K: k, Q: q, Eps: eps})
+	tester, _ := dut.NewThresholdTester(dut.ThresholdTesterConfig{N: n, K: k, Q: q, Eps: eps})
+	backend, _ := dut.BackendFor(tester)
+	engine, _ := dut.NewEngine(backend, dut.EngineOptions{Seed: 1})
+	defer engine.Close()
+	uniform, _ := dut.Uniform(n)
+	source, _ := dut.DistSource(uniform)
 	rounds, _ := dut.RoundsForFailure(0.01)
-	boosted, _ := dut.Amplify(inner, rounds)
-	fmt.Printf("%d rounds for 1%% failure; per-player samples %d\n",
-		boosted.Rounds(), boosted.MaxSamplesPerPlayer())
-	// Output: 83 rounds for 1% failure; per-player samples 19007
+	accept, results, _ := engine.Amplify(context.Background(), source, rounds)
+	fmt.Printf("%d rounds for 1%% failure; per-player samples %d\n", len(results), q*len(results))
+	fmt.Println("majority verdict on uniform input:", accept)
+	// Output:
+	// 83 rounds for 1% failure; per-player samples 19007
+	// majority verdict on uniform input: true
 }

@@ -9,9 +9,9 @@ import (
 
 // testerBackend runs each engine trial as one CONGEST execution: votes
 // derived from engine.NodeRNG(shared, node), then BFS-tree aggregation
-// on the simulator. It bypasses the Tester's shared last* statistics
-// fields (each trial reads its own simulator), so concurrent trials on
-// the engine's worker pool never contend.
+// on the simulator. Each trial reads its rounds and messages from its
+// worker's own simulator, so concurrent trials on the engine's worker
+// pool share no state.
 type testerBackend struct {
 	t *Tester
 }
@@ -28,6 +28,11 @@ func NewBackend(t *Tester) (engine.Backend, error) {
 	}
 	return &testerBackend{t: t}, nil
 }
+
+// NewBackend is NewBackend(t): the backend core.BackendFor builds for
+// the tester, so its trials take the engine's coins and decide as the
+// SMP backend's do.
+func (t *Tester) NewBackend() (engine.Backend, error) { return NewBackend(t) }
 
 // Players implements engine.Backend.
 func (b *testerBackend) Players() int { return b.t.Players() }

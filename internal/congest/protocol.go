@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
-	"sync"
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
@@ -295,7 +294,8 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 // nodes of a connected graph each draw q samples, vote with a shared
 // core.LocalRule, aggregate the votes up a BFS tree rooted at Root, apply
 // the threshold rule there, and broadcast the verdict. It implements
-// core.Protocol, so the same measurement harness drives it.
+// core.Protocol, and core.BackendFor hands it to the engine through
+// NewBackend, so the same measurement harness drives it.
 //
 // The convergecast sums a per-node score. With a single-bit rule (the
 // classic mode) the score is the rejection indicator — 1 iff the node
@@ -313,13 +313,6 @@ type Tester struct {
 	rule core.LocalRule
 	t    int
 	sum  bool
-
-	// Stats from the last run; guarded so concurrent Monte-Carlo
-	// estimation over the same Tester stays race-free.
-	statsMu      sync.Mutex
-	lastRounds   int
-	lastMessages int
-	lastMaxBits  int
 }
 
 var _ core.Protocol = (*Tester)(nil)
@@ -403,27 +396,6 @@ func (t *Tester) Players() int { return t.top.n() }
 // MaxSamplesPerPlayer implements core.Protocol.
 func (t *Tester) MaxSamplesPerPlayer() int { return t.q }
 
-// LastRounds returns the round count of the most recent Run.
-func (t *Tester) LastRounds() int {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.lastRounds
-}
-
-// LastMessages returns the message count of the most recent Run.
-func (t *Tester) LastMessages() int {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.lastMessages
-}
-
-// LastMaxMessageBits returns the widest message of the most recent Run.
-func (t *Tester) LastMaxMessageBits() int {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.lastMaxBits
-}
-
 // Run implements core.Protocol: draw samples, vote, aggregate, decide.
 // The round's public-coin seed is drawn from rng; everything else derives
 // from that seed via RunSeeded.
@@ -434,22 +406,16 @@ func (t *Tester) Run(sampler dist.Sampler, rng *rand.Rand) (bool, error) {
 	return t.RunSeeded(sampler, rng.Uint64())
 }
 
-// RunSeeded executes one CONGEST round with an explicit public-coin seed.
-// Node u draws its samples and private coins from engine.NodeRNG(shared,
-// u) — the same derivation the in-process SMP simulator and the networked
-// nodes apply — so the votes entering the tree aggregation are
-// bit-identical to the other backends' for the same seed.
+// RunSeeded executes one CONGEST round with an explicit public-coin seed,
+// on a fresh scratch. Node u draws its samples and private coins from
+// engine.NodeRNG(shared, u) — the same derivation the in-process SMP
+// simulator and the networked nodes apply — so the votes entering the
+// tree aggregation are bit-identical to the other backends' for the same
+// seed. The engine backend (NewBackend) runs the same round and reports
+// its rounds and messages.
 func (t *Tester) RunSeeded(sampler dist.Sampler, shared uint64) (bool, error) {
-	verdict, sim, err := t.runSeeded(sampler, shared)
-	if err != nil {
-		return false, err
-	}
-	t.statsMu.Lock()
-	t.lastRounds = sim.Rounds()
-	t.lastMessages = sim.MessagesSent()
-	t.lastMaxBits = sim.MaxMessageBits()
-	t.statsMu.Unlock()
-	return verdict, nil
+	verdict, _, err := t.runSeededScratch(sampler, shared, t.newScratch())
+	return verdict, err
 }
 
 // runScratch is one worker's reusable per-run state: the sample batch
@@ -493,20 +459,14 @@ func (t *Tester) newScratch() *runScratch {
 	}
 }
 
-// runSeeded is the shared-state-free core of RunSeeded: it returns the
-// simulator so callers (the engine backend) can read per-run statistics
-// without racing on the Tester's last* fields.
-func (t *Tester) runSeeded(sampler dist.Sampler, shared uint64) (bool, *Simulator, error) {
-	return t.runSeededScratch(sampler, shared, t.newScratch())
-}
-
-// runSeededScratch is runSeeded over a caller-owned scratch: node-side
-// sampling goes through the scratch generator's batched SampleInto into
-// the reused buffer, each node's stream comes from that reseeded
-// generator — exactly the engine.NodeRNG stream — and each node votes
-// through the scratch's rule instance, which derives the shared rule's
-// messages bit for bit, so scratch runs are bit-identical to allocating
-// ones.
+// runSeededScratch is one CONGEST round over a caller-owned scratch,
+// returning the verdict and the simulator, which holds the round's
+// statistics. Node-side sampling goes through the scratch generator's
+// batched SampleInto into the reused buffer, each node's stream comes
+// from that reseeded generator — exactly the engine.NodeRNG stream — and
+// each node votes through the scratch's rule instance, which derives the
+// shared rule's messages bit for bit, so scratch runs are bit-identical
+// to allocating ones.
 func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runScratch) (bool, *Simulator, error) {
 	if sampler == nil {
 		return false, nil, fmt.Errorf("congest: nil sampler")

@@ -1,16 +1,16 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
-	"github.com/distributed-uniformity/dut/internal/stats"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 // fixedVoteRule returns a rule voting according to a fixed bit vector,
@@ -154,29 +154,37 @@ func TestRoundsScaleWithDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pathTester.Run(uniformSampler(t, 4), testRand(2)); err != nil {
-		t.Fatal(err)
-	}
+	path := runOnce(t, pathTester, 2)
 	star, _ := Star(64)
 	starTester, err := NewTester(TesterConfig{Graph: star, Root: 0, Q: 0, Rule: rule, T: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := starTester.Run(uniformSampler(t, 4), testRand(3)); err != nil {
+	starSim := runOnce(t, starTester, 3)
+	if path.Rounds() < 63 {
+		t.Errorf("path rounds %d below diameter", path.Rounds())
+	}
+	if path.Rounds() > 4*63+10 {
+		t.Errorf("path rounds %d not O(diameter)", path.Rounds())
+	}
+	if starSim.Rounds() > 12 {
+		t.Errorf("star rounds %d, want O(1)", starSim.Rounds())
+	}
+	if path.MaxMessageBits() > MessageBits {
+		t.Errorf("message width %d over cap", path.MaxMessageBits())
+	}
+}
+
+// runOnce runs one round of the tester on a fresh scratch, with public
+// coin shared, over U_4, and returns the simulator holding its
+// statistics.
+func runOnce(t *testing.T, tester *Tester, shared uint64) *Simulator {
+	t.Helper()
+	_, sim, err := tester.runSeededScratch(uniformSampler(t, 4), shared, tester.newScratch())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pathTester.LastRounds() < 63 {
-		t.Errorf("path rounds %d below diameter", pathTester.LastRounds())
-	}
-	if pathTester.LastRounds() > 4*63+10 {
-		t.Errorf("path rounds %d not O(diameter)", pathTester.LastRounds())
-	}
-	if starTester.LastRounds() > 12 {
-		t.Errorf("star rounds %d, want O(1)", starTester.LastRounds())
-	}
-	if pathTester.LastMaxMessageBits() > MessageBits {
-		t.Errorf("message width %d over cap", pathTester.LastMaxMessageBits())
-	}
+	return sim
 }
 
 func TestMessageCountLinearInEdges(t *testing.T) {
@@ -189,17 +197,15 @@ func TestMessageCountLinearInEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tester.Run(uniformSampler(t, 4), testRand(4)); err != nil {
-		t.Fatal(err)
-	}
-	if tester.LastMessages() > 6*g.Edges() {
-		t.Errorf("%d messages on %d edges — not O(1) per edge", tester.LastMessages(), g.Edges())
+	if m := runOnce(t, tester, 4).MessagesSent(); m > 6*g.Edges() {
+		t.Errorf("%d messages on %d edges — not O(1) per edge", m, g.Edges())
 	}
 }
 
 func TestCONGESTMatchesSMPTester(t *testing.T) {
 	// The CONGEST tester over any topology realizes exactly the SMP
-	// threshold tester: acceptance probabilities agree.
+	// threshold tester: on the engine's coins, through core.BackendFor,
+	// both decide every trial alike, so they accept equally often.
 	const (
 		n   = 1024
 		k   = 16
@@ -224,29 +230,40 @@ func TestCONGESTMatchesSMPTester(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := stats.EstimateOptions{Seed: 6}
-	smpEst, err := core.EstimateAcceptance(smp, far, 200, opts)
+	uniform, err := dist.Uniform(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	congestEst, err := core.EstimateAcceptance(congest, far, 200, opts)
-	if err != nil {
-		t.Fatal(err)
+	estimate := func(p core.Protocol, d dist.Dist) engine.Result {
+		t.Helper()
+		b, err := core.BackendFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := engine.FromDist(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := engine.Estimate(context.Background(), b, src, 200, engine.Options{Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if math.Abs(smpEst.P-congestEst.P) > 0.15 {
-		t.Errorf("SMP accept %v vs CONGEST accept %v", smpEst.P, congestEst.P)
-	}
-	uniform, _ := dist.Uniform(n)
-	smpU, err := core.EstimateAcceptance(smp, uniform, 200, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	congestU, err := core.EstimateAcceptance(congest, uniform, 200, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(smpU.P-congestU.P) > 0.15 {
-		t.Errorf("SMP accept(U) %v vs CONGEST accept(U) %v", smpU.P, congestU.P)
+	for _, d := range []struct {
+		name string
+		d    dist.Dist
+	}{{"far", far}, {"uniform", uniform}} {
+		s, c := estimate(smp, d.d), estimate(congest, d.d)
+		if s.Estimate.Successes != c.Estimate.Successes {
+			t.Errorf("%s: SMP accepts %d of 200 trials, CONGEST %d", d.name, s.Estimate.Successes, c.Estimate.Successes)
+		}
+		for i := range s.Rounds {
+			if s.Rounds[i].Verdict != c.Rounds[i].Verdict {
+				t.Errorf("%s: trial %d: SMP verdict %v, CONGEST %v", d.name, i, s.Rounds[i].Verdict, c.Rounds[i].Verdict)
+				break
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
-	"github.com/distributed-uniformity/dut/internal/stats"
 )
 
 func TestFeistelPermuteIsBijective(t *testing.T) {
@@ -184,7 +183,7 @@ func TestACTTesterSeparatesAtRecommendedK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, pNull, pFar, err := Separates(p, uniform, far, 2.0/3, 200, stats.EstimateOptions{Seed: 72})
+	ok, pNull, pFar, err := separates(p, uniform, far, 2.0/3, 200, 72)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +211,11 @@ func TestACTTesterStarvedFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estU, err := EstimateAcceptance(p, uniform, 300, stats.EstimateOptions{Seed: 74})
+	estU, err := estimate(p, uniform, 300, 74)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estF, err := EstimateAcceptance(p, far, 300, stats.EstimateOptions{Seed: 75})
+	estF, err := estimate(p, far, 300, 75)
 	if err != nil {
 		t.Fatal(err)
 	}

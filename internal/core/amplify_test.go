@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
-	"github.com/distributed-uniformity/dut/internal/stats"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 // coinProtocol accepts with a fixed probability, independent of samples.
@@ -17,58 +18,51 @@ func (c coinProtocol) Run(_ dist.Sampler, rng *rand.Rand) (bool, error) {
 func (c coinProtocol) Players() int             { return 1 }
 func (c coinProtocol) MaxSamplesPerPlayer() int { return 1 }
 
-func TestAmplifyValidation(t *testing.T) {
-	if _, err := Amplify(nil, 3); err == nil {
-		t.Error("nil inner accepted")
-	}
-	if _, err := Amplify(coinProtocol{p: 0.7}, 0); err == nil {
-		t.Error("zero rounds accepted")
-	}
-	if _, err := Amplify(coinProtocol{p: 0.7}, 4); err == nil {
-		t.Error("even rounds accepted")
-	}
-	a, err := Amplify(coinProtocol{p: 0.7}, 5)
+// amplifiedAcceptance is the share of seeds 0..seeds-1 on which
+// engine.Amplify, rounds rounds of p's BackendFor backend on d, accepts.
+func amplifiedAcceptance(t *testing.T, p Protocol, d dist.Dist, rounds, seeds int) float64 {
+	t.Helper()
+	b, err := BackendFor(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Players() != 1 || a.MaxSamplesPerPlayer() != 5 || a.Rounds() != 5 {
-		t.Error("accessors wrong")
+	src, err := engine.FromDist(d)
+	if err != nil {
+		t.Fatal(err)
 	}
+	accepts := 0
+	for seed := 0; seed < seeds; seed++ {
+		accept, results, err := engine.Amplify(context.Background(), b, src, rounds, engine.Options{Seed: uint64(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != rounds {
+			t.Fatalf("seed %d: %d round results, want %d", seed, len(results), rounds)
+		}
+		if accept {
+			accepts++
+		}
+	}
+	return float64(accepts) / float64(seeds)
 }
 
 func TestAmplifyDrivesErrorDown(t *testing.T) {
-	// Inner protocol accepts with p = 0.7 (should accept): single-round
+	// A coin backend accepting with p = 0.7 (should accept): single-round
 	// error 0.3; 15 rounds of majority push it below ~3%.
 	u, _ := dist.Uniform(4)
-	single, err := EstimateAcceptance(coinProtocol{p: 0.7}, u, 4000, stats.EstimateOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	amp, err := Amplify(coinProtocol{p: 0.7}, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boosted, err := EstimateAcceptance(amp, u, 4000, stats.EstimateOptions{Seed: 2})
+	single, err := estimate(coinProtocol{p: 0.7}, u, 4000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if single.P > 0.75 {
 		t.Fatalf("single-round baseline off: %v", single.P)
 	}
-	if boosted.P < 0.94 {
-		t.Errorf("amplified acceptance %v, want > 0.94", boosted.P)
+	if boosted := amplifiedAcceptance(t, coinProtocol{p: 0.7}, u, 15, 4000); boosted < 0.94 {
+		t.Errorf("amplified acceptance %v, want > 0.94", boosted)
 	}
 	// Symmetric on the reject side.
-	ampReject, err := Amplify(coinProtocol{p: 0.3}, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejected, err := EstimateAcceptance(ampReject, u, 4000, stats.EstimateOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rejected.P > 0.06 {
-		t.Errorf("amplified rejection leaks %v acceptance", rejected.P)
+	if rejected := amplifiedAcceptance(t, coinProtocol{p: 0.3}, u, 15, 4000); rejected > 0.06 {
+		t.Errorf("amplified rejection leaks %v acceptance", rejected)
 	}
 }
 
@@ -96,8 +90,8 @@ func TestRoundsForFailure(t *testing.T) {
 }
 
 func TestAmplifyEndToEnd(t *testing.T) {
-	// Amplify the real threshold tester and watch the uniform-side
-	// acceptance climb.
+	// Amplify the real threshold tester, through BackendFor, and watch the
+	// uniform-side acceptance climb.
 	const (
 		n   = 256
 		k   = 8
@@ -108,31 +102,20 @@ func TestAmplifyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amp, err := Amplify(inner, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
 	uniform, _ := dist.Uniform(n)
-	base, err := EstimateAcceptance(inner, uniform, 300, stats.EstimateOptions{Seed: 4})
+	base, err := estimate(inner, uniform, 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boosted, err := EstimateAcceptance(amp, uniform, 300, stats.EstimateOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	boosted := amplifiedAcceptance(t, inner, uniform, 9, 300)
+	if boosted < base.P {
+		t.Errorf("amplification hurt: %v -> %v", base.P, boosted)
 	}
-	if boosted.P < base.P {
-		t.Errorf("amplification hurt: %v -> %v", base.P, boosted.P)
-	}
-	if boosted.P < 0.95 {
-		t.Errorf("amplified acceptance %v", boosted.P)
+	if boosted < 0.95 {
+		t.Errorf("amplified acceptance %v", boosted)
 	}
 	far, _ := dist.PairedBump(n, eps)
-	farAccept, err := EstimateAcceptance(amp, far, 300, stats.EstimateOptions{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if farAccept.P > 0.05 {
-		t.Errorf("amplified far acceptance %v", farAccept.P)
+	if farAccept := amplifiedAcceptance(t, inner, far, 9, 300); farAccept > 0.05 {
+		t.Errorf("amplified far acceptance %v", farAccept)
 	}
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 
-	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
@@ -14,9 +12,10 @@ import (
 // derived from the round's public coin, so its verdicts are
 // bit-reproducible against the networked and CONGEST backends. A
 // Protocol that builds its own backend gets it: a *network.Cluster gets
-// network.NewBackend, whose verdicts equal the *SMP backend's and which
-// keeps sessions open until it is closed (engine.Engine.Close). Any
-// other Protocol runs against the per-trial stream (deterministic in
+// network.NewBackend, which keeps sessions open until it is closed
+// (engine.Engine.Close), and a *congest.Tester gets congest.NewBackend;
+// both decide as the *SMP backend does, trial for trial. Any other
+// Protocol runs against the per-trial stream (deterministic in
 // (seed, trial), but with no cross-backend vote identity).
 func BackendFor(p Protocol) (engine.Backend, error) {
 	if p == nil {
@@ -32,29 +31,10 @@ func BackendFor(p Protocol) (engine.Backend, error) {
 }
 
 // backendProvider is a Protocol that builds its own engine backend
-// (network.Cluster does). It is an interface because core cannot import
-// the packages that implement it.
+// (network.Cluster and congest.Tester do). It is an interface because
+// core cannot import the packages that implement it.
 type backendProvider interface {
 	NewBackend() (engine.Backend, error)
-}
-
-// runEngine runs fn on an engine over p's backend and closes the engine
-// before it returns, so no session the backend keeps between calls
-// outlives the call. A close error is reported when fn succeeded.
-func runEngine(p Protocol, opts engine.Options, fn func(*engine.Engine) error) error {
-	b, err := BackendFor(p)
-	if err != nil {
-		return err
-	}
-	e, err := engine.New(b, opts)
-	if err != nil {
-		return err
-	}
-	err = fn(e)
-	if closeErr := e.Close(); err == nil {
-		err = closeErr
-	}
-	return err
 }
 
 // smpBackend is the in-process SMP execution backend: one RunRound is one
@@ -145,13 +125,6 @@ func (b *smpBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []
 	return nil
 }
 
-// contextProtocol is the optional context-aware run surface a Protocol
-// may expose (AmplifiedProtocol does); the generic backend prefers it so
-// driver cancellation reaches mid-round waits.
-type contextProtocol interface {
-	RunContext(ctx context.Context, sampler dist.Sampler, rng *rand.Rand) (bool, error)
-}
-
 // protocolBackend runs any Protocol against the engine's per-trial
 // stream.
 type protocolBackend struct {
@@ -168,15 +141,7 @@ func (b *protocolBackend) RunRound(ctx context.Context, spec engine.RoundSpec) (
 	}
 	sw := engine.StartStopwatch()
 	rng := engine.TrialRNG(spec.Seed, spec.Trial)
-	var (
-		accept bool
-		err    error
-	)
-	if cp, ok := b.p.(contextProtocol); ok {
-		accept, err = cp.RunContext(ctx, spec.Sampler, rng)
-	} else {
-		accept, err = b.p.Run(spec.Sampler, rng)
-	}
+	accept, err := b.p.Run(spec.Sampler, rng)
 	if err != nil {
 		return engine.RoundResult{}, err
 	}

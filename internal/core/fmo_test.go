@@ -133,7 +133,7 @@ func TestThresholdTesterSeparatesAtRecommendedQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, pNull, pFar, err := Separates(p, uniform, far, 2.0/3, 300, stats.EstimateOptions{Seed: 32})
+	ok, pNull, pFar, err := separates(p, uniform, far, 2.0/3, 300, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestThresholdTesterParallelGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, pNull, pFar, err := Separates(p, uniform, far, 2.0/3, 300, stats.EstimateOptions{Seed: 42})
+	ok, pNull, pFar, err := separates(p, uniform, far, 2.0/3, 300, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestANDTesterWorksAtCentralizedScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, pNull, pFar, err := Separates(big, uniform, far, 2.0/3, 300, stats.EstimateOptions{Seed: 53})
+	ok, pNull, pFar, err := separates(big, uniform, far, 2.0/3, 300, 53)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestANDTesterStarvedNeverRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		estU, err := EstimateAcceptance(p, uniform, 400, stats.EstimateOptions{Seed: uint64(54 + k)})
+		estU, err := estimate(p, uniform, 400, uint64(54+k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		estF, err := EstimateAcceptance(p, far, 400, stats.EstimateOptions{Seed: uint64(55 + k)})
+		estF, err := estimate(p, far, 400, uint64(55+k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestAsymmetricThresholdTester(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, pNull, pFar, err := Separates(p, uniform, far, 2.0/3, 300, stats.EstimateOptions{Seed: 62})
+	ok, pNull, pFar, err := separates(p, uniform, far, 2.0/3, 300, 62)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
-	"github.com/distributed-uniformity/dut/internal/stats"
 )
 
 // Protocol is a complete distributed tester: one Run draws fresh samples
@@ -189,60 +187,4 @@ func (p *SMP) RunSeeded(sampler dist.Sampler, shared uint64) (bool, error) {
 		return false, err
 	}
 	return p.referee.Decide(msgs)
-}
-
-// EstimateAcceptance measures Pr[protocol accepts] against the given
-// distribution by Monte Carlo, with a Wilson confidence interval.
-//
-// This is a compatibility wrapper over the unified trial driver
-// (internal/engine): trials run on the engine's worker pool, abort as
-// soon as any trial errors, and take their randomness from the engine's
-// (seed, trial, player) streams, so results no longer depend on
-// Parallelism. New code should build a backend with BackendFor and call
-// engine.Estimate (or dut.NewEngine) directly.
-func EstimateAcceptance(p Protocol, d dist.Dist, trials int, opts stats.EstimateOptions) (stats.SuccessEstimate, error) {
-	var est stats.SuccessEstimate
-	err := runEngine(p, engine.FromEstimateOptions(opts), func(e *engine.Engine) error {
-		src, err := engine.FromDist(d)
-		if err != nil {
-			return err
-		}
-		res, err := e.Estimate(context.Background(), src, trials)
-		est = res.Estimate
-		return err
-	})
-	if err != nil {
-		return stats.SuccessEstimate{}, err
-	}
-	return est, nil
-}
-
-// Separates reports whether the protocol both accepts `null` and rejects
-// `far` with probability at least target (e.g. 2/3), with the measured
-// acceptance probabilities. The decision uses the Wilson interval bounds
-// rather than the raw point estimates, so a borderline configuration
-// whose intervals straddle the target reports ok=false (inconclusive)
-// instead of flapping with the seed; engine.Separates exposes the full
-// three-valued outcome.
-//
-// This is a compatibility wrapper over the unified trial driver; new
-// code should use engine.Separates via BackendFor (or dut.NewEngine).
-func Separates(p Protocol, null, far dist.Dist, target float64, trials int, opts stats.EstimateOptions) (ok bool, acceptNull, acceptFar float64, err error) {
-	var sep engine.Separation
-	err = runEngine(p, engine.FromEstimateOptions(opts), func(e *engine.Engine) error {
-		nullSrc, err := engine.FromDist(null)
-		if err != nil {
-			return err
-		}
-		farSrc, err := engine.FromDist(far)
-		if err != nil {
-			return err
-		}
-		sep, err = e.Separates(context.Background(), nullSrc, farSrc, target, trials)
-		return err
-	})
-	if err != nil {
-		return false, 0, 0, err
-	}
-	return sep.Outcome == engine.Separated, sep.Null.Estimate.P, sep.Far.Estimate.P, nil
 }

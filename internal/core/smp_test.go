@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 	"github.com/distributed-uniformity/dut/internal/stats"
 )
 
@@ -207,6 +209,43 @@ func TestSMPDeterministicGivenRng(t *testing.T) {
 	}
 }
 
+// estimate measures p's acceptance probability on d: engine.Estimate
+// over trials trials of the seed, on the backend BackendFor builds.
+func estimate(p Protocol, d dist.Dist, trials int, seed uint64) (stats.SuccessEstimate, error) {
+	b, err := BackendFor(p)
+	if err != nil {
+		return stats.SuccessEstimate{}, err
+	}
+	src, err := engine.FromDist(d)
+	if err != nil {
+		return stats.SuccessEstimate{}, err
+	}
+	res, err := engine.Estimate(context.Background(), b, src, trials, engine.Options{Seed: seed})
+	return res.Estimate, err
+}
+
+// separates runs engine.Separates for p on null and far, as estimate
+// does, and reports whether it separated and both acceptance rates.
+func separates(p Protocol, null, far dist.Dist, target float64, trials int, seed uint64) (ok bool, acceptNull, acceptFar float64, err error) {
+	b, err := BackendFor(p)
+	if err != nil {
+		return false, 0, 0, err
+	}
+	nullSrc, err := engine.FromDist(null)
+	if err != nil {
+		return false, 0, 0, err
+	}
+	farSrc, err := engine.FromDist(far)
+	if err != nil {
+		return false, 0, 0, err
+	}
+	sep, err := engine.Separates(context.Background(), b, nullSrc, farSrc, target, trials, engine.Options{Seed: seed})
+	if err != nil {
+		return false, 0, 0, err
+	}
+	return sep.Outcome == engine.Separated, sep.Null.Estimate.P, sep.Far.Estimate.P, nil
+}
+
 func TestEstimateAcceptance(t *testing.T) {
 	// A rule accepting iff its single sample is even: over uniform [4],
 	// each player accepts w.p. 1/2; with one player and the AND rule the
@@ -222,14 +261,14 @@ func TestEstimateAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	u, _ := dist.Uniform(4)
-	est, err := EstimateAcceptance(p, u, 20000, stats.EstimateOptions{Seed: 9})
+	est, err := estimate(p, u, 20000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est.P-0.5) > 0.02 {
 		t.Errorf("acceptance %v, want ~0.5", est.P)
 	}
-	if _, err := EstimateAcceptance(nil, u, 10, stats.EstimateOptions{}); err == nil {
+	if _, err := estimate(nil, u, 10, 0); err == nil {
 		t.Error("nil protocol accepted")
 	}
 }
@@ -243,7 +282,7 @@ func TestEstimateAcceptanceSurfacesRunErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	u, _ := dist.Uniform(2)
-	if _, err := EstimateAcceptance(p, u, 100, stats.EstimateOptions{}); err == nil {
+	if _, err := estimate(p, u, 100, 0); err == nil {
 		t.Error("run error swallowed")
 	}
 }
@@ -273,7 +312,7 @@ func TestSeparates(t *testing.T) {
 		upperProbs[i] = 0.125
 	}
 	upper, _ := dist.FromProbs(upperProbs)
-	ok, pNull, pFar, err := Separates(p, lower, upper, 0.99, 500, stats.EstimateOptions{Seed: 13})
+	ok, pNull, pFar, err := separates(p, lower, upper, 0.99, 500, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +320,7 @@ func TestSeparates(t *testing.T) {
 		t.Errorf("separation failed: %v %v %v", ok, pNull, pFar)
 	}
 	// And the reverse orientation must fail.
-	ok, _, _, err = Separates(p, upper, lower, 0.99, 500, stats.EstimateOptions{Seed: 14})
+	ok, _, _, err = separates(p, upper, lower, 0.99, 500, 14)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,6 @@ type BatchSampler interface {
 var (
 	_ BatchSampler = (*AliasSampler)(nil)
 	_ BatchSampler = (*CDFSampler)(nil)
-	_ BatchSampler = (*UniformSampler)(nil)
 	_ BatchSampler = NopSampler{}
 )
 
@@ -274,61 +273,6 @@ func (c *CDFSampler) SampleInto(dst []int, src *PCG) {
 	for j := range dst {
 		hi, lo = pcgStep(hi, lo)
 		dst[j] = sort.SearchFloat64s(c.cdf, unitFloat(pcgOut(hi, lo)))
-	}
-	src.hi, src.lo = hi, lo
-}
-
-// UniformSampler is the dedicated fast path for U_n: one IntN per element
-// and no table lookups, roughly halving the RNG draws of an alias-method
-// sampler over the uniform distribution. Note the stream it consumes from
-// an RNG differs from AliasSampler's over U_n (one draw per element
-// instead of two), so swapping sampler kinds under a fixed seed changes
-// downstream verdicts; within the kind, SampleInto ≡ repeated Sample as
-// for every BatchSampler.
-type UniformSampler struct {
-	n int
-}
-
-// NewUniformSampler returns the fast uniform sampler over {0..n-1}.
-func NewUniformSampler(n int) (*UniformSampler, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("dist: uniform sampler over %d elements", n)
-	}
-	return &UniformSampler{n: n}, nil
-}
-
-// N returns the domain size.
-func (u *UniformSampler) N() int { return u.n }
-
-// Sample draws one element in O(1).
-func (u *UniformSampler) Sample(rng *rand.Rand) int { return rng.IntN(u.n) }
-
-// SampleInto implements BatchSampler.
-//
-//dut:hotpath
-func (u *UniformSampler) SampleInto(dst []int, src *PCG) {
-	n := uint64(u.n)
-	hi, lo := src.hi, src.lo
-	if n&(n-1) == 0 {
-		mask := n - 1
-		for j := range dst {
-			hi, lo = pcgStep(hi, lo)
-			dst[j] = int(pcgOut(hi, lo) & mask)
-		}
-	} else {
-		for j := range dst {
-			hi, lo = pcgStep(hi, lo)
-			i, frac := bits.Mul64(pcgOut(hi, lo), n)
-			if frac < n {
-				// IntN's rejection loop, redrawing from the next word.
-				thresh := -n % n
-				for frac < thresh {
-					hi, lo = pcgStep(hi, lo)
-					i, frac = bits.Mul64(pcgOut(hi, lo), n)
-				}
-			}
-			dst[j] = int(i)
-		}
 	}
 	src.hi, src.lo = hi, lo
 }

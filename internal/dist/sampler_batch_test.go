@@ -5,14 +5,12 @@ import (
 	"hash/fnv"
 	"math"
 	"math/big"
-	"math/bits"
 	"math/rand/v2"
 	"testing"
 )
 
 // batchSamplers builds one instance of every BatchSampler in the package
-// over a common skewed distribution (uniform for the samplers that fix
-// their own distribution).
+// over a common skewed distribution.
 func batchSamplers(t *testing.T, n int) map[string]BatchSampler {
 	t.Helper()
 	d := skewed(t, n)
@@ -24,15 +22,10 @@ func batchSamplers(t *testing.T, n int) map[string]BatchSampler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, err := NewUniformSampler(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]BatchSampler{
-		"alias":   alias,
-		"cdf":     cdf,
-		"uniform": uni,
-		"nop":     NopSampler{},
+		"alias": alias,
+		"cdf":   cdf,
+		"nop":   NopSampler{},
 	}
 }
 
@@ -62,7 +55,7 @@ var contractDomains = []int{64, 100}
 // repeated Sample on a rand.Rand over math/rand/v2's PCG, so every case
 // also checks PCG against the stdlib generator.
 func TestSampleIntoMatchesSample(t *testing.T) {
-	for _, name := range []string{"alias", "cdf", "uniform", "nop"} {
+	for _, name := range []string{"alias", "cdf", "nop"} {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range contractDomains {
 				checkStreamContract(t, batchSamplers(t, n)[name], 257)
@@ -100,30 +93,10 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 	})
 	// No seed above reaches IntN(100)'s rejection loop, which takes
 	// about one word in 10^18; from a state whose next word it rejects,
-	// the kernels' redraw paths must still match Sample.
+	// the kernel's redraw path must still match Sample.
 	t.Run("rejection-100", func(t *testing.T) {
 		for _, start := range rejectingStates(t) {
-			for _, name := range []string{"alias", "uniform"} {
-				checkStreamFrom(t, batchSamplers(t, 100)[name], start, 16, 1, 16)
-			}
-		}
-	})
-	// At n = 2^62+1 the Lemire threshold 2^64 mod n is n−4, so about a
-	// quarter of IntN's draws are rejected and redrawn.
-	t.Run("uniform-huge", func(t *testing.T) {
-		if bits.UintSize < 64 {
-			t.Skip("needs a 64-bit int")
-		}
-		s, err := NewUniformSampler(1<<(bits.UintSize-2) + 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const total = 257
-		checkStreamContract(t, s, total)
-		src := newPCG(3, 3^0xabcdef)
-		s.SampleInto(make([]int, total), src)
-		if words := wordsConsumed(newPCG(3, 3^0xabcdef), src); words <= total {
-			t.Fatalf("%d draws consumed %d words; the rejection loop never ran", total, words)
+			checkStreamFrom(t, batchSamplers(t, 100)["alias"], start, 16, 1, 16)
 		}
 	})
 }
@@ -282,7 +255,7 @@ func wordsConsumed(start, end *PCG) int {
 // rand.Rand, the kernel yields the same elements.
 func TestPackageSampleIntoDispatchesBatch(t *testing.T) {
 	const q = 100
-	for _, name := range []string{"alias", "cdf", "uniform", "nop"} {
+	for _, name := range []string{"alias", "cdf", "nop"} {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range contractDomains {
 				s := batchSamplers(t, n)[name]
@@ -353,13 +326,6 @@ func TestSamplerStreamsGolden(t *testing.T) {
 		}
 		return s
 	}
-	mustUniform := func(n int) BatchSampler {
-		s, err := NewUniformSampler(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	cdf, err := NewCDFSampler(far)
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +339,6 @@ func TestSamplerStreamsGolden(t *testing.T) {
 		{"alias/uniform-64", mustAlias(u64), 0x4260c07892c45d35},
 		{"alias/skewed-100", batchSamplers(t, 100)["alias"], 0xad9273e9c20facd9},
 		{"cdf/hard-far-4096", cdf, 0x6e029cd38681ab87},
-		{"uniform/64", mustUniform(64), 0x885fe2ef8158f092},
-		{"uniform/100", mustUniform(100), 0xa6ed5daa2009cffc},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			draws := make([]int, 4096)
@@ -429,37 +393,6 @@ func TestCoinKeepExact(t *testing.T) {
 				t.Errorf("prob %v, keep %d: coin %d keeps %v, the float test %v", c.prob, c.keep, m, got, want)
 			}
 		}
-	}
-}
-
-// TestUniformSamplerBounds checks range and rough uniformity of the fast
-// path.
-func TestUniformSamplerBounds(t *testing.T) {
-	const n, total = 8, 16000
-	u, err := NewUniformSampler(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.N() != n {
-		t.Fatalf("N() = %d, want %d", u.N(), n)
-	}
-	buf := make([]int, total)
-	u.SampleInto(buf, newPCG(1, 2))
-	counts := make([]int, n)
-	for _, s := range buf {
-		if s < 0 || s >= n {
-			t.Fatalf("sample %d outside [0,%d)", s, n)
-		}
-		counts[s]++
-	}
-	want := float64(total) / n
-	for i, c := range counts {
-		if float64(c) < 0.8*want || float64(c) > 1.2*want {
-			t.Fatalf("element %d drawn %d times, want ~%.0f", i, c, want)
-		}
-	}
-	if _, err := NewUniformSampler(0); err == nil {
-		t.Fatal("NewUniformSampler(0) succeeded")
 	}
 }
 
@@ -575,17 +508,4 @@ func BenchmarkAliasFar(b *testing.B) {
 		report(b)
 	})
 	b.Run("uniform", kernel(uniform))
-}
-
-func BenchmarkUniformSampleInto(b *testing.B) {
-	s, err := NewUniformSampler(1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := newPCG(1, 2)
-	buf := make([]int, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SampleInto(buf, src)
-	}
 }

@@ -161,7 +161,10 @@ func TestQuorumClusterAgreesWithoutFaults(t *testing.T) {
 func TestCONGESTBackendAgreesWithSMP(t *testing.T) {
 	// The CONGEST tester hard-wires threshold aggregation at the root;
 	// the SMP twin is the same rule under a T-threshold referee. The
-	// graph topology must not matter — only the votes do.
+	// graph topology must not matter — only the votes do. The backend
+	// core.BackendFor builds for the tester must be the same backend as
+	// congest.NewBackend's, on the engine's coins, and not the tester's
+	// per-trial Run.
 	const threshold = 2
 	referee := core.BitReferee{Rule: core.ThresholdRule{T: threshold}}
 	want := smpVerdicts(t, referee)
@@ -191,55 +194,13 @@ func TestCONGESTBackendAgreesWithSMP(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameVerdicts(t, g.name, want, runVerdicts(t, b))
+			bf, err := core.BackendFor(tester)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameVerdicts(t, g.name+" via BackendFor", want, runVerdicts(t, bf))
 		})
 	}
-}
-
-func TestSessionAgreesWithSingleRounds(t *testing.T) {
-	// A multi-round session (one set of connections, rounds stepped by
-	// the engine's session backend) must produce the same verdicts as
-	// driving the cluster backend trial by trial with the same seed.
-	referee := core.BitReferee{Rule: core.MajorityRule{}}
-	c, err := network.NewCluster(network.ClusterConfig{
-		K: xbPlayers, Q: xbSamples,
-		Rule:      xbRule(),
-		Referee:   referee,
-		Transport: network.NewMemTransport(),
-		Timeout:   10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := dist.Uniform(xbDomain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := dist.NewAliasSampler(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The session draws its base seed as rng.Uint64(); hand the per-trial
-	// path the same base seed explicitly.
-	rng := rand.New(rand.NewPCG(1, 2))
-	baseSeed := rand.New(rand.NewPCG(1, 2)).Uint64()
-	verdicts, stats, err := c.RunManyStats(context.Background(), sampler, rng, xbTrials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != xbTrials {
-		t.Fatalf("%d stats, want %d", len(stats), xbTrials)
-	}
-	b := clusterBackend(t, c)
-	results, err := engine.Run(context.Background(), b, engine.Fixed(sampler), xbTrials,
-		engine.Options{Seed: baseSeed, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]bool, len(results))
-	for i, r := range results {
-		want[i] = r.Verdict
-	}
-	assertSameVerdicts(t, "session", want, verdicts)
 }
 
 func TestSMPSeededMatchesEngineStreams(t *testing.T) {

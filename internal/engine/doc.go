@@ -24,19 +24,18 @@
 // for the unknown distribution; RoundResult is the uniform per-round
 // accounting (verdict, votes, stragglers, retries, samples drawn, wall
 // time, and — for message-passing backends — message and communication
-// round counts). The networked cluster's RunStats and RunManyStats
-// report it too, so in-process runs get the same accounting a
+// round counts), so in-process runs get the same accounting a
 // deployment has.
 //
 // Adapters live next to the types they wrap, keeping this package a leaf:
 //
 //   - core.BackendFor adapts any core.Protocol; *core.SMP gets the
-//     deterministic per-player treatment below, and a *network.Cluster
-//     gets network.NewBackend.
+//     deterministic per-player treatment below, a *network.Cluster gets
+//     network.NewBackend and a *congest.Tester congest.NewBackend.
 //   - network.NewBackend adapts a *network.Cluster (one live batch
 //     session per driver worker, parked between calls for the next
-//     call to reuse; Engine.Close closes the parked sessions). Every
-//     Cluster.Run* method is one engine call on a backend of its own.
+//     call to reuse; Engine.Close closes the parked sessions).
+//     Cluster.Run is one engine trial on a backend of its own.
 //   - congest.NewBackend adapts a *congest.Tester (one synchronous-round
 //     graph simulation per trial).
 //
@@ -69,14 +68,9 @@
 // bounds (three-valued: separated, not separated, or inconclusive when
 // the intervals straddle the target); Amplify majority-votes an odd
 // number of rounds. The Engine type bundles a Backend with Options for
-// the facade (dut.NewEngine).
-//
-// # Deprecation path
-//
-// The pre-engine entry points survive as thin wrappers:
-// core.EstimateAcceptance, core.Separates and core.Amplify delegate here
-// via core.BackendFor, and the network.Cluster Run* methods via
-// network.NewBackend. Each closes its backend before it returns. New
-// code should construct a Backend and call the engine (or
-// dut.NewEngine) directly.
+// the facade (dut.NewEngine). These are the only way to run many
+// trials: a Protocol's own Run method is one trial, and a multi-round
+// cluster session is Run or Amplify with one worker on
+// network.NewBackend. Close the Engine (Engine.Close) when done, which
+// closes a backend that keeps sessions between calls.
 package engine

@@ -29,9 +29,8 @@ type RoundSpec struct {
 }
 
 // RoundResult is the uniform per-round accounting every backend reports,
-// and what the networked cluster's RunStats and RunManyStats return, so
-// in-process and CONGEST runs carry the same bookkeeping a deployment
-// has.
+// so in-process, networked and CONGEST runs carry the same bookkeeping a
+// deployment has.
 type RoundResult struct {
 	// Trial is the 0-based trial index (filled by the driver).
 	Trial int
@@ -161,17 +160,6 @@ type Options struct {
 	// flight per worker (the sliding window); 0 or 1 means no
 	// pipelining. Ignored when Batch is 0.
 	Window int
-}
-
-// FromEstimateOptions maps the legacy estimation options onto the
-// driver's: Parallelism is the worker count, and Confidence and Seed
-// carry over. Batch and Window stay zero, one trial per chunk.
-func FromEstimateOptions(opts stats.EstimateOptions) Options {
-	return Options{
-		Workers:    opts.Parallelism,
-		Confidence: opts.Confidence,
-		Seed:       opts.Seed,
-	}
 }
 
 // Totals aggregates RoundResult accounting over a run.
@@ -551,8 +539,10 @@ func Separates(ctx context.Context, b Backend, null, far Source, target float64,
 }
 
 // Amplify runs an odd number of rounds and returns the majority verdict
-// with the per-round results — the driver-side counterpart of
-// core.Amplify's protocol-side majority vote.
+// with the per-round results: majority-vote amplification of a
+// 2/3-correct tester, each round a trial with fresh samples
+// (core.RoundsForFailure sizes it). With Workers 1 the rounds run in
+// trial order, one at a time, as one lock-step session.
 func Amplify(ctx context.Context, b Backend, src Source, rounds int, opts Options) (bool, []RoundResult, error) {
 	if rounds < 1 || rounds%2 == 0 {
 		return false, nil, fmt.Errorf("engine: amplification needs an odd positive round count, got %d", rounds)

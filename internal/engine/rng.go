@@ -43,8 +43,7 @@ func trialSeeds(seed uint64, trial int) (uint64, uint64) {
 }
 
 // farSeedSalt decorrelates the far-side estimate stream from the null
-// side; the value matches the pre-engine core.Separates derivation, so
-// existing recorded results replay unchanged.
+// side. Recorded results depend on its value, which must not change.
 const farSeedSalt = 0x517cc1b727220a95
 
 // FarSeed derives the base seed of a far-source estimate from the null

@@ -5,8 +5,8 @@ import (
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 	"github.com/distributed-uniformity/dut/internal/lowerbound"
-	"github.com/distributed-uniformity/dut/internal/stats"
 )
 
 // e21 is the Theorem 6.4 workload: the quantized collision tester at
@@ -38,7 +38,7 @@ func e21() Experiment {
 				return nil, err
 			}
 			trials := cfg.trials(300)
-			optsU := stats.EstimateOptions{Seed: cfg.Seed + 25, Parallelism: cfg.Parallelism}
+			optsU := engine.Options{Seed: cfg.Seed + 25, Workers: cfg.Parallelism}
 			optsF := optsU
 			optsF.Seed ^= 0x5851f42d4c957f2d
 			accepts := func(bits int) (pu, pf float64, err error) {
@@ -46,12 +46,12 @@ func e21() Experiment {
 				if err != nil {
 					return 0, 0, err
 				}
-				pu, err = acceptUniform(p, n, trials, optsU)
+				ru, err := acceptUniform(p, n, trials, optsU)
 				if err != nil {
 					return 0, 0, err
 				}
-				pf, err = acceptHardFamily(p, h, trials, optsF)
-				return pu, pf, err
+				rf, err := acceptHardFamily(p, h, trials, optsF)
+				return ru.Estimate.P, rf.Estimate.P, err
 			}
 			refU, refF, err := accepts(refBits)
 			if err != nil {

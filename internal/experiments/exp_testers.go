@@ -5,8 +5,8 @@ import (
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 	"github.com/distributed-uniformity/dut/internal/lowerbound"
-	"github.com/distributed-uniformity/dut/internal/stats"
 )
 
 // Shared workload for the tester experiments: n = 2^12, the paper's eps-far
@@ -39,7 +39,7 @@ func e1() Experiment {
 				"k", "measured q*", "q* x sqrt(k)", "lower bound (Thm 6.1, C=1)", "upper formula c*sqrt(n/k)/eps^2",
 			)
 			trials := cfg.trials(120)
-			opts := stats.EstimateOptions{Seed: cfg.Seed + 1, Parallelism: cfg.Parallelism}
+			opts := engine.Options{Seed: cfg.Seed + 1, Workers: cfg.Parallelism}
 			for _, k := range []int{1, 4, 16, 64, 256} {
 				k := k
 				build := func(q int) (core.Protocol, error) {
@@ -89,7 +89,7 @@ func e2() Experiment {
 				"k", "measured q* (AND)", "q*(AND)/q*(k=1)", "lower bound (Thm 6.5, C=1/4)", "threshold-rule formula c*sqrt(n/k)/eps^2",
 			)
 			trials := cfg.trials(120)
-			opts := stats.EstimateOptions{Seed: cfg.Seed + 2, Parallelism: cfg.Parallelism}
+			opts := engine.Options{Seed: cfg.Seed + 2, Workers: cfg.Parallelism}
 			var qCentral int
 			for _, k := range []int{1, 4, 16, 64, 256} {
 				k := k
@@ -146,7 +146,7 @@ func e3() Experiment {
 				"T", "measured q*", "measured gain q*(1)/q*(T)", "max gain allowed by Thm 1.3 (T)", "lower bound (Thm 1.3, C=1/4)",
 			)
 			trials := cfg.trials(120)
-			opts := stats.EstimateOptions{Seed: cfg.Seed + 3, Parallelism: cfg.Parallelism}
+			opts := engine.Options{Seed: cfg.Seed + 3, Workers: cfg.Parallelism}
 			var qAtOne int
 			for _, t := range []int{1, 2, 4, 8, 16, 32} {
 				t := t
@@ -205,7 +205,7 @@ func e11() Experiment {
 				"message bits l", "measured k*", "k* x 2^{l/2}", "upper formula 8n/(2^{l/2} eps^2)", "lower bound (Thm 6.4, C=1)",
 			)
 			trials := cfg.trials(100)
-			opts := stats.EstimateOptions{Seed: cfg.Seed + 11, Parallelism: cfg.Parallelism}
+			opts := engine.Options{Seed: cfg.Seed + 11, Workers: cfg.Parallelism}
 			for _, l := range []int{4, 6, 8, 10} {
 				l := l
 				build := func(k int) (core.Protocol, error) {
@@ -273,7 +273,7 @@ func e12() Experiment {
 				"profile", "||T||_2", "measured tau*", "tau* x ||T||_2 x eps^2/sqrt(n)", "lower bound tau (C=1)",
 			)
 			trials := cfg.trials(120)
-			opts := stats.EstimateOptions{Seed: cfg.Seed + 12, Parallelism: cfg.Parallelism}
+			opts := engine.Options{Seed: cfg.Seed + 12, Workers: cfg.Parallelism}
 			for _, prof := range profiles {
 				prof := prof
 				build := func(tau int) (core.Protocol, error) {
@@ -347,17 +347,18 @@ func e13() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				opts := stats.EstimateOptions{Seed: cfg.Seed + uint64(13*k), Parallelism: cfg.Parallelism}
-				pu, err := acceptUniform(p, n, trials, opts)
+				opts := engine.Options{Seed: cfg.Seed + uint64(13*k), Workers: cfg.Parallelism}
+				ru, err := acceptUniform(p, n, trials, opts)
 				if err != nil {
 					return nil, err
 				}
 				farOpts := opts
 				farOpts.Seed ^= 0xabcdef
-				pf, err := acceptHardFamily(p, h, trials, farOpts)
+				rf, err := acceptHardFamily(p, h, trials, farOpts)
 				if err != nil {
 					return nil, err
 				}
+				pu, pf := ru.Estimate.P, rf.Estimate.P
 				table.MustAddRow(FmtInt(k), FmtProb(pu), FmtProb(pf), FmtProb(pu-pf))
 			}
 			table.Notes = "Shape check: the acceptance gap stays far below the 1/3 separation the model requires, for " +

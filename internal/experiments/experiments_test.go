@@ -7,7 +7,7 @@ import (
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
-	"github.com/distributed-uniformity/dut/internal/stats"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 // smokeCfg keeps the exact (lemma/identity) experiment tests fast; their
@@ -248,10 +248,10 @@ func TestMinimalQValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MinimalQ(nil, 16, h, 1, 10, 20, stats.EstimateOptions{}); err == nil {
+	if _, err := MinimalQ(nil, 16, h, 1, 10, 20, engine.Options{}); err == nil {
 		t.Error("nil builder accepted")
 	}
-	if _, err := MinimalK(nil, 16, h, 1, 10, 20, stats.EstimateOptions{}); err == nil {
+	if _, err := MinimalK(nil, 16, h, 1, 10, 20, engine.Options{}); err == nil {
 		t.Error("nil builder accepted")
 	}
 }
@@ -268,7 +268,7 @@ func TestMinimalQFindsWorkingPoint(t *testing.T) {
 		lastQ = q
 		return core.NewThresholdTester(core.ThresholdTesterConfig{N: 256, K: 8, Q: q, Eps: 0.5})
 	}
-	qStar, err := MinimalQ(build, 256, h, 2, 1<<14, 60, stats.EstimateOptions{Seed: 9})
+	qStar, err := MinimalQ(build, 256, h, 2, 1<<14, 60, engine.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +321,11 @@ func TestE18CONGESTEquivalence(t *testing.T) {
 	if len(table.Rows) != 5 {
 		t.Fatalf("E18 rows = %d", len(table.Rows))
 	}
+	// Every row runs on the SMP reference's seeds, so it must read the
+	// reference's rates, verdict for verdict.
+	if !strings.Contains(table.Notes, " topology trials: 0.") {
+		t.Errorf("a topology's verdicts differ from the SMP reference's: %s", table.Notes)
+	}
 	for i := range table.Rows {
 		diameter := cell(t, table, i, 1)
 		rounds := cell(t, table, i, 2)
@@ -330,16 +335,18 @@ func TestE18CONGESTEquivalence(t *testing.T) {
 		if rounds > 4*diameter+10 {
 			t.Errorf("row %d: %v rounds not O(diameter %v)", i, rounds, diameter)
 		}
-		if bits := cell(t, table, i, 4); bits > 64 {
-			t.Errorf("row %d: message width %v over the CONGEST cap", i, bits)
-		}
-		pu := cell(t, table, i, 5)
-		pf := cell(t, table, i, 6)
+		pu := cell(t, table, i, 4)
+		pf := cell(t, table, i, 5)
 		if pu < 2.0/3 {
 			t.Errorf("row %d: accept(U) = %v below 2/3", i, pu)
 		}
 		if pf > 1.0/3 {
 			t.Errorf("row %d: accept(far) = %v above 1/3", i, pf)
+		}
+		ref := "SMP reference on the same seeds: accept(U) = " + table.Rows[i][4] + ", accept(far) = " + table.Rows[i][5] + "."
+		if !strings.Contains(table.Notes, ref) {
+			t.Errorf("row %d reads accept(U) %s, accept(far) %s; the SMP reference does not: %s",
+				i, table.Rows[i][4], table.Rows[i][5], table.Notes)
 		}
 	}
 }

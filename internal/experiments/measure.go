@@ -28,25 +28,21 @@ func (e *errOnce) record(err error) {
 func (e *errOnce) get() error { return e.err }
 
 // acceptUniform estimates Pr[protocol accepts] under U_n via the engine's
-// trial driver.
-func acceptUniform(p core.Protocol, n, trials int, opts stats.EstimateOptions) (float64, error) {
+// trial driver, with the per-trial accounting alongside.
+func acceptUniform(p core.Protocol, n, trials int, opts engine.Options) (engine.Result, error) {
 	u, err := dist.Uniform(n)
 	if err != nil {
-		return 0, err
+		return engine.Result{}, err
 	}
 	b, err := core.BackendFor(p)
 	if err != nil {
-		return 0, err
+		return engine.Result{}, err
 	}
 	src, err := engine.FromDist(u)
 	if err != nil {
-		return 0, err
+		return engine.Result{}, err
 	}
-	res, err := engine.Estimate(context.Background(), b, src, trials, engine.FromEstimateOptions(opts))
-	if err != nil {
-		return 0, err
-	}
-	return res.Estimate.P, nil
+	return engine.Estimate(context.Background(), b, src, trials, opts)
 }
 
 // acceptHardFamily estimates E_z Pr[protocol accepts nu_z]: every trial
@@ -56,10 +52,10 @@ func acceptUniform(p core.Protocol, n, trials int, opts stats.EstimateOptions) (
 // adversary's per-trial alias sampler is a dist.BatchSampler, so the
 // backend's scratch path drains each player's q samples in one batched
 // SampleInto; only the perturbed distribution itself is built per trial.
-func acceptHardFamily(p core.Protocol, h dist.HardInstance, trials int, opts stats.EstimateOptions) (float64, error) {
+func acceptHardFamily(p core.Protocol, h dist.HardInstance, trials int, opts engine.Options) (engine.Result, error) {
 	b, err := core.BackendFor(p)
 	if err != nil {
-		return 0, err
+		return engine.Result{}, err
 	}
 	src := func(_ int, rng *rand.Rand) (dist.Sampler, error) {
 		nu, _, err := h.RandomPerturbed(rng)
@@ -68,11 +64,7 @@ func acceptHardFamily(p core.Protocol, h dist.HardInstance, trials int, opts sta
 		}
 		return dist.NewAliasSampler(nu)
 	}
-	res, err := engine.Estimate(context.Background(), b, src, trials, engine.FromEstimateOptions(opts))
-	if err != nil {
-		return 0, err
-	}
-	return res.Estimate.P, nil
+	return engine.Estimate(context.Background(), b, src, trials, opts)
 }
 
 // worksAt reports whether the protocol meets the paper's guarantee at its
@@ -80,27 +72,27 @@ func acceptHardFamily(p core.Protocol, h dist.HardInstance, trials int, opts sta
 // family, each with probability >= 2/3. The search predicates keep the
 // point-estimate semantics (a CI-based decision would turn borderline
 // configurations into search failures rather than boundary noise).
-func worksAt(p core.Protocol, n int, h dist.HardInstance, trials int, opts stats.EstimateOptions) (bool, error) {
-	pu, err := acceptUniform(p, n, trials, opts)
+func worksAt(p core.Protocol, n int, h dist.HardInstance, trials int, opts engine.Options) (bool, error) {
+	ru, err := acceptUniform(p, n, trials, opts)
 	if err != nil {
 		return false, err
 	}
-	if pu < successTarget {
+	if ru.Estimate.P < successTarget {
 		return false, nil
 	}
 	farOpts := opts
 	farOpts.Seed ^= 0x94d049bb133111eb
-	pf, err := acceptHardFamily(p, h, trials, farOpts)
+	rf, err := acceptHardFamily(p, h, trials, farOpts)
 	if err != nil {
 		return false, err
 	}
-	return 1-pf >= successTarget, nil
+	return 1-rf.Estimate.P >= successTarget, nil
 }
 
 // MinimalQ measures the empirical minimal per-player sample count at which
 // build(q) meets the guarantee, searching [startQ, maxQ].
 func MinimalQ(build func(q int) (core.Protocol, error), n int, h dist.HardInstance,
-	startQ, maxQ, trials int, opts stats.EstimateOptions) (int, error) {
+	startQ, maxQ, trials int, opts engine.Options) (int, error) {
 	if build == nil {
 		return 0, fmt.Errorf("experiments: nil protocol builder")
 	}
@@ -119,7 +111,7 @@ func MinimalQ(build func(q int) (core.Protocol, error), n int, h dist.HardInstan
 // MinimalK measures the empirical minimal player count at which build(k)
 // meets the guarantee.
 func MinimalK(build func(k int) (core.Protocol, error), n int, h dist.HardInstance,
-	startK, maxK, trials int, opts stats.EstimateOptions) (int, error) {
+	startK, maxK, trials int, opts engine.Options) (int, error) {
 	if build == nil {
 		return 0, fmt.Errorf("experiments: nil protocol builder")
 	}

@@ -12,10 +12,12 @@ type Config struct {
 	Scale float64
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism caps worker goroutines; 0 means GOMAXPROCS. Negative
-	// values are rejected by Validate rather than silently passed through
-	// to the estimators (whose "negative means GOMAXPROCS" default would
-	// mask a caller bug such as a miscomputed worker budget).
+	// Parallelism is the engine's worker count (engine.Options.Workers)
+	// for the experiments' trials; 0 means GOMAXPROCS, and no table
+	// depends on it. Negative values are rejected by Validate rather than
+	// silently passed through to the engine (whose "negative means
+	// GOMAXPROCS" default would mask a caller bug such as a miscomputed
+	// worker budget).
 	Parallelism int
 }
 

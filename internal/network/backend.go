@@ -69,8 +69,8 @@ func NewBackend(c *Cluster) (engine.Backend, error) {
 }
 
 // NewBackend is NewBackend(c): the backend core.BackendFor builds for
-// the cluster, so core.EstimateAcceptance, Separates and Amplify run
-// their trials through its batch sessions.
+// the cluster, so an engine over a Cluster protocol runs its trials
+// through batch sessions.
 func (c *Cluster) NewBackend() (engine.Backend, error) { return NewBackend(c) }
 
 // Close implements io.Closer: it closes every parked session, waits for

@@ -124,7 +124,7 @@ func TestBatchEmptyChunkPreservesRetries(t *testing.T) {
 // before it votes on that batch land on the chunk's first trial. A node
 // records its retries only after its HELLO is sent, so the referee can
 // have registered it and issued the first ROUND_BATCH by then; a
-// one-round RunStats would otherwise report none.
+// one-round session would otherwise report none.
 func TestBatchChunkClaimsRetriesRecordedInFlight(t *testing.T) {
 	rule := &gateRule{treeTestRule: treeTestRule{bits: 1}, entered: make(chan struct{}), release: make(chan struct{})}
 	rule.armed.Store(true)
@@ -158,7 +158,8 @@ func TestBatchChunkClaimsRetriesRecordedInFlight(t *testing.T) {
 // ended, so its retries are recorded after the only trial was gathered.
 // The session has an absent player and does not park; its worker's
 // scratch closes it, waits for the player, and reports the two retries
-// on the trial. Each RunStats opens and closes its own session.
+// on the trial. Each one-round session opens and closes its own
+// backend.
 func TestClosedSessionReportsTeardownRetries(t *testing.T) {
 	ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{Plans: map[uint32]FaultPlan{3: {DropDials: 100}}})
 	if err != nil {
@@ -174,11 +175,11 @@ func TestClosedSessionReportsTeardownRetries(t *testing.T) {
 	}
 	rng := testRand(41)
 	for call := 1; call <= 3; call++ {
-		_, res, err := c.RunStats(context.Background(), uniformSampler(t, 16), rng)
+		results, err := runSession(context.Background(), c, uniformSampler(t, 16), rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Retries != 2 || res.Votes != 3 {
+		if res := results[0]; res.Retries != 2 || res.Votes != 3 {
 			t.Errorf("call %d: %d retries, %d votes; want 2 retries, 3 votes", call, res.Retries, res.Votes)
 		}
 		if got := ft.Stats().DialsDropped; got != 3*call {

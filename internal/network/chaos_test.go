@@ -107,17 +107,12 @@ func TestClusterSurvivesChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := chaosCluster(t, ft)
-			verdicts, stats, err := c.RunManyStats(context.Background(), paritySampler(t, tt.even), testRand(31), rounds)
+			stats, err := runSession(context.Background(), c, paritySampler(t, tt.even), testRand(31), rounds)
 			if err != nil {
 				t.Fatalf("chaos session failed: %v", err)
 			}
-			if len(verdicts) != rounds || len(stats) != rounds {
-				t.Fatalf("got %d verdicts, %d stats, want %d each", len(verdicts), len(stats), rounds)
-			}
-			for i, v := range verdicts {
-				if v != tt.want {
-					t.Errorf("round %d verdict = %v, want %v", i, v, tt.want)
-				}
+			if len(stats) != rounds {
+				t.Fatalf("got %d results, want %d", len(stats), rounds)
 			}
 			// Round 0: players 1 (crashed) and 6 (never connected) are out.
 			// Round 1 on: players 2 (crashed) and 4 (corrupted) drop too.
@@ -133,7 +128,7 @@ func TestClusterSurvivesChaos(t *testing.T) {
 					t.Errorf("round %d votes = %d, want %d", i, s.Votes, 16-wantStragglers[i])
 				}
 				if s.Verdict != tt.want {
-					t.Errorf("round %d stats verdict = %v, want %v", i, s.Verdict, tt.want)
+					t.Errorf("round %d verdict = %v, want %v", i, s.Verdict, tt.want)
 				}
 				if s.Wall <= 0 {
 					t.Errorf("round %d wall time not recorded", i)
@@ -163,11 +158,12 @@ func TestClusterChaosSingleRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := chaosCluster(t, ft)
-	accept, stats, err := c.RunStats(context.Background(), paritySampler(t, true), testRand(32))
+	results, err := runSession(context.Background(), c, paritySampler(t, true), testRand(32), 1)
 	if err != nil {
 		t.Fatalf("chaos round failed: %v", err)
 	}
-	if !accept {
+	stats := results[0]
+	if !stats.Verdict {
 		t.Error("all-even chaos round rejected")
 	}
 	if stats.Votes != 14 || stats.Stragglers != 2 {
@@ -199,7 +195,7 @@ func TestClusterQuorumNotMet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.RunStats(context.Background(), uniformSampler(t, 4), testRand(33))
+	_, err = runSession(context.Background(), c, uniformSampler(t, 4), testRand(33), 1)
 	if err == nil || !strings.Contains(err.Error(), "quorum not met") {
 		t.Errorf("err = %v, want quorum-not-met error", err)
 	}

@@ -64,9 +64,9 @@ type ClusterConfig struct {
 	// attempts, doubled per retry; zero selects DefaultRetryBackoff.
 	RetryBackoff time.Duration
 	// Shards is the number of L1 aggregators in the referee tree; 0 and
-	// 1 both keep the flat star. Every entry point (Run, RunManyStats
-	// and the engine backend) runs the configured topology; verdicts are
-	// bit-identical to the flat referee by contract.
+	// 1 both keep the flat star. Run and the engine backend both run the
+	// configured topology; verdicts are bit-identical to the flat
+	// referee by contract.
 	Shards int
 	// AggregatorWeights are relative aggregator capacities for
 	// heterogeneous placements; nil means uniform. Must be len Shards
@@ -179,84 +179,25 @@ func (c *Cluster) buildNodes() ([]*PlayerNode, error) {
 // a base seed drawn from rng, so its public coin is
 // engine.SharedSeed(rng.Uint64(), 0); every node derives its private
 // stream from that coin and its id, so runs are reproducible for a fixed
-// rng state even though nodes execute concurrently.
+// rng state even though nodes execute concurrently. It is one engine
+// trial on a cluster backend of its own, which it closes before it
+// returns, so a Cluster holds nothing between calls. Many trials, a
+// lock-step multi-round session among them (engine.Run or Amplify with
+// one worker), are an engine call on NewBackend(c).
 func (c *Cluster) Run(sampler dist.Sampler, rng *rand.Rand) (bool, error) {
-	return c.RunContext(context.Background(), sampler, rng)
-}
-
-// RunContext is Run with cancellation.
-func (c *Cluster) RunContext(ctx context.Context, sampler dist.Sampler, rng *rand.Rand) (bool, error) {
-	accept, _, err := c.RunStats(ctx, sampler, rng)
-	return accept, err
-}
-
-// RunStats is RunContext with the trial's accounting: votes received,
-// stragglers tolerated, node-side connect retries, and wall time. It is
-// RunManyStats with one round.
-func (c *Cluster) RunStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand) (bool, engine.RoundResult, error) {
-	verdicts, results, err := c.RunManyStats(ctx, sampler, rng, 1)
-	if err != nil {
-		return false, engine.RoundResult{}, err
-	}
-	return verdicts[0], results[0], nil
-}
-
-// RunManyStats runs a multi-round session end to end: one connection per
-// node for all rounds, one verdict and one engine.RoundResult per round.
-// The majority of the verdicts is the amplified decision (see
-// core.Amplify). It is one engine call on a cluster backend of its own,
-// which it closes before it returns, so a Cluster holds nothing between
-// calls. Round i is engine trial i of a base seed drawn from rng, so its
-// public coin is engine.SharedSeed(base, i) and a session's verdict
-// sequence reproduces the in-process SMP backend's. Rounds run
-// lock-step on one worker, each a batch of one trial decided before the
-// next is issued, so a fault injected in one round (a crash, a
-// corrupted vote, a delay past the deadline) has settled its player's
-// slot before the next round's ROUND_BATCH goes out. With
-// ClusterConfig.MinVotes set, node failures injected by faults are
-// tolerated down to the quorum and a failed player stays absent for the
-// rest of the session.
-func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, []engine.RoundResult, error) {
 	if sampler == nil {
-		return nil, nil, fmt.Errorf("network: nil sampler")
+		return false, fmt.Errorf("network: nil sampler")
 	}
 	if rng == nil {
-		return nil, nil, fmt.Errorf("network: nil rng")
-	}
-	if rounds < 1 {
-		return nil, nil, fmt.Errorf("network: session with %d rounds", rounds)
+		return false, fmt.Errorf("network: nil rng")
 	}
 	b := &clusterBackend{c: c}
-	results, err := engine.Run(ctx, b, engine.Fixed(sampler), rounds, engine.Options{Workers: 1, Seed: rng.Uint64()})
+	results, err := engine.Run(context.Background(), b, engine.Fixed(sampler), 1, engine.Options{Workers: 1, Seed: rng.Uint64()})
 	if closeErr := b.Close(); err == nil {
 		err = closeErr
 	}
 	if err != nil {
-		return nil, nil, err
+		return false, err
 	}
-	verdicts := make([]bool, rounds)
-	for i, r := range results {
-		verdicts[i] = r.Verdict
-	}
-	return verdicts, results, nil
-}
-
-// RunMany is RunManyStats without the statistics.
-func (c *Cluster) RunMany(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, error) {
-	verdicts, _, err := c.RunManyStats(ctx, sampler, rng, rounds)
-	return verdicts, err
-}
-
-// MajorityVerdict reduces a session's verdicts to the amplified decision.
-func MajorityVerdict(verdicts []bool) (bool, error) {
-	if len(verdicts) == 0 {
-		return false, fmt.Errorf("network: majority of zero verdicts")
-	}
-	accepts := 0
-	for _, v := range verdicts {
-		if v {
-			accepts++
-		}
-	}
-	return 2*accepts > len(verdicts), nil
+	return results[0].Verdict, nil
 }

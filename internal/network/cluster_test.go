@@ -12,7 +12,7 @@ import (
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
-	"github.com/distributed-uniformity/dut/internal/stats"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 func testRand(seed uint64) *rand.Rand {
@@ -178,17 +178,31 @@ func TestClusterMatchesInProcessSMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := stats.EstimateOptions{Seed: 20, Parallelism: 2}
-	inProc, err := core.EstimateAcceptance(smp, far, 200, opts)
+	src, err := engine.FromDist(far)
 	if err != nil {
 		t.Fatal(err)
 	}
-	networked, err := core.EstimateAcceptance(cluster, far, 200, opts)
-	if err != nil {
-		t.Fatal(err)
+	accepts := func(p core.Protocol) int {
+		t.Helper()
+		b, err := core.BackendFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := engine.New(b, engine.Options{Seed: 20, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Estimate(context.Background(), src, 200)
+		if closeErr := e.Close(); err == nil {
+			err = closeErr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Estimate.Successes
 	}
-	if networked.Successes != inProc.Successes {
-		t.Errorf("networked accepted %d of 200 trials, in-process %d", networked.Successes, inProc.Successes)
+	if networked, inProc := accepts(cluster), accepts(smp); networked != inProc {
+		t.Errorf("networked accepted %d of 200 trials, in-process %d", networked, inProc)
 	}
 }
 
@@ -206,9 +220,10 @@ func verdictString(verdicts []bool) string {
 }
 
 // TestClusterVerdictStreamGolden pins the public verdict stream for a
-// fixed rng, on the flat star and the tree: RunMany's 64 rounds, then
-// 16 Run calls drawing from one rng. The literals were recorded before
-// RunManyStats became one engine call; a change to how a Cluster
+// fixed rng, on the flat star and the tree: a 64-round session, one
+// engine.Run on one worker from base seed rng.Uint64(), then 16 Run
+// calls drawing from one rng. The literals were recorded before a
+// multi-round session became one engine call; a change to how a Cluster
 // derives its coins shows here.
 func TestClusterVerdictStreamGolden(t *testing.T) {
 	const (
@@ -219,12 +234,13 @@ func TestClusterVerdictStreamGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			c := poolCluster(t, poolConfig(NewMemTransport(), shards, 10*time.Second))
 			s := uniformSampler(t, 16)
-			verdicts, err := c.RunMany(context.Background(), s, testRand(2024), 64)
+			results, err := engine.Run(context.Background(), testBackend(t, c), engine.Fixed(s), 64,
+				engine.Options{Workers: 1, Seed: testRand(2024).Uint64()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := verdictString(verdicts); got != wantMany {
-				t.Errorf("RunMany verdicts\n got %s\nwant %s", got, wantMany)
+			if got := verdictString(poolVerdicts(results)); got != wantMany {
+				t.Errorf("session verdicts\n got %s\nwant %s", got, wantMany)
 			}
 			rng := testRand(7)
 			runs := make([]bool, 16)
@@ -241,7 +257,8 @@ func TestClusterVerdictStreamGolden(t *testing.T) {
 }
 
 func TestClusterContextCancellation(t *testing.T) {
-	// A rule that blocks forever: cancellation must abort the round.
+	// A rule that blocks forever: cancelling the engine call must abort
+	// the round.
 	block := make(chan struct{})
 	t.Cleanup(func() { close(block) })
 	rule := core.RuleFunc(func(int, []int, uint64, *rand.Rand) (core.Message, error) {
@@ -260,7 +277,7 @@ func TestClusterContextCancellation(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunContext(ctx, uniformSampler(t, 4), testRand(5))
+		_, err := runSession(ctx, c, uniformSampler(t, 4), testRand(5), 1)
 		done <- err
 	}()
 	select {
@@ -412,7 +429,7 @@ func TestClusterBuildsAllNodesBeforeSpawning(t *testing.T) {
 	if _, err := c.Run(uniformSampler(t, 4), testRand(40)); err == nil {
 		t.Fatal("cluster with a zero-bit rule ran")
 	}
-	if _, err := c.RunMany(context.Background(), uniformSampler(t, 4), testRand(41), 2); err == nil {
+	if _, err := runSession(context.Background(), c, uniformSampler(t, 4), testRand(41), 2); err == nil {
 		t.Fatal("session with a zero-bit rule ran")
 	}
 	ct.mu.Lock()

@@ -94,9 +94,9 @@ func FormatFrameCounts(m map[FrameType]uint64) string {
 // root's (a session listens before startSharded builds the aggregator
 // tier), every later listener an aggregator's. That holds for a single
 // engine worker — the netdemo and fan-out tests run with Workers 1 — and
-// for one direct Run or RunMany* session; a multi-worker engine run would
-// interleave per-worker root listeners into the aggregator tier, so don't
-// count across workers.
+// for one direct Run; a multi-worker engine run would interleave
+// per-worker root listeners into the aggregator tier, so don't count
+// across workers.
 //
 // The dialing side passes through unwrapped (PlayerDialer and
 // AggregatorDialer included), so a CountingTransport can wrap a

@@ -5,9 +5,10 @@
 // deployment-shaped demo).
 //
 // A trial follows the model exactly, and every entry point runs it the
-// same way: Cluster.Run and Cluster.RunManyStats are engine calls on a
-// cluster backend (NewBackend), which runs trials on batch sessions
-// (batch.go) in which a single trial is a batch of one:
+// same way: Cluster.Run is an engine call on a cluster backend
+// (NewBackend), as is every multi-trial run, and the backend runs trials
+// on batch sessions (batch.go) in which a single trial is a batch of
+// one:
 //
 //  1. Every player connects and sends HELLO with its player id and
 //     message width.

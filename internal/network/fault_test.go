@@ -354,11 +354,12 @@ func TestNodeRetriesDroppedDials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accept, stats, err := c.RunStats(context.Background(), uniformSampler(t, 4), testRand(21))
+	results, err := runSession(context.Background(), c, uniformSampler(t, 4), testRand(21), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !accept {
+	stats := results[0]
+	if !stats.Verdict {
 		t.Error("accept-all cluster rejected")
 	}
 	if stats.Retries != 2 {

@@ -15,9 +15,7 @@ import (
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
-	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
-	"github.com/distributed-uniformity/dut/internal/stats"
 )
 
 // The session pool suite: the cluster backend parks each quiesced,
@@ -268,14 +266,13 @@ func (b *trialBarrier) Message(player int, samples []int, shared uint64, private
 }
 
 // TestBackendForClusterTakesBatchPath: core.BackendFor hands a cluster
-// its own batch backend. core.EstimateAcceptance on two workers then
-// opens one session per worker per call, and closes them before it
-// returns, instead of dialing the k players for every trial; a
-// trialBarrier makes both workers take a trial in every call. Over that
-// backend the engine decides every trial exactly as network.NewBackend
-// and the SMP reference do for the same seed, and core.Separates and
-// core.Amplify agree with engine.Separates and engine.Amplify over
-// network.NewBackend, on the flat star and the tree.
+// its own batch backend. An engine estimate over it on two workers then
+// opens one session per worker, which the engine's Close tears down
+// once the workers have parked them, instead of dialing the k players
+// for every trial; a trialBarrier makes both workers take a trial in
+// every call. Over that backend the engine decides every trial exactly
+// as network.NewBackend and the SMP reference do for the same seed, on
+// the flat star and the tree.
 func TestBackendForClusterTakesBatchPath(t *testing.T) {
 	checkGoroutines(t)
 	const workers = 2
@@ -292,18 +289,22 @@ func TestBackendForClusterTakesBatchPath(t *testing.T) {
 			barrier := &trialBarrier{LocalRule: cfg.Rule, met: true}
 			cfg.Rule = barrier
 			c := poolCluster(t, cfg)
-			null, err := dist.Uniform(16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			far, err := dist.PairedBump(16, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := stats.EstimateOptions{Seed: 0x5eed3, Parallelism: workers}
+			opts := engine.Options{Seed: 0x5eed3, Workers: workers}
 			for call := 1; call <= 2; call++ {
 				barrier.arm()
-				if _, err := core.EstimateAcceptance(c, null, poolTrials, opts); err != nil {
+				b, err := core.BackendFor(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := engine.New(b, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = e.Estimate(context.Background(), engine.Fixed(uniformSampler(t, 16)), poolTrials)
+				if closeErr := e.Close(); err == nil {
+					err = closeErr
+				}
+				if err != nil {
 					t.Fatalf("call %d: %v", call, err)
 				}
 				hellos, aggHellos := helloCounts(ct)
@@ -329,52 +330,10 @@ func TestBackendForClusterTakesBatchPath(t *testing.T) {
 					}
 				})
 			}
-			eopts := engine.Options{Seed: opts.Seed, Workers: workers}
-			got := poolVerdicts(poolCall(t, b, poolTrials, eopts))
-			fresh, smp := freshVerdicts(t, cfg, poolTrials, eopts)
+			got := poolVerdicts(poolCall(t, b, poolTrials, opts))
+			fresh, smp := freshVerdicts(t, cfg, poolTrials, opts)
 			sameVerdicts(t, "BackendFor vs NewBackend", got, fresh)
 			sameVerdicts(t, "BackendFor vs the SMP reference", got, smp)
-
-			ok, acceptNull, acceptFar, err := core.Separates(c, null, far, 2.0/3, poolTrials, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nullSrc, err := engine.FromDist(null)
-			if err != nil {
-				t.Fatal(err)
-			}
-			farSrc, err := engine.FromDist(far)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sep, err := engine.Separates(context.Background(), testBackend(t, c), nullSrc, farSrc, 2.0/3, poolTrials, eopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok != (sep.Outcome == engine.Separated) || acceptNull != sep.Null.Estimate.P || acceptFar != sep.Far.Estimate.P {
-				t.Errorf("core.Separates = %v, %v, %v; engine.Separates = %v, %v, %v",
-					ok, acceptNull, acceptFar, sep.Outcome, sep.Null.Estimate.P, sep.Far.Estimate.P)
-			}
-
-			amp, err := core.Amplify(c, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := uniformSampler(t, 16)
-			for seed := uint64(1); seed <= 4; seed++ {
-				accept, err := amp.Run(s, testRand(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, err := engine.Amplify(context.Background(), testBackend(t, c), engine.Fixed(s), 5,
-					engine.Options{Seed: testRand(seed).Uint64()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if accept != want {
-					t.Errorf("rng %d: core.Amplify accepted %v, engine.Amplify %v", seed, accept, want)
-				}
-			}
 		})
 	}
 }

@@ -9,9 +9,29 @@ import (
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
-func TestRunManyBasics(t *testing.T) {
+// runSession runs a lock-step session of rounds trials, as a deployment
+// does: engine.Run with one worker on a cluster backend of its own, from
+// base seed rng.Uint64(). Each round is a batch of one trial, decided
+// before the next round's ROUND_BATCH goes out, so a fault injected in
+// one round has settled its player's slot before the next. The backend
+// is closed before it returns, and a close error is reported when the
+// run succeeded.
+func runSession(ctx context.Context, c *Cluster, s dist.Sampler, rng *rand.Rand, rounds int) ([]engine.RoundResult, error) {
+	b, err := NewBackend(c)
+	if err != nil {
+		return nil, err
+	}
+	results, err := engine.Run(ctx, b, engine.Fixed(s), rounds, engine.Options{Workers: 1, Seed: rng.Uint64()})
+	if closeErr := b.(*clusterBackend).Close(); err == nil {
+		err = closeErr
+	}
+	return results, err
+}
+
+func TestSessionBasics(t *testing.T) {
 	// Deterministic rule: accept iff the first sample is even.
 	rule := core.RuleFunc(func(_ int, samples []int, _ uint64, _ *rand.Rand) (core.Message, error) {
 		if samples[0]%2 == 0 {
@@ -33,60 +53,25 @@ func TestRunManyBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verdicts, err := c.RunMany(context.Background(), s, testRand(1), 7)
+	results, err := runSession(context.Background(), c, s, testRand(1), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(verdicts) != 7 {
-		t.Fatalf("got %d verdicts", len(verdicts))
+	if len(results) != 7 {
+		t.Fatalf("got %d results", len(results))
 	}
-	for i, v := range verdicts {
-		if !v {
+	for i, r := range results {
+		if !r.Verdict {
 			t.Errorf("round %d rejected all-even input", i)
 		}
-	}
-	maj, err := MajorityVerdict(verdicts)
-	if err != nil || !maj {
-		t.Errorf("majority = %v, %v", maj, err)
-	}
-}
-
-func TestRunManyValidation(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		K: 1, Q: 1, Rule: acceptAllRule(), Referee: core.BitReferee{Rule: core.ANDRule{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := uniformSampler(t, 4)
-	if _, err := c.RunMany(context.Background(), nil, testRand(0), 3); err == nil {
-		t.Error("nil sampler accepted")
-	}
-	if _, err := c.RunMany(context.Background(), s, nil, 3); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := c.RunMany(context.Background(), s, testRand(0), 0); err == nil {
-		t.Error("zero rounds accepted")
-	}
-}
-
-func TestMajorityVerdict(t *testing.T) {
-	if _, err := MajorityVerdict(nil); err == nil {
-		t.Error("empty verdicts accepted")
-	}
-	maj, err := MajorityVerdict([]bool{true, false, true})
-	if err != nil || !maj {
-		t.Errorf("majority = %v, %v", maj, err)
-	}
-	maj, err = MajorityVerdict([]bool{true, false, false, false})
-	if err != nil || maj {
-		t.Errorf("minority = %v, %v", maj, err)
 	}
 }
 
 func TestSessionMatchesSingleRounds(t *testing.T) {
 	// A 21-round session's acceptance frequency on uniform input matches
-	// 21 independent single rounds, and amplification beats one round.
+	// 21 independent single rounds, and amplification beats one round:
+	// engine.Amplify on the cluster's backend with one worker, each
+	// session from its own base seed.
 	const (
 		n   = 256
 		k   = 8
@@ -110,24 +95,22 @@ func TestSessionMatchesSingleRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := testBackend(t, c)
 	rng := testRand(9)
 	acceptCount, total := 0, 0
 	majorities := 0
 	const sessions = 12
 	for i := 0; i < sessions; i++ {
-		verdicts, err := c.RunMany(context.Background(), s, rng, 21)
+		maj, results, err := engine.Amplify(context.Background(), b, engine.Fixed(s), 21,
+			engine.Options{Workers: 1, Seed: rng.Uint64()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range verdicts {
+		for _, r := range results {
 			total++
-			if v {
+			if r.Verdict {
 				acceptCount++
 			}
-		}
-		maj, err := MajorityVerdict(verdicts)
-		if err != nil {
-			t.Fatal(err)
 		}
 		if maj {
 			majorities++
@@ -151,12 +134,12 @@ func TestSessionOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verdicts, err := c.RunMany(context.Background(), uniformSampler(t, 8), testRand(10), 5)
+	results, err := runSession(context.Background(), c, uniformSampler(t, 8), testRand(10), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(verdicts) != 5 {
-		t.Fatalf("got %d verdicts", len(verdicts))
+	if len(results) != 5 {
+		t.Fatalf("got %d results", len(results))
 	}
 }
 
@@ -176,7 +159,7 @@ func TestSessionFreshSeedsPerRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunMany(context.Background(), uniformSampler(t, 4), testRand(11), 6); err != nil {
+	if _, err := runSession(context.Background(), c, uniformSampler(t, 4), testRand(11), 6); err != nil {
 		t.Fatal(err)
 	}
 	close(mu)
@@ -213,7 +196,7 @@ func TestSessionCancellation(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunMany(ctx, uniformSampler(t, 4), testRand(12), 3)
+		_, err := runSession(ctx, c, uniformSampler(t, 4), testRand(12), 3)
 		done <- err
 	}()
 	select {
@@ -223,12 +206,5 @@ func TestSessionCancellation(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Error("cancellation did not abort the session")
-	}
-}
-
-func TestRefereeSessionValidation(t *testing.T) {
-	c := fakeCluster(t, 1, acceptAllRule(), time.Second)
-	if _, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(0), 0); err == nil {
-		t.Error("zero rounds accepted")
 	}
 }

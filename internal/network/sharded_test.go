@@ -286,11 +286,11 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verdicts, stats, err := c.RunManyStats(context.Background(), paritySampler(t, true), testRand(77), rounds)
+		stats, err := runSession(context.Background(), c, paritySampler(t, true), testRand(77), rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return verdicts, stats
+		return poolVerdicts(stats), stats
 	}
 	// Shard 1 of the contiguous 2-way partition owns players 4..7.
 	shardPlans := func() map[uint32]FaultPlan {
@@ -381,11 +381,11 @@ func TestShardedAggregatorNeverConnectsMatchesFlat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				verdicts, stats, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(88), rounds)
+				stats, err := runSession(context.Background(), c, uniformSampler(t, 4), testRand(88), rounds)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", s, err)
 				}
-				return verdicts, stats
+				return poolVerdicts(stats), stats
 			}
 			// Shard 1 of the contiguous 2-way partition owns players 4..7.
 			absent := make(map[uint32]FaultPlan)
@@ -435,7 +435,7 @@ func TestShardedMemberViolationSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(55), 3)
+	_, err = runSession(context.Background(), c, uniformSampler(t, 4), testRand(55), 3)
 	if err == nil || !strings.Contains(err.Error(), "player 2") {
 		t.Errorf("err = %v, want a violation naming player 2", err)
 	}
@@ -535,7 +535,7 @@ func shardLossCluster(t *testing.T, shards int) (*Cluster, *CountingTransport) {
 func TestShardedQuorumNotMet(t *testing.T) {
 	checkGoroutines(t)
 	c, _ := shardLossCluster(t, 2)
-	_, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(56), 2)
+	_, err := runSession(context.Background(), c, uniformSampler(t, 4), testRand(56), 2)
 	if err == nil || !strings.Contains(err.Error(), "quorum not met") {
 		t.Errorf("err = %v, want quorum-not-met error", err)
 	}
@@ -551,7 +551,7 @@ func TestShardedQuorumFailsInAcceptPhase(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			c, ct := shardLossCluster(t, shards)
-			_, _, err := c.RunManyStats(context.Background(), uniformSampler(t, 4), testRand(56), 2)
+			_, err := runSession(context.Background(), c, uniformSampler(t, 4), testRand(56), 2)
 			if err == nil || !strings.Contains(err.Error(), "accept deadline") {
 				t.Errorf("err = %v, want the accept phase's quorum error", err)
 			}

@@ -19,15 +19,9 @@ type SuccessEstimate struct {
 	CI        Interval // Wilson interval at the requested confidence
 }
 
-// EstimateOptions configures EstimateSuccess and the engine-backed
-// estimators that take it. The zero value requests 95% confidence and
-// seed 0.
+// EstimateOptions configures EstimateSuccess. The zero value requests
+// 95% confidence and seed 0.
 type EstimateOptions struct {
-	// Parallelism is the engine worker count of the engine-backed
-	// wrappers core.EstimateAcceptance and core.Separates (and of the
-	// experiments' engine helpers); 0 or negative means GOMAXPROCS, and
-	// their results do not depend on it. EstimateSuccess ignores it.
-	Parallelism int
 	// Confidence is the Wilson interval confidence level; 0 means 0.95.
 	Confidence float64
 	// Seed derives the trial generator; runs with equal seeds produce

@@ -112,15 +112,18 @@ func TestEstimateSuccessUnbiased(t *testing.T) {
 }
 
 // TestEstimateSuccessDeterministic: the estimate is a function of the
-// seed alone; Parallelism, which only the engine-backed estimators read,
-// does not change it.
+// seed alone, and each trial runs exactly once.
 func TestEstimateSuccessDeterministic(t *testing.T) {
-	f := func(rng *rand.Rand) bool { return rng.Float64() < 0.5 }
+	calls := 0
+	f := func(rng *rand.Rand) bool { calls++; return rng.Float64() < 0.5 }
 	a, err := EstimateSuccess(9999, f, EstimateOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateSuccess(9999, f, EstimateOptions{Seed: 7, Parallelism: 3})
+	if calls != 9999 {
+		t.Errorf("%d calls for 9999 trials", calls)
+	}
+	b, err := EstimateSuccess(9999, f, EstimateOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,20 +138,6 @@ func TestEstimateSuccessValidation(t *testing.T) {
 	}
 	if _, err := EstimateSuccess(10, nil, EstimateOptions{}); err == nil {
 		t.Error("nil trial accepted")
-	}
-}
-
-// TestEstimateSuccessMoreWorkersThanTrials: a Parallelism above the trial
-// count, which EstimateSuccess ignores, still runs each trial exactly
-// once.
-func TestEstimateSuccessMoreWorkersThanTrials(t *testing.T) {
-	calls := 0
-	est, err := EstimateSuccess(3, func(*rand.Rand) bool { calls++; return true }, EstimateOptions{Parallelism: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Successes != 3 || calls != 3 {
-		t.Errorf("successes = %d after %d calls, want 3 and 3", est.Successes, calls)
 	}
 }
 
