@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/core"
@@ -263,6 +264,108 @@ func TestCONGESTMatchesSMPTester(t *testing.T) {
 				t.Errorf("%s: trial %d: SMP verdict %v, CONGEST %v", d.name, i, s.Rounds[i].Verdict, c.Rounds[i].Verdict)
 				break
 			}
+		}
+	}
+}
+
+// evenTester is allocTester's fair-coin rule on a five-node path rooted
+// in its middle, with T = 3, so that about half its runs accept.
+func evenTester(t *testing.T) *Tester {
+	t.Helper()
+	g, err := Path(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := allocTester(t, func() (*Graph, error) { return g, nil }).rule
+	tester, err := NewTester(TesterConfig{Graph: g, Root: 2, Q: 3, Rule: rule, T: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tester
+}
+
+// TestBackendForRunsTheTesterBackend: core.BackendFor hands the tester
+// the backend NewBackend builds. Each of its trials decides as RunSeeded
+// on the engine's public coin for that trial, and reports the rounds
+// and messages of that trial's own CONGEST execution.
+func TestBackendForRunsTheTesterBackend(t *testing.T) {
+	tester := evenTester(t)
+	b, err := core.BackendFor(tester)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.(*testerBackend); !ok {
+		t.Fatalf("BackendFor built %T, want the CONGEST backend", b)
+	}
+	const seed, trials = 0x5eed, 24
+	s := allocSampler(t)
+	results, err := engine.Run(context.Background(), b, engine.Fixed(s), trials, engine.Options{Seed: seed, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepts := 0
+	for _, r := range results {
+		shared := engine.SharedSeed(seed, r.Trial)
+		want, sim, err := tester.runSeededScratch(s, shared, tester.newScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Verdict != want || r.CommRounds != sim.Rounds() || r.Messages != sim.MessagesSent() {
+			t.Errorf("trial %d: verdict %v, %d rounds, %d messages; RunSeeded's %v, %d, %d",
+				r.Trial, r.Verdict, r.CommRounds, r.Messages, want, sim.Rounds(), sim.MessagesSent())
+		}
+		if r.Votes != tester.Players() || r.Samples != tester.Players()*tester.MaxSamplesPerPlayer() {
+			t.Errorf("trial %d: %d votes over %d samples", r.Trial, r.Votes, r.Samples)
+		}
+		if r.Verdict {
+			accepts++
+		}
+	}
+	if accepts == 0 || accepts == trials {
+		t.Errorf("%d of %d trials accepted; the verdicts never differ", accepts, trials)
+	}
+}
+
+// TestRunSeededConcurrent: RunSeeded votes on a fresh scratch, so calls
+// on one tester from several goroutines share no state and decide as
+// the same calls made one at a time.
+func TestRunSeededConcurrent(t *testing.T) {
+	tester := evenTester(t)
+	s := allocSampler(t)
+	const seeds, workers = 32, 4
+	want := make([]bool, seeds)
+	for i := range want {
+		v, err := tester.RunSeeded(s, uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v
+	}
+	got := make([][]bool, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]bool, seeds)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range got[w] {
+				v, err := tester.RunSeeded(s, uint64(i))
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w][i] = v
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("goroutine %d: %v", w, errs[w])
+		}
+		if !slices.Equal(got[w], want) {
+			t.Errorf("goroutine %d decided %v, one at a time %v", w, got[w], want)
 		}
 	}
 }

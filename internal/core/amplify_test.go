@@ -18,6 +18,52 @@ func (c coinProtocol) Run(_ dist.Sampler, rng *rand.Rand) (bool, error) {
 func (c coinProtocol) Players() int             { return 1 }
 func (c coinProtocol) MaxSamplesPerPlayer() int { return 1 }
 
+// TestAmplifyValidation: amplification through BackendFor refuses a nil
+// protocol and an even or zero round count, and an amplified run of r
+// rounds draws r times a round's samples, for a generic Protocol and for
+// the SMP's own backend alike.
+func TestAmplifyValidation(t *testing.T) {
+	if _, err := BackendFor(nil); err == nil {
+		t.Error("nil protocol accepted")
+	}
+	b, err := BackendFor(coinProtocol{p: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, _ := dist.Uniform(4)
+	src, err := engine.FromDist(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, rounds := range []int{0, 4} {
+		if _, _, err := engine.Amplify(ctx, b, src, rounds, engine.Options{}); err == nil {
+			t.Errorf("%d rounds accepted", rounds)
+		}
+	}
+	smp, err := NewThresholdTester(ThresholdTesterConfig{N: 4, K: 3, Q: 2, Eps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Protocol{coinProtocol{p: 0.7}, smp} {
+		b, err := BackendFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, results, err := engine.Amplify(ctx, b, src, 5, engine.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := 0
+		for _, r := range results {
+			samples += r.Samples
+		}
+		if want := 5 * p.Players() * p.MaxSamplesPerPlayer(); len(results) != 5 || samples != want {
+			t.Errorf("%T: %d rounds drew %d samples, want 5 rounds and %d", p, len(results), samples, want)
+		}
+	}
+}
+
 // amplifiedAcceptance is the share of seeds 0..seeds-1 on which
 // engine.Amplify, rounds rounds of p's BackendFor backend on d, accepts.
 func amplifiedAcceptance(t *testing.T, p Protocol, d dist.Dist, rounds, seeds int) float64 {

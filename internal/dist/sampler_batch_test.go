@@ -10,7 +10,9 @@ import (
 )
 
 // batchSamplers builds one instance of every BatchSampler in the package
-// over a common skewed distribution.
+// over a common skewed distribution, and, as "uniform", the alias
+// sampler over U_n: the full table every backend samples the uniform
+// distribution from.
 func batchSamplers(t *testing.T, n int) map[string]BatchSampler {
 	t.Helper()
 	d := skewed(t, n)
@@ -23,9 +25,10 @@ func batchSamplers(t *testing.T, n int) map[string]BatchSampler {
 		t.Fatal(err)
 	}
 	return map[string]BatchSampler{
-		"alias": alias,
-		"cdf":   cdf,
-		"nop":   NopSampler{},
+		"alias":   alias,
+		"cdf":     cdf,
+		"uniform": mustAliasSampler(t, mustUniform(t, n)),
+		"nop":     NopSampler{},
 	}
 }
 
@@ -55,7 +58,7 @@ var contractDomains = []int{64, 100}
 // repeated Sample on a rand.Rand over math/rand/v2's PCG, so every case
 // also checks PCG against the stdlib generator.
 func TestSampleIntoMatchesSample(t *testing.T) {
-	for _, name := range []string{"alias", "cdf", "nop"} {
+	for _, name := range []string{"alias", "cdf", "uniform", "nop"} {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range contractDomains {
 				checkStreamContract(t, batchSamplers(t, n)[name], 257)
@@ -93,10 +96,13 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 	})
 	// No seed above reaches IntN(100)'s rejection loop, which takes
 	// about one word in 10^18; from a state whose next word it rejects,
-	// the kernel's redraw path must still match Sample.
+	// the kernel's redraw path must still match Sample, over a skewed
+	// table and over U_100's full one.
 	t.Run("rejection-100", func(t *testing.T) {
 		for _, start := range rejectingStates(t) {
-			checkStreamFrom(t, batchSamplers(t, 100)["alias"], start, 16, 1, 16)
+			for _, name := range []string{"alias", "uniform"} {
+				checkStreamFrom(t, batchSamplers(t, 100)[name], start, 16, 1, 16)
+			}
 		}
 	})
 }
@@ -255,7 +261,7 @@ func wordsConsumed(start, end *PCG) int {
 // rand.Rand, the kernel yields the same elements.
 func TestPackageSampleIntoDispatchesBatch(t *testing.T) {
 	const q = 100
-	for _, name := range []string{"alias", "cdf", "nop"} {
+	for _, name := range []string{"alias", "cdf", "uniform", "nop"} {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range contractDomains {
 				s := batchSamplers(t, n)[name]
@@ -312,7 +318,10 @@ func streamDigest(draws []int, next uint64) uint64 {
 // from PCG(1, 2) to digests recorded before the PCG kernels existed, for
 // Sample and the kernel both. The contract test alone cannot catch a
 // change to Sample and the kernel together, which would silently
-// reshuffle every seeded verdict and the results/ tables.
+// reshuffle every seeded verdict and the results/ tables. U_100's digest
+// was recorded later, from Sample over math/rand/v2's PCG: it pins the
+// uniform input at a domain that is not a power of two, where the full
+// table takes IntN's Lemire path.
 func TestSamplerStreamsGolden(t *testing.T) {
 	far := hardFar(t, 11)
 	u64, err := Uniform(64)
@@ -338,6 +347,7 @@ func TestSamplerStreamsGolden(t *testing.T) {
 		{"alias/hard-far-4096", mustAlias(far), 0xdb117331680a7ded},
 		{"alias/uniform-64", mustAlias(u64), 0x4260c07892c45d35},
 		{"alias/skewed-100", batchSamplers(t, 100)["alias"], 0xad9273e9c20facd9},
+		{"alias/uniform-100", batchSamplers(t, 100)["uniform"], 0xfc9e87a487f11d03},
 		{"cdf/hard-far-4096", cdf, 0x6e029cd38681ab87},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -203,6 +203,52 @@ func TestCONGESTBackendAgreesWithSMP(t *testing.T) {
 	}
 }
 
+func TestSessionAgreesWithSingleRounds(t *testing.T) {
+	// A multi-round session (engine.Run on one worker: one set of
+	// connections, a batch of one trial per round) must produce the same
+	// verdicts as driving the cluster backend trial by trial, one
+	// RunRound per trial with the same seed, and as the SMP reference.
+	referee := core.BitReferee{Rule: core.MajorityRule{}}
+	c, err := network.NewCluster(network.ClusterConfig{
+		K: xbPlayers, Q: xbSamples,
+		Rule:      xbRule(),
+		Referee:   referee,
+		Transport: network.NewMemTransport(),
+		Timeout:   10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := dist.Uniform(xbDomain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler, err := dist.NewAliasSampler(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := engine.Run(context.Background(), clusterBackend(t, c), engine.Fixed(sampler), xbTrials,
+		engine.Options{Seed: xbSeed, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := make([]bool, len(results))
+	for i, r := range results {
+		session[i] = r.Verdict
+	}
+	single := clusterBackend(t, c)
+	rounds := make([]bool, xbTrials)
+	for trial := range rounds {
+		r, err := single.RunRound(context.Background(), engine.RoundSpec{Trial: trial, Seed: xbSeed, Sampler: sampler})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rounds[trial] = r.Verdict
+	}
+	assertSameVerdicts(t, "session vs single rounds", rounds, session)
+	assertSameVerdicts(t, "session vs the SMP reference", smpVerdicts(t, referee), session)
+}
+
 func TestSMPSeededMatchesEngineStreams(t *testing.T) {
 	// RunSeeded at SharedSeed(seed, trial) must reproduce exactly what
 	// the engine produced for that trial.

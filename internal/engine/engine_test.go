@@ -315,6 +315,87 @@ func TestAmplify(t *testing.T) {
 	}
 }
 
+// TestAmplifyMajority: over rounds that disagree, Amplify's verdict is
+// the strict majority of the rounds it returns, and those rounds are the
+// trials Run gives for the same options. The seeds must reach a split
+// vote on each side, or the majority went untested.
+func TestAmplifyMajority(t *testing.T) {
+	src := uniformSource(t, 4)
+	ctx := context.Background()
+	splitAccept, splitReject := false, false
+	for _, rounds := range []int{3, 5} {
+		for seed := uint64(0); seed < 32; seed++ {
+			opts := Options{Seed: seed, Workers: 2}
+			b := &fakeBackend{players: 1, failAt: -1}
+			accept, results, err := Amplify(ctx, b, src, rounds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Run(ctx, b, src, rounds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepts := 0
+			for i, r := range results {
+				if r.Verdict != want[i].Verdict {
+					t.Fatalf("rounds=%d seed=%d: round %d verdict %v, Run's %v", rounds, seed, i, r.Verdict, want[i].Verdict)
+				}
+				if r.Verdict {
+					accepts++
+				}
+			}
+			if accept != (2*accepts > rounds) {
+				t.Fatalf("rounds=%d seed=%d: %d of %d rounds accepted, majority verdict %v", rounds, seed, accepts, rounds, accept)
+			}
+			if accepts > 0 && accepts < rounds {
+				splitAccept = splitAccept || accept
+				splitReject = splitReject || !accept
+			}
+		}
+	}
+	if !splitAccept || !splitReject {
+		t.Errorf("split votes reached: accepted %v, rejected %v; want both", splitAccept, splitReject)
+	}
+}
+
+// TestRunMoreWorkersThanTrials: a worker count above the trial count,
+// or above the number of chunks, runs each trial exactly once, on no
+// more workers than there are chunks.
+func TestRunMoreWorkersThanTrials(t *testing.T) {
+	src := uniformSource(t, 4)
+	for _, c := range []struct {
+		name          string
+		batch, window int
+		maxConc       int64
+	}{
+		{"unbatched", 0, 0, 3},
+		{"one-chunk", 4, 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := &fakeBackend{players: 1, failAt: -1}
+			results, err := Run(context.Background(), b, src, 3, Options{Seed: 4, Workers: 16, Batch: c.batch, Window: c.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != 3 || b.ran.Load() != 3 {
+				t.Fatalf("%d results after %d trials ran, want 3 and 3", len(results), b.ran.Load())
+			}
+			if got := b.maxConc.Load(); got > c.maxConc {
+				t.Errorf("%d trials ran at once, want at most %d", got, c.maxConc)
+			}
+			ref, err := Run(context.Background(), &fakeBackend{players: 1, failAt: -1}, src, 3, Options{Seed: 4, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range results {
+				if r.Trial != i || r.Verdict != ref[i].Verdict {
+					t.Errorf("result %d: trial %d verdict %v, want trial %d verdict %v", i, r.Trial, r.Verdict, i, ref[i].Verdict)
+				}
+			}
+		})
+	}
+}
+
 func TestOutcomeString(t *testing.T) {
 	cases := map[Outcome]string{
 		Separated:    "separated",
@@ -352,6 +433,47 @@ func TestEngineHandle(t *testing.T) {
 	}
 	if res.Estimate.P != direct.Estimate.P {
 		t.Fatalf("handle estimate %v != direct %v", res.Estimate.P, direct.Estimate.P)
+	}
+}
+
+// TestEngineHandleSeparatesAndAmplify: the handle's Separates and
+// Amplify run with the handle's options, as the package-level calls do.
+func TestEngineHandleSeparatesAndAmplify(t *testing.T) {
+	opts := Options{Seed: 9, Workers: 3}
+	b := &fakeBackend{players: 2, failAt: -1}
+	e, err := New(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	src := uniformSource(t, 4)
+	sep, err := e.Separates(ctx, src, src, 0.5, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := Separates(ctx, b, src, src, 0.5, 40, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sep.Outcome != direct.Outcome || sep.Null.Estimate != direct.Null.Estimate || sep.Far.Estimate != direct.Far.Estimate {
+		t.Errorf("handle separation %v (%v, %v), direct %v (%v, %v)", sep.Outcome, sep.Null.Estimate, sep.Far.Estimate,
+			direct.Outcome, direct.Null.Estimate, direct.Far.Estimate)
+	}
+	accept, rounds, err := e.Amplify(ctx, src, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	directAccept, directRounds, err := Amplify(ctx, b, src, 7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != directAccept || len(rounds) != len(directRounds) {
+		t.Fatalf("handle amplify %v over %d rounds, direct %v over %d", accept, len(rounds), directAccept, len(directRounds))
+	}
+	for i := range rounds {
+		if rounds[i].Verdict != directRounds[i].Verdict {
+			t.Errorf("round %d: handle verdict %v, direct %v", i, rounds[i].Verdict, directRounds[i].Verdict)
+		}
 	}
 }
 

@@ -67,6 +67,80 @@ func TestSessionBasics(t *testing.T) {
 	}
 }
 
+// TestSessionValidation: a session the engine refuses (no rounds, no
+// source, a source with no sampler) fails before the cluster backend
+// listens or a player dials, so it leaves nothing open. A valid session
+// on the same backend then opens one session of poolPlayers players.
+func TestSessionValidation(t *testing.T) {
+	checkGoroutines(t)
+	b, _, ct, lc := countedBackend(t, 0, 10*time.Second)
+	s := uniformSampler(t, 16)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		src    engine.Source
+		rounds int
+	}{
+		{"zero rounds", engine.Fixed(s), 0},
+		{"nil source", nil, 3},
+		{"nil sampler", engine.Fixed(nil), 3},
+	} {
+		if _, err := engine.Run(ctx, b, c.src, c.rounds, engine.Options{Workers: 1}); err == nil {
+			t.Errorf("%s: session ran", c.name)
+		}
+	}
+	if hellos, _ := helloCounts(ct); hellos != 0 || lc.listens.Load() != 0 {
+		t.Errorf("refused sessions: %d HELLO frames over %d listeners, want none", hellos, lc.listens.Load())
+	}
+	if _, err := engine.Run(ctx, b, engine.Fixed(s), 3, engine.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if hellos, _ := helloCounts(ct); hellos != poolPlayers || lc.listens.Load() != 1 {
+		t.Errorf("valid session: %d HELLO frames over %d listeners, want %d over 1", hellos, lc.listens.Load(), poolPlayers)
+	}
+}
+
+// TestClusterRunIsOneEngineTrial: Cluster.Run draws one word from its
+// rng and decides trial 0 of that base seed, as engine.Run does on a
+// backend of the cluster's own, and it closes the session it opened
+// before it returns: every player that said HELLO has been sent FINISH.
+func TestClusterRunIsOneEngineTrial(t *testing.T) {
+	checkGoroutines(t)
+	ct, err := NewCountingTransport(NewMemTransport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := poolConfig(ct, 0, 10*time.Second)
+	c := poolCluster(t, cfg)
+	refCfg := cfg
+	refCfg.Transport = NewMemTransport()
+	ref := testBackend(t, poolCluster(t, refCfg))
+	s := uniformSampler(t, 16)
+	for i := uint64(0); i < 8; i++ {
+		rng := testRand(100 + i)
+		got, err := c.Run(s, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := testRand(100 + i)
+		results, err := engine.Run(context.Background(), ref, engine.Fixed(s), 1, engine.Options{Workers: 1, Seed: want.Uint64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != results[0].Verdict {
+			t.Errorf("rng %d: Run verdict %v, engine trial 0 %v", i, got, results[0].Verdict)
+		}
+		if rng.Uint64() != want.Uint64() {
+			t.Errorf("rng %d: Run drew other than one word", i)
+		}
+		root, agg := ct.Snapshot()
+		hellos, finishes := root.Up[FrameHello]+agg.Up[FrameHello], root.Down[FrameFinish]+agg.Down[FrameFinish]
+		if want := (i + 1) * poolPlayers; hellos != want || finishes != want {
+			t.Errorf("after %d Run calls: %d HELLO and %d FINISH frames, want %d of each", i+1, hellos, finishes, want)
+		}
+	}
+}
+
 func TestSessionMatchesSingleRounds(t *testing.T) {
 	// A 21-round session's acceptance frequency on uniform input matches
 	// 21 independent single rounds, and amplification beats one round:
