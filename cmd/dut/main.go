@@ -497,14 +497,14 @@ func cmdNetDemo(args []string) int {
 		return 1
 	}
 	accepts := 0
-	for _, r := range results {
+	for i, r := range results {
 		verdict := "REJECT"
 		if r.Verdict {
 			verdict = "ACCEPT"
 			accepts++
 		}
-		fmt.Printf("round %d: verdict=%s votes=%d/%d stragglers=%d retries=%d wall=%v\n",
-			r.Trial, verdict, r.Votes, *k, r.Stragglers, r.Retries, r.Wall.Round(time.Microsecond))
+		fmt.Printf("round %d: verdict=%s votes=%d/%d stragglers=%d retries=%d\n",
+			i, verdict, r.Votes, *k, r.Stragglers, r.Retries)
 	}
 	accept := 2*accepts > len(results)
 	rootC, aggC := counter.Snapshot()

@@ -311,6 +311,7 @@ type Tester struct {
 	root int
 	q    int
 	rule core.LocalRule
+	bits int // rule.Bits(), read once at construction
 	t    int
 	sum  bool
 }
@@ -387,7 +388,7 @@ func NewTester(cfg TesterConfig) (*Tester, error) {
 			return nil, fmt.Errorf("congest: threshold %d outside [1,%d]", t, n)
 		}
 	}
-	return &Tester{top: newTopology(cfg.Graph), root: cfg.Root, q: cfg.Q, rule: cfg.Rule, t: t, sum: sum}, nil
+	return &Tester{top: newTopology(cfg.Graph), root: cfg.Root, q: cfg.Q, rule: cfg.Rule, bits: msgBits, t: t, sum: sum}, nil
 }
 
 // Players implements core.Protocol.
@@ -472,7 +473,6 @@ func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runSc
 		return false, nil, fmt.Errorf("congest: nil sampler")
 	}
 	sc.verdict = false
-	msgBits := t.rule.Bits()
 	for u := range sc.nodes {
 		rng := sc.rng.SeedNode(shared, u)
 		sc.rng.SampleInto(sampler, sc.buf)
@@ -480,11 +480,11 @@ func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runSc
 		if err != nil {
 			return false, nil, fmt.Errorf("congest: node %d vote: %w", u, err)
 		}
+		if t.bits < 64 && msg >= 1<<t.bits {
+			return false, nil, fmt.Errorf("congest: node %d message %#x wider than the rule's %d bits", u, uint64(msg), t.bits)
+		}
 		var score uint64
 		if t.sum {
-			if msgBits < 64 && msg >= 1<<msgBits {
-				return false, nil, fmt.Errorf("congest: node %d message %#x wider than the rule's %d bits", u, uint64(msg), msgBits)
-			}
 			score = uint64(msg)
 		} else if !msg.Bit() {
 			score = 1

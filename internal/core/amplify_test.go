@@ -18,6 +18,52 @@ func (c coinProtocol) Run(_ dist.Sampler, rng *rand.Rand) (bool, error) {
 func (c coinProtocol) Players() int             { return 1 }
 func (c coinProtocol) MaxSamplesPerPlayer() int { return 1 }
 
+// wordProtocol records the first word of its generator on each run.
+type wordProtocol struct{ words []uint64 }
+
+func (w *wordProtocol) Run(_ dist.Sampler, rng *rand.Rand) (bool, error) {
+	w.words = append(w.words, rng.Uint64())
+	return true, nil
+}
+func (w *wordProtocol) Players() int             { return 1 }
+func (w *wordProtocol) MaxSamplesPerPlayer() int { return 1 }
+
+// TestForeignProtocolHasItsOwnCoin: BackendFor runs a foreign Protocol
+// on the trial's public-coin stream at player index k, not on the stream
+// the engine hands the trial's Source.
+func TestForeignProtocolHasItsOwnCoin(t *testing.T) {
+	const seed, trials = 5, 4
+	p := &wordProtocol{}
+	b, err := BackendFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, _ := dist.Uniform(4)
+	s, err := dist.NewAliasSampler(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drawn []uint64
+	src := func(_ int, rng *rand.Rand) (dist.Sampler, error) {
+		drawn = append(drawn, rng.Uint64())
+		return s, nil
+	}
+	if _, err := engine.Run(context.Background(), b, src, trials, engine.Options{Seed: seed, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.words) != trials || len(drawn) != trials {
+		t.Fatalf("%d runs and %d draws, want %d of each", len(p.words), len(drawn), trials)
+	}
+	for i, w := range p.words {
+		if w == drawn[i] {
+			t.Errorf("trial %d: the Protocol's first word %#x is the Source's", i, w)
+		}
+		if want := engine.PlayerRNG(seed, i, p.Players()).Uint64(); w != want {
+			t.Errorf("trial %d: the Protocol's first word %#x, want %#x from player lane %d", i, w, want, p.Players())
+		}
+	}
+}
+
 // TestAmplifyValidation: amplification through BackendFor refuses a nil
 // protocol and an even or zero round count, and an amplified run of r
 // rounds draws r times a round's samples, for a generic Protocol and for

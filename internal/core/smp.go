@@ -27,6 +27,10 @@ type SMP struct {
 	qs      []int
 	local   LocalRule
 	referee Referee
+	// total is sum_i q_i and bits the rule's message width, both read
+	// once at construction.
+	total int
+	bits  int
 }
 
 var _ Protocol = (*SMP)(nil)
@@ -63,9 +67,17 @@ func NewAsymmetricSMP(qs []int, local LocalRule, referee Referee) (*SMP, error) 
 	if referee == nil {
 		return nil, fmt.Errorf("core: nil referee")
 	}
+	bits := local.Bits()
+	if bits < 1 || bits > 64 {
+		return nil, fmt.Errorf("core: rule uses %d message bits, want 1..64", bits)
+	}
 	cp := make([]int, len(qs))
-	copy(cp, qs)
-	return &SMP{qs: cp, local: local, referee: referee}, nil
+	total := 0
+	for i, q := range qs {
+		cp[i] = q
+		total += q
+	}
+	return &SMP{qs: cp, local: local, referee: referee, total: total, bits: bits}, nil
 }
 
 // Players returns k.
@@ -83,13 +95,7 @@ func (p *SMP) MaxSamplesPerPlayer() int {
 }
 
 // TotalSamples returns sum_i q_i.
-func (p *SMP) TotalSamples() int {
-	total := 0
-	for _, q := range p.qs {
-		total += q
-	}
-	return total
-}
+func (p *SMP) TotalSamples() int { return p.total }
 
 // Local returns the protocol's local rule.
 func (p *SMP) Local() LocalRule { return p.local }
@@ -112,29 +118,33 @@ func (p *SMP) RunMessages(sampler dist.Sampler, rng *rand.Rand) ([]Message, erro
 // Player i draws its samples and private coins from engine.NodeRNG(shared,
 // i) — the same derivation a networked node applies to the ROUND frame
 // and a CONGEST node to the broadcast seed — so rounds with equal shared
-// seeds produce identical messages on every backend.
+// seeds produce identical messages on every backend. A message wider
+// than the rule's Bits is an error, as it is on every backend.
 func (p *SMP) RunMessagesSeeded(sampler dist.Sampler, shared uint64) ([]Message, error) {
-	msgs := make([]Message, len(p.qs))
-	if err := p.runMessagesScratch(sampler, shared, msgs, p.NewScratch()); err != nil {
+	rs := p.newRoundScratch()
+	if err := p.runMessagesScratch(sampler, shared, rs); err != nil {
 		return nil, err
 	}
-	return msgs, nil
+	return rs.msgs, nil
 }
 
-// Scratch is one worker's reusable per-round state for the batch vote
-// path: the sample buffer every player's batch lands in and the
-// reseedable per-player generator. One Scratch serves any number of
-// sequential rounds; it must not be shared across goroutines.
-type Scratch struct {
-	buf []int
-	rng *engine.ReusableRNG
+// roundScratch is one worker's reusable round state: the sample buffer
+// every player's batch lands in, the reseedable per-player generator and
+// the message slice the referee decides over. One roundScratch serves
+// any number of sequential rounds; it must not be shared across
+// goroutines.
+type roundScratch struct {
+	buf  []int
+	rng  *engine.ReusableRNG
+	msgs []Message
 }
 
-// NewScratch sizes a Scratch for this protocol.
-func (p *SMP) NewScratch() *Scratch {
-	return &Scratch{
-		buf: make([]int, p.MaxSamplesPerPlayer()),
-		rng: engine.NewReusableRNG(),
+// newRoundScratch sizes a roundScratch for this protocol.
+func (p *SMP) newRoundScratch() *roundScratch {
+	return &roundScratch{
+		buf:  make([]int, p.MaxSamplesPerPlayer()),
+		rng:  engine.NewReusableRNG(),
+		msgs: make([]Message, len(p.qs)),
 	}
 }
 
@@ -143,31 +153,34 @@ func (p *SMP) NewScratch() *Scratch {
 // into the scratch buffer, and the per-player stream comes from the
 // scratch's reseeded generator — the exact stream engine.NodeRNG would
 // allocate, so scratch rounds are bit-identical to allocating ones.
-func (p *SMP) runMessagesScratch(sampler dist.Sampler, shared uint64, msgs []Message, sc *Scratch) error {
+func (p *SMP) runMessagesScratch(sampler dist.Sampler, shared uint64, rs *roundScratch) error {
 	if sampler == nil {
 		return fmt.Errorf("core: nil sampler")
 	}
 	for i, q := range p.qs {
-		rng := sc.rng.SeedNode(shared, i)
-		samples := sc.buf[:q]
-		sc.rng.SampleInto(sampler, samples)
+		rng := rs.rng.SeedNode(shared, i)
+		samples := rs.buf[:q]
+		rs.rng.SampleInto(sampler, samples)
 		m, err := p.local.Message(i, samples, shared, rng)
 		if err != nil {
 			return fmt.Errorf("core: player %d: %w", i, err)
 		}
-		msgs[i] = m
+		if p.bits < 64 && m >= 1<<p.bits {
+			return fmt.Errorf("core: player %d message %#x wider than the rule's %d bits", i, uint64(m), p.bits)
+		}
+		rs.msgs[i] = m
 	}
 	return nil
 }
 
-// runSeededScratch is RunSeeded over a reusable Scratch and message
-// slice: zero allocations per round for the stock referees, whose Decide
-// counts over the messages.
-func (p *SMP) runSeededScratch(sampler dist.Sampler, shared uint64, msgs []Message, sc *Scratch) (bool, error) {
-	if err := p.runMessagesScratch(sampler, shared, msgs, sc); err != nil {
+// runSeededScratch is RunSeeded over a reusable roundScratch: zero
+// allocations per round for the stock referees, whose Decide counts over
+// the messages.
+func (p *SMP) runSeededScratch(sampler dist.Sampler, shared uint64, rs *roundScratch) (bool, error) {
+	if err := p.runMessagesScratch(sampler, shared, rs); err != nil {
 		return false, err
 	}
-	return p.referee.Decide(msgs)
+	return p.referee.Decide(rs.msgs)
 }
 
 // Run executes one round end to end.
@@ -182,9 +195,5 @@ func (p *SMP) Run(sampler dist.Sampler, rng *rand.Rand) (bool, error) {
 // RunSeeded executes one round end to end with an explicit public-coin
 // seed; see RunMessagesSeeded for the derivation contract.
 func (p *SMP) RunSeeded(sampler dist.Sampler, shared uint64) (bool, error) {
-	msgs, err := p.RunMessagesSeeded(sampler, shared)
-	if err != nil {
-		return false, err
-	}
-	return p.referee.Decide(msgs)
+	return p.runSeededScratch(sampler, shared, p.newRoundScratch())
 }

@@ -55,7 +55,20 @@ func TestNewSMPValidation(t *testing.T) {
 	if _, err := NewAsymmetricSMP([]int{1, -2}, rule, ref); err == nil {
 		t.Error("negative per-player q accepted")
 	}
+	for _, bits := range []int{0, 65} {
+		if _, err := NewSMP(2, 1, widthRule{rule, bits}, ref); err == nil {
+			t.Errorf("a rule of %d message bits accepted", bits)
+		}
+	}
 }
+
+// widthRule is a rule that declares the given message width.
+type widthRule struct {
+	LocalRule
+	bits int
+}
+
+func (r widthRule) Bits() int { return r.bits }
 
 func TestSMPAccessors(t *testing.T) {
 	p, err := NewAsymmetricSMP([]int{3, 5, 2}, constRule(Accept), BitReferee{Rule: ANDRule{}})

@@ -11,6 +11,7 @@ import (
 	"context"
 	"io"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -277,6 +278,51 @@ func TestSMPSeededMatchesEngineStreams(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("trial %d: RunSeeded %v, engine %v", trial, got, want)
+		}
+	}
+}
+
+// TestWideMessageFailsOnEveryBackend: a message wider than its rule's
+// Bits is an error on every backend, the one the cluster's node reports.
+func TestWideMessageFailsOnEveryBackend(t *testing.T) {
+	const k, q, threshold = 4, 2, 2
+	rule := core.RuleFunc(func(int, []int, uint64, *rand.Rand) (core.Message, error) { return 3, nil })
+	referee := core.BitReferee{Rule: core.ThresholdRule{T: threshold}}
+	smp, err := core.NewSMP(k, q, rule, referee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := congest.Complete(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Q: q, Rule: rule, T: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := network.NewCluster(network.ClusterConfig{
+		K: k, Q: q, Rule: rule, Referee: referee,
+		Transport: network.NewMemTransport(),
+		Timeout:   10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "message 0x3 wider than the rule's 1 bits"
+	for _, tc := range []struct {
+		name string
+		p    core.Protocol
+	}{{"SMP", smp}, {"CONGEST", tester}, {"cluster", cluster}} {
+		b, err := core.BackendFor(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, ok := b.(io.Closer); ok {
+			t.Cleanup(func() { _ = c.Close() })
+		}
+		_, err = engine.Run(context.Background(), b, xbSource(t), 2, engine.Options{Seed: xbSeed, Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming the %s", tc.name, err, want)
 		}
 	}
 }

@@ -15,17 +15,19 @@
 // The driver itself calls one method, BatchBackend.RunRoundsScratch, once
 // per chunk of Batch*Window consecutive trials of one seed; Options.Batch
 // 0 means a chunk of one trial at batch 1. The cluster backend relies on
-// the consecutive trials: its ROUND_BATCH frames name trial ranges. A
-// backend without a batch path is driven through a private adapter that
-// loops its RunRoundScratch (or RunRound) over the chunk, so every
-// backend runs the same driver code.
+// the consecutive trials: its ROUND_BATCH frames name trial ranges.
+// Every in-process backend is a Loop: a player count, a per-worker
+// scratch constructor and one trial function, whose chunk is its trials
+// in order on the worker's scratch. A backend without a batch path runs
+// as a Loop over its RunRoundScratch (or RunRound), so every backend
+// runs the same driver code.
 //
 // RoundSpec names the trial index, the engine's base seed and the sampler
 // for the unknown distribution; RoundResult is the uniform per-round
-// accounting (verdict, votes, stragglers, retries, samples drawn, wall
-// time, and — for message-passing backends — message and communication
-// round counts), so in-process runs get the same accounting a
-// deployment has.
+// accounting (verdict, votes, stragglers, retries, samples drawn, and —
+// for message-passing backends — message and communication round
+// counts), so in-process runs get the same accounting a deployment has.
+// Run returns trial i's result at index i.
 //
 // Adapters live next to the types they wrap, keeping this package a leaf:
 //

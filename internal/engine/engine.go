@@ -8,7 +8,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
-	"time"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/stats"
@@ -32,8 +31,6 @@ type RoundSpec struct {
 // so in-process, networked and CONGEST runs carry the same bookkeeping a
 // deployment has.
 type RoundResult struct {
-	// Trial is the 0-based trial index (filled by the driver).
-	Trial int
 	// Verdict is the referee's decision: true means accept.
 	Verdict bool
 	// Votes is the number of votes that entered the decision.
@@ -53,8 +50,6 @@ type RoundResult struct {
 	// CommRounds is the number of synchronous communication rounds
 	// (CONGEST backends; 0 elsewhere).
 	CommRounds int
-	// Wall is the wall-clock duration of the round.
-	Wall time.Duration
 }
 
 // Backend executes protocol rounds. Implementations must take all
@@ -104,13 +99,12 @@ type ScratchBackend interface {
 // call (with Batch 0, a chunk of one trial at batch 1). batch is the
 // wire granularity — pipelined backends split specs into
 // ceil(len(specs)/batch) sub-batches and keep them concurrently in
-// flight (the window), in-process backends simply loop their scratch
-// path. out has len(specs) entries, one per spec in order; the driver
-// fills the Trial fields afterwards. A backend without this extension
-// is driven through an adapter that loops RunRoundScratch (or RunRound)
-// over the chunk. The determinism contract is unchanged: the verdict for
-// (seed, trial, player) must be bit-identical to RunRound's for any
-// batch size and window.
+// flight (the window), in-process backends are a Loop over their
+// trials. out has len(specs) entries, one per spec in order. A backend
+// without this extension is driven through a Loop over its
+// RunRoundScratch (or RunRound). The determinism contract is unchanged:
+// the verdict for (seed, trial, player) must be bit-identical to
+// RunRound's for any batch size and window.
 type BatchBackend interface {
 	ScratchBackend
 	// RunRoundsScratch executes len(specs) consecutive trials with the
@@ -171,9 +165,6 @@ type Totals struct {
 	// Votes, Stragglers, Retries, Samples and Messages sum the per-round
 	// fields of the same names.
 	Votes, Stragglers, Retries, Samples, Messages int
-	// Wall sums per-round wall time (total backend compute, not elapsed
-	// driver time: rounds overlap across workers).
-	Wall time.Duration
 }
 
 // Result is Estimate's output: the Wilson success estimate plus the
@@ -185,22 +176,6 @@ type Result struct {
 	Rounds []RoundResult
 	// Totals aggregates Rounds.
 	Totals Totals
-}
-
-// SpreadWall distributes one measured elapsed duration over a batch of
-// results: every trial gets the even share and the first trial absorbs
-// the division remainder, so the batch's summed Wall always equals the
-// elapsed time handed in (integer division alone would silently drop up
-// to len(out)-1 nanoseconds per batch).
-func SpreadWall(out []RoundResult, elapsed time.Duration) {
-	if len(out) == 0 {
-		return
-	}
-	share := elapsed / time.Duration(len(out))
-	for i := range out {
-		out[i].Wall = share
-	}
-	out[0].Wall = elapsed - share*time.Duration(len(out)-1)
 }
 
 // workerErrs is one worker's error slot, padded so neighboring workers'
@@ -329,10 +304,6 @@ func Run(ctx context.Context, b Backend, src Source, trials int, opts Options) (
 					}
 					werr.record(start, err)
 					cancel()
-					continue
-				}
-				for t := start; t < end; t++ {
-					results[t].Trial = t
 				}
 			}
 		}(&errs[w])
@@ -373,40 +344,87 @@ feed:
 	return results, nil
 }
 
-// batchOf returns b's batch path. A backend without one gets an adapter
-// whose chunks loop RunRoundScratch trial by trial — RunRound when it
-// has no scratch either — so the driver has a single call site.
+// batchOf returns b's batch path. A backend without one runs as a Loop
+// over its RunRoundScratch, or over RunRound when it keeps no scratch,
+// so the driver has a single call site.
 func batchOf(b Backend) BatchBackend {
-	if bb, ok := b.(BatchBackend); ok {
-		return bb
+	switch b := b.(type) {
+	case BatchBackend:
+		return b
+	case ScratchBackend:
+		return &Loop[any]{K: b.Players(), Scratch: b.NewScratch,
+			Trial: func(ctx context.Context, scratch any, spec RoundSpec) (RoundResult, error) {
+				return b.RunRoundScratch(ctx, spec, scratch)
+			}}
 	}
-	sb, ok := b.(ScratchBackend)
-	if !ok {
-		sb = noScratch{b}
-	}
-	return loopBackend{sb}
+	return &Loop[any]{K: b.Players(), Scratch: func() any { return nil },
+		Trial: func(ctx context.Context, _ any, spec RoundSpec) (RoundResult, error) {
+			return b.RunRound(ctx, spec)
+		}}
 }
 
-// noScratch gives a plain Backend the scratch methods: no scratch, and
-// RunRound per trial.
-type noScratch struct{ Backend }
-
-// NewScratch returns no scratch: the wrapped backend keeps none.
-func (noScratch) NewScratch() any { return nil }
-
-// RunRoundScratch runs the trial through the wrapped RunRound.
-func (n noScratch) RunRoundScratch(ctx context.Context, spec RoundSpec, _ any) (RoundResult, error) {
-	return n.RunRound(ctx, spec)
+// Loop is the batch path of an in-process protocol: K players, one
+// scratch per worker, and one function per trial. Its chunk is the
+// chunk's trials in order on the worker's scratch, so the SMP, the
+// CONGEST tester, a foreign core.Protocol and a Backend with no batch
+// path of its own all run the one chunk loop below. Scratch returns a
+// fresh scratch per call; Trial must be safe for concurrent use on
+// distinct scratches. The Loop calls Trial through a func value, which
+// dut/hotalloc's call graph does not follow, so a Trial on a hot path
+// is a named function carrying its own //dut:hotpath marker.
+type Loop[S any] struct {
+	// K is the protocol's player count.
+	K int
+	// Scratch allocates one worker's reusable round state.
+	Scratch func() S
+	// Trial runs one trial on the worker's scratch.
+	Trial func(ctx context.Context, scratch S, spec RoundSpec) (RoundResult, error)
 }
 
-// loopBackend is the batch path of a backend that has none: each chunk
-// is its trials in order.
-type loopBackend struct{ ScratchBackend }
+// Players implements Backend.
+func (l *Loop[S]) Players() int { return l.K }
 
-// RunRoundsScratch runs the chunk's trials one by one, in order.
-func (l loopBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []RoundSpec, _ int, out []RoundResult) error {
+// NewScratch implements ScratchBackend.
+func (l *Loop[S]) NewScratch() any { return l.Scratch() }
+
+// RunRound implements Backend: one trial on a fresh scratch.
+func (l *Loop[S]) RunRound(ctx context.Context, spec RoundSpec) (RoundResult, error) {
+	return l.RunRoundScratch(ctx, spec, l.Scratch())
+}
+
+// RunRoundScratch implements ScratchBackend: a chunk of one trial.
+//
+//dut:hotpath
+func (l *Loop[S]) RunRoundScratch(ctx context.Context, spec RoundSpec, scratch any) (RoundResult, error) {
+	specs := [1]RoundSpec{spec}
+	var out [1]RoundResult
+	if err := l.RunRoundsScratch(ctx, scratch, specs[:], 1, out[:]); err != nil {
+		return RoundResult{}, err
+	}
+	return out[0], nil
+}
+
+// RunRoundsScratch implements BatchBackend. In-process trials have no
+// per-round synchronization to amortize, so batch and window do not
+// matter: the lengths, the context and the scratch are checked once per
+// chunk, then the trials run in order.
+//
+//dut:hotpath
+func (l *Loop[S]) RunRoundsScratch(ctx context.Context, scratch any, specs []RoundSpec, _ int, out []RoundResult) error {
+	if len(out) != len(specs) {
+		return fmt.Errorf("engine: %d results for %d specs", len(out), len(specs))
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// A nil scratch is the zero value of an interface S (a Backend's
+	// NewScratch may return nil); for any other S it is foreign.
+	sc, ok := scratch.(S)
+	if !ok && (scratch != nil || any(sc) != nil) {
+		return fmt.Errorf("engine: foreign scratch %T", scratch)
+	}
 	for i, spec := range specs {
-		res, err := l.RunRoundScratch(ctx, spec, scratch)
+		res, err := l.Trial(ctx, sc, spec)
 		if err != nil {
 			return err
 		}
@@ -448,7 +466,6 @@ func Estimate(ctx context.Context, b Backend, src Source, trials int, opts Optio
 		totals.Retries += r.Retries
 		totals.Samples += r.Samples
 		totals.Messages += r.Messages
-		totals.Wall += r.Wall
 	}
 	ci, err := stats.WilsonInterval(totals.Accepts, trials, confidence)
 	if err != nil {

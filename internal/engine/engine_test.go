@@ -55,7 +55,7 @@ func (b *fakeBackend) RunRound(ctx context.Context, spec RoundSpec) (RoundResult
 	}
 	b.ran.Add(1)
 	accept := PlayerRNG(spec.Seed, spec.Trial, 0).Uint64()&1 == 0
-	return RoundResult{Verdict: accept, Votes: b.players, Samples: b.players}, nil
+	return RoundResult{Verdict: accept, Votes: b.players, Samples: b.players, Messages: spec.Trial}, nil
 }
 
 func uniformSource(t *testing.T, n int) Source {
@@ -102,16 +102,155 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunFillsTrialIndices: results[i] is trial i's own result, one
+// trial per chunk and in chunks of several; fakeBackend echoes each
+// spec's trial in Messages.
 func TestRunFillsTrialIndices(t *testing.T) {
-	b := &fakeBackend{players: 2, failAt: -1}
-	results, err := Run(context.Background(), b, uniformSource(t, 4), 10, Options{Workers: 3})
-	if err != nil {
+	for _, opts := range []Options{{Workers: 3}, {Workers: 3, Batch: 4, Window: 2}} {
+		b := &fakeBackend{players: 2, failAt: -1}
+		results, err := Run(context.Background(), b, uniformSource(t, 4), 10, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r.Messages != i {
+				t.Fatalf("%+v: results[%d] holds trial %d's result", opts, i, r.Messages)
+			}
+		}
+	}
+}
+
+// scratchOnly is a ScratchBackend with no batch path. Its scratches
+// record the trials they ran and how often they were closed.
+type scratchOnly struct {
+	mu        sync.Mutex
+	scratches []*recordingScratch
+}
+
+type recordingScratch struct {
+	trials []int
+	closed int
+}
+
+// Close implements io.Closer, so the driver closes it when its worker
+// retires.
+func (s *recordingScratch) Close() error {
+	s.closed++
+	return nil
+}
+
+func (b *scratchOnly) Players() int { return 1 }
+
+func (b *scratchOnly) NewScratch() any {
+	sc := &recordingScratch{}
+	b.mu.Lock()
+	b.scratches = append(b.scratches, sc)
+	b.mu.Unlock()
+	return sc
+}
+
+func (b *scratchOnly) RunRound(ctx context.Context, spec RoundSpec) (RoundResult, error) {
+	return b.RunRoundScratch(ctx, spec, b.NewScratch())
+}
+
+func (b *scratchOnly) RunRoundScratch(_ context.Context, spec RoundSpec, scratch any) (RoundResult, error) {
+	sc := scratch.(*recordingScratch)
+	sc.trials = append(sc.trials, spec.Trial)
+	return RoundResult{Messages: spec.Trial}, nil
+}
+
+// plainBackend has RunRound alone: no scratch, no batch path, no worker
+// limit.
+type plainBackend struct{ ran atomic.Int64 }
+
+func (b *plainBackend) Players() int { return 1 }
+
+func (b *plainBackend) RunRound(_ context.Context, spec RoundSpec) (RoundResult, error) {
+	b.ran.Add(1)
+	return RoundResult{Messages: spec.Trial}, nil
+}
+
+// TestRunLoopsBackendsWithoutBatchPath: the driver runs a backend with
+// no batch path of its own as a Loop. A ScratchBackend gets one
+// NewScratch per worker per call, every chunk runs whole on one of those
+// scratches, and each scratch is closed once; a plain Backend runs each
+// trial through RunRound.
+func TestRunLoopsBackendsWithoutBatchPath(t *testing.T) {
+	const trials, chunk = 40, 8
+	opts := Options{Workers: 2, Batch: 4, Window: 2}
+	src := uniformSource(t, 4)
+	check := func(t *testing.T, results []RoundResult) {
+		t.Helper()
+		for i, r := range results {
+			if r.Messages != i {
+				t.Fatalf("results[%d] holds trial %d's result", i, r.Messages)
+			}
+		}
+	}
+	t.Run("scratch", func(t *testing.T) {
+		b := &scratchOnly{}
+		for call := 1; call <= 2; call++ {
+			results, err := Run(context.Background(), b, src, trials, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, results)
+			if len(b.scratches) != call*opts.Workers {
+				t.Fatalf("call %d: %d scratches in all, want %d: one per worker per call", call, len(b.scratches), call*opts.Workers)
+			}
+		}
+		ran := 0
+		for _, sc := range b.scratches {
+			if sc.closed != 1 {
+				t.Errorf("a scratch was closed %d times, want once", sc.closed)
+			}
+			for i := 0; i < len(sc.trials); i += chunk {
+				for j := 1; j < chunk; j++ {
+					if i+j >= len(sc.trials) || sc.trials[i+j] != sc.trials[i]+j {
+						t.Fatalf("a scratch ran trials %v, not whole chunks of %d", sc.trials, chunk)
+					}
+				}
+			}
+			ran += len(sc.trials)
+		}
+		if ran != 2*trials {
+			t.Errorf("the scratches ran %d trials over two calls, want %d", ran, 2*trials)
+		}
+	})
+	t.Run("plain", func(t *testing.T) {
+		b := &plainBackend{}
+		results, err := Run(context.Background(), b, src, trials, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, results)
+		if b.ran.Load() != trials {
+			t.Errorf("RunRound ran %d trials, want %d", b.ran.Load(), trials)
+		}
+	})
+}
+
+// TestLoopChecksScratchType: a Loop over a concrete scratch type runs
+// on its own scratch and refuses any other, nil included; nil is a
+// scratch only for an interface type (the plain-Backend Loop above).
+func TestLoopChecksScratchType(t *testing.T) {
+	ran := 0
+	l := &Loop[*ReusableRNG]{K: 1, Scratch: NewReusableRNG,
+		Trial: func(context.Context, *ReusableRNG, RoundSpec) (RoundResult, error) {
+			ran++
+			return RoundResult{}, nil
+		}}
+	ctx := context.Background()
+	for _, scratch := range []any{nil, 7} {
+		if _, err := l.RunRoundScratch(ctx, RoundSpec{}, scratch); err == nil {
+			t.Errorf("scratch %#v accepted", scratch)
+		}
+	}
+	if _, err := l.RunRoundScratch(ctx, RoundSpec{}, l.NewScratch()); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range results {
-		if r.Trial != i {
-			t.Fatalf("results[%d].Trial = %d", i, r.Trial)
-		}
+	if ran != 1 {
+		t.Errorf("the trial ran %d times, want once", ran)
 	}
 }
 
@@ -388,8 +527,8 @@ func TestRunMoreWorkersThanTrials(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, r := range results {
-				if r.Trial != i || r.Verdict != ref[i].Verdict {
-					t.Errorf("result %d: trial %d verdict %v, want trial %d verdict %v", i, r.Trial, r.Verdict, i, ref[i].Verdict)
+				if r.Verdict != ref[i].Verdict {
+					t.Errorf("result %d: verdict %v, want %v", i, r.Verdict, ref[i].Verdict)
 				}
 			}
 		})

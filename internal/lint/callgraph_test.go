@@ -1,6 +1,10 @@
 package lint
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestProgramCacheInvalidation pins the per-package granularity of the
 // call-graph cache: invalidating one package rebuilds only that
@@ -62,5 +66,43 @@ func TestColdpathBoundary(t *testing.T) {
 	}
 	if has("orphan") {
 		t.Errorf("unreachable orphan is hot-reachable; reach=%v", keys)
+	}
+}
+
+// TestHotKernelsStayReachable pins dut/hotalloc's coverage of the
+// repository's hot kernels: each must stay reachable from a
+// //dut:hotpath root, or the analyzer stops checking it without a
+// word. The call graph does not follow a func value or an interface
+// call, so a kernel behind one (the engine Loop's Trial, a node
+// program's Step) needs a marked root of its own.
+func TestHotKernelsStayReachable(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := Load(root, "./internal/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no packages under ./internal")
+	}
+	module, _, _ := strings.Cut(pkgs[0].Path, "/internal/")
+	reach := NewProgram(pkgs...).hotReachable()
+	for _, kernel := range []string{
+		"(*%s/internal/core.SMP).runMessagesScratch",
+		"(*%s/internal/congest.Tester).runSeededScratch",
+		"(*%s/internal/congest.Simulator).Run",
+		"(*%s/internal/network.PlayerNode).voteBatch",
+		"(*%s/internal/network.batchSession).decideCounters",
+		"%s/internal/network.reduceSums",
+		"(*%s/internal/dist.AliasSampler).SampleInto",
+		"(*%s/internal/centralized.CollisionCounter).Count",
+		"(*%s/internal/core.collisions).count",
+	} {
+		key := fmt.Sprintf(kernel, module)
+		if _, ok := reach[key]; !ok {
+			t.Errorf("%s is reachable from no //dut:hotpath root", key)
+		}
 	}
 }

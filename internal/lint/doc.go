@@ -11,8 +11,8 @@
 //     global math/rand generators, construct ad-hoc rand.Rand values,
 //     seed a dist.PCG outside internal/engine and internal/dist, or
 //     iterate maps (iteration order leaks into behavior). Randomness
-//     routes through engine.NodeRNG / TrialRNG / ReusableRNG; timing
-//     through engine.Stopwatch.
+//     routes through engine.NodeRNG / TrialRNG / ReusableRNG; elapsed
+//     time is measured outside these packages.
 //   - dut/scratchalias — a slice handed to SampleInto (or a scratch
 //     buffer of RunRoundScratch) is owned by the callee only for the
 //     call: retaining it in a field, returning it, or append-ing to it

@@ -8,7 +8,7 @@ import (
 // AnalyzerNondeterminism enforces the seeded-stream contract: inside the
 // deterministic packages every verdict-affecting computation must be a
 // pure function of the engine seed. It flags wall-clock reads (time.Now /
-// time.Since outside engine's clock.go), the global math/rand generators,
+// time.Since), the global math/rand generators,
 // ad-hoc rand generator construction outside the blessed engine
 // derivations, seeding a dist.PCG outside internal/engine and
 // internal/dist, and map iteration (whose order is randomized per run).
@@ -37,10 +37,6 @@ var randConstructors = map[string]bool{
 	"NewSource":  true,
 	"NewZipf":    true,
 }
-
-// blessedClockFiles may read the wall clock: engine's Stopwatch helper,
-// the single sanctioned timing primitive for RoundResult.Wall accounting.
-var blessedClockFiles = map[string]bool{"clock.go": true}
 
 func runNondeterminism(p *Pass) error {
 	if !p.InScope(deterministicScope...) {
@@ -82,9 +78,9 @@ func (p *Pass) checkNondetCall(call *ast.CallExpr, inBlessedConstructor bool) {
 	}
 	switch pkg {
 	case "time":
-		if (name == "Now" || name == "Since") && !blessedClockFiles[p.fileBase(call.Pos())] {
+		if name == "Now" || name == "Since" {
 			p.Reportf(call.Pos(),
-				"wall-clock read (time.%s) in a deterministic package; route timing through engine.Stopwatch or suppress with a reason", name)
+				"wall-clock read (time.%s) in a deterministic package; time it outside the deterministic packages or suppress with a reason", name)
 		}
 	case "math/rand", "math/rand/v2":
 		sig, ok := fn.Type().(*types.Signature)

@@ -2,6 +2,7 @@ package fixture
 
 import "time"
 
+// No engine file is blessed for wall-clock reads.
 func StartStopwatch() time.Time {
-	return time.Now() // clock.go is the blessed wall-clock file: clean
+	return time.Now() // want "wall-clock read (time.Now)"
 }

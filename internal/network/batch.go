@@ -735,7 +735,6 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 		if err := ctx.Err(); err != nil {
 			return bs.chunkErr(err)
 		}
-		sw := engine.StartStopwatch()
 		var received int
 		if bs.sharded() {
 			received = bs.gatherShards(fl.id, fl.count)
@@ -750,10 +749,6 @@ func (bs *batchSession) runChunk(ctx context.Context, base uint64, first int, sa
 		if err := bs.decideBatch(fl.count, received, results); err != nil {
 			return bs.chunkErr(err)
 		}
-		// Wall time is shared evenly: the batch synchronized once for
-		// count trials (the division remainder lands on the first trial so
-		// the batch's summed wall time equals its elapsed time).
-		engine.SpreadWall(results, sw.Elapsed())
 		// The chunk's first batch claims the connect retries once it is
 		// gathered: a node records its retries before it serves, so every
 		// node that voted on the batch has recorded them. An empty chunk

@@ -118,9 +118,6 @@ func TestClusterSurvivesChaos(t *testing.T) {
 			// Round 1 on: players 2 (crashed) and 4 (corrupted) drop too.
 			wantStragglers := []int{2, 4, 4}
 			for i, s := range stats {
-				if s.Trial != i {
-					t.Errorf("stats[%d].Trial = %d", i, s.Trial)
-				}
 				if s.Stragglers != wantStragglers[i] {
 					t.Errorf("round %d stragglers = %d, want %d", i, s.Stragglers, wantStragglers[i])
 				}
@@ -129,9 +126,6 @@ func TestClusterSurvivesChaos(t *testing.T) {
 				}
 				if s.Verdict != tt.want {
 					t.Errorf("round %d verdict = %v, want %v", i, s.Verdict, tt.want)
-				}
-				if s.Wall <= 0 {
-					t.Errorf("round %d wall time not recorded", i)
 				}
 			}
 			// Player 5 burned one retry recovering its dropped dial; player 6

@@ -117,7 +117,7 @@
 // accepts, since a silent sensor cannot push the rejection count over
 // the threshold). A player that fails stays absent for the rest of the
 // session. Every round reports what happened in an engine.RoundResult:
-// votes received, stragglers, node-side connect retries and wall time.
+// votes received, stragglers and node-side connect retries.
 //
 // Node-side, PlayerNode retries a failed dial or HELLO with exponential
 // backoff (SetRetryPolicy), so transient connection drops are survivable
