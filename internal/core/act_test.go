@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -248,4 +249,35 @@ func TestNewACTTesterValidation(t *testing.T) {
 	if _, err := NewACTTester(64, 10, 2, 0); err == nil {
 		t.Error("eps=0 accepted")
 	}
+}
+
+// BenchmarkHashRuleMessage times one player's message under the [ACT18]
+// hash at cluster-short's geometry, n = 64 and l = 4: a four-round
+// Feistel permutation of one sample, cycle-walked into [n], keyed by a
+// fresh public coin per call. Run it by hand:
+//
+//	go test -run '^$' -bench HashRuleMessage -cpu 1 ./internal/core
+func BenchmarkHashRuleMessage(b *testing.B) {
+	const n, l = 64, 4
+	rule, err := NewHashRule(n, l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(36, 0xac7))
+	samples := make([][]int, 256)
+	coins := make([]uint64, len(samples))
+	for i := range samples {
+		samples[i] = []int{rng.IntN(n)}
+		coins[i] = rng.Uint64()
+	}
+	var sink Message
+	for i := 0; i < b.N; i++ {
+		j := i % len(samples)
+		m, err := rule.Message(0, samples[j], coins[j], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink ^= m
+	}
+	_ = sink
 }

@@ -15,8 +15,33 @@ import (
 // branch on a message bit, and stored whole, so lanes at and above
 // len(msgs) read zero. Message bits at or above `bits` are ignored;
 // callers check widths first.
+//
+// Messages of 2 to 8 bits move a byte lane at a time: the low bytes of
+// each 8 messages sit side by side in one word, and one multiply
+// gathers bit b of all 8 bytes into the top byte of its product, 8
+// lanes of plane b at once. 1-bit runs and runs of 9 bits or more move
+// one bit at a time; at 1 bit the gather's set-up costs more than it
+// saves.
 func PackPlaneWord(planes []uint64, words, w, bits int, msgs []Message) {
 	msgs = msgs[:min(len(msgs), 64)]
+	if bits >= 2 && bits <= 8 {
+		var lanes [8]uint64
+		for j, m := range msgs {
+			lanes[j/8&7] |= uint64(uint8(m)) << (uint(j) % 8 * 8)
+		}
+		for b := 0; b < bits; b++ {
+			var word uint64
+			for g, x := range lanes {
+				// Byte i of x>>b&0x0101010101010101 holds bit b of
+				// message 8g+i in its low bit. The multiply moves that
+				// bit to bit 56+i, and no two partial products share a
+				// bit, so none carries.
+				word |= (x >> (uint(b) & 7) & 0x0101010101010101) * 0x0102040810204080 >> 56 << (uint(g) * 8)
+			}
+			planes[b*words+w] = word
+		}
+		return
+	}
 	for b := 0; b < bits; b++ {
 		var word uint64
 		for j, m := range msgs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -118,6 +119,19 @@ func FuzzVotePlanes(f *testing.F) {
 	f.Add([]byte{0, 63, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{3, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{63, 64, 9, 0x80, 0, 0, 0, 0, 0, 0, 1})
+	// Widths 2 and 8 bound the pack's byte gather and 1 and 9 sit just
+	// outside it. The runs fill part of one 8-message byte group (1, 7),
+	// one whole group (8), one and part of a second (9), and all but one
+	// lane or all 64 lanes of the word (63, 64).
+	for _, bits := range []int{1, 2, 8, 9} {
+		for _, n := range []int{1, 7, 8, 9, 63, 64} {
+			seed := []byte{byte(bits - 1), byte(n - 1), byte(n)}
+			for i := 0; i < 8*n; i++ {
+				seed = append(seed, byte(i*0x9d+bits*0x3b))
+			}
+			f.Add(seed)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -134,4 +148,27 @@ func FuzzVotePlanes(f *testing.F) {
 		}
 		checkPlaneCodec(t, rng, words, w, bits, msgs)
 	})
+}
+
+// BenchmarkPackPlaneWord times one 64-message pack at a 1-bit width
+// (cluster-flat's votes), at the byte gather's 3 and 4 bits
+// (cluster-tree's and cluster-short's), and at 9 bits, the narrowest
+// width past it. Run it by hand:
+//
+//	go test -run '^$' -bench PackPlaneWord -cpu 1 ./internal/core
+func BenchmarkPackPlaneWord(b *testing.B) {
+	const words = 4 // a 256-trial batch
+	rng := rand.New(rand.NewPCG(36, 0xb17e))
+	for _, bits := range []int{1, 3, 4, 9} {
+		msgs := make([]Message, 64)
+		for j := range msgs {
+			msgs[j] = Message(rng.Uint64() & (1<<bits - 1))
+		}
+		planes := make([]uint64, bits*words)
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				PackPlaneWord(planes, words, i%words, bits, msgs)
+			}
+		})
+	}
 }

@@ -50,6 +50,13 @@
 //	private = NodeRNG(shared, player)       // player's sampling + coins
 //	source  = TrialRNG(seed, trial)         // per-trial Source randomness
 //
+// A hot loop reseeds one ReusableRNG instead (SeedNode, SeedTrial), and a
+// cluster node derives up to 16 consecutive trials' coins and its PCG
+// seed pairs under them in one NodeSeedBlock pass, seating each pair
+// with SeedPCG. Both reproduce the streams above bit for bit; the block
+// pass only lets the CPU overlap the trials' independent splitmix64
+// chains.
+//
 // SharedSeed and NodeRNG are splitmix64-mixed PCG streams. A player's
 // private stream is a function of the round's public coin and its own id,
 // so a networked node rebuilds it from the base seed and trial its

@@ -33,6 +33,28 @@ func nodeSeeds(shared uint64, player int) (uint64, uint64) {
 	return a, b
 }
 
+// PCGSeed is the seed pair of one player's private PCG stream in one
+// trial: the state NodeRNG(shared, player) starts from. Only
+// NodeSeedBlock derives one, and ReusableRNG.SeedPCG seats it.
+type PCGSeed struct{ a, b uint64 }
+
+// NodeSeedBlock derives, for the len(coins) consecutive trials first,
+// first+1, ..., each trial's public coin and player's PCG seed pair under
+// it: coins[i] = SharedSeed(seed, first+i), and seeds[i] seats the
+// stream NodeRNG(coins[i], player) would allocate. seeds must hold at
+// least len(coins) pairs. The trials' splitmix64 chains are independent,
+// so one pass over a block lets the CPU overlap them, where a
+// SharedSeed then SeedNode per trial runs four dependent mixes in line
+// with that trial's sampling and vote.
+func NodeSeedBlock(coins []uint64, seeds []PCGSeed, seed uint64, first, player int) {
+	seeds = seeds[:len(coins)]
+	for i := range coins {
+		shared := SharedSeed(seed, first+i)
+		coins[i] = shared
+		seeds[i].a, seeds[i].b = nodeSeeds(shared, player)
+	}
+}
+
 // trialSeeds is the PCG seed pair of the per-trial stream; TrialRNG and
 // ReusableRNG.SeedTrial share it.
 func trialSeeds(seed uint64, trial int) (uint64, uint64) {
@@ -106,6 +128,14 @@ func NewReusableRNG() *ReusableRNG {
 // player)'s stream and returns it.
 func (r *ReusableRNG) SeedNode(shared uint64, player int) *rand.Rand {
 	r.pcg.Seed(nodeSeeds(shared, player))
+	return r.rand
+}
+
+// SeedPCG repositions the generator at the start of the stream a
+// NodeSeedBlock pair seats, NodeRNG(coins[i], player)'s, and returns the
+// same *rand.Rand SeedNode returns.
+func (r *ReusableRNG) SeedPCG(s PCGSeed) *rand.Rand {
+	r.pcg.Seed(s.a, s.b)
 	return r.rand
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -80,6 +81,110 @@ func TestReusableRNGMatchesNodeRNG(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNodeSeedBlockMatchesPerTrial pins the block pass to the per-trial
+// derivation: for every run length 1–64, and a 64-trial run derived in
+// two passes split at 16, coin i is SharedSeed(seed, first+i), and the
+// generator SeedPCG seats at pair i draws the words and then the alias
+// samples and word that NodeRNG(coin i, player) does. first reaches
+// math.MaxInt64 - 63, so the run's last trial is the last one a
+// ROUND_BATCH can name, and player reaches the widest node id.
+func TestNodeSeedBlockMatchesPerTrial(t *testing.T) {
+	const seed = 0x5eed5eed
+	alias := reuseSamplers(t)["alias-100"]
+	r := NewReusableRNG()
+	coins, seeds := make([]uint64, 64), make([]PCGSeed, 64)
+	got, want := make([]int, 16), make([]int, 16)
+	check := func(first, player, n int) {
+		t.Helper()
+		for i, coin := range coins[:n] {
+			if w := SharedSeed(seed, first+i); coin != w {
+				t.Fatalf("first %d player %d run %d: coin %d is %#x, want %#x", first, player, n, i, coin, w)
+			}
+			rng, ref := r.SeedPCG(seeds[i]), NodeRNG(coin, player)
+			for d := 0; d < 4; d++ {
+				if g, w := rng.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("first %d player %d run %d: trial %d draw %d is %d, want %d", first, player, n, i, d, g, w)
+				}
+			}
+			rng, ref = r.SeedPCG(seeds[i]), NodeRNG(coin, player)
+			r.SampleInto(alias, got)
+			dist.SampleInto(alias, want, ref)
+			for d := range want {
+				if got[d] != want[d] {
+					t.Fatalf("first %d player %d run %d: trial %d sample %d is %d, want %d", first, player, n, i, d, got[d], want[d])
+				}
+			}
+			if g, w := rng.Uint64(), ref.Uint64(); g != w {
+				t.Fatalf("first %d player %d run %d: trial %d draw after the samples is %d, want %d", first, player, n, i, g, w)
+			}
+		}
+	}
+	for _, first := range []int{0, 1 << 40, math.MaxInt64 - 63} {
+		for _, player := range []int{0, 1, math.MaxUint32} {
+			for n := 1; n <= 64; n++ {
+				clear(coins)
+				clear(seeds)
+				NodeSeedBlock(coins[:n], seeds, seed, first, player)
+				check(first, player, n)
+			}
+			clear(coins)
+			clear(seeds)
+			NodeSeedBlock(coins[:16], seeds, seed, first, player)
+			NodeSeedBlock(coins[16:], seeds[16:], seed, first+16, player)
+			check(first, player, 64)
+		}
+	}
+}
+
+// BenchmarkNodeSeeds times the public coins and seated player streams of
+// a 256-trial ROUND_BATCH, in ns per trial: "per-trial" runs SharedSeed
+// then SeedNode for each trial in turn, and "block" derives each 16
+// trials' coins and seed pairs in one NodeSeedBlock pass, then seats
+// each pair, as a cluster node's vote does. Run it by hand:
+//
+//	go test -run '^$' -bench NodeSeeds -cpu 1 ./internal/engine
+func BenchmarkNodeSeeds(b *testing.B) {
+	const (
+		count  = 256
+		run    = 16
+		player = 1234
+	)
+	r := NewReusableRNG()
+	var sink uint64
+	perTrial := func(base uint64, first int) {
+		for j := 0; j < count; j++ {
+			coin := SharedSeed(base, first+j)
+			r.SeedNode(coin, player)
+			sink ^= coin
+		}
+	}
+	block := func(base uint64, first int) {
+		var (
+			coins [run]uint64
+			seeds [run]PCGSeed
+		)
+		for j := 0; j < count; j += run {
+			NodeSeedBlock(coins[:], seeds[:], base, first+j, player)
+			for i := range coins {
+				r.SeedPCG(seeds[i])
+				sink ^= coins[i]
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		pass func(base uint64, first int)
+	}{{"per-trial", perTrial}, {"block", block}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.pass(0x5eed, i*count)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/trial")
+		})
+	}
+	_ = sink
 }
 
 // TestReusableRNGMatchesTrialRNG is the same contract for the per-trial

@@ -99,6 +99,8 @@ func TestHotKernelsStayReachable(t *testing.T) {
 		"(*%s/internal/dist.AliasSampler).SampleInto",
 		"(*%s/internal/centralized.CollisionCounter).Count",
 		"(*%s/internal/core.collisions).count",
+		"%s/internal/engine.NodeSeedBlock",
+		"%s/internal/core.PackPlaneWord",
 	} {
 		key := fmt.Sprintf(kernel, module)
 		if _, ok := reach[key]; !ok {

@@ -25,7 +25,7 @@ func acceptAllRule() core.LocalRule {
 	})
 }
 
-func uniformSampler(t *testing.T, n int) dist.Sampler {
+func uniformSampler(t testing.TB, n int) dist.Sampler {
 	t.Helper()
 	u, err := dist.Uniform(n)
 	if err != nil {

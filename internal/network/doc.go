@@ -69,9 +69,12 @@
 // distance together. Every
 // referee-side slot has a writer goroutine draining its frame queue and
 // one long-lived reader goroutine that serves the gather's per-batch
-// requests, so a batch starts no goroutine. Vote planes move a word at a
-// time: a node packs each 64-trial block of messages into one word of
-// every plane (core.PackPlaneWord), and an opaque referee's decide
+// requests, so a batch starts no goroutine. A node derives the public
+// coins and PCG seed pairs of each 16 trials in one pass
+// (engine.NodeSeedBlock) before it samples and votes on them. Vote planes
+// move a word at a time: a node packs each 64-trial block of messages
+// into one word of every plane (core.PackPlaneWord, a byte lane at a
+// time for 2- to 8-bit messages), and an opaque referee's decide
 // unpacks one word per present player into 64 trials' slates
 // (core.UnpackPlaneWord).
 //

@@ -161,25 +161,50 @@ func (p *PlayerNode) serve(conn net.Conn, stage *samplerStage) error {
 	}
 }
 
-// voteBatch computes one vote per trial of a ROUND_BATCH and replies
-// with the packed VOTE_BATCH, one bit-plane per message bit. Trial j's
-// public coin is engine.SharedSeed(Base, First+j), derived here rather
-// than carried on the wire, and engine.NodeRNG(coin, id) feeds the
-// sampler kernel and then the rule, so lane j of the reply is the
-// message every other backend derives for that trial and this player.
-// The decoder bounds First+Count-1 by math.MaxInt64, so the int trial
-// index never wraps.
+// voteBatch answers one ROUND_BATCH with its VOTE_BATCH: the planes
+// votePlanes computes, encoded as one frame and written whole.
 //
 //dut:hotpath per-batch node sampling and vote encode
 func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage) error {
+	planes, err := p.votePlanes(rb, stage)
+	if err != nil {
+		return err
+	}
+	// A fresh write budget: a large batch of sampling may have consumed
+	// most of the read-phase budget.
+	enc, err := AppendVoteBatch(p.enc[:0], VoteBatch{Player: p.id, Batch: rb.Batch, Count: rb.Count, Planes: planes})
+	p.enc = enc
+	if err != nil {
+		return err
+	}
+	setWriteDeadline(conn, p.timeout)
+	return writeCoalesced(conn, enc)
+}
+
+// coinRun is the number of trials whose public coins and PCG seed pairs
+// votePlanes derives in one engine.NodeSeedBlock pass. Longer runs read
+// no faster, and every node goroutine's stack carries the arrays.
+const coinRun = 16
+
+// votePlanes computes one vote per trial of a ROUND_BATCH, packed one
+// bit-plane per message bit, into the node's reused plane buffer. Trial
+// j's public coin is engine.SharedSeed(Base, First+j), derived here
+// rather than carried on the wire, and engine.NodeRNG(coin, id)'s
+// stream feeds the sampler kernel and then the rule, so lane j of the
+// reply is the message every other backend derives for that trial and
+// this player. The coins and seed pairs of each coinRun trials come from
+// one engine.NodeSeedBlock pass before those trials sample and vote.
+// The decoder bounds First+Count-1 by math.MaxInt64, so the int trial
+// index never wraps.
+func (p *PlayerNode) votePlanes(rb RoundBatch, stage *samplerStage) ([]uint64, error) {
 	msgBits := p.rule.Bits()
 	count := int(rb.Count)
 	samplers, staged := stage.get(rb.Batch)
 	if !staged {
-		return fmt.Errorf("network: node %d has no samplers staged for batch %d", p.id, rb.Batch)
+		return nil, fmt.Errorf("network: node %d has no samplers staged for batch %d", p.id, rb.Batch)
 	}
 	if len(samplers) != count {
-		return fmt.Errorf("network: node %d staged %d samplers for batch %d of %d trials", p.id, len(samplers), rb.Batch, count)
+		return nil, fmt.Errorf("network: node %d staged %d samplers for batch %d of %d trials", p.id, len(samplers), rb.Batch, count)
 	}
 	words := batchWords(count)
 	need := msgBits * words
@@ -189,32 +214,31 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch, stage *samplerStage
 	voteBits := p.voteBits[:need]
 	// Each 64-trial block of messages packs into one word of every plane,
 	// written whole, so the padding lanes above count are zero.
-	var block [64]core.Message
+	var (
+		block [64]core.Message
+		coins [coinRun]uint64
+		seeds [coinRun]engine.PCGSeed
+	)
 	for w := 0; w < words; w++ {
 		run := block[:min(count-w*64, 64)]
-		for i := range run {
-			j := w*64 + i
-			seed := engine.SharedSeed(rb.Base, int(rb.First)+j)
-			rng := p.rng.SeedNode(seed, int(p.id))
-			p.rng.SampleInto(samplers[j], p.buf)
-			msg, err := p.rule.Message(int(p.id), p.buf, seed, rng)
-			if err != nil {
-				return fmt.Errorf("network: node %d rule: %w", p.id, err)
+		for s := 0; s < len(run); s += coinRun {
+			sub := run[s:min(s+coinRun, len(run))]
+			j0 := w*64 + s
+			engine.NodeSeedBlock(coins[:len(sub)], seeds[:], rb.Base, int(rb.First)+j0, int(p.id))
+			for i := range sub {
+				rng := p.rng.SeedPCG(seeds[i])
+				p.rng.SampleInto(samplers[j0+i], p.buf)
+				msg, err := p.rule.Message(int(p.id), p.buf, coins[i], rng)
+				if err != nil {
+					return nil, fmt.Errorf("network: node %d rule: %w", p.id, err)
+				}
+				if msgBits < 64 && msg >= 1<<msgBits {
+					return nil, fmt.Errorf("network: node %d message %#x wider than the rule's %d bits", p.id, uint64(msg), msgBits)
+				}
+				sub[i] = msg
 			}
-			if msgBits < 64 && msg >= 1<<msgBits {
-				return fmt.Errorf("network: node %d message %#x wider than the rule's %d bits", p.id, uint64(msg), msgBits)
-			}
-			run[i] = msg
 		}
 		core.PackPlaneWord(voteBits, words, w, msgBits, run)
 	}
-	// A fresh write budget: a large batch of sampling may have consumed
-	// most of the read-phase budget.
-	enc, err := AppendVoteBatch(p.enc[:0], VoteBatch{Player: p.id, Batch: rb.Batch, Count: uint32(count), Planes: voteBits})
-	p.enc = enc
-	if err != nil {
-		return err
-	}
-	setWriteDeadline(conn, p.timeout)
-	return writeCoalesced(conn, enc)
+	return voteBits, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/bits"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -419,6 +420,88 @@ func TestNodeVoteCycleZeroAllocsAfterGC(t *testing.T) {
 	}
 	if n := total / cycles; n != 0 {
 		t.Errorf("a vote cycle after garbage collection allocates %d per batch (%d in %d cycles)", n, total, cycles)
+	}
+}
+
+// BenchmarkVoteBatch times one node's vote over one 256-trial
+// ROUND_BATCH with no transport, as votePlanes computes it for
+// voteBatch: the seed pass, the sampling, the rule and the plane pack,
+// in ns per trial. Its geometries are the cluster workloads': "tree" is
+// cluster-tree's n = 64 and q = 4 under the 3-bit quantized rule,
+// "short" cluster-short's q = 1 under the 4-bit [ACT18] hash, and
+// "flat" cluster-flat's q = 22 under the [FMO18] 1-bit rule. As in
+// dutbench, even trials sample the uniform distribution and odd trials
+// a far one from the Section 3 hard family, both behind alias samplers.
+// Run it by hand:
+//
+//	go test -run '^$' -bench VoteBatch -cpu 1 ./internal/network
+func BenchmarkVoteBatch(b *testing.B) {
+	const (
+		n     = 64
+		count = 256
+		eps   = 0.5
+	)
+	h, err := dist.NewHardInstance(bits.Len(uint(n))-2, eps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	z, err := dist.RandomPerturbation(h.Ell, rand.New(rand.NewPCG(36, 0xfa4)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	nu, err := h.Perturbed(z)
+	if err != nil {
+		b.Fatal(err)
+	}
+	far, err := dist.NewAliasSampler(nu)
+	if err != nil {
+		b.Fatal(err)
+	}
+	null := uniformSampler(b, n)
+	samplers := make([]dist.Sampler, count)
+	for j := range samplers {
+		samplers[j] = null
+		if j%2 == 1 {
+			samplers[j] = far
+		}
+	}
+	quantized, err := core.NewQuantizedCollisionRule(n, 4, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hash, err := core.NewHashRule(n, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fmo, err := core.NewThresholdTester(core.ThresholdTesterConfig{N: n, K: 256, Q: 22, Eps: eps})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		q    int
+		rule core.LocalRule
+	}{
+		{"tree", 4, quantized},
+		{"short", 1, hash},
+		{"flat", 22, fmo.Local()},
+	} {
+		node, err := NewPlayerNode(7, bc.q, bc.rule, time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
+		stage.put(1, samplers)
+		rb := RoundBatch{Batch: 1, Count: count, Base: 0x5eed}
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := node.votePlanes(rb, stage); err != nil {
+					b.Fatal(err)
+				}
+				rb.First += count
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/trial")
+		})
 	}
 }
 
