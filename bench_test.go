@@ -118,17 +118,6 @@ func BenchmarkSamplers(b *testing.B) {
 			_ = s.Sample(rng)
 		}
 	})
-	b.Run("cdf", func(b *testing.B) {
-		s, err := dist.NewCDFSampler(zipf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := NewRand(3)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = s.Sample(rng)
-		}
-	})
 }
 
 func BenchmarkDiffEvaluator(b *testing.B) {
@@ -266,7 +255,7 @@ func BenchmarkCONGESTRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	tester, err := congest.NewTester(congest.TesterConfig{
-		Graph: g, Root: 0, Q: q, Rule: smp.Local(), T: core.DefaultThresholdT(k),
+		Graph: g, Root: 0, Q: q, Rule: smp.Local(), Referee: smp.RefereeFunc(),
 	})
 	if err != nil {
 		b.Fatal(err)

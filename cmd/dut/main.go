@@ -70,7 +70,7 @@ func run(args []string) int {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   dut test    [-n N] [-eps E] [-mode collision|chisq|threshold|and] [-k K] [-q Q] [-source uniform|zipf|hard|stdin] [-trials T] [-seed S]
-  dut netdemo [-n N] [-eps E] [-k K] [-q Q] [-bits R] [-tcp] [-seed S] [-rounds R] [-minvotes M] [-crash C] [-delay D] [-batch B] [-window W] [-shards S | -aggregators A] [-aggweights W1,W2,...] [-shardseed S]
+  dut netdemo [-n N] [-eps E] [-k K] [-q Q] [-bits R] [-tcp] [-seed S] [-rounds R] [-minvotes M] [-crash C] [-delay D] [-batch B] [-window W] [-shards S] [-aggweights W1,W2,...] [-shardseed S]
   dut bounds  [-n N] [-eps E] [-k K] [-T T] [-r R] [-q Q]
   dut exp     [-run E21|E1,E2,...|all] [-scale S] [-seed S] [-par P] [-out DIR [-csv]] [-list]
   dut verify  [-seed S] [-v]
@@ -95,7 +95,7 @@ func cmdTest(args []string) int {
 	rng := rand.New(rand.NewPCG(*seed, *seed^0x1f3d5b79))
 
 	if *source == "stdin" {
-		return testStdin(*n, *eps, *mode, *q, rng)
+		return testStdin(*n, *eps, *mode)
 	}
 
 	sampler, desc, err := buildSource(*source, *n, *eps, rng)
@@ -228,7 +228,7 @@ func runTester(mode string, n int, eps float64, k, q, trials int, sampler dist.S
 	}
 }
 
-func testStdin(n int, eps float64, mode string, q int, rng *rand.Rand) int {
+func testStdin(n int, eps float64, mode string) int {
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Split(bufio.ScanWords)
 	var samples []int
@@ -248,8 +248,6 @@ func testStdin(n int, eps float64, mode string, q int, rng *rand.Rand) int {
 		fmt.Fprintln(os.Stderr, "dut test: need at least 2 samples on stdin")
 		return 1
 	}
-	_ = q
-	_ = rng
 	var tester centralized.Tester
 	var err error
 	switch mode {
@@ -305,7 +303,6 @@ func cmdNetDemo(args []string) int {
 		batch    = fs.Int("batch", 0, "trials per ROUND_BATCH wire frame (0 = one trial per frame)")
 		window   = fs.Int("window", 1, "batches kept in flight per session (needs -batch)")
 		shards   = fs.Int("shards", 0, "L1 aggregator shards between players and root (0 or 1 = flat star)")
-		aggs     = fs.Int("aggregators", 0, "alias for -shards: number of L1 aggregators in the referee tree")
 		aggW     = fs.String("aggweights", "", "comma-separated relative aggregator capacities, one per shard (empty = uniform)")
 		shardS   = fs.Uint64("shardseed", 0, "shuffle players across shards with this seed (0 = contiguous ranges)")
 	)
@@ -342,13 +339,6 @@ func cmdNetDemo(args []string) int {
 	if *bits < 1 {
 		fmt.Fprintln(os.Stderr, "dut netdemo: -bits must be at least 1")
 		return 2
-	}
-	if *aggs != 0 {
-		if *shards != 0 && *shards != *aggs {
-			fmt.Fprintf(os.Stderr, "dut netdemo: -shards %d and -aggregators %d disagree; they name the same tier\n", *shards, *aggs)
-			return 2
-		}
-		*shards = *aggs
 	}
 	var weights []int
 	if *aggW != "" {

@@ -296,8 +296,9 @@ func NewRand(seed uint64) *rand.Rand {
 type (
 	// Graph is an undirected communication graph for CONGEST deployments.
 	Graph = congest.Graph
-	// CONGESTTester runs the threshold tester by BFS-tree aggregation over
-	// a Graph; it implements Protocol.
+	// CONGESTTester runs a local rule over a Graph and decides with a
+	// Referee that counts the votes (a threshold rule, or a sum over the
+	// rule's width) by BFS-tree aggregation; it implements Protocol.
 	CONGESTTester = congest.Tester
 	// CONGESTTesterConfig configures NewCONGESTTester.
 	CONGESTTesterConfig = congest.TesterConfig
@@ -317,11 +318,11 @@ type (
 	Backend = engine.Backend
 	// RoundSpec names one trial for a Backend.
 	RoundSpec = engine.RoundSpec
-	// BatchBackend is the optional batched extension of Backend: the
-	// driver hands it whole slices of trials (EngineOptions.Batch /
-	// EngineOptions.Window) so a backend can pack many trials per wire
-	// frame and keep several batches in flight, with verdicts still
-	// bit-identical to the unbatched run.
+	// BatchBackend is the batched extension of Backend, with one
+	// scratch per driver worker: the driver hands it whole slices of
+	// trials (EngineOptions.Batch / EngineOptions.Window) so a backend
+	// can pack many trials per wire frame and keep several batches in
+	// flight, with verdicts still bit-identical to the unbatched run.
 	BatchBackend = engine.BatchBackend
 	// RoundResult is the uniform per-round accounting every backend
 	// reports: the verdict, votes and stragglers, samples, and a CONGEST
@@ -392,7 +393,8 @@ var (
 	CompleteGraph   = congest.Complete
 	GridGraph       = congest.Grid
 	RandomTreeGraph = congest.RandomTree
-	// NewCONGESTTester deploys a single-bit local rule over a graph with
-	// BFS-tree vote aggregation.
+	// NewCONGESTTester deploys a local rule and a counting Referee (by
+	// default the DefaultThresholdT threshold rule over a single-bit
+	// rule) over a graph with BFS-tree vote aggregation.
 	NewCONGESTTester = congest.NewTester
 )

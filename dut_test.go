@@ -275,7 +275,7 @@ func TestFacadeCONGESTTester(t *testing.T) {
 		t.Fatal(err)
 	}
 	tester, err := NewCONGESTTester(CONGESTTesterConfig{
-		Graph: grid, Root: 0, Q: q, Rule: smp.Local(), T: DefaultThresholdT(k),
+		Graph: grid, Root: 0, Q: q, Rule: smp.Local(), Referee: smp.RefereeFunc(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,18 +27,19 @@ func main() {
 	}
 	q := dut.RecommendedThresholdSamples(n, k, eps)
 
-	// Reuse the SMP threshold tester's local rule; the grid replaces the
-	// referee with BFS-tree aggregation rooted at a corner node.
+	// Reuse the SMP threshold tester's local rule and referee; the grid
+	// evaluates the referee by BFS-tree aggregation rooted at a corner
+	// node.
 	smp, err := dut.NewThresholdTester(dut.ThresholdTesterConfig{N: n, K: k, Q: q, Eps: eps})
 	if err != nil {
 		log.Fatal(err)
 	}
 	tester, err := dut.NewCONGESTTester(dut.CONGESTTesterConfig{
-		Graph: grid,
-		Root:  0,
-		Q:     q,
-		Rule:  smp.Local(),
-		T:     dut.DefaultThresholdT(k),
+		Graph:   grid,
+		Root:    0,
+		Q:       q,
+		Rule:    smp.Local(),
+		Referee: smp.RefereeFunc(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -44,7 +44,7 @@ func allocTester(t *testing.T, build func() (*Graph, error)) *Tester {
 		}
 		return core.Reject, nil
 	})
-	tester, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 3, Rule: rule, T: 2})
+	tester, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 3, Rule: rule, Referee: thresholdReferee(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,15 @@
 //     are event-driven: after round 0 only the nodes with mail or a wake
 //     request step, and inboxes and outboxes carry one mail bit per
 //     neighbor, so a round delivers only the messages that were sent.
-//   - UniformityProtocol: the tree-aggregation tester — build a BFS tree
-//     from a root, have every node vote with the same local collision rule
-//     the SMP testers use, convergecast the rejection count, apply the
-//     T-threshold rule at the root, and broadcast the verdict. Round
+//   - Tester: the tree-aggregation tester — build a BFS tree from a root,
+//     have every node vote with the same local rule the SMP testers use,
+//     convergecast the count the referee decides on (rejections under a
+//     threshold rule, message values under an r-bit sum), decide at the
+//     root with the SMP's referee, and broadcast the verdict. Round
 //     complexity O(diameter); every message fits in O(log k) bits.
 //
 // The equivalence tested in this package — the CONGEST tester accepts
-// exactly when the SMP threshold tester's referee would on the same votes —
-// is the constructive form of the reduction the paper invokes: lower
-// bounds proved for the referee model transfer to CONGEST.
+// exactly when the SMP's referee would on the same votes — is the
+// constructive form of the reduction the paper invokes: lower bounds
+// proved for the referee model transfer to CONGEST.
 package congest

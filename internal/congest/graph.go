@@ -317,17 +317,3 @@ func RandomTree(n int, rng *rand.Rand) (*Graph, error) {
 	edges = append(edges, [2]int{last[0], last[1]})
 	return NewGraph(n, edges)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
@@ -292,31 +293,45 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 
 // Tester runs distributed uniformity testing in the CONGEST model: the
 // nodes of a connected graph each draw q samples, vote with a shared
-// core.LocalRule, aggregate the votes up a BFS tree rooted at Root, apply
-// the threshold rule there, and broadcast the verdict. It implements
-// core.Protocol, and core.BackendFor hands it to the engine through
-// NewBackend, so the same measurement harness drives it.
+// core.LocalRule, aggregate the votes up a BFS tree rooted at Root,
+// decide there with a core.Referee, as the SMP and the cluster do, and
+// broadcast the verdict. It implements core.Protocol, and
+// core.BackendFor hands it to the engine through NewBackend, so the same
+// measurement harness drives it.
 //
-// The convergecast sums a per-node score. With a single-bit rule (the
-// classic mode) the score is the rejection indicator — 1 iff the node
-// voted reject — and the root rejects iff at least T nodes rejected,
-// matching core.BitReferee{ThresholdRule{T}}. With an r-bit rule the
-// score is the raw message value and the root rejects iff the values
-// sum to at least T, matching core.SumThresholdReferee{Bits: r, T: T};
-// this is how r-bit votes ride the BFS tree without widening any edge
-// beyond the value sum's bit length (validated against MessageBits at
-// construction).
+// The convergecast sums a per-node score, so the referee must be a count
+// of the votes (core.CountShape), which NewTester classifies once. Under
+// a threshold rule the score is the rejection indicator — 1 iff the
+// node's bit 0 votes reject — and the root rejects iff at least T nodes
+// rejected. Under a core.SumThresholdReferee of the rule's width r the
+// score is the raw message value and the root rejects iff the values sum
+// to at least T; this is how r-bit votes ride the BFS tree without
+// widening any edge beyond the value sum's bit length (validated against
+// MessageBits at construction). Either way the root decides every slate
+// as the referee's Decide does, a T beyond every possible count included:
+// that referee accepts every slate.
 type Tester struct {
 	top  *topology // the graph's adjacency, shared by every worker's scratch
 	root int
 	q    int
 	rule core.LocalRule
-	bits int // rule.Bits(), read once at construction
-	t    int
-	sum  bool
+	bits int  // rule.Bits(), read once at construction
+	t    int  // the referee's count threshold
+	sum  bool // scores are message values, not rejection indicators
 }
 
 var _ core.Protocol = (*Tester)(nil)
+
+// Referee errors: NewTester refuses a referee that no sum of the nodes'
+// scores decides.
+var (
+	// ErrOpaqueReferee is a referee that is not a count of the votes:
+	// neither a threshold rule nor a sum referee.
+	ErrOpaqueReferee = errors.New("congest: referee is not a count of the votes")
+	// ErrRefereeWidth is a sum referee whose message width is not the
+	// rule's.
+	ErrRefereeWidth = errors.New("congest: sum referee width is not the rule's")
+)
 
 // TesterConfig configures NewTester.
 type TesterConfig struct {
@@ -326,22 +341,18 @@ type TesterConfig struct {
 	Root int
 	// Q is the per-node sample count.
 	Q int
-	// Rule is the shared local rule. A single-bit rule aggregates
-	// rejection counts (the classic mode); a wider rule implies Sum.
+	// Rule is the shared local rule.
 	Rule core.LocalRule
-	// T is the threshold applied at the root; 0 selects
-	// core.DefaultThresholdT(k) in the classic mode. Sum mode has no
-	// sensible default and requires an explicit T (see
-	// core.QuantizedSumThreshold for the collision rule's).
-	T int
-	// Sum selects value-sum aggregation: each node's convergecast score
-	// is its raw message value instead of its rejection indicator, and
-	// the root rejects iff the sum is at least T. Implied (and required)
-	// when Rule.Bits() > 1.
-	Sum bool
+	// Referee decides at the root. It must be a count of the votes: a
+	// core.BitReferee over AND, OR, majority or a threshold rule, or a
+	// core.SumThresholdReferee of the rule's width. Nil selects the
+	// threshold rule at core.DefaultThresholdT(n) for a single-bit rule;
+	// a wider rule needs an explicit referee (see
+	// core.QuantizedSumThreshold for the collision rule's sum threshold).
+	Referee core.Referee
 }
 
-// NewTester validates the configuration.
+// NewTester validates the configuration and classifies the referee.
 func NewTester(cfg TesterConfig) (*Tester, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("congest: nil graph")
@@ -362,33 +373,28 @@ func NewTester(cfg TesterConfig) (*Tester, error) {
 	if msgBits < 1 || msgBits > 64 {
 		return nil, fmt.Errorf("congest: rule uses %d message bits, want 1..64", msgBits)
 	}
-	sum := cfg.Sum || msgBits > 1
 	n := cfg.Graph.N()
-	t := cfg.T
-	var maxTotal uint64
-	if sum {
-		// Every convergecast value (a subtree's score sum, at most
-		// n*(2^r-1)) must fit the edge bandwidth after the tag shift.
-		if msgBits+bits.Len(uint(n))+tagBits > MessageBits {
-			return nil, fmt.Errorf("congest: score sums over %d nodes of %d-bit values exceed the %d-bit edge bandwidth",
-				n, msgBits, MessageBits)
+	referee := cfg.Referee
+	if referee == nil {
+		if msgBits > 1 {
+			return nil, fmt.Errorf("congest: a %d-bit rule needs an explicit referee", msgBits)
 		}
-		maxTotal = uint64(n) * (1<<msgBits - 1)
-		if t == 0 {
-			return nil, fmt.Errorf("congest: sum aggregation needs an explicit threshold T")
-		}
-		if t < 1 || uint64(t) > maxTotal+1 {
-			return nil, fmt.Errorf("congest: sum threshold %d outside [1,%d]", t, maxTotal+1)
-		}
-	} else {
-		if t == 0 {
-			t = core.DefaultThresholdT(n)
-		}
-		if t < 1 || t > n {
-			return nil, fmt.Errorf("congest: threshold %d outside [1,%d]", t, n)
-		}
+		referee = core.BitReferee{Rule: core.ThresholdRule{T: core.DefaultThresholdT(n)}}
 	}
-	return &Tester{top: newTopology(cfg.Graph), root: cfg.Root, q: cfg.Q, rule: cfg.Rule, bits: msgBits, t: t, sum: sum}, nil
+	t, _, flip, ok := core.CountShape(referee, n, msgBits)
+	if !ok {
+		if sr, isSum := referee.(core.SumThresholdReferee); isSum && sr.Bits != msgBits {
+			return nil, fmt.Errorf("%w: %d-bit sums over a %d-bit rule", ErrRefereeWidth, sr.Bits, msgBits)
+		}
+		return nil, fmt.Errorf("%w: %T", ErrOpaqueReferee, referee)
+	}
+	// Every convergecast value (a subtree's score sum, at most
+	// n*(2^r-1)) must fit the edge bandwidth after the tag shift.
+	if !flip && msgBits+bits.Len(uint(n))+tagBits > MessageBits {
+		return nil, fmt.Errorf("congest: score sums over %d nodes of %d-bit values exceed the %d-bit edge bandwidth",
+			n, msgBits, MessageBits)
+	}
+	return &Tester{top: newTopology(cfg.Graph), root: cfg.Root, q: cfg.Q, rule: cfg.Rule, bits: msgBits, t: t, sum: !flip}, nil
 }
 
 // Players implements core.Protocol.

@@ -47,7 +47,7 @@ func TestNewTesterValidation(t *testing.T) {
 		{Graph: g, Root: 4, Q: 1, Rule: rule},
 		{Graph: g, Root: 0, Q: -1, Rule: rule},
 		{Graph: g, Root: 0, Q: 1, Rule: nil},
-		{Graph: g, Root: 0, Q: 1, Rule: rule, T: 5},
+		{Graph: g, Root: 0, Q: 1, Rule: maxValueRule{3}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewTester(cfg); err == nil {
@@ -55,12 +55,60 @@ func TestNewTesterValidation(t *testing.T) {
 		}
 	}
 	disc, _ := NewGraph(3, [][2]int{{0, 1}})
-	if _, err := NewTester(TesterConfig{Graph: disc, Root: 0, Q: 1, Rule: rule, T: 1}); err == nil {
+	if _, err := NewTester(TesterConfig{Graph: disc, Root: 0, Q: 1, Rule: rule, Referee: thresholdReferee(1)}); err == nil {
 		t.Error("disconnected graph accepted")
 	}
-	multi := core.RuleFunc(func(int, []int, uint64, *rand.Rand) (core.Message, error) { return 0, nil })
-	_ = multi
+	// The convergecast evaluates counts only: an opaque referee and a sum
+	// of another width than the rule's are refused by name.
+	for _, tc := range []struct {
+		rule    core.LocalRule
+		referee core.Referee
+		want    error
+	}{
+		{rule, &core.CollisionReferee{}, ErrOpaqueReferee},
+		{rule, core.BitReferee{Rule: core.FuncRule{F: func([]bool) bool { return true }}}, ErrOpaqueReferee},
+		{rule, core.SumThresholdReferee{Bits: 3, T: 2}, ErrRefereeWidth},
+		{maxValueRule{3}, core.SumThresholdReferee{Bits: 1, T: 2}, ErrRefereeWidth},
+	} {
+		_, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 1, Rule: tc.rule, Referee: tc.referee})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("referee %#v over a %d-bit rule: error %v, want %v", tc.referee, tc.rule.Bits(), err, tc.want)
+		}
+	}
+	// A threshold beyond every possible count is legal, as it is to the
+	// SMP's referee, and accepts every slate: here four rejections, and
+	// four votes of 7.
+	for _, tc := range []struct {
+		rule    core.LocalRule
+		referee core.Referee
+	}{
+		{rule, thresholdReferee(9)},
+		{maxValueRule{3}, core.SumThresholdReferee{Bits: 3, T: 1000}},
+	} {
+		tester, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 1, Rule: tc.rule, Referee: tc.referee})
+		if err != nil {
+			t.Fatalf("referee %#v: %v", tc.referee, err)
+		}
+		if ok, err := tester.RunSeeded(uniformSampler(t, 4), 1); err != nil || !ok {
+			t.Errorf("referee %#v: verdict %v, error %v; want accept", tc.referee, ok, err)
+		}
+	}
 }
+
+// thresholdReferee is the SMP's T-threshold referee.
+func thresholdReferee(T int) core.Referee {
+	return core.BitReferee{Rule: core.ThresholdRule{T: T}}
+}
+
+// maxValueRule is an r-bit rule whose every node votes the largest value
+// of its width, 2^bits-1, ignoring samples and coins.
+type maxValueRule struct{ bits int }
+
+func (r maxValueRule) Message(int, []int, uint64, *rand.Rand) (core.Message, error) {
+	return core.Message(1<<r.bits - 1), nil
+}
+
+func (r maxValueRule) Bits() int { return r.bits }
 
 func TestTreeAggregationCountsExactly(t *testing.T) {
 	// For every graph shape and every vote pattern on <= 6 nodes, the root
@@ -89,7 +137,7 @@ func TestTreeAggregationCountsExactly(t *testing.T) {
 			for _, T := range []int{1, 3, 6} {
 				for _, root := range []int{0, 5} {
 					tester, err := NewTester(TesterConfig{
-						Graph: g, Root: root, Q: 0, Rule: fixedVoteRule(accepts), T: T,
+						Graph: g, Root: root, Q: 0, Rule: fixedVoteRule(accepts), Referee: thresholdReferee(T),
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -151,13 +199,13 @@ func TestRoundsScaleWithDiameter(t *testing.T) {
 	// constant.
 	rule := fixedVoteRule(make([]bool, 64))
 	long, _ := Path(64)
-	pathTester, err := NewTester(TesterConfig{Graph: long, Root: 0, Q: 0, Rule: fixedVoteRule(make([]bool, 64)), T: 1})
+	pathTester, err := NewTester(TesterConfig{Graph: long, Root: 0, Q: 0, Rule: fixedVoteRule(make([]bool, 64)), Referee: thresholdReferee(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := runOnce(t, pathTester, 2)
 	star, _ := Star(64)
-	starTester, err := NewTester(TesterConfig{Graph: star, Root: 0, Q: 0, Rule: rule, T: 1})
+	starTester, err := NewTester(TesterConfig{Graph: star, Root: 0, Q: 0, Rule: rule, Referee: thresholdReferee(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +242,7 @@ func TestMessageCountLinearInEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tester, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 0, Rule: fixedVoteRule(make([]bool, 36)), T: 1})
+	tester, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 0, Rule: fixedVoteRule(make([]bool, 36)), Referee: thresholdReferee(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +270,7 @@ func TestCONGESTMatchesSMPTester(t *testing.T) {
 		t.Fatal(err)
 	}
 	congest, err := NewTester(TesterConfig{
-		Graph: g, Root: 0, Q: q, Rule: smp.Local(), T: core.DefaultThresholdT(k),
+		Graph: g, Root: 0, Q: q, Rule: smp.Local(), Referee: smp.RefereeFunc(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +325,7 @@ func evenTester(t *testing.T) *Tester {
 		t.Fatal(err)
 	}
 	rule := allocTester(t, func() (*Graph, error) { return g, nil }).rule
-	tester, err := NewTester(TesterConfig{Graph: g, Root: 2, Q: 3, Rule: rule, T: 3})
+	tester, err := NewTester(TesterConfig{Graph: g, Root: 2, Q: 3, Rule: rule, Referee: thresholdReferee(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +418,7 @@ func TestRunSeededConcurrent(t *testing.T) {
 
 func TestTesterRunValidation(t *testing.T) {
 	g, _ := Path(3)
-	tester, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 1, Rule: fixedVoteRule(make([]bool, 3)), T: 1})
+	tester, err := NewTester(TesterConfig{Graph: g, Root: 0, Q: 1, Rule: fixedVoteRule(make([]bool, 3)), Referee: thresholdReferee(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +453,7 @@ func TestTesterOnRandomTopologies(t *testing.T) {
 		}
 		T := 1 + rng.IntN(n)
 		root := rng.IntN(n)
-		tester, err := NewTester(TesterConfig{Graph: g, Root: root, Q: 0, Rule: fixedVoteRule(accepts), T: T})
+		tester, err := NewTester(TesterConfig{Graph: g, Root: root, Q: 0, Rule: fixedVoteRule(accepts), Referee: thresholdReferee(T)})
 		if err != nil {
 			t.Fatal(err)
 		}

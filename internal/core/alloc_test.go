@@ -102,9 +102,9 @@ func TestThresholdTesterScratchRoundAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, ok := b.(engine.ScratchBackend)
+		sb, ok := b.(engine.BatchBackend)
 		if !ok {
-			t.Fatal("SMP backend does not implement engine.ScratchBackend")
+			t.Fatal("SMP backend does not implement engine.BatchBackend")
 		}
 		scratch := sb.NewScratch()
 		trial := 0

@@ -32,9 +32,6 @@ func BackendFor(p Protocol) (engine.Backend, error) {
 	}
 	k := p.Players()
 	samples := k * p.MaxSamplesPerPlayer()
-	if ts, ok := p.(interface{ TotalSamples() int }); ok {
-		samples = ts.TotalSamples()
-	}
 	return &engine.Loop[*engine.ReusableRNG]{K: k, Scratch: engine.NewReusableRNG,
 		Trial: func(_ context.Context, rng *engine.ReusableRNG, spec engine.RoundSpec) (engine.RoundResult, error) {
 			accept, err := p.Run(spec.Sampler, rng.SeedNode(engine.SharedSeed(spec.Seed, spec.Trial), k))

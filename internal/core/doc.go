@@ -30,9 +30,10 @@
 //     and are lifted by BitReferee, which decides the four stock rules by
 //     counting rejections (no allocation) and hands any other rule its
 //     []bool. SumThresholdReferee, the r-bit tester's referee, sums the
-//     message values. Both are counts, so the cluster decides them
-//     word-parallel from ThresholdShape and SumShape; any other referee
-//     is decided trial by trial.
+//     message values. Both are counts (CountShape), so the cluster
+//     decides them word-parallel and the CONGEST tester sums them up its
+//     BFS tree; the cluster decides any other referee trial by trial, and
+//     the CONGEST tester refuses it.
 //   - SMP: the simultaneous-message protocol runner, supporting
 //     heterogeneous per-player sample counts (the asymmetric-cost model of
 //     Section 6.2) and shared randomness (a per-run public seed).

@@ -84,8 +84,8 @@ func UnpackPlaneWord(msgs []Message, stride int, planes []uint64, words, w, bits
 // to at least T. For r = 1 it degenerates to counting raised flags —
 // note the polarity is opposite to the 1-bit ThresholdRule convention,
 // where bit 1 means accept. Decide sums the messages with no allocation;
-// the networked referee decides whole batches of it word-parallel, from
-// SumShape.
+// the networked referee decides whole batches of it word-parallel, and
+// the CONGEST tester sums it up its BFS tree, both from CountShape.
 type SumThresholdReferee struct {
 	// Bits is the message width r in [1,64] every player must honor.
 	Bits int
@@ -139,21 +139,25 @@ func (r SumThresholdReferee) Decide(msgs []Message) (bool, error) {
 // the received values only.
 func (r SumThresholdReferee) Absentee() AbsenteePolicy { return AbsenteeOmit }
 
-// SumShape classifies a referee as a T-sum-threshold rule over k r-bit
-// messages — the r-bit counterpart of ThresholdShape. When ok, the
-// referee's Decide over any full k-message slate equals "reject iff the
-// values sum to at least t", which lets the networked referee evaluate a
-// whole batch word-parallel over the packed value planes. Opaque
-// referees return ok = false and fall back to per-trial decoding.
-func SumShape(r Referee, k int) (t, msgBits int, ok bool) {
-	if k < 1 {
-		return 0, 0, false
+// CountShape classifies a referee as a count over k messages of the
+// rule's width msgBits: when ok, the referee's Decide over any full
+// k-message slate equals "reject iff the messages' values sum to at least
+// t". A message's value is its low valueBits bits, or under flip the
+// complement of bit 0, so that a threshold rule counts rejections. The
+// threshold shape (ThresholdShape: valueBits 1, flip) is tried first,
+// then a SumThresholdReferee of width msgBits. Any other referee, a sum
+// of another width included, is opaque and returns ok = false. The
+// cluster's counter decide and the CONGEST tester's convergecast both
+// evaluate this shape; each backend checks its own width limit.
+func CountShape(r Referee, k, msgBits int) (t, valueBits int, flip, ok bool) {
+	if t, ok := ThresholdShape(r, k); ok {
+		return t, 1, true, true
 	}
 	sr, isSum := r.(SumThresholdReferee)
-	if !isSum || sr.validate() != nil {
-		return 0, 0, false
+	if !isSum || k < 1 || sr.Bits != msgBits || sr.validate() != nil {
+		return 0, 0, false, false
 	}
-	return sr.T, sr.Bits, true
+	return sr.T, sr.Bits, false, true
 }
 
 // QuantizedCollisionRule is the Theorem 6.4 local rule: report the

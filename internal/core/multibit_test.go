@@ -172,3 +172,57 @@ func BenchmarkPackPlaneWord(b *testing.B) {
 		})
 	}
 }
+
+// TestCountShape: CountShape classifies the threshold family and a sum
+// referee of the rule's width as counts, each with a count that decides
+// every random full slate as the referee's Decide does, and every other
+// referee, a sum of another width included, as opaque.
+func TestCountShape(t *testing.T) {
+	rng := rand.New(rand.NewPCG(38, 0xc0))
+	for _, k := range []int{1, 2, 5, 8} {
+		for _, msgBits := range []int{1, 3} {
+			for _, tc := range []struct {
+				referee Referee
+				count   bool
+			}{
+				{BitReferee{Rule: ANDRule{}}, true},
+				{BitReferee{Rule: ORRule{}}, true},
+				{BitReferee{Rule: MajorityRule{}}, true},
+				{BitReferee{Rule: ThresholdRule{T: 2}}, true},
+				{BitReferee{Rule: ThresholdRule{T: k + 3}}, true},
+				{BitReferee{Rule: ThresholdRule{T: 0}}, false},
+				{BitReferee{Rule: FuncRule{F: func([]bool) bool { return true }}}, false},
+				{SumThresholdReferee{Bits: msgBits, T: k}, true},
+				{SumThresholdReferee{Bits: msgBits, T: 1000}, true},
+				{SumThresholdReferee{Bits: msgBits, T: 0}, false},
+				{SumThresholdReferee{Bits: msgBits + 1, T: k}, false},
+				{&CollisionReferee{}, false},
+			} {
+				threshold, valueBits, flip, ok := CountShape(tc.referee, k, msgBits)
+				if ok != tc.count {
+					t.Errorf("k=%d, %d-bit rule: CountShape(%#v) ok = %v", k, msgBits, tc.referee, ok)
+					continue
+				}
+				msgs := make([]Message, k)
+				for trial := 0; ok && trial < 64; trial++ {
+					count := 0
+					for i := range msgs {
+						msgs[i] = Message(rng.Uint64() & (1<<msgBits - 1))
+						v := msgs[i] & (1<<valueBits - 1)
+						if flip {
+							v = ^msgs[i] & 1
+						}
+						count += int(v)
+					}
+					want, err := tc.referee.Decide(msgs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := count < threshold; got != want {
+						t.Fatalf("k=%d, %#v over %#x: count %d < %d is %v, Decide %v", k, tc.referee, msgs, count, threshold, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -6,17 +6,18 @@
 //
 // # Batch sampling
 //
-// Every hot path draws through a BatchSampler's SampleInto, which fills
-// a caller-owned buffer from a *PCG: math/rand/v2's PCG generator word
-// for word, owned by this package so that a kernel can hold the state in
-// locals for a whole batch. A kernel consumes exactly the words that as
-// many Sample calls on rand.New(src) would, so batching never changes a
-// seeded stream. The alias kernel computes a sample's index and coin
-// states from one starting state (the coin's through two-step LCG
-// constants) and tests the coin as an integer against the cell's keep
-// threshold. Over a full table, which the uniform distribution yields,
-// it reads only the index words: the even and the odd draws' index
-// states form two chains, each moved four LCG steps by one multiply-add.
+// Every Sampler is a batch kernel, and every hot path draws through its
+// SampleInto, which fills a caller-owned buffer from a *PCG: math/rand/v2's
+// PCG generator word for word, owned by this package so that a kernel can
+// hold the state in locals for a whole batch. A kernel consumes exactly
+// the words that as many Sample calls on rand.New(src) would, so batching
+// never changes a seeded stream. AliasSampler is the package's one
+// sampler. Its kernel computes a sample's index and coin states from one
+// starting state (the coin's through two-step LCG constants) and tests
+// the coin as an integer against the cell's keep threshold. Over a full
+// table, which the uniform distribution yields, it reads only the index
+// words: the even and the odd draws' index states form two chains, each
+// moved four LCG steps by one multiply-add.
 //
 // # Domain conventions for the hard family
 //

@@ -5,24 +5,16 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
 )
 
-// Sampler draws iid samples from a fixed distribution. Implementations are
-// safe for concurrent use as long as each goroutine supplies its own
-// *rand.Rand (its own *PCG, for a BatchSampler's kernel).
-type Sampler interface {
-	// Sample draws one element.
-	Sample(rng *rand.Rand) int
-	// N returns the domain size.
-	N() int
-}
-
-// BatchSampler is the batched extension of Sampler used on every hot
-// path: one SampleInto fills a caller-owned buffer without allocating,
-// drawing straight from the package's PCG. Each kernel loads the
-// generator's state into locals once per call, steps it there, and
-// stores it once at the end.
+// Sampler draws iid samples from a fixed distribution. Implementations
+// are safe for concurrent use as long as each goroutine supplies its own
+// *rand.Rand or *PCG.
+//
+// Every sampler is a batch kernel: SampleInto fills a caller-owned buffer
+// without allocating, drawing straight from the package's PCG, and every
+// hot path draws through it. A kernel loads the generator's state into
+// locals once per call, steps it there, and stores it once at the end.
 //
 // Stream compatibility contract: for any PCG state, SampleInto(dst, src)
 // must consume exactly the same draws from src — and therefore produce
@@ -33,18 +25,14 @@ type Sampler interface {
 // sampler_batch_test.go enforce this for every implementation in the
 // package, and the engine's cross-backend bit-identical verdict tests
 // depend on it.
-type BatchSampler interface {
-	Sampler
+type Sampler interface {
+	// Sample draws one element.
+	Sample(rng *rand.Rand) int
 	// SampleInto fills dst with iid samples drawn from src.
 	SampleInto(dst []int, src *PCG)
 }
 
-// Verify interface compliance.
-var (
-	_ BatchSampler = (*AliasSampler)(nil)
-	_ BatchSampler = (*CDFSampler)(nil)
-	_ BatchSampler = NopSampler{}
-)
+var _ Sampler = (*AliasSampler)(nil)
 
 // AliasSampler draws samples in O(1) time using Vose's alias method, after
 // O(n) preprocessing. It is the default sampler throughout the repository.
@@ -139,16 +127,13 @@ func vose(p []float64) ([]aliasCell, []float64) {
 	return cells, prob
 }
 
-// N returns the domain size.
-func (a *AliasSampler) N() int { return len(a.cells) }
-
 // Sample draws one element in O(1).
 func (a *AliasSampler) Sample(rng *rand.Rand) int {
 	i := rng.IntN(len(a.cells))
 	return a.cells[i].pick(i, rng.Uint64())
 }
 
-// SampleInto implements BatchSampler: Sample's two words per element.
+// SampleInto implements Sampler: Sample's two words per element.
 // A draw's index word comes from its first state and its coin word from
 // its second; both states are computed from the draw's starting state,
 // the second with the two-step constants, so the loop carries one
@@ -233,71 +218,6 @@ func (c aliasCell) pick(i int, w uint64) int {
 	return k
 }
 
-// CDFSampler draws samples by binary search over the cumulative distribution
-// in O(log n) time. It serves as the correctness oracle for AliasSampler and
-// as the ablation comparison point in the benchmarks.
-type CDFSampler struct {
-	cdf []float64
-}
-
-// NewCDFSampler precomputes the cumulative distribution of d.
-func NewCDFSampler(d Dist) (*CDFSampler, error) {
-	n := d.N()
-	if n == 0 {
-		return nil, fmt.Errorf("dist: CDF sampler over empty domain")
-	}
-	cdf := make([]float64, n)
-	var acc float64
-	for i, v := range d.p {
-		acc += v
-		cdf[i] = acc
-	}
-	cdf[n-1] = 1 // absorb rounding drift so search never falls off the end
-	return &CDFSampler{cdf: cdf}, nil
-}
-
-// N returns the domain size.
-func (c *CDFSampler) N() int { return len(c.cdf) }
-
-// Sample draws one element in O(log n).
-func (c *CDFSampler) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	return sort.SearchFloat64s(c.cdf, u)
-}
-
-// SampleInto implements BatchSampler.
-//
-//dut:hotpath
-func (c *CDFSampler) SampleInto(dst []int, src *PCG) {
-	hi, lo := src.hi, src.lo
-	for j := range dst {
-		hi, lo = pcgStep(hi, lo)
-		dst[j] = sort.SearchFloat64s(c.cdf, unitFloat(pcgOut(hi, lo)))
-	}
-	src.hi, src.lo = hi, lo
-}
-
-// NopSampler is the shared no-op sampler for backends whose players draw
-// their samples elsewhere (e.g. a networked session, where each node owns
-// its real sampler): it satisfies the engine's non-nil sampler contract,
-// consumes no randomness, and always yields element 0 of a size-1 domain.
-type NopSampler struct{}
-
-// Sample implements Sampler.
-func (NopSampler) Sample(*rand.Rand) int { return 0 }
-
-// SampleInto implements BatchSampler.
-//
-//dut:hotpath
-func (NopSampler) SampleInto(dst []int, _ *PCG) {
-	for j := range dst {
-		dst[j] = 0
-	}
-}
-
-// N implements Sampler.
-func (NopSampler) N() int { return 1 }
-
 // SampleN draws q iid samples from s into a fresh slice.
 func SampleN(s Sampler, q int, rng *rand.Rand) []int {
 	out := make([]int, q)
@@ -307,18 +227,12 @@ func SampleN(s Sampler, q int, rng *rand.Rand) []int {
 
 // SampleInto fills buf with iid samples by len(buf) successive Sample
 // calls on rng, without allocating. It is the per-element reference path:
-// a BatchSampler's kernel consumes the same draws when handed the PCG
-// behind rng, so the two are interchangeable under a fixed seed.
+// the sampler's kernel consumes the same draws when handed the PCG behind
+// rng, so the two are interchangeable under a fixed seed.
 func SampleInto(s Sampler, buf []int, rng *rand.Rand) {
 	for i := range buf {
 		buf[i] = s.Sample(rng)
 	}
-}
-
-// unitFloat maps one draw to [0, 1) exactly as rand.Rand.Float64 does:
-// its low 53 bits over 2^53.
-func unitFloat(x uint64) float64 {
-	return float64(x<<11>>11) / (1 << 53)
 }
 
 // Histogram counts occurrences of each element among the samples over a

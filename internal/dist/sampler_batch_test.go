@@ -9,26 +9,14 @@ import (
 	"testing"
 )
 
-// batchSamplers builds one instance of every BatchSampler in the package
-// over a common skewed distribution, and, as "uniform", the alias
-// sampler over U_n: the full table every backend samples the uniform
-// distribution from.
-func batchSamplers(t *testing.T, n int) map[string]BatchSampler {
+// batchSamplers builds, over a common skewed distribution, the alias
+// sampler, and, as "uniform", the alias sampler over U_n: the full table
+// every backend samples the uniform distribution from.
+func batchSamplers(t *testing.T, n int) map[string]Sampler {
 	t.Helper()
-	d := skewed(t, n)
-	alias, err := NewAliasSampler(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdf, err := NewCDFSampler(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]BatchSampler{
-		"alias":   alias,
-		"cdf":     cdf,
+	return map[string]Sampler{
+		"alias":   mustAliasSampler(t, skewed(t, n)),
 		"uniform": mustAliasSampler(t, mustUniform(t, n)),
-		"nop":     NopSampler{},
 	}
 }
 
@@ -53,12 +41,12 @@ func skewed(t testing.TB, n int) Dist {
 var contractDomains = []int{64, 100}
 
 // TestSampleIntoMatchesSample is the stream-compatibility property test:
-// for every BatchSampler, domain, seed, and batch-size split, the kernel
+// for every sampler, domain, seed, and batch-size split, the kernel
 // must consume the same PCG draws — and yield the same elements — as
 // repeated Sample on a rand.Rand over math/rand/v2's PCG, so every case
 // also checks PCG against the stdlib generator.
 func TestSampleIntoMatchesSample(t *testing.T) {
-	for _, name := range []string{"alias", "cdf", "uniform", "nop"} {
+	for _, name := range []string{"alias", "uniform"} {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range contractDomains {
 				checkStreamContract(t, batchSamplers(t, n)[name], 257)
@@ -139,7 +127,7 @@ func FuzzAliasKernel(f *testing.F) {
 // checkStreamContract checks s's kernel against repeated Sample over
 // eight seeds and several batch splits of total draws: single-element
 // and large batches and a ragged tail.
-func checkStreamContract(t *testing.T, s BatchSampler, total int) {
+func checkStreamContract(t *testing.T, s Sampler, total int) {
 	t.Helper()
 	for seed := uint64(0); seed < 8; seed++ {
 		checkStreamFrom(t, s, PCG{hi: seed, lo: seed ^ 0xabcdef}, total, 1, 3, 16, total)
@@ -150,7 +138,7 @@ func checkStreamContract(t *testing.T, s BatchSampler, total int) {
 // math/rand/v2's PCG from state start: total draws, filled through
 // batches of each of the given sizes, must yield the same elements and
 // leave the generator in the same state.
-func checkStreamFrom(t testing.TB, s BatchSampler, start PCG, total int, chunks ...int) {
+func checkStreamFrom(t testing.TB, s Sampler, start PCG, total int, chunks ...int) {
 	t.Helper()
 	want := make([]int, total)
 	ref := rand.NewPCG(start.hi, start.lo)
@@ -167,12 +155,12 @@ func checkStreamFrom(t testing.TB, s BatchSampler, start PCG, total int, chunks 
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d start %+v chunk %d: element %d is %d via SampleInto, %d via Sample",
-					s.N(), start, chunk, i, got[i], want[i])
+				t.Fatalf("start %+v chunk %d: element %d is %d via SampleInto, %d via Sample",
+					start, chunk, i, got[i], want[i])
 			}
 		}
 		if src != after {
-			t.Fatalf("n=%d start %+v chunk %d: PCG states diverge after batch (%+v vs %+v)", s.N(), start, chunk, src, after)
+			t.Fatalf("start %+v chunk %d: PCG states diverge after batch (%+v vs %+v)", start, chunk, src, after)
 		}
 	}
 }
@@ -261,7 +249,7 @@ func wordsConsumed(start, end *PCG) int {
 // rand.Rand, the kernel yields the same elements.
 func TestPackageSampleIntoDispatchesBatch(t *testing.T) {
 	const q = 100
-	for _, name := range []string{"alias", "cdf", "uniform", "nop"} {
+	for _, name := range []string{"alias", "uniform"} {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range contractDomains {
 				s := batchSamplers(t, n)[name]
@@ -314,41 +302,29 @@ func streamDigest(draws []int, next uint64) uint64 {
 	return h.Sum64()
 }
 
-// TestSamplerStreamsGolden pins the first 4096 draws of each sampler kind
-// from PCG(1, 2) to digests recorded before the PCG kernels existed, for
-// Sample and the kernel both. The contract test alone cannot catch a
-// change to Sample and the kernel together, which would silently
-// reshuffle every seeded verdict and the results/ tables. U_100's digest
-// was recorded later, from Sample over math/rand/v2's PCG: it pins the
-// uniform input at a domain that is not a power of two, where the full
-// table takes IntN's Lemire path.
+// TestSamplerStreamsGolden pins the first 4096 draws of the alias sampler
+// over four tables from PCG(1, 2) to digests recorded before the PCG
+// kernels existed, for Sample and the kernel both. The contract test
+// alone cannot catch a change to Sample and the kernel together, which
+// would silently reshuffle every seeded verdict and the results/ tables.
+// U_100's digest was recorded later, from Sample over math/rand/v2's PCG:
+// it pins the uniform input at a domain that is not a power of two,
+// where the full table takes IntN's Lemire path.
 func TestSamplerStreamsGolden(t *testing.T) {
 	far := hardFar(t, 11)
 	u64, err := Uniform(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAlias := func(d Dist) BatchSampler {
-		s, err := NewAliasSampler(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	cdf, err := NewCDFSampler(far)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		name string
-		s    BatchSampler
+		s    Sampler
 		want uint64
 	}{
-		{"alias/hard-far-4096", mustAlias(far), 0xdb117331680a7ded},
-		{"alias/uniform-64", mustAlias(u64), 0x4260c07892c45d35},
+		{"alias/hard-far-4096", mustAliasSampler(t, far), 0xdb117331680a7ded},
+		{"alias/uniform-64", mustAliasSampler(t, u64), 0x4260c07892c45d35},
 		{"alias/skewed-100", batchSamplers(t, 100)["alias"], 0xad9273e9c20facd9},
 		{"alias/uniform-100", batchSamplers(t, 100)["uniform"], 0xfc9e87a487f11d03},
-		{"cdf/hard-far-4096", cdf, 0x6e029cd38681ab87},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			draws := make([]int, 4096)
@@ -406,33 +382,9 @@ func TestCoinKeepExact(t *testing.T) {
 	}
 }
 
-// TestNopSampler pins the no-op sampler's contract: domain size 1, always
-// element 0, zero randomness consumed.
-func TestNopSampler(t *testing.T) {
-	s := NopSampler{}
-	if s.N() != 1 {
-		t.Fatalf("N() = %d, want 1", s.N())
-	}
-	src := newPCG(3, 4)
-	probe := newPCG(3, 4)
-	buf := []int{9, 9, 9}
-	s.SampleInto(buf, src)
-	for i, v := range buf {
-		if v != 0 {
-			t.Fatalf("element %d = %d, want 0", i, v)
-		}
-	}
-	if s.Sample(rand.New(src)) != 0 {
-		t.Fatal("Sample != 0")
-	}
-	if src.Uint64() != probe.Uint64() {
-		t.Fatal("NopSampler consumed randomness")
-	}
-}
-
 // TestSampleIntoNoAllocs guards the zero-allocation contract of the
-// batch kernel and the per-element reference path for every sampler
-// kind.
+// batch kernel and the per-element reference path over both alias
+// tables.
 func TestSampleIntoNoAllocs(t *testing.T) {
 	for name, s := range batchSamplers(t, 64) {
 		src := newPCG(7, 9)

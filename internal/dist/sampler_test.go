@@ -2,8 +2,37 @@ package dist
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 )
+
+// cdfSampler draws samples by binary search over the cumulative
+// distribution in O(log n) time. It shares no code with AliasSampler,
+// which makes it the independent reference the alias sampler's
+// distribution tests hold it against.
+type cdfSampler struct {
+	cdf []float64
+}
+
+// newCDFSampler precomputes the cumulative distribution of d, which must
+// not be empty.
+func newCDFSampler(d Dist) *cdfSampler {
+	n := d.N()
+	cdf := make([]float64, n)
+	var acc float64
+	for i, v := range d.p {
+		acc += v
+		cdf[i] = acc
+	}
+	cdf[n-1] = 1 // absorb rounding drift so search never falls off the end
+	return &cdfSampler{cdf: cdf}
+}
+
+// Sample draws one element in O(log n).
+func (c *cdfSampler) Sample(rng *rand.Rand) int {
+	return sort.SearchFloat64s(c.cdf, rng.Float64())
+}
 
 func TestAliasSamplerMatchesDistribution(t *testing.T) {
 	rng := testRand(10)
@@ -36,10 +65,7 @@ func TestCDFSamplerMatchesDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCDFSampler(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newCDFSampler(d)
 	const trials = 200000
 	counts := make([]int, d.N())
 	for i := 0; i < trials; i++ {
@@ -64,10 +90,7 @@ func TestSamplersAgreeOnSkewedDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdf, err := NewCDFSampler(zipf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cdf := newCDFSampler(zipf)
 	const trials = 100000
 	ha := make([]float64, 64)
 	hc := make([]float64, 64)
@@ -91,7 +114,7 @@ func TestSamplerNeverSamplesZeroMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	alias, _ := NewAliasSampler(d)
-	cdf, _ := NewCDFSampler(d)
+	cdf := newCDFSampler(d)
 	for i := 0; i < 10000; i++ {
 		if s := alias.Sample(rng); s == 1 || s == 3 {
 			t.Fatalf("alias sampler produced zero-mass element %d", s)
@@ -106,7 +129,7 @@ func TestSamplerPointMass(t *testing.T) {
 	rng := testRand(14)
 	d, _ := PointMass(7, 4)
 	alias, _ := NewAliasSampler(d)
-	cdf, _ := NewCDFSampler(d)
+	cdf := newCDFSampler(d)
 	for i := 0; i < 1000; i++ {
 		if s := alias.Sample(rng); s != 4 {
 			t.Fatalf("alias sampled %d from a point mass", s)
@@ -160,9 +183,6 @@ func TestHistogramAndEmpirical(t *testing.T) {
 func TestEmptyDomainSamplers(t *testing.T) {
 	if _, err := NewAliasSampler(Dist{}); err == nil {
 		t.Error("alias over empty domain accepted")
-	}
-	if _, err := NewCDFSampler(Dist{}); err == nil {
-		t.Error("CDF over empty domain accepted")
 	}
 }
 

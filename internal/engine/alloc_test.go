@@ -181,9 +181,9 @@ func TestSMPScratchRoundAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	b, src := smpBackend(t)
-	sb, ok := b.(engine.ScratchBackend)
+	sb, ok := b.(engine.BatchBackend)
 	if !ok {
-		t.Fatal("SMP backend does not implement engine.ScratchBackend")
+		t.Fatal("SMP backend does not implement engine.BatchBackend")
 	}
 	sampler, err := src(0, engine.TrialRNG(xbSeed, 0))
 	if err != nil {

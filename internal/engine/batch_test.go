@@ -152,7 +152,7 @@ func TestCONGESTBatchMatchesUnbatched(t *testing.T) {
 				t.Fatal(err)
 			}
 			tester, err := congest.NewTester(congest.TesterConfig{
-				Graph: graph, Root: 0, Q: xbSamples, Rule: xbRule(), T: threshold,
+				Graph: graph, Root: 0, Q: xbSamples, Rule: xbRule(), Referee: referee,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -76,9 +76,9 @@ func flatClusterBackend(tb testing.TB) (engine.Backend, engine.Source) {
 
 // congestBackend runs a CONGEST tester on the graph over uniform input
 // on n elements.
-func congestBackend(tb testing.TB, graph *congest.Graph, q int, rule core.LocalRule, threshold, n int) (engine.Backend, engine.Source) {
+func congestBackend(tb testing.TB, graph *congest.Graph, q int, rule core.LocalRule, referee core.Referee, n int) (engine.Backend, engine.Source) {
 	tb.Helper()
-	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Root: 0, Q: q, Rule: rule, T: threshold})
+	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Root: 0, Q: q, Rule: rule, Referee: referee})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func k5Backend(tb testing.TB) (engine.Backend, engine.Source) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return congestBackend(tb, graph, xbSamples, xbRule(), 2, xbDomain)
+	return congestBackend(tb, graph, xbSamples, xbRule(), core.BitReferee{Rule: core.ThresholdRule{T: 2}}, xbDomain)
 }
 
 // gridBackend is dutbench's congest-grid: FMO's threshold tester at
@@ -120,7 +120,7 @@ func gridBackend(tb testing.TB) (engine.Backend, engine.Source) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return congestBackend(tb, graph, q, fmo.Local(), 0, n)
+	return congestBackend(tb, graph, q, fmo.Local(), nil, n)
 }
 
 func benchRun(b *testing.B, backend engine.Backend, src engine.Source, workers int) {

@@ -114,19 +114,18 @@ func rbitClusterBackend(t *testing.T, rule core.LocalRule, referee core.Referee)
 	return b
 }
 
-// rbitCongestVerdicts runs the same protocol on a CONGEST graph in sum
-// mode: each node's convergecast score is its raw r-bit message value
-// and the root rejects iff the total reaches T — the graph twin of
-// core.SumThresholdReferee. Sum is set explicitly because at r = 1 the
-// classic mode would count rejection indicators (opposite polarity).
-func rbitCongestVerdicts(t *testing.T, build func(int) (*congest.Graph, error), rule core.LocalRule, threshold int) []bool {
+// rbitCongestVerdicts runs the same protocol and sum referee on a
+// CONGEST graph: each node's convergecast score is its raw r-bit message
+// value and the root rejects iff the total reaches the referee's T, at
+// r = 1 too, where a threshold rule would count rejections instead.
+func rbitCongestVerdicts(t *testing.T, build func(int) (*congest.Graph, error), rule core.LocalRule, referee core.Referee) []bool {
 	t.Helper()
 	graph, err := build(xbPlayers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tester, err := congest.NewTester(congest.TesterConfig{
-		Graph: graph, Root: 0, Q: xbSamples, Rule: rule, T: threshold, Sum: true,
+		Graph: graph, Root: 0, Q: xbSamples, Rule: rule, Referee: referee,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +156,7 @@ func TestRBitBackendsAgree(t *testing.T) {
 			assertSameVerdicts(t, "cluster", want, got)
 			for _, g := range graphs {
 				assertSameVerdicts(t, "congest/"+g.name, want,
-					rbitCongestVerdicts(t, g.build, rule, rbitT(r)))
+					rbitCongestVerdicts(t, g.build, rule, referee))
 			}
 		})
 	}
@@ -202,7 +201,7 @@ func TestRBitQuantizedTesterAgreesEverywhere(t *testing.T) {
 			got := rbitVerdicts(t, rbitClusterBackend(t, rule, referee), 4, 2)
 			assertSameVerdicts(t, "cluster-batched", want, got)
 			assertSameVerdicts(t, "congest", want,
-				rbitCongestVerdicts(t, congest.Complete, rule, threshold))
+				rbitCongestVerdicts(t, congest.Complete, rule, referee))
 		})
 	}
 }

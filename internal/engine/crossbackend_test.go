@@ -11,6 +11,7 @@ import (
 	"context"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,7 +186,7 @@ func TestCONGESTBackendAgreesWithSMP(t *testing.T) {
 				t.Fatal(err)
 			}
 			tester, err := congest.NewTester(congest.TesterConfig{
-				Graph: graph, Root: 0, Q: xbSamples, Rule: xbRule(), T: threshold,
+				Graph: graph, Root: 0, Q: xbSamples, Rule: xbRule(), Referee: referee,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -201,6 +202,86 @@ func TestCONGESTBackendAgreesWithSMP(t *testing.T) {
 			}
 			assertSameVerdicts(t, g.name+" via BackendFor", want, runVerdicts(t, bf))
 		})
+	}
+}
+
+// TestCONGESTDecidesWithTheSMPReferee: the CONGEST tester decides with
+// the SMP's own referee, whichever count of the votes it is. On K5 and
+// on a 2x3 grid, under a BitReferee over AND, OR, majority and a
+// threshold rule, and under a sum referee at r = 1 and r = 3, every
+// trial's verdict is the SMP's with the same rule and referee. Every
+// case but AND and OR, which a fair coin per node makes near constant,
+// sees both verdicts, so the comparison tells the referees apart.
+func TestCONGESTDecidesWithTheSMPReferee(t *testing.T) {
+	const trials = 64
+	bit := func(rule core.DecisionRule) func(int) core.Referee {
+		return func(int) core.Referee { return core.BitReferee{Rule: rule} }
+	}
+	// sum centers the threshold on the expected sum of k uniform r-bit
+	// values.
+	sum := func(r int) func(int) core.Referee {
+		return func(k int) core.Referee { return core.SumThresholdReferee{Bits: r, T: k * (1<<r - 1) / 2} }
+	}
+	referees := []struct {
+		name    string
+		rule    core.LocalRule
+		referee func(k int) core.Referee
+		mixed   bool
+	}{
+		{"AND", xbRule(), bit(core.ANDRule{}), false},
+		{"OR", xbRule(), bit(core.ORRule{}), false},
+		{"majority", xbRule(), bit(core.MajorityRule{}), true},
+		{"threshold", xbRule(), bit(core.ThresholdRule{T: 2}), true},
+		{"sum r=1", rbitTestRule{bits: 1}, sum(1), true},
+		{"sum r=3", rbitTestRule{bits: 3}, sum(3), true},
+	}
+	graphs := []struct {
+		name  string
+		build func() (*congest.Graph, error)
+	}{
+		{"K5", func() (*congest.Graph, error) { return congest.Complete(5) }},
+		{"grid", func() (*congest.Graph, error) { return congest.Grid(2, 3) }},
+	}
+	verdicts := func(t *testing.T, p core.Protocol) []bool {
+		t.Helper()
+		b, err := core.BackendFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := engine.Run(context.Background(), b, xbSource(t), trials, engine.Options{Seed: xbSeed, Workers: xbWorkers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]bool, len(results))
+		for i, r := range results {
+			out[i] = r.Verdict
+		}
+		return out
+	}
+	for _, g := range graphs {
+		graph, err := g.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := graph.N()
+		for _, tc := range referees {
+			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
+				referee := tc.referee(k)
+				smp, err := core.NewSMP(k, xbSamples, tc.rule, referee)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Q: xbSamples, Rule: tc.rule, Referee: referee})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := verdicts(t, smp)
+				assertSameVerdicts(t, "congest", want, verdicts(t, tester))
+				if tc.mixed && (!slices.Contains(want, true) || !slices.Contains(want, false)) {
+					t.Errorf("all %d trials decided %v; the comparison cannot tell referees apart", trials, want[0])
+				}
+			})
+		}
 	}
 }
 
@@ -296,7 +377,7 @@ func TestWideMessageFailsOnEveryBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Q: q, Rule: rule, T: threshold})
+	tester, err := congest.NewTester(congest.TesterConfig{Graph: graph, Q: q, Rule: rule, Referee: referee})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@
 // the consecutive trials: its ROUND_BATCH frames name trial ranges.
 // Every in-process backend is a Loop: a player count, a per-worker
 // scratch constructor and one trial function, whose chunk is its trials
-// in order on the worker's scratch. A backend without a batch path runs
-// as a Loop over its RunRoundScratch (or RunRound), so every backend
-// runs the same driver code.
+// in order on the worker's scratch. A plain Backend, with no batch path,
+// runs as a Loop over its RunRound, so every backend runs the same driver
+// code.
 //
 // RoundSpec names the trial index, the engine's base seed and the sampler
 // for the unknown distribution; RoundResult is the uniform per-round

@@ -73,40 +73,34 @@ type WorkerLimiter interface {
 	MaxWorkers() int
 }
 
-// ScratchBackend is the optional zero-allocation extension of Backend:
-// the driver calls NewScratch once per worker and threads the returned
-// value through every RunRoundScratch on that worker, so a backend can
-// reuse sample buffers, vote slices and reseedable generators across
-// trials instead of allocating per round. The scratch value is owned by
-// exactly one worker at a time — implementations need no locking inside
-// it — and results must be bit-identical to RunRound's for the same
-// RoundSpec (the batch path is an optimization, never a semantic fork).
-// A scratch that also implements io.Closer is closed when its worker
-// retires, so a scratch may hold live resources (the cluster batch
-// scratch holds an open multi-round session, which its close parks for
-// the backend's next call).
-type ScratchBackend interface {
+// BatchBackend is the multi-trial, zero-allocation extension of Backend
+// and the driver's one call site. The driver calls NewScratch once per
+// worker and threads the returned value through every call on that
+// worker, so a backend can reuse sample buffers, vote slices and
+// reseedable generators across trials instead of allocating per round.
+// The scratch value is owned by exactly one worker at a time —
+// implementations need no locking inside it. A scratch that also
+// implements io.Closer is closed when its worker retires, so a scratch
+// may hold live resources (the cluster batch scratch holds an open
+// multi-round session, which its close parks for the backend's next
+// call).
+//
+// The driver hands each worker a contiguous chunk of Batch*Window trials
+// and the backend executes them in one RunRoundsScratch call (with Batch
+// 0, a chunk of one trial at batch 1). batch is the wire granularity —
+// pipelined backends split specs into ceil(len(specs)/batch) sub-batches
+// and keep them concurrently in flight (the window), in-process backends
+// are a Loop over their trials. out has len(specs) entries, one per spec
+// in order. A plain Backend is driven through a Loop over its RunRound.
+// The determinism contract is unchanged: the verdict for (seed, trial,
+// player) must be bit-identical to RunRound's for any batch size and
+// window (the batch path is an optimization, never a semantic fork).
+type BatchBackend interface {
 	Backend
 	// NewScratch allocates one worker's reusable round state.
 	NewScratch() any
 	// RunRoundScratch is RunRound with the worker's scratch.
 	RunRoundScratch(ctx context.Context, spec RoundSpec, scratch any) (RoundResult, error)
-}
-
-// BatchBackend is the multi-trial extension of ScratchBackend and the
-// driver's one call site: the driver hands each worker a contiguous
-// chunk of Batch*Window trials and the backend executes them in one
-// call (with Batch 0, a chunk of one trial at batch 1). batch is the
-// wire granularity — pipelined backends split specs into
-// ceil(len(specs)/batch) sub-batches and keep them concurrently in
-// flight (the window), in-process backends are a Loop over their
-// trials. out has len(specs) entries, one per spec in order. A backend
-// without this extension is driven through a Loop over its
-// RunRoundScratch (or RunRound). The determinism contract is unchanged:
-// the verdict for (seed, trial, player) must be bit-identical to
-// RunRound's for any batch size and window.
-type BatchBackend interface {
-	ScratchBackend
 	// RunRoundsScratch executes len(specs) consecutive trials with the
 	// worker's scratch, writing one RoundResult per spec into out.
 	RunRoundsScratch(ctx context.Context, scratch any, specs []RoundSpec, batch int, out []RoundResult) error
@@ -344,18 +338,11 @@ feed:
 	return results, nil
 }
 
-// batchOf returns b's batch path. A backend without one runs as a Loop
-// over its RunRoundScratch, or over RunRound when it keeps no scratch,
-// so the driver has a single call site.
+// batchOf returns b's batch path. A plain Backend runs as a Loop over
+// its RunRound, so the driver has a single call site.
 func batchOf(b Backend) BatchBackend {
-	switch b := b.(type) {
-	case BatchBackend:
-		return b
-	case ScratchBackend:
-		return &Loop[any]{K: b.Players(), Scratch: b.NewScratch,
-			Trial: func(ctx context.Context, scratch any, spec RoundSpec) (RoundResult, error) {
-				return b.RunRoundScratch(ctx, spec, scratch)
-			}}
+	if bb, ok := b.(BatchBackend); ok {
+		return bb
 	}
 	return &Loop[any]{K: b.Players(), Scratch: func() any { return nil },
 		Trial: func(ctx context.Context, _ any, spec RoundSpec) (RoundResult, error) {
@@ -384,7 +371,7 @@ type Loop[S any] struct {
 // Players implements Backend.
 func (l *Loop[S]) Players() int { return l.K }
 
-// NewScratch implements ScratchBackend.
+// NewScratch implements BatchBackend.
 func (l *Loop[S]) NewScratch() any { return l.Scratch() }
 
 // RunRound implements Backend: one trial on a fresh scratch.
@@ -392,7 +379,7 @@ func (l *Loop[S]) RunRound(ctx context.Context, spec RoundSpec) (RoundResult, er
 	return l.RunRoundScratch(ctx, spec, l.Scratch())
 }
 
-// RunRoundScratch implements ScratchBackend: a chunk of one trial.
+// RunRoundScratch implements BatchBackend: a chunk of one trial.
 //
 //dut:hotpath
 func (l *Loop[S]) RunRoundScratch(ctx context.Context, spec RoundSpec, scratch any) (RoundResult, error) {

@@ -120,9 +120,9 @@ func TestRunFillsTrialIndices(t *testing.T) {
 	}
 }
 
-// scratchOnly is a ScratchBackend with no batch path. Its scratches
-// record the trials they ran and how often they were closed.
-type scratchOnly struct {
+// recordingBackend is a BatchBackend whose scratches record the trials
+// they ran and how often they were closed.
+type recordingBackend struct {
 	mu        sync.Mutex
 	scratches []*recordingScratch
 }
@@ -139,9 +139,9 @@ func (s *recordingScratch) Close() error {
 	return nil
 }
 
-func (b *scratchOnly) Players() int { return 1 }
+func (b *recordingBackend) Players() int { return 1 }
 
-func (b *scratchOnly) NewScratch() any {
+func (b *recordingBackend) NewScratch() any {
 	sc := &recordingScratch{}
 	b.mu.Lock()
 	b.scratches = append(b.scratches, sc)
@@ -149,14 +149,25 @@ func (b *scratchOnly) NewScratch() any {
 	return sc
 }
 
-func (b *scratchOnly) RunRound(ctx context.Context, spec RoundSpec) (RoundResult, error) {
+func (b *recordingBackend) RunRound(ctx context.Context, spec RoundSpec) (RoundResult, error) {
 	return b.RunRoundScratch(ctx, spec, b.NewScratch())
 }
 
-func (b *scratchOnly) RunRoundScratch(_ context.Context, spec RoundSpec, scratch any) (RoundResult, error) {
+func (b *recordingBackend) RunRoundScratch(_ context.Context, spec RoundSpec, scratch any) (RoundResult, error) {
 	sc := scratch.(*recordingScratch)
 	sc.trials = append(sc.trials, spec.Trial)
 	return RoundResult{Messages: spec.Trial}, nil
+}
+
+func (b *recordingBackend) RunRoundsScratch(ctx context.Context, scratch any, specs []RoundSpec, _ int, out []RoundResult) error {
+	for i, spec := range specs {
+		res, err := b.RunRoundScratch(ctx, spec, scratch)
+		if err != nil {
+			return err
+		}
+		out[i] = res
+	}
+	return nil
 }
 
 // plainBackend has RunRound alone: no scratch, no batch path, no worker
@@ -170,11 +181,10 @@ func (b *plainBackend) RunRound(_ context.Context, spec RoundSpec) (RoundResult,
 	return RoundResult{Messages: spec.Trial}, nil
 }
 
-// TestRunLoopsBackendsWithoutBatchPath: the driver runs a backend with
-// no batch path of its own as a Loop. A ScratchBackend gets one
-// NewScratch per worker per call, every chunk runs whole on one of those
-// scratches, and each scratch is closed once; a plain Backend runs each
-// trial through RunRound.
+// TestRunLoopsBackendsWithoutBatchPath: the driver runs a plain Backend,
+// which has no batch path of its own, as a Loop over RunRound. A
+// BatchBackend gets one NewScratch per worker per call, every chunk runs
+// whole on one of those scratches, and each scratch is closed once.
 func TestRunLoopsBackendsWithoutBatchPath(t *testing.T) {
 	const trials, chunk = 40, 8
 	opts := Options{Workers: 2, Batch: 4, Window: 2}
@@ -188,7 +198,7 @@ func TestRunLoopsBackendsWithoutBatchPath(t *testing.T) {
 		}
 	}
 	t.Run("scratch", func(t *testing.T) {
-		b := &scratchOnly{}
+		b := &recordingBackend{}
 		for call := 1; call <= 2; call++ {
 			results, err := Run(context.Background(), b, src, trials, opts)
 			if err != nil {

@@ -147,19 +147,12 @@ func (r *ReusableRNG) SeedTrial(seed uint64, trial int) *rand.Rand {
 }
 
 // SampleInto fills dst with samples from s, continuing the stream the
-// last Seed* call positioned. A dist.BatchSampler draws straight from
-// the PCG through its kernel; any other sampler falls back to
-// per-element Sample on the *rand.Rand view. Both consume exactly the
-// draws len(dst) Sample calls on that view would, so the rule's coins
-// that follow read the same words either way.
+// last Seed* call positioned. The sampler's kernel draws straight from
+// the PCG behind the *rand.Rand view and consumes exactly the draws
+// len(dst) Sample calls on that view would, so the rule's coins that
+// follow read the same words.
 //
 //dut:hotpath
 func (r *ReusableRNG) SampleInto(s dist.Sampler, dst []int) {
-	if bs, ok := s.(dist.BatchSampler); ok {
-		bs.SampleInto(dst, &r.pcg)
-		return
-	}
-	for i := range dst {
-		dst[i] = s.Sample(r.rand)
-	}
+	s.SampleInto(dst, &r.pcg)
 }

@@ -8,14 +8,9 @@ import (
 	"github.com/distributed-uniformity/dut/internal/dist"
 )
 
-// sampleOnly hides a sampler's batch kernel, leaving the plain
-// dist.Sampler a third-party implementation would provide.
-type sampleOnly struct{ dist.Sampler }
-
 // reuseSamplers are the samplers the reseeding contract is checked
 // through: alias kernels over a power-of-two and a non-power-of-two
-// skewed domain, and a Sample-only sampler that takes ReusableRNG's
-// per-element fallback.
+// skewed domain.
 func reuseSamplers(t *testing.T) map[string]dist.Sampler {
 	t.Helper()
 	skewedAlias := func(n int) dist.Sampler {
@@ -33,11 +28,9 @@ func reuseSamplers(t *testing.T) map[string]dist.Sampler {
 		}
 		return s
 	}
-	alias100 := skewedAlias(100)
 	return map[string]dist.Sampler{
-		"alias-64":        skewedAlias(64),
-		"alias-100":       alias100,
-		"sample-only-100": sampleOnly{alias100},
+		"alias-64":  skewedAlias(64),
+		"alias-100": skewedAlias(100),
 	}
 }
 
@@ -45,7 +38,7 @@ func reuseSamplers(t *testing.T) map[string]dist.Sampler {
 // ReusableRNG stepped through (shared, player) coordinates must emit
 // exactly the streams fresh NodeRNG allocations would, and a player's
 // SeedNode + SampleInto + private Float64 coin must equal NodeRNG +
-// per-element Sample + coin for every sampler kind.
+// per-element Sample + coin for every sampler.
 func TestReusableRNGMatchesNodeRNG(t *testing.T) {
 	r := NewReusableRNG()
 	for _, shared := range []uint64{0, 1, 0xfeedface, ^uint64(0)} {
@@ -236,7 +229,7 @@ func TestReusableRNGSeedsAllocateOnce(t *testing.T) {
 }
 
 // TestReusableRNGSampleIntoNoAllocs holds the backends' hot sampling
-// entry at zero allocations, on the kernel and the fallback path both.
+// entry at zero allocations.
 func TestReusableRNGSampleIntoNoAllocs(t *testing.T) {
 	r := NewReusableRNG()
 	buf := make([]int, 128)

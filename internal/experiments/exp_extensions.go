@@ -228,7 +228,7 @@ func e18() Experiment {
 					return nil, err
 				}
 				tester, err := congest.NewTester(congest.TesterConfig{
-					Graph: g, Root: 0, Q: q, Rule: smp.Local(), T: core.DefaultThresholdT(k),
+					Graph: g, Root: 0, Q: q, Rule: smp.Local(), Referee: smp.RefereeFunc(),
 				})
 				if err != nil {
 					return nil, err

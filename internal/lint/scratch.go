@@ -8,7 +8,7 @@ import (
 
 // AnalyzerScratchAlias enforces the scratch-buffer ownership contract
 // behind the zero-allocation pipeline: a slice handed to SampleInto (the
-// dist helper, a BatchSampler method, or a fixture spelled the same way)
+// dist helper, a Sampler method, or a fixture spelled the same way)
 // is lent to the callee for the duration of the call only. Within the
 // enclosing function, a caller-visible buffer (parameter or struct field)
 // that was passed as a scratch buffer must not be returned, stored into a

@@ -211,7 +211,7 @@ func (s *clusterScratch) Close() error {
 	return err
 }
 
-// NewScratch implements engine.ScratchBackend; the session itself is
+// NewScratch implements engine.BatchBackend; the session itself is
 // taken or opened on the first chunk.
 func (b *clusterBackend) NewScratch() any { return &clusterScratch{b: b} }
 
@@ -230,7 +230,7 @@ func (b *clusterBackend) RunRound(ctx context.Context, spec engine.RoundSpec) (e
 	return out[0], nil
 }
 
-// RunRoundScratch implements engine.ScratchBackend: a chunk of one trial.
+// RunRoundScratch implements engine.BatchBackend: a chunk of one trial.
 func (b *clusterBackend) RunRoundScratch(ctx context.Context, spec engine.RoundSpec, scratch any) (engine.RoundResult, error) {
 	specs := [1]engine.RoundSpec{spec}
 	var out [1]engine.RoundResult

@@ -522,23 +522,23 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// initDecide classifies the referee and sizes the decide scratch: the
-// counter shape the counter decide evaluates, its counter planes, and
-// the per-player delivery and presence tables. A threshold rule counts
-// rejections in Len(k) planes; a sum referee of the rule's width r
-// counts values in Len(k) + r, and only while that stays within 62
-// planes, where the lane sums (and atLeast's threshold compare) are
-// exact: beyond, it is decided per trial. The opaque decide's message
-// block grows on its first batch.
+// initDecide classifies the referee with core.CountShape and sizes the
+// decide scratch: the counter shape the counter decide evaluates, its
+// counter planes, and the per-player delivery and presence tables. A
+// threshold rule counts rejections in Len(k) planes; a sum referee of
+// the rule's width r counts values in Len(k) + r, and only while that
+// stays within 62 planes, where the lane sums (and atLeast's threshold
+// compare) are exact: beyond, it is decided per trial. The opaque
+// decide's message block grows on its first batch.
 func (bs *batchSession) initDecide() {
 	c := bs.c
 	bs.msgBits = c.rule.Bits()
 	planeLen := bits.Len(uint(c.k))
-	if t, ok := core.ThresholdShape(c.referee, c.k); ok {
-		bs.shaped, bs.shapeT, bs.valueBits, bs.flip = true, t, 1, true
-	} else if t, r, ok := core.SumShape(c.referee, c.k); ok && r == bs.msgBits && r+planeLen <= 62 {
-		bs.shaped, bs.shapeT, bs.valueBits = true, t, r
-		planeLen += r
+	if t, r, flip, ok := core.CountShape(c.referee, c.k, bs.msgBits); ok && (flip || r+planeLen <= 62) {
+		bs.shaped, bs.shapeT, bs.valueBits, bs.flip = true, t, r, flip
+		if !flip {
+			planeLen += r
+		}
 	}
 	bs.deliv = make([][]uint64, c.k)
 	bs.planes = make([]uint64, planeLen)

@@ -74,7 +74,7 @@ func refereeTrials(t *testing.T, c *Cluster, trials int, players ...func(conn ne
 	out := make([]engine.RoundResult, trials)
 	bs, err := openBatchSession(ctx, c, l, nil)
 	if err == nil {
-		samplers := []dist.Sampler{dist.NopSampler{}}
+		samplers := []dist.Sampler{uniformSampler(t, 1)}
 		for i := range out {
 			if err = bs.runChunk(ctx, 7, i, samplers, 1, out[i:i+1]); err != nil {
 				break
@@ -571,7 +571,7 @@ func TestNodeDetectsSilentReferee(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
-	stage.put(1, []dist.Sampler{dist.NopSampler{}})
+	stage.put(1, []dist.Sampler{uniformSampler(t, 1)})
 	referee, nodeConn := net.Pipe()
 	defer func() { _ = referee.Close() }()
 	served := make(chan error, 1)
@@ -655,7 +655,7 @@ func TestNodeRejectsHostileDownlink(t *testing.T) {
 				t.Fatal(err)
 			}
 			stage := &samplerStage{m: make(map[uint32][]dist.Sampler)}
-			stage.put(1, []dist.Sampler{dist.NopSampler{}})
+			stage.put(1, []dist.Sampler{uniformSampler(t, 1)})
 			referee, nodeConn := net.Pipe()
 			defer func() { _ = referee.Close() }()
 			served := make(chan error, 1)

@@ -34,16 +34,17 @@ type Topology struct {
 // Shards <= 1 keeps every code path byte-identical to the flat star.
 func (t Topology) enabled() bool { return t.Shards > 1 }
 
-// validate checks the topology against the player count.
+// validate checks the topology against the player count. A tree's
+// shards must each fit one AGG_HELLO, so the largest quota is held to
+// MaxShardPlayers here, before any node is built or dialled. The shard
+// count needs no bound of its own: it is at most k, and the wire names
+// an aggregator with 32 bits.
 func (t Topology) validate(k int) error {
 	if t.Shards < 0 {
 		return fmt.Errorf("network: negative shard count %d", t.Shards)
 	}
 	if t.Shards > k {
 		return fmt.Errorf("network: %d shards for %d players; every shard needs at least one player", t.Shards, k)
-	}
-	if t.Shards > MaxShardPlayers {
-		return fmt.Errorf("network: %d shards exceeds limit %d", t.Shards, MaxShardPlayers)
 	}
 	if t.Weights != nil {
 		if len(t.Weights) != t.Shards {
@@ -52,6 +53,13 @@ func (t Topology) validate(k int) error {
 		for i, w := range t.Weights {
 			if w < 1 {
 				return fmt.Errorf("network: aggregator weight %d for shard %d, want >= 1", w, i)
+			}
+		}
+	}
+	if t.enabled() {
+		for i, q := range t.quotas(k) {
+			if q > MaxShardPlayers {
+				return fmt.Errorf("network: shard %d of %d players exceeds limit %d", i, q, MaxShardPlayers)
 			}
 		}
 	}

@@ -16,6 +16,10 @@ func TestTopologyValidate(t *testing.T) {
 		{"weights length mismatch", Topology{Shards: 2, Weights: []int{1}}, 4},
 		{"zero weight", Topology{Shards: 2, Weights: []int{1, 0}}, 4},
 		{"negative weight", Topology{Shards: 2, Weights: []int{1, -3}}, 4},
+		// Partition would give shard 0 139,859 members, and each uniform
+		// shard 150,000: more than one AGG_HELLO carries.
+		{"skewed shard over the member limit", Topology{Shards: 2, Weights: []int{1000, 1}}, 140000},
+		{"uniform shards over the member limit", Topology{Shards: 2}, 300000},
 	}
 	for _, tc := range bad {
 		if err := tc.topo.validate(tc.k); err == nil {
@@ -32,6 +36,8 @@ func TestTopologyValidate(t *testing.T) {
 		{"shards equal players", Topology{Shards: 4}, 4},
 		{"weighted", Topology{Shards: 2, Weights: []int{3, 1}}, 8},
 		{"seeded", Topology{Shards: 2, Seed: 9}, 8},
+		{"shards at the member limit", Topology{Shards: 2}, 2 * MaxShardPlayers},
+		{"flat star over the member limit", Topology{}, 300000},
 	}
 	for _, tc := range good {
 		if err := tc.topo.validate(tc.k); err != nil {
